@@ -25,6 +25,7 @@ import (
 
 	"modelnet/internal/experiments"
 	"modelnet/internal/fednet"
+	"modelnet/internal/obs"
 )
 
 func main() {
@@ -33,7 +34,20 @@ func main() {
 	run := flag.String("run", "all", "comma-separated experiments to run, or 'all'")
 	parcoreJSON := flag.String("parcorejson", "BENCH_parcore.json", "where the parcore step records its results ('' = don't)")
 	fednetJSON := flag.String("fednetjson", "BENCH_fednet.json", "where the fednet step records its results ('' = don't)")
+	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of this process here (spawned federation workers write <path>.shard<N>, the last federation's winning)")
+	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit here (spawned federation workers write <path>.shard<N>)")
 	flag.Parse()
+	fednet.ProfileSpawnedWorkers(*cpuProfile, *memProfile)
+	stopProfiles, err := obs.StartProfiles(*cpuProfile, *memProfile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "mnbench:", err)
+		os.Exit(1)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintln(os.Stderr, "mnbench:", err)
+		}
+	}()
 
 	want := map[string]bool{}
 	for _, name := range strings.Split(*run, ",") {

@@ -58,6 +58,12 @@
 // one. -fail plants a crash on purpose (the fault-injection harness):
 //
 //	modelnet -federate 127.0.0.1:0 -fedspawn -cores 2 -ideal -recover -fail 1@3:sigkill
+//
+// -cpuprofile and -memprofile write pprof profiles of the process; workers
+// spawned by -fedspawn each write <path>.shard<N> beside it (and
+// `modelnet core` takes the same two flags):
+//
+//	modelnet -ideal -cpuprofile cpu.prof && go tool pprof -top cpu.prof
 package main
 
 import (
@@ -78,6 +84,7 @@ import (
 	"modelnet/internal/experiments"
 	"modelnet/internal/fednet"
 	"modelnet/internal/netstack"
+	"modelnet/internal/obs"
 	"modelnet/internal/pipes"
 	"modelnet/internal/traffic"
 )
@@ -123,7 +130,10 @@ func main() {
 	traceOut := flag.String("trace-out", "", "record a virtual-time packet trace and write it here (.json = Chrome trace-event, .jsonl = JSON lines, other = canonical binary)")
 	profileOut := flag.String("profile-out", "", "write the run's wall-clock/barrier profile as JSON")
 	metricsListen := flag.String("metrics-listen", "", "with -federate: serve live run metrics over HTTP on this address (Prometheus text at /metrics, JSON at /metrics.json)")
+	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of this process here (workers spawned by -fedspawn write <path>.shard<N>)")
+	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit here (workers spawned by -fedspawn write <path>.shard<N>)")
 	flag.Parse()
+	defer startProfiles(*cpuProfile, *memProfile)()
 
 	spec := modelnet.DistillSpec{}
 	switch *distillMode {
@@ -329,6 +339,8 @@ func coreMain(args []string) {
 	fs := flag.NewFlagSet("modelnet core", flag.ExitOnError)
 	join := fs.String("join", "", "coordinator control-plane address (host:port)")
 	timeout := fs.Duration("timeout", fednet.DefaultTimeout, "liveness bound for every protocol step")
+	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile of the run to <path>.shard<N>")
+	memProfile := fs.String("memprofile", "", "write a pprof heap profile at exit to <path>.shard<N>")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: modelnet core -join host:port [-timeout 2m]")
 		fmt.Fprintln(os.Stderr, "runs one federated core-router worker; start one per machine, then the coordinator with -federate")
@@ -344,6 +356,8 @@ func coreMain(args []string) {
 		Log: func(format string, a ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", a...)
 		},
+		CPUProfile: *cpuProfile,
+		MemProfile: *memProfile,
 	})
 	if err != nil {
 		fatal(err)
@@ -773,6 +787,22 @@ func loadTopology(path string) (*modelnet.Graph, error) {
 	}
 	defer f.Close()
 	return modelnet.ReadGML(f)
+}
+
+// startProfiles begins the -cpuprofile / -memprofile recording for this
+// process and for any workers it spawns; the returned func finishes the
+// files. A run that ends in fatal leaves them unfinished.
+func startProfiles(cpuPath, memPath string) (stop func()) {
+	fednet.ProfileSpawnedWorkers(cpuPath, memPath)
+	stopProfiles, err := obs.StartProfiles(cpuPath, memPath)
+	if err != nil {
+		fatal(err)
+	}
+	return func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintln(os.Stderr, "modelnet:", err)
+		}
+	}
 }
 
 func fatal(err error) {

@@ -95,7 +95,8 @@ type core struct {
 
 	pendingAt vtime.Time
 	pendingID vtime.EventID
-	dirtyArm  bool // re-arm deferred to the end of the current BatchApply
+	run       func() // e.runCore(c), built once: the core re-arms every hop
+	dirtyArm  bool   // re-arm deferred to the end of the current BatchApply
 
 	// Stats.
 	PktsIn        uint64
@@ -156,7 +157,9 @@ func newEmulator(sched *vtime.Scheduler, g *topology.Graph, b *bind.Binding, pod
 	}
 	e.cores = make([]*core, nCores)
 	for i := range e.cores {
-		e.cores[i] = &core{idx: i, heap: pipes.NewHeap(), pendingAt: vtime.Forever}
+		c := &core{idx: i, heap: pipes.NewHeap(), pendingAt: vtime.Forever}
+		c.run = func() { e.runCore(c) }
+		e.cores[i] = c
 	}
 	return e, nil
 }
@@ -544,7 +547,9 @@ func (e *Emulator) localEnqueue(c *core, pkt *pipes.Packet, pid pipes.ID, at vti
 	reason, exit := e.pipes[pid].Enqueue(pkt, at)
 	if reason != pipes.DropNone {
 		e.Trace.PipeDrop(at, pid, pkt, reason)
-		e.dropHook(pkt, "pipe-"+reason.String())
+		if e.DropHook != nil {
+			e.DropHook(pkt, "pipe-"+reason.String())
+		}
 		e.pool.Put(pkt)
 		return
 	}
@@ -758,7 +763,7 @@ func (e *Emulator) scheduleCore(c *core) {
 		e.sched.Cancel(c.pendingID)
 	}
 	c.pendingAt = want
-	c.pendingID = e.sched.At(want, func() { e.runCore(c) })
+	c.pendingID = e.sched.At(want, c.run)
 }
 
 // quantize rounds a deadline up to the next scheduler tick — the hardware

@@ -17,6 +17,21 @@ import (
 // its value is the coordinator's control-plane address.
 const EnvJoin = "MODELNET_FEDNET_JOIN"
 
+// EnvCPUProfile and EnvMemProfile carry a coordinator's -cpuprofile /
+// -memprofile paths to the workers it spawns (they inherit its environment);
+// each worker writes "<path>.shard<N>" (WorkerOptions.CPUProfile).
+const (
+	EnvCPUProfile = "MODELNET_CPUPROFILE"
+	EnvMemProfile = "MODELNET_MEMPROFILE"
+)
+
+// ProfileSpawnedWorkers makes every worker spawned from this process after
+// the call write per-shard profiles beside the given paths ("" = none).
+func ProfileSpawnedWorkers(cpuPath, memPath string) {
+	os.Setenv(EnvCPUProfile, cpuPath)
+	os.Setenv(EnvMemProfile, memPath)
+}
+
 // spawnedWorker tracks one self-exec'd worker process.
 type spawnedWorker struct {
 	cmd *exec.Cmd

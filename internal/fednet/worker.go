@@ -34,6 +34,10 @@ type WorkerOptions struct {
 	Timeout time.Duration
 	// Log, when non-nil, receives progress lines.
 	Log func(format string, args ...any)
+	// CPUProfile and MemProfile, when non-empty, make the worker write a
+	// pprof CPU / heap profile of everything after setup to
+	// "<path>.shard<N>", N being the shard it was assigned.
+	CPUProfile, MemProfile string
 }
 
 // DefaultTimeout is the per-step liveness bound of a federation.
@@ -233,6 +237,15 @@ func (w *workerState) run() error {
 		return fmt.Errorf("fednet: expected setup, got frame type %d", typ)
 	}
 	w.startupWallNs = int64(time.Since(start))
+	stopProfiles, err := obs.StartProfiles(w.shardPath(w.opts.CPUProfile), w.shardPath(w.opts.MemProfile))
+	if err != nil {
+		return fmt.Errorf("fednet: shard %d: %w", w.cfg.Shard, err)
+	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			w.opts.Log("fednet worker: shard %d: %v", w.cfg.Shard, err)
+		}
+	}()
 	if !(w.cfg.Recoverable && w.cfg.DataPlane == DataTCP) {
 		// Mesh is up; no further data-plane joins. Recoverable TCP runs keep
 		// the listener open for respawned peers (the data plane owns and
@@ -971,6 +984,14 @@ func peakRSSBytes() uint64 {
 	return 0
 }
 
+// shardPath names this shard's copy of a per-worker artifact; "" stays "".
+func (w *workerState) shardPath(path string) string {
+	if path == "" {
+		return ""
+	}
+	return fmt.Sprintf("%s.shard%d", path, w.cfg.Shard)
+}
+
 // MaybeRunWorker turns the current process into a federation worker when
 // the spawn environment variable is set, and never returns in that case.
 // Binaries that can host a worker (cmd/modelnet, cmd/mnbench, test
@@ -985,6 +1006,8 @@ func MaybeRunWorker() {
 		Log: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
 		},
+		CPUProfile: os.Getenv(EnvCPUProfile),
+		MemProfile: os.Getenv(EnvMemProfile),
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "fednet worker:", err)

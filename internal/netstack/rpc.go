@@ -126,18 +126,21 @@ func (c *rpcCall) attempt() {
 	c.tries++
 	// Arm the timer before sending: a loopback request can be answered
 	// synchronously within SendTo.
-	c.timer.Reset(c.timeout, func() {
-		if c.finished {
-			return
-		}
-		if c.tries < c.maxTry {
-			c.attempt()
-			return
-		}
-		c.n.Timeouts++
-		c.finish(nil, ErrRPCTimeout)
-	})
+	c.timer.Reset(c.timeout, c.onTimeout)
 	c.n.sock.SendTo(c.to, c.size, &rpcFrame{ID: c.id, Body: c.body})
+}
+
+// onTimeout is the per-try deadline: retry while tries remain, else fail.
+func (c *rpcCall) onTimeout() {
+	if c.finished {
+		return
+	}
+	if c.tries < c.maxTry {
+		c.attempt()
+		return
+	}
+	c.n.Timeouts++
+	c.finish(nil, ErrRPCTimeout)
 }
 
 func (n *RPCNode) onDatagram(from Endpoint, dg *Datagram) {

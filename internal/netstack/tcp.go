@@ -139,6 +139,7 @@ type Conn struct {
 	rttSeq       uint64
 	rttAt        vtime.Time
 	rtxTimer     *vtime.Timer
+	rtxFire      func() // c.onRtxTimeout, bound once: armRtx runs per ACK
 	retries      int
 
 	// Receive state.
@@ -149,6 +150,7 @@ type Conn struct {
 	peerFinDone bool
 	ackPending  int
 	ackTimer    *vtime.Timer
+	ackFire     func() // c.ackNow, bound once
 	window      int
 
 	// Stats.
@@ -211,6 +213,8 @@ func (h *Host) newConn(localPort uint16, remote Endpoint, hs Handlers) *Conn {
 	// by the parallel runtime's horizon scan.
 	c.rtxTimer = vtime.NewTaggedTimer(h.sched, int32(h.vn))
 	c.ackTimer = vtime.NewTaggedTimer(h.sched, int32(h.vn))
+	c.rtxFire = c.onRtxTimeout
+	c.ackFire = c.ackNow
 	h.conns[connKey{localPort, remote}] = c
 	return c
 }
@@ -428,7 +432,7 @@ func (c *Conn) scheduleAck() {
 		return
 	}
 	if !c.ackTimer.Armed() {
-		c.ackTimer.Reset(delAckTimeout, func() { c.ackNow() })
+		c.ackTimer.Reset(delAckTimeout, c.ackFire)
 	}
 }
 

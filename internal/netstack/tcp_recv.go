@@ -316,7 +316,7 @@ func (c *Conn) consumeFin() {
 // ---- timers ----
 
 func (c *Conn) armRtx() {
-	c.rtxTimer.Reset(c.rto, func() { c.onRtxTimeout() })
+	c.rtxTimer.Reset(c.rto, c.rtxFire)
 }
 
 // onRtxTimeout is the retransmission timeout: multiplicative backoff,

@@ -12,5 +12,10 @@
 // The package also supplies the data-path plumbing the emulation core
 // leans on: Packet descriptors (recycled through a PacketPool free list so
 // steady-state emulation allocates nothing per packet) and the pipe Heap
-// the §2.2 scheduler loop pops ready deadlines from.
+// the §2.2 scheduler loop pops ready deadlines from. The heap is intrusive:
+// each pipe records its own heap position, so a pipe belongs to at most one
+// Heap — its owning core's — and a hop costs two sifts and no lookups. Pipe
+// deadlines carry no tie-break, so the order in which equal deadlines pop is
+// whatever the sift produces; that order is simulated behaviour (it decides
+// drop victims and digests) and the heap's tests pin it.
 package pipes

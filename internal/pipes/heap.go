@@ -6,11 +6,18 @@ import "modelnet/internal/vtime"
 // where a pipe's deadline is the exit time of the first packet in its
 // queue. The core scheduler traverses it every clock tick.
 //
-// Pipes are tracked by position so a pipe whose deadline changes can be
-// re-sifted in O(log n) without search.
+// Each tracked pipe carries its own position (Pipe.heapIdx), so a pipe
+// whose deadline changes is re-sifted in O(log n) with no search and no
+// side table. The price is that a pipe may sit in at most one Heap at a
+// time — which is the emulator's ownership rule anyway: a pipe belongs to
+// exactly one core.
+//
+// Equal deadlines pop in an order fixed by the sift itself (strict < on the
+// way down, <= on the way up, last item moved into a vacated slot). That
+// order is part of every run's digest; a change to the sift is a change to
+// simulated behaviour.
 type Heap struct {
 	items []heapItem
-	pos   map[ID]int
 }
 
 type heapItem struct {
@@ -20,7 +27,7 @@ type heapItem struct {
 
 // NewHeap returns an empty pipe heap.
 func NewHeap() *Heap {
-	return &Heap{pos: make(map[ID]int)}
+	return &Heap{}
 }
 
 // Len reports the number of pipes with a live deadline.
@@ -38,26 +45,23 @@ func (h *Heap) Min() vtime.Time {
 // removes the pipe from the heap; otherwise the pipe is inserted or moved.
 func (h *Heap) Update(p *Pipe) {
 	d := p.NextDeadline()
-	i, tracked := h.pos[p.ID()]
+	i := p.heapIdx - 1
 	if d == vtime.Forever {
-		if tracked {
+		if i >= 0 {
 			h.remove(i)
 		}
 		return
 	}
-	if !tracked {
-		h.items = append(h.items, heapItem{p, d})
-		i = len(h.items) - 1
-		h.pos[p.ID()] = i
-		h.up(i)
+	it := heapItem{p, d}
+	if i < 0 {
+		h.items = append(h.items, it)
+		h.up(it, len(h.items)-1)
 		return
 	}
-	old := h.items[i].deadline
-	h.items[i].deadline = d
-	if d < old {
-		h.up(i)
+	if old := h.items[i].deadline; d < old {
+		h.up(it, i)
 	} else if d > old {
-		h.down(i)
+		h.down(it, i)
 	}
 }
 
@@ -85,52 +89,56 @@ func (h *Heap) PopReady(now vtime.Time, visit func(*Pipe)) int {
 	return n
 }
 
+// remove drops the item at position i and re-seats the displaced tail item
+// in the hole: down if a child is earlier, else up.
 func (h *Heap) remove(i int) {
-	last := len(h.items) - 1
-	delete(h.pos, h.items[i].pipe.ID())
-	if i != last {
-		h.items[i] = h.items[last]
-		h.pos[h.items[i].pipe.ID()] = i
-	}
-	h.items = h.items[:last]
-	if i < len(h.items) {
-		h.down(i)
-		h.up(i)
+	n := len(h.items) - 1
+	h.items[i].pipe.heapIdx = 0
+	tail := h.items[n]
+	h.items = h.items[:n]
+	if i < n && h.down(tail, i) == i {
+		h.up(tail, i)
 	}
 }
 
-func (h *Heap) up(i int) {
+// up seats it at position i or above: ancestors with a strictly later
+// deadline shift down into the hole (an equal one stops the climb).
+func (h *Heap) up(it heapItem, i int) {
 	for i > 0 {
 		parent := (i - 1) / 2
-		if h.items[parent].deadline <= h.items[i].deadline {
+		if h.items[parent].deadline <= it.deadline {
 			break
 		}
-		h.swap(parent, i)
+		h.set(i, h.items[parent])
 		i = parent
 	}
+	h.set(i, it)
 }
 
-func (h *Heap) down(i int) {
+// down seats it at position i or below and returns where: the earlier child
+// (the left one on a tie) shifts up into the hole while it is strictly
+// earlier than it.
+func (h *Heap) down(it heapItem, i int) int {
 	n := len(h.items)
 	for {
-		l, r := 2*i+1, 2*i+2
-		small := i
-		if l < n && h.items[l].deadline < h.items[small].deadline {
-			small = l
+		small, d := i, it.deadline
+		if l := 2*i + 1; l < n && h.items[l].deadline < d {
+			small, d = l, h.items[l].deadline
 		}
-		if r < n && h.items[r].deadline < h.items[small].deadline {
+		if r := 2*i + 2; r < n && h.items[r].deadline < d {
 			small = r
 		}
 		if small == i {
-			return
+			break
 		}
-		h.swap(i, small)
+		h.set(i, h.items[small])
 		i = small
 	}
+	h.set(i, it)
+	return i
 }
 
-func (h *Heap) swap(i, j int) {
-	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.pos[h.items[i].pipe.ID()] = i
-	h.pos[h.items[j].pipe.ID()] = j
+func (h *Heap) set(i int, it heapItem) {
+	h.items[i] = it
+	it.pipe.heapIdx = i + 1
 }

@@ -184,3 +184,202 @@ func TestHeapChurnProperty(t *testing.T) {
 		}
 	}
 }
+
+// refHeap is the swap-based binary heap with a position side table that
+// Heap replaced. It is kept here as the reference for the one thing a heap
+// rewrite could silently change: the order in which equal deadlines pop,
+// which every run's digest depends on.
+type refHeap struct {
+	items []heapItem
+	pos   map[ID]int
+}
+
+func (h *refHeap) update(p *Pipe) {
+	d := p.NextDeadline()
+	i, tracked := h.pos[p.ID()]
+	switch {
+	case d == vtime.Forever:
+		if tracked {
+			h.remove(i)
+		}
+	case !tracked:
+		h.items = append(h.items, heapItem{p, d})
+		h.pos[p.ID()] = len(h.items) - 1
+		h.up(len(h.items) - 1)
+	default:
+		old := h.items[i].deadline
+		h.items[i].deadline = d
+		if d < old {
+			h.up(i)
+		} else if d > old {
+			h.down(i)
+		}
+	}
+}
+
+func (h *refHeap) remove(i int) {
+	last := len(h.items) - 1
+	delete(h.pos, h.items[i].pipe.ID())
+	if i != last {
+		h.items[i] = h.items[last]
+		h.pos[h.items[i].pipe.ID()] = i
+	}
+	h.items = h.items[:last]
+	if i < len(h.items) {
+		h.down(i)
+		h.up(i)
+	}
+}
+
+func (h *refHeap) up(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h.items[parent].deadline <= h.items[i].deadline {
+			break
+		}
+		h.swap(parent, i)
+		i = parent
+	}
+}
+
+func (h *refHeap) down(i int) {
+	n := len(h.items)
+	for {
+		l, r := 2*i+1, 2*i+2
+		small := i
+		if l < n && h.items[l].deadline < h.items[small].deadline {
+			small = l
+		}
+		if r < n && h.items[r].deadline < h.items[small].deadline {
+			small = r
+		}
+		if small == i {
+			return
+		}
+		h.swap(i, small)
+		i = small
+	}
+}
+
+func (h *refHeap) swap(i, j int) {
+	h.items[i], h.items[j] = h.items[j], h.items[i]
+	h.pos[h.items[i].pipe.ID()] = i
+	h.pos[h.items[j].pipe.ID()] = j
+}
+
+// Property: under random Update (insert, move both ways, equal re-update,
+// Forever removal) and PopReady churn over a handful of colliding deadlines,
+// every tracked pipe's heapIdx names its slot, every untracked pipe's is
+// zero, and the layout — hence the pop order of ties — is slot for slot the
+// reference heap's.
+func TestHeapIndexAndTieOrderMatchReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	h := NewHeap()
+	ref := &refHeap{pos: map[ID]int{}}
+	ps := make([]*Pipe, 40)
+	for i := range ps {
+		ps[i] = bareWithDeadline(ID(i), vtime.Forever)
+	}
+	check := func(step int) {
+		t.Helper()
+		if len(h.items) != len(ref.items) {
+			t.Fatalf("step %d: %d items, reference has %d", step, len(h.items), len(ref.items))
+		}
+		for i, it := range h.items {
+			if it != ref.items[i] {
+				t.Fatalf("step %d: slot %d holds pipe %d@%v, reference pipe %d@%v",
+					step, i, it.pipe.ID(), it.deadline, ref.items[i].pipe.ID(), ref.items[i].deadline)
+			}
+			if it.pipe.heapIdx != i+1 {
+				t.Fatalf("step %d: pipe %d in slot %d has heapIdx %d", step, it.pipe.ID(), i, it.pipe.heapIdx)
+			}
+			if it.deadline != it.pipe.NextDeadline() {
+				t.Fatalf("step %d: slot %d caches %v, pipe says %v", step, i, it.deadline, it.pipe.NextDeadline())
+			}
+		}
+		for _, p := range ps {
+			if _, tracked := ref.pos[p.ID()]; !tracked && p.heapIdx != 0 {
+				t.Fatalf("step %d: untracked pipe %d has heapIdx %d", step, p.ID(), p.heapIdx)
+			}
+		}
+	}
+	now := vtime.Time(0)
+	for step := 0; step < 20000; step++ {
+		if rng.Intn(5) == 0 {
+			// The core's loop: pop everything due, give each popped pipe its
+			// next deadline (often Forever), re-insert.
+			now += vtime.Time(rng.Intn(3))
+			var order, refOrder []ID
+			h.PopReady(now, func(p *Pipe) {
+				order = append(order, p.ID())
+				next := vtime.Forever
+				if rng.Intn(3) > 0 {
+					next = now + vtime.Time(rng.Intn(8)+1)
+				}
+				setDeadline(p, next)
+				h.Update(p)
+				// Replay the same pop on the reference.
+				refOrder = append(refOrder, ref.items[0].pipe.ID())
+				ref.remove(0)
+				ref.update(p)
+			})
+			for i := range order {
+				if order[i] != refOrder[i] {
+					t.Fatalf("step %d: popped %v, reference %v", step, order, refOrder)
+				}
+			}
+		} else {
+			p := ps[rng.Intn(len(ps))]
+			switch rng.Intn(6) {
+			case 0:
+				setDeadline(p, vtime.Forever)
+			case 1: // equal re-update
+			default:
+				setDeadline(p, now+vtime.Time(rng.Intn(8)+1)) // 8 values: ties everywhere
+			}
+			h.Update(p)
+			ref.update(p)
+		}
+		check(step)
+	}
+}
+
+// The per-hop pipe work — Enqueue, Update, PopReady, DequeueReady, Update —
+// allocates nothing once queues and heap have reached their working size.
+func TestHeapHopPathAllocs(t *testing.T) {
+	const nPipes = 16
+	ps := make([]*Pipe, nPipes)
+	for i := range ps {
+		ps[i] = New(ID(i), Params{BandwidthBps: 1e9, Latency: 50 * vtime.Microsecond, QueuePkts: 100}, 1)
+	}
+	h := NewHeap()
+	var pool PacketPool
+	now := vtime.Time(0)
+	recycle := func(pkt *Packet, _ vtime.Time) { pool.Put(pkt) }
+	drain := func(p *Pipe) {
+		p.DequeueReady(now, recycle)
+		h.Update(p)
+	}
+	i := 0
+	step := func() {
+		i++
+		now = now.Add(vtime.Microsecond)
+		p := ps[i%nPipes]
+		pkt := pool.Get()
+		pkt.Size = 1000
+		if reason, _ := p.Enqueue(pkt, now); reason != DropNone {
+			t.Fatalf("unexpected drop: %v", reason)
+		}
+		h.Update(p)
+		h.PopReady(now, drain)
+	}
+	for w := 0; w < 5000; w++ {
+		step()
+	}
+	if h.Len() == 0 {
+		t.Fatal("test premise: the heap should stay populated")
+	}
+	if n := testing.AllocsPerRun(2000, step); n != 0 {
+		t.Fatalf("Enqueue+Update+PopReady+DequeueReady: %v allocs per step, want 0", n)
+	}
+}

@@ -66,6 +66,10 @@ type Pipe struct {
 	draws      uint64     // Float64 draws taken; positions the rng in a snapshot
 	red        redState
 
+	// heapIdx is 1 + the pipe's position in the Heap tracking it, 0 when no
+	// heap does. Owned by Heap; the zero value is "untracked".
+	heapIdx int
+
 	// Stats.
 	Accepted  uint64
 	Drops     [numDropReasons]uint64 // indexed by DropReason

@@ -9,6 +9,18 @@
 // depends only on the model (tick quantization, CPU budgets), never on the
 // host.
 //
+// Events fire in strict (time, sequence) order, the sequence number taken
+// when the event is armed; that order — not the heap that implements it — is
+// the contract every digest and trace in the repository rests on. The
+// scheduler sits under every emulated packet-hop, so its steady state
+// allocates nothing: event records are recycled through a per-scheduler free
+// list (bounded by the peak number of pending events), and an EventID pairs
+// the record with a generation so that an id which has gone stale — fired,
+// canceled, or held by its own running callback — can never reach the
+// record's next occupant. Timer and Ticker arm with one prebound callback
+// each; callers that re-arm per packet should likewise pass a func value
+// built once. DESIGN.md ("Hop-path cost model") has the full accounting.
+//
 // Virtual time can still be slaved back to the wall clock when a run must
 // interact with the outside world: the parallel runtime's real-time pacing
 // mode (parcore.Pacing) releases scheduler windows so that one virtual

@@ -9,7 +9,6 @@ package vtime
 // same-time tie-breaks included — survives a snapshot/restore cycle.
 
 import (
-	"container/heap"
 	"fmt"
 	"sort"
 )
@@ -70,7 +69,7 @@ func (s *Scheduler) Restore(st SchedulerState, arm func(EventState) func()) erro
 		if fn == nil {
 			return fmt.Errorf("vtime: restore: no callback for event at %v (seq %d, tag %d)", es.At, es.Seq, es.Tag)
 		}
-		heap.Push(&s.events, &event{at: es.At, seq: es.Seq, fn: fn, tag: es.Tag})
+		s.push(es.At, es.Seq, es.Tag, fn)
 	}
 	s.now, s.seq, s.fired = st.Now, st.Seq, st.Fired
 	return nil

@@ -11,28 +11,38 @@ type Timer struct {
 	// Scheduler.AtTagged); NoTag from NewTimer, the owning VN from
 	// NewTaggedTimer.
 	Tag int32
+
+	fn   func() // the current arming's callback
+	fire func() // t.expire, bound once so arming allocates nothing
 }
 
 // NewTimer returns an unarmed timer bound to s.
 func NewTimer(s *Scheduler) *Timer {
-	return &Timer{s: s, Tag: NoTag}
+	return NewTaggedTimer(s, NoTag)
 }
 
 // NewTaggedTimer returns an unarmed timer whose events claim owner vn: its
 // callbacks must inject traffic only at that VN.
 func NewTaggedTimer(s *Scheduler, vn int32) *Timer {
-	return &Timer{s: s, Tag: vn}
+	t := &Timer{s: s, Tag: vn}
+	t.fire = t.expire
+	return t
 }
 
 // Reset (re)arms the timer to fire fn after d, canceling any prior arming.
+// Arming allocates nothing, so a caller that re-arms per packet should pass
+// a func value it built once rather than a fresh closure.
 func (t *Timer) Reset(d Duration, fn func()) {
 	t.StopTimer()
 	t.Expiry = t.s.Now().Add(d)
 	t.armed = true
-	t.id = t.s.AtTagged(t.Expiry, t.Tag, func() {
-		t.armed = false
-		fn()
-	})
+	t.fn = fn
+	t.id = t.s.AtTagged(t.Expiry, t.Tag, t.fire)
+}
+
+func (t *Timer) expire() {
+	t.armed = false
+	t.fn()
 }
 
 // StopTimer cancels the timer if armed. Reports whether it was armed.
@@ -57,6 +67,8 @@ type Ticker struct {
 	running bool
 	// Tag is the owner claim (see Timer.Tag); NoTag from NewTicker.
 	Tag int32
+
+	fire func() // tk.tick, bound once so each period allocates nothing
 }
 
 // NewTicker returns a stopped ticker; call Start to begin.
@@ -64,7 +76,9 @@ func NewTicker(s *Scheduler, period Duration, fn func()) *Ticker {
 	if period <= 0 {
 		panic("vtime: ticker period must be positive")
 	}
-	return &Ticker{s: s, period: period, fn: fn, Tag: NoTag}
+	tk := &Ticker{s: s, period: period, fn: fn, Tag: NoTag}
+	tk.fire = tk.tick
+	return tk
 }
 
 // NewTaggedTicker is NewTicker with an owner claim: fn must inject traffic
@@ -85,15 +99,17 @@ func (tk *Ticker) Start() {
 }
 
 func (tk *Ticker) schedule() {
-	tk.id = tk.s.AtTagged(tk.s.Now().Add(tk.period), tk.Tag, func() {
-		if !tk.running {
-			return
-		}
-		tk.fn()
-		if tk.running {
-			tk.schedule()
-		}
-	})
+	tk.id = tk.s.AtTagged(tk.s.Now().Add(tk.period), tk.Tag, tk.fire)
+}
+
+func (tk *Ticker) tick() {
+	if !tk.running {
+		return
+	}
+	tk.fn()
+	if tk.running {
+		tk.schedule()
+	}
 }
 
 // Stop halts the ticker. The callback will not fire again.

@@ -1,7 +1,6 @@
 package vtime
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 )
@@ -50,47 +49,43 @@ func DurationOf(seconds float64) Duration { return Duration(seconds * float64(Se
 // its callback can act anywhere on the shard.
 const NoTag = int32(-1)
 
-// event is one scheduled callback.
+// event is one scheduled callback. Records are recycled: when an event
+// fires or is canceled its record goes onto the scheduler's free list and the
+// next At reuses it, so a steady-state run allocates no events at all.
 type event struct {
-	at    Time
-	seq   uint64 // tie-break so same-time events fire in schedule order
+	at  Time
+	seq uint64 // tie-break so same-time events fire in schedule order
+	// gen counts how many times this record has left the heap. An EventID
+	// remembers the gen it was issued under, so ids of earlier occupants can
+	// never touch the record's current one.
+	gen   uint64
 	fn    func()
-	index int   // heap index, -1 when popped or canceled
+	index int32 // heap position while pending
 	tag   int32 // owner claim (a VN), or NoTag
 }
 
-// EventID identifies a scheduled event so it can be canceled.
-type EventID struct{ ev *event }
-
-// eventHeap orders events by (time, seq).
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before is the scheduler's one ordering: strictly by (at, seq). seq is
+// unique per scheduler, so the order is total and the firing sequence does
+// not depend on how the heap happens to be laid out.
+func (e *event) before(o *event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return h[i].seq < h[j].seq
+	return e.seq < o.seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+
+// EventID identifies a scheduled event so it can be canceled. It goes stale
+// the moment the event fires or is canceled — including for the event's own
+// callback — and a stale id is inert: Cancel ignores it, NextEventTimeExcept
+// excludes nothing, and it compares unequal to every id ScanPending reports.
+// The zero EventID is stale.
+type EventID struct {
+	ev  *event
+	gen uint64
 }
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
-}
+
+// live reports whether id still names a pending event.
+func (id EventID) live() bool { return id.ev != nil && id.ev.gen == id.gen }
 
 // Scheduler is a deterministic single-threaded discrete-event scheduler.
 // It is not safe for concurrent use; the emulator is a single logical
@@ -98,8 +93,8 @@ func (h *eventHeap) Pop() any {
 type Scheduler struct {
 	now     Time
 	seq     uint64
-	events  eventHeap
-	running bool
+	events  []*event // binary min-heap by (at, seq); events[i].index == i
+	free    []*event // recycled records; never more than the peak of Pending
 	stopped bool
 	fired   uint64
 }
@@ -139,7 +134,7 @@ func (s *Scheduler) NextEventTimeExcept(id EventID) Time {
 	if len(s.events) == 0 {
 		return Forever
 	}
-	if s.events[0] != id.ev {
+	if s.events[0] != id.ev || !id.live() {
 		return s.events[0].at
 	}
 	next := Forever
@@ -170,10 +165,85 @@ func (s *Scheduler) AtTagged(at Time, tag int32, fn func()) EventID {
 	if at < s.now {
 		panic(fmt.Sprintf("vtime: schedule at %v before now %v", at, s.now))
 	}
-	ev := &event{at: at, seq: s.seq, fn: fn, tag: tag}
+	ev := s.push(at, s.seq, tag, fn)
 	s.seq++
-	heap.Push(&s.events, ev)
-	return EventID{ev}
+	return EventID{ev, ev.gen}
+}
+
+// push takes a record off the free list (or allocates the scheduler's next
+// one), fills it, and sifts it into the heap.
+func (s *Scheduler) push(at Time, seq uint64, tag int32, fn func()) *event {
+	var ev *event
+	if n := len(s.free); n > 0 {
+		ev = s.free[n-1]
+		s.free = s.free[:n-1]
+	} else {
+		ev = new(event)
+	}
+	ev.at, ev.seq, ev.tag, ev.fn = at, seq, tag, fn
+	s.events = append(s.events, ev)
+	s.up(ev, len(s.events)-1)
+	return ev
+}
+
+// remove takes the event at heap position i out of the heap, retires every
+// EventID issued for it, and recycles its record.
+func (s *Scheduler) remove(i int) {
+	h := s.events
+	ev := h[i]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = nil
+	s.events = h[:n]
+	// Re-seat the displaced tail where the hole is: down if a child fires
+	// before it, else up.
+	if i < n && s.down(last, i) == i {
+		s.up(last, i)
+	}
+	ev.gen++
+	ev.fn = nil
+	s.free = append(s.free, ev)
+}
+
+// up places ev at heap position i or above, shifting later-firing ancestors
+// down into the hole.
+func (s *Scheduler) up(ev *event, i int) {
+	h := s.events
+	for i > 0 {
+		p := (i - 1) / 2
+		if !ev.before(h[p]) {
+			break
+		}
+		h[i] = h[p]
+		h[i].index = int32(i)
+		i = p
+	}
+	h[i] = ev
+	ev.index = int32(i)
+}
+
+// down places ev at heap position i or below, shifting earlier-firing
+// children up into the hole, and returns where ev landed.
+func (s *Scheduler) down(ev *event, i int) int {
+	h := s.events
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && h[r].before(h[c]) {
+			c = r
+		}
+		if !h[c].before(ev) {
+			break
+		}
+		h[i] = h[c]
+		h[i].index = int32(i)
+		i = c
+	}
+	h[i] = ev
+	ev.index = int32(i)
+	return i
 }
 
 // ScanPending visits every pending event with its time, owner tag, and ID,
@@ -181,7 +251,7 @@ func (s *Scheduler) AtTagged(at Time, tag int32, fn func()) EventID {
 // into their safe-advance bounds.
 func (s *Scheduler) ScanPending(visit func(at Time, tag int32, id EventID)) {
 	for _, ev := range s.events {
-		visit(ev.at, ev.tag, EventID{ev})
+		visit(ev.at, ev.tag, EventID{ev, ev.gen})
 	}
 }
 
@@ -196,12 +266,10 @@ func (s *Scheduler) After(d Duration, fn func()) EventID {
 // Cancel removes a scheduled event. Canceling an already-fired or
 // already-canceled event is a no-op. Reports whether the event was removed.
 func (s *Scheduler) Cancel(id EventID) bool {
-	ev := id.ev
-	if ev == nil || ev.index < 0 {
+	if !id.live() {
 		return false
 	}
-	heap.Remove(&s.events, ev.index)
-	ev.fn = nil
+	s.remove(int(id.ev.index))
 	return true
 }
 
@@ -211,10 +279,15 @@ func (s *Scheduler) Step() bool {
 	if len(s.events) == 0 {
 		return false
 	}
-	ev := heap.Pop(&s.events).(*event)
+	ev := s.events[0]
+	fn := ev.fn
 	s.now = ev.at
 	s.fired++
-	ev.fn()
+	// The record is recycled before the callback runs, so whatever the
+	// callback schedules first reuses it; the fired event's id is already
+	// stale by then.
+	s.remove(0)
+	fn()
 	return true
 }
 
@@ -226,12 +299,10 @@ func (s *Scheduler) Run() {
 // RunUntil fires events with time ≤ deadline, then sets the clock to the
 // deadline (if it was reached). Events scheduled during the run participate.
 func (s *Scheduler) RunUntil(deadline Time) {
-	s.running = true
 	s.stopped = false
 	for !s.stopped && len(s.events) > 0 && s.events[0].at <= deadline {
 		s.Step()
 	}
-	s.running = false
 	if !s.stopped && deadline != Forever && s.now < deadline {
 		s.now = deadline
 	}
