@@ -34,8 +34,8 @@ func main() {
 	run := flag.String("run", "all", "comma-separated experiments to run, or 'all'")
 	parcoreJSON := flag.String("parcorejson", "BENCH_parcore.json", "where the parcore step records its results ('' = don't)")
 	fednetJSON := flag.String("fednetjson", "BENCH_fednet.json", "where the fednet step records its results ('' = don't)")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of this process here (spawned federation workers write <path>.shard<N>, the last federation's winning)")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit here (spawned federation workers write <path>.shard<N>)")
+	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of this process here (spawned federation workers write <path>.shard<N>; a step's second and later federations <path>.fed<K>.shard<N>)")
+	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit here (spawned federation workers as for -cpuprofile)")
 	flag.Parse()
 	fednet.ProfileSpawnedWorkers(*cpuProfile, *memProfile)
 	stopProfiles, err := obs.StartProfiles(*cpuProfile, *memProfile)

@@ -625,12 +625,12 @@ func (e *Emulator) TunnelIn(pkt *pipes.Packet, pid pipes.ID, at vtime.Time) {
 func (e *Emulator) runCore(c *core) {
 	now := e.sched.Now()
 	c.pendingAt = vtime.Forever
-	c.heap.PopReady(now, func(p *pipes.Pipe) {
-		p.DequeueReady(now, func(pkt *pipes.Packet, exactExit vtime.Time) {
+	for p := c.heap.PopNext(now); p != nil; p = c.heap.PopNext(now) {
+		for pkt, exactExit := p.DequeueNext(now); pkt != nil; pkt, exactExit = p.DequeueNext(now) {
 			e.advance(c, pkt, exactExit, now)
-		})
+		}
 		c.heap.Update(p)
-	})
+	}
 	e.scheduleCore(c)
 }
 

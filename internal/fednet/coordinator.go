@@ -363,8 +363,10 @@ func Run(opts Options) (*Report, error) {
 		opts.Cores, ln.Addr(), opts.DataPlane, opts.Scenario)
 
 	var spawned []*spawnedWorker
+	fed := 0
 	if opts.Spawn {
-		spawned, err = SpawnWorkers(opts.Cores, ln.Addr().String())
+		fed = int(spawnedFederations.Add(1))
+		spawned, err = SpawnWorkers(opts.Cores, ln.Addr().String(), fed)
 		if err != nil {
 			return nil, err
 		}
@@ -568,7 +570,7 @@ func Run(opts Options) (*Report, error) {
 			}
 		}
 		tr.rec = &recoveryState{
-			ln: ln, join: ln.Addr().String(), timeout: opts.Timeout,
+			ln: ln, join: ln.Addr().String(), fed: fed, timeout: opts.Timeout,
 			spawned: spawned, addrs: addrs, dataPlane: opts.DataPlane,
 			sendSetup: sendSetup, log: opts.Log,
 			ckptEvery: opts.CkptEvery, ckptDir: opts.CkptDir,

@@ -77,6 +77,7 @@ type loggedRound struct {
 type recoveryState struct {
 	ln        net.Listener
 	join      string
+	fed       int // the federation's ordinal in this process (SpawnWorkers)
 	timeout   time.Duration
 	dataPlane string
 	log       func(format string, args ...any)
@@ -146,7 +147,7 @@ func (r *recoveryState) recover(t *coordTransport, i int) error {
 	}
 	t.conns[i].Close()
 
-	ws, err := SpawnWorkers(1, r.join)
+	ws, err := SpawnWorkers(1, r.join, r.fed)
 	if err != nil {
 		return fmt.Errorf("fednet: respawn shard %d: %w", i, err)
 	}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"sync/atomic"
 	"time"
 )
 
@@ -19,11 +20,17 @@ const EnvJoin = "MODELNET_FEDNET_JOIN"
 
 // EnvCPUProfile and EnvMemProfile carry a coordinator's -cpuprofile /
 // -memprofile paths to the workers it spawns (they inherit its environment);
-// each worker writes "<path>.shard<N>" (WorkerOptions.CPUProfile).
+// each worker writes "<path>.shard<N>" (WorkerOptions.CPUProfile). A process
+// that runs several spawned federations gives the second and later ones
+// "<path>.fed<K>.shard<N>", so none overwrites an earlier one's files.
 const (
 	EnvCPUProfile = "MODELNET_CPUPROFILE"
 	EnvMemProfile = "MODELNET_MEMPROFILE"
 )
+
+// spawnedFederations counts the spawned federations this process has
+// started; a federation's count (from 1) is the K in its profile paths.
+var spawnedFederations atomic.Int32
 
 // ProfileSpawnedWorkers makes every worker spawned from this process after
 // the call write per-shard profiles beside the given paths ("" = none).
@@ -37,17 +44,25 @@ type spawnedWorker struct {
 	cmd *exec.Cmd
 }
 
-// SpawnWorkers re-executes the current binary n times as federation
-// workers joining the coordinator at join.
-func SpawnWorkers(n int, join string) ([]*spawnedWorker, error) {
+// SpawnWorkers re-executes the current binary n times as workers of this
+// process's fed-th spawned federation, joining the coordinator at join.
+func SpawnWorkers(n int, join string, fed int) ([]*spawnedWorker, error) {
 	exe, err := os.Executable()
 	if err != nil {
 		return nil, fmt.Errorf("fednet: spawn: %w", err)
 	}
+	env := append(os.Environ(), EnvJoin+"="+join)
+	if fed > 1 { // the first federation keeps the bare paths
+		for _, name := range []string{EnvCPUProfile, EnvMemProfile} {
+			if path := os.Getenv(name); path != "" {
+				env = append(env, fmt.Sprintf("%s=%s.fed%d", name, path, fed))
+			}
+		}
+	}
 	var ws []*spawnedWorker
 	for i := 0; i < n; i++ {
 		cmd := exec.Command(exe)
-		cmd.Env = append(os.Environ(), EnvJoin+"="+join)
+		cmd.Env = env
 		cmd.Stderr = os.Stderr
 		if err := cmd.Start(); err != nil {
 			stopWorkers(ws)

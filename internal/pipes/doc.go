@@ -11,11 +11,18 @@
 //
 // The package also supplies the data-path plumbing the emulation core
 // leans on: Packet descriptors (recycled through a PacketPool free list so
-// steady-state emulation allocates nothing per packet) and the pipe Heap
-// the §2.2 scheduler loop pops ready deadlines from. The heap is intrusive:
-// each pipe records its own heap position, so a pipe belongs to at most one
-// Heap — its owning core's — and a hop costs two sifts and no lookups. Pipe
-// deadlines carry no tie-break, so the order in which equal deadlines pop is
-// whatever the sift produces; that order is simulated behaviour (it decides
-// drop victims and digests) and the heap's tests pin it.
+// steady-state emulation allocates nothing per packet; Put drops a
+// descriptor's references and Get's caller overwrites the rest) and the pipe
+// Heap the §2.2 scheduler loop pops ready deadlines from. That loop is
+// written over two primitives — Heap.PopNext, the earliest pipe if it is
+// due, and Pipe.DequeueNext, a pipe's head packet if it is due — and
+// Heap.PopReady / Pipe.DequeueReady are the same loops taking a callback.
+//
+// The heap is intrusive: each pipe records its own heap position, so a pipe
+// belongs to at most one Heap — its owning core's — and a hop costs two
+// sifts and no lookups. Pipe deadlines carry no tie-break, so the order in
+// which equal deadlines pop is whatever the sift produces; that order is
+// simulated behaviour (it decides drop victims and digests) and the heap's
+// tests pin it. The descent selects the earlier child arithmetically rather
+// than by branching — the comparisons, and so the layout, are unchanged.
 package pipes

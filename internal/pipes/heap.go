@@ -75,14 +75,23 @@ func (h *Heap) Scan(visit func(ID, vtime.Time)) {
 	}
 }
 
-// PopReady removes and returns every pipe whose deadline is ≤ now. Callers
-// dequeue the ready packets and then Update the pipe to reinsert it with
-// its new deadline, mirroring the paper's scheduler loop.
+// PopNext removes and returns the earliest pipe if its deadline is ≤ now,
+// else nil. Callers dequeue the pipe's ready packets and then Update it to
+// reinsert it with its new deadline — the paper's scheduler loop.
+func (h *Heap) PopNext(now vtime.Time) *Pipe {
+	if len(h.items) == 0 || h.items[0].deadline > now {
+		return nil
+	}
+	p := h.items[0].pipe
+	h.remove(0)
+	return p
+}
+
+// PopReady calls visit with each pipe PopNext(now) yields until none is
+// due, and returns how many that was.
 func (h *Heap) PopReady(now vtime.Time, visit func(*Pipe)) int {
 	n := 0
-	for len(h.items) > 0 && h.items[0].deadline <= now {
-		p := h.items[0].pipe
-		h.remove(0)
+	for p := h.PopNext(now); p != nil; p = h.PopNext(now) {
 		n++
 		visit(p)
 	}
@@ -117,22 +126,31 @@ func (h *Heap) up(it heapItem, i int) {
 
 // down seats it at position i or below and returns where: the earlier child
 // (the left one on a tie) shifts up into the hole while it is strictly
-// earlier than it.
+// earlier than it. Which child is earlier is a coin flip the branch
+// predictor cannot learn, so it is computed as an index offset, not
+// branched on; whether that child beats it is the one real test, and it is
+// true until the last level. The comparisons' outcomes are those of the
+// textbook item → left → right strict-< cascade (see refHeap in the tests).
 func (h *Heap) down(it heapItem, i int) int {
-	n := len(h.items)
+	items := h.items
+	n := len(items)
 	for {
-		small, d := i, it.deadline
-		if l := 2*i + 1; l < n && h.items[l].deadline < d {
-			small, d = l, h.items[l].deadline
-		}
-		if r := 2*i + 2; r < n && h.items[r].deadline < d {
-			small = r
-		}
-		if small == i {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		h.set(i, h.items[small])
-		i = small
+		if r := c + 1; r < n {
+			rightEarlier := 0
+			if items[r].deadline < items[c].deadline {
+				rightEarlier = 1
+			}
+			c += rightEarlier
+		}
+		if items[c].deadline >= it.deadline {
+			break
+		}
+		h.set(i, items[c])
+		i = c
 	}
 	h.set(i, it)
 	return i

@@ -273,10 +273,25 @@ func (h *refHeap) swap(i, j int) {
 // zero, and the layout — hence the pop order of ties — is slot for slot the
 // reference heap's.
 func TestHeapIndexAndTieOrderMatchReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
+	matchReference(t, 5, 40, 8) // 8 values: ties everywhere
+}
+
+// The same differential where it is hardest on the descent's child select:
+// deadlines come from four values, so on the way down the two children tie
+// with each other, and one or both tie with the sinking item, at every level
+// of a seven-level heap. Left must win the first kind of tie and the item the
+// second, exactly as in the reference's item → left → right cascade.
+func TestHeapTieDenseDescentMatchesReference(t *testing.T) {
+	matchReference(t, 6, 120, 4)
+}
+
+// matchReference runs the differential over nPipes pipes whose deadlines are
+// drawn from spread consecutive values ahead of now.
+func matchReference(t *testing.T, seed int64, nPipes, spread int) {
+	rng := rand.New(rand.NewSource(seed))
 	h := NewHeap()
 	ref := &refHeap{pos: map[ID]int{}}
-	ps := make([]*Pipe, 40)
+	ps := make([]*Pipe, nPipes)
 	for i := range ps {
 		ps[i] = bareWithDeadline(ID(i), vtime.Forever)
 	}
@@ -314,7 +329,7 @@ func TestHeapIndexAndTieOrderMatchReference(t *testing.T) {
 				order = append(order, p.ID())
 				next := vtime.Forever
 				if rng.Intn(3) > 0 {
-					next = now + vtime.Time(rng.Intn(8)+1)
+					next = now + vtime.Time(rng.Intn(spread)+1)
 				}
 				setDeadline(p, next)
 				h.Update(p)
@@ -335,12 +350,117 @@ func TestHeapIndexAndTieOrderMatchReference(t *testing.T) {
 				setDeadline(p, vtime.Forever)
 			case 1: // equal re-update
 			default:
-				setDeadline(p, now+vtime.Time(rng.Intn(8)+1)) // 8 values: ties everywhere
+				setDeadline(p, now+vtime.Time(rng.Intn(spread)+1))
 			}
 			h.Update(p)
 			ref.update(p)
 		}
 		check(step)
+	}
+}
+
+// Property: PopReady/DequeueReady and plain loops over PopNext/DequeueNext
+// are the same drain. Two identical worlds take the same arrivals; one is
+// drained through the wrappers, the other by hand, and after every drain
+// the delivered (pipe, packet, exit) sequence, each pipe's counters, RED
+// idle state and queue layout (so: compaction), and the heap's layout agree.
+func TestWrappersMatchPrimitiveLoops(t *testing.T) {
+	type rec struct {
+		pipe ID
+		seq  uint64
+		exit vtime.Time
+	}
+	build := func(seed int64) (*Heap, []*Pipe) {
+		ps := make([]*Pipe, 12)
+		for i := range ps {
+			par := Params{BandwidthBps: 1e9, Latency: vtime.Duration(i%4) * 300 * vtime.Microsecond, QueuePkts: 400}
+			switch {
+			case i == 0: // long delay line, never empty: the dead prefix gets compacted
+				par.Latency = 5 * vtime.Millisecond
+			case i%3 == 1: // slow RED pipes that drain empty now and then
+				par.BandwidthBps, par.QueuePkts, par.RED = 40e6, 20, DefaultRED(20)
+			}
+			ps[i] = New(ID(i), par, seed)
+		}
+		return NewHeap(), ps
+	}
+	for seed := int64(1); seed <= 5; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		hA, psA := build(seed)
+		hB, psB := build(seed)
+		offer := func(i int, seq uint64, size int, now vtime.Time) {
+			rA, _ := psA[i].Enqueue(&Packet{Seq: seq, Size: size}, now)
+			rB, _ := psB[i].Enqueue(&Packet{Seq: seq, Size: size}, now)
+			if rA != rB {
+				t.Fatalf("seed %d: the two worlds disagree on admission (%v / %v)", seed, rA, rB)
+			}
+			hA.Update(psA[i])
+			hB.Update(psB[i])
+		}
+		var seq uint64
+		now := vtime.Time(0)
+		compactions, redIdles := 0, 0
+		for step := 0; step < 4000; step++ {
+			now = now.Add(vtime.Duration(rng.Intn(150)) * vtime.Microsecond)
+			for k := 1 + rng.Intn(3); k > 0; k-- {
+				seq++
+				offer(0, seq, 200+rng.Intn(1200), now)
+			}
+			for k := rng.Intn(5); k > 0; k-- {
+				seq++
+				offer(1+rng.Intn(len(psA)-1), seq, 200+rng.Intn(1200), now)
+			}
+			headBefore := psA[0].head
+
+			var a, b []rec
+			nA := hA.PopReady(now, func(p *Pipe) {
+				p.DequeueReady(now, func(pk *Packet, exit vtime.Time) { a = append(a, rec{p.ID(), pk.Seq, exit}) })
+				hA.Update(p)
+			})
+			nB := 0
+			for p := hB.PopNext(now); p != nil; p = hB.PopNext(now) {
+				nB++
+				for pk, exit := p.DequeueNext(now); pk != nil; pk, exit = p.DequeueNext(now) {
+					b = append(b, rec{p.ID(), pk.Seq, exit})
+				}
+				hB.Update(p)
+			}
+
+			if nA != nB || len(a) != len(b) {
+				t.Fatalf("seed %d step %d: wrappers drained %d pipes / %d packets, loops %d / %d", seed, step, nA, len(a), nB, len(b))
+			}
+			for i := range a {
+				if a[i] != b[i] {
+					t.Fatalf("seed %d step %d: delivery %d is %+v through the wrappers, %+v through the loops", seed, step, i, a[i], b[i])
+				}
+			}
+			for i, p := range psA {
+				q := psB[i]
+				if p.Delivered != q.Delivered || p.BytesOut != q.BytesOut || p.red != q.red ||
+					len(p.q) != len(q.q) || p.head != q.head || p.txHead != q.txHead {
+					t.Fatalf("seed %d step %d: pipe %d diverged:\n wrappers %d pkts %d B red %+v q[%d:%d:%d]\n loops    %d pkts %d B red %+v q[%d:%d:%d]",
+						seed, step, i, p.Delivered, p.BytesOut, p.red, p.head, p.txHead, len(p.q),
+						q.Delivered, q.BytesOut, q.red, q.head, q.txHead, len(q.q))
+				}
+				if p.red.idle && p.red.idleSince == now && p.params.RED != nil {
+					redIdles++
+				}
+			}
+			if psA[0].head < headBefore && psA[0].Len() > 0 {
+				compactions++
+			}
+			if len(hA.items) != len(hB.items) {
+				t.Fatalf("seed %d step %d: heaps track %d and %d pipes", seed, step, len(hA.items), len(hB.items))
+			}
+			for i, it := range hA.items {
+				if o := hB.items[i]; it.pipe.ID() != o.pipe.ID() || it.deadline != o.deadline {
+					t.Fatalf("seed %d step %d: heap slot %d differs", seed, step, i)
+				}
+			}
+		}
+		if compactions == 0 || redIdles == 0 {
+			t.Fatalf("seed %d: test premise: %d live-queue compactions and %d RED idle marks happened", seed, compactions, redIdles)
+		}
 	}
 }
 
@@ -381,5 +501,24 @@ func TestHeapHopPathAllocs(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(2000, step); n != 0 {
 		t.Fatalf("Enqueue+Update+PopReady+DequeueReady: %v allocs per step, want 0", n)
+	}
+}
+
+// BenchmarkHeapPopReinsert is the heap's share of a ring hop: 330 tracked
+// pipes, the earliest popped and re-inserted with a later deadline.
+func BenchmarkHeapPopReinsert(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	h := NewHeap()
+	for i := 0; i < 330; i++ {
+		p := bareWithDeadline(ID(i), vtime.Time(rng.Intn(1_000_000)))
+		h.Update(p)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		now := h.Min()
+		p := h.PopNext(now)
+		p.q[0].exit = now + vtime.Time(rng.Intn(1_000_000)+1)
+		h.Update(p)
 	}
 }

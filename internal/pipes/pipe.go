@@ -208,24 +208,35 @@ func (p *Pipe) NextDeadline() vtime.Time {
 	return p.q[p.head].exit
 }
 
-// DequeueReady pops every packet whose exit time is ≤ now, invoking deliver
-// for each in FIFO order with the packet's exact (unquantized) exit time.
-// It returns the number delivered.
-func (p *Pipe) DequeueReady(now vtime.Time, deliver func(*Packet, vtime.Time)) int {
-	n := 0
-	for p.head < len(p.q) && p.q[p.head].exit <= now {
+// DequeueNext pops the head packet if its exit time is ≤ now and returns it
+// with its exact (unquantized) exit time. When nothing is due it returns nil
+// and closes the drain: an emptied pipe starts its RED idle period and the
+// queue's dead prefix is reclaimed. A drain is therefore a loop that calls
+// DequeueNext until it returns nil.
+func (p *Pipe) DequeueNext(now vtime.Time) (*Packet, vtime.Time) {
+	if p.head < len(p.q) && p.q[p.head].exit <= now {
 		e := p.q[p.head]
 		p.q[p.head] = entry{} // release reference
 		p.head++
-		n++
 		p.Delivered++
 		p.BytesOut += uint64(e.pkt.Size)
-		deliver(e.pkt, e.exit)
+		return e.pkt, e.exit
 	}
 	if p.head == len(p.q) {
 		p.red.markIdle(now)
 	}
 	p.compact()
+	return nil, 0
+}
+
+// DequeueReady drains the pipe at time now: it invokes deliver for each
+// packet DequeueNext yields, in FIFO order, and returns the number delivered.
+func (p *Pipe) DequeueReady(now vtime.Time, deliver func(*Packet, vtime.Time)) int {
+	n := 0
+	for pkt, exit := p.DequeueNext(now); pkt != nil; pkt, exit = p.DequeueNext(now) {
+		n++
+		deliver(pkt, exit)
+	}
 	return n
 }
 

@@ -10,7 +10,10 @@ type PacketPool struct {
 	free []*Packet
 }
 
-// Get returns a zeroed descriptor, reusing a recycled one when available.
+// Get returns a descriptor, reusing a recycled one when available. The
+// caller initialises it — every user assigns the whole struct — so a recycled
+// descriptor still carries its last packet's scalar fields; only its
+// references are gone (see Put).
 func (p *PacketPool) Get() *Packet {
 	if n := len(p.free); n > 0 {
 		pkt := p.free[n-1]
@@ -27,14 +30,16 @@ func (p *PacketPool) Get() *Packet {
 // descriptors go back to the garbage collector.
 const maxPoolFree = 1 << 16
 
-// Put recycles a descriptor the caller no longer references. All fields are
-// cleared — in particular the Route and Payload references, which may be
-// shared with live packets and must not be retained by the free list.
+// Put recycles a descriptor the caller no longer references. It drops the
+// Route and Payload references, which may be shared with live packets and
+// must not be retained by the free list; the scalar fields are left for
+// Get's caller to overwrite, so a descriptor is cleared once per use, not
+// twice.
 func (p *PacketPool) Put(pkt *Packet) {
 	if pkt == nil || len(p.free) >= maxPoolFree {
 		return
 	}
-	*pkt = Packet{}
+	pkt.Route, pkt.Payload = nil, nil
 	p.free = append(p.free, pkt)
 }
 

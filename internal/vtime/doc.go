@@ -19,7 +19,18 @@
 // canceled, or held by its own running callback — can never reach the
 // record's next occupant. Timer and Ticker arm with one prebound callback
 // each; callers that re-arm per packet should likewise pass a func value
-// built once. DESIGN.md ("Hop-path cost model") has the full accounting.
+// built once.
+//
+// Because the order is total, the heap's layout is free, and the scheduler
+// uses that: firing or canceling an event leaves its heap slot vacant, and
+// the next At seats its event there and sifts from there. The pattern that
+// dominates a run — a callback re-arming itself a little ahead (the core's
+// activation, a Ticker, an RTO pushed back by an ACK) — then costs one sift
+// of a level or two instead of two of full depth. Every method that reads
+// the pending set closes an open slot first, so the deferral is not
+// observable; it does mean those reads write, and a Scheduler must not be
+// read from two goroutines at once any more than it may be driven from two.
+// DESIGN.md ("Hop-path cost model") has the full accounting.
 //
 // Virtual time can still be slaved back to the wall clock when a run must
 // interact with the outside world: the parallel runtime's real-time pacing

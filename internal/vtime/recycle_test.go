@@ -1,150 +1,16 @@
 package vtime
 
-// Tests for what event recycling must not change: the firing order is still
-// exactly (at, seq); an EventID that has gone stale — fired, canceled, or
-// held by its own running callback — can never reach the record's next
-// occupant; and steady-state scheduling allocates nothing.
+// Tests for what event recycling must not change: an EventID that has gone
+// stale — fired, canceled, or held by its own running callback — can never
+// reach the record's next occupant, and steady-state scheduling allocates
+// nothing. (That the firing order is still exactly (at, seq) is
+// model_test.go's differential.)
 
 import (
 	"math/rand"
 	"reflect"
-	"sort"
 	"testing"
 )
-
-// modelEvent is one pending event of the reference model.
-type modelEvent struct {
-	at  Time
-	seq uint64
-	tag int32
-	id  EventID
-}
-
-// model is the executable specification of Scheduler: a list of pending
-// events, the earliest (at, seq) fires first.
-type model struct {
-	now     Time
-	seq     uint64
-	fired   uint64
-	pending []modelEvent
-}
-
-func (m *model) sorted() []modelEvent {
-	out := append([]modelEvent(nil), m.pending...)
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].at != out[j].at {
-			return out[i].at < out[j].at
-		}
-		return out[i].seq < out[j].seq
-	})
-	return out
-}
-
-func (m *model) drop(seq uint64) bool {
-	for i, ev := range m.pending {
-		if ev.seq == seq {
-			m.pending = append(m.pending[:i], m.pending[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-func (m *model) state() SchedulerState {
-	st := SchedulerState{Now: m.now, Seq: m.seq, Fired: m.fired, Events: []EventState{}}
-	for _, ev := range m.sorted() {
-		st.Events = append(st.Events, EventState{At: ev.at, Seq: ev.seq, Tag: ev.tag})
-	}
-	return st
-}
-
-// TestSchedulerMatchesModel drives a scheduler and the model with the same
-// random At/AtTagged/Cancel/Step/Snapshot→Restore sequence. Ids are kept
-// after they go stale and canceled again later, when their records have new
-// occupants.
-func TestSchedulerMatchesModel(t *testing.T) {
-	for trial := int64(0); trial < 30; trial++ {
-		rng := rand.New(rand.NewSource(trial + 1))
-		s := NewScheduler()
-		m := &model{}
-		var firedSeq []uint64   // what the scheduler's callbacks ran
-		var issued []modelEvent // every id ever issued, live or stale
-
-		schedule := func(at Time, tag int32) {
-			seq := m.seq
-			fn := func() { firedSeq = append(firedSeq, seq) }
-			var id EventID
-			if tag == NoTag {
-				id = s.At(at, fn)
-			} else {
-				id = s.AtTagged(at, tag, fn)
-			}
-			ev := modelEvent{at: at, seq: seq, tag: tag, id: id}
-			m.seq++
-			m.pending = append(m.pending, ev)
-			issued = append(issued, ev)
-		}
-
-		for op := 0; op < 2000; op++ {
-			switch r := rng.Intn(100); {
-			case r < 45:
-				tag := NoTag
-				if rng.Intn(2) == 0 {
-					tag = int32(rng.Intn(5))
-				}
-				schedule(m.now+Time(rng.Intn(20)), tag) // dense: many ties
-			case r < 65 && len(issued) > 0:
-				ev := issued[rng.Intn(len(issued))]
-				want := m.drop(ev.seq)
-				if got := s.Cancel(ev.id); got != want {
-					t.Fatalf("trial %d op %d: Cancel(seq %d) = %v, model says %v", trial, op, ev.seq, got, want)
-				}
-			case r < 97:
-				before := len(firedSeq)
-				stepped := s.Step()
-				if stepped != (len(m.pending) > 0) {
-					t.Fatalf("trial %d op %d: Step = %v with %d pending in the model", trial, op, stepped, len(m.pending))
-				}
-				if !stepped {
-					continue
-				}
-				next := m.sorted()[0]
-				m.drop(next.seq)
-				m.now = next.at
-				m.fired++
-				if len(firedSeq) != before+1 || firedSeq[before] != next.seq {
-					t.Fatalf("trial %d op %d: fired %v, model says seq %d", trial, op, firedSeq[before:], next.seq)
-				}
-			default:
-				// Snapshot → Restore into a fresh scheduler and carry on
-				// there. Every id issued so far is now foreign to it.
-				st := s.Snapshot()
-				fresh := NewScheduler()
-				err := fresh.Restore(st, func(es EventState) func() {
-					seq := es.Seq
-					return func() { firedSeq = append(firedSeq, seq) }
-				})
-				if err != nil {
-					t.Fatalf("trial %d op %d: restore: %v", trial, op, err)
-				}
-				s = fresh
-				issued = issued[:0]
-				live := map[uint64]EventID{}
-				s.ScanPending(func(_ Time, _ int32, id EventID) { live[id.ev.seq] = id })
-				for i := range m.pending {
-					m.pending[i].id = live[m.pending[i].seq]
-					issued = append(issued, m.pending[i])
-				}
-			}
-			if got, want := s.Snapshot(), m.state(); !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d op %d: state diverged\n got %+v\nwant %+v", trial, op, got, want)
-			}
-			if s.Now() != m.now || s.Fired() != m.fired || s.Pending() != len(m.pending) {
-				t.Fatalf("trial %d op %d: clock/fired/pending diverged", trial, op)
-			}
-		}
-	}
-}
 
 // TestFreeListBoundedByPeakPending: recycling must not hoard. Whatever the
 // churn, records in existence never exceed the most that were ever pending

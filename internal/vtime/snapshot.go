@@ -34,6 +34,7 @@ type SchedulerState struct {
 
 // Snapshot captures the scheduler's current state. O(pending log pending).
 func (s *Scheduler) Snapshot() SchedulerState {
+	s.settle()
 	st := SchedulerState{Now: s.now, Seq: s.seq, Fired: s.fired}
 	st.Events = make([]EventState, 0, len(s.events))
 	for _, ev := range s.events {

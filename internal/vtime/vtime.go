@@ -88,12 +88,22 @@ type EventID struct {
 func (id EventID) live() bool { return id.ev != nil && id.ev.gen == id.gen }
 
 // Scheduler is a deterministic single-threaded discrete-event scheduler.
-// It is not safe for concurrent use; the emulator is a single logical
-// process, exactly like the paper's kernel module.
+// It is not safe for concurrent use, reads included (they close a deferred
+// pop, see vacant); the emulator is a single logical process, exactly like
+// the paper's kernel module.
 type Scheduler struct {
-	now     Time
-	seq     uint64
-	events  []*event // binary min-heap by (at, seq); events[i].index == i
+	now    Time
+	seq    uint64
+	events []*event // binary min-heap by (at, seq); events[i].index == i
+	// vacant is 1 + the heap position a fire or Cancel emptied and nothing has
+	// filled yet (that slot holds nil), 0 when the heap is whole. The pop is
+	// deferred because the usual next call is an At for a nearby time — the
+	// callback re-arming itself — and seating that event in the vacated slot
+	// is a sift of a level or two, where moving the tail in and appending
+	// would be two of full depth. At most one slot is open, it is never the
+	// last one, and everything that reads the pending set closes it first
+	// (settle), so nothing outside this file can tell.
+	vacant  int
 	free    []*event // recycled records; never more than the peak of Pending
 	stopped bool
 	fired   uint64
@@ -111,7 +121,10 @@ func (s *Scheduler) Now() Time { return s.now }
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
 // Pending reports how many events are scheduled but not yet fired.
-func (s *Scheduler) Pending() int { return len(s.events) }
+func (s *Scheduler) Pending() int {
+	s.settle()
+	return len(s.events)
+}
 
 // NextEventTime returns the time of the earliest scheduled event, or Forever
 // when none are pending. Together with RunUntil this forms the
@@ -119,6 +132,7 @@ func (s *Scheduler) Pending() int { return len(s.events) }
 // coordinator peeks each scheduler's horizon, computes a safe bound, and
 // lets every scheduler advance independently up to it.
 func (s *Scheduler) NextEventTime() Time {
+	s.settle()
 	if len(s.events) == 0 {
 		return Forever
 	}
@@ -131,6 +145,7 @@ func (s *Scheduler) NextEventTime() Time {
 // its children. Parallel runtimes use it to see past a shard's own core
 // activation when computing how far ahead the shard could emit.
 func (s *Scheduler) NextEventTimeExcept(id EventID) Time {
+	s.settle()
 	if len(s.events) == 0 {
 		return Forever
 	}
@@ -171,7 +186,8 @@ func (s *Scheduler) AtTagged(at Time, tag int32, fn func()) EventID {
 }
 
 // push takes a record off the free list (or allocates the scheduler's next
-// one), fills it, and sifts it into the heap.
+// one), fills it, and sifts it into the heap: from the vacant slot when one
+// is open, else from a new tail slot.
 func (s *Scheduler) push(at Time, seq uint64, tag int32, fn func()) *event {
 	var ev *event
 	if n := len(s.free); n > 0 {
@@ -181,28 +197,57 @@ func (s *Scheduler) push(at Time, seq uint64, tag int32, fn func()) *event {
 		ev = new(event)
 	}
 	ev.at, ev.seq, ev.tag, ev.fn = at, seq, tag, fn
-	s.events = append(s.events, ev)
-	s.up(ev, len(s.events)-1)
+	if i := s.vacant - 1; i >= 0 {
+		s.vacant = 0
+		s.seat(ev, i)
+	} else {
+		s.events = append(s.events, ev)
+		s.up(ev, len(s.events)-1)
+	}
 	return ev
 }
 
-// remove takes the event at heap position i out of the heap, retires every
-// EventID issued for it, and recycles its record.
-func (s *Scheduler) remove(i int) {
-	h := s.events
-	ev := h[i]
-	n := len(h) - 1
-	last := h[n]
-	h[n] = nil
-	s.events = h[:n]
-	// Re-seat the displaced tail where the hole is: down if a child fires
-	// before it, else up.
-	if i < n && s.down(last, i) == i {
-		s.up(last, i)
+// remove takes a pending event out of the heap, retires every EventID issued
+// for it, and recycles its record. Its slot is left vacant for the next push
+// unless it was the last one.
+func (s *Scheduler) remove(ev *event) {
+	s.settle() // may move ev: its index is read after
+	i, n := int(ev.index), len(s.events)-1
+	s.events[i] = nil
+	if i == n {
+		s.events = s.events[:n]
+	} else {
+		s.vacant = i + 1
 	}
 	ev.gen++
 	ev.fn = nil
 	s.free = append(s.free, ev)
+}
+
+// settle makes the heap whole before it is read.
+func (s *Scheduler) settle() {
+	if s.vacant != 0 {
+		s.closeVacant()
+	}
+}
+
+// closeVacant is the classic second half of a heap pop: the tail event moves
+// into the vacant slot.
+func (s *Scheduler) closeVacant() {
+	i, n := s.vacant-1, len(s.events)-1
+	s.vacant = 0
+	last := s.events[n]
+	s.events[n] = nil
+	s.events = s.events[:n]
+	s.seat(last, i)
+}
+
+// seat places ev into the empty heap position i: down if a child fires
+// before it, else up.
+func (s *Scheduler) seat(ev *event, i int) {
+	if s.down(ev, i) == i {
+		s.up(ev, i)
+	}
 }
 
 // up places ev at heap position i or above, shifting later-firing ancestors
@@ -250,6 +295,7 @@ func (s *Scheduler) down(ev *event, i int) int {
 // in unspecified order. O(pending). Parallel runtimes fold the pending set
 // into their safe-advance bounds.
 func (s *Scheduler) ScanPending(visit func(at Time, tag int32, id EventID)) {
+	s.settle()
 	for _, ev := range s.events {
 		visit(ev.at, ev.tag, EventID{ev, ev.gen})
 	}
@@ -269,13 +315,14 @@ func (s *Scheduler) Cancel(id EventID) bool {
 	if !id.live() {
 		return false
 	}
-	s.remove(int(id.ev.index))
+	s.remove(id.ev)
 	return true
 }
 
 // Step fires the single earliest event, advancing the clock to it.
 // Reports false when no events remain.
 func (s *Scheduler) Step() bool {
+	s.settle()
 	if len(s.events) == 0 {
 		return false
 	}
@@ -285,8 +332,9 @@ func (s *Scheduler) Step() bool {
 	s.fired++
 	// The record is recycled before the callback runs, so whatever the
 	// callback schedules first reuses it; the fired event's id is already
-	// stale by then.
-	s.remove(0)
+	// stale by then — and so is its heap slot, the root, which an event the
+	// callback arms for a nearby time will barely leave.
+	s.remove(ev)
 	fn()
 	return true
 }
@@ -300,8 +348,10 @@ func (s *Scheduler) Run() {
 // deadline (if it was reached). Events scheduled during the run participate.
 func (s *Scheduler) RunUntil(deadline Time) {
 	s.stopped = false
-	for !s.stopped && len(s.events) > 0 && s.events[0].at <= deadline {
-		s.Step()
+	for !s.stopped && s.NextEventTime() <= deadline {
+		if !s.Step() {
+			break // nothing pending, and the deadline is Forever
+		}
 	}
 	if !s.stopped && deadline != Forever && s.now < deadline {
 		s.now = deadline
