@@ -117,7 +117,6 @@ func main() {
 	fedSpawn := flag.Bool("fedspawn", false, "with -federate: spawn the worker processes from this binary")
 	fedData := flag.String("feddata", fednet.DataUDP, "with -federate: data plane, udp or tcp")
 	fedScenario := flag.String("fedscenario", experiments.ScenarioRingCBR, "with -federate: registered scenario to run")
-	fedBatch := flag.Bool("batch", true, "with -federate: coalesce each window's tunnel messages per peer into batch frames (-batch=0 = one frame per message)")
 	fedMaxDgram := flag.Int("fedmaxdgram", 0, "with -federate: UDP data-plane datagram bound in bytes (0 = default)")
 	fedRecover := flag.Bool("recover", false, "with -federate -fedspawn: checkpoint/restart — respawn and replay any worker process that dies mid-run")
 	ckptEvery := flag.Int("ckpt-every", 0, "with -recover: checkpoint period in step rounds (0 = default)")
@@ -179,7 +178,7 @@ func main() {
 			fatal(err)
 		}
 		rec := recoverOptions{Recover: *fedRecover, CkptEvery: *ckptEvery, CkptDir: *ckptDir, Fail: fail}
-		federateMain(*federate, *fedSpawn, *fedData, *fedScenario, *duration, !*fedBatch, *fedMaxDgram, live, rec, obsOut, opts)
+		federateMain(*federate, *fedSpawn, *fedData, *fedScenario, *duration, *fedMaxDgram, live, rec, obsOut, opts)
 		return
 	}
 
@@ -581,12 +580,11 @@ func mustUDPAddr(s string) *net.UDPAddr {
 }
 
 // federateMain coordinates a multi-process run of a registered scenario.
-func federateMain(listen string, spawn bool, dataPlane, scenario string, duration float64, noBatch bool, maxDgram int, live liveOptions, rec recoverOptions, obsOut obsOptions, opts Options) {
+func federateMain(listen string, spawn bool, dataPlane, scenario string, duration float64, maxDgram int, live liveOptions, rec recoverOptions, obsOut obsOptions, opts Options) {
 	opts.Federate = &modelnet.FederateOptions{
 		Listen:        listen,
 		DataPlane:     dataPlane,
 		Spawn:         spawn,
-		NoBatch:       noBatch,
 		MaxDatagram:   maxDgram,
 		RealTime:      live.RealTime,
 		Pace:          modelnet.Duration(live.Pace),
@@ -752,9 +750,9 @@ func federateMain(listen string, spawn bool, dataPlane, scenario string, duratio
 	fmt.Printf("drops  : %s\n", dropSummary(rep.DropsByReason))
 	fmt.Printf("edge   : %s\n", edgeSummary(rep.Edge))
 	p := rep.Sync.Profile
-	fmt.Printf("profile: compute %.0f ms, barrier %.0f ms (flush %.0f ms), serial %.0f ms, idle %.0f ms\n",
-		float64(p.ComputeWallNs)/1e6, float64(p.BarrierWallNs)/1e6, float64(p.FlushWallNs)/1e6,
-		float64(p.SerialWallNs)/1e6, float64(p.IdleWallNs)/1e6)
+	fmt.Printf("profile: window rounds %.0f ms, drain rounds %.0f ms, pacing idle %.0f ms, driver %.0f ms\n",
+		float64(p.ComputeWallNs)/1e6, float64(p.SerialWallNs)/1e6,
+		float64(p.IdleWallNs)/1e6, float64(p.BarrierWallNs)/1e6)
 	acc := rep.Accuracy
 	fmt.Printf("accuracy: %v\n", &acc)
 	if obsOut.TraceOut != "" && rep.Trace != nil {

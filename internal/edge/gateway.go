@@ -10,14 +10,17 @@ package edge
 //
 // Timing discipline: real arrivals are queued by a reader goroutine and
 // admitted into virtual time only at synchronization barriers (Admit),
-// stamped at the arrival window's edge — never mid-window, so the
-// conservative synchronization protocol (parcore.Drive) stays sound. The
-// stamp is max(local clock, the coordinator-supplied floor), the latter
-// being the maximum clock over all shards, so an admission can never fire
-// before a peer shard's clock (the EOT invariant). Under real-time pacing
-// the window edge trails the wall-clock arrival by at most one pacing
-// quantum plus a barrier round, which is the gateway's ingress timestamp
-// error; see DESIGN.md §4.
+// stamped past the window's edge — never mid-window, so the conservative
+// synchronization protocol (parcore.Drive) stays sound. The stamp is
+// max(local clock, the coordinator-supplied floor); the floor is above
+// every clock and grant of the round, so an admission can never fire
+// before a peer shard's clock (the EOT invariant), and under real-time
+// pacing it is no earlier than the coordinator's wall clock. An arrival
+// waits out the barrier it was queued before and is stamped at the next
+// one, whose floor was taken after it arrived. Under real-time pacing the
+// stamp therefore trails the wall-clock arrival by up to two pacing quanta
+// plus a barrier round, which is the gateway's ingress timestamp error; see
+// DESIGN.md §4.
 
 import (
 	"fmt"
@@ -145,7 +148,8 @@ type Gateway struct {
 	mu      sync.Mutex
 	table   *bind.GatewayTable
 	entries map[pipes.VN]*gatewayEntry
-	pending []pendingDatagram
+	pending []pendingDatagram // arrived since the last barrier
+	held    []pendingDatagram // sealed at the last barrier, admitted at the next
 	stats   GatewayStats
 
 	closed chan struct{}
@@ -312,17 +316,22 @@ func (g *Gateway) read() {
 	}
 }
 
-// Admit schedules every queued real arrival as a virtual-time ingress
-// event. Call it only at synchronization barriers, on the scheduler's
-// goroutine. Each datagram is re-sent from its ingress VN's gateway socket
-// at stamp = max(now, floor) — the arrival window's edge; floor is the
-// coordinator's global clock bound (the maximum shard clock), which keeps
-// admissions from firing before any peer shard's present. Returns the
-// number of datagrams admitted.
+// Admit is the gateway's share of a synchronization barrier, called on the
+// scheduler's goroutine. It schedules, as virtual-time ingress events, the
+// arrivals that were already queued at the previous call, and seals the
+// ones queued since for the next call. Each admitted datagram is re-sent
+// from its ingress VN's gateway socket at stamp = max(now, floor); floor is
+// the coordinator's bound for this barrier — above every shard's clock,
+// which keeps admissions from firing before any peer shard's present, and
+// under pacing no earlier than its wall clock. The one-barrier hold is what
+// makes that wall clock mean something: the floor a datagram is stamped
+// with was computed after the barrier that sealed it, hence after it
+// arrived, however long the floor took to get here — so a stamp is never
+// earlier than its arrival. Returns the number of datagrams admitted.
 func (g *Gateway) Admit(floor vtime.Time) int {
 	g.mu.Lock()
-	batch := g.pending
-	g.pending = nil
+	batch := g.held
+	g.held, g.pending = g.pending, nil
 	g.stats.IngressPkts += uint64(len(batch))
 	for _, p := range batch {
 		g.stats.IngressBytes += uint64(len(p.data))
@@ -343,11 +352,11 @@ func (g *Gateway) Admit(floor vtime.Time) int {
 	return len(batch)
 }
 
-// Pending reports how many real arrivals are queued for the next barrier.
+// Pending reports how many real arrivals have not entered virtual time yet.
 func (g *Gateway) Pending() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	return len(g.pending)
+	return len(g.pending) + len(g.held)
 }
 
 // Stats snapshots the gateway counters.

@@ -75,8 +75,12 @@ func TestGatewaySequentialRoundTrip(t *testing.T) {
 		t.Fatalf("ingress admitted before a barrier: %+v", st)
 	}
 
-	// Admit at the "barrier" and run the virtual clock: VN0 -> VN1 echo ->
-	// VN0, whose delivery egresses out the real socket.
+	// The first "barrier" after the arrival only seals it; the next one
+	// admits it. Then run the virtual clock: VN0 -> VN1 echo -> VN0, whose
+	// delivery egresses out the real socket.
+	if n := gw.Admit(0); n != 0 {
+		t.Fatalf("admitted %d datagrams at the barrier that sealed them, want 0", n)
+	}
 	if n := gw.Admit(0); n != 1 {
 		t.Fatalf("admitted %d datagrams, want 1", n)
 	}
@@ -111,8 +115,10 @@ func TestGatewayAdmitStampsAtFloor(t *testing.T) {
 	waitPending(t, gw, 1)
 
 	// A floor ahead of the local clock pushes the ingress into the future:
-	// nothing may fire before it.
+	// nothing may fire before it. The stamp is the admitting barrier's
+	// floor, not the sealing one's.
 	floor := modelnet.Seconds(0.5)
+	gw.Admit(modelnet.Time(0).Add(modelnet.Seconds(0.1)))
 	gw.Admit(modelnet.Time(0).Add(floor))
 	em.RunFor(modelnet.Seconds(0.4))
 	if st := gw.Stats(); st.EgressPkts != 0 {
@@ -121,5 +127,56 @@ func TestGatewayAdmitStampsAtFloor(t *testing.T) {
 	em.RunFor(modelnet.Seconds(0.2))
 	if st := gw.Stats(); st.EgressPkts != 1 {
 		t.Fatalf("egress after the floor: %+v, want 1", st)
+	}
+}
+
+// A paced coordinator reads its wall clock for the floor and then sends it; a
+// datagram that reaches the gateway after that reading but before the
+// worker's Admit — the worker was descheduled, the frame sat in a socket
+// buffer — must not be stamped with that floor: the stamp would precede the
+// arrival, and an outside observer would measure a delay shorter than the
+// model's. The one-barrier hold makes the datagram wait for a floor that was
+// read after it arrived.
+func TestGatewayStampNeverPrecedesArrival(t *testing.T) {
+	em, gw := liveStar(t, edge.GatewayConfig{
+		Listen: "127.0.0.1:0",
+		Maps:   []edge.GatewayMap{{VN: 0, DstVN: 1, DstPort: 7}},
+	})
+	client, err := net.Dial("udp", gw.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	// Virtual nanoseconds are wall nanoseconds since the epoch, as under
+	// real-time pacing.
+	epoch := time.Now()
+	vnow := func() modelnet.Time { return modelnet.Time(time.Since(epoch)) }
+
+	stale := vnow() // the coordinator reads its clock ...
+	client.Write([]byte("x"))
+	waitPending(t, gw, 1)
+	arrived := vnow()                 // ... the datagram arrives, no later than this ...
+	if n := gw.Admit(stale); n != 0 { // ... and only then does the floor reach Admit.
+		t.Fatalf("admitted %d datagrams at a floor read before they arrived", n)
+	}
+	if got := em.Totals().Injected; got != 0 {
+		t.Fatalf("%d packets injected at the stale floor %v, arrival was by %v", got, stale, arrived)
+	}
+
+	fresh := vnow() // the next round's floor is read after this one returned
+	if n := gw.Admit(fresh); n != 1 {
+		t.Fatalf("admitted %d datagrams at the next barrier, want 1", n)
+	}
+	if fresh < arrived {
+		t.Fatalf("test premise: floor %v read before the arrival %v", fresh, arrived)
+	}
+	em.RunUntil(fresh - 1)
+	if got := em.Totals().Injected; got != 0 {
+		t.Fatalf("ingress fired before its stamp %v (arrival by %v)", fresh, arrived)
+	}
+	em.RunUntil(fresh)
+	if got := em.Totals().Injected; got != 1 {
+		t.Fatalf("%d packets injected at the stamp %v, want 1", got, fresh)
 	}
 }

@@ -160,6 +160,37 @@ func TestRingFednetDeterminism(t *testing.T) {
 	}
 }
 
+// TestPacedRingFednetDeterminism: real-time pacing decides when a window is
+// released, never what it computes. With no live edge there is no wall-clock
+// input at all, so a paced federated run must land on the sequential run's
+// counters and delivery times like any other — on the same barrier round.
+func TestPacedRingFednetDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker subprocesses and paces them against the wall clock")
+	}
+	spec := fednetRingSpec()
+	spec.DurationSec = 0.3
+	seq, err := RunRingCBRLocal(spec, 1, false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fed, err := RunRingCBRFederated(spec, 2, fednet.DataUDP,
+		WithFedOptions(func(o *fednet.Options) { o.RealTime = true }))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seq.Totals != fed.Totals {
+		t.Errorf("paced ring: counters diverge:\n sequential %+v\n federated  %+v", seq.Totals, fed.Totals)
+	}
+	sameCDF(t, "paced ring", seq.Deliveries, sampleOf(fed))
+	if seq.Totals.Delivered == 0 || fed.Sync.Messages == 0 {
+		t.Errorf("vacuous comparison: %d delivered, %d cross-core messages", seq.Totals.Delivered, fed.Sync.Messages)
+	}
+	if want := spec.RunFor().Seconds() * 1000; fed.WallMS < want {
+		t.Errorf("run took %.0f ms of wall clock for %.0f ms of virtual time: it was not paced", fed.WallMS, want)
+	}
+}
+
 func TestGnutellaFednetDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker subprocesses")

@@ -1159,7 +1159,6 @@ type FednetRow struct {
 	// barrier), not a missing column.
 	ComputeWallNs uint64 `json:"compute_wall_ns"`
 	BarrierWallNs uint64 `json:"barrier_wall_ns"`
-	FlushWallNs   uint64 `json:"flush_wall_ns"`
 	// Distribution cost of a fednet row, reported per worker and aggregated
 	// here as the max across workers (the scaling question is "how big must
 	// one machine be", not the fleet sum): setup bytes received, wall clock
@@ -1265,8 +1264,7 @@ func runFednetScenario(res *FednetResult, scenario string, cores []int, dataPlan
 			row.GrantMinMS = par.GrantMin.Seconds() * 1000
 			row.GrantMeanMS = par.GrantMean.Seconds() * 1000
 			row.GrantMaxMS = par.GrantMax.Seconds() * 1000
-			row.ComputeWallNs, row.BarrierWallNs, row.FlushWallNs =
-				par.Drive.ComputeWallNs, par.Drive.BarrierWallNs, par.Drive.FlushWallNs
+			row.ComputeWallNs, row.BarrierWallNs = par.Drive.ComputeWallNs, par.Drive.BarrierWallNs
 			res.Rows = append(res.Rows, check(row))
 
 			fed, err := federated(k, dataPlane, WithSync(sm))
@@ -1280,8 +1278,7 @@ func runFednetScenario(res *FednetResult, scenario string, cores []int, dataPlan
 			frow.GrantMinMS = fed.Sync.GrantMin().Seconds() * 1000
 			frow.GrantMeanMS = fed.Sync.GrantMean().Seconds() * 1000
 			frow.GrantMaxMS = fed.Sync.GrantMax().Seconds() * 1000
-			frow.ComputeWallNs, frow.BarrierWallNs, frow.FlushWallNs =
-				fed.Sync.Profile.ComputeWallNs, fed.Sync.Profile.BarrierWallNs, fed.Sync.Profile.FlushWallNs
+			frow.ComputeWallNs, frow.BarrierWallNs = fed.Sync.Profile.ComputeWallNs, fed.Sync.Profile.BarrierWallNs
 			fillWorkerCosts(&frow, fed)
 			res.Rows = append(res.Rows, check(frow))
 		}
@@ -1420,8 +1417,7 @@ func RunFednetScaling(cfg FednetConfig) (*FednetResult, error) {
 			frow.Windows, frow.SerialRounds, frow.Messages = fed.Sync.Windows, fed.Sync.SerialRounds, fed.Sync.Messages
 			frow.Frames, frow.BytesOnWire = fed.Frames, fed.BytesOnWire
 			frow.Sync = fed.SyncMode.String()
-			frow.ComputeWallNs, frow.BarrierWallNs, frow.FlushWallNs =
-				fed.Sync.Profile.ComputeWallNs, fed.Sync.Profile.BarrierWallNs, fed.Sync.Profile.FlushWallNs
+			frow.ComputeWallNs, frow.BarrierWallNs = fed.Sync.Profile.ComputeWallNs, fed.Sync.Profile.BarrierWallNs
 			fillWorkerCosts(&frow, fed)
 			res.Rows = append(res.Rows, frow)
 		}

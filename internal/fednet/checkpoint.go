@@ -38,7 +38,7 @@ func (w *workerState) handleRecoverReq(peer int, src *net.UDPAddr) error {
 		w.dp.endMu.Unlock()
 	}
 	w.col.reset(peer)
-	return w.dp.resend(peer, w.rec.snapshot(peer))
+	return w.dp.resend(peer, w.dp.sendLog.snapshot(peer))
 }
 
 // buildCheckpoint assembles the shard's canonical barrier state digest:
@@ -47,7 +47,7 @@ func (w *workerState) handleRecoverReq(peer int, src *net.UDPAddr) error {
 // materialized pipe's complete state. Called at the quiet point right after
 // a step's flush, so the outbox is empty by construction.
 func (w *workerState) buildCheckpoint() (*wire.Checkpoint, error) {
-	sst := w.sched.Snapshot()
+	sst := w.Sched.Snapshot()
 	c := &wire.Checkpoint{
 		Shard:           uint32(w.cfg.Shard),
 		Cores:           uint32(w.cfg.Cores),
@@ -55,7 +55,7 @@ func (w *workerState) buildCheckpoint() (*wire.Checkpoint, error) {
 		NowNs:           int64(sst.Now),
 		SchedSeq:        sst.Seq,
 		SchedFired:      sst.Fired,
-		OutboxSeq:       w.outbox.Seq(),
+		OutboxSeq:       w.Outbox.Seq(),
 		Sent:            append([]uint64(nil), w.sent...),
 		Inbox:           w.col.deliveredVec(),
 		DeliverySamples: uint64(len(w.deliveries)),
@@ -63,11 +63,11 @@ func (w *workerState) buildCheckpoint() (*wire.Checkpoint, error) {
 	for _, ev := range sst.Events {
 		c.Events = append(c.Events, wire.CkptEvent{AtNs: int64(ev.At), Seq: ev.Seq, Tag: ev.Tag})
 	}
-	tot := w.emu.Totals()
+	tot := w.Emu.Totals()
 	c.Injected, c.DeliveredPkts, c.NoRoute = tot.Injected, tot.Delivered, tot.NoRoute
 	c.PhysDrops, c.VirtualDrops, c.InFlight = tot.PhysDrops, tot.VirtualDrops, int64(tot.InFlight)
-	c.DropsByReason = w.emu.DropsByReason()
-	w.applier.ScanBuckets(func(fire vtime.Time, count int) {
+	c.DropsByReason = w.Emu.DropsByReason()
+	w.Applier.ScanBuckets(func(fire vtime.Time, count int) {
 		c.Buckets = append(c.Buckets, wire.CkptBucket{FireNs: int64(fire), Count: uint32(count)})
 	})
 	if w.eng != nil {
@@ -88,7 +88,7 @@ func (w *workerState) buildCheckpoint() (*wire.Checkpoint, error) {
 		}
 	}
 	var scanErr error
-	w.emu.ScanMaterialized(func(p *pipes.Pipe) {
+	w.Emu.ScanMaterialized(func(p *pipes.Pipe) {
 		cp, err := ckptPipe(p)
 		if err != nil {
 			if scanErr == nil {

@@ -1,7 +1,7 @@
 package fednet
 
 // The coordinator side of a federation: build and partition the topology,
-// distribute it, then drive parcore.Drive through a Transport whose shards
+// distribute it, then run parcore.Drive over a Transport whose shards
 // answer over TCP. The coordinator owns no shard — it is the paper's
 // deploy-and-synchronize machinery, not an emulation participant.
 
@@ -67,10 +67,7 @@ type Options struct {
 	// Sync selects the synchronization algebra: adaptive per-shard window
 	// grants derived from the cluster's queue horizon (the default), or the
 	// fixed uniform-lookahead windows kept as the measurement baseline and
-	// escape hatch (CLI: -sync=fixed). Local-only runs additionally fuse the
-	// three per-window control round trips (flush, sync, window) into one
-	// TStep round; live-edge and real-time runs keep the split protocol,
-	// because gateway admission must precede the bounds grants derive from.
+	// escape hatch (CLI: -sync=fixed).
 	Sync parcore.SyncMode
 
 	// Dynamics, when non-nil, is the link-dynamics spec: the coordinator
@@ -86,16 +83,11 @@ type Options struct {
 	// (default; the paper's IP-in-UDP tunnels) or DataTCP (lossless
 	// fallback for links that may drop datagrams).
 	DataPlane string
-	// NoBatch reverts the data plane to one frame (and one syscall) per
-	// tunnel message. By default each window's messages per peer coalesce
-	// into MTU-bounded MsgBatch frames, which is what makes cross-core
-	// cost per-window instead of per-packet; this is the escape hatch
-	// (CLI: -batch=0).
-	NoBatch bool
-	// MaxDatagram bounds one UDP data-plane frame in bytes, batches
-	// chunked to fit. 0 means DefaultMaxDatagram; a single message larger
-	// than the bound fails the run loudly (the kernel would otherwise
-	// truncate or drop the datagram silently).
+	// MaxDatagram bounds one UDP data-plane frame in bytes; each round's
+	// messages per peer coalesce into batch frames chunked to fit. 0 means
+	// DefaultMaxDatagram; a single message larger than the bound fails the
+	// run loudly (the kernel would otherwise truncate or drop the datagram
+	// silently).
 	MaxDatagram int
 	// Spawn, when true, re-executes the current binary Cores times as
 	// local workers (MaybeRunWorker must run early in its main). When
@@ -135,8 +127,8 @@ type Options struct {
 	// per-shard state digests every CkptEvery step rounds, and a worker
 	// whose control connection dies mid-run is respawned and replayed back
 	// to the crash point instead of failing the run. Requires Spawn (the
-	// coordinator owns the respawn) and the fused step protocol (no live
-	// edge, no real-time pacing — wall-clock state cannot be replayed).
+	// coordinator owns the respawn) and a closed, unpaced run: live ingress
+	// and pacing are wall-clock facts the round log does not hold.
 	Recover bool
 	// CkptEvery is the checkpoint period in step rounds (default
 	// DefaultCkptEvery). Checkpoints are determinism anchors: a recovering
@@ -149,8 +141,8 @@ type Options struct {
 	// DefaultMaxRecoveries); the run fails once exhausted.
 	MaxRecoveries int
 	// FailSpec, when non-nil, plants a fault: worker Shard dies at step
-	// round Round (the crash-sweep harness). Requires the fused step
-	// protocol; sigkill mode additionally requires Spawn.
+	// round Round (the crash-sweep harness). Same restrictions as Recover;
+	// sigkill mode additionally requires Spawn.
 	FailSpec *FailSpec
 
 	// Trace has every worker record a virtual-time packet trace and stream
@@ -194,10 +186,10 @@ func (o *Options) defaults() error {
 	if o.Edge != nil && len(o.Edge.Maps) == 0 {
 		return fmt.Errorf("fednet: Edge gateway lease has no mappings")
 	}
+	if (o.Recover || o.FailSpec != nil) && (o.Edge != nil || o.RealTime) {
+		return fmt.Errorf("fednet: Recover/FailSpec cannot replay a live or paced run: when real packets arrive and when windows release are wall-clock facts, not in the round log, so a respawned worker could not be brought back byte-identical")
+	}
 	if o.Recover {
-		if o.Edge != nil || o.RealTime {
-			return fmt.Errorf("fednet: Recover requires the fused step protocol (no live edge, no real-time pacing)")
-		}
 		if !o.Spawn {
 			return fmt.Errorf("fednet: Recover requires Spawn (the coordinator respawns dead workers)")
 		}
@@ -212,9 +204,6 @@ func (o *Options) defaults() error {
 		}
 	}
 	if fs := o.FailSpec; fs != nil {
-		if o.Edge != nil || o.RealTime {
-			return fmt.Errorf("fednet: FailSpec requires the fused step protocol (no live edge, no real-time pacing)")
-		}
 		if fs.Shard < 0 || fs.Shard >= o.Cores || fs.Round < 1 {
 			return fmt.Errorf("fednet: FailSpec kills shard %d of %d at round %d", fs.Shard, o.Cores, fs.Round)
 		}
@@ -247,9 +236,8 @@ type Report struct {
 	// tunnel messages that crossed real sockets.
 	Sync parcore.SyncStats
 	// Frames and BytesOnWire sum the workers' data-plane costs: frames
-	// written (= syscalls on the UDP plane) and bytes with framing. The
-	// batched plane keeps Frames an order of magnitude under
-	// Sync.Messages; the unbatched plane has Frames == Sync.Messages.
+	// written (= syscalls on the UDP plane) and bytes with framing. Batching
+	// keeps Frames an order of magnitude under Sync.Messages.
 	Frames      uint64
 	BytesOnWire uint64
 	// Lookahead and Cut describe the partition the run synchronized under;
@@ -418,34 +406,25 @@ func Run(opts Options) (*Report, error) {
 	// edge runs keep the monolithic path — a gateway worker may host ingress
 	// VNs whose flows it must resolve globally at admission time.
 	sharded := opts.Edge == nil && asn.NodeOwner != nil
-	// The piggybacked protocol and the adaptive algebra both need the
-	// reaction-chain matrix, which the coordinator derives from the same
-	// bind/plan computation every worker performs on its copy of the state.
-	piggy := opts.Edge == nil && !opts.RealTime
-	var chain [][]vtime.Duration
-	var bnd *bind.Binding
-	var homes []int
+	// Drive prices in-flight messages (and, under the adaptive algebra,
+	// grants) with the reaction-chain matrix, which the coordinator derives
+	// from the same bind/plan computation every worker performs on its copy
+	// of the state. Under sharded distribution the binding exists for VN
+	// numbering and sync plans, never bulk routes — demand-paged tables
+	// replace the O(n²) matrix.
 	pod := bind.NewPOD(asn.Owner, asn.Cores)
-	if sharded || piggy || opts.Sync == parcore.SyncAdaptive {
-		// Under sharded distribution the coordinator's binding exists for VN
-		// numbering and sync plans, never bulk routes — demand-paged tables
-		// replace the O(n²) matrix.
-		bnd, err = bind.Bind(dist.Graph, bind.Options{
-			EdgeNodes:    opts.EdgeNodes,
-			Cores:        asn.Cores,
-			RouteCache:   opts.RouteCache,
-			Hierarchical: opts.Hierarchical,
-			LazyRoutes:   sharded,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("fednet: bind: %w", err)
-		}
-		homes = parcore.Homes(dist.Graph, bnd, pod, opts.Cores)
-		if piggy || opts.Sync == parcore.SyncAdaptive {
-			syncs := parcore.ComputeSyncPlan(dist.Graph, bnd, pod, homes, opts.Cores, opts.Dynamics.LatencyFloorFunc())
-			chain = parcore.ChainMatrix(syncs)
-		}
+	bnd, err := bind.Bind(dist.Graph, bind.Options{
+		EdgeNodes:    opts.EdgeNodes,
+		Cores:        asn.Cores,
+		RouteCache:   opts.RouteCache,
+		Hierarchical: opts.Hierarchical,
+		LazyRoutes:   sharded,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("fednet: bind: %w", err)
 	}
+	homes := parcore.Homes(dist.Graph, bnd, pod, opts.Cores)
+	chain := parcore.ChainMatrix(parcore.ComputeSyncPlan(dist.Graph, bnd, pod, homes, opts.Cores, opts.Dynamics.LatencyFloorFunc()))
 	var oracle *bind.SummaryOracle
 	var summaries [][]topology.NodeID
 	// cfgFor closes over the mutable addrs slice: a respawned worker's
@@ -455,8 +434,7 @@ func Run(opts Options) (*Report, error) {
 	cfgFor := func(i int) ([]byte, error) {
 		return json.Marshal(setup{
 			Shard: i, Cores: opts.Cores, Seed: opts.Seed, Profile: prof,
-			DataPlane: opts.DataPlane, DataAddrs: addrs,
-			NoBatch: opts.NoBatch, MaxDatagram: opts.MaxDatagram,
+			DataPlane: opts.DataPlane, DataAddrs: addrs, MaxDatagram: opts.MaxDatagram,
 			EdgeNodes: opts.EdgeNodes, RouteCache: opts.RouteCache, Hierarchical: opts.Hierarchical,
 			Scenario: opts.Scenario, Params: params, CollectDeliveries: opts.CollectDeliveries,
 			Edge: opts.Edge, Trace: opts.Trace, Metrics: opts.MetricsListen != "",
@@ -559,10 +537,13 @@ func Run(opts Options) (*Report, error) {
 		opts.Log("fednet: coordinator metrics on http://%s/metrics", addr)
 	}
 	tr := &coordTransport{
-		conns: conns, timeout: opts.Timeout, metrics: metrics, piggy: piggy, chain: chain,
+		conns: conns, timeout: opts.Timeout, metrics: metrics,
 		oracle: oracle, summaries: summaries, spawned: spawned,
+		sent: make([][]uint64, opts.Cores),
 	}
-	tr.init(opts.Cores)
+	for i := range tr.sent {
+		tr.sent[i] = make([]uint64, opts.Cores)
+	}
 	if opts.Recover {
 		if opts.CkptDir != "" {
 			if err := os.MkdirAll(opts.CkptDir, 0o755); err != nil {
@@ -658,13 +639,12 @@ func Run(opts Options) (*Report, error) {
 		pace = &parcore.Pacing{Quantum: opts.Pace}
 		tr.paceEpoch = begin
 	}
-	if err := parcore.DriveWith(tr, &rep.Sync, deadline, parcore.DriveOpts{
+	if err := parcore.Drive(tr, &rep.Sync, deadline, parcore.DriveOpts{
 		Pace: pace, Mode: opts.Sync, Chain: chain,
 	}); err != nil {
 		return nil, err
 	}
 	rep.WallMS = float64(time.Since(begin).Microseconds()) / 1000
-	rep.Sync.Messages = tr.messages
 	if tr.rec != nil {
 		rep.Recoveries = tr.rec.recoveries
 		rep.RecoveryWallNs = tr.rec.recoveryWallNs
@@ -791,45 +771,24 @@ func acceptOne(ln net.Listener, timeout time.Duration) (net.Conn, hello, error) 
 	return c, h, nil
 }
 
-// coordTransport is the socket-backed parcore.Transport: each call is one
-// broadcast round on the control plane. Cumulative per-peer send counters
-// reported by workers let the barrier tell every worker exactly how many
-// data-plane messages to await, which is what makes the protocol immune to
-// datagram reordering.
+// coordTransport is the socket-backed parcore.Transport: a barrier round is
+// one TStep/TStepDone exchange with every worker. Cumulative per-peer send
+// counters reported by workers let the round tell every worker exactly how
+// many data-plane messages to await, which is what makes the protocol
+// immune to datagram reordering.
 type coordTransport struct {
 	conns   []net.Conn
 	timeout time.Duration
 
 	// metrics, when non-nil, is the coordinator's live endpoint; it is
-	// updated at barrier boundaries (the only points where worker-reported
-	// state is coherent).
-	metrics *obs.Metrics
-	// flushWallNs accumulates the wall time of Exchange's flush half, so
-	// parcore's drive profile can split barrier cost into flush vs sync.
-	flushWallNs uint64
-
-	// piggy selects the fused TStep protocol: flush + sync + window in one
-	// control round trip per window instead of three. Window performs the
-	// round; Exchange consumes the bounds it saved. Live-edge and real-time
-	// runs keep the split rounds — a gateway must admit real-world arrivals
-	// before the bounds its grants derive from are computed.
-	piggy bool
-	// chain is the reaction-chain matrix (parcore.DriveOpts.Chain); the
-	// piggy protocol compensates pre-apply bounds with it.
-	chain [][]vtime.Duration
-	// saved holds each worker's bounds from the last TStepDone round; nil
-	// when stale (before the first barrier, after a drain), which forces a
-	// bounds-only step. Saved bounds predate the application of messages
-	// still in flight toward the worker — Exchange compensates.
-	saved []parcore.Bounds
-	// lastGrants[j] is the last bound worker j ran (or drained) through: by
-	// earliest-output-time safety, no message still in flight toward j can
-	// fire before it.
-	lastGrants []vtime.Time
-	// acked[j] sums the expectation vector last sent to worker j; every
-	// message counted there has been awaited and applied. The gap to the
-	// senders' cumulative counters is j's in-flight message count.
-	acked []uint64
+	// updated at round boundaries (the only points where worker-reported
+	// state is coherent). vnow is the highest worker clock reported so far,
+	// messages the cross-core message total; paceEpoch is set on paced runs
+	// (the lag gauge is wall time since it minus vnow).
+	metrics   *obs.Metrics
+	vnow      vtime.Time
+	messages  uint64
+	paceEpoch time.Time
 
 	// oracle and summaries serve demand-paged route summaries under sharded
 	// distribution: a worker that misses a destination in its ShardTable
@@ -841,79 +800,22 @@ type coordTransport struct {
 
 	// rec, when non-nil, is the checkpoint/restart engine (Options.Recover):
 	// it logs every barrier round, stores checkpoint digests, and replays a
-	// respawned worker back to the crash point. stepIdx numbers step rounds
+	// respawned worker back to the crash point. stepIdx numbers rounds
 	// 1-based — the checkpoint cadence and fault injection count in it.
 	rec     *recoveryState
 	stepIdx int
 	// killRound/killShard arm sigkill-mode fault injection: at the start of
-	// step round killRound, the coordinator SIGKILLs killShard's process.
-	// Zero killRound = disarmed (also after firing).
+	// round killRound, the coordinator SIGKILLs killShard's process. Zero
+	// killRound = disarmed (also after firing).
 	killRound int
 	killShard int
 	spawned   []*spawnedWorker
 
-	sent     [][]uint64 // [worker][peer] cumulative sends, last reported
-	messages uint64
-	// floor is the maximum virtual clock any worker has reported: the
-	// flush round broadcasts it so live edge gateways can stamp ingress
-	// admissions at a time no peer shard has already passed. Under
-	// real-time pacing it additionally tracks the wall clock (paceEpoch
-	// set), so an ingress stamp is never earlier than its arrival's wall
-	// time even when the emulation lags the wall clock — which is what
-	// makes an external observer's measured delays respect the model
-	// unconditionally.
-	floor     vtime.Time
-	paceEpoch time.Time // zero unless the run is wall-clock paced
-}
-
-func (t *coordTransport) init(k int) {
-	t.sent = make([][]uint64, k)
-	for i := range t.sent {
-		t.sent[i] = make([]uint64, k)
-	}
-	t.lastGrants = make([]vtime.Time, k)
-	t.acked = make([]uint64, k)
-}
-
-func sumCounts(v []uint64) uint64 {
-	var s uint64
-	for _, x := range v {
-		s += x
-	}
-	return s
-}
-
-// inflight reports how many data-plane messages addressed to worker j have
-// been reported sent but not yet covered by an expectation round.
-func (t *coordTransport) inflight(j int) uint64 {
-	var s uint64
-	for i := range t.conns {
-		s += t.sent[i][j]
-	}
-	return s - t.acked[j]
-}
-
-// fedSatAdd offsets t by d, saturating at Forever (parcore's satAdd).
-func fedSatAdd(t vtime.Time, d vtime.Duration) vtime.Time {
-	if t == vtime.Forever || d == 0 {
-		return t
-	}
-	s := t.Add(d)
-	if s < t {
-		return vtime.Forever
-	}
-	return s
-}
-
-// expectFor is the channel-prefix vector worker i must have received:
-// expectFor(i)[j] is the cumulative count of messages shard j has reported
-// sending to i.
-func (t *coordTransport) expectFor(i int) []uint64 {
-	v := make([]uint64, len(t.conns))
-	for j := range t.conns {
-		v[j] = t.sent[j][i]
-	}
-	return v
+	// sent[i][j] is the cumulative number of messages worker i has reported
+	// sending to worker j. A round's Expect vectors are its columns: every
+	// message reported by the end of one round is awaited and applied at the
+	// start of the next.
+	sent [][]uint64
 }
 
 // Cores implements parcore.Transport.
@@ -961,109 +863,6 @@ func (t *coordTransport) read(i int) (uint8, []byte, error) {
 	}
 }
 
-// update folds worker i's cumulative send counters into the expectation
-// vector.
-func (t *coordTransport) update(i int, sent []uint64) error {
-	if len(sent) != len(t.conns) {
-		return fmt.Errorf("fednet: shard %d reported %d peer counters, want %d", i, len(sent), len(t.conns))
-	}
-	for j, s := range sent {
-		prev := t.sent[i][j]
-		if s < prev {
-			return fmt.Errorf("fednet: shard %d send counter to %d went backwards (%d -> %d)", i, j, prev, s)
-		}
-		t.messages += s - prev
-		t.sent[i][j] = s
-	}
-	return nil
-}
-
-// collectCounts reads one counts-bearing reply of the given type from every
-// worker.
-func (t *coordTransport) collectCounts(want uint8) error {
-	for i := range t.conns {
-		typ, body, err := t.read(i)
-		if err != nil {
-			return err
-		}
-		if typ != want {
-			return fmt.Errorf("fednet: shard %d: expected frame type %d, got %d", i, want, typ)
-		}
-		m, err := wire.DecodeCounts(body)
-		if err != nil {
-			return err
-		}
-		if vtime.Time(m.Now) > t.floor {
-			t.floor = vtime.Time(m.Now)
-		}
-		if err := t.update(i, m.Sent); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Exchange implements parcore.Transport. On the split protocol a flush
-// round moves every pending message onto the sockets and settles the
-// expectation counters, then a sync round has every worker await, apply,
-// and report bounds. On the piggy protocol the bounds were already reported
-// by the last step round; Exchange compensates them for in-flight traffic
-// and returns without touching the network (a bounds-only step round fills
-// in when no bounds are saved yet).
-func (t *coordTransport) Exchange() ([]parcore.Bounds, error) {
-	if t.piggy {
-		if t.saved == nil {
-			// First barrier or post-drain: run a bounds-only step. It also
-			// settles every reported send — the expectation vector covers
-			// them all — so the bounds it returns need no compensation.
-			if err := t.stepRound(nil); err != nil {
-				return nil, err
-			}
-		}
-		return t.compensated(), nil
-	}
-	f0 := time.Now()
-	floor := t.floor
-	if !t.paceEpoch.IsZero() {
-		if w := vtime.Time(time.Since(t.paceEpoch)); w > floor {
-			floor = w
-		}
-	}
-	flushBody := wire.Flush{Floor: int64(floor)}.Encode()
-	for i := range t.conns {
-		if err := wire.WriteFrame(t.conns[i], wire.TFlush, flushBody); err != nil {
-			return nil, err
-		}
-	}
-	if err := t.collectCounts(wire.TFlushDone); err != nil {
-		return nil, err
-	}
-	t.flushWallNs += uint64(time.Since(f0))
-	for i := range t.conns {
-		expect := t.expectFor(i)
-		if err := wire.WriteFrame(t.conns[i], wire.TSync, wire.Sync{Expect: expect}.Encode()); err != nil {
-			return nil, err
-		}
-		t.acked[i] = sumCounts(expect)
-	}
-	bs := make([]parcore.Bounds, len(t.conns))
-	for i := range t.conns {
-		typ, body, err := t.read(i)
-		if err != nil {
-			return nil, err
-		}
-		if typ != wire.TReady {
-			return nil, fmt.Errorf("fednet: shard %d: expected ready, got frame type %d", i, typ)
-		}
-		m, err := wire.DecodeReady(body)
-		if err != nil {
-			return nil, err
-		}
-		bs[i] = boundsOf(m.Next, m.Safe, m.SafeTo, len(t.conns))
-	}
-	return bs, nil
-}
-
 // boundsOf assembles a parcore.Bounds from wire integers; a SafeTo vector
 // of the wrong arity (a fixed-algebra worker reports none) is dropped.
 func boundsOf(next, safe int64, safeTo []int64, k int) parcore.Bounds {
@@ -1077,11 +876,11 @@ func boundsOf(next, safe int64, safeTo []int64, k int) parcore.Bounds {
 	return b
 }
 
-// stepRound is one fused barrier round: every worker awaits its expectation
-// prefix, applies its inbox, runs through its grant (nil grants: bounds
-// only), flushes its outbox, and replies with counts plus its post-step
-// bounds, which land in saved.
-func (t *coordTransport) stepRound(grants []vtime.Time) error {
+// Step implements parcore.Transport: one TStep to every worker — await the
+// expectation prefix, Shard.Step, reply — and the TStepDone replies folded
+// into reports. All workers run their shards concurrently; this is where
+// federation buys real parallelism.
+func (t *coordTransport) Step(cmds []parcore.Cmd) ([]parcore.Report, error) {
 	k := len(t.conns)
 	t.stepIdx++
 	if t.killRound > 0 && t.stepIdx == t.killRound {
@@ -1094,48 +893,67 @@ func (t *coordTransport) stepRound(grants []vtime.Time) error {
 	}
 	ckpt := t.rec != nil && t.stepIdx%t.rec.ckptEvery == 0
 	bodies := make([][]byte, k)
-	for i := 0; i < k; i++ {
-		g := int64(-1)
-		if grants != nil {
-			g = int64(grants[i])
+	for i, c := range cmds {
+		expect := make([]uint64, k)
+		for j := range expect {
+			expect[j] = t.sent[j][i]
 		}
-		expect := t.expectFor(i)
-		bodies[i] = wire.Step{Floor: int64(t.floor), Grant: g, Expect: expect, Ckpt: ckpt}.Encode()
-		t.acked[i] = sumCounts(expect)
+		bodies[i] = wire.Step{
+			Floor: int64(c.Floor), Grant: int64(c.Grant), Drain: c.Drain, Ckpt: ckpt, Expect: expect,
+		}.Encode()
 	}
-	replies, err := t.round(wire.TStep, wire.TStepDone, bodies, ckpt)
+	replies, err := t.round(bodies, ckpt)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if t.saved == nil {
-		t.saved = make([]parcore.Bounds, k)
-	}
+	reps := make([]parcore.Report, k)
 	for i, body := range replies {
 		m, err := wire.DecodeStepDone(body)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		if vtime.Time(m.Counts.Now) > t.floor {
-			t.floor = vtime.Time(m.Counts.Now)
+		if len(m.Counts.Sent) != k {
+			return nil, fmt.Errorf("fednet: shard %d reported %d peer counters, want %d", i, len(m.Counts.Sent), k)
 		}
-		if err := t.update(i, m.Counts.Sent); err != nil {
-			return err
+		// Whatever worker i's counters grew by this round is now in flight.
+		for j, s := range m.Counts.Sent {
+			if s < t.sent[i][j] {
+				return nil, fmt.Errorf("fednet: shard %d send counter to %d went backwards (%d -> %d)", i, j, t.sent[i][j], s)
+			}
+			reps[i].Sent += s - t.sent[i][j]
+			reps[j].Inflight += s - t.sent[i][j]
+			t.messages += s - t.sent[i][j]
+			t.sent[i][j] = s
 		}
-		t.saved[i] = boundsOf(m.Next, m.Safe, m.SafeTo, k)
+		if now := vtime.Time(m.Counts.Now); now > t.vnow {
+			t.vnow = now
+		}
+		reps[i].Bounds = boundsOf(m.Next, m.Safe, m.SafeTo, k)
+		reps[i].Progressed = m.Progressed
 	}
-	return nil
+	if cmds[0].Drain {
+		t.metrics.AddSerialRounds(1)
+	} else if cmds[0].Grant >= 0 {
+		t.metrics.AddWindows(1)
+	}
+	t.metrics.SetVTime(int64(t.vnow))
+	t.metrics.SetMessages(t.messages)
+	if !t.paceEpoch.IsZero() {
+		t.metrics.SetLag(int64(time.Since(t.paceEpoch)) - int64(t.vnow))
+	}
+	return reps, nil
 }
 
 // round runs one logged barrier round: write bodies[i] to every worker,
-// read one doneTyp reply (plus a TCheckpoint digest when ckpt) from each,
+// read one TStepDone reply (plus a TCheckpoint digest when ckpt) from each,
 // and — when recovery is armed — respawn and replay any worker whose
 // connection died, then log the round for future replays. The returned
 // replies are by shard.
-func (t *coordTransport) round(reqTyp, doneTyp uint8, bodies [][]byte, ckpt bool) ([][]byte, error) {
+func (t *coordTransport) round(bodies [][]byte, ckpt bool) ([][]byte, error) {
 	k := len(t.conns)
 	var failed []int
 	for i := 0; i < k; i++ {
-		if err := wire.WriteFrame(t.conns[i], reqTyp, bodies[i]); err != nil {
+		if err := wire.WriteFrame(t.conns[i], wire.TStep, bodies[i]); err != nil {
 			if t.rec == nil {
 				return nil, fmt.Errorf("fednet: shard %d: %w", i, err)
 			}
@@ -1148,7 +966,7 @@ func (t *coordTransport) round(reqTyp, doneTyp uint8, bodies [][]byte, ckpt bool
 		if hasInt(failed, i) {
 			continue // already marked dead at write time
 		}
-		body, ck, err := t.readDone(i, doneTyp, ckpt)
+		body, ck, err := t.readDone(i, ckpt)
 		if err != nil {
 			var dead *shardDeadError
 			if t.rec != nil && errors.As(err, &dead) {
@@ -1167,30 +985,30 @@ func (t *coordTransport) round(reqTyp, doneTyp uint8, bodies [][]byte, ckpt bool
 		if err := t.rec.recover(t, i); err != nil {
 			return nil, err
 		}
-		if err := wire.WriteFrame(t.conns[i], reqTyp, bodies[i]); err != nil {
+		if err := wire.WriteFrame(t.conns[i], wire.TStep, bodies[i]); err != nil {
 			return nil, fmt.Errorf("fednet: shard %d: respawn write: %w", i, err)
 		}
-		body, ck, err := t.readDone(i, doneTyp, ckpt)
+		body, ck, err := t.readDone(i, ckpt)
 		if err != nil {
 			return nil, fmt.Errorf("fednet: shard %d: after recovery: %w", i, err)
 		}
 		replies[i], ckpts[i] = body, ck
 	}
 	if t.rec != nil {
-		t.rec.logRound(reqTyp, bodies, replies, ckpt, ckpts)
+		t.rec.logRound(bodies, replies, ckpt, ckpts)
 	}
 	return replies, nil
 }
 
 // readDone reads worker i's round reply, and its checkpoint digest when the
 // round asked for one.
-func (t *coordTransport) readDone(i int, doneTyp uint8, ckpt bool) (reply, ckptBlob []byte, err error) {
+func (t *coordTransport) readDone(i int, ckpt bool) (reply, ckptBlob []byte, err error) {
 	typ, body, err := t.read(i)
 	if err != nil {
 		return nil, nil, err
 	}
-	if typ != doneTyp {
-		return nil, nil, fmt.Errorf("fednet: shard %d: expected frame type %d, got %d", i, doneTyp, typ)
+	if typ != wire.TStepDone {
+		return nil, nil, fmt.Errorf("fednet: shard %d: expected step done, got frame type %d", i, typ)
 	}
 	if ckpt {
 		typ2, blob, err := t.read(i)
@@ -1215,144 +1033,4 @@ func hasInt(s []int, v int) bool {
 		}
 	}
 	return false
-}
-
-// compensated returns the saved bounds adjusted for in-flight messages. A
-// step's bounds predate the application of anything still in flight toward
-// that worker; by earliest-output-time safety such a message fires no
-// earlier than the worker's last grant, so the worker's bounds are lowered
-// to that floor — its next event may be the application itself, and the
-// emissions that application provokes toward peer l can fire no earlier
-// than floor + chain[j][l].
-func (t *coordTransport) compensated() []parcore.Bounds {
-	k := len(t.conns)
-	bs := make([]parcore.Bounds, k)
-	for j := 0; j < k; j++ {
-		b := t.saved[j]
-		if b.SafeTo != nil {
-			b.SafeTo = append([]vtime.Time(nil), b.SafeTo...)
-		}
-		if t.inflight(j) > 0 {
-			fl := t.lastGrants[j]
-			if b.Next > fl {
-				b.Next = fl
-			}
-			if b.SafeTo != nil {
-				for l := 0; l < k; l++ {
-					if l == j {
-						continue
-					}
-					if v := fedSatAdd(fl, t.chain[j][l]); v < b.SafeTo[l] {
-						b.SafeTo[l] = v
-					}
-				}
-				s := vtime.Forever
-				for _, v := range b.SafeTo {
-					if v < s {
-						s = v
-					}
-				}
-				b.Safe = s
-			} else {
-				mc := vtime.Duration(0)
-				if t.chain != nil {
-					first := true
-					for l := 0; l < k; l++ {
-						if l == j {
-							continue
-						}
-						if first || t.chain[j][l] < mc {
-							mc = t.chain[j][l]
-							first = false
-						}
-					}
-				}
-				if v := fedSatAdd(fl, mc); v < b.Safe {
-					b.Safe = v
-				}
-			}
-		}
-		bs[j] = b
-	}
-	return bs
-}
-
-// FlushWallNs reports the accumulated wall time of flush rounds; parcore's
-// drive profiler subtracts it from the barrier total.
-func (t *coordTransport) FlushWallNs() uint64 { return t.flushWallNs }
-
-// Window implements parcore.Transport: all workers run their shards
-// concurrently, shard i through grants[i] — this is where federation buys
-// real parallelism. On the piggy protocol the window rides the fused step
-// round (one control round trip covers await, apply, run, and flush).
-func (t *coordTransport) Window(grants []vtime.Time) error {
-	if t.piggy {
-		if err := t.stepRound(grants); err != nil {
-			return err
-		}
-	} else {
-		for i := range t.conns {
-			if err := wire.WriteFrame(t.conns[i], wire.TWindow, wire.Window{Bound: int64(grants[i])}.Encode()); err != nil {
-				return err
-			}
-		}
-		if err := t.collectCounts(wire.TWindowDone); err != nil {
-			return err
-		}
-	}
-	for i, g := range grants {
-		if g > t.lastGrants[i] {
-			t.lastGrants[i] = g
-		}
-	}
-	t.metrics.AddWindows(1)
-	t.metrics.SetVTime(int64(t.floor))
-	t.metrics.SetMessages(t.messages)
-	if !t.paceEpoch.IsZero() {
-		t.metrics.SetLag(int64(time.Since(t.paceEpoch)) - int64(t.floor))
-	}
-	return nil
-}
-
-// DrainPass implements parcore.Transport. Turns within a pass are
-// independent (messages only move between passes), so the pass runs
-// concurrently here too; the expectation counters carry messages from the
-// previous pass only, exactly like the in-process transport.
-func (t *coordTransport) DrainPass(tt vtime.Time) (bool, error) {
-	bodies := make([][]byte, len(t.conns))
-	for i := range t.conns {
-		expect := t.expectFor(i)
-		bodies[i] = wire.Drain{T: int64(tt), Expect: expect}.Encode()
-		t.acked[i] = sumCounts(expect)
-	}
-	replies, err := t.round(wire.TDrain, wire.TDrainDone, bodies, false)
-	if err != nil {
-		return false, err
-	}
-	progressed := false
-	for i, body := range replies {
-		m, err := wire.DecodeDrainDone(body)
-		if err != nil {
-			return false, err
-		}
-		if vtime.Time(m.Counts.Now) > t.floor {
-			t.floor = vtime.Time(m.Counts.Now)
-		}
-		if err := t.update(i, m.Counts.Sent); err != nil {
-			return false, err
-		}
-		progressed = progressed || m.Progressed
-	}
-	// Drain turns run events, so any saved step bounds are stale; the next
-	// Exchange re-derives them with a bounds-only step.
-	t.saved = nil
-	for j := range t.lastGrants {
-		if tt > t.lastGrants[j] {
-			t.lastGrants[j] = tt
-		}
-	}
-	t.metrics.AddSerialRounds(1)
-	t.metrics.SetVTime(int64(t.floor))
-	t.metrics.SetMessages(t.messages)
-	return progressed, nil
 }

@@ -253,30 +253,14 @@ type dataPlane struct {
 	// goroutines, concurrently with the control goroutine's own sends.
 	wmu sync.Mutex
 	// onRecover handles a peer's data-plane recovery request (TResend):
-	// update the peer's endpoints and retransmit this worker's send log.
-	// Runs on a reader goroutine.
+	// update the peer's endpoints and retransmit sendLog. Runs on a reader
+	// goroutine.
 	onRecover func(peer int, src *net.UDPAddr) error
+	sendLog   *workerRecovery
 
 	// Wire-cost counters, maintained by the sending (control) goroutine.
 	frames uint64 // data-plane frames written (= syscalls on the UDP plane)
 	bytes  uint64 // bytes handed to the sockets, framing included
-}
-
-// decodeMsg converts a received data frame into a parcore message plus its
-// channel sequence.
-func decodeMsg(body []byte) (parcore.Msg, uint64, error) {
-	d, err := wire.DecodeData(body)
-	if err != nil {
-		return parcore.Msg{}, 0, err
-	}
-	m, err := liveMsg(int(d.Sender), wire.DataMsg{
-		Seq: d.Seq, Kind: d.Kind, Pid: d.Pid,
-		At: d.At, Lag: d.Lag, Fire: d.Fire, Pkt: d.Pkt,
-	})
-	if err != nil {
-		return parcore.Msg{}, 0, err
-	}
-	return m, d.TSeq, nil
 }
 
 // liveMsg reconstructs a parcore message from one decoded batch element.
@@ -316,26 +300,6 @@ func wireMsg(m parcore.Msg) (wire.DataMsg, error) {
 		Fire: int64(m.Fire),
 		Pkt:  pw,
 	}, nil
-}
-
-// encodeMsg converts an outbound parcore message into a single-message data
-// frame body (the unbatched plane).
-func encodeMsg(m parcore.Msg, tseq uint64) ([]byte, error) {
-	d, err := wireMsg(m)
-	if err != nil {
-		return nil, err
-	}
-	return wire.Data{
-		Sender: uint16(m.Sender),
-		Seq:    d.Seq,
-		TSeq:   tseq,
-		Kind:   d.Kind,
-		Pid:    d.Pid,
-		At:     d.At,
-		Lag:    d.Lag,
-		Fire:   d.Fire,
-		Pkt:    d.Pkt,
-	}.Encode(), nil
 }
 
 // openDataPlane wires this worker to its peers. UDP: everyone already has a
@@ -486,20 +450,11 @@ func (dp *dataPlane) start() {
 	}
 }
 
-// deliverFrame feeds one received data-plane frame into the collector.
-// Both planes accept single-message (TData) and batched (TDataBatch)
-// frames, so a `-batch=0` sender interoperates with any receiver. src is
-// the datagram's source address on the UDP plane (nil on TCP): a recovery
-// request's source IS the respawned peer's new endpoint.
+// deliverFrame feeds one received data-plane frame into the collector. src
+// is the datagram's source address on the UDP plane (nil on TCP): a
+// recovery request's source IS the respawned peer's new endpoint.
 func (dp *dataPlane) deliverFrame(typ uint8, body []byte, src *net.UDPAddr) error {
 	switch typ {
-	case wire.TData:
-		m, tseq, err := decodeMsg(body)
-		if err != nil {
-			return err
-		}
-		dp.col.add(m, tseq)
-		return nil
 	case wire.TDataBatch:
 		b, err := wire.DecodeDataBatch(body)
 		if err != nil {
@@ -679,20 +634,6 @@ func (dp *dataPlane) sendErr(err error) error {
 	return err
 }
 
-// send transmits one tunnel message to peer shard j as the tseq-th message
-// on the this-shard→j channel (the unbatched plane).
-func (dp *dataPlane) send(j int, m parcore.Msg, tseq uint64) error {
-	body, err := encodeMsg(m, tseq)
-	if err != nil {
-		return err
-	}
-	frame := wire.AppendFrame(nil, wire.TData, body)
-	if dp.plane == DataUDP && len(frame) > dp.maxDatagram {
-		return fmt.Errorf("fednet: %d-byte tunnel message exceeds the UDP data plane datagram bound (%d); use the tcp data plane", len(frame), dp.maxDatagram)
-	}
-	return dp.write(j, frame)
-}
-
 // batchOverhead is the fixed cost of one batched frame: the frame header
 // plus the batch header (sender u16, tseq0 u64, close u64, count u32).
 const batchOverhead = 6 + 2 + 8 + 8 + 4
@@ -723,9 +664,14 @@ func chunkBatch(elems [][]byte, limit int, strict bool) ([][2]int, error) {
 	return ranges, nil
 }
 
-// sendBatch transmits a window's whole batch for peer shard j, elements
+// sendBatch transmits a round's whole batch for peer shard j, elements
 // carrying dense channel sequences tseq0, tseq0+1, ... — one frame (and on
-// UDP one syscall) per chunk instead of one per message.
+// UDP one syscall) per chunk, not per message. A recoverable plane keeps
+// the encoded elements: the send log is what a peer's respawn replays.
+// Append before sending — a concurrent recovery resend then either includes
+// the element or the element's own send goes to the already-updated
+// endpoint, so the respawned peer misses nothing (duplicates are dropped by
+// its lenient collector).
 func (dp *dataPlane) sendBatch(j int, msgs []parcore.Msg, tseq0 uint64) error {
 	elems := make([][]byte, len(msgs))
 	for i, m := range msgs {
@@ -734,6 +680,9 @@ func (dp *dataPlane) sendBatch(j int, msgs []parcore.Msg, tseq0 uint64) error {
 			return err
 		}
 		elems[i] = d.Encode()
+	}
+	if dp.sendLog != nil {
+		dp.sendLog.append(j, elems)
 	}
 	return dp.sendElems(j, elems, tseq0, tseq0+uint64(len(elems))-1)
 }
@@ -766,7 +715,7 @@ func (dp *dataPlane) sendElems(j int, elems [][]byte, tseq0, closeMark uint64) e
 // resend retransmits this worker's entire send log for the this-shard→j
 // channel from sequence 1 — the respawned peer's collector is lenient, so
 // the prefix it already consumed is dropped on arrival and the lost suffix
-// fills in. Always batched: the log's elements are already encoded.
+// fills in.
 func (dp *dataPlane) resend(j int, log [][]byte) error {
 	if len(log) == 0 {
 		return nil

@@ -160,9 +160,6 @@ type setup struct {
 	// exactly the coordinator's horizon.
 	RunForNs int64 `json:"run_for_ns,omitempty"`
 
-	// NoBatch reverts the data plane to one frame per tunnel message (the
-	// pre-batching behavior); zero value = batching on.
-	NoBatch bool `json:"no_batch,omitempty"`
 	// MaxDatagram bounds one UDP data-plane frame; 0 = DefaultMaxDatagram.
 	MaxDatagram int `json:"max_datagram,omitempty"`
 
@@ -174,7 +171,7 @@ type setup struct {
 	// Recoverable arms the failure/recovery protocol: the worker keeps its
 	// per-peer send logs for the run's lifetime, tolerates peer connection
 	// errors, keeps its TCP data-plane listener open for respawned peers,
-	// and answers the TRecover/TRewire/TResend directives.
+	// and answers a respawned peer's TResend with its whole send log.
 	Recoverable bool `json:"recoverable,omitempty"`
 
 	// Trace has the worker record a virtual-time packet trace and stream
@@ -214,7 +211,8 @@ type WorkerReport struct {
 	TunnelsOut uint64           `json:"tunnels_out"`
 	// Frames and BytesOnWire price the worker's share of the data plane:
 	// frames written (= syscalls on the UDP plane) and bytes including
-	// framing. With batching, Frames is far below the message count.
+	// framing. A round's messages per peer share frames, so Frames is far
+	// below the message count.
 	Frames      uint64 `json:"frames"`
 	BytesOnWire uint64 `json:"bytes_on_wire"`
 	// SetupBytes is what distribution cost this worker: the total size of

@@ -207,36 +207,6 @@ func TestFederatedMatchesLocalModes(t *testing.T) {
 	}
 }
 
-func TestFederatedBatchingDisabled(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns subprocesses")
-	}
-	// The -batch=0 escape hatch: one frame per message, byte-identical
-	// outcome.
-	seqT, seqD := runLocal(t, 1, false)
-	rep, err := fednet.Run(fednet.Options{
-		Scenario:          "fednet-test-ring",
-		Params:            testParams,
-		Cores:             2,
-		Seed:              7,
-		Profile:           idealPtr(),
-		RunFor:            modelnet.Seconds(testRunFor),
-		DataPlane:         fednet.DataUDP,
-		Spawn:             true,
-		CollectDeliveries: true,
-		NoBatch:           true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ds := append([]float64(nil), rep.Deliveries...)
-	sort.Float64s(ds)
-	sameRun(t, "seq vs federated-nobatch", seqT, seqD, rep.Totals, ds)
-	if rep.Frames != rep.Sync.Messages {
-		t.Errorf("unbatched plane wrote %d frames for %d messages", rep.Frames, rep.Sync.Messages)
-	}
-}
-
 func TestFederatedTCPDataPlane(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")

@@ -27,7 +27,7 @@ import (
 )
 
 // FailSpec plants one fault for the crash-sweep harness: worker Shard dies
-// at step round Round (1-based, counting every fused TStep round).
+// at step round Round (1-based, counting every TStep round).
 type FailSpec struct {
 	Shard int
 	Round int
@@ -67,7 +67,6 @@ func (e *shardDeadError) Unwrap() error { return e.cause }
 // and the per-shard replies, byte-exact. Replay re-serves the bodies and
 // demands byte-identical replies.
 type loggedRound struct {
-	typ     uint8 // wire.TStep or wire.TDrain
 	bodies  [][]byte
 	replies [][]byte
 	ckpt    bool
@@ -107,8 +106,8 @@ type recoveryState struct {
 }
 
 // logRound appends a completed round and stores any checkpoint digests.
-func (r *recoveryState) logRound(typ uint8, bodies, replies [][]byte, ckpt bool, ckpts [][]byte) {
-	r.cmdLog = append(r.cmdLog, loggedRound{typ: typ, bodies: bodies, replies: replies, ckpt: ckpt})
+func (r *recoveryState) logRound(bodies, replies [][]byte, ckpt bool, ckpts [][]byte) {
+	r.cmdLog = append(r.cmdLog, loggedRound{bodies: bodies, replies: replies, ckpt: ckpt})
 	if !ckpt {
 		return
 	}
@@ -193,14 +192,10 @@ func (r *recoveryState) recover(t *coordTransport, i int) error {
 // run — resuming from diverged state would corrupt it silently.
 func (r *recoveryState) replay(t *coordTransport, i int) error {
 	for ri, lr := range r.cmdLog {
-		if err := wire.WriteFrame(t.conns[i], lr.typ, lr.bodies[i]); err != nil {
+		if err := wire.WriteFrame(t.conns[i], wire.TStep, lr.bodies[i]); err != nil {
 			return fmt.Errorf("fednet: replay round %d to shard %d: %w", ri, i, err)
 		}
-		doneTyp := uint8(wire.TStepDone)
-		if lr.typ == wire.TDrain {
-			doneTyp = wire.TDrainDone
-		}
-		reply, blob, err := t.readDone(i, doneTyp, lr.ckpt)
+		reply, blob, err := t.readDone(i, lr.ckpt)
 		if err != nil {
 			return fmt.Errorf("fednet: replay round %d to shard %d: %w", ri, i, err)
 		}

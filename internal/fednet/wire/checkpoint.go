@@ -403,31 +403,6 @@ func DecodeRecover(b []byte) (Recover, error) {
 	return m, d.Done()
 }
 
-// Rewire announces a respawned peer's new data-plane endpoints (TRewire).
-// The receiver drops its stale channel state for the peer, swaps addresses,
-// re-establishes the TCP leg per the mesh's dial-direction rule, and acks.
-type Rewire struct {
-	Peer    uint32
-	TCPAddr string
-	UDPAddr string
-}
-
-// Encode returns the frame body.
-func (m Rewire) Encode() []byte {
-	var e Enc
-	e.U32(m.Peer)
-	e.Str(m.TCPAddr)
-	e.Str(m.UDPAddr)
-	return e.Bytes()
-}
-
-// DecodeRewire parses a TRewire body.
-func DecodeRewire(b []byte) (Rewire, error) {
-	d := NewDec(b)
-	m := Rewire{Peer: d.U32(), TCPAddr: d.Str(), UDPAddr: d.Str()}
-	return m, d.Done()
-}
-
 // Resend directs a worker to retransmit its whole logged send history to
 // the (respawned) peer (TResend), re-establishing the dense channel prefix
 // the peer's fresh collector expects.

@@ -125,10 +125,6 @@ func TestRecoveryFrameRoundTrips(t *testing.T) {
 	if err != nil || !reflect.DeepEqual(rc.Sent, []uint64{5, 0, 7}) {
 		t.Fatalf("recover: %v %+v", err, rc)
 	}
-	rw, err := DecodeRewire(Rewire{Peer: 2, TCPAddr: "127.0.0.1:9", UDPAddr: "127.0.0.1:10"}.Encode())
-	if err != nil || rw.Peer != 2 || rw.TCPAddr != "127.0.0.1:9" || rw.UDPAddr != "127.0.0.1:10" {
-		t.Fatalf("rewire: %v %+v", err, rw)
-	}
 	rs, err := DecodeResend(Resend{Peer: 1}.Encode())
 	if err != nil || rs.Peer != 1 {
 		t.Fatalf("resend: %v %+v", err, rs)
@@ -137,8 +133,8 @@ func TestRecoveryFrameRoundTrips(t *testing.T) {
 		if _, err := DecodeRecover(append(b, 0xff, 0xff, 0xff, 0xff)); err == nil {
 			t.Errorf("recover decoded garbage %x", b)
 		}
-		if _, err := DecodeRewire(b); err == nil {
-			t.Errorf("rewire decoded %x", b)
+		if _, err := DecodeResend(b); err == nil {
+			t.Errorf("resend decoded %x", b)
 		}
 	}
 	if _, err := DecodeFail(nil); err == nil {
@@ -169,7 +165,6 @@ func FuzzDecodeCheckpoint(f *testing.F) {
 		}
 		DecodeFail(b)
 		DecodeRecover(b)
-		DecodeRewire(b)
 		DecodeResend(b)
 	})
 }

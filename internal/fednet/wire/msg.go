@@ -12,52 +12,6 @@ import (
 	"modelnet/internal/vtime"
 )
 
-// Window asks a worker to run its shard through Bound (inclusive).
-type Window struct {
-	Bound int64
-}
-
-// Encode returns the frame body.
-func (m Window) Encode() []byte {
-	var e Enc
-	e.I64(m.Bound)
-	return e.Bytes()
-}
-
-// DecodeWindow parses a TWindow body.
-func DecodeWindow(b []byte) (Window, error) {
-	d := NewDec(b)
-	m := Window{Bound: d.I64()}
-	return m, d.Done()
-}
-
-// Flush asks a worker to push its outbox onto the data plane. Floor is the
-// maximum virtual clock over all shards at this barrier: a live edge
-// gateway (internal/edge) stamps its queued real-world arrivals at
-// max(local clock, Floor), so an ingress event — and every cross-core
-// message it later causes — can never fire before a peer shard's present.
-type Flush struct {
-	Floor int64
-}
-
-// Encode returns the frame body.
-func (m Flush) Encode() []byte {
-	var e Enc
-	e.I64(m.Floor)
-	return e.Bytes()
-}
-
-// DecodeFlush parses a TFlush body. An empty body (the pre-live protocol)
-// decodes as a zero floor.
-func DecodeFlush(b []byte) (Flush, error) {
-	if len(b) == 0 {
-		return Flush{}, nil
-	}
-	d := NewDec(b)
-	m := Flush{Floor: d.I64()}
-	return m, d.Done()
-}
-
 // Counts reports a worker's cumulative per-peer message counters: Sent[j]
 // is the total number of data-plane messages this worker has ever sent to
 // shard j. Cumulative counters make barrier accounting independent of when
@@ -78,7 +32,7 @@ func (m Counts) Encode() []byte {
 	return e.Bytes()
 }
 
-// DecodeCounts parses a TWindowDone/TFlushDone body.
+// DecodeCounts parses a Counts body (StepDone carries one).
 func DecodeCounts(b []byte) (Counts, error) {
 	d := NewDec(b)
 	m := Counts{Now: d.I64()}
@@ -89,79 +43,22 @@ func DecodeCounts(b []byte) (Counts, error) {
 	return m, d.Done()
 }
 
-// Sync tells a worker, per sender shard, the cumulative number of
-// data-plane messages ever addressed to it (Expect[j] covers channel j→me);
-// the worker blocks until exactly that prefix of every channel has arrived,
-// applies its inbox in canonical order, and replies with TReady. Channel
-// prefixes — rather than a single total — make the barrier immune to
-// cross-channel arrival races: a peer's next-round messages can already be
-// in flight while this worker still awaits the current round.
-type Sync struct {
-	Expect []uint64
-}
-
-// Encode returns the frame body.
-func (m Sync) Encode() []byte {
-	var e Enc
-	e.U32(uint32(len(m.Expect)))
-	for _, x := range m.Expect {
-		e.U64(x)
-	}
-	return e.Bytes()
-}
-
-// DecodeSync parses a TSync body.
-func DecodeSync(b []byte) (Sync, error) {
-	d := NewDec(b)
-	n := d.Len(8)
-	m := Sync{}
-	for i := 0; i < n; i++ {
-		m.Expect = append(m.Expect, d.U64())
-	}
-	return m, d.Done()
-}
-
-// Ready is a worker's post-apply bounds report. SafeTo, when non-empty, is
-// the adaptive algebra's per-peer bound vector (parcore.Bounds.SafeTo):
-// entry j is the earliest virtual time a message from this shard's current
-// state could fire on shard j. Empty under the fixed algebra.
-type Ready struct {
-	Next, Safe int64
-	SafeTo     []int64
-}
-
-// Encode returns the frame body.
-func (m Ready) Encode() []byte {
-	var e Enc
-	e.I64(m.Next)
-	e.I64(m.Safe)
-	e.U32(uint32(len(m.SafeTo)))
-	for _, s := range m.SafeTo {
-		e.I64(s)
-	}
-	return e.Bytes()
-}
-
-// DecodeReady parses a TReady body.
-func DecodeReady(b []byte) (Ready, error) {
-	d := NewDec(b)
-	m := Ready{Next: d.I64(), Safe: d.I64()}
-	n := d.Len(8)
-	for i := 0; i < n; i++ {
-		m.SafeTo = append(m.SafeTo, d.I64())
-	}
-	return m, d.Done()
-}
-
-// Step is one fused barrier step, the piggybacked form of the
-// Flush/Sync/Window round trips: the worker awaits the Expect channel
-// prefixes, applies its inbox in canonical order, runs its shard through
-// Grant (inclusive) unless Grant is negative (a bounds-only step), flushes
-// its outbox, and replies with TStepDone. Floor plays TFlush's role for any
-// live gateway. One control round trip per window instead of three.
+// Step is one barrier round's command to a worker, parcore.Cmd on the wire:
+// await the Expect channel prefixes — Expect[j] is the cumulative number of
+// data-plane messages shard j has reported sending here — apply them in
+// canonical order, run the shard through Grant (inclusive), flush the
+// outbox, and reply with TStepDone. Channel prefixes — rather than a single
+// total — make the barrier immune to cross-channel arrival races: a peer's
+// next-round messages can already be in flight while this worker still
+// awaits the current round.
 type Step struct {
+	// Floor is the stamp floor for live-edge admissions (parcore.Cmd.Floor),
+	// strictly above every grant of the round.
 	Floor int64
 	Grant int64 // the shard's window grant; < 0 = report bounds, do not run
+	// Drain makes the step a serial-drain turn at time Grant: run only if
+	// the next event is due by then.
+	Drain bool
 	// Ckpt asks the worker to push a TCheckpoint digest after this step's
 	// TStepDone. The flag is coordinator-driven — a worker counting rounds
 	// itself would desynchronize when recovery retries a round.
@@ -174,6 +71,7 @@ func (m Step) Encode() []byte {
 	var e Enc
 	e.I64(m.Floor)
 	e.I64(m.Grant)
+	e.Bool(m.Drain)
 	e.Bool(m.Ckpt)
 	e.U32(uint32(len(m.Expect)))
 	for _, x := range m.Expect {
@@ -186,11 +84,13 @@ func (m Step) Encode() []byte {
 func DecodeStep(b []byte) (Step, error) {
 	d := NewDec(b)
 	m := Step{Floor: d.I64(), Grant: d.I64()}
-	ck, err := d.StrictBool()
-	if err != nil {
+	var err error
+	if m.Drain, err = d.StrictBool(); err != nil {
 		return Step{}, err
 	}
-	m.Ckpt = ck
+	if m.Ckpt, err = d.StrictBool(); err != nil {
+		return Step{}, err
+	}
 	n := d.Len(8)
 	for i := 0; i < n; i++ {
 		m.Expect = append(m.Expect, d.U64())
@@ -199,12 +99,15 @@ func DecodeStep(b []byte) (Step, error) {
 }
 
 // StepDone reports a step's outcome: the worker's cumulative send counters
-// (settling the messages its window just flushed) and its bounds after the
-// run. The bounds predate the application of any messages still in flight
-// toward this worker — the coordinator compensates with the reaction-chain
-// floor before feeding them to the grant algebra.
+// (settling the messages its step just flushed), whether a drain turn ran
+// anything, and its bounds after the run. SafeTo, when non-empty, is the
+// adaptive algebra's per-peer bound vector (parcore.Bounds.SafeTo); empty
+// under the fixed algebra. The bounds predate the application of any
+// messages still in flight toward this worker — parcore.Drive compensates
+// with the reaction-chain floor before feeding them to the grant algebra.
 type StepDone struct {
 	Counts     Counts
+	Progressed bool
 	Next, Safe int64
 	SafeTo     []int64
 }
@@ -213,6 +116,7 @@ type StepDone struct {
 func (m StepDone) Encode() []byte {
 	var e Enc
 	e.Blob(m.Counts.Encode())
+	e.Bool(m.Progressed)
 	e.I64(m.Next)
 	e.I64(m.Safe)
 	e.U32(uint32(len(m.SafeTo)))
@@ -226,7 +130,12 @@ func (m StepDone) Encode() []byte {
 func DecodeStepDone(b []byte) (StepDone, error) {
 	d := NewDec(b)
 	cb := d.Blob()
-	m := StepDone{Next: d.I64(), Safe: d.I64()}
+	var m StepDone
+	var err error
+	if m.Progressed, err = d.StrictBool(); err != nil {
+		return StepDone{}, err
+	}
+	m.Next, m.Safe = d.I64(), d.I64()
 	n := d.Len(8)
 	for i := 0; i < n; i++ {
 		m.SafeTo = append(m.SafeTo, d.I64())
@@ -234,69 +143,10 @@ func DecodeStepDone(b []byte) (StepDone, error) {
 	if err := d.Done(); err != nil {
 		return StepDone{}, err
 	}
-	var err error
-	m.Counts, err = DecodeCounts(cb)
-	if err != nil {
+	if m.Counts, err = DecodeCounts(cb); err != nil {
 		return StepDone{}, err
 	}
 	return m, nil
-}
-
-// Drain gives a worker one serial drain turn at time T: await the Expect
-// channel prefixes (as in Sync), apply, run local events with timestamps
-// ≤ T.
-type Drain struct {
-	T      int64
-	Expect []uint64
-}
-
-// Encode returns the frame body.
-func (m Drain) Encode() []byte {
-	var e Enc
-	e.I64(m.T)
-	e.U32(uint32(len(m.Expect)))
-	for _, x := range m.Expect {
-		e.U64(x)
-	}
-	return e.Bytes()
-}
-
-// DecodeDrain parses a TDrain body.
-func DecodeDrain(b []byte) (Drain, error) {
-	d := NewDec(b)
-	m := Drain{T: d.I64()}
-	n := d.Len(8)
-	for i := 0; i < n; i++ {
-		m.Expect = append(m.Expect, d.U64())
-	}
-	return m, d.Done()
-}
-
-// DrainDone reports a drain turn's outcome.
-type DrainDone struct {
-	Progressed bool
-	Counts     Counts
-}
-
-// Encode returns the frame body.
-func (m DrainDone) Encode() []byte {
-	var e Enc
-	e.Bool(m.Progressed)
-	e.Blob(m.Counts.Encode())
-	return e.Bytes()
-}
-
-// DecodeDrainDone parses a TDrainDone body.
-func DecodeDrainDone(b []byte) (DrainDone, error) {
-	d := NewDec(b)
-	m := DrainDone{Progressed: d.Bool()}
-	cb := d.Blob()
-	if err := d.Done(); err != nil {
-		return m, err
-	}
-	var err error
-	m.Counts, err = DecodeCounts(cb)
-	return m, err
 }
 
 // Data message kinds.
@@ -304,22 +154,6 @@ const (
 	KindTunnel   uint8 = 0 // enqueue Pkt into pipe Pid at time At
 	KindDelivery uint8 = 1 // complete Pkt's delivery at At with lag Lag
 )
-
-// Data is one cross-core event: a tunnel entry or delivery completion,
-// carrying the packet descriptor (and, without payload caching, its
-// payload) between core processes — the §2.2 core-to-core tunnel made
-// literal.
-type Data struct {
-	Sender uint16
-	Seq    uint64 // the sender's outbox sequence (canonical-order tiebreak)
-	TSeq   uint64 // dense 1-based sequence on the sender→target channel
-	Kind   uint8
-	Pid    int32
-	At     int64
-	Lag    int64
-	Fire   int64
-	Pkt    PacketWire
-}
 
 // PacketWire is the on-the-wire form of pipes.Packet. Payload is the
 // packet payload's complete registry encoding (EncodePayload: u16 type id
@@ -378,44 +212,6 @@ func decodePacketWire(d *Dec) PacketWire {
 	return p
 }
 
-// Encode returns the frame body.
-func (m Data) Encode() []byte {
-	var e Enc
-	e.U16(m.Sender)
-	e.U64(m.Seq)
-	e.U64(m.TSeq)
-	e.U8(m.Kind)
-	e.I32(m.Pid)
-	e.I64(m.At)
-	e.I64(m.Lag)
-	e.I64(m.Fire)
-	appendPacketWire(&e, &m.Pkt)
-	return e.Bytes()
-}
-
-// DecodeData parses a TData body.
-func DecodeData(b []byte) (Data, error) {
-	d := NewDec(b)
-	m := Data{
-		Sender: d.U16(),
-		Seq:    d.U64(),
-		TSeq:   d.U64(),
-		Kind:   d.U8(),
-		Pid:    d.I32(),
-		At:     d.I64(),
-		Lag:    d.I64(),
-		Fire:   d.I64(),
-	}
-	m.Pkt = decodePacketWire(d)
-	if err := d.Done(); err != nil {
-		return Data{}, err
-	}
-	if err := checkDataMsg(m.Kind, m.Pid, &m.Pkt); err != nil {
-		return Data{}, err
-	}
-	return m, nil
-}
-
 // checkDataMsg validates the structural invariants of one data message.
 func checkDataMsg(kind uint8, pid int32, p *PacketWire) error {
 	if kind != KindTunnel && kind != KindDelivery {
@@ -430,11 +226,12 @@ func checkDataMsg(kind uint8, pid int32, p *PacketWire) error {
 	return nil
 }
 
-// DataMsg is one element of a DataBatch: a Data message minus the fields
-// the batch header carries for the whole run (Sender; the per-channel
-// sequence is implicit — element i of a batch is message TSeq0+i on the
-// sender→receiver channel, which is what keeps the dense-sequence barrier
-// accounting byte-for-byte identical to the unbatched plane).
+// DataMsg is one cross-core event, an element of a DataBatch: a tunnel
+// entry or delivery completion carrying the packet descriptor (and, without
+// payload caching, its payload) between core processes — the §2.2
+// core-to-core tunnel made literal. The batch header carries what the whole
+// run shares: the Sender, and the per-channel sequence, which is implicit —
+// element i of a batch is message TSeq0+i on the sender→receiver channel.
 type DataMsg struct {
 	Seq  uint64 // the sender's outbox sequence (canonical-order tiebreak)
 	Kind uint8
@@ -482,8 +279,7 @@ func decodeDataMsg(d *Dec) DataMsg {
 // DataBatch is a dense run of cross-core tunnel messages from one sender:
 // element i carries channel sequence TSeq0+i. The data plane coalesces each
 // window's messages per peer into one batch, chunked under the plane's
-// datagram bound, so the per-message frame and syscall cost of the
-// unbatched plane becomes per-window.
+// datagram bound, so frame and syscall cost is per window, not per message.
 type DataBatch struct {
 	Sender uint16
 	TSeq0  uint64 // channel sequence of element 0; dense, 1-based

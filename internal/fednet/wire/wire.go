@@ -23,70 +23,42 @@ import (
 )
 
 // Version is the protocol version; peers with a different version are
-// rejected at the first frame. Version 2 made the payload registry
-// recursive: packet payloads travel as one self-delimiting registry
-// encoding (u16 id + body, nested payloads inline) instead of a flat
-// (type, blob) pair. Version 3 gave the TFlush frame a body (the global
-// clock floor live edge gateways stamp ingress admissions with) and the
-// TSetupAck frame a JSON body (the worker's gateway lease report).
-// Version 4 added a fourth blob to the TSetup frame: the link-dynamics
-// spec (dynamics.Encode), empty when the run has none.
-// Version 5 added the observability layer: a Trace u64 (the mode-invariant
-// packet trace ID) in every PacketWire, and the TTrace frame streaming a
-// worker's recorded trace events to the coordinator before its TReport.
-// Version 6 is the adaptive-synchronization protocol: TReady carries the
-// per-peer SafeTo bound vector, TWindow bounds become per-worker grants, the
-// TStep/TStepDone pair piggybacks flush + sync + window control into one
-// round trip per window, and TDataBatch carries a flush close marker (the
-// sender's cumulative channel count when a batch ends a flush) so a lost
-// datagram is diagnosable instead of a silent timeout.
-// Version 7 is the sharded-distribution protocol: setup travels as chunked
-// per-section TSetupChunk frames (a per-shard view instead of the whole
-// world), PacketWire carries the injection-time reroute epoch, and the
-// TRouteReq/TRouteResp pair demand-pages frontier route summaries from the
-// coordinator's oracle.
-// Version 8 is the failure/recovery protocol: Step carries a checkpoint
-// flag, workers push canonical TCheckpoint state digests at flagged
-// barriers, and the TFail/TRecover/TRewire/TResend/TAck frames drive
-// fault injection, worker respawn, data-plane rewiring, and per-channel
-// message-log retransmission.
-const Version = 8
+// rejected at the first frame. Version 9 has one barrier round and one data
+// frame: the coordinator sends each worker a TStep (await + apply + run or
+// drain + flush, parcore.Shard.Step) and reads back a TStepDone (send
+// counters, drain progress, post-step bounds), plus a TCheckpoint digest
+// when the step asked for one; workers exchange tunnel messages as
+// TDataBatch frames only. Setup travels monolithically (TSetup) to live-edge
+// workers and as chunked per-shard sections (TSetupChunk) to everyone else,
+// who demand-page route summaries with TRouteReq/TRouteResp; TFail, TRecover
+// and TResend drive fault injection, respawn and send-log retransmission.
+const Version = 9
 
 // MaxFrame bounds a frame's length field: anything larger is treated as
 // corruption rather than an allocation request.
 const MaxFrame = 64 << 20
 
-// Frame types. Control types travel coordinator<->worker over TCP; TData
-// travels worker<->worker on the data plane.
+// Frame types. Control types travel coordinator<->worker over TCP;
+// TDataBatch and TResend travel worker<->worker on the data plane. Numbers
+// retired with earlier protocol versions are not reused.
 const (
 	THello      uint8 = 1  // worker -> coordinator: join (JSON body)
 	TSetup      uint8 = 2  // coordinator -> worker: config + topology + assignment (incl. any gateway lease)
 	TSetupAck   uint8 = 3  // worker -> coordinator: mesh + gateway up (JSON body)
-	TFlush      uint8 = 4  // coordinator -> worker: flush outbox to peers (body: clock floor for live ingress)
-	TFlushDone  uint8 = 5  // worker -> coordinator: cumulative sent counts
-	TSync       uint8 = 6  // coordinator -> worker: await + apply inbox
-	TReady      uint8 = 7  // worker -> coordinator: bounds after apply
-	TWindow     uint8 = 8  // coordinator -> worker: run a window
-	TWindowDone uint8 = 9  // worker -> coordinator: window complete + sent counts
-	TDrain      uint8 = 10 // coordinator -> worker: one serial drain turn
-	TDrainDone  uint8 = 11 // worker -> coordinator: drain turn complete
 	TFinish     uint8 = 12 // coordinator -> worker: stop and report
 	TReport     uint8 = 13 // worker -> coordinator: final report (JSON body)
 	TError      uint8 = 14 // either direction: fatal error (text body)
-	TData       uint8 = 15 // worker -> worker: one cross-core tunnel message
 	TDataBatch  uint8 = 16 // worker -> worker: a dense run of tunnel messages
 	TTrace      uint8 = 17 // worker -> coordinator: a chunk of trace events (before TReport)
-	TStep       uint8 = 18 // coordinator -> worker: one fused barrier step (await + apply + run + flush)
+	TStep       uint8 = 18 // coordinator -> worker: one barrier round (await + apply + run + flush)
 	TStepDone   uint8 = 19 // worker -> coordinator: step complete: counts + post-step bounds
 	TSetupChunk uint8 = 20 // coordinator -> worker: one chunk of a sharded setup section
 	TRouteReq   uint8 = 21 // worker -> coordinator: demand-page one route summary (epoch, target)
 	TRouteResp  uint8 = 22 // coordinator -> worker: the requested summary distances
 	TCheckpoint uint8 = 23 // worker -> coordinator: canonical shard state digest at a flagged barrier
 	TFail       uint8 = 24 // coordinator -> worker: fault injection: die at barrier N (first boot only)
-	TRecover    uint8 = 25 // coordinator -> worker: respawn notice: suppress data-plane sends below these watermarks
-	TRewire     uint8 = 26 // coordinator -> worker: a peer respawned; swap its data-plane endpoints
-	TResend     uint8 = 27 // coordinator -> worker: retransmit your whole send log to the respawned peer
-	TAck        uint8 = 28 // worker -> coordinator: a TRewire/TResend directive completed
+	TRecover    uint8 = 25 // coordinator -> worker: respawn notice, ahead of the replayed setup
+	TResend     uint8 = 27 // worker -> worker: a respawned peer asks for the whole send log
 )
 
 const headerBytes = 6 // u32 length + u8 version + u8 type

@@ -34,7 +34,7 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameRejectsBadVersion(t *testing.T) {
-	raw := AppendFrame(nil, TData, []byte("x"))
+	raw := AppendFrame(nil, TDataBatch, []byte("x"))
 	raw[4] = Version + 1
 	if _, _, err := ReadFrame(bytes.NewReader(raw)); err == nil {
 		t.Fatal("version mismatch accepted")
@@ -45,7 +45,7 @@ func TestFrameRejectsBadVersion(t *testing.T) {
 }
 
 func TestParseFrameLengthMismatch(t *testing.T) {
-	raw := AppendFrame(nil, TData, []byte("abc"))
+	raw := AppendFrame(nil, TDataBatch, []byte("abc"))
 	if _, _, err := ParseFrame(raw[:len(raw)-1]); err == nil {
 		t.Fatal("truncated datagram accepted")
 	}
@@ -55,25 +55,9 @@ func TestParseFrameLengthMismatch(t *testing.T) {
 }
 
 func TestSyncMessageRoundTrips(t *testing.T) {
-	w, err := DecodeWindow(Window{Bound: -5}.Encode())
-	if err != nil || w.Bound != -5 {
-		t.Fatalf("window: %+v, %v", w, err)
-	}
 	c, err := DecodeCounts(Counts{Now: 42, Sent: []uint64{1, 0, 7}}.Encode())
 	if err != nil || c.Now != 42 || !reflect.DeepEqual(c.Sent, []uint64{1, 0, 7}) {
 		t.Fatalf("counts: %+v, %v", c, err)
-	}
-	s, err := DecodeSync(Sync{Expect: []uint64{9, 0}}.Encode())
-	if err != nil || !reflect.DeepEqual(s.Expect, []uint64{9, 0}) {
-		t.Fatalf("sync: %+v, %v", s, err)
-	}
-	r, err := DecodeReady(Ready{Next: 1, Safe: 2}.Encode())
-	if err != nil || r.Next != 1 || r.Safe != 2 || r.SafeTo != nil {
-		t.Fatalf("ready: %+v, %v", r, err)
-	}
-	r, err = DecodeReady(Ready{Next: 1, Safe: 2, SafeTo: []int64{9, -1, 4}}.Encode())
-	if err != nil || !reflect.DeepEqual(r.SafeTo, []int64{9, -1, 4}) {
-		t.Fatalf("ready with SafeTo: %+v, %v", r, err)
 	}
 	st, err := DecodeStep(Step{Floor: 11, Grant: -1, Expect: []uint64{2, 0}}.Encode())
 	if err != nil || st.Floor != 11 || st.Grant != -1 || !reflect.DeepEqual(st.Expect, []uint64{2, 0}) {
@@ -87,25 +71,19 @@ func TestSyncMessageRoundTrips(t *testing.T) {
 		!reflect.DeepEqual(sd.Counts.Sent, []uint64{1, 2}) || !reflect.DeepEqual(sd.SafeTo, []int64{3, 4}) {
 		t.Fatalf("stepdone: %+v, %v", sd, err)
 	}
-	dr, err := DecodeDrain(Drain{T: 3, Expect: []uint64{4}}.Encode())
-	if err != nil || dr.T != 3 || !reflect.DeepEqual(dr.Expect, []uint64{4}) {
-		t.Fatalf("drain: %+v, %v", dr, err)
+	st, err = DecodeStep(Step{Grant: 5, Drain: true, Ckpt: true, Expect: []uint64{1}}.Encode())
+	if err != nil || st.Grant != 5 || !st.Drain || !st.Ckpt {
+		t.Fatalf("drain step: %+v, %v", st, err)
 	}
-	dd, err := DecodeDrainDone(DrainDone{Progressed: true, Counts: Counts{Now: 8, Sent: []uint64{3}}}.Encode())
-	if err != nil || !dd.Progressed || dd.Counts.Now != 8 || len(dd.Counts.Sent) != 1 {
-		t.Fatalf("draindone: %+v, %v", dd, err)
+	sd, err = DecodeStepDone(StepDone{Counts: Counts{Now: 8, Sent: []uint64{3}}, Progressed: true}.Encode())
+	if err != nil || !sd.Progressed || sd.Counts.Now != 8 || len(sd.Counts.Sent) != 1 {
+		t.Fatalf("drain stepdone: %+v, %v", sd, err)
 	}
-	fl, err := DecodeFlush(Flush{Floor: 123456789}.Encode())
-	if err != nil || fl.Floor != 123456789 {
-		t.Fatalf("flush: %+v, %v", fl, err)
-	}
-	// An empty flush body is the pre-live protocol: floor zero.
-	fl, err = DecodeFlush(nil)
-	if err != nil || fl.Floor != 0 {
-		t.Fatalf("empty flush: %+v, %v", fl, err)
-	}
-	if _, err := DecodeFlush([]byte{1, 2, 3}); err == nil {
-		t.Fatal("truncated flush body should error")
+	// Flag bytes are canonical: anything but 0 or 1 is rejected.
+	raw := Step{Grant: 5}.Encode()
+	raw[16] = 2
+	if _, err := DecodeStep(raw); err == nil {
+		t.Fatal("non-canonical drain flag accepted")
 	}
 }
 
@@ -124,43 +102,20 @@ func TestDataRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := Data{Sender: 2, Seq: 10, Kind: KindTunnel, Pid: 9, At: 100, Lag: 0, Fire: 200, Pkt: pw}
-	got, err := DecodeData(m.Encode())
+	m := DataBatch{Sender: 2, TSeq0: 1, Msgs: []DataMsg{{Seq: 10, Kind: KindTunnel, Pid: 9, At: 100, Lag: 0, Fire: 200, Pkt: pw}}}
+	got, err := DecodeDataBatch(m.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := got.Pkt.Packet()
+	back, err := got.Msgs[0].Pkt.Packet()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(back, pkt) {
 		t.Fatalf("packet round trip:\n got %+v\nwant %+v", back, pkt)
 	}
-	if got.Sender != 2 || got.Seq != 10 || got.Fire != 200 {
+	if got.Sender != 2 || got.Msgs[0].Seq != 10 || got.Msgs[0].Fire != 200 {
 		t.Fatalf("envelope round trip: %+v", got)
-	}
-}
-
-func TestDataRejectsCorruptStructure(t *testing.T) {
-	pw, _ := EncodePacket(&pipes.Packet{Route: []pipes.ID{1}, Hop: 0})
-	cases := []Data{
-		{Kind: 9, Pkt: pw},                   // unknown kind
-		{Kind: KindTunnel, Pid: -1, Pkt: pw}, // tunnel without a pipe
-	}
-	for i, m := range cases {
-		if _, err := DecodeData(m.Encode()); err == nil {
-			t.Fatalf("case %d accepted", i)
-		}
-	}
-	bad := Data{Kind: KindDelivery, Pid: -1, Pkt: pw}
-	raw := bad.Encode()
-	if _, err := DecodeData(raw); err != nil {
-		t.Fatalf("valid message rejected: %v", err)
-	}
-	for cut := 0; cut < len(raw); cut++ {
-		if _, err := DecodeData(raw[:cut]); err == nil {
-			t.Fatalf("truncation at %d accepted", cut)
-		}
 	}
 }
 

@@ -78,16 +78,15 @@ type workerState struct {
 	control net.Conn
 	opts    WorkerOptions
 
-	cfg     setup
-	env     *WorkerEnv
-	sched   *vtime.Scheduler
-	emu     *emucore.Emulator
-	sync    parcore.ShardSync
-	applier *parcore.Applier
+	cfg setup
+	env *WorkerEnv
+	// The shard itself; serve answers each TStep with one Shard.Step over
+	// the data plane (dataLink).
+	parcore.Shard
 
-	outbox *parcore.Outbox
 	col    *collector
 	dp     *dataPlane
+	expect []uint64      // the current step's channel prefixes, for dataLink.Recv
 	gw     *edge.Gateway // live edge gateway; nil without a homed lease
 
 	// table is the shard-local route table under sharded distribution; nil
@@ -101,19 +100,16 @@ type workerState struct {
 	deliveries []float64
 	report     func() json.RawMessage
 
-	tracer       *obs.Tracer      // non-nil when the setup asked for a trace
-	prof         obs.ShardProfile // wall-time and lookahead-utilization breakdown
-	metrics      *obs.Metrics     // non-nil when the setup asked for live metrics
+	tracer       *obs.Tracer  // non-nil when the setup asked for a trace
+	metrics      *obs.Metrics // non-nil when the setup asked for live metrics
 	metricsAddr  string
 	closeMetrics func() error
 
 	// Recovery state (Recoverable runs): eng is the dynamics engine whose
-	// cursor the barrier checkpoints record; rec keeps the per-peer send
-	// logs a respawned peer's recovery replays; resume marks this process
-	// as a respawned replacement replaying a logged prefix. failAt arms the
+	// cursor the barrier checkpoints record; resume marks this process as a
+	// respawned replacement replaying a logged prefix. failAt arms the
 	// fault-injection directive: die on receipt of the failAt-th TStep.
 	eng       *dynamics.Engine
-	rec       *workerRecovery
 	resume    bool
 	failAt    int
 	stepsSeen int
@@ -486,25 +482,25 @@ func (w *workerState) build(g *topology.Graph, b *bind.Binding, pod *bind.POD, h
 		return err
 	}
 	if mode == parcore.SyncAdaptive {
-		w.sync = parcore.ComputeSyncPlan(g, b, pod, homes, cores, dyn.LatencyFloorFunc())[cfg.Shard]
+		w.Sync = parcore.ComputeSyncPlan(g, b, pod, homes, cores, dyn.LatencyFloorFunc())[cfg.Shard]
 	} else {
-		w.sync = parcore.ComputeSyncFloor(g, b, pod, homes, cores, dyn.LatencyFloorFunc())[cfg.Shard]
+		w.Sync = parcore.ComputeSyncFloor(g, b, pod, homes, cores, dyn.LatencyFloorFunc())[cfg.Shard]
 	}
-	w.sched = vtime.NewScheduler()
-	w.outbox = parcore.NewOutbox(cfg.Shard, cores, w.sched)
+	w.Sched = vtime.NewScheduler()
+	w.Outbox = parcore.NewOutbox(cfg.Shard, cores, w.Sched)
 	if w.table != nil {
-		w.emu, err = emucore.NewShardSparse(w.sched, g, b, pod, cfg.Profile, cfg.Seed, cfg.Shard, homes, w.outbox.Handoff)
+		w.Emu, err = emucore.NewShardSparse(w.Sched, g, b, pod, cfg.Profile, cfg.Seed, cfg.Shard, homes, w.Outbox.Handoff)
 	} else {
-		w.emu, err = emucore.NewShard(w.sched, g, b, pod, cfg.Profile, cfg.Seed, cfg.Shard, homes, w.outbox.Handoff)
+		w.Emu, err = emucore.NewShard(w.Sched, g, b, pod, cfg.Profile, cfg.Seed, cfg.Shard, homes, w.Outbox.Handoff)
 	}
 	if err != nil {
 		return fmt.Errorf("fednet: shard emulator: %w", err)
 	}
-	w.applier = parcore.NewApplier(w.sched, w.emu)
-	w.prof.Shard = cfg.Shard
+	w.Applier = parcore.NewApplier(w.Sched, w.Emu)
+	w.Prof.Shard = cfg.Shard
 	if cfg.Trace {
 		w.tracer = obs.NewTracer(cfg.Shard)
-		w.emu.Trace = w.tracer
+		w.Emu.Trace = w.tracer
 	}
 	if cfg.Metrics {
 		w.metrics = obs.NewMetrics("worker", cfg.Shard)
@@ -517,7 +513,7 @@ func (w *workerState) build(g *topology.Graph, b *bind.Binding, pod *bind.POD, h
 	// Attach dynamics before the scenario installs its workload, so the
 	// step events precede same-time workload events in the scheduler's
 	// tie-break — identically to the sequential and in-process modes.
-	eng, err := dynamics.Attach(w.sched, w.emu, dyn)
+	eng, err := dynamics.Attach(w.Sched, w.Emu, dyn)
 	if err != nil {
 		return fmt.Errorf("fednet: dynamics: %w", err)
 	}
@@ -528,7 +524,7 @@ func (w *workerState) build(g *topology.Graph, b *bind.Binding, pod *bind.POD, h
 		eng.OnReroute = func([]topology.LinkID) { w.table.Advance() }
 	}
 	if cfg.CollectDeliveries {
-		w.emu.OnDeliver = func(_ *pipes.Packet, at vtime.Time) {
+		w.Emu.OnDeliver = func(_ *pipes.Packet, at vtime.Time) {
 			w.deliveries = append(w.deliveries, at.Seconds())
 		}
 	}
@@ -540,7 +536,7 @@ func (w *workerState) build(g *topology.Graph, b *bind.Binding, pod *bind.POD, h
 	}
 	w.sent = make([]uint64, cores)
 	if cfg.Recoverable {
-		w.rec = &workerRecovery{log: make([][][]byte, cores)}
+		w.dp.sendLog = &workerRecovery{log: make([][][]byte, cores)}
 		w.dp.onRecover = w.handleRecoverReq
 	}
 	// Readers start only now, with the recovery hook wired: an inbound frame
@@ -565,7 +561,7 @@ func (w *workerState) build(g *topology.Graph, b *bind.Binding, pod *bind.POD, h
 	w.env = &WorkerEnv{
 		Shard: cfg.Shard, Cores: cores,
 		Graph: g, Binding: b,
-		Sched: w.sched, Emu: w.emu,
+		Sched: w.Sched, Emu: w.Emu,
 		homes: homes,
 		hosts: map[pipes.VN]*netstack.Host{},
 	}
@@ -581,7 +577,7 @@ func (w *workerState) build(g *topology.Graph, b *bind.Binding, pod *bind.POD, h
 	// least one mapped ingress VN (the gateway opens after the scenario so
 	// the scenario's own ports are already claimed).
 	if cfg.Edge != nil && cfg.Edge.HomedMaps(w.env.Homed) > 0 {
-		w.gw, err = edge.NewGateway(*cfg.Edge, w.env.Homed, w.env.NewHost, w.sched)
+		w.gw, err = edge.NewGateway(*cfg.Edge, w.env.Homed, w.env.NewHost, w.Sched)
 		if err != nil {
 			return fmt.Errorf("fednet: shard %d gateway: %w", cfg.Shard, err)
 		}
@@ -589,65 +585,36 @@ func (w *workerState) build(g *topology.Graph, b *bind.Binding, pod *bind.POD, h
 	return nil
 }
 
-// dataSender adapts the data plane to parcore.Sender: one batch frame
-// sequence per (flush, peer), messages stamped with dense channel
-// sequences, cumulative counters updated per message so the barrier
-// accounting is byte-for-byte identical to the unbatched plane.
-type dataSender struct{ w *workerState }
+// dataLink is the worker's parcore.Link: the data plane under Shard.Step.
+type dataLink struct{ w *workerState }
 
-// Send implements parcore.Sender.
-func (s dataSender) Send(j int, msgs []parcore.Msg) error {
-	w := s.w
-	tseq0 := w.sent[j] + 1
-	if w.rec != nil {
-		// Recoverable runs always batch and keep the encoded elements: the
-		// send log is what a peer's respawn replays. Append before sending —
-		// a concurrent recovery resend then either includes the element or
-		// the element's own send goes to the already-updated endpoint, so
-		// the respawned peer misses nothing (duplicates are dropped by its
-		// lenient collector).
-		elems := make([][]byte, len(msgs))
-		for i, m := range msgs {
-			d, err := wireMsg(m)
-			if err != nil {
-				return err
-			}
-			elems[i] = d.Encode()
-		}
-		w.rec.append(j, elems)
-		if err := w.dp.sendElems(j, elems, tseq0, tseq0+uint64(len(elems))-1); err != nil {
-			return err
-		}
-	} else if w.cfg.NoBatch {
-		for i, m := range msgs {
-			if err := w.dp.send(j, m, tseq0+uint64(i)); err != nil {
-				return err
-			}
-		}
-	} else if err := w.dp.sendBatch(j, msgs, tseq0); err != nil {
+// Send implements parcore.Sender: one batch frame sequence per (flush,
+// peer), messages stamped with dense channel sequences, the cumulative
+// counters the barrier accounting runs on updated per message.
+func (l dataLink) Send(j int, msgs []parcore.Msg) error {
+	w := l.w
+	if err := w.dp.sendBatch(j, msgs, w.sent[j]+1); err != nil {
 		return err
 	}
 	w.sent[j] += uint64(len(msgs))
 	// The descriptors are on the wire; recycle them into the shard's pool.
 	for _, m := range msgs {
-		w.emu.ReleasePacket(m.Pkt)
+		w.Emu.ReleasePacket(m.Pkt)
 	}
 	return nil
 }
 
-// flushOutbox sends every pending cross-shard message batch to its peer.
-func (w *workerState) flushOutbox() error {
-	return w.outbox.Flush(dataSender{w})
-}
-
-// extendRoutes grows each tunneled packet's route segment through this
-// shard's region under the packet's pinned reroute epoch (bind.ShardTable
-// route segments end at the first foreign pipe). Must run before the applier
-// so synchronization pricing sees the extended route. No-op on the
-// monolithic path, whose routes are complete at injection.
-func (w *workerState) extendRoutes(msgs []parcore.Msg) error {
-	if w.table == nil {
-		return nil
+// Recv implements parcore.Link: block until the step's channel prefixes
+// have arrived. A sharded worker then grows each tunneled packet's route
+// segment through this shard's region under the packet's pinned reroute
+// epoch (bind.ShardTable route segments end at the first foreign pipe), so
+// the step's bounds price the route the packet will actually take; the
+// monolithic path's routes are complete at injection.
+func (l dataLink) Recv() ([]parcore.Msg, error) {
+	w := l.w
+	msgs, err := w.col.wait(w.expect, w.opts.Timeout)
+	if err != nil || w.table == nil {
+		return msgs, err
 	}
 	for _, m := range msgs {
 		if m.Pid < 0 || m.Pkt == nil {
@@ -655,15 +622,11 @@ func (w *workerState) extendRoutes(msgs []parcore.Msg) error {
 		}
 		r, err := w.table.Extend(bind.Route(m.Pkt.Route), m.Pkt.Epoch, m.Pkt.Dst)
 		if err != nil {
-			return fmt.Errorf("fednet: shard %d: %w", w.cfg.Shard, err)
+			return nil, fmt.Errorf("fednet: shard %d: %w", w.cfg.Shard, err)
 		}
 		m.Pkt.Route = r
 	}
-	return nil
-}
-
-func (w *workerState) counts() wire.Counts {
-	return wire.Counts{Now: int64(w.sched.Now()), Sent: append([]uint64(nil), w.sent...)}
+	return msgs, nil
 }
 
 // serve is the barrier service loop, the worker half of the socket
@@ -675,73 +638,6 @@ func (w *workerState) serve() error {
 			return err
 		}
 		switch typ {
-		case wire.TFlush:
-			t0 := time.Now()
-			// Barrier edge: admit any live real-world arrivals before the
-			// flush, stamped no earlier than the coordinator's clock floor.
-			// The injections become ordinary scheduler events, so the
-			// bounds reported at the sync step already account for them.
-			if w.gw != nil {
-				m, err := wire.DecodeFlush(body)
-				if err != nil {
-					return err
-				}
-				w.gw.Admit(vtime.Time(m.Floor))
-			}
-			if err := w.flushOutbox(); err != nil {
-				return err
-			}
-			w.prof.FlushWallNs += uint64(time.Since(t0))
-			w.updateMetrics()
-			if err := w.send(wire.TFlushDone, w.counts().Encode()); err != nil {
-				return err
-			}
-		case wire.TSync:
-			m, err := wire.DecodeSync(body)
-			if err != nil {
-				return err
-			}
-			t0 := time.Now()
-			msgs, err := w.col.wait(m.Expect, w.opts.Timeout)
-			if err != nil {
-				return err
-			}
-			t1 := time.Now()
-			w.prof.WaitWallNs += uint64(t1.Sub(t0))
-			if err := w.extendRoutes(msgs); err != nil {
-				return err
-			}
-			if err := w.applier.Apply(msgs); err != nil {
-				return err
-			}
-			w.prof.ApplyWallNs += uint64(time.Since(t1))
-			b := parcore.ShardBounds(w.sched, w.emu, w.sync, w.applier)
-			rdy := wire.Ready{Next: int64(b.Next), Safe: int64(b.Safe), SafeTo: timesToI64(b.SafeTo)}
-			if err := w.send(wire.TReady, rdy.Encode()); err != nil {
-				return err
-			}
-		case wire.TWindow:
-			m, err := wire.DecodeWindow(body)
-			if err != nil {
-				return err
-			}
-			t0 := time.Now()
-			f0 := w.sched.Fired()
-			w.sched.RunUntil(vtime.Time(m.Bound))
-			w.prof.RunWallNs += uint64(time.Since(t0))
-			w.prof.Windows++
-			if fired := w.sched.Fired() - f0; fired > 0 {
-				w.prof.ActiveWindows++
-				w.prof.EventsFired += fired
-			}
-			if err := w.flushOutbox(); err != nil {
-				return err
-			}
-			w.metrics.AddWindows(1)
-			w.updateMetrics()
-			if err := w.send(wire.TWindowDone, w.counts().Encode()); err != nil {
-				return err
-			}
 		case wire.TStep:
 			w.stepsSeen++
 			if w.failAt > 0 && w.stepsSeen == w.failAt {
@@ -760,39 +656,6 @@ func (w *workerState) serve() error {
 				return err
 			}
 			w.failAt = int(m.Round)
-		case wire.TDrain:
-			m, err := wire.DecodeDrain(body)
-			if err != nil {
-				return err
-			}
-			t0 := time.Now()
-			msgs, err := w.col.wait(m.Expect, w.opts.Timeout)
-			if err != nil {
-				return err
-			}
-			if err := w.extendRoutes(msgs); err != nil {
-				return err
-			}
-			if err := w.applier.Apply(msgs); err != nil {
-				return err
-			}
-			progressed := false
-			f0 := w.sched.Fired()
-			if w.sched.NextEventTime() <= vtime.Time(m.T) {
-				w.sched.RunUntil(vtime.Time(m.T))
-				progressed = true
-			}
-			w.prof.DrainWallNs += uint64(time.Since(t0))
-			w.prof.EventsFired += w.sched.Fired() - f0
-			if err := w.flushOutbox(); err != nil {
-				return err
-			}
-			w.metrics.AddSerialRounds(1)
-			w.updateMetrics()
-			dd := wire.DrainDone{Progressed: progressed, Counts: w.counts()}
-			if err := w.send(wire.TDrainDone, dd.Encode()); err != nil {
-				return err
-			}
 		case wire.TFinish:
 			return w.finish()
 		default:
@@ -801,58 +664,36 @@ func (w *workerState) serve() error {
 	}
 }
 
-// step serves one fused TStep round: await the expectation prefixes, apply
-// the inbox, run the shard through the grant (skipped on a bounds-only
-// step), flush the outbox — apply can emit eager handoffs even without a
-// run, and an unflushed handoff would be invisible to both the bounds below
-// and the coordinator's in-flight accounting — then report counts and
-// post-step bounds in one TStepDone.
+// step serves one TStep round: Shard.Step over the data plane, then the
+// counts and post-step bounds in one TStepDone.
 func (w *workerState) step(body []byte) error {
 	m, err := wire.DecodeStep(body)
 	if err != nil {
 		return err
 	}
+	w.expect = m.Expect
 	if w.gw != nil {
+		// Real-world arrivals enter virtual time ahead of the step, stamped no
+		// earlier than the round's floor: they cannot fire inside it and are
+		// in the scheduler when its bounds are taken.
 		w.gw.Admit(vtime.Time(m.Floor))
 	}
-	t0 := time.Now()
-	msgs, err := w.col.wait(m.Expect, w.opts.Timeout)
+	rep, err := w.Step(parcore.Cmd{Grant: vtime.Time(m.Grant), Drain: m.Drain}, dataLink{w})
 	if err != nil {
 		return err
 	}
-	t1 := time.Now()
-	w.prof.WaitWallNs += uint64(t1.Sub(t0))
-	if err := w.extendRoutes(msgs); err != nil {
-		return err
-	}
-	if err := w.applier.Apply(msgs); err != nil {
-		return err
-	}
-	t2 := time.Now()
-	w.prof.ApplyWallNs += uint64(t2.Sub(t1))
-	if m.Grant >= 0 {
-		f0 := w.sched.Fired()
-		w.sched.RunUntil(vtime.Time(m.Grant))
-		w.prof.RunWallNs += uint64(time.Since(t2))
-		w.prof.Windows++
-		if fired := w.sched.Fired() - f0; fired > 0 {
-			w.prof.ActiveWindows++
-			w.prof.EventsFired += fired
-		}
+	if m.Drain {
+		w.metrics.AddSerialRounds(1)
+	} else if m.Grant >= 0 {
 		w.metrics.AddWindows(1)
 	}
-	f1 := time.Now()
-	if err := w.flushOutbox(); err != nil {
-		return err
-	}
-	w.prof.FlushWallNs += uint64(time.Since(f1))
 	w.updateMetrics()
-	b := parcore.ShardBounds(w.sched, w.emu, w.sync, w.applier)
 	sd := wire.StepDone{
-		Counts: w.counts(),
-		Next:   int64(b.Next),
-		Safe:   int64(b.Safe),
-		SafeTo: timesToI64(b.SafeTo),
+		Counts:     wire.Counts{Now: int64(w.Sched.Now()), Sent: append([]uint64(nil), w.sent...)},
+		Progressed: rep.Progressed,
+		Next:       int64(rep.Next),
+		Safe:       int64(rep.Safe),
+		SafeTo:     timesToI64(rep.SafeTo),
 	}
 	if err := w.send(wire.TStepDone, sd.Encode()); err != nil {
 		return err
@@ -890,7 +731,7 @@ func (w *workerState) updateMetrics() {
 	if w.metrics == nil {
 		return
 	}
-	w.metrics.SetVTime(int64(w.sched.Now()))
+	w.metrics.SetVTime(int64(w.Sched.Now()))
 	w.metrics.SetPlane(w.dp.counters())
 	if w.gw != nil {
 		st := w.gw.Stats()
@@ -905,30 +746,30 @@ func (w *workerState) finish() error {
 	frames, bytes := w.dp.counters()
 	rep := WorkerReport{
 		Shard:             w.cfg.Shard,
-		Totals:            w.emu.Totals(),
-		Accuracy:          w.emu.Accuracy,
-		NowNs:             int64(w.sched.Now()),
+		Totals:            w.Emu.Totals(),
+		Accuracy:          w.Emu.Accuracy,
+		NowNs:             int64(w.Sched.Now()),
 		Frames:            frames,
 		BytesOnWire:       bytes,
 		SetupBytes:        w.setupBytes,
 		StartupWallNs:     w.startupWallNs,
 		PeakRSSBytes:      peakRSSBytes(),
-		MaterializedPipes: w.emu.MaterializedPipes(),
+		MaterializedPipes: w.Emu.MaterializedPipes(),
 		Deliveries:        w.deliveries,
-		PipeDrops:         make([]uint64, w.emu.NumPipes()),
-		Profile:           w.prof,
+		PipeDrops:         make([]uint64, w.Emu.NumPipes()),
+		Profile:           w.Prof,
 	}
 	if w.table != nil {
 		rep.RouteRPCs = w.table.SeedRPCs
 	}
 	for i := range rep.PipeDrops {
 		// Unmaterialized slots (sparse shard views) have no pipe to ask.
-		if p := w.emu.Pipe(pipes.ID(i)); p != nil {
+		if p := w.Emu.Pipe(pipes.ID(i)); p != nil {
 			rep.PipeDrops[i] = p.TotalDrops()
 		}
 	}
-	rep.DropsByReason = w.emu.DropsByReason()
-	cs := w.emu.CoreStats(w.cfg.Shard)
+	rep.DropsByReason = w.Emu.DropsByReason()
+	cs := w.Emu.CoreStats(w.cfg.Shard)
 	rep.TunnelsIn, rep.TunnelsOut = cs.TunnelsIn, cs.TunnelsOut
 	if w.gw != nil {
 		st := w.gw.Stats()

@@ -13,23 +13,21 @@ import (
 )
 
 // DriveProfile is the wall-clock breakdown of one conservative
-// synchronization loop (parcore.Drive / DrivePaced), from the driver's
-// point of view.
+// synchronization loop (parcore.Drive), from the driver's point of view.
+// The four buckets sum to the loop's wall clock.
 type DriveProfile struct {
-	// BarrierWallNs is time in Exchange: flushing outboxes, applying
-	// inboxes, and collecting bounds (the barrier itself).
+	// BarrierWallNs is what the loop spends outside window rounds, drain
+	// rounds and pacing sleeps: the bounds-only round that opens every
+	// drive, and the grant algebra between rounds.
 	BarrierWallNs uint64 `json:"barrier_wall_ns"`
-	// ComputeWallNs is time in Window calls: shards running events.
+	// ComputeWallNs is time in window rounds: every shard applying,
+	// running, flushing and reporting, in parallel.
 	ComputeWallNs uint64 `json:"compute_wall_ns"`
-	// SerialWallNs is time in DrainPass rounds (zero/exhausted lookahead).
+	// SerialWallNs is time in drain rounds (zero/exhausted lookahead).
 	SerialWallNs uint64 `json:"serial_wall_ns"`
 	// IdleWallNs is pacing sleep: the loop idling so virtual time does not
 	// outrun the wall (real-time runs only).
 	IdleWallNs uint64 `json:"idle_wall_ns"`
-	// FlushWallNs is the flush share of BarrierWallNs, when the transport
-	// distinguishes it (the federated coordinator's flush round; the
-	// in-process outbox moves).
-	FlushWallNs uint64 `json:"flush_wall_ns"`
 }
 
 // Add accumulates q into p.
@@ -38,21 +36,22 @@ func (p *DriveProfile) Add(q DriveProfile) {
 	p.ComputeWallNs += q.ComputeWallNs
 	p.SerialWallNs += q.SerialWallNs
 	p.IdleWallNs += q.IdleWallNs
-	p.FlushWallNs += q.FlushWallNs
 }
 
 // ShardProfile is one shard's wall-clock and lookahead-utilization
 // breakdown across a run.
 type ShardProfile struct {
 	Shard int `json:"shard"`
-	// Wall-clock per activity: flushing the outbox, waiting for inbound
-	// messages (federated collector waits), applying inboxes, running
-	// windows, and serial drain turns.
-	FlushWallNs uint64 `json:"flush_wall_ns"`
-	WaitWallNs  uint64 `json:"wait_wall_ns"`
-	ApplyWallNs uint64 `json:"apply_wall_ns"`
-	RunWallNs   uint64 `json:"run_wall_ns"`
-	DrainWallNs uint64 `json:"drain_wall_ns"`
+	// Wall-clock per stage of parcore.Shard.Step, which writes them all and
+	// whose wall clock they sum to: waiting for inbound messages (federated
+	// collector waits), applying them, running the window or the serial
+	// drain turn, flushing the outbox, computing bounds.
+	FlushWallNs  uint64 `json:"flush_wall_ns"`
+	WaitWallNs   uint64 `json:"wait_wall_ns"`
+	ApplyWallNs  uint64 `json:"apply_wall_ns"`
+	RunWallNs    uint64 `json:"run_wall_ns"`
+	DrainWallNs  uint64 `json:"drain_wall_ns"`
+	BoundsWallNs uint64 `json:"bounds_wall_ns"`
 	// Windows counts windows granted to the shard; ActiveWindows those in
 	// which it actually fired at least one event. Their ratio is the
 	// shard's lookahead utilization: how often the granted horizon covered
@@ -78,6 +77,7 @@ func (p *ShardProfile) Add(q ShardProfile) {
 	p.ApplyWallNs += q.ApplyWallNs
 	p.RunWallNs += q.RunWallNs
 	p.DrainWallNs += q.DrainWallNs
+	p.BoundsWallNs += q.BoundsWallNs
 	p.Windows += q.Windows
 	p.ActiveWindows += q.ActiveWindows
 	p.EventsFired += q.EventsFired
@@ -110,16 +110,37 @@ type RunProfile struct {
 	Shards         []ShardProfile `json:"shards,omitempty"`
 }
 
+// SyncWallNs is what synchronization costs the run: the wall clock of its
+// window and drain rounds less the busiest shard's work in them (everything
+// in its Step but the wait) — the time even the critical shard spent
+// parked at a barrier or on the transport. Zero without shard profiles.
+// (Drive.BarrierWallNs is not this: a barrier is part of every round now,
+// so that bucket only holds the driver's own grant algebra.)
+func (p *RunProfile) SyncWallNs() uint64 {
+	var busiest uint64
+	for _, sp := range p.Shards {
+		if w := sp.ApplyWallNs + sp.RunWallNs + sp.DrainWallNs + sp.FlushWallNs + sp.BoundsWallNs; w > busiest {
+			busiest = w
+		}
+	}
+	rounds := p.Drive.ComputeWallNs + p.Drive.SerialWallNs
+	if busiest == 0 || busiest > rounds {
+		return 0
+	}
+	return rounds - busiest
+}
+
 // SyncLine renders the one-line synchronization summary every parallel and
 // federated run report prints: window count and rate, serial rounds, the
-// barrier's share of the run's wall clock, and the effective grant spread.
+// synchronization share of the run's wall clock, and the effective grant
+// spread.
 func (p *RunProfile) SyncLine() string {
 	perSec := 0.0
 	if p.WallMS > 0 {
 		perSec = float64(p.Windows) / (p.WallMS / 1000)
 	}
-	// The barrier share is measured against the run's wall clock when the
-	// caller filled it, else against the drive loop's own accounted time.
+	// The share is measured against the run's wall clock when the caller
+	// filled it, else against the drive loop's own accounted time.
 	wallNs := p.WallMS * 1e6
 	if wallNs <= 0 {
 		wallNs = float64(p.Drive.BarrierWallNs + p.Drive.ComputeWallNs +
@@ -127,9 +148,9 @@ func (p *RunProfile) SyncLine() string {
 	}
 	share := 0.0
 	if wallNs > 0 {
-		share = 100 * float64(p.Drive.BarrierWallNs) / wallNs
+		share = 100 * float64(p.SyncWallNs()) / wallNs
 	}
-	s := fmt.Sprintf("%s, %d windows (%.0f windows/s), %d serial rounds, %d messages, barrier %.1f%% of wall",
+	s := fmt.Sprintf("%s, %d windows (%.0f windows/s), %d serial rounds, %d messages, sync %.1f%% of wall",
 		p.SyncMode, p.Windows, perSec, p.SerialRounds, p.Messages, share)
 	if p.GrantMeanMS > 0 {
 		s += fmt.Sprintf(", grant %.2f/%.2f/%.2f ms min/mean/max",

@@ -7,9 +7,9 @@ import (
 	"modelnet/internal/vtime"
 )
 
-// scriptedTransport feeds Drive a fixed sequence of Exchange bounds and
-// records every Window grant vector and DrainPass target it receives. Once
-// the script is exhausted it reports quiescence, which ends the drive.
+// scriptedTransport answers each barrier round with the next scripted bounds
+// and records every window's grant vector and every drain turn's target.
+// Once the script is exhausted it reports quiescence, which ends the drive.
 type scriptedTransport struct {
 	k      int
 	rounds [][]Bounds
@@ -20,27 +20,26 @@ type scriptedTransport struct {
 
 func (s *scriptedTransport) Cores() int { return s.k }
 
-func (s *scriptedTransport) Exchange() ([]Bounds, error) {
-	if s.next >= len(s.rounds) {
-		bs := make([]Bounds, s.k)
-		for j := range bs {
-			bs[j] = Bounds{Next: vtime.Forever, Safe: vtime.Forever}
+func (s *scriptedTransport) Step(cmds []Cmd) ([]Report, error) {
+	switch c := cmds[0]; {
+	case c.Drain:
+		s.drains = append(s.drains, c.Grant)
+	case c.Grant >= 0:
+		g := make([]vtime.Time, len(cmds))
+		for j := range cmds {
+			g[j] = cmds[j].Grant
 		}
-		return bs, nil
+		s.grants = append(s.grants, g)
 	}
-	bs := s.rounds[s.next]
+	reps := make([]Report, s.k)
+	for j := range reps {
+		reps[j].Bounds = Bounds{Next: vtime.Forever, Safe: vtime.Forever}
+		if s.next < len(s.rounds) {
+			reps[j].Bounds = s.rounds[s.next][j]
+		}
+	}
 	s.next++
-	return bs, nil
-}
-
-func (s *scriptedTransport) Window(grants []vtime.Time) error {
-	s.grants = append(s.grants, append([]vtime.Time(nil), grants...))
-	return nil
-}
-
-func (s *scriptedTransport) DrainPass(t vtime.Time) (bool, error) {
-	s.drains = append(s.drains, t)
-	return false, nil
+	return reps, nil
 }
 
 // bounds2 builds one shard's Bounds for a 2-shard script: next local event
@@ -98,8 +97,9 @@ func TestAdaptiveGrantsHonorFlooredChain(t *testing.T) {
 		bounds2(0, vtime.Time(5*vtime.Millisecond), seed0to1),
 		bounds2(1, vtime.Time(6*vtime.Millisecond), seed1to0),
 	}
-	// Round 2: every horizon sits below every next event, so no shard can
-	// fire — the drive must fall back to a serial drain at minNext.
+	// Round 2 (the bounds window 1 reports): every horizon sits below every
+	// next event, so no shard can fire — the drive must fall back to a
+	// serial drain at minNext.
 	round2 := []Bounds{
 		bounds2(0, vtime.Time(200*vtime.Millisecond), vtime.Time(150*vtime.Millisecond)),
 		bounds2(1, vtime.Time(180*vtime.Millisecond), vtime.Time(140*vtime.Millisecond)),
@@ -122,7 +122,7 @@ func TestAdaptiveGrantsHonorFlooredChain(t *testing.T) {
 	run := func(chain [][]vtime.Duration) (*scriptedTransport, SyncStats) {
 		tr := &scriptedTransport{k: 2, rounds: [][]Bounds{round1, round2}}
 		var st SyncStats
-		if err := DriveWith(tr, &st, deadline, DriveOpts{Mode: SyncAdaptive, Chain: chain}); err != nil {
+		if err := Drive(tr, &st, deadline, DriveOpts{Mode: SyncAdaptive, Chain: chain}); err != nil {
 			t.Fatal(err)
 		}
 		return tr, st

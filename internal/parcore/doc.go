@@ -38,11 +38,21 @@
 // nanosecond (the modes may then order them differently; counters of such
 // ties are unaffected, per-packet attribution can differ). See DESIGN.md.
 //
-// The synchronization algebra itself lives in Drive, behind the Transport
-// interface: Runtime is the in-process transport (shards as goroutines,
-// barriers as slice moves) and internal/fednet implements the same contract
-// over real sockets, one OS process per shard. DrivePaced is the same loop
-// slaved to the wall clock (Pacing — the paper's 10 kHz-timer role), which
-// is what lets live edge gateways (internal/edge) feed real traffic into a
-// run whose emulated delays elapse in real time.
+// The code has two halves. Shard.Step is what one shard does in a barrier
+// round — receive and apply what peers sent in an earlier round, run through
+// the grant, flush the outbox, report bounds — and it is the only place a
+// parallel or federated run calls Applier.Apply, the scheduler's RunUntil
+// or ShardBounds, and the only writer of the shard's wall-clock profile.
+// Drive is the synchronization algebra over those reports, behind the
+// one-verb Transport interface (Step: a round): it settles each shard's
+// bounds for the messages the round left in flight toward it, derives the
+// next grants, and repeats. Runtime is the in-process transport (shards as
+// goroutines, a flushed batch moves to its target as a slice, and a round
+// that flushed anything is followed by a bounds-only one that lands it, so
+// nothing is ever left in flight) and internal/fednet implements the same
+// contract over real sockets, one OS process per shard, one TStep/TStepDone
+// exchange per round.
+// DriveOpts.Pace slaves the loop to the wall clock (Pacing — the paper's
+// 10 kHz-timer role), which is what lets live edge gateways (internal/edge)
+// feed real traffic into a run whose emulated delays elapse in real time.
 package parcore

@@ -30,7 +30,7 @@ func syncFixture(t *testing.T, k int) (*topology.Graph, *bind.Binding, *bind.POD
 	}
 	pod := asn.POD()
 	homes := Homes(g, b, pod, k)
-	base := ComputeSync(g, b, pod, homes, k)
+	base := ComputeSyncFloor(g, b, pod, homes, k, nil)
 	for _, s := range base {
 		if len(s.BorderPipes) > 0 {
 			return g, b, pod, homes, base, s.BorderPipes[0]
@@ -82,7 +82,7 @@ func TestLookaheadUsesProfileFloor(t *testing.T) {
 // while its trace dips latency below the bind-time value and checks the
 // parallel run agrees with the sequential one packet for packet. If the
 // runtime sized windows off the initial latency instead of the floor, the
-// dipped messages would violate EOT and ApplyMsgs would panic the run.
+// dipped messages would violate EOT and the applier would panic the run.
 func TestDynamicsParallelMatchesSequential(t *testing.T) {
 	g, b, pod, homes, _, cut := syncFixture(t, 2)
 	_ = homes

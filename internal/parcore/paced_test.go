@@ -8,7 +8,7 @@ import (
 )
 
 // fakeShard is a single-shard Transport with a scripted event list, enough
-// to observe DrivePaced's wall-clock behavior without an emulator.
+// to observe a paced Drive's wall-clock behavior without an emulator.
 type fakeShard struct {
 	clock   vtime.Time
 	events  []vtime.Time // pending, ascending
@@ -18,43 +18,40 @@ type fakeShard struct {
 
 func (f *fakeShard) Cores() int { return 1 }
 
-func (f *fakeShard) Exchange() ([]Bounds, error) {
-	next := vtime.Forever
-	if len(f.events) > 0 {
-		next = f.events[0]
+func (f *fakeShard) Step(cmds []Cmd) ([]Report, error) {
+	c := cmds[0]
+	var rep Report
+	if c.Grant >= 0 {
+		for len(f.events) > 0 && f.events[0] <= c.Grant {
+			f.events = f.events[1:]
+			f.ranAt = append(f.ranAt, time.Now())
+			rep.Progressed = c.Drain
+		}
+		if !c.Drain {
+			f.windows++
+			if c.Grant > f.clock {
+				f.clock = c.Grant
+			}
+		}
 	}
 	// No cross-shard traffic ever: Safe is unconstrained.
-	return []Bounds{{Next: next, Safe: vtime.Forever}}, nil
+	rep.Bounds = Bounds{Next: vtime.Forever, Safe: vtime.Forever}
+	if len(f.events) > 0 {
+		rep.Next = f.events[0]
+	}
+	return []Report{rep}, nil
 }
 
-func (f *fakeShard) Window(grants []vtime.Time) error {
-	bound := grants[0]
-	f.windows++
-	for len(f.events) > 0 && f.events[0] <= bound {
-		f.events = f.events[1:]
-		f.ranAt = append(f.ranAt, time.Now())
-	}
-	if bound > f.clock {
-		f.clock = bound
-	}
-	return nil
-}
-
-func (f *fakeShard) DrainPass(t vtime.Time) (bool, error) {
-	progressed := false
-	for len(f.events) > 0 && f.events[0] <= t {
-		f.events = f.events[1:]
-		f.ranAt = append(f.ranAt, time.Now())
-		progressed = true
-	}
-	return progressed, nil
+// drivePaced is Drive on the fixed algebra under pacing (nil = unpaced).
+func drivePaced(tr Transport, st *SyncStats, deadline vtime.Time, pace *Pacing) error {
+	return Drive(tr, st, deadline, DriveOpts{Mode: SyncFixed, Pace: pace})
 }
 
 func TestDrivePacedSlavesToWallClock(t *testing.T) {
 	f := &fakeShard{events: []vtime.Time{vtime.Time(30 * vtime.Millisecond)}}
 	var st SyncStats
 	begin := time.Now()
-	err := DrivePaced(f, &st, vtime.Time(60*vtime.Millisecond), &Pacing{Quantum: 5 * vtime.Millisecond})
+	err := drivePaced(f, &st, vtime.Time(60*vtime.Millisecond), &Pacing{Quantum: 5 * vtime.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +83,7 @@ func TestDrivePacedIdlesToDeadline(t *testing.T) {
 	f := &fakeShard{}
 	var st SyncStats
 	begin := time.Now()
-	if err := DrivePaced(f, &st, vtime.Time(40*vtime.Millisecond), &Pacing{Quantum: 10 * vtime.Millisecond}); err != nil {
+	if err := drivePaced(f, &st, vtime.Time(40*vtime.Millisecond), &Pacing{Quantum: 10 * vtime.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(begin); elapsed < 40*time.Millisecond {
@@ -99,7 +96,7 @@ func TestDrivePacedIdlesToDeadline(t *testing.T) {
 
 func TestDrivePacedRejectsForever(t *testing.T) {
 	var st SyncStats
-	if err := DrivePaced(&fakeShard{}, &st, vtime.Forever, &Pacing{}); err == nil {
+	if err := drivePaced(&fakeShard{}, &st, vtime.Forever, &Pacing{}); err == nil {
 		t.Fatal("paced drive with an infinite deadline must error")
 	}
 }
@@ -108,7 +105,7 @@ func TestDrivePacedNilPacingIsDrive(t *testing.T) {
 	f := &fakeShard{events: []vtime.Time{vtime.Time(5 * vtime.Millisecond)}}
 	var st SyncStats
 	begin := time.Now()
-	if err := DrivePaced(f, &st, vtime.Time(1000*vtime.Millisecond), nil); err != nil {
+	if err := drivePaced(f, &st, vtime.Time(1000*vtime.Millisecond), nil); err != nil {
 		t.Fatal(err)
 	}
 	if elapsed := time.Since(begin); elapsed > 500*time.Millisecond {

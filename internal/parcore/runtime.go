@@ -1,11 +1,11 @@
 package parcore
 
 // The in-process deployment: Runtime hosts the shards as goroutines and
-// implements Transport with slice moves at the barriers.
+// implements Transport by handing each a command over a channel; a flushed
+// batch moves to its target as a slice.
 
 import (
 	"fmt"
-	"time"
 
 	"modelnet/internal/assign"
 	"modelnet/internal/bind"
@@ -17,34 +17,44 @@ import (
 	"modelnet/internal/vtime"
 )
 
-// worker is one shard: an emulator on a private scheduler plus its mailbox.
+// worker is one shard plus its in-process Link: the goroutine that steps
+// it and the mail slots its peers flush into.
 type worker struct {
-	idx   int
-	sched *vtime.Scheduler
-	emu   *emucore.Emulator
-
-	// Mailboxes. outbox is filled by this worker's handoffs during a
-	// window; the coordinator moves it into peers' inboxes at the barrier.
-	// applier schedules inbound messages, merging same-fire-time clusters
-	// across barriers.
-	outbox  *Outbox
-	inbox   []Msg
-	applier *Applier
-
-	// Static synchronization inputs (computed at construction).
-	sync ShardSync
-
-	// prof is the shard's wall-clock / lookahead-utilization profile;
-	// tracer its (optional) packet tracer.
-	prof   obs.ShardProfile
+	Shard
+	r      *Runtime
+	idx    int
 	tracer *obs.Tracer
 
-	cmd  chan vtime.Time
+	// mail[p][i] is the batch shard i flushed toward this shard in a round
+	// of parity p. A round's senders write the slots of the runtime's
+	// current parity while this shard reads and clears the other parity's —
+	// last round's — so no slot is ever shared within a round, and a fast
+	// peer's flush cannot leak into the round it was sent in.
+	mail  [2][][]Msg
+	inbox []Msg
+
+	cmd  chan Cmd
 	done chan struct{}
+	rep  Report
+	err  error
 }
 
-// bounds reports this shard's contribution to the horizon computation.
-func (w *worker) bounds() Bounds { return ShardBounds(w.sched, w.emu, w.sync, w.applier) }
+// Send implements Sender on the shard's goroutine: the batch moves by
+// reference (Outbox.Flush gave it up).
+func (w *worker) Send(target int, msgs []Msg) error {
+	w.r.workers[target].mail[w.r.parity][w.idx] = msgs
+	return nil
+}
+
+// Recv implements Link: gather what the peers flushed last round.
+func (w *worker) Recv() ([]Msg, error) {
+	w.inbox = w.inbox[:0]
+	for i, msgs := range w.mail[w.r.parity^1] {
+		w.inbox = append(w.inbox, msgs...)
+		w.mail[w.r.parity^1][i] = nil
+	}
+	return w.inbox, nil
+}
 
 // SyncStats describe how a run synchronized.
 type SyncStats struct {
@@ -105,16 +115,18 @@ func (s SyncStats) GrantMean() vtime.Duration {
 
 // Runtime is a parallel core cluster ready to run.
 type Runtime struct {
-	graph       *topology.Graph
-	binding     *bind.Binding
-	pod         *bind.POD
-	workers     []*worker
-	homes       []int // VN -> shard
-	mode        SyncMode
-	chain       [][]vtime.Duration // reaction-chain matrix (adaptive)
-	now         vtime.Time
-	stats       SyncStats
-	flushWallNs uint64 // cumulative outbox-distribution time (flushProfiler)
+	graph   *topology.Graph
+	binding *bind.Binding
+	pod     *bind.POD
+	workers []*worker
+	homes   []int // VN -> shard
+	mode    SyncMode
+	chain   [][]vtime.Duration // reaction-chain matrix
+	now     vtime.Time
+	stats   SyncStats
+	// parity selects the mail slots the current round's flushes land in;
+	// the driver flips it between rounds, while every shard is parked.
+	parity int
 }
 
 // Config assembles a Runtime.
@@ -154,13 +166,10 @@ func New(cfg Config) (*Runtime, error) {
 
 	r.workers = make([]*worker, k)
 	for i := range r.workers {
-		w := &worker{
-			idx:   i,
-			sched: vtime.NewScheduler(),
-			cmd:   make(chan vtime.Time),
-			done:  make(chan struct{}),
-		}
-		w.outbox = NewOutbox(i, k, w.sched)
+		w := &worker{r: r, idx: i, cmd: make(chan Cmd), done: make(chan struct{})}
+		w.mail[0], w.mail[1] = make([][]Msg, k), make([][]Msg, k)
+		w.Sched = vtime.NewScheduler()
+		w.Outbox = NewOutbox(i, k, w.Sched)
 		bi := b
 		// A shard needs a private binding when the table mutates: on
 		// lookup (LRU cache) or via dynamics reroutes (SetTable swaps the
@@ -172,33 +181,32 @@ func New(cfg Config) (*Runtime, error) {
 			}
 			bi = &cp
 		}
-		emu, err := emucore.NewShard(w.sched, g, bi, pod, cfg.Profile, cfg.Seed, i, r.homes, w.outbox.Handoff)
+		emu, err := emucore.NewShard(w.Sched, g, bi, pod, cfg.Profile, cfg.Seed, i, r.homes, w.Outbox.Handoff)
 		if err != nil {
 			return nil, fmt.Errorf("parcore: shard %d: %w", i, err)
 		}
-		w.prof.Shard = i
+		w.Prof.Shard = i
 		if cfg.Trace {
 			w.tracer = obs.NewTracer(i)
 			emu.Trace = w.tracer
 		}
-		if _, err := dynamics.Attach(w.sched, emu, cfg.Dynamics); err != nil {
+		if _, err := dynamics.Attach(w.Sched, emu, cfg.Dynamics); err != nil {
 			return nil, fmt.Errorf("parcore: shard %d: %w", i, err)
 		}
-		w.emu = emu
-		w.applier = NewApplier(w.sched, emu)
+		w.Emu = emu
+		w.Applier = NewApplier(w.Sched, emu)
 		r.workers[i] = w
 	}
 	r.mode = cfg.Sync
+	// Both algebras need the reaction-chain matrix (Drive prices in-flight
+	// messages with it); only the adaptive one keeps the per-shard plans.
 	syncs := ComputeSyncPlan(g, b, pod, r.homes, k, cfg.Dynamics.LatencyFloorFunc())
-	if r.mode == SyncFixed {
-		for i := range syncs {
-			syncs[i].Plan = nil
-		}
-	} else {
-		r.chain = ChainMatrix(syncs)
-	}
+	r.chain = ChainMatrix(syncs)
 	for i, s := range syncs {
-		r.workers[i].sync = s
+		if r.mode == SyncFixed {
+			s.Plan = nil
+		}
+		r.workers[i].Sync = s
 	}
 	return r, nil
 }
@@ -211,24 +219,24 @@ func (r *Runtime) HomeOf(vn pipes.VN) int { return r.homes[vn] }
 
 // SchedOf returns the scheduler driving a VN's home shard; hosts and
 // application timers for that VN must be built on it.
-func (r *Runtime) SchedOf(vn pipes.VN) *vtime.Scheduler { return r.workers[r.homes[vn]].sched }
+func (r *Runtime) SchedOf(vn pipes.VN) *vtime.Scheduler { return r.workers[r.homes[vn]].Sched }
 
 // EmuOf returns the shard emulator a VN injects into.
-func (r *Runtime) EmuOf(vn pipes.VN) *emucore.Emulator { return r.workers[r.homes[vn]].emu }
+func (r *Runtime) EmuOf(vn pipes.VN) *emucore.Emulator { return r.workers[r.homes[vn]].Emu }
 
 // ShardEmu returns shard i's emulator (counters, per-core stats).
-func (r *Runtime) ShardEmu(i int) *emucore.Emulator { return r.workers[i].emu }
+func (r *Runtime) ShardEmu(i int) *emucore.Emulator { return r.workers[i].Emu }
 
 // RegisterVN installs a delivery callback on the VN's home shard.
 func (r *Runtime) RegisterVN(vn pipes.VN, fn emucore.DeliverFunc) {
-	r.workers[r.homes[vn]].emu.RegisterVN(vn, fn)
+	r.workers[r.homes[vn]].Emu.RegisterVN(vn, fn)
 }
 
 // SetDeliverHook installs fn as every shard's OnDeliver hook. Shards run
 // concurrently, so fn must be safe for concurrent use.
 func (r *Runtime) SetDeliverHook(fn func(pkt *pipes.Packet, at vtime.Time)) {
 	for _, w := range r.workers {
-		w.emu.OnDeliver = fn
+		w.Emu.OnDeliver = fn
 	}
 }
 
@@ -237,14 +245,14 @@ func (r *Runtime) SetDeliverHook(fn func(pkt *pipes.Packet, at vtime.Time)) {
 func (r *Runtime) Lookahead() vtime.Duration {
 	la := vtime.Duration(-1)
 	for _, w := range r.workers {
-		if w.sync.IngressCross {
+		if w.Sync.IngressCross {
 			return 0
 		}
-		if len(w.sync.BorderPipes) == 0 {
+		if len(w.Sync.BorderPipes) == 0 {
 			continue
 		}
-		if la < 0 || w.sync.Lookahead < la {
-			la = w.sync.Lookahead
+		if la < 0 || w.Sync.Lookahead < la {
+			la = w.Sync.Lookahead
 		}
 	}
 	if la < 0 {
@@ -263,7 +271,7 @@ func (r *Runtime) Mode() SyncMode { return r.mode }
 func (r *Runtime) ShardProfiles() []obs.ShardProfile {
 	out := make([]obs.ShardProfile, len(r.workers))
 	for i, w := range r.workers {
-		out[i] = w.prof
+		out[i] = w.Prof
 	}
 	return out
 }
@@ -291,7 +299,7 @@ func (r *Runtime) Now() vtime.Time { return r.now }
 func (r *Runtime) Totals() emucore.Totals {
 	var t emucore.Totals
 	for _, w := range r.workers {
-		wt := w.emu.Totals()
+		wt := w.Emu.Totals()
 		t.Injected += wt.Injected
 		t.Delivered += wt.Delivered
 		t.NoRoute += wt.NoRoute
@@ -306,7 +314,7 @@ func (r *Runtime) Totals() emucore.Totals {
 func (r *Runtime) Accuracy() emucore.Accuracy {
 	var a emucore.Accuracy
 	for _, w := range r.workers {
-		a.Merge(w.emu.Accuracy)
+		a.Merge(w.Emu.Accuracy)
 	}
 	return a
 }
@@ -324,16 +332,8 @@ func (r *Runtime) RunUntil(deadline vtime.Time) {
 	for _, w := range r.workers {
 		w := w
 		go func() {
-			for bound := range w.cmd {
-				t0 := time.Now()
-				f0 := w.sched.Fired()
-				w.sched.RunUntil(bound)
-				w.prof.RunWallNs += uint64(time.Since(t0))
-				w.prof.Windows++
-				if df := w.sched.Fired() - f0; df > 0 {
-					w.prof.ActiveWindows++
-					w.prof.EventsFired += df
-				}
+			for c := range w.cmd {
+				w.rep, w.err = w.Step(c, w)
 				w.done <- struct{}{}
 			}
 		}()
@@ -341,19 +341,19 @@ func (r *Runtime) RunUntil(deadline vtime.Time) {
 	defer func() {
 		for _, w := range r.workers {
 			close(w.cmd)
-			w.cmd = make(chan vtime.Time)
+			w.cmd = make(chan Cmd)
 		}
 	}()
 
-	if err := DriveWith(inproc{r}, &r.stats, deadline, DriveOpts{Mode: r.mode, Chain: r.chain}); err != nil {
+	if err := Drive(inproc{r}, &r.stats, deadline, DriveOpts{Mode: r.mode, Chain: r.chain}); err != nil {
 		// The in-process transport only errors on an EOT violation, which
 		// is a runtime invariant breach, not an I/O condition.
 		panic(err)
 	}
 	if deadline == vtime.Forever {
 		for _, w := range r.workers {
-			if w.sched.Now() > r.now {
-				r.now = w.sched.Now()
+			if w.Sched.Now() > r.now {
+				r.now = w.Sched.Now()
 			}
 		}
 		return
@@ -362,94 +362,72 @@ func (r *Runtime) RunUntil(deadline vtime.Time) {
 }
 
 // inproc is the in-process Transport: shards are this Runtime's worker
-// goroutines and the barrier moves messages between slices.
+// goroutines.
 type inproc struct{ r *Runtime }
 
 // Cores implements Transport.
 func (t inproc) Cores() int { return len(t.r.workers) }
 
-// Exchange implements Transport: move outboxes, apply inboxes in canonical
-// order, report bounds.
-func (t inproc) Exchange() ([]Bounds, error) {
-	r := t.r
-	r.distributeOnly()
-	bs := make([]Bounds, len(r.workers))
-	for i, w := range r.workers {
-		t0 := time.Now()
-		r.applyInbox(w)
-		w.prof.ApplyWallNs += uint64(time.Since(t0))
-		bs[i] = w.bounds()
+// Step implements Transport. A rendezvous costs this transport two channel
+// operations per shard, so it leaves nothing in flight: when the round's
+// flushes put messages in the mail slots, a bounds-only round lands them on
+// their receivers and the reports carry bounds that have seen every message
+// sent so far — Drive has nothing to settle for. (A federation's rendezvous is
+// a TCP round trip; it reports the stale bounds and the in-flight counts
+// instead.)
+func (t inproc) Step(cmds []Cmd) ([]Report, error) {
+	reps, err := t.r.round(cmds)
+	if err != nil {
+		return nil, err
 	}
-	return bs, nil
+	inflight := false
+	for _, rep := range reps {
+		inflight = inflight || rep.Inflight > 0
+	}
+	if !inflight {
+		return reps, nil
+	}
+	land := make([]Cmd, len(cmds))
+	for i := range land {
+		land[i].Grant = -1
+	}
+	landed, err := t.r.round(land)
+	if err != nil {
+		return nil, err
+	}
+	for i := range reps {
+		reps[i].Bounds, reps[i].Inflight = landed[i].Bounds, 0
+	}
+	return reps, nil
 }
 
-// FlushWallNs implements flushProfiler: cumulative outbox-move time.
-func (t inproc) FlushWallNs() uint64 { return t.r.flushWallNs }
-
-// Window implements Transport: run shard i concurrently up to grants[i]
-// (inclusive).
-func (t inproc) Window(grants []vtime.Time) error {
-	for i, w := range t.r.workers {
-		w.cmd <- grants[i]
+// round hands every shard its command and waits for all of them.
+func (r *Runtime) round(cmds []Cmd) ([]Report, error) {
+	for i, w := range r.workers {
+		w.cmd <- cmds[i]
 	}
-	for _, w := range t.r.workers {
+	for _, w := range r.workers {
 		<-w.done
 	}
-	return nil
+	reps := make([]Report, len(r.workers))
+	for i, w := range r.workers {
+		if w.err != nil {
+			return nil, w.err
+		}
+		reps[i] = w.rep
+	}
+	r.closeRound(reps)
+	return reps, nil
 }
 
-// DrainPass implements Transport: one serial turn per shard at time tt,
-// messages moved only at the end of the pass.
-func (t inproc) DrainPass(tt vtime.Time) (bool, error) {
-	r := t.r
-	progressed := false
-	for _, w := range r.workers {
-		t0 := time.Now()
-		r.applyInbox(w)
-		w.prof.ApplyWallNs += uint64(time.Since(t0))
-		if w.sched.NextEventTime() <= tt {
-			t0 = time.Now()
-			f0 := w.sched.Fired()
-			w.sched.RunUntil(tt)
-			w.prof.DrainWallNs += uint64(time.Since(t0))
-			w.prof.EventsFired += w.sched.Fired() - f0
-			progressed = true
+// closeRound counts what the round's flushes left in the mail slots and
+// flips the parity, so the next round receives it.
+func (r *Runtime) closeRound(reps []Report) {
+	for i, w := range r.workers {
+		for sender, msgs := range w.mail[r.parity] {
+			reps[sender].Sent += uint64(len(msgs))
+			reps[i].Inflight += uint64(len(msgs))
 		}
 	}
-	r.distributeOnly()
-	return progressed, nil
-}
-
-// applyInbox schedules w's pending messages onto its scheduler.
-func (r *Runtime) applyInbox(w *worker) {
-	if len(w.inbox) == 0 {
-		return
-	}
-	if err := w.applier.Apply(w.inbox); err != nil {
-		panic(err)
-	}
-	w.inbox = w.inbox[:0]
-}
-
-// inprocSender is the in-process Sender: a per-peer batch moves as one
-// slice append into the target's inbox.
-type inprocSender struct{ r *Runtime }
-
-// Send implements Sender.
-func (s inprocSender) Send(target int, msgs []Msg) error {
-	s.r.workers[target].inbox = append(s.r.workers[target].inbox, msgs...)
-	s.r.stats.Messages += uint64(len(msgs))
-	return nil
-}
-
-// distributeOnly moves outboxes to inboxes without scheduling (the next
-// Exchange or DrainPass applies them).
-func (r *Runtime) distributeOnly() {
-	t0 := time.Now()
-	for _, src := range r.workers {
-		if err := src.outbox.Flush(inprocSender{r}); err != nil {
-			panic(err) // the in-process sender never fails
-		}
-	}
-	r.flushWallNs += uint64(time.Since(t0))
+	r.parity ^= 1
 }

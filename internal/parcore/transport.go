@@ -3,11 +3,12 @@ package parcore
 // The conservative synchronization loop, factored out of Runtime so that it
 // can drive shards it cannot touch directly. The scheduler algebra is
 // transport-oblivious (the LinkEmulator/transport separation): the loop
-// below only ever asks the cluster to exchange messages, report bounds, and
-// run windows. Two transports exist: the in-process one built into Runtime
-// (shards are goroutines, messages move between slices at the barrier) and
-// the socket transport in internal/fednet (shards are OS processes,
-// messages move over real UDP/TCP and the barrier is a TCP round).
+// below only ever asks the cluster for one barrier round — every shard
+// takes Shard.Step, and the bounds come back. Two transports exist: the
+// in-process one built into Runtime (shards are goroutines, a batch moves
+// between them as a slice) and the socket transport in internal/fednet
+// (shards are OS processes, messages move over real UDP/TCP and the round
+// is one TCP exchange per worker).
 //
 // Two synchronization algebras share the loop. The fixed algebra releases
 // one uniform window per barrier: every shard runs to min over shards of
@@ -101,23 +102,18 @@ func (m SyncMode) String() string {
 }
 
 // Transport connects the synchronization loop to the cluster's shards,
-// hiding whether they are goroutines or processes.
+// hiding whether they are goroutines or processes. Its one verb is the
+// barrier round.
 type Transport interface {
 	// Cores reports the number of shards.
 	Cores() int
-	// Exchange moves every pending cross-shard message to its target
-	// shard, has each shard apply its inbox in canonical order, and
-	// returns every shard's bounds. This is the barrier.
-	Exchange() ([]Bounds, error)
-	// Window runs every shard concurrently, shard i through grants[i]
-	// (inclusive). The fixed algebra passes a uniform slice.
-	Window(grants []vtime.Time) error
-	// DrainPass gives every shard one serial turn at time t — apply
-	// pending messages, then run local events with timestamps ≤ t — and
-	// moves the messages those turns produced. Turns within a pass are
-	// independent (messages only travel between passes), so shards may
-	// take them concurrently. Reports whether any shard ran events.
-	DrainPass(t vtime.Time) (bool, error)
+	// Step runs one barrier round: every shard concurrently takes
+	// Shard.Step with its own command — receive and apply the messages the
+	// previous round addressed to it, run, flush, report — and the reports
+	// come back by shard, Sent and Inflight filled in. Messages flushed in a
+	// round are received in a later one, never the same, so rounds are
+	// independent of how fast each shard runs.
+	Step(cmds []Cmd) ([]Report, error)
 }
 
 // DriveOpts selects how the synchronization loop runs.
@@ -133,26 +129,10 @@ type DriveOpts struct {
 	// Chain is the k×k matrix of minimum reaction distances: Chain[i][j]
 	// lower-bounds how long after a message lands on shard i a consequence
 	// of it can surface on shard j. ChainMatrix derives it from the
-	// shards' SyncPlans.
+	// shards' SyncPlans. Both algebras use it to price messages still in
+	// flight (see settle); without it an in-flight message pins its
+	// receiver's horizon to the receiver's clock.
 	Chain [][]vtime.Duration
-}
-
-// Drive runs the conservative synchronization loop over the transport until
-// every event at or before deadline has fired: barrier, agree on window
-// grants, run shards in parallel below them, exchange tunnel messages,
-// repeat. With deadline == vtime.Forever it returns at global quiescence
-// without the final clock-advancing window. st accumulates synchronization
-// counters. Drive uses the fixed algebra; DriveWith selects.
-func Drive(tr Transport, st *SyncStats, deadline vtime.Time) error {
-	return drive(tr, st, deadline, DriveOpts{Mode: SyncFixed})
-}
-
-// DriveWith is Drive with explicit options.
-func DriveWith(tr Transport, st *SyncStats, deadline vtime.Time, o DriveOpts) error {
-	if o.Pace != nil && deadline == vtime.Forever {
-		return fmt.Errorf("parcore: a paced drive needs a finite deadline")
-	}
-	return drive(tr, st, deadline, o)
 }
 
 // DefaultPaceQuantum is the default real-time pacing window. The paper's
@@ -180,14 +160,18 @@ type Pacing struct {
 	Quantum vtime.Duration
 }
 
-// DrivePaced is Drive under real-time pacing (nil pace = plain Drive).
-// The deadline must be finite: a paced run's only exit is its deadline.
-func DrivePaced(tr Transport, st *SyncStats, deadline vtime.Time, pace *Pacing) error {
-	return DriveWith(tr, st, deadline, DriveOpts{Mode: SyncFixed, Pace: pace})
-}
-
-func drive(tr Transport, st *SyncStats, deadline vtime.Time, o DriveOpts) error {
+// Drive runs the conservative synchronization loop over the transport until
+// every event at or before deadline has fired: agree on window grants from
+// the shards' bounds, run one barrier round (every shard applies what it
+// was sent, runs below its grant, flushes, reports new bounds), repeat.
+// With deadline == vtime.Forever it returns at global quiescence without
+// the final clock-advancing window; a paced drive needs a finite deadline,
+// its only exit. st accumulates synchronization counters.
+func Drive(tr Transport, st *SyncStats, deadline vtime.Time, o DriveOpts) error {
 	pace := o.Pace
+	if pace != nil && deadline == vtime.Forever {
+		return fmt.Errorf("parcore: a paced drive needs a finite deadline")
+	}
 	adaptive := o.Mode == SyncAdaptive && o.Chain != nil && pace == nil
 	var start time.Time
 	quantum := vtime.Duration(0)
@@ -198,14 +182,15 @@ func drive(tr Transport, st *SyncStats, deadline vtime.Time, o DriveOpts) error 
 		}
 		start = time.Now()
 	}
-	// The wall-time profile: every loop activity is attributed to one
-	// DriveProfile bucket (the flush share of the barrier is reported by
-	// the transport itself, see flushProfiler).
+	// The wall-time profile. Window rounds, drain rounds and pacing sleeps
+	// have a bucket each; whatever else the loop does — the bounds-only
+	// round that opens it, the grant algebra — is barrier time, so the four
+	// buckets sum to the drive's wall clock.
 	prof := &st.Profile
+	begin, before := time.Now(), prof.ComputeWallNs+prof.SerialWallNs+prof.IdleWallNs
 	defer func() {
-		if fp, ok := tr.(flushProfiler); ok {
-			prof.FlushWallNs = fp.FlushWallNs()
-		}
+		spent := prof.ComputeWallNs + prof.SerialWallNs + prof.IdleWallNs - before
+		prof.BarrierWallNs += uint64(time.Since(begin)) - spent
 	}()
 	// wallNow is the wall clock in virtual units; sleepUntil releases a
 	// window bound no earlier than its wall time.
@@ -218,69 +203,96 @@ func drive(tr Transport, st *SyncStats, deadline vtime.Time, o DriveOpts) error 
 		}
 	}
 	k := tr.Cores()
-	grants := make([]vtime.Time, k)
+	cmds := make([]Cmd, k)
 	// prev[j] is the last bound shard j was granted (or drained to); -1
-	// until known. Grants never regress below it, and the span from it to
-	// the next grant is the shard's effective per-window lookahead, the
-	// number reported as lookahead min/mean/max.
+	// until known. Grants never regress below it, the span from it to the
+	// next grant is the shard's effective per-window lookahead (reported as
+	// lookahead min/mean/max), and no message in flight toward j fires
+	// before it.
 	prev := make([]vtime.Time, k)
 	for j := range prev {
 		prev[j] = -1
 	}
-	setAll := func(b vtime.Time) {
-		for j := range grants {
-			grants[j] = b
+	// clock is the highest finite bound issued so far: no shard's clock is
+	// past it, so a Floor above it is above every shard's present.
+	clock := vtime.Time(0)
+	// bs holds every shard's bounds after the last round, settled for the
+	// messages that round left in flight.
+	var bs []Bounds
+	round := func(bucket *uint64) (progressed bool, err error) {
+		for j := range cmds {
+			if g := cmds[j].Grant; g != vtime.Forever && g > clock {
+				clock = g
+			}
+		}
+		floor := clock + 1
+		if pace != nil {
+			// Under pacing an ingress stamp is also never earlier than its
+			// arrival's wall time, even when the emulation lags the wall
+			// clock: an external observer then cannot measure a delay
+			// shorter than the model's.
+			if w := wallNow(); w > floor {
+				floor = w
+			}
+		}
+		for j := range cmds {
+			cmds[j].Floor = floor
+		}
+		t0 := time.Now()
+		reps, err := tr.Step(cmds)
+		if bucket != nil {
+			*bucket += uint64(time.Since(t0))
+		}
+		if err != nil {
+			return false, err
+		}
+		for j, r := range reps {
+			if g := cmds[j].Grant; g > prev[j] {
+				prev[j] = g
+			}
+			st.Messages += r.Sent
+			progressed = progressed || r.Progressed
+		}
+		bs = settle(reps, prev, o.Chain)
+		return progressed, nil
+	}
+	setAll := func(c Cmd) {
+		for j := range cmds {
+			cmds[j] = c
 		}
 	}
 	release := func() error {
-		t0 := time.Now()
-		err := tr.Window(grants)
-		prof.ComputeWallNs += uint64(time.Since(t0))
-		if err != nil {
-			return err
+		for j, c := range cmds {
+			if prev[j] >= 0 && c.Grant > prev[j] && c.Grant != vtime.Forever {
+				st.noteGrant(c.Grant.Sub(prev[j]))
+			}
 		}
 		st.Windows++
-		for j := range grants {
-			if prev[j] >= 0 && grants[j] > prev[j] && grants[j] != vtime.Forever {
-				st.noteGrant(grants[j].Sub(prev[j]))
-			}
-			if grants[j] > prev[j] {
-				prev[j] = grants[j]
-			}
-		}
-		return nil
+		_, err := round(&prof.ComputeWallNs)
+		return err
 	}
 	drain := func(t vtime.Time) error {
 		if pace != nil {
 			sleepUntil(t)
 		}
+		setAll(Cmd{Grant: t, Drain: true})
 		for {
-			t0 := time.Now()
-			progressed, err := tr.DrainPass(t)
-			prof.SerialWallNs += uint64(time.Since(t0))
+			progressed, err := round(&prof.SerialWallNs)
 			if err != nil {
 				return err
 			}
 			if !progressed {
-				break
+				return nil
 			}
 			st.SerialRounds++
 		}
-		for j := range prev {
-			if t > prev[j] {
-				prev[j] = t
-			}
-		}
-		return nil
+	}
+	setAll(Cmd{Grant: -1})
+	if _, err := round(nil); err != nil {
+		return err
 	}
 	prevBound := vtime.Time(-1)
 	for {
-		t0 := time.Now()
-		bs, err := tr.Exchange()
-		prof.BarrierWallNs += uint64(time.Since(t0))
-		if err != nil {
-			return err
-		}
 		minNext, horizon := vtime.Forever, vtime.Forever
 		for _, b := range bs {
 			if b.Next < minNext {
@@ -296,9 +308,8 @@ func drive(tr Transport, st *SyncStats, deadline vtime.Time, o DriveOpts) error 
 			}
 			// Paced and locally quiescent: live ingress may still arrive
 			// at any wall instant, so idle forward one quantum at a time
-			// (each loop's Exchange gives the workers a barrier to admit
-			// newly arrived traffic at) until the wall clock covers the
-			// deadline.
+			// (each round is an admission point for newly arrived traffic)
+			// until the wall clock covers the deadline.
 			if wallNow() >= deadline {
 				break
 			}
@@ -310,7 +321,7 @@ func drive(tr Transport, st *SyncStats, deadline vtime.Time, o DriveOpts) error 
 				bound = prevBound
 			}
 			sleepUntil(bound)
-			setAll(bound)
+			setAll(Cmd{Grant: bound})
 			if err := release(); err != nil {
 				return err
 			}
@@ -320,7 +331,7 @@ func drive(tr Transport, st *SyncStats, deadline vtime.Time, o DriveOpts) error 
 		if adaptive {
 			A := grantFixpoint(bs, o.Chain)
 			canFire := false
-			for j := range grants {
+			for j := range cmds {
 				g := deadline
 				if A[j] != vtime.Forever && A[j]-1 < g {
 					g = A[j] - 1
@@ -328,7 +339,7 @@ func drive(tr Transport, st *SyncStats, deadline vtime.Time, o DriveOpts) error 
 				if g < prev[j] {
 					g = prev[j]
 				}
-				grants[j] = g
+				cmds[j] = Cmd{Grant: g}
 				if bs[j].Next <= g {
 					canFire = true
 				}
@@ -379,7 +390,7 @@ func drive(tr Transport, st *SyncStats, deadline vtime.Time, o DriveOpts) error 
 			}
 			sleepUntil(bound)
 		}
-		setAll(bound)
+		setAll(Cmd{Grant: bound})
 		if err := release(); err != nil {
 			return err
 		}
@@ -388,8 +399,56 @@ func drive(tr Transport, st *SyncStats, deadline vtime.Time, o DriveOpts) error 
 	if deadline == vtime.Forever {
 		return nil
 	}
-	setAll(deadline) // advance all clocks to the deadline
+	setAll(Cmd{Grant: deadline}) // advance all clocks to the deadline
 	return release()
+}
+
+// settle turns a round's reports into the bounds the grant algebra may
+// trust. A shard's reported bounds predate the application of anything the
+// round left in flight toward it; by earliest-output-time safety such a
+// message fires no earlier than the shard's last grant, so the bounds are
+// lowered to that floor — the shard's next event may be the application
+// itself, and what the application provokes toward peer l can fire no
+// earlier than floor + chain[j][l].
+func settle(reps []Report, prev []vtime.Time, chain [][]vtime.Duration) []Bounds {
+	k := len(reps)
+	bs := make([]Bounds, k)
+	for j, r := range reps {
+		b := r.Bounds
+		if r.Inflight > 0 {
+			fl := prev[j]
+			if fl < 0 {
+				fl = 0
+			}
+			if b.Next > fl {
+				b.Next = fl
+			}
+			// Without a chain the only safe reaction distance is zero.
+			minChain := noCross
+			for l := 0; l < k; l++ {
+				if l == j {
+					continue
+				}
+				d := vtime.Duration(0)
+				if chain != nil {
+					d = chain[j][l]
+				}
+				if d < minChain {
+					minChain = d
+				}
+				if b.SafeTo != nil {
+					if v := satAdd(fl, d); v < b.SafeTo[l] {
+						b.SafeTo[l] = v
+					}
+				}
+			}
+			if v := satAdd(fl, minChain); v < b.Safe {
+				b.Safe = v
+			}
+		}
+		bs[j] = b
+	}
+	return bs
 }
 
 // grantFixpoint closes the reported per-pair bounds under chained
@@ -444,12 +503,6 @@ func grantFixpoint(bs []Bounds, chain [][]vtime.Duration) []vtime.Time {
 	}
 	return A
 }
-
-// flushProfiler is implemented by transports that can split the flush
-// (outbox distribution) share out of their barrier time. FlushWallNs is
-// cumulative over the transport's lifetime; drive copies it into the
-// profile when the loop exits.
-type flushProfiler interface{ FlushWallNs() uint64 }
 
 // noCross marks "no path": a crossing distance larger than any reachable
 // virtual time. Saturating adds keep it absorbing.
@@ -530,7 +583,7 @@ func (p *SyncPlan) crossFrom(route []pipes.ID, i0 int, t vtime.Time, dst pipes.V
 }
 
 // ShardSync holds one shard's static synchronization inputs, derived from
-// the assignment by ComputeSync.
+// the assignment by ComputeSyncFloor.
 type ShardSync struct {
 	// BorderPipes are the shard's owned pipes whose exit can produce a
 	// cross-shard event.
@@ -561,22 +614,17 @@ func Homes(g *topology.Graph, b *bind.Binding, pod *bind.POD, k int) []int {
 	return homes
 }
 
-// ComputeSync derives every shard's synchronization inputs: the set of
+// ComputeSyncFloor derives every shard's synchronization inputs: the set of
 // owned pipes whose exit can cross shards — either the packet's next hop is
 // a pipe owned elsewhere (structural adjacency over-approximates the
 // routes) or the pipe terminates at a VN homed elsewhere — the resulting
-// lookahead, and the ingress-crossing flag.
-func ComputeSync(g *topology.Graph, b *bind.Binding, pod *bind.POD, homes []int, k int) []ShardSync {
-	return ComputeSyncFloor(g, b, pod, homes, k, nil)
-}
-
-// ComputeSyncFloor is ComputeSync with a latency floor: when floor is
-// non-nil, each border pipe contributes floor(link, initialLatency) to its
-// shard's lookahead instead of the initial latency. Runs with link dynamics
-// must pass dynamics.Spec.LatencyFloorFunc here — a trace can drop a cut
-// pipe's latency below its bind-time value mid-run, and a lookahead derived
-// from the initial latency would then release windows a cross-shard message
-// can still land inside.
+// lookahead, and the ingress-crossing flag. When floor is non-nil, each
+// border pipe contributes floor(link, initialLatency) to its shard's
+// lookahead instead of the initial latency. Runs with link dynamics must
+// pass dynamics.Spec.LatencyFloorFunc here — a trace can drop a cut pipe's
+// latency below its bind-time value mid-run, and a lookahead derived from
+// the initial latency would then release windows a cross-shard message can
+// still land inside.
 func ComputeSyncFloor(g *topology.Graph, b *bind.Binding, pod *bind.POD, homes []int, k int, floor func(topology.LinkID, vtime.Duration) vtime.Duration) []ShardSync {
 	sync := make([]ShardSync, k)
 	for _, l := range g.Links {
@@ -1186,10 +1234,4 @@ func (a *Applier) Apply(msgs []Msg) error {
 		a.buckets[m.Fire] = append(a.buckets[m.Fire], m)
 	}
 	return nil
-}
-
-// ApplyMsgs is the one-shot form of Applier for callers without cross-
-// barrier state (tests, single batches): sort and schedule one batch.
-func ApplyMsgs(sched *vtime.Scheduler, emu *emucore.Emulator, msgs []Msg) error {
-	return NewApplier(sched, emu).Apply(msgs)
 }

@@ -204,12 +204,9 @@ type FederateOptions struct {
 	// CollectDeliveries records every delivery's virtual time in the
 	// report (the cross-mode determinism probe).
 	CollectDeliveries bool
-	// NoBatch reverts the data plane to one frame (and one syscall) per
-	// cross-core tunnel message. By default each window's messages per
-	// peer coalesce into MTU-bounded batch frames (CLI: -batch=0).
-	NoBatch bool
-	// MaxDatagram bounds one UDP data-plane frame in bytes; batches are
-	// chunked to fit. 0 means fednet.DefaultMaxDatagram.
+	// MaxDatagram bounds one UDP data-plane frame in bytes; each window's
+	// messages per peer coalesce into batch frames chunked to fit. 0 means
+	// fednet.DefaultMaxDatagram.
 	MaxDatagram int
 	// Edge is the live edge gateway lease (internal/edge): real UDP
 	// sockets on the workers, mapped onto ingress VNs, so unmodified
@@ -287,7 +284,6 @@ func Federate(scenario string, params any, runFor Duration, opts Options) (*Fede
 		DataPlane:         fo.DataPlane,
 		Spawn:             fo.Spawn,
 		CollectDeliveries: fo.CollectDeliveries,
-		NoBatch:           fo.NoBatch,
 		MaxDatagram:       fo.MaxDatagram,
 		Edge:              fo.Edge,
 		RealTime:          fo.RealTime,
