@@ -180,89 +180,24 @@ func WalkRoute(g *topology.Graph, src, target topology.NodeID, dist []Dist) Rout
 // machinery behind Matrix, Cache, and Lazy. Entries are evicted LRU; results
 // are deterministic regardless of eviction order.
 type destEngine struct {
-	g   *topology.Graph
-	rev [][]topology.LinkID
-
-	cap     int
-	fields  map[topology.NodeID]*destField
-	lruHead *destField
-	lruTail *destField
-}
-
-type destField struct {
-	target     topology.NodeID
-	dist       []Dist
-	prev, next *destField
+	g      *topology.Graph
+	rev    [][]topology.LinkID
+	fields *lru[topology.NodeID, []Dist]
 }
 
 func newDestEngine(g *topology.Graph, capacity int) *destEngine {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &destEngine{
-		g: g, rev: ReverseIndex(g),
-		cap:    capacity,
-		fields: make(map[topology.NodeID]*destField),
-	}
+	return &destEngine{g: g, rev: ReverseIndex(g), fields: newLRU[topology.NodeID, []Dist](capacity)}
 }
 
 // distTo returns the distance field toward target, computing and caching it
 // on a miss.
 func (e *destEngine) distTo(target topology.NodeID) []Dist {
-	if f, ok := e.fields[target]; ok {
-		e.touch(f)
-		return f.dist
+	if dist, ok := e.fields.get(target); ok {
+		return dist
 	}
-	f := &destField{target: target, dist: DistToNode(e.g, e.rev, target)}
-	e.fields[target] = f
-	e.pushFront(f)
-	if len(e.fields) > e.cap {
-		e.evict()
-	}
-	return f.dist
+	dist := DistToNode(e.g, e.rev, target)
+	e.fields.put(target, dist)
+	return dist
 }
 
-func (e *destEngine) touch(f *destField) {
-	e.unlink(f)
-	e.pushFront(f)
-}
-
-func (e *destEngine) pushFront(f *destField) {
-	f.prev = nil
-	f.next = e.lruHead
-	if e.lruHead != nil {
-		e.lruHead.prev = f
-	}
-	e.lruHead = f
-	if e.lruTail == nil {
-		e.lruTail = f
-	}
-}
-
-func (e *destEngine) unlink(f *destField) {
-	if f.prev != nil {
-		f.prev.next = f.next
-	} else if e.lruHead == f {
-		e.lruHead = f.next
-	}
-	if f.next != nil {
-		f.next.prev = f.prev
-	} else if e.lruTail == f {
-		e.lruTail = f.prev
-	}
-	f.prev, f.next = nil, nil
-}
-
-func (e *destEngine) evict() {
-	f := e.lruTail
-	if f == nil {
-		return
-	}
-	e.unlink(f)
-	delete(e.fields, f.target)
-}
-
-func (e *destEngine) invalidate() {
-	e.fields = make(map[topology.NodeID]*destField)
-	e.lruHead, e.lruTail = nil, nil
-}
+func (e *destEngine) invalidate() { e.fields.reset() }

@@ -183,39 +183,26 @@ func (m *Matrix) Routes() [][]Route { return m.routes }
 // for active flows; misses compute the canonical route on demand (§2.2)
 // from a bounded per-destination distance-field cache.
 type Cache struct {
-	g        *topology.Graph
-	vnHomes  []topology.NodeID
-	eng      *destEngine
-	capacity int
-	entries  map[[2]pipes.VN]*cacheEntry
-	lruHead  *cacheEntry
-	lruTail  *cacheEntry
+	g       *topology.Graph
+	vnHomes []topology.NodeID
+	eng     *destEngine
+	routes  *lru[uint64, Route] // keyed by src<<32 | dst
 
 	Hits   uint64
 	Misses uint64
 }
 
-type cacheEntry struct {
-	key        [2]pipes.VN
-	route      Route
-	prev, next *cacheEntry
-}
-
 // NewCache builds a route cache over g with the given capacity (in routes).
 func NewCache(g *topology.Graph, vnHomes []topology.NodeID, capacity int) *Cache {
-	if capacity < 1 {
-		capacity = 1
-	}
 	fieldCap := capacity / 16
 	if fieldCap < 4 {
 		fieldCap = 4
 	}
 	return &Cache{
-		g:        g,
-		vnHomes:  vnHomes,
-		eng:      newDestEngine(g, fieldCap),
-		capacity: capacity,
-		entries:  make(map[[2]pipes.VN]*cacheEntry),
+		g:       g,
+		vnHomes: vnHomes,
+		eng:     newDestEngine(g, fieldCap),
+		routes:  newLRU[uint64, Route](capacity),
 	}
 }
 
@@ -228,20 +215,14 @@ func (c *Cache) Lookup(src, dst pipes.VN) (Route, bool) {
 	if src == dst {
 		return Route{}, true
 	}
-	key := [2]pipes.VN{src, dst}
-	if e, ok := c.entries[key]; ok {
+	key := uint64(src)<<32 | uint64(dst)
+	if r, ok := c.routes.get(key); ok {
 		c.Hits++
-		c.touch(e)
-		return e.route, e.route != nil
+		return r, r != nil
 	}
 	c.Misses++
 	r := WalkRoute(c.g, c.vnHomes[src], c.vnHomes[dst], c.eng.distTo(c.vnHomes[dst]))
-	e := &cacheEntry{key: key, route: r}
-	c.entries[key] = e
-	c.pushFront(e)
-	if len(c.entries) > c.capacity {
-		c.evict()
-	}
+	c.routes.put(key, r)
 	return r, r != nil
 }
 
@@ -249,53 +230,12 @@ func (c *Cache) Lookup(src, dst pipes.VN) (Route, bool) {
 func (c *Cache) NumVNs() int { return len(c.vnHomes) }
 
 // Len reports the number of cached routes.
-func (c *Cache) Len() int { return len(c.entries) }
-
-func (c *Cache) touch(e *cacheEntry) {
-	c.unlink(e)
-	c.pushFront(e)
-}
-
-func (c *Cache) pushFront(e *cacheEntry) {
-	e.prev = nil
-	e.next = c.lruHead
-	if c.lruHead != nil {
-		c.lruHead.prev = e
-	}
-	c.lruHead = e
-	if c.lruTail == nil {
-		c.lruTail = e
-	}
-}
-
-func (c *Cache) unlink(e *cacheEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else if c.lruHead == e {
-		c.lruHead = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else if c.lruTail == e {
-		c.lruTail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (c *Cache) evict() {
-	e := c.lruTail
-	if e == nil {
-		return
-	}
-	c.unlink(e)
-	delete(c.entries, e.key)
-}
+func (c *Cache) Len() int { return c.routes.len() }
 
 // Invalidate drops all cached routes and distance fields. Call after the
 // topology's routing changes (link failure, recomputed shortest paths).
 func (c *Cache) Invalidate() {
-	c.entries = make(map[[2]pipes.VN]*cacheEntry)
-	c.lruHead, c.lruTail = nil, nil
+	c.routes.reset()
 	c.eng.invalidate()
 }
 

@@ -151,12 +151,6 @@ type fieldKey struct {
 	target topology.NodeID
 }
 
-type shardField struct {
-	key        fieldKey
-	dist       []Dist // compact, indexed by ShardTable.nodeIdx
-	prev, next *shardField
-}
-
 // ShardTable is the shard-local routing table: it resolves routes over the
 // shard view, seeding distance fields with frontier summaries fetched on
 // demand (SeedFunc) and caching them per (reroute epoch, target home) in a
@@ -180,10 +174,8 @@ type ShardTable struct {
 	epoch int32
 	downs []map[topology.LinkID]bool // per-epoch down link sets
 
-	cap      int
-	fields   map[fieldKey]*shardField
-	lruHead  *shardField
-	lruTail  *shardField
+	// fields caches distance fields, each compact: indexed by nodeIdx.
+	fields   *lru[fieldKey, []Dist]
 	Misses   uint64
 	SeedRPCs uint64
 }
@@ -209,8 +201,7 @@ func NewShardTable(g *topology.Graph, view *ShardView, vnHome []topology.NodeID,
 		owner:   make([]int32, view.NumLinks),
 		nodeIdx: make([]int32, view.NumNodes),
 		downs:   []map[topology.LinkID]bool{nil},
-		cap:     fieldCap,
-		fields:  make(map[fieldKey]*shardField),
+		fields:  newLRU[fieldKey, []Dist](fieldCap),
 	}
 	for i := range t.owner {
 		t.owner[i] = -1
@@ -313,21 +304,15 @@ func (t *ShardTable) field(epoch int32, target topology.NodeID) ([]Dist, error) 
 		return nil, fmt.Errorf("bind: shard %d asked for unknown reroute epoch %d (current %d)", t.shard, epoch, t.epoch)
 	}
 	key := fieldKey{epoch, target}
-	if f, ok := t.fields[key]; ok {
-		t.touch(f)
-		return f.dist, nil
+	if dist, ok := t.fields.get(key); ok {
+		return dist, nil
 	}
 	t.Misses++
 	dist, err := t.compute(epoch, target)
 	if err != nil {
 		return nil, err
 	}
-	f := &shardField{key: key, dist: dist}
-	t.fields[key] = f
-	t.pushFront(f)
-	if len(t.fields) > t.cap {
-		t.evict()
-	}
+	t.fields.put(key, dist)
 	return dist, nil
 }
 
@@ -482,46 +467,6 @@ func (t *ShardTable) Extend(r Route, epoch int32, dst pipes.VN) (Route, error) {
 
 // NumVNs implements Table.
 func (t *ShardTable) NumVNs() int { return len(t.vnHome) }
-
-func (t *ShardTable) touch(f *shardField) {
-	t.unlink(f)
-	t.pushFront(f)
-}
-
-func (t *ShardTable) pushFront(f *shardField) {
-	f.prev = nil
-	f.next = t.lruHead
-	if t.lruHead != nil {
-		t.lruHead.prev = f
-	}
-	t.lruHead = f
-	if t.lruTail == nil {
-		t.lruTail = f
-	}
-}
-
-func (t *ShardTable) unlink(f *shardField) {
-	if f.prev != nil {
-		f.prev.next = f.next
-	} else if t.lruHead == f {
-		t.lruHead = f.next
-	}
-	if f.next != nil {
-		f.next.prev = f.prev
-	} else if t.lruTail == f {
-		t.lruTail = f.prev
-	}
-	f.prev, f.next = nil, nil
-}
-
-func (t *ShardTable) evict() {
-	f := t.lruTail
-	if f == nil {
-		return
-	}
-	t.unlink(f)
-	delete(t.fields, f.key)
-}
 
 // SummaryOracle is the coordinator-side source of frontier summaries: exact
 // global distance fields per (reroute epoch, target), over graphs with each

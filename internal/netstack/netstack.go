@@ -14,6 +14,11 @@
 // the last byte of that range is delivered in order — the standard
 // packet-simulator pattern for modeling "an application message of size S"
 // without serialization.
+//
+// TCP segments are recycled through one free list per event loop (per
+// vtime.Scheduler): the sending host takes one, the receiving host puts it
+// back when its input routine returns, and nothing in between may keep the
+// *Segment (DESIGN.md §1, "The segment path").
 package netstack
 
 import (
@@ -53,6 +58,8 @@ type Host struct {
 	inj   Injector
 	sched *vtime.Scheduler
 
+	segs *segPool // the event loop's Segment free list, shared by its hosts
+
 	udpSocks  map[uint16]*UDPSocket
 	listeners map[uint16]*Listener
 	conns     map[connKey]*Conn
@@ -64,9 +71,64 @@ type Host struct {
 	InjectFailures    uint64
 }
 
-type connKey struct {
-	localPort uint16
-	remote    Endpoint
+// connKey names a connection on its host: local port, remote port and
+// remote VN packed into one word, so the demux map hashes an integer and
+// not a struct.
+type connKey uint64
+
+func makeConnKey(localPort uint16, remote Endpoint) connKey {
+	return connKey(localPort)<<48 | connKey(remote.Port)<<32 | connKey(uint32(remote.VN))
+}
+
+func (k connKey) localPort() uint16 { return uint16(k >> 48) }
+
+// segPool is the Segment free list of one event loop: every host built on
+// the same vtime.Scheduler shares it (the scheduler's loop-local slot), so
+// it needs no lock. A segment is taken by the host that sends it and put
+// back by the host it is delivered to; between hosts of one loop that
+// balances exactly, which per-host lists cannot (a bulk flow moves two
+// segments forward for each ACK back).
+type segPool struct {
+	free []*Segment
+}
+
+// maxSegFree caps the free list. Segments that cross a shard or process
+// boundary move one way — taken from the sender's loop, put back on the
+// receiver's (wire-decoded ones are fresh allocations) — so a loop that
+// receives more than it sends would otherwise keep every surplus segment
+// forever; past the cap they go back to the garbage collector.
+const maxSegFree = 1 << 16
+
+// segPoolOf returns sched's free list, installing it on first use.
+func segPoolOf(sched *vtime.Scheduler) *segPool {
+	if p, ok := sched.Local().(*segPool); ok {
+		return p
+	}
+	p := &segPool{}
+	sched.SetLocal(p)
+	return p
+}
+
+// get returns a zero Segment.
+func (p *segPool) get() *Segment {
+	if n := len(p.free); n > 0 {
+		seg := p.free[n-1]
+		p.free[n-1] = nil
+		p.free = p.free[:n-1]
+		return seg
+	}
+	return new(Segment)
+}
+
+// put recycles a segment nothing references any more. It is cleared here so
+// the list keeps no Data, Msgs or message object alive and get's caller
+// starts from the zero value.
+func (p *segPool) put(seg *Segment) {
+	if len(p.free) >= maxSegFree {
+		return
+	}
+	*seg = Segment{}
+	p.free = append(p.free, seg)
 }
 
 // Registrar is the delivery side of the network (the emulator).
@@ -81,6 +143,7 @@ func NewHost(vn pipes.VN, sched *vtime.Scheduler, inj Injector, reg Registrar) *
 		vn:        vn,
 		inj:       inj,
 		sched:     sched,
+		segs:      segPoolOf(sched),
 		udpSocks:  make(map[uint16]*UDPSocket),
 		listeners: make(map[uint16]*Listener),
 		conns:     make(map[connKey]*Conn),
@@ -115,7 +178,7 @@ func (h *Host) ephemeralPort() uint16 {
 		}
 		inUse := false
 		for k := range h.conns {
-			if k.localPort == p {
+			if k.localPort() == p {
 				inUse = true
 				break
 			}
@@ -127,24 +190,31 @@ func (h *Host) ephemeralPort() uint16 {
 	panic("netstack: out of ports")
 }
 
-// send pushes a packet into the network.
+// send pushes a packet into the network. A refused packet never entered it,
+// so a refused segment is recycled here.
 func (h *Host) send(dst pipes.VN, size int, payload any) bool {
 	h.PktsOut++
 	h.BytesOut += uint64(size)
 	if !h.inj.Inject(h.vn, dst, size, payload) {
 		h.InjectFailures++
+		if seg, ok := payload.(*Segment); ok {
+			h.segs.put(seg)
+		}
 		return false
 	}
 	return true
 }
 
-// onPacket dispatches a delivered packet to the owning socket.
+// onPacket dispatches a delivered packet to the owning socket. It is the
+// one place a delivered segment is recycled: onSegment copies out what the
+// connection keeps (Data and Msgs slices, never the *Segment).
 func (h *Host) onPacket(pkt *pipes.Packet) {
 	h.PktsIn++
 	h.BytesIn += uint64(pkt.Size)
 	switch pl := pkt.Payload.(type) {
 	case *Segment:
 		h.onSegment(pkt.Src, pl)
+		h.segs.put(pl)
 	case *Datagram:
 		h.onDatagram(pkt.Src, pl)
 	}

@@ -12,6 +12,11 @@ import (
 // (sequence arithmetic is exact; 32-bit wraparound is not modeled). The SYN
 // occupies offset 0 and data starts at offset 1; a FIN occupies one offset
 // after the last data byte, as in real TCP.
+//
+// Segments are recycled: the sending host takes one off its event loop's
+// free list and the receiving host puts it back when its input routine
+// returns, so nothing that sees a *Segment in flight (delivery functions,
+// OnDeliver and DropHook observers) may keep it past its own return.
 type Segment struct {
 	SrcPort, DstPort      uint16
 	Seq                   uint64 // stream offset of first payload byte
@@ -102,6 +107,43 @@ type chunk struct {
 	obj   any // delivered to the peer's OnMsg when its last byte arrives
 }
 
+// fifo is a queue consumed from the front in place. Reslicing the front away
+// would shed capacity with every pop and rebuilding the slice allocates on
+// every pop; a head index costs neither.
+type fifo[T any] struct {
+	q    []T
+	head int
+}
+
+// live is the queued part, oldest first.
+func (f *fifo[T]) live() []T { return f.q[f.head:] }
+
+func (f *fifo[T]) push(v T) { f.q = append(f.q, v) }
+
+// insert places v at index i of the queued part.
+func (f *fifo[T]) insert(i int, v T) {
+	f.q = append(f.q, v)
+	live := f.live()
+	copy(live[i+1:], live[i:])
+	live[i] = v
+}
+
+// drop removes the n oldest elements. They are zeroed so what they reference
+// can be collected, and the space is reclaimed once the dead prefix
+// dominates (the pipes.Pipe.compact rule).
+func (f *fifo[T]) drop(n int) {
+	clear(f.q[f.head : f.head+n])
+	f.head += n
+	switch {
+	case f.head == len(f.q):
+		f.q, f.head = f.q[:0], 0
+	case f.head > 64 && f.head*2 > len(f.q):
+		n := copy(f.q, f.q[f.head:])
+		clear(f.q[n:])
+		f.q, f.head = f.q[:n], 0
+	}
+}
+
 // oooSeg is an out-of-order received segment awaiting the gap fill.
 type oooSeg struct {
 	seq  uint64
@@ -124,7 +166,7 @@ type Conn struct {
 	sndBufEnd  uint64 // offset past the last queued byte (starts at 1)
 	finOff     uint64 // offset of our FIN; 0 = not closing
 	finAcked   bool
-	chunks     []chunk
+	chunks     fifo[chunk]
 	cwnd       float64 // congestion window, bytes
 	ssthresh   float64
 	rwnd       int // peer's advertised window
@@ -140,13 +182,14 @@ type Conn struct {
 	rttAt        vtime.Time
 	rtxTimer     *vtime.Timer
 	rtxFire      func() // c.onRtxTimeout, bound once: armRtx runs per ACK
+	rtxDirty     bool   // the timer restarts from now; trySend arms it once, last
 	retries      int
 
 	// Receive state.
 	rcvNxt      uint64
-	ooo         []oooSeg
-	pendingMsgs []MsgMarker // sorted by End
-	peerFinOff  uint64      // offset of peer FIN; 0 = none seen
+	ooo         fifo[oooSeg]    // sorted by seq
+	pendingMsgs fifo[MsgMarker] // sorted by End
+	peerFinOff  uint64          // offset of peer FIN; 0 = none seen
 	peerFinDone bool
 	ackPending  int
 	ackTimer    *vtime.Timer
@@ -215,7 +258,7 @@ func (h *Host) newConn(localPort uint16, remote Endpoint, hs Handlers) *Conn {
 	c.ackTimer = vtime.NewTaggedTimer(h.sched, int32(h.vn))
 	c.rtxFire = c.onRtxTimeout
 	c.ackFire = c.ackNow
-	h.conns[connKey{localPort, remote}] = c
+	h.conns[makeConnKey(localPort, remote)] = c
 	return c
 }
 
@@ -233,7 +276,7 @@ func (c *Conn) Write(data []byte) {
 		return
 	}
 	cp := append([]byte(nil), data...)
-	c.chunks = append(c.chunks, chunk{start: c.sndBufEnd, n: len(cp), data: cp})
+	c.chunks.push(chunk{start: c.sndBufEnd, n: len(cp), data: cp})
 	c.sndBufEnd += uint64(len(cp))
 	c.trySend()
 }
@@ -244,7 +287,7 @@ func (c *Conn) WriteCount(n int) {
 	if n <= 0 || c.finOff != 0 || c.removed {
 		return
 	}
-	c.chunks = append(c.chunks, chunk{start: c.sndBufEnd, n: n})
+	c.chunks.push(chunk{start: c.sndBufEnd, n: n})
 	c.sndBufEnd += uint64(n)
 	c.trySend()
 }
@@ -255,7 +298,7 @@ func (c *Conn) WriteMsg(obj any, size int) {
 	if size <= 0 || c.finOff != 0 || c.removed {
 		return
 	}
-	c.chunks = append(c.chunks, chunk{start: c.sndBufEnd, n: size, obj: obj})
+	c.chunks.push(chunk{start: c.sndBufEnd, n: size, obj: obj})
 	c.sndBufEnd += uint64(size)
 	c.trySend()
 }
@@ -274,7 +317,9 @@ func (c *Conn) Abort() {
 	if c.removed {
 		return
 	}
-	c.transmit(&Segment{Seq: c.sndNxt, RST: true, HasACK: true, Ack: c.rcvNxt})
+	seg := c.ackSeg(c.sndNxt)
+	seg.RST = true
+	c.transmit(seg)
 	c.teardown(nil)
 }
 
@@ -301,8 +346,19 @@ func (c *Conn) Unsent() int {
 
 // ---- send path ----
 
+// ackSeg takes a segment off the loop's free list and fills in what every
+// segment after the handshake carries: its offset and the current ACK.
+func (c *Conn) ackSeg(seq uint64) *Segment {
+	seg := c.h.segs.get()
+	seg.Seq = seq
+	seg.HasACK = true
+	seg.Ack = c.rcvNxt
+	return seg
+}
+
 func (c *Conn) sendSYN() {
-	seg := &Segment{Seq: 0, SYN: true}
+	seg := c.h.segs.get()
+	seg.SYN = true
 	if c.state == stateSynRcvd {
 		seg.HasACK = true
 		seg.Ack = c.rcvNxt
@@ -313,13 +369,25 @@ func (c *Conn) sendSYN() {
 }
 
 // trySend transmits as much queued data as the congestion and peer windows
-// allow, then a FIN if due.
+// allow, then a FIN if due, and then restarts the retransmit timer if any of
+// that — or the ACK that led here — asked for it.
+//
+// One arm where there used to be one per segment: every elided arm would
+// have been canceled by the next before any event could fire (nothing fires
+// inside an input routine), all of them compute the same now+rto, and event
+// sequence numbers only ever grow, so the surviving arm sits exactly where
+// the last of them sat relative to every other pending event.
 func (c *Conn) trySend() {
-	if c.removed || c.state != stateEstablished && c.state != stateSynRcvd {
-		return
+	c.sendQueued()
+	if c.rtxDirty {
+		c.rtxDirty = false
+		c.armRtx()
 	}
-	if c.state == stateSynRcvd {
-		return // wait for the handshake ACK
+}
+
+func (c *Conn) sendQueued() {
+	if c.removed || c.state != stateEstablished {
+		return // closed, or waiting for the handshake
 	}
 	dataEnd := c.sndBufEnd
 	for {
@@ -340,15 +408,15 @@ func (c *Conn) trySend() {
 					return
 				}
 			}
+			c.rtxDirty = true
 			c.sendData(c.sndNxt, n, false)
 			c.sndNxt += uint64(n)
-			c.armRtx()
 			continue
 		}
 		if c.finOff != 0 && c.sndNxt == c.finOff {
-			c.transmit(&Segment{Seq: c.finOff, FIN: true, HasACK: true, Ack: c.rcvNxt, Len: 0})
+			c.rtxDirty = true
+			c.sendFIN()
 			c.sndNxt = c.finOff + 1
-			c.armRtx()
 		}
 		return
 	}
@@ -356,15 +424,9 @@ func (c *Conn) trySend() {
 
 // sendData transmits the stream range [off, off+n); rtx marks retransmits.
 func (c *Conn) sendData(off uint64, n int, rtx bool) {
-	data, msgs := c.gather(off, n)
-	seg := &Segment{
-		Seq:    off,
-		Len:    n,
-		HasACK: true,
-		Ack:    c.rcvNxt,
-		Data:   data,
-		Msgs:   msgs,
-	}
+	seg := c.ackSeg(off)
+	seg.Len = n
+	seg.Data, seg.Msgs = c.gather(off, n)
 	if rtx {
 		c.Retransmits++
 	} else if !c.rttActive {
@@ -381,8 +443,9 @@ func (c *Conn) gather(off uint64, n int) ([]byte, []MsgMarker) {
 	var buf []byte
 	var msgs []MsgMarker
 	end := off + uint64(n)
-	for i := range c.chunks {
-		ch := &c.chunks[i]
+	chunks := c.chunks.live()
+	for i := range chunks {
+		ch := &chunks[i]
 		chEnd := ch.start + uint64(ch.n)
 		if chEnd <= off {
 			continue
@@ -411,6 +474,12 @@ func (c *Conn) gather(off uint64, n int) ([]byte, []MsgMarker) {
 	return buf, msgs
 }
 
+func (c *Conn) sendFIN() {
+	seg := c.ackSeg(c.finOff)
+	seg.FIN = true
+	c.transmit(seg)
+}
+
 // transmit stamps ports/window and injects the segment.
 func (c *Conn) transmit(seg *Segment) {
 	seg.SrcPort = c.Local.Port
@@ -422,7 +491,7 @@ func (c *Conn) transmit(seg *Segment) {
 func (c *Conn) ackNow() {
 	c.ackTimer.StopTimer()
 	c.ackPending = 0
-	c.transmit(&Segment{Seq: c.sndNxt, HasACK: true, Ack: c.rcvNxt})
+	c.transmit(c.ackSeg(c.sndNxt))
 }
 
 func (c *Conn) scheduleAck() {
@@ -445,9 +514,10 @@ func (c *Conn) teardown(err error) {
 	}
 	c.removed = true
 	c.state = stateClosed
+	c.rtxDirty = false
 	c.rtxTimer.StopTimer()
 	c.ackTimer.StopTimer()
-	delete(c.h.conns, connKey{c.Local.Port, c.Remote})
+	delete(c.h.conns, makeConnKey(c.Local.Port, c.Remote))
 	c.fireClose(err)
 }
 
@@ -471,29 +541,25 @@ func (c *Conn) maybeFinish() {
 
 // insertPendingMsg adds a marker (deduplicated by End, kept sorted).
 func (c *Conn) insertPendingMsg(m MsgMarker) {
-	i := sort.Search(len(c.pendingMsgs), func(i int) bool { return c.pendingMsgs[i].End >= m.End })
-	if i < len(c.pendingMsgs) && c.pendingMsgs[i].End == m.End {
+	pending := c.pendingMsgs.live()
+	i := sort.Search(len(pending), func(i int) bool { return pending[i].End >= m.End })
+	if i < len(pending) && pending[i].End == m.End {
 		return
 	}
-	c.pendingMsgs = append(c.pendingMsgs, MsgMarker{})
-	copy(c.pendingMsgs[i+1:], c.pendingMsgs[i:])
-	c.pendingMsgs[i] = m
+	c.pendingMsgs.insert(i, m)
 }
 
 // deliverMsgs fires OnMsg for every pending object now fully received.
 func (c *Conn) deliverMsgs() {
-	n := 0
-	for n < len(c.pendingMsgs) && c.pendingMsgs[n].End <= c.rcvNxt {
-		n++
-	}
-	if n == 0 {
-		return
-	}
-	ready := c.pendingMsgs[:n]
-	c.pendingMsgs = append([]MsgMarker(nil), c.pendingMsgs[n:]...)
-	if c.handlers.OnMsg != nil {
-		for _, m := range ready {
-			c.handlers.OnMsg(c, m.Obj)
+	for {
+		pending := c.pendingMsgs.live()
+		if len(pending) == 0 || pending[0].End > c.rcvNxt {
+			return
+		}
+		obj := pending[0].Obj
+		c.pendingMsgs.drop(1)
+		if c.handlers.OnMsg != nil {
+			c.handlers.OnMsg(c, obj)
 		}
 	}
 }

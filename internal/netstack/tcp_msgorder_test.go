@@ -80,8 +80,8 @@ func TestMsgMarkersReorderedSegments(t *testing.T) {
 	if c.rcvNxt != 301 {
 		t.Fatalf("rcvNxt = %d", c.rcvNxt)
 	}
-	if len(c.pendingMsgs) != 0 {
-		t.Fatalf("%d markers still pending", len(c.pendingMsgs))
+	if len(c.pendingMsgs.live()) != 0 {
+		t.Fatalf("%d markers still pending", len(c.pendingMsgs.live()))
 	}
 }
 
@@ -98,8 +98,8 @@ func TestMsgMarkersCoalescedRetransmit(t *testing.T) {
 		MsgMarker{End: 101, Obj: "A"}, MsgMarker{End: 201, Obj: "B"}, MsgMarker{End: 301, Obj: "C"}))
 	assertMsgs(t, *got, "A", "B", "C")
 	// The buffered copy of B was dropped, not re-delivered.
-	if len(c.pendingMsgs) != 0 || len(c.ooo) != 0 {
-		t.Fatalf("pending=%d ooo=%d after coalesce", len(c.pendingMsgs), len(c.ooo))
+	if len(c.pendingMsgs.live()) != 0 || len(c.ooo.live()) != 0 {
+		t.Fatalf("pending=%d ooo=%d after coalesce", len(c.pendingMsgs.live()), len(c.ooo.live()))
 	}
 }
 

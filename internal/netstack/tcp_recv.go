@@ -10,8 +10,7 @@ import (
 // onSegment dispatches an arriving TCP segment to its connection, spawning
 // one via a listener for a fresh SYN, or answering with RST.
 func (h *Host) onSegment(src pipes.VN, seg *Segment) {
-	key := connKey{seg.DstPort, Endpoint{src, seg.SrcPort}}
-	if c, ok := h.conns[key]; ok {
+	if c, ok := h.conns[makeConnKey(seg.DstPort, Endpoint{src, seg.SrcPort})]; ok {
 		c.handleSegment(seg)
 		return
 	}
@@ -27,7 +26,8 @@ func (h *Host) onSegment(src pipes.VN, seg *Segment) {
 	}
 	if !seg.RST {
 		// Closed port: refuse.
-		rst := &Segment{
+		rst := h.segs.get()
+		*rst = Segment{
 			SrcPort: seg.DstPort, DstPort: seg.SrcPort,
 			Seq: seg.Ack, RST: true, HasACK: true, Ack: seg.Seq + uint64(seg.Len),
 		}
@@ -155,7 +155,7 @@ func (c *Conn) processAck(seg *Segment) {
 		if c.sndUna == c.sndNxt {
 			c.rtxTimer.StopTimer()
 		} else {
-			c.armRtx()
+			c.rtxDirty = true // armed by the trySend below
 		}
 		if c.finOff != 0 && !c.finAcked && c.sndUna >= c.finOff+1 {
 			c.finAcked = true
@@ -197,7 +197,7 @@ func (c *Conn) retransmitHead() {
 		c.Retransmits++
 		return
 	case c.finOff != 0 && c.sndUna >= c.finOff:
-		c.transmit(&Segment{Seq: c.finOff, FIN: true, HasACK: true, Ack: c.rcvNxt})
+		c.sendFIN()
 		c.Retransmits++
 		return
 	}
@@ -218,12 +218,13 @@ func (c *Conn) retransmitHead() {
 
 // popAcked discards fully-acknowledged chunks.
 func (c *Conn) popAcked() {
+	chunks := c.chunks.live()
 	i := 0
-	for i < len(c.chunks) && c.chunks[i].start+uint64(c.chunks[i].n) <= c.sndUna {
+	for i < len(chunks) && chunks[i].start+uint64(chunks[i].n) <= c.sndUna {
 		i++
 	}
 	if i > 0 {
-		c.chunks = append([]chunk(nil), c.chunks[i:]...)
+		c.chunks.drop(i)
 	}
 }
 
@@ -238,7 +239,7 @@ func (c *Conn) processData(seg *Segment) {
 		// Entirely old; re-ack so the peer can advance.
 		c.ackNow()
 	case seg.Seq <= c.rcvNxt:
-		hadGap := len(c.ooo) > 0
+		hadGap := len(c.ooo.live()) > 0
 		c.deliverInOrder(seg.Seq, seg.Len, seg.Data, seg.Msgs)
 		c.drainOOO()
 		c.consumeFin()
@@ -281,23 +282,22 @@ func (c *Conn) deliverInOrder(seq uint64, n int, data []byte, msgs []MsgMarker) 
 }
 
 func (c *Conn) insertOOO(s oooSeg) {
-	i := sort.Search(len(c.ooo), func(i int) bool { return c.ooo[i].seq >= s.seq })
-	if i < len(c.ooo) && c.ooo[i].seq == s.seq && c.ooo[i].n >= s.n {
+	ooo := c.ooo.live()
+	i := sort.Search(len(ooo), func(i int) bool { return ooo[i].seq >= s.seq })
+	if i < len(ooo) && ooo[i].seq == s.seq && ooo[i].n >= s.n {
 		return // duplicate
 	}
-	c.ooo = append(c.ooo, oooSeg{})
-	copy(c.ooo[i+1:], c.ooo[i:])
-	c.ooo[i] = s
+	c.ooo.insert(i, s)
 }
 
 // drainOOO delivers buffered segments made contiguous by a gap fill.
 func (c *Conn) drainOOO() {
-	for len(c.ooo) > 0 {
-		s := c.ooo[0]
+	for ooo := c.ooo.live(); len(ooo) > 0; ooo = c.ooo.live() {
+		s := ooo[0]
 		if s.seq > c.rcvNxt {
 			return
 		}
-		c.ooo = c.ooo[1:]
+		c.ooo.drop(1)
 		c.deliverInOrder(s.seq, s.n, s.data, s.msgs)
 	}
 }

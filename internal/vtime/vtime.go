@@ -107,6 +107,7 @@ type Scheduler struct {
 	free    []*event // recycled records; never more than the peak of Pending
 	stopped bool
 	fired   uint64
+	local   any // see Local
 }
 
 // NewScheduler returns a scheduler with the clock at zero.
@@ -116,6 +117,17 @@ func NewScheduler() *Scheduler {
 
 // Now returns the current virtual time.
 func (s *Scheduler) Now() Time { return s.now }
+
+// Local returns the scheduler's loop-local slot: one opaque value for state
+// that belongs to the event loop rather than to any object scheduled on it.
+// "Driven by the same Scheduler" is what "runs on the same goroutine" means
+// in every execution mode, so state reached through the slot needs no lock
+// and no package-level registry. The slot has one owner, internal/netstack,
+// which keeps its Segment free list there; nil until SetLocal.
+func (s *Scheduler) Local() any { return s.local }
+
+// SetLocal fills the loop-local slot (see Local).
+func (s *Scheduler) SetLocal(v any) { s.local = v }
 
 // Fired reports how many events have executed, a useful determinism probe.
 func (s *Scheduler) Fired() uint64 { return s.fired }
