@@ -197,7 +197,7 @@ func main() {
 	lm := em.Assignment.LoadMetrics()
 	fmt.Printf("assign : %d cores, pipes/core %v (imbalance %.2f)\n", *cores, lm.LinksPerCore, lm.Imbalance)
 	if *cores > 1 {
-		cut := em.Assignment.CutStats(em.Distilled.Graph)
+		cut := em.Assignment.CutStats(em.Distilled.Graph, nil)
 		fmt.Printf("         cut: %d pipes, lookahead %v, mean cut latency %v\n",
 			cut.CutPipes, cut.Lookahead, cut.MeanCutLatency)
 	}

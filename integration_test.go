@@ -15,7 +15,7 @@ import (
 )
 
 // TestKitchenSink runs a transit-stub topology through last-mile
-// distillation onto two cores with hierarchical routing, TCP and UDP
+// distillation onto two cores, TCP and UDP
 // workloads, mid-run cross traffic and latency perturbation — and checks
 // global invariants at the end.
 func TestKitchenSink(t *testing.T) {
@@ -107,31 +107,6 @@ func TestKitchenSink(t *testing.T) {
 	// Accuracy holds under the full mix: last-mile paths are ≤3 pipes.
 	if !em.Emu.Accuracy.WithinBound(4 * modelnet.DefaultProfile().Tick) {
 		t.Errorf("accuracy violated: max lag %v", em.Emu.Accuracy.MaxLag)
-	}
-}
-
-// TestHierarchicalRoutesThroughFacade drives traffic with the §2.2
-// hierarchical tables end to end.
-func TestHierarchicalRoutesThroughFacade(t *testing.T) {
-	g := modelnet.Ring(6, 4,
-		modelnet.LinkAttrs{BandwidthBps: modelnet.Mbps(20), LatencySec: modelnet.Ms(5), QueuePkts: 30},
-		modelnet.LinkAttrs{BandwidthBps: modelnet.Mbps(2), LatencySec: modelnet.Ms(1), QueuePkts: 20})
-	em, err := modelnet.Run(g, modelnet.Options{HierarchicalRoutes: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := 0
-	h0 := em.NewHost(0)
-	h17 := em.NewHost(17)
-	h17.Listen(80, func(c *netstack.Conn) netstack.Handlers {
-		return netstack.Handlers{OnData: func(c *netstack.Conn, n int, data []byte) { got += n }}
-	})
-	c := h0.Dial(modelnet.Endpoint{VN: 17, Port: 80}, netstack.Handlers{})
-	c.WriteCount(50_000)
-	c.Close()
-	em.RunFor(modelnet.Seconds(30))
-	if got != 50_000 {
-		t.Fatalf("hierarchical routing delivered %d", got)
 	}
 }
 

@@ -15,7 +15,6 @@
 package assign
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 
@@ -76,31 +75,45 @@ func KClusters(g *topology.Graph, k int, seed int64) (*Assignment, error) {
 	if seeds > n {
 		seeds = n
 	}
-	frontier := make([]linkHeap, k)
+	// Each cluster's frontier is a min-heap of candidate links ordered by
+	// (latency, link ID) — a total order, so growth is deterministic.
+	// Entries whose far node has been annexed meanwhile are discarded lazily
+	// at pop time, so each link is pushed and popped at most once —
+	// O(E lg E) total instead of the O(frontier) rescan per annexation that
+	// dominated startup at 10⁵ VNs.
+	cheaper := func(a, b topology.LinkID) bool {
+		if la, lb := g.Links[a].Attr.LatencySec, g.Links[b].Attr.LatencySec; la != lb {
+			return la < lb
+		}
+		return a < b
+	}
+	frontier := make([]topology.MinHeap[topology.LinkID], k)
 	for c := range frontier {
-		frontier[c].g = g
+		frontier[c].Less = cheaper
+	}
+	annex := func(c int, n topology.NodeID) {
+		nodeOwner[n] = c
+		for _, lid := range g.Out(n) {
+			frontier[c].Push(lid)
+		}
 	}
 	for c := 0; c < seeds; c++ {
-		nodeOwner[perm[c]] = c
-		frontier[c].pushAll(g.Out(topology.NodeID(perm[c])))
+		annex(c, topology.NodeID(perm[c]))
 	}
 
 	// Round-robin growth: each cluster annexes one frontier node per turn,
-	// crossing its cheapest (lowest-latency) frontier link (ties broken by
-	// link ID, deterministic). Frontiers are min-heaps with lazy deletion:
-	// links to already-owned nodes are skipped at pop time, so each link is
-	// pushed and popped at most once — O(E lg E) total instead of the
-	// O(frontier) rescan per annexation that dominated startup at 10⁵ VNs.
+	// crossing its cheapest frontier link whose far node is still unowned.
 	owned := seeds
 	for owned < n {
 		progress := false
 		for c := 0; c < k && owned < n; c++ {
-			if lid, ok := frontier[c].popCheapest(nodeOwner); ok {
-				dst := g.Links[lid].Dst
-				nodeOwner[dst] = c
-				owned++
-				progress = true
-				frontier[c].pushAll(g.Out(dst))
+			for frontier[c].Len() > 0 {
+				if dst := g.Links[frontier[c].Pop()].Dst; nodeOwner[dst] == -1 {
+					annex(c, dst)
+					owned++
+					progress = true
+					break
+				}
 			}
 		}
 		if !progress {
@@ -108,10 +121,8 @@ func KClusters(g *topology.Graph, k int, seed int64) (*Assignment, error) {
 			// resume growth from them.
 			for i := range nodeOwner {
 				if nodeOwner[i] == -1 {
-					c := owned % k
-					nodeOwner[i] = c
+					annex(owned%k, topology.NodeID(i))
 					owned++
-					frontier[c].pushAll(g.Out(topology.NodeID(i)))
 					break
 				}
 			}
@@ -141,52 +152,6 @@ func KClusters(g *topology.Graph, k int, seed int64) (*Assignment, error) {
 	}
 	a.NodeOwner = glued
 	return a, nil
-}
-
-// linkHeap is a cluster's frontier: a min-heap of candidate links ordered by
-// (latency, link ID). Entries whose far node has been annexed meanwhile are
-// discarded lazily at pop time.
-type linkHeap struct {
-	g    *topology.Graph
-	lids []topology.LinkID
-}
-
-func (h *linkHeap) Len() int { return len(h.lids) }
-func (h *linkHeap) Less(i, j int) bool {
-	a, b := h.lids[i], h.lids[j]
-	la, lb := h.g.Links[a].Attr.LatencySec, h.g.Links[b].Attr.LatencySec
-	if la != lb {
-		return la < lb
-	}
-	return a < b
-}
-func (h *linkHeap) Swap(i, j int) { h.lids[i], h.lids[j] = h.lids[j], h.lids[i] }
-func (h *linkHeap) Push(x any)    { h.lids = append(h.lids, x.(topology.LinkID)) }
-func (h *linkHeap) Pop() any {
-	old := h.lids
-	n := len(old)
-	lid := old[n-1]
-	h.lids = old[:n-1]
-	return lid
-}
-
-func (h *linkHeap) pushAll(lids []topology.LinkID) {
-	for _, lid := range lids {
-		heap.Push(h, lid)
-	}
-}
-
-// popCheapest removes and returns the frontier link with the lowest latency
-// whose far node is unowned (ties by link ID) — the same link the previous
-// linear-scan implementation selected. ok is false when no such link remains.
-func (h *linkHeap) popCheapest(nodeOwner []int) (topology.LinkID, bool) {
-	for h.Len() > 0 {
-		lid := heap.Pop(h).(topology.LinkID)
-		if nodeOwner[h.g.Links[lid].Dst] == -1 {
-			return lid, true
-		}
-	}
-	return 0, false
 }
 
 // Even assigns pipes to cores in contiguous equal-size blocks of link ID
@@ -250,8 +215,11 @@ type CutStats struct {
 	MeanCutLatency vtime.Duration // mean cut-pipe latency
 }
 
-// CutStats analyzes the assignment's cut over the distilled topology.
-func (a *Assignment) CutStats(g *topology.Graph) CutStats {
+// CutStats analyzes the assignment's cut over the distilled topology. floor,
+// when non-nil, lowers each link's latency to the least it can reach mid-run
+// (dynamics.Spec.LatencyFloorFunc) — the rule parcore.ComputeSyncFloor
+// derives window bounds from.
+func (a *Assignment) CutStats(g *topology.Graph, floor func(topology.LinkID, vtime.Duration) vtime.Duration) CutStats {
 	var s CutStats
 	var sum vtime.Duration
 	for _, l := range g.Links {
@@ -266,6 +234,9 @@ func (a *Assignment) CutStats(g *topology.Graph) CutStats {
 			continue
 		}
 		lat := vtime.DurationOf(l.Attr.LatencySec)
+		if floor != nil {
+			lat = floor(l.ID, lat)
+		}
 		if s.CutPipes == 0 || lat < s.Lookahead {
 			s.Lookahead = lat
 		}

@@ -78,7 +78,7 @@ func TestKClustersLookaheadObjective(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cs := a.CutStats(g)
+		cs := a.CutStats(g, nil)
 		if cs.CutPipes == 0 {
 			t.Fatalf("k=%d: no cut pipes on a partitioned ring", k)
 		}
@@ -91,9 +91,9 @@ func TestKClustersLookaheadObjective(t *testing.T) {
 	// is strictly worse.
 	ev, _ := Even(g, 4)
 	kc, _ := KClusters(g, 4, 11)
-	if ev.CutStats(g).Lookahead >= kc.CutStats(g).Lookahead {
+	if ev.CutStats(g, nil).Lookahead >= kc.CutStats(g, nil).Lookahead {
 		t.Errorf("Even lookahead %v not worse than KClusters %v",
-			ev.CutStats(g).Lookahead, kc.CutStats(g).Lookahead)
+			ev.CutStats(g, nil).Lookahead, kc.CutStats(g, nil).Lookahead)
 	}
 }
 

@@ -35,16 +35,17 @@ type Options struct {
 	// RouteCache, when positive, uses the O(n lg n) route cache of that
 	// capacity instead of the precomputed O(n²) matrix.
 	RouteCache int
-	// Hierarchical uses per-stub-cluster tables (§2.2's storage
-	// alternative) instead of the matrix. Ignored when RouteCache is set.
-	Hierarchical bool
-	// LazyRoutes uses a demand-paged table (NewLazy): no route computation
-	// at bind time, bounded distance-field cache afterwards. This is the
-	// coordinator's choice under sharded distribution, where binding exists
-	// for VN numbering and sync plans and routes are rarely consulted.
-	// Takes precedence over the other table selectors.
+	// LazyRoutes is RouteCache at lazyRouteCap, whatever RouteCache says: no
+	// route is computed at bind time and few are kept. It is what a
+	// coordinator under sharded distribution binds with — there the binding
+	// exists for VN numbering and sync plans, routes are rarely consulted,
+	// and each distance field is as large as the world.
 	LazyRoutes bool
 }
+
+// lazyRouteCap bounds a LazyRoutes table to 32 distance fields (NewCache
+// keeps one per 16 routes).
+const lazyRouteCap = 512
 
 // Bind performs the Binding phase over a distilled topology: every client
 // node becomes a VN (in node-ID order), routes are computed among all VN
@@ -82,24 +83,19 @@ func Bind(g *topology.Graph, opts Options) (*Binding, error) {
 		b.CoreOf[e] = e % cores
 	}
 
-	switch {
-	case opts.LazyRoutes:
-		b.Table = NewLazy(g, clients, 0)
-	case opts.RouteCache > 0:
-		b.Table = NewCache(g, clients, opts.RouteCache)
-	case opts.Hierarchical:
-		h, err := BuildHier(g, clients)
-		if err != nil {
-			return nil, err
-		}
-		b.Table = h
-	default:
-		m, err := BuildMatrix(g, clients)
-		if err != nil {
-			return nil, err
-		}
-		b.Table = m
+	routeCap := opts.RouteCache
+	if opts.LazyRoutes {
+		routeCap = lazyRouteCap
 	}
+	if routeCap > 0 {
+		b.Table = NewCache(g, clients, routeCap)
+		return b, nil
+	}
+	m, err := BuildMatrix(g, clients)
+	if err != nil {
+		return nil, err
+	}
+	b.Table = m
 	return b, nil
 }
 

@@ -2,9 +2,12 @@
 // what runs where, and how packets find their way.
 //
 //   - Bind assigns VNs to edge nodes and cores and builds the routing
-//     table: the precomputed all-pairs matrix (BuildMatrix), the bounded
-//     LRU route cache (NewCache), or the per-stub-cluster hierarchical
-//     tables (BuildHier) — the paper's three storage alternatives.
+//     table: the precomputed all-pairs matrix (BuildMatrix) or the bounded
+//     LRU route cache (NewCache), the two storage designs the paper built.
+//     Under sharded distribution each worker routes with a ShardTable over
+//     its ShardView, seeded by the coordinator's SummaryOracle. All four are
+//     fronts for one route engine (engine.go), so every table in every
+//     execution mode holds the same canonical routes.
 //   - POD is the pipe ownership directory: which core owns each pipe, and
 //     therefore when a multi-core emulation must tunnel a packet's
 //     descriptor to a peer core.

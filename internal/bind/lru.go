@@ -19,10 +19,7 @@ type lruEntry[V any] struct {
 }
 
 func newLRU[K comparable, V any](capacity int) *lru[K, V] {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &lru[K, V]{capacity: capacity, entries: make(map[K]*lruEntry[V])}
+	return &lru[K, V]{capacity: max(capacity, 1), entries: make(map[K]*lruEntry[V])}
 }
 
 // get returns the value cached under k and marks it used.

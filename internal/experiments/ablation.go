@@ -14,19 +14,18 @@ import (
 )
 
 // Ablations for the design alternatives the paper names but does not
-// evaluate: the three §2.2 route-table designs (precomputed matrix, LRU
-// cache, hierarchical tables), payload caching for cross-core tunnels
+// evaluate against each other: the two §2.2 route-table designs it built
+// (precomputed matrix, LRU cache), payload caching for cross-core tunnels
 // (§2.2), and perfect-vs-emulated routing failover (§2.3).
 
 // RouteTableRow compares one table implementation.
 type RouteTableRow struct {
 	Name    string
-	Entries int     // stored routes
-	BuildMs float64 // wall-clock-free proxy: routes computed
-	HitCost string  // qualitative lookup cost
+	Entries int    // stored routes
+	HitCost string // qualitative lookup cost
 }
 
-// RunRouteTableAblation builds all three tables over the paper's ring and
+// RunRouteTableAblation builds both tables over the paper's ring and
 // reports storage. (Lookup-time behaviour is asserted in the bind tests;
 // here the interesting number is memory.)
 func RunRouteTableAblation() ([]RouteTableRow, error) {
@@ -42,13 +41,6 @@ func RunRouteTableAblation() ([]RouteTableRow, error) {
 	}
 	rows = append(rows, RouteTableRow{
 		Name: "matrix (O(n²))", Entries: n * (n - 1), HitCost: "O(1) index",
-	})
-	h, err := bind.BuildHier(g, homes)
-	if err != nil {
-		return nil, err
-	}
-	rows = append(rows, RouteTableRow{
-		Name: "hierarchical (§2.2)", Entries: h.Entries, HitCost: "O(path) splice",
 	})
 	c := bind.NewCache(g, homes, 4*n)
 	// Touch a plausible working set so the cache row reflects steady state.
@@ -196,7 +188,7 @@ func runFailover(mode string) (FailoverRow, error) {
 			emu.SetPipeParams(pipes.ID(f1), p)
 		} else {
 			// Perfect routing: instantaneous shortest-path recomputation.
-			if err := traffic.FailLinks(emu, g, map[topology.LinkID]bool{f1: true, f1r: true}); err != nil {
+			if err := traffic.FailLinks(emu, map[topology.LinkID]bool{f1: true, f1r: true}); err != nil {
 				panic(err)
 			}
 		}

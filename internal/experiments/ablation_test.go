@@ -7,13 +7,10 @@ func TestRouteTableAblation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 3 {
+	if len(rows) != 2 {
 		t.Fatalf("rows: %v", rows)
 	}
-	matrix, hier, cache := rows[0], rows[1], rows[2]
-	if hier.Entries*4 > matrix.Entries {
-		t.Errorf("hierarchical %d entries vs matrix %d — too little saving", hier.Entries, matrix.Entries)
-	}
+	matrix, cache := rows[0], rows[1]
 	if cache.Entries > matrix.Entries/10 {
 		t.Errorf("cache holds %d routes", cache.Entries)
 	}

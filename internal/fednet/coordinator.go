@@ -55,10 +55,9 @@ type Options struct {
 	Profile *emucore.Profile
 	// Distill selects the distillation mode (zero value = hop-by-hop).
 	Distill distill.Spec
-	// EdgeNodes, RouteCache, Hierarchical mirror modelnet.Options.
-	EdgeNodes    int
-	RouteCache   int
-	Hierarchical bool
+	// EdgeNodes and RouteCache mirror modelnet.Options.
+	EdgeNodes  int
+	RouteCache int
 
 	// RunFor is the virtual time to emulate. Zero or negative runs to
 	// global quiescence.
@@ -414,11 +413,10 @@ func Run(opts Options) (*Report, error) {
 	// replace the O(n²) matrix.
 	pod := bind.NewPOD(asn.Owner, asn.Cores)
 	bnd, err := bind.Bind(dist.Graph, bind.Options{
-		EdgeNodes:    opts.EdgeNodes,
-		Cores:        asn.Cores,
-		RouteCache:   opts.RouteCache,
-		Hierarchical: opts.Hierarchical,
-		LazyRoutes:   sharded,
+		EdgeNodes:  opts.EdgeNodes,
+		Cores:      asn.Cores,
+		RouteCache: opts.RouteCache,
+		LazyRoutes: sharded,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("fednet: bind: %w", err)
@@ -435,7 +433,7 @@ func Run(opts Options) (*Report, error) {
 		return json.Marshal(setup{
 			Shard: i, Cores: opts.Cores, Seed: opts.Seed, Profile: prof,
 			DataPlane: opts.DataPlane, DataAddrs: addrs, MaxDatagram: opts.MaxDatagram,
-			EdgeNodes: opts.EdgeNodes, RouteCache: opts.RouteCache, Hierarchical: opts.Hierarchical,
+			EdgeNodes: opts.EdgeNodes, RouteCache: opts.RouteCache,
 			Scenario: opts.Scenario, Params: params, CollectDeliveries: opts.CollectDeliveries,
 			Edge: opts.Edge, Trace: opts.Trace, Metrics: opts.MetricsListen != "",
 			Sync: opts.Sync.String(), Sharded: sharded, RunForNs: int64(opts.RunFor),
@@ -616,19 +614,10 @@ func Run(opts Options) (*Report, error) {
 	}
 	// Cut describes the partition the run synchronized under, so when link
 	// dynamics can lower a cut pipe's latency mid-run the stats are taken
-	// over the profile floors — the same rule the workers derive their
-	// window bounds from (parcore.ComputeSyncFloor).
-	cutGraph := dist.Graph
-	if opts.Dynamics != nil {
-		cutGraph = dist.Graph.Clone()
-		for i := range cutGraph.Links {
-			l := &cutGraph.Links[i]
-			l.Attr.LatencySec = opts.Dynamics.FloorLatency(l.ID, vtime.DurationOf(l.Attr.LatencySec)).Seconds()
-		}
-	}
+	// over the profile floors.
 	rep := &Report{
 		Cores: opts.Cores, DataPlane: opts.DataPlane,
-		Cut:                asn.CutStats(cutGraph),
+		Cut:                asn.CutStats(dist.Graph, opts.Dynamics.LatencyFloorFunc()),
 		GatewayAddrs:       gatewayAddrs,
 		MetricsAddr:        metricsAddr,
 		WorkerMetricsAddrs: workerMetrics,

@@ -137,9 +137,8 @@ type setup struct {
 	DataPlane string          `json:"data_plane"`
 	DataAddrs []string        `json:"data_addrs"` // per shard, for DataPlane
 
-	EdgeNodes    int  `json:"edge_nodes,omitempty"`
-	RouteCache   int  `json:"route_cache,omitempty"`
-	Hierarchical bool `json:"hierarchical,omitempty"`
+	EdgeNodes  int `json:"edge_nodes,omitempty"`
+	RouteCache int `json:"route_cache,omitempty"`
 
 	Scenario          string          `json:"scenario"`
 	Params            json.RawMessage `json:"params,omitempty"`

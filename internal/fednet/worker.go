@@ -332,10 +332,9 @@ func (w *workerState) setup(body []byte, udp *net.UDPConn, tcpLn net.Listener) e
 	// would: same inputs, deterministic outputs.
 	pod := bind.NewPOD(owner, cores)
 	b, err := bind.Bind(g, bind.Options{
-		EdgeNodes:    cfg.EdgeNodes,
-		Cores:        cores,
-		RouteCache:   cfg.RouteCache,
-		Hierarchical: cfg.Hierarchical,
+		EdgeNodes:  cfg.EdgeNodes,
+		Cores:      cores,
+		RouteCache: cfg.RouteCache,
 	})
 	if err != nil {
 		return fmt.Errorf("fednet: bind: %w", err)

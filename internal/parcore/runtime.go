@@ -138,7 +138,7 @@ type Config struct {
 	Seed       int64
 	// NewTable, when non-nil, builds a private route table per shard.
 	// Required when the shared table mutates on lookup (the LRU route
-	// cache); leave nil for read-only tables (matrix, hierarchical).
+	// cache); leave nil for the read-only matrix.
 	NewTable func() bind.Table
 	// Dynamics, when non-nil, is attached to every shard: each shard
 	// replays the full spec against its own (complete) pipe set, exactly

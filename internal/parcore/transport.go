@@ -27,7 +27,6 @@ package parcore
 // ahead of one adjacent to it.
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"sort"
@@ -827,7 +826,7 @@ func buildShardPlan(g *topology.Graph, b *bind.Binding, homes []int, owner []int
 		VNCross:    make([][]vtime.Duration, k),
 	}
 	val := make([]vtime.Duration, n)
-	var pq distPQ
+	pq := topology.MinHeap[pqItem]{Less: func(a, b pqItem) bool { return a.d < b.d }}
 	for j := 0; j < k; j++ {
 		plan.EventCross[j] = noCross
 		if j == o {
@@ -836,18 +835,18 @@ func buildShardPlan(g *topology.Graph, b *bind.Binding, homes []int, owner []int
 		for x := range val {
 			val[x] = noCross
 		}
-		pq = pq[:0]
+		pq.Reset()
 		for x := 0; x < n; x++ {
 			for _, t := range crossTo[x] {
 				if t == j {
 					val[x] = cost[x]
-					heap.Push(&pq, pqItem{x, cost[x]})
+					pq.Push(pqItem{x, cost[x]})
 					break
 				}
 			}
 		}
-		for len(pq) > 0 {
-			it := heap.Pop(&pq).(pqItem)
+		for pq.Len() > 0 {
+			it := pq.Pop()
 			if it.d > val[it.x] {
 				continue
 			}
@@ -855,7 +854,7 @@ func buildShardPlan(g *topology.Graph, b *bind.Binding, homes []int, owner []int
 				p := int(pi)
 				if nv := satDurAdd(cost[p], it.d); nv < val[p] {
 					val[p] = nv
-					heap.Push(&pq, pqItem{p, nv})
+					pq.Push(pqItem{p, nv})
 				}
 			}
 		}
@@ -896,19 +895,11 @@ func buildShardPlan(g *topology.Graph, b *bind.Binding, homes []int, owner []int
 	return plan
 }
 
-// pqItem / distPQ: the reverse-Dijkstra frontier (lazy deletion).
+// pqItem is one entry of the reverse-Dijkstra frontier (lazy deletion).
 type pqItem struct {
 	x int
 	d vtime.Duration
 }
-
-type distPQ []pqItem
-
-func (q distPQ) Len() int           { return len(q) }
-func (q distPQ) Less(i, j int) bool { return q[i].d < q[j].d }
-func (q distPQ) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
-func (q *distPQ) Push(x any)        { *q = append(*q, x.(pqItem)) }
-func (q *distPQ) Pop() any          { old := *q; it := old[len(old)-1]; *q = old[:len(old)-1]; return it }
 
 // ShardBounds computes one shard's Bounds from its live state: Next is its
 // next event time; Safe bounds the earliest future cross-shard message it

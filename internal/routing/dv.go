@@ -188,9 +188,11 @@ func (d *DV) advertise(n *node) {
 		// Propagation + serialization over the real link attributes.
 		delay := vtime.DurationOf(l.Attr.LatencySec + float64(size*8)/l.Attr.BandwidthBps)
 		to := d.nodes[l.Dst]
-		w := linkWeight(l)
-		// The receiver reaches us through the reverse link.
+		// The receiver reaches us through the reverse link, so that link's
+		// weight — not l's, which carries the advertisement — prices its
+		// route; the two differ when latencies are asymmetric.
 		rev, hasRev := d.g.FindLink(l.Dst, l.Src)
+		w := linkWeight(rev)
 		d.sched.After(delay, func() {
 			if !hasRev || d.down[rev.ID] {
 				return
@@ -257,20 +259,17 @@ func (d *DV) Metric(src, dst topology.NodeID) float64 {
 }
 
 // Converged reports whether every node's metric to every VN home matches
-// the true shortest-path distance within tolerance.
+// the true shortest-path distance to it within tolerance.
 func (d *DV) Converged() bool {
 	for _, home := range d.vnHomes {
-		_, dist := shortestWith(d.g, home, d.down)
+		want := d.distTo(home)
 		for _, n := range d.nodes {
-			want := dist[n.id]
 			got := d.Metric(n.id, home)
-			if math.IsInf(want, 1) {
+			if want[n.id] >= Infinity {
 				if got < Infinity {
 					return false
 				}
-				continue
-			}
-			if math.Abs(got-want) > 1e-9 {
+			} else if math.Abs(got-want[n.id]) > 1e-9 {
 				return false
 			}
 		}
@@ -278,23 +277,26 @@ func (d *DV) Converged() bool {
 	return true
 }
 
-// shortestWith is Dijkstra toward `to` over the reversed graph... computed
-// as distances FROM `to` on the reverse orientation: for symmetric duplex
-// topologies (the normal case) this equals distance to `to`.
-func shortestWith(g *topology.Graph, to topology.NodeID, down map[topology.LinkID]bool) ([]topology.LinkID, []float64) {
-	gg := g.Clone()
-	for i := range gg.Links {
-		if down[gg.Links[i].ID] {
-			gg.Links[i].Attr.LatencySec = Infinity
+// distTo is the reference Converged compares against: every node's distance
+// *to* `to` over the live links, each priced in the direction a packet
+// crosses it — the protocol's own fixed point, relaxed centrally in its own
+// float metric so the 1e-9 comparison is exact. Unreachable nodes stay at
+// Infinity.
+func (d *DV) distTo(to topology.NodeID) []float64 {
+	dist := make([]float64, d.g.NumNodes())
+	for i := range dist {
+		dist[i] = Infinity
+	}
+	dist[to] = 0
+	for changed := true; changed; {
+		changed = false
+		for _, l := range d.g.Links {
+			if nd := dist[l.Dst] + linkWeight(l); !d.down[l.ID] && nd < dist[l.Src] {
+				dist[l.Src], changed = nd, true
+			}
 		}
 	}
-	prev, dist := bind.ShortestPaths(gg, to)
-	for i, v := range dist {
-		if v >= Infinity {
-			dist[i] = math.Inf(1)
-		}
-	}
-	return prev, dist
+	return dist
 }
 
 // Table adapts the live protocol state to bind.Table: a lookup walks

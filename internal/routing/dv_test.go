@@ -2,6 +2,7 @@ package routing
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -414,5 +415,37 @@ func TestDVDrivesLiveEmulation(t *testing.T) {
 	last := arrivals[len(arrivals)-1]
 	if last < vtime.Time(55*vtime.Second) {
 		t.Errorf("traffic never recovered: last arrival %v", last)
+	}
+}
+
+// TestDVConvergesOnAsymmetricLatencies: a route is priced by the links it
+// crosses, in the direction it crosses them. A→B costs 1 ms but B→A 10 ms, so
+// B's best route to A is the 4 ms detour through C — and Converged measures
+// distance *to* each home, not from it.
+func TestDVConvergesOnAsymmetricLatencies(t *testing.T) {
+	g := topology.New()
+	a := g.AddNode(topology.Client, "a")
+	b := g.AddNode(topology.Client, "b")
+	c := g.AddNode(topology.Client, "c")
+	g.AddLink(a, b, attrs(10, 1))
+	g.AddLink(b, a, attrs(10, 10))
+	g.AddDuplex(b, c, attrs(10, 2))
+	g.AddDuplex(c, a, attrs(10, 2))
+	sched := vtime.NewScheduler()
+	d := New(sched, g, g.Clients(), Config{})
+	d.Start()
+	sched.RunUntil(vtime.Time(60 * vtime.Second))
+	if got, want := d.Metric(a, b), 0.001+1e-6; math.Abs(got-want) > 1e-9 {
+		t.Errorf("metric a->b = %v, want %v (the direct 1 ms link)", got, want)
+	}
+	if got, want := d.Metric(b, a), 0.004+2e-6; math.Abs(got-want) > 1e-9 {
+		t.Errorf("metric b->a = %v, want %v (through c, around the 10 ms link)", got, want)
+	}
+	if !d.Converged() {
+		t.Error("DV did not converge on asymmetric latencies")
+	}
+	r, ok := d.Table().Lookup(1, 0)
+	if !ok || len(r) != 2 || g.Links[r[0]].Dst != c {
+		t.Errorf("route b->a = %v ok=%v, want the two hops through c", r, ok)
 	}
 }

@@ -3,7 +3,6 @@ package traffic
 import (
 	"math/rand"
 
-	"modelnet/internal/bind"
 	"modelnet/internal/emucore"
 	"modelnet/internal/pipes"
 	"modelnet/internal/topology"
@@ -84,43 +83,27 @@ func (p *Perturber) Restore() {
 
 // FailLinks removes the given links from the topology's routing and makes
 // the corresponding pipes unusable (packets already routed onto them drop),
-// then recomputes all-pairs shortest paths — modeling an instantaneously
-// converging routing protocol. It returns an error if some VN pair becomes
-// disconnected.
-func FailLinks(emu *emucore.Emulator, g *topology.Graph, down map[topology.LinkID]bool) error {
+// then re-resolves the emulator's routing table with the links priced out
+// (Emulator.Reroute) — modeling an instantaneously converging routing
+// protocol. Routes through failed links survive only where no alternative
+// exists (Infinity latency dominates any real path): the disconnection case.
+func FailLinks(emu *emucore.Emulator, down map[topology.LinkID]bool) error {
 	// Dead pipes: zero capacity is modeled as total loss.
+	lids := make([]topology.LinkID, 0, len(down))
 	for lid := range down {
 		params := emu.Pipe(pipes.ID(lid)).Params()
 		params.LossRate = 0.999999
 		emu.SetPipeParams(pipes.ID(lid), params)
+		lids = append(lids, lid)
 	}
-	// Reroute on a copy with the links priced out.
-	gg := g.Clone()
-	for i := range gg.Links {
-		if down[gg.Links[i].ID] {
-			gg.Links[i].Attr.LatencySec = 1e6 // effectively infinite
-		}
-	}
-	m, err := bind.BuildMatrix(gg, emu.Binding().VNHome)
-	if err != nil {
-		return err
-	}
-	// Routes through failed links may still exist if no alternative does;
-	// that's the disconnection case (latency 1e6 dominates any real path).
-	emu.SetTable(m)
-	return nil
+	return emu.Reroute(lids)
 }
 
 // HealLinks restores failed links' parameters from the provided base and
-// recomputes routing.
-func HealLinks(emu *emucore.Emulator, g *topology.Graph, base map[topology.LinkID]pipes.Params) error {
+// re-resolves routing over the intact topology.
+func HealLinks(emu *emucore.Emulator, base map[topology.LinkID]pipes.Params) error {
 	for lid, params := range base {
 		emu.SetPipeParams(pipes.ID(lid), params)
 	}
-	m, err := bind.BuildMatrix(g, emu.Binding().VNHome)
-	if err != nil {
-		return err
-	}
-	emu.SetTable(m)
-	return nil
+	return emu.Reroute(nil)
 }

@@ -216,50 +216,67 @@ func TestPerturberJitterAndRestore(t *testing.T) {
 
 func TestFailLinksReroutes(t *testing.T) {
 	// Diamond: VN0 and VN1 connected via two stub paths; failing the fast
-	// path must push traffic onto the slow one.
-	g := topology.New()
-	a := g.AddNode(topology.Client, "a")
-	top := g.AddNode(topology.Stub, "top")
-	bot := g.AddNode(topology.Stub, "bot")
-	bdd := g.AddNode(topology.Client, "b")
-	fast := topology.LinkAttrs{BandwidthBps: 10e6, LatencySec: 0.001, QueuePkts: 50}
-	slow := topology.LinkAttrs{BandwidthBps: 10e6, LatencySec: 0.020, QueuePkts: 50}
-	f1, _ := g.AddDuplex(a, top, fast)
-	g.AddDuplex(top, bdd, fast)
-	g.AddDuplex(a, bot, slow)
-	g.AddDuplex(bot, bdd, slow)
+	// path must push traffic onto the slow one, and healing it must bring
+	// the fast one back — whichever table the run was bound with, and
+	// without trading a bounded cache for a matrix.
+	for _, opts := range []bind.Options{{}, {RouteCache: 4}} {
+		g := topology.New()
+		a := g.AddNode(topology.Client, "a")
+		top := g.AddNode(topology.Stub, "top")
+		bot := g.AddNode(topology.Stub, "bot")
+		bdd := g.AddNode(topology.Client, "b")
+		fast := topology.LinkAttrs{BandwidthBps: 10e6, LatencySec: 0.001, QueuePkts: 50}
+		slow := topology.LinkAttrs{BandwidthBps: 10e6, LatencySec: 0.020, QueuePkts: 50}
+		f1, _ := g.AddDuplex(a, top, fast)
+		g.AddDuplex(top, bdd, fast)
+		g.AddDuplex(a, bot, slow)
+		g.AddDuplex(bot, bdd, slow)
 
-	b, err := bind.Bind(g, bind.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := vtime.NewScheduler()
-	emu, err := emucore.New(sched, g, b, nil, emucore.IdealProfile(), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h0 := netstack.NewHost(0, sched, emu, regAdapter{emu})
-	h1 := netstack.NewHost(1, sched, emu, regAdapter{emu})
-	var arrivals []vtime.Time
-	h1.OpenUDP(9, func(netstack.Endpoint, *netstack.Datagram) {
-		arrivals = append(arrivals, sched.Now())
-	})
-	s, _ := h0.OpenUDP(0, nil)
-	s.SendTo(netstack.Endpoint{VN: 1, Port: 9}, 100, nil)
-	sched.At(vtime.Time(vtime.Second), func() {
-		if err := FailLinks(emu, g, map[topology.LinkID]bool{f1: true}); err != nil {
-			t.Errorf("FailLinks: %v", err)
+		b, err := bind.Bind(g, opts)
+		if err != nil {
+			t.Fatal(err)
 		}
+		sched := vtime.NewScheduler()
+		emu, err := emucore.New(sched, g, b, nil, emucore.IdealProfile(), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h0 := netstack.NewHost(0, sched, emu, regAdapter{emu})
+		h1 := netstack.NewHost(1, sched, emu, regAdapter{emu})
+		var arrivals []vtime.Time
+		h1.OpenUDP(9, func(netstack.Endpoint, *netstack.Datagram) {
+			arrivals = append(arrivals, sched.Now())
+		})
+		s, _ := h0.OpenUDP(0, nil)
 		s.SendTo(netstack.Endpoint{VN: 1, Port: 9}, 100, nil)
-	})
-	sched.Run()
-	if len(arrivals) != 2 {
-		t.Fatalf("arrivals: %v", arrivals)
+		base := map[topology.LinkID]pipes.Params{f1: emu.Pipe(pipes.ID(f1)).Params()}
+		sched.At(vtime.Time(vtime.Second), func() {
+			if err := FailLinks(emu, map[topology.LinkID]bool{f1: true}); err != nil {
+				t.Errorf("FailLinks: %v", err)
+			}
+			s.SendTo(netstack.Endpoint{VN: 1, Port: 9}, 100, nil)
+		})
+		sched.At(vtime.Time(2*vtime.Second), func() {
+			if err := HealLinks(emu, base); err != nil {
+				t.Errorf("HealLinks: %v", err)
+			}
+			s.SendTo(netstack.Endpoint{VN: 1, Port: 9}, 100, nil)
+		})
+		sched.Run()
+		if len(arrivals) != 3 {
+			t.Fatalf("%+v: arrivals: %v", opts, arrivals)
+		}
+		d1 := vtime.Duration(arrivals[0])
+		d2 := arrivals[1].Sub(vtime.Time(vtime.Second))
+		d3 := arrivals[2].Sub(vtime.Time(2 * vtime.Second))
+		if d2 < 10*d1 {
+			t.Errorf("%+v: post-failure delivery %v not much slower than %v (reroute failed?)", opts, d2, d1)
+		}
+		if d3 != d1 {
+			t.Errorf("%+v: post-heal delivery %v, want the fast path's %v again", opts, d3, d1)
+		}
+		if _, isCache := emu.Binding().Table.(*bind.Cache); isCache != (opts.RouteCache > 0) {
+			t.Errorf("%+v: table after fail+heal is %T", opts, emu.Binding().Table)
+		}
 	}
-	d1 := vtime.Duration(arrivals[0])
-	d2 := arrivals[1].Sub(vtime.Time(vtime.Second))
-	if d2 < 10*d1 {
-		t.Errorf("post-failure delivery %v not much slower than %v (reroute failed?)", d2, d1)
-	}
-	_ = h1
 }

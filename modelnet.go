@@ -146,9 +146,6 @@ type Options struct {
 	// RouteCache, when positive, replaces the O(n²) routing matrix with
 	// an LRU route cache of that capacity (§2.2 alternative).
 	RouteCache int
-	// HierarchicalRoutes replaces the matrix with per-stub-cluster tables
-	// (the other §2.2 alternative; exact on stub-clustered topologies).
-	HierarchicalRoutes bool
 	// Profile models the core hardware; zero value = DefaultProfile().
 	// Use IdealProfile() for an exact reference emulation.
 	Profile *Profile
@@ -255,9 +252,9 @@ type FederationReport = fednet.Report
 // Federate runs a registered federation scenario (internal/fednet;
 // internal/experiments registers "ring-cbr" and "gnutella-ring") for
 // runFor virtual time across Options.Cores worker processes. The usual
-// Options fields — Cores, Seed, Profile, Distill, EdgeNodes, RouteCache,
-// HierarchicalRoutes — mean what they mean for Run; Options.Federate
-// supplies the socket-layer knobs.
+// Options fields — Cores, Seed, Profile, Distill, EdgeNodes, RouteCache —
+// mean what they mean for Run; Options.Federate supplies the socket-layer
+// knobs.
 func Federate(scenario string, params any, runFor Duration, opts Options) (*FederationReport, error) {
 	fo := FederateOptions{}
 	if opts.Federate != nil {
@@ -271,9 +268,8 @@ func Federate(scenario string, params any, runFor Duration, opts Options) (*Fede
 		Profile:  opts.Profile,
 		Distill:  opts.Distill,
 
-		EdgeNodes:    opts.EdgeNodes,
-		RouteCache:   opts.RouteCache,
-		Hierarchical: opts.HierarchicalRoutes,
+		EdgeNodes:  opts.EdgeNodes,
+		RouteCache: opts.RouteCache,
 
 		RunFor:            runFor,
 		Sync:              opts.Sync,
@@ -338,10 +334,9 @@ func Run(target *Graph, opts Options) (*Emulation, error) {
 		return nil, fmt.Errorf("modelnet: assign: %w", err)
 	}
 	b, err := bind.Bind(dist.Graph, bind.Options{
-		EdgeNodes:    opts.EdgeNodes,
-		Cores:        cores,
-		RouteCache:   opts.RouteCache,
-		Hierarchical: opts.HierarchicalRoutes,
+		EdgeNodes:  opts.EdgeNodes,
+		Cores:      cores,
+		RouteCache: opts.RouteCache,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("modelnet: bind: %w", err)

@@ -8,14 +8,18 @@ package modelnet_test
 
 import (
 	"math/rand"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
 
 	"modelnet"
+	"modelnet/internal/bind"
+	"modelnet/internal/dynamics"
 	"modelnet/internal/emucore"
 	"modelnet/internal/netstack"
 	"modelnet/internal/pipes"
+	"modelnet/internal/topology"
 	"modelnet/internal/vtime"
 )
 
@@ -169,5 +173,81 @@ func TestParallelTCPTransfer(t *testing.T) {
 	em.RunFor(modelnet.Seconds(30))
 	if got != 200_000 {
 		t.Fatalf("transferred %d of 200000 bytes", got)
+	}
+}
+
+// TestRerouteKeepsTheRouteCache: a run bound with the bounded route cache —
+// chosen because the O(n²) matrix does not fit — must still hold one after a
+// link failure reroutes it, sequentially and on every shard of the parallel
+// cluster, within its capacity and routing around the failed link exactly as
+// a matrix built for the degraded graph does.
+func TestRerouteKeepsTheRouteCache(t *testing.T) {
+	const capacity = 24
+	g := modelnet.Ring(6, 2, attrs(20, 5), attrs(5, 1))
+	fail := -1
+	for _, l := range g.Links {
+		if g.Nodes[l.Src].Kind != topology.Client && g.Nodes[l.Dst].Kind != topology.Client {
+			fail = int(l.ID)
+			break
+		}
+	}
+	down := dynamics.At(50 * vtime.Millisecond)
+	down.Down = true
+	degraded := g.Clone()
+	degraded.Links[fail].Attr.LatencySec = bind.InfinityLatencySec
+	want, err := bind.BuildMatrix(degraded, g.Clients())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pristine, err := bind.BuildMatrix(g, g.Clients())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reflect.DeepEqual(pristine, want) {
+		t.Fatalf("failing link %d moves no route; the test would prove nothing", fail)
+	}
+	for _, parallel := range []bool{false, true} {
+		ideal := modelnet.IdealProfile()
+		em, err := modelnet.Run(g, modelnet.Options{
+			Cores: 2, Parallel: parallel, Profile: &ideal, RouteCache: capacity,
+			Dynamics: &modelnet.DynamicsSpec{
+				Profiles:     []modelnet.DynamicsProfile{{Link: fail, Steps: []modelnet.DynamicsStep{down}}},
+				Reroute:      true,
+				RerouteDelay: 10 * vtime.Millisecond,
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		em.RunFor(modelnet.Seconds(0.2))
+		shards := []*emucore.Emulator{em.Emu}
+		if parallel {
+			shards = []*emucore.Emulator{em.Par.ShardEmu(0), em.Par.ShardEmu(1)}
+		}
+		seen := map[*bind.Cache]bool{}
+		for i, emu := range shards {
+			c, ok := emu.Binding().Table.(*bind.Cache)
+			if !ok {
+				t.Fatalf("parallel=%v shard %d: table after the reroute is %T, want the *bind.Cache the run was bound with",
+					parallel, i, emu.Binding().Table)
+			}
+			if seen[c] {
+				t.Fatalf("parallel=%v: shards share one mutable cache", parallel)
+			}
+			seen[c] = true
+			n := c.NumVNs()
+			for s := 0; s < n; s++ {
+				for d := 0; d < n; d++ {
+					got, gok := c.Lookup(pipes.VN(s), pipes.VN(d))
+					w, wok := want.Lookup(pipes.VN(s), pipes.VN(d))
+					if gok != wok || !reflect.DeepEqual(got, w) {
+						t.Fatalf("parallel=%v shard %d: route %d->%d after the reroute = %v, degraded-graph matrix says %v", parallel, i, s, d, got, w)
+					}
+					if c.Len() > capacity {
+						t.Fatalf("parallel=%v shard %d: cache grew to %d routes, capacity %d", parallel, i, c.Len(), capacity)
+					}
+				}
+			}
+		}
 	}
 }
