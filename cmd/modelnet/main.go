@@ -128,7 +128,7 @@ func main() {
 	pace := flag.Duration("pace", 0, "with -realtime: pacing quantum (0 = 1ms; the paper's 10 kHz timer is 100µs)")
 	traceOut := flag.String("trace-out", "", "record a virtual-time packet trace and write it here (.json = Chrome trace-event, .jsonl = JSON lines, other = canonical binary)")
 	profileOut := flag.String("profile-out", "", "write the run's wall-clock/barrier profile as JSON")
-	metricsListen := flag.String("metrics-listen", "", "with -federate: serve live run metrics over HTTP on this address (Prometheus text at /metrics, JSON at /metrics.json)")
+	metricsListen := flag.String("metrics-listen", "", "with -federate: serve live run metrics over HTTP on this address (Prometheus text at /metrics, JSON at /metrics.json, live pprof under /debug/pprof/)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of this process here (workers spawned by -fedspawn write <path>.shard<N>)")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit here (workers spawned by -fedspawn write <path>.shard<N>)")
 	flag.Parse()

@@ -61,7 +61,7 @@ func main() {
 	duration := flag.Float64("duration", 3, "run window in (wall = virtual) seconds")
 	loss := flag.Float64("loss", 0, "ring-link loss percentage the client should observe")
 	pings := flag.Int("pings", 12, "datagrams the external client sends (max 255: one-byte sequence)")
-	metricsListen := flag.String("metrics-listen", "", "serve live coordinator metrics on host:port while the run is paced")
+	metricsListen := flag.String("metrics-listen", "", "serve live coordinator metrics (and pprof under /debug/pprof/) on host:port while the run is paced")
 	flag.Parse()
 	if *pings < 1 || *pings > 255 {
 		log.Fatalf("-pings %d: the demo's sequence number is one byte, use 1..255", *pings)

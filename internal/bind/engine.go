@@ -108,6 +108,26 @@ type fieldKey struct {
 	target topology.NodeID
 }
 
+// cell is one covered node's entry in a distance field: its distance to the
+// field's target and, in what would be a Dist's padding, the next-hop memo —
+// the out-link walk picked the first time a route crossed the node. The pick
+// depends on the node, the target, the epoch's down set and the view, never
+// on where the route began, so every later route through the node reads it
+// back. The memo is part of the field: it is filled in place and is evicted,
+// reset and recomputed with it.
+type cell struct {
+	lat  vtime.Duration
+	hops int32
+	next int32 // link ID, or one of the two sentinels below
+}
+
+const (
+	noHop     int32 = -1 // scanned: no out-link reaches the target
+	unscanned int32 = -2 // no walk has crossed the node yet
+)
+
+func (c cell) dist() Dist { return Dist{Lat: c.lat, Hops: c.hops} }
+
 // inLink is one relaxation step of the reverse Dijkstra, flattened so the
 // loop touches neither the graph nor the node index.
 type inLink struct {
@@ -125,8 +145,9 @@ type distItem struct {
 // a graph: the whole graph under a single owner (fullView) for Matrix, Cache
 // and SummaryOracle, one shard's slice of it for ShardTable. Fields are
 // indexed by cover index — the view's nodes, densely renumbered — and cached
-// per (reroute epoch, target) in the one bounded LRU. An engine keeps scratch
-// state between calls and must not be shared across goroutines.
+// per (reroute epoch, target) in the one bounded LRU, 16 bytes per covered
+// node, next-hop memo included. An engine keeps scratch state between calls
+// and must not be shared across goroutines.
 type engine struct {
 	g     *topology.Graph // the view's links under their global IDs
 	shard int32
@@ -138,14 +159,15 @@ type engine struct {
 	summ  []topology.NodeID // the view's Summary: nodes whose global distances seed a field
 	seeds SeedFunc
 
-	fields   *lru[fieldKey, []Dist]
+	fields   *lru[fieldKey, []cell]
 	frontier topology.MinHeap[distItem]
 	path     Route // walk's scratch buffer
 
-	// Misses counts distance fields computed; SeedRPCs the summary fetches
-	// among them.
+	// Misses counts distance fields computed, SeedRPCs the summary fetches
+	// among them, Scans the out-links walk evaluated to fill next-hop memos.
 	Misses   uint64
 	SeedRPCs uint64
+	Scans    uint64
 }
 
 // fullView is the degenerate shard view of an unpartitioned world: one
@@ -163,7 +185,7 @@ func newEngine(g *topology.Graph, view *ShardView, seeds SeedFunc, fieldCap int)
 		g: g, shard: int32(view.Shard), summ: view.Summary, seeds: seeds,
 		owner:  make([]int32, view.NumLinks),
 		cover:  make([]int32, view.NumNodes),
-		fields: newLRU[fieldKey, []Dist](fieldCap),
+		fields: newLRU[fieldKey, []cell](fieldCap),
 	}
 	e.frontier.Less = func(a, b distItem) bool { return a.d.Less(b.d) }
 	for i := range e.owner {
@@ -206,44 +228,49 @@ func newEngine(g *topology.Graph, view *ShardView, seeds SeedFunc, fieldCap int)
 }
 
 // at reads node n's distance out of a field.
-func (e *engine) at(dist []Dist, n topology.NodeID) Dist {
+func (e *engine) at(f []cell, n topology.NodeID) Dist {
 	if c := e.cover[n]; c >= 0 {
-		return dist[c]
+		return f[c].dist()
 	}
 	return Unreachable
 }
 
 // field returns the distance field toward target under the epoch's down
 // set, computing and caching it on a miss.
-func (e *engine) field(epoch int32, target topology.NodeID, down linkSet) ([]Dist, error) {
+func (e *engine) field(epoch int32, target topology.NodeID, down linkSet) ([]cell, error) {
 	key := fieldKey{epoch, target}
-	if dist, ok := e.fields.get(key); ok {
-		return dist, nil
+	if f, ok := e.fields.get(key); ok {
+		return f, nil
 	}
-	dist, err := e.compute(epoch, target, down)
+	f, err := e.compute(nil, epoch, target, down)
 	if err != nil {
 		return nil, err
 	}
-	e.fields.put(key, dist)
-	return dist, nil
+	e.fields.put(key, f)
+	return f, nil
 }
 
 // compute is the one reverse Dijkstra: over the owned links, from the target
 // and — when the view has a Summary — from its nodes' exact global distances,
 // so every covered node ends at its exact global distance. The field is the
-// unique fixed point of the policy, whatever order equal keys pop in. Only
-// the seed fetch can fail.
-func (e *engine) compute(epoch int32, target topology.NodeID, down linkSet) ([]Dist, error) {
+// unique fixed point of the policy, whatever order equal keys pop in. Every
+// memo starts unscanned. Only the seed fetch can fail. A non-nil into is a
+// field of this engine the caller is done with; it is overwritten in place of
+// allocating.
+func (e *engine) compute(into []cell, epoch int32, target topology.NodeID, down linkSet) ([]cell, error) {
 	e.Misses++
-	dist := make([]Dist, len(e.inOff)-1)
-	for i := range dist {
-		dist[i] = Unreachable
+	f := into
+	if f == nil {
+		f = make([]cell, len(e.inOff)-1)
+	}
+	for i := range f {
+		f[i] = cell{lat: Unreachable.Lat, hops: Unreachable.Hops, next: unscanned}
 	}
 	q := &e.frontier
 	q.Reset()
 	seed := func(n topology.NodeID, d Dist) {
-		if c := e.cover[n]; c >= 0 && d.Less(dist[c]) {
-			dist[c] = d
+		if c := e.cover[n]; c >= 0 && d.Less(f[c].dist()) {
+			f[c].lat, f[c].hops = d.Lat, d.Hops
 			q.Push(distItem{c, d})
 		}
 	}
@@ -263,27 +290,30 @@ func (e *engine) compute(epoch int32, target topology.NodeID, down linkSet) ([]D
 	seed(target, Dist{})
 	for q.Len() > 0 {
 		it := q.Pop()
-		if it.d != dist[it.node] {
+		if it.d != f[it.node].dist() {
 			continue // superseded by a shorter entry
 		}
 		for _, l := range e.in[e.inOff[it.node]:e.inOff[it.node+1]] {
-			if nd := it.d.Add(down.weigh(topology.LinkID(l.lid), l.lat)); nd.Less(dist[l.src]) {
-				dist[l.src] = nd
+			if nd := it.d.Add(down.weigh(topology.LinkID(l.lid), l.lat)); nd.Less(f[l.src].dist()) {
+				f[l.src].lat, f[l.src].hops = nd.Lat, nd.Hops
 				q.Push(distItem{l.src, nd})
 			}
 		}
 	}
-	return dist, nil
+	return f, nil
 }
 
-// walk is the one next-hop argmin: it extends prefix by the canonical route
-// from cur toward target, stopping after the first pipe another shard owns
-// (its owner extends the route on arrival; with one owner the walk always
-// reaches target). The candidates at cur are all of its out-links — under
-// source-node ownership a local node's are all in the view and a frontier
-// node's are the shipped fringe — so the pick is the global pick. ok is false
-// when target is unreachable. The result is a fresh exact-size slice.
-func (e *engine) walk(prefix Route, cur, target topology.NodeID, dist []Dist, down linkSet) (Route, bool) {
+// walk is the one next-hop argmin: the canonical route from cur toward
+// target, stopping after the first pipe another shard owns (its owner extends
+// the route on arrival; with one owner the walk always reaches target). The
+// candidates at cur are all of its out-links — under source-node ownership a
+// local node's are all in the view and a frontier node's are the shipped
+// fringe — so the pick is the global pick. A covered node's out-links are
+// scanned once per field: the pick goes into the node's cell and every later
+// walk that crosses the node reads it back, so a route costs its length. ok
+// is false when target is unreachable. The result is the engine's scratch
+// buffer, good until the next walk: callers copy it out.
+func (e *engine) walk(cur, target topology.NodeID, f []cell, down linkSet) (Route, bool) {
 	e.path = e.path[:0]
 	for cur != target {
 		// Each step strictly decreases (lat, hops), so the walk terminates;
@@ -291,31 +321,48 @@ func (e *engine) walk(prefix Route, cur, target topology.NodeID, dist []Dist, do
 		if len(e.path) > len(e.owner) {
 			return nil, false
 		}
-		best := topology.LinkID(-1)
-		var bd Dist
-		for _, lid := range e.g.Out(cur) {
-			l := &e.g.Links[lid]
-			hd := e.at(dist, l.Dst)
-			if !hd.Reachable() {
-				continue
+		c := e.cover[cur]
+		next := unscanned
+		if c >= 0 {
+			next = f[c].next
+		}
+		if next == unscanned {
+			next = noHop
+			var bd Dist
+			out := e.g.Out(cur)
+			e.Scans += uint64(len(out))
+			for _, lid := range out {
+				l := &e.g.Links[lid]
+				hd := e.at(f, l.Dst)
+				if !hd.Reachable() {
+					continue
+				}
+				cd := hd.Add(down.weigh(lid, LinkLat(*l)))
+				if next < 0 || cd.Less(bd) || (cd == bd && int32(lid) < next) {
+					next, bd = int32(lid), cd
+				}
 			}
-			cd := hd.Add(down.weigh(lid, LinkLat(*l)))
-			if best < 0 || cd.Less(bd) || (cd == bd && lid < best) {
-				best, bd = lid, cd
+			if c >= 0 {
+				f[c].next = next
 			}
 		}
-		if best < 0 {
+		if next < 0 {
 			return nil, false
 		}
-		e.path = append(e.path, pipes.ID(best))
-		if e.owner[best] != e.shard {
+		e.path = append(e.path, pipes.ID(next))
+		if e.owner[next] != e.shard {
 			break
 		}
-		cur = e.g.Links[best].Dst
+		cur = e.g.Links[next].Dst
 	}
-	r := make(Route, len(prefix)+len(e.path))
-	copy(r[copy(r, prefix):], e.path)
-	return r, true
+	return e.path, true
+}
+
+// join returns prefix followed by seg as a fresh exact-size route.
+func join(prefix, seg Route) Route {
+	r := make(Route, len(prefix)+len(seg))
+	copy(r[copy(r, prefix):], seg)
+	return r
 }
 
 // lookup resolves the route segment between two homes for a table's Lookup:
@@ -323,9 +370,13 @@ func (e *engine) walk(prefix Route, cur, target topology.NodeID, dist []Dist, do
 // failure — not a routing miss — and panics loudly rather than silently
 // dropping traffic as unreachable.
 func (e *engine) lookup(from, to topology.NodeID, epoch int32, down linkSet) (Route, bool) {
-	dist, err := e.field(epoch, to, down)
+	f, err := e.field(epoch, to, down)
 	if err != nil {
 		panic(fmt.Sprintf("bind: route lookup %d->%d: %v", from, to, err))
 	}
-	return e.walk(nil, from, to, dist, down)
+	seg, ok := e.walk(from, to, f, down)
+	if !ok {
+		return nil, false
+	}
+	return join(nil, seg), true
 }

@@ -18,9 +18,10 @@ func ring() *topology.Graph {
 
 // TestLookupAllocs gates what a route costs the allocator: nothing on the
 // paths a packet takes (a Matrix lookup, a Cache hit), the exact-size route
-// and nothing else for a walk, and for a distance field the field itself —
-// whatever the node count, since the frontier heap and the walk buffer are
-// the engine's own scratch.
+// and nothing else for a walk over a cached field — which, once warm, reads
+// its next hops out of the field's memo and scans nothing — and for a
+// distance field the field itself, memo included — whatever the node count,
+// since the frontier heap and the walk buffer are the engine's own scratch.
 func TestLookupAllocs(t *testing.T) {
 	g := ring()
 	homes := g.Clients()
@@ -48,23 +49,51 @@ func TestLookupAllocs(t *testing.T) {
 		homes := g.Clients()
 		from, to := homes[3], homes[len(homes)/2]
 		e := newEngine(g, fullView(g), nil, 1)
-		dist, err := e.compute(0, to, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.walk(nil, from, to, dist, nil)
+		e.lookup(from, to, 0, nil)
+		scans := e.Scans
 		if n := testing.AllocsPerRun(50, func() {
-			r, _ := e.walk(nil, from, to, dist, nil)
+			r, _ := e.lookup(from, to, 0, nil)
 			sink += len(r)
 		}); n != 1 {
-			t.Errorf("%d nodes: route walk: %v allocs, want 1 (the route)", g.NumNodes(), n)
+			t.Errorf("%d nodes: warm route walk: %v allocs, want 1 (the route)", g.NumNodes(), n)
+		}
+		if e.Scans != scans || e.Misses != 1 {
+			t.Errorf("%d nodes: warm walks scanned %d out-links over %d fields, want 0 more over the 1", g.NumNodes(), e.Scans-scans, e.Misses)
 		}
 		if n := testing.AllocsPerRun(10, func() {
-			d, _ := e.compute(0, to, nil)
-			sink += len(d)
+			f, _ := e.compute(nil, 0, to, nil)
+			sink += len(f)
 		}); n != 1 {
 			t.Errorf("%d nodes: distance field: %v allocs, want 1 (the field)", g.NumNodes(), n)
 		}
+	}
+}
+
+// TestBuildMatrixAllocsAndScans gates the matrix build by counts that repeat
+// exactly on any host. Every walk toward one destination shares the field's
+// next-hop memo, so each node's out-links are evaluated at most once per
+// destination (without the memo the ring build evaluates ≈60 times that); and
+// a destination's routes are carved out of one array over one reused scratch
+// field, so the allocations are a few per destination, not one per pair.
+func TestBuildMatrixAllocsAndScans(t *testing.T) {
+	g := ring()
+	homes := g.Clients()
+	e := newEngine(g, fullView(g), nil, 1)
+	if _, err := e.matrix(homes, nil); err != nil {
+		t.Fatal(err)
+	}
+	if limit := uint64(len(homes) * g.NumLinks()); e.Scans == 0 || e.Scans > limit {
+		t.Errorf("matrix build evaluated %d out-links, want 1..%d (destinations x links)", e.Scans, limit)
+	}
+	if e.Misses != uint64(len(homes)) {
+		t.Errorf("matrix build computed %d fields for %d destinations", e.Misses, len(homes))
+	}
+	var sink int
+	if n, limit := testing.AllocsPerRun(2, func() {
+		m, _ := BuildMatrix(g, homes)
+		sink += m.NumVNs()
+	}), float64(3*len(homes)+32); n > limit {
+		t.Errorf("BuildMatrix: %v allocs for %d destinations, want <= %v", n, len(homes), limit)
 	}
 }
 
@@ -79,10 +108,10 @@ func TestFieldIndependentOfPopOrder(t *testing.T) {
 	for i := range g.Links {
 		g.Links[i].Attr.LatencySec = float64(rng.Intn(3)) * 1e-3 // ties and zero-latency links
 	}
-	want := map[topology.NodeID][]Dist{}
+	want := map[topology.NodeID][]cell{}
 	plain := newEngine(g, fullView(g), nil, 1)
 	for n := 0; n < g.NumNodes(); n++ {
-		want[topology.NodeID(n)], _ = plain.compute(0, topology.NodeID(n), nil)
+		want[topology.NodeID(n)], _ = plain.compute(nil, 0, topology.NodeID(n), nil)
 	}
 	tieBreaks := []func(a, b distItem) bool{
 		func(a, b distItem) bool { return a.node < b.node },
@@ -101,7 +130,7 @@ func TestFieldIndependentOfPopOrder(t *testing.T) {
 			return tie(a, b)
 		}
 		for n, w := range want {
-			got, _ := e.compute(0, n, nil)
+			got, _ := e.compute(nil, 0, n, nil)
 			if !reflect.DeepEqual(got, w) {
 				t.Fatalf("trial %d: field toward node %d depends on push/pop order", trial, n)
 			}
@@ -112,7 +141,8 @@ func TestFieldIndependentOfPopOrder(t *testing.T) {
 var benchSink int
 
 // BenchmarkBuildMatrix prices ring-seq's whole setup_s: the matrix over the
-// benchmark's 400-VN ring.
+// benchmark's 400-VN ring — 400 distance fields, each node's out-links scanned
+// once per field, and 159 600 walks that read their hops out of the memo.
 func BenchmarkBuildMatrix(b *testing.B) {
 	g := ring()
 	homes := g.Clients()
@@ -127,6 +157,67 @@ func BenchmarkBuildMatrix(b *testing.B) {
 	}
 }
 
+// BenchmarkRerouteMatrix prices the stall a sequential Matrix-bound run takes
+// at each reroute event: the same matrix rebuilt with one ring link down.
+func BenchmarkRerouteMatrix(b *testing.B) {
+	g := ring()
+	homes := g.Clients()
+	down := []topology.LinkID{0} // ring0 -> ring1
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := BuildMatrixDown(g, homes, down)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink += m.NumVNs()
+	}
+}
+
+// BenchmarkShardTableLookupWarm prices what a federated worker pays per
+// injected packet (ring-fed2): a field-LRU hit plus a walk over memoized next
+// hops up to the first foreign pipe, on one half of the ring.
+func BenchmarkShardTableLookupWarm(b *testing.B) {
+	g := ring()
+	homes := g.Clients()
+	// Routers 0-9 and their VNs are shard 0; node IDs are routers first, then
+	// each router's VNs in turn.
+	nodeOwner := make([]int, g.NumNodes())
+	for n := range nodeOwner {
+		router := n
+		if n >= 20 {
+			router = (n - 20) / 20
+		}
+		nodeOwner[n] = router / 10
+	}
+	owner := make([]int, g.NumLinks())
+	for _, l := range g.Links {
+		owner[l.ID] = nodeOwner[l.Src]
+	}
+	views, err := BuildShardViews(g, owner, nodeOwner, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	oracle := NewSummaryOracle(g, nil, 0, 0)
+	t, err := NewShardTable(g, views[0], homes, oracle.SeedFuncFor(views[0].Summary), 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	local := len(homes) / 2 // VNs 0..199 are homed on shard 0
+	lookup := func(i int) {
+		r, _ := t.Lookup(pipes.VN(i%local), pipes.VN((i*7+13)%len(homes)))
+		benchSink += len(r)
+	}
+	for i := 0; i < len(homes); i++ { // the pair sequence repeats every len(homes)
+		lookup(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lookup(i)
+	}
+}
+
 // BenchmarkDistField prices one reverse Dijkstra over the same ring — what a
 // Cache or ShardTable miss pays before it walks.
 func BenchmarkDistField(b *testing.B) {
@@ -136,7 +227,7 @@ func BenchmarkDistField(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dist, err := e.compute(0, homes[i%len(homes)], nil)
+		dist, err := e.compute(nil, 0, homes[i%len(homes)], nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -143,6 +143,134 @@ func setOf(lids []topology.LinkID) map[topology.LinkID]bool {
 	return m
 }
 
+// refRig is one random world with what the table tests share: a 2–3 epoch
+// down-set schedule, the reference route of every (epoch, source, target), a
+// random source-node partition into 1–4 shards with its views, and the
+// summary oracle that seeds them.
+type refRig struct {
+	g     *topology.Graph
+	homes []topology.NodeID
+	downs [][]topology.LinkID // downs[e] is epoch e's down set; downs[0] is nil
+	want  [][][]bind.Route    // want[e][src][dst]; nil = unreachable
+
+	nodeOwner, owner []int
+	views            []*bind.ShardView
+	skels            []*topology.Graph
+	oracle           *bind.SummaryOracle
+}
+
+func newRefRig(t *testing.T, rng *rand.Rand, oracleFields int) *refRig {
+	t.Helper()
+	r := &refRig{downs: [][]topology.LinkID{nil}}
+	r.g, r.homes = refWorld(rng)
+	for e := 1 + rng.Intn(2); e > 0; e-- {
+		var d []topology.LinkID
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			d = append(d, topology.LinkID(rng.Intn(r.g.NumLinks())))
+		}
+		r.downs = append(r.downs, d)
+	}
+	r.want = make([][][]bind.Route, len(r.downs))
+	for e, d := range r.downs {
+		down := setOf(d)
+		r.want[e] = make([][]bind.Route, len(r.homes))
+		for s := range r.homes {
+			r.want[e][s] = make([]bind.Route, len(r.homes))
+		}
+		for di, to := range r.homes {
+			field := refField(r.g, down, to)
+			for si, from := range r.homes {
+				r.want[e][si][di], _ = refRoute(r.g, down, field, from, to)
+			}
+		}
+	}
+
+	k := 1 + rng.Intn(4)
+	r.nodeOwner = make([]int, r.g.NumNodes())
+	for n := range r.nodeOwner {
+		r.nodeOwner[n] = rng.Intn(k)
+	}
+	r.owner = make([]int, r.g.NumLinks())
+	for _, l := range r.g.Links {
+		r.owner[l.ID] = r.nodeOwner[l.Src]
+	}
+	var err error
+	if r.views, err = bind.BuildShardViews(r.g, r.owner, r.nodeOwner, k); err != nil {
+		t.Fatal(err)
+	}
+	r.skels = make([]*topology.Graph, k)
+	for o, v := range r.views {
+		if r.skels[o], err = v.Skeleton(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.oracle = bind.NewSummaryOracle(r.g, func(epoch int32) ([]topology.LinkID, error) { return r.downs[epoch], nil }, 1, oracleFields)
+	return r
+}
+
+// tables builds one fresh ShardTable per shard, holding the whole epoch
+// schedule and advanced to epoch at.
+func (r *refRig) tables(t *testing.T, fieldCap int, at int32) []*bind.ShardTable {
+	t.Helper()
+	tables := make([]*bind.ShardTable, len(r.views))
+	for o, v := range r.views {
+		tb, err := bind.NewShardTable(r.skels[o], v, r.homes, r.oracle.SeedFuncFor(v.Summary), fieldCap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb.SetEpochs(r.downs)
+		for e := int32(0); e < at; e++ {
+			tb.Advance()
+		}
+		tables[o] = tb
+	}
+	return tables
+}
+
+// stitched resolves s->d as the federation does: the first segment from the
+// source's home shard (only possible under the epoch that shard is at — for
+// any other pinned epoch, the reference route cut after its first foreign
+// pipe stands in), then Extend on each shard the route is handed to.
+func (r *refRig) stitched(t *testing.T, tables []*bind.ShardTable, at, pinned int32, s, d int) (bind.Route, bool) {
+	t.Helper()
+	home := r.nodeOwner[r.homes[s]]
+	var rt bind.Route
+	if at == pinned {
+		var ok bool
+		if rt, ok = tables[home].Lookup(pipes.VN(s), pipes.VN(d)); !ok {
+			return nil, false
+		}
+	} else {
+		for _, pid := range r.want[pinned][s][d] {
+			rt = append(rt, pid)
+			if r.owner[pid] != home {
+				break
+			}
+		}
+	}
+	for hops := 0; len(rt) > 0 && r.g.Links[rt[len(rt)-1]].Dst != r.homes[d]; hops++ {
+		o := r.owner[rt[len(rt)-1]]
+		ext, err := tables[o].Extend(rt, pinned, pipes.VN(d))
+		if err != nil {
+			t.Fatalf("extend %d->%d on shard %d under epoch %d: %v", s, d, o, pinned, err)
+		}
+		if len(ext) <= len(rt) || hops > r.g.NumLinks() {
+			t.Fatalf("extend %d->%d on shard %d made no progress past %v", s, d, o, rt)
+		}
+		rt = ext
+	}
+	return rt, true
+}
+
+// check holds a table's answer against the reference route.
+func (r *refRig) check(t *testing.T, what string, e, s, d int, got bind.Route, ok bool) {
+	t.Helper()
+	w := r.want[e][s][d]
+	if ok != (w != nil) || !routesEqual(got, w) {
+		t.Fatalf("epoch %d (down %v) VN %d->%d: %s says %v ok=%v, reference %v", e, r.downs[e], s, d, what, got, ok, w)
+	}
+}
+
 // TestRoutingOptimalityProperty: on seeded random worlds, under a 2–3 epoch
 // down-set schedule and 1–4 shards of a random source-node partition,
 // reference ≡ Matrix ≡ Cache at capacity 1 (every lookup evicts) ≡ the
@@ -154,139 +282,47 @@ func TestRoutingOptimalityProperty(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		trial := trial
 		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(9100 + trial)))
-			g, homes := refWorld(rng)
-			downs := [][]topology.LinkID{nil}
-			for e := 1 + rng.Intn(2); e > 0; e-- {
-				var d []topology.LinkID
-				for n := 1 + rng.Intn(3); n > 0; n-- {
-					d = append(d, topology.LinkID(rng.Intn(g.NumLinks())))
-				}
-				downs = append(downs, d)
-			}
-
-			// want[e][src][dst] is the reference route; nil = unreachable.
-			want := make([][][]bind.Route, len(downs))
-			for e, d := range downs {
-				down := setOf(d)
-				want[e] = make([][]bind.Route, len(homes))
-				for s := range homes {
-					want[e][s] = make([]bind.Route, len(homes))
-				}
-				for di, to := range homes {
-					field := refField(g, down, to)
-					for si, from := range homes {
-						want[e][si][di], _ = refRoute(g, down, field, from, to)
-					}
-				}
-			}
-			check := func(what string, e, s, d int, got bind.Route, ok bool) {
-				t.Helper()
-				w := want[e][s][d]
-				if ok != (w != nil) || !routesEqual(got, w) {
-					t.Fatalf("epoch %d (down %v) VN %d->%d: %s says %v ok=%v, reference %v", e, downs[e], s, d, what, got, ok, w)
-				}
-			}
-
-			k := 1 + rng.Intn(4)
-			nodeOwner := make([]int, g.NumNodes())
-			for n := range nodeOwner {
-				nodeOwner[n] = rng.Intn(k)
-			}
-			owner := make([]int, g.NumLinks())
-			for _, l := range g.Links {
-				owner[l.ID] = nodeOwner[l.Src]
-			}
-			views, err := bind.BuildShardViews(g, owner, nodeOwner, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			oracle := bind.NewSummaryOracle(g, func(epoch int32) ([]topology.LinkID, error) { return downs[epoch], nil }, 1, 2)
-			tables := make([]*bind.ShardTable, k)
-			for o := range tables {
-				skel, err := views[o].Skeleton()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if tables[o], err = bind.NewShardTable(skel, views[o], homes, oracle.SeedFuncFor(views[o].Summary), 2); err != nil {
-					t.Fatal(err)
-				}
-				tables[o].SetEpochs(downs)
-			}
-			// stitched resolves s->d as the federation does: the first segment
-			// from the source's home shard (only possible under the epoch that
-			// shard is at — for any other pinned epoch, the reference route cut
-			// after its first foreign pipe stands in), then Extend on each shard
-			// the route is handed to.
-			stitched := func(at, pinned int32, s, d int) (bind.Route, bool) {
-				home := nodeOwner[homes[s]]
-				var r bind.Route
-				if at == pinned {
-					var ok bool
-					if r, ok = tables[home].Lookup(pipes.VN(s), pipes.VN(d)); !ok {
-						return nil, false
-					}
-				} else {
-					for _, pid := range want[pinned][s][d] {
-						r = append(r, pid)
-						if owner[pid] != home {
-							break
-						}
-					}
-				}
-				for hops := 0; len(r) > 0 && g.Links[r[len(r)-1]].Dst != homes[d]; hops++ {
-					o := owner[r[len(r)-1]]
-					ext, err := tables[o].Extend(r, pinned, pipes.VN(d))
-					if err != nil {
-						t.Fatalf("extend %d->%d on shard %d under epoch %d: %v", s, d, o, pinned, err)
-					}
-					if len(ext) <= len(r) || hops > g.NumLinks() {
-						t.Fatalf("extend %d->%d on shard %d made no progress past %v", s, d, o, r)
-					}
-					r = ext
-				}
-				return r, true
-			}
-
-			cache := bind.NewCache(g, homes, 1)
-			for e := range downs {
+			r := newRefRig(t, rand.New(rand.NewSource(int64(9100+trial))), 2)
+			tables := r.tables(t, 2, 0)
+			cache := bind.NewCache(r.g, r.homes, 1)
+			for e := range r.downs {
 				e32 := int32(e)
 				if e > 0 {
-					cache.Reroute(downs[e])
+					cache.Reroute(r.downs[e])
 					for _, tb := range tables {
 						tb.Advance()
 					}
 				}
 				reachable := true
-				for s := range homes {
-					for d := range homes {
-						reachable = reachable && (s == d || want[e][s][d] != nil)
+				for s := range r.homes {
+					for d := range r.homes {
+						reachable = reachable && (s == d || r.want[e][s][d] != nil)
 					}
 				}
-				m, err := bind.BuildMatrixDown(g, homes, downs[e])
+				m, err := bind.BuildMatrixDown(r.g, r.homes, r.downs[e])
 				if (err == nil) != reachable {
 					t.Fatalf("epoch %d: BuildMatrixDown err=%v, reference says all pairs reachable=%v", e, err, reachable)
 				}
-				for s := range homes {
-					for d := range homes {
+				for s := range r.homes {
+					for d := range r.homes {
 						if s == d {
 							continue
 						}
 						if m != nil {
-							r, ok := m.Lookup(pipes.VN(s), pipes.VN(d))
-							check("Matrix", e, s, d, r, ok)
+							rt, ok := m.Lookup(pipes.VN(s), pipes.VN(d))
+							r.check(t, "Matrix", e, s, d, rt, ok)
 						}
-						r, ok := cache.Lookup(pipes.VN(s), pipes.VN(d))
-						check("Cache", e, s, d, r, ok)
+						rt, ok := cache.Lookup(pipes.VN(s), pipes.VN(d))
+						r.check(t, "Cache", e, s, d, rt, ok)
 						if cache.Len() > 1 {
 							t.Fatalf("cache of capacity 1 holds %d routes", cache.Len())
 						}
-						r, ok = stitched(e32, e32, s, d)
-						check("ShardTable", e, s, d, r, ok)
-						for p := range downs {
-							if p != e && want[p][s][d] != nil {
-								r, ok = stitched(e32, int32(p), s, d)
-								check(fmt.Sprintf("ShardTable at epoch %d, packet pinned to", e), p, s, d, r, ok)
+						rt, ok = r.stitched(t, tables, e32, e32, s, d)
+						r.check(t, "ShardTable", e, s, d, rt, ok)
+						for p := range r.downs {
+							if p != e && r.want[p][s][d] != nil {
+								rt, ok = r.stitched(t, tables, e32, int32(p), s, d)
+								r.check(t, fmt.Sprintf("ShardTable at epoch %d, packet pinned to", e), p, s, d, rt, ok)
 							}
 						}
 					}

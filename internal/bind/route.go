@@ -27,10 +27,12 @@ type Table interface {
 
 // Matrix is the straightforward precomputed routing matrix: the engine
 // filled eagerly with all-pairs routes among VNs, O(n²) space, O(1) lookup.
-// Scales to ~10,000 VNs (§2.2). It is read-only once built, so parallel
-// shards may share one.
+// Building it is n distance fields plus one pipe ID per hop of every route
+// (DESIGN.md §9 has the cost model), so the O(n²) route headers bound it
+// before the build time does: ~10,000 VNs (§2.2). It is read-only once built,
+// so parallel shards may share one.
 type Matrix struct {
-	routes [][]Route // [src][dst]
+	routes [][]Route // [src][dst]; a destination's routes share one backing array
 }
 
 // BuildMatrix computes the routing matrix for the given VN home nodes in g.
@@ -39,32 +41,48 @@ func BuildMatrix(g *topology.Graph, vnHomes []topology.NodeID) (*Matrix, error) 
 	return BuildMatrixDown(g, vnHomes, nil)
 }
 
-// BuildMatrixDown is BuildMatrix with the given links failed: one distance
-// field per destination, one walk per pair, each field dropped before the
-// next is computed.
+// BuildMatrixDown is BuildMatrix with the given links failed.
 func BuildMatrixDown(g *topology.Graph, vnHomes []topology.NodeID, down []topology.LinkID) (*Matrix, error) {
+	return newEngine(g, fullView(g), nil, 1).matrix(vnHomes, newLinkSet(down))
+}
+
+// matrix fills a Matrix from a whole-graph engine: one distance field per
+// destination, computed into the same scratch field each time, and one walk
+// per pair. A whole-graph walk never stops early, so a route is as long as
+// its source's hop count in the field and a destination's routes are carved
+// out of one exact-size array.
+func (e *engine) matrix(vnHomes []topology.NodeID, down linkSet) (*Matrix, error) {
 	n := len(vnHomes)
 	m := &Matrix{routes: make([][]Route, n)}
 	flat := make([]Route, n*n)
 	for i := range m.routes {
 		m.routes[i] = flat[i*n : (i+1)*n : (i+1)*n]
 	}
-	e := newEngine(g, fullView(g), nil, 1)
-	ds := newLinkSet(down)
+	var f []cell
 	for j, to := range vnHomes {
-		dist, err := e.compute(0, to, ds)
-		if err != nil {
+		var err error
+		if f, err = e.compute(f, 0, to, down); err != nil {
 			return nil, err
 		}
+		hops := 0
+		for i, from := range vnHomes {
+			d := e.at(f, from)
+			if !d.Reachable() {
+				return nil, fmt.Errorf("bind: VN %d cannot reach VN %d", i, j)
+			}
+			hops += int(d.Hops)
+		}
+		arena := make(Route, hops)
 		for i, from := range vnHomes {
 			if i == j {
 				continue
 			}
-			r, ok := e.walk(nil, from, to, dist, ds)
+			seg, ok := e.walk(from, to, f, down)
 			if !ok {
 				return nil, fmt.Errorf("bind: VN %d cannot reach VN %d", i, j)
 			}
-			m.routes[i][j] = r
+			m.routes[i][j] = arena[:len(seg):len(seg)]
+			arena = arena[copy(arena, seg):]
 		}
 	}
 	return m, nil

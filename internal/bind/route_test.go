@@ -31,14 +31,14 @@ func diamond() (*topology.Graph, []topology.NodeID) {
 func TestShortestPathsPicksFastRoute(t *testing.T) {
 	g, homes := diamond()
 	e := newEngine(g, fullView(g), nil, 1)
-	dist, err := e.compute(0, homes[1], nil)
+	dist, err := e.compute(nil, 0, homes[1], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got, want := e.at(dist, homes[0]), (Dist{Lat: 2 * vtime.Millisecond, Hops: 2}); got != want {
 		t.Errorf("dist = %+v, want %+v", got, want)
 	}
-	r, ok := e.walk(nil, homes[0], homes[1], dist, nil)
+	r, ok := e.walk(homes[0], homes[1], dist, nil)
 	if !ok || len(r) != 2 {
 		t.Fatalf("route %v ok=%v, want 2 hops", r, ok)
 	}

@@ -221,15 +221,15 @@ func (t *ShardTable) Extend(r Route, epoch int32, dst pipes.VN) (Route, error) {
 	if epoch < 0 || int(epoch) >= len(t.downs) {
 		return nil, fmt.Errorf("bind: shard %d asked for unknown reroute epoch %d (current %d)", t.shard, epoch, t.epoch)
 	}
-	dist, err := t.field(epoch, target, t.downs[epoch])
+	f, err := t.field(epoch, target, t.downs[epoch])
 	if err != nil {
 		return nil, err
 	}
-	ext, ok := t.walk(r, cur, target, dist, t.downs[epoch])
+	seg, ok := t.walk(cur, target, f, t.downs[epoch])
 	if !ok {
 		return nil, fmt.Errorf("bind: shard %d cannot extend route toward VN %d (node %d) at epoch %d", t.shard, dst, target, epoch)
 	}
-	return ext, nil
+	return join(r, seg), nil
 }
 
 // NumVNs implements Table.
@@ -302,7 +302,7 @@ func (o *SummaryOracle) Seeds(epoch int32, target topology.NodeID, nodes []topol
 	if err != nil {
 		return nil, err
 	}
-	dist, err := o.eng.field(epoch, target, down)
+	f, err := o.eng.field(epoch, target, down)
 	if err != nil {
 		return nil, err
 	}
@@ -311,7 +311,7 @@ func (o *SummaryOracle) Seeds(epoch int32, target topology.NodeID, nodes []topol
 		if n < 0 || int(n) >= len(o.eng.cover) {
 			return nil, fmt.Errorf("bind: summary node %d out of range", n)
 		}
-		out[i] = o.eng.at(dist, n)
+		out[i] = o.eng.at(f, n)
 	}
 	return out, nil
 }

@@ -148,9 +148,9 @@ type Options struct {
 	// it back over wire.TTrace; the merged result lands in Report.Trace.
 	Trace bool
 	// MetricsListen, when non-empty, binds a live metrics HTTP endpoint
-	// (obs.Metrics: Prometheus text at /metrics) on the coordinator at the
-	// given host:port, and has every worker bind one on loopback; worker
-	// addresses land in Report.WorkerMetricsAddrs.
+	// (obs.Metrics: Prometheus text at /metrics, pprof under /debug/pprof/)
+	// on the coordinator at the given host:port, and has every worker bind
+	// one on loopback; worker addresses land in Report.WorkerMetricsAddrs.
 	MetricsListen string
 }
 

@@ -24,7 +24,11 @@
 //   - Metrics (metrics.go). Metrics is an atomic counter set served over
 //     HTTP (-metrics-listen) as Prometheus text at /metrics and flat JSON
 //     at /metrics.json: window rate, virtual clock, pacing lag, data-plane
-//     frame/byte counters, and live-edge gateway traffic.
+//     frame/byte counters, and live-edge gateway traffic. The same
+//     listener — the coordinator's and each worker's alike, and only where
+//     the user asked for one — mounts net/http/pprof under /debug/pprof/,
+//     so a slow run can be profiled while it runs
+//     (go tool pprof http://host:port/debug/pprof/profile).
 //
 // The package depends only on pipes and vtime; emucore, parcore, fednet,
 // and the CLI layer hooks on top of it.

@@ -4,11 +4,13 @@ package obs
 // text format (GET /metrics) and as flat JSON (GET /metrics.json), stdlib
 // only. The coordinator and every federated worker can each bind one; a
 // nil *Metrics disables every update site, mirroring the Tracer pattern.
+// The same listener serves the process's pprof handlers under /debug/pprof/.
 
 import (
 	"fmt"
 	"net"
 	"net/http"
+	"net/http/pprof"
 	"sort"
 	"sync/atomic"
 	"time"
@@ -160,13 +162,21 @@ func (m *Metrics) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 }
 
 // Serve binds addr (host:port; port 0 picks one) and serves the metrics
-// endpoint until the returned closer runs. It reports the bound address.
+// endpoint — and, under /debug/pprof/, the live profiles of this process —
+// until the returned closer runs. It reports the bound address.
 func (m *Metrics) Serve(addr string) (string, func() error, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", nil, err
 	}
-	srv := &http.Server{Handler: m}
+	mux := http.NewServeMux()
+	mux.Handle("/", m)
+	mux.HandleFunc("/debug/pprof/", pprof.Index) // also serves the named profiles (heap, goroutine, ...)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	srv := &http.Server{Handler: mux}
 	go srv.Serve(ln) //nolint:errcheck // Serve returns ErrServerClosed on Close
 	return ln.Addr().String(), srv.Close, nil
 }

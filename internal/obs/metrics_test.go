@@ -82,6 +82,25 @@ func TestMetricsServe(t *testing.T) {
 	if doc["modelnet_windows_total"] != float64(7) {
 		t.Fatalf("/metrics.json windows = %v", doc["modelnet_windows_total"])
 	}
+
+	// The listener also serves the process's live profiles.
+	for path, want := range map[string]string{
+		"/debug/pprof/cmdline":           os.Args[0],
+		"/debug/pprof/goroutine?debug=1": "goroutine profile:",
+	} {
+		resp, err := http.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || !strings.Contains(string(body), want) {
+			t.Errorf("%s: status %d, body missing %q:\n%.200s", path, resp.StatusCode, want, body)
+		}
+	}
 }
 
 func TestProfileAggregation(t *testing.T) {

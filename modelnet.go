@@ -220,9 +220,10 @@ type FederateOptions struct {
 	// one).
 	OnLive func(gatewayAddrs []string)
 	// MetricsListen, when non-empty, serves live run metrics over HTTP
-	// (Prometheus text at /metrics, JSON at /metrics.json) on the
-	// coordinator at this address; each worker additionally binds a
-	// loopback endpoint and reports it in FederationReport.
+	// (Prometheus text at /metrics, JSON at /metrics.json, the process's
+	// pprof handlers under /debug/pprof/) on the coordinator at this
+	// address; each worker additionally binds a loopback endpoint and
+	// reports it in FederationReport.
 	MetricsListen string
 	// Recover enables checkpoint/restart fault tolerance (requires
 	// Spawn): the coordinator takes per-shard state digests at
