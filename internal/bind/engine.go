@@ -102,12 +102,6 @@ func (s linkSet) weigh(lid topology.LinkID, lat vtime.Duration) vtime.Duration {
 	return lat
 }
 
-// fieldKey identifies one cached distance field.
-type fieldKey struct {
-	epoch  int32
-	target topology.NodeID
-}
-
 // cell is one covered node's entry in a distance field: its distance to the
 // field's target and, in what would be a Dist's padding, the next-hop memo —
 // the out-link walk picked the first time a route crossed the node. The pick
@@ -159,7 +153,7 @@ type engine struct {
 	summ  []topology.NodeID // the view's Summary: nodes whose global distances seed a field
 	seeds SeedFunc
 
-	fields   *lru[fieldKey, []cell]
+	fields   *lru[[]cell] // keyed by epoch<<32 | target
 	frontier topology.MinHeap[distItem]
 	path     Route // walk's scratch buffer
 
@@ -185,7 +179,7 @@ func newEngine(g *topology.Graph, view *ShardView, seeds SeedFunc, fieldCap int)
 		g: g, shard: int32(view.Shard), summ: view.Summary, seeds: seeds,
 		owner:  make([]int32, view.NumLinks),
 		cover:  make([]int32, view.NumNodes),
-		fields: newLRU[fieldKey, []cell](fieldCap),
+		fields: newLRU[[]cell](fieldCap),
 	}
 	e.frontier.Less = func(a, b distItem) bool { return a.d.Less(b.d) }
 	for i := range e.owner {
@@ -238,7 +232,7 @@ func (e *engine) at(f []cell, n topology.NodeID) Dist {
 // field returns the distance field toward target under the epoch's down
 // set, computing and caching it on a miss.
 func (e *engine) field(epoch int32, target topology.NodeID, down linkSet) ([]cell, error) {
-	key := fieldKey{epoch, target}
+	key := uint64(uint32(epoch))<<32 | uint64(uint32(target))
 	if f, ok := e.fields.get(key); ok {
 		return f, nil
 	}

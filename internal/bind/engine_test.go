@@ -247,3 +247,74 @@ func BenchmarkCacheMiss(b *testing.B) {
 		benchSink += len(r)
 	}
 }
+
+// fig4Cache is fig4-tcp-seq's route cache once every flow has sent and been
+// acknowledged: 120 private pairs, a route each way, in a cache of capacity
+// 960. VN 2i sends to VN 2i+1; route r of the 240 is (r, r^1).
+func fig4Cache(tb testing.TB, g *topology.Graph) *Cache {
+	tb.Helper()
+	c := NewCache(g, g.Clients(), 960)
+	if c.routes.slots != nil || c.eng.fields.slots != nil {
+		tb.Fatal("NewCache allocated a table before the first route")
+	}
+	for r := 0; r < 240; r++ {
+		if _, ok := c.Lookup(pipes.VN(r), pipes.VN(r^1)); !ok {
+			tb.Fatalf("no route %d -> %d", r, r^1)
+		}
+	}
+	return c
+}
+
+func fig4Graph() *topology.Graph { return topology.Pairs(120, 1, attrs(0.01)) }
+
+// TestCacheHitAllocs gates the route cache's table: a hit allocates nothing
+// whichever route the last one was; the table is sized by the 240 routes it
+// holds, not by its capacity; and a miss allocates its field and its route
+// and, amortized, nothing else — filling the cache grows each of the two
+// tables a handful of times, whatever the capacity.
+func TestCacheHitAllocs(t *testing.T) {
+	g := fig4Graph()
+	var c *Cache
+	fill := testing.AllocsPerRun(1, func() { c = fig4Cache(t, g) })
+	if c.Misses != 240 || c.eng.Misses != 240 || c.Len() != 240 {
+		t.Fatalf("test premise: %d misses, %d fields, %d routes cached, want 240 each", c.Misses, c.eng.Misses, c.Len())
+	}
+	// 480 for the fields and routes; the rest (33 when written) builds the
+	// engine's index and its scratch and doubles the route table seven times
+	// (8 → 512 slots) and the 60-field table five.
+	if fill > 480+48 {
+		t.Errorf("building and filling the cache: %.0f allocs, want 480 (a field and a route per miss) plus at most 48", fill)
+	}
+	if got := len(c.routes.slots); got != 512 {
+		t.Errorf("240 routes of capacity 960 sit in %d slots, want 512", got)
+	}
+	r, sink := 0, 0
+	if n := testing.AllocsPerRun(1000, func() {
+		route, _ := c.Lookup(pipes.VN(r), pipes.VN(r^1))
+		sink += len(route)
+		r = (r + 1) % 240
+	}); n != 0 {
+		t.Errorf("Cache hit, routes taking turns: %v allocs, want 0", n)
+	}
+	if c.Misses != 240 || sink != 1001 {
+		t.Errorf("the hits missed: %d misses, %d hops returned over 1001 lookups", c.Misses, sink)
+	}
+}
+
+// BenchmarkCacheHitInterleaved prices a route-cache hit as fig4-tcp-seq pays
+// it: 240 live routes visited round-robin, so each probe lands on a slot
+// last touched 240 lookups ago (a hit on the same key over and over is
+// about half the price).
+func BenchmarkCacheHitInterleaved(b *testing.B) {
+	c := fig4Cache(b, fig4Graph())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := i % 240
+		route, _ := c.Lookup(pipes.VN(r), pipes.VN(r^1))
+		benchSink += len(route)
+	}
+	if c.Misses != 240 {
+		b.Fatalf("%d misses, want the 240 of the fill", c.Misses)
+	}
+}

@@ -111,7 +111,7 @@ type Cache struct {
 	eng     *engine
 	vnHomes []topology.NodeID
 	down    linkSet
-	routes  *lru[uint64, Route] // keyed by src<<32 | dst
+	routes  *lru[Route] // keyed by src<<32 | dst
 
 	Hits   uint64
 	Misses uint64
@@ -123,7 +123,7 @@ func NewCache(g *topology.Graph, vnHomes []topology.NodeID, capacity int) *Cache
 	return &Cache{
 		eng:     newEngine(g, fullView(g), nil, max(capacity/16, 4)),
 		vnHomes: vnHomes,
-		routes:  newLRU[uint64, Route](capacity),
+		routes:  newLRU[Route](capacity),
 	}
 }
 

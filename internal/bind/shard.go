@@ -245,7 +245,7 @@ type SummaryOracle struct {
 	eng *engine
 	// downSet returns the links down at the given epoch (nil for epoch 0).
 	downSet func(epoch int32) ([]topology.LinkID, error)
-	downs   *lru[int32, linkSet]
+	downs   *lru[linkSet] // keyed by epoch
 }
 
 // NewSummaryOracle builds an oracle over the full graph. downSet may be nil
@@ -261,7 +261,7 @@ func NewSummaryOracle(g *topology.Graph, downSet func(epoch int32) ([]topology.L
 		// rebuilds a field.
 		fieldCap = 4096
 	}
-	return &SummaryOracle{eng: newEngine(g, fullView(g), nil, fieldCap), downSet: downSet, downs: newLRU[int32, linkSet](epochCap)}
+	return &SummaryOracle{eng: newEngine(g, fullView(g), nil, fieldCap), downSet: downSet, downs: newLRU[linkSet](epochCap)}
 }
 
 // downAt returns the epoch's down set, fetching and checking it on first use.
@@ -272,7 +272,7 @@ func (o *SummaryOracle) downAt(epoch int32) (linkSet, error) {
 	if epoch == 0 {
 		return nil, nil
 	}
-	if ds, ok := o.downs.get(epoch); ok {
+	if ds, ok := o.downs.get(uint64(epoch)); ok {
 		return ds, nil
 	}
 	if o.downSet == nil {
@@ -288,7 +288,7 @@ func (o *SummaryOracle) downAt(epoch int32) (linkSet, error) {
 		}
 	}
 	ds := newLinkSet(down)
-	o.downs.put(epoch, ds)
+	o.downs.put(uint64(epoch), ds)
 	return ds, nil
 }
 

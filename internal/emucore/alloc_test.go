@@ -6,10 +6,13 @@ package emucore
 // allocates nothing; these tests hold it there.
 
 import (
+	"reflect"
 	"testing"
 
+	"modelnet/internal/bind"
 	"modelnet/internal/pipes"
 	"modelnet/internal/topology"
+	"modelnet/internal/vtime"
 )
 
 // A packet crossing a 12-pipe line under the ideal profile costs 12 pipe
@@ -69,4 +72,89 @@ func TestPipeDropAllocs(t *testing.T) {
 		t.Fatalf("DropHook got %q", where)
 	}
 	sched.Run()
+}
+
+// fig4Rig is the Fig. 4 point in small: one-hop flows between private pairs
+// under the hardware profile, routes from a route cache sized as the
+// benchmark sizes it. VN 2i sends to VN 2i+1.
+func fig4Rig(tb testing.TB, flows int) (*Emulator, *vtime.Scheduler) {
+	tb.Helper()
+	g := topology.Pairs(flows, 1, topology.LinkAttrs{BandwidthBps: 10e6, LatencySec: 10e-3, QueuePkts: 20})
+	b, err := bind.Bind(g, bind.Options{RouteCache: flows * 8})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	sched := vtime.NewScheduler()
+	e, err := New(sched, g, b, nil, DefaultProfile(), 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return e, sched
+}
+
+// Inject reuses pooled descriptors and assigns them field by field, so a
+// field it forgets keeps whatever the descriptor's last packet left there.
+// Poison every field of a pooled descriptor (reflection checks none is
+// missed, so a field added to pipes.Packet fails here first), inject, and
+// the live descriptor must equal the literal Inject used to build. Then the
+// steady state: an injection with a cached route allocates nothing.
+func TestInjectRecycledDescriptorAllocs(t *testing.T) {
+	e, sched := fig4Rig(t, 4)
+	pkt := &pipes.Packet{
+		Seq: ^uint64(0), Size: -1, Src: -1, Dst: -1, Route: bind.Route{7, 7, 7}, Hop: 3,
+		Injected: -1, Lag: -1, Epoch: -1, Trace: ^uint64(0), Payload: "stale",
+	}
+	for i, v := 0, reflect.ValueOf(*pkt); i < v.NumField(); i++ {
+		if v.Field(i).IsZero() {
+			t.Fatalf("test premise: pipes.Packet.%s is not poisoned", v.Type().Field(i).Name)
+		}
+	}
+	e.pool.Put(pkt) // as delivery and drops do; Put itself clears only Route and Payload
+	sched.RunUntil(vtime.Time(3 * vtime.Millisecond))
+	route, _ := e.binding.Table.Lookup(2, 3)
+	payload := new(int)
+	if !e.Inject(2, 3, 1000, payload) {
+		t.Fatal("inject refused")
+	}
+	want := pipes.Packet{
+		Seq: e.seq, Size: 1000, Src: 2, Dst: 3, Route: route,
+		Injected: sched.Now(), Payload: payload,
+	}
+	if !reflect.DeepEqual(*pkt, want) {
+		t.Fatalf("live descriptor %+v, want %+v", *pkt, want)
+	}
+	sched.Run()
+
+	n := testing.AllocsPerRun(200, func() {
+		if !e.Inject(2, 3, 1000, payload) {
+			t.Fatal("inject refused")
+		}
+		sched.Run()
+	})
+	if n != 0 {
+		t.Fatalf("Inject→deliver with a cached route: %v allocs per packet, want 0", n)
+	}
+}
+
+// BenchmarkInjectDefaultProfile prices a packet's way in and out of a
+// one-hop core under the hardware profile, flows taking turns as fig4's do:
+// route-cache hit, NIC and CPU admission, descriptor, one hop, delivery.
+func BenchmarkInjectDefaultProfile(b *testing.B) {
+	const flows = 120
+	e, sched := fig4Rig(b, flows)
+	for f := 0; f < flows; f++ { // walk every route into the cache
+		e.Inject(pipes.VN(2*f), pipes.VN(2*f+1), 1000, nil)
+	}
+	sched.Run()
+	before := e.Injected
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f := pipes.VN(i % flows)
+		e.Inject(2*f, 2*f+1, 1000, nil)
+		sched.Run()
+	}
+	if accepted := e.Injected - before; accepted != uint64(b.N) {
+		b.Fatalf("%d of %d injections accepted", accepted, b.N)
+	}
 }

@@ -354,7 +354,7 @@ func (e *Emulator) RegisterVN(vn pipes.VN, fn DeliverFunc) {
 	e.deliver[vn] = fn
 }
 
-// CoreOfVN returns the core the given VN's edge node forwards through.
+// coreOfVN returns the core the given VN's edge node forwards through.
 func (e *Emulator) coreOfVN(vn pipes.VN) *core {
 	edge := e.binding.EdgeOf[vn]
 	return e.cores[e.binding.CoreOf[edge]%len(e.cores)]
@@ -450,11 +450,13 @@ func (e *Emulator) Inject(src, dst pipes.VN, size int, payload any) bool {
 		return false
 	}
 	now := e.sched.Now()
-	c := e.coreOfVN(src)
+	c := e.cores[0]
 	if e.shard >= 0 {
 		// Shard mode: the runtime homes each VN on the shard owning its
 		// access pipes, so ingress always charges this shard's core.
 		c = e.cores[e.shard]
+	} else if len(e.cores) > 1 {
+		c = e.coreOfVN(src)
 	}
 
 	// The trace ID is minted before physical admission: the routed-injection
@@ -479,18 +481,17 @@ func (e *Emulator) Inject(src, dst pipes.VN, size int, payload any) bool {
 	c.PktsIn++
 	e.Injected++
 	e.seq++
+	// The descriptor is recycled, so every field is assigned — one by one,
+	// because a composite literal is built as a temporary and copied over.
 	pkt := e.pool.Get()
-	*pkt = pipes.Packet{
-		Seq:      e.seq | uint64(e.shard+1)<<48,
-		Size:     size,
-		Src:      src,
-		Dst:      dst,
-		Route:    route,
-		Epoch:    e.routeEpoch(),
-		Injected: now,
-		Trace:    tid,
-		Payload:  payload,
-	}
+	pkt.Seq = e.seq | uint64(e.shard+1)<<48
+	pkt.Size = size
+	pkt.Src, pkt.Dst = src, dst
+	pkt.Route, pkt.Hop = route, 0
+	pkt.Injected, pkt.Lag = now, 0
+	pkt.Epoch = e.routeEpoch()
+	pkt.Trace = tid
+	pkt.Payload = payload
 	if len(route) == 0 {
 		// Loopback: no pipes to traverse. Deliver asynchronously so the
 		// sender's call stack never reenters its own receive path. The

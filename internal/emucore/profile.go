@@ -97,14 +97,14 @@ func IdealProfile() Profile {
 
 func (p Profile) ideal() bool { return p.Tick == 0 && p.CPU == CPUCosts{} && p.NICBps == 0 }
 
-func (p Profile) cpuBacklog() vtime.Duration {
+func (p *Profile) cpuBacklog() vtime.Duration {
 	if p.CPUBacklog <= 0 {
 		return 2 * vtime.Millisecond
 	}
 	return p.CPUBacklog
 }
 
-func (p Profile) nicBacklog() vtime.Duration {
+func (p *Profile) nicBacklog() vtime.Duration {
 	if p.NICBacklog <= 0 {
 		return 2 * vtime.Millisecond
 	}

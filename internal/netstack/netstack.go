@@ -63,7 +63,14 @@ type Host struct {
 	udpSocks  map[uint16]*UDPSocket
 	listeners map[uint16]*Listener
 	conns     map[connKey]*Conn
+	portConns map[uint16]int // connections per local port; made by the first addConn
 	nextPort  uint16
+
+	// The connection the previous segment went to: a bulk flow's segments
+	// arrive in runs, so onSegment finds most of them with one compare in
+	// place of a map lookup. lastConn is nil when there is no memo.
+	lastKey  connKey
+	lastConn *Conn
 
 	// Stats.
 	PktsOut, PktsIn   uint64
@@ -80,7 +87,28 @@ func makeConnKey(localPort uint16, remote Endpoint) connKey {
 	return connKey(localPort)<<48 | connKey(remote.Port)<<32 | connKey(uint32(remote.VN))
 }
 
-func (k connKey) localPort() uint16 { return uint16(k >> 48) }
+// addConn and removeConn are the only places a connection enters or leaves
+// its host, so conns and portConns cannot disagree, and the demux memo —
+// which onSegment fills from conns — never outlives the entry it copied.
+func (h *Host) addConn(c *Conn) {
+	if h.portConns == nil {
+		h.portConns = make(map[uint16]int)
+	}
+	h.conns[makeConnKey(c.Local.Port, c.Remote)] = c
+	h.portConns[c.Local.Port]++
+}
+
+func (h *Host) removeConn(c *Conn) {
+	delete(h.conns, makeConnKey(c.Local.Port, c.Remote))
+	if n := h.portConns[c.Local.Port] - 1; n > 0 {
+		h.portConns[c.Local.Port] = n
+	} else {
+		delete(h.portConns, c.Local.Port)
+	}
+	if h.lastConn == c {
+		h.lastConn = nil
+	}
+}
 
 // segPool is the Segment free list of one event loop: every host built on
 // the same vtime.Scheduler shares it (the scheduler's loop-local slot), so
@@ -176,14 +204,7 @@ func (h *Host) ephemeralPort() uint16 {
 		if _, udp := h.udpSocks[p]; udp {
 			continue
 		}
-		inUse := false
-		for k := range h.conns {
-			if k.localPort() == p {
-				inUse = true
-				break
-			}
-		}
-		if !inUse {
+		if h.portConns[p] == 0 {
 			return p
 		}
 	}

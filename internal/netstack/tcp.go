@@ -258,7 +258,7 @@ func (h *Host) newConn(localPort uint16, remote Endpoint, hs Handlers) *Conn {
 	c.ackTimer = vtime.NewTaggedTimer(h.sched, int32(h.vn))
 	c.rtxFire = c.onRtxTimeout
 	c.ackFire = c.ackNow
-	h.conns[makeConnKey(localPort, remote)] = c
+	h.addConn(c)
 	return c
 }
 
@@ -517,7 +517,7 @@ func (c *Conn) teardown(err error) {
 	c.rtxDirty = false
 	c.rtxTimer.StopTimer()
 	c.ackTimer.StopTimer()
-	delete(c.h.conns, makeConnKey(c.Local.Port, c.Remote))
+	c.h.removeConn(c)
 	c.fireClose(err)
 }
 

@@ -98,8 +98,8 @@ func TestTCPRTOBackoff(t *testing.T) {
 	// the client's conn handler path instead; easiest is to blackhole:
 	// make the server host drop segments by closing its listener and
 	// conn map entry).
-	for k := range tn.hosts[1].conns {
-		delete(tn.hosts[1].conns, k)
+	for _, sc := range tn.hosts[1].conns {
+		tn.hosts[1].removeConn(sc)
 	}
 	delete(tn.hosts[1].listeners, 80)
 	// Suppress RSTs reaching the client: remove client's ability to be

@@ -10,7 +10,13 @@ import (
 // onSegment dispatches an arriving TCP segment to its connection, spawning
 // one via a listener for a fresh SYN, or answering with RST.
 func (h *Host) onSegment(src pipes.VN, seg *Segment) {
-	if c, ok := h.conns[makeConnKey(seg.DstPort, Endpoint{src, seg.SrcPort})]; ok {
+	key := makeConnKey(seg.DstPort, Endpoint{src, seg.SrcPort})
+	if c := h.lastConn; c != nil && h.lastKey == key {
+		c.handleSegment(seg)
+		return
+	}
+	if c, ok := h.conns[key]; ok {
+		h.lastKey, h.lastConn = key, c
 		c.handleSegment(seg)
 		return
 	}
