@@ -11,7 +11,6 @@ package modelnet_test
 
 import (
 	"os"
-	"runtime"
 	"testing"
 
 	"modelnet/internal/experiments"
@@ -140,35 +139,6 @@ func BenchmarkGnutella10k(b *testing.B) {
 	}
 }
 
-func BenchmarkParcoreScaling(b *testing.B) {
-	// Sequential vs parallel runtime on the paper's 20×20 ring at 1/2/4/8
-	// cores (full scale in cmd/mnbench, which also records
-	// BENCH_parcore.json). Every configuration must produce identical
-	// counters; wall-clock speedup is only meaningful when the host has
-	// cores to run the shards on.
-	for i := 0; i < b.N; i++ {
-		res, err := experiments.RunParcoreScaling(experiments.ScaledParcore(benchScale))
-		if err != nil {
-			b.Fatal(err)
-		}
-		experiments.PrintParcore(out(b), res)
-		if !res.Deterministic {
-			b.Fatal("parallel configurations diverged from the sequential baseline")
-		}
-		// Wall-clock speedup depends on the host (CPU count, load,
-		// throttling), so it is reported rather than asserted; the
-		// determinism contract above is the hard requirement.
-		for _, r := range res.Rows {
-			if r.Cores == 4 && r.Parallel {
-				b.ReportMetric(r.Speedup, "speedup-4core")
-				if runtime.NumCPU() >= 4 && r.Speedup < 2 {
-					b.Logf("note: 4-core speedup %.2fx < 2x on a %d-CPU host", r.Speedup, runtime.NumCPU())
-				}
-			}
-		}
-	}
-}
-
 // Ablation benchmarks for the design choices DESIGN.md calls out.
 
 func BenchmarkAblationRouteTables(b *testing.B) {
@@ -198,31 +168,5 @@ func BenchmarkAblationRoutingFailover(b *testing.B) {
 			b.Fatal(err)
 		}
 		experiments.PrintFailoverAblation(out(b), rows)
-	}
-}
-
-func BenchmarkFednetScaling(b *testing.B) {
-	// In-process parallel vs real multi-process federation over loopback
-	// sockets on the shared ring-cbr workload (full scale in cmd/mnbench,
-	// which also records BENCH_fednet.json). The benchmark spawns this
-	// test binary as the worker fleet (see TestMain); the hard requirement
-	// is that every mode produces identical counters — socket speedup is
-	// host-dependent and only reported.
-	for i := 0; i < b.N; i++ {
-		cfg := experiments.ScaledFednet(0.05)
-		cfg.Cores = []int{2}
-		res, err := experiments.RunFednetScaling(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		experiments.PrintFednet(out(b), res)
-		if !res.Deterministic {
-			b.Fatal("federated configurations diverged from the sequential baseline")
-		}
-		for _, r := range res.Rows {
-			if r.Mode == "fednet" && r.Cores == 2 {
-				b.ReportMetric(r.Speedup, "speedup-2proc")
-			}
-		}
 	}
 }

@@ -3,17 +3,13 @@
 //
 // Usage:
 //
-//	mnbench [-scale 1.0] [-run all|fig4|table1|fig5|fig6|fig7|fig8|fig9|fig11|fig12|accuracy|parcore|fednet]
-//
-// The parcore step additionally records its rows in BENCH_parcore.json
-// (override the path with -parcorejson); the fednet step — which spawns
-// real worker processes from this binary and covers the ring-cbr,
-// cfs-ring, webrepl-ring, and flaky-edge (link dynamics) scenarios —
-// records BENCH_fednet.json (-fednetjson).
+//	mnbench [-scale 1.0] [-run all|fig4|table1|fig5|fig6|fig7|fig8|fig9|fig11|fig12|scale|ablations|accuracy]
 //
 // At -scale 1 (default) the workloads match the paper's parameters: full
 // runs take minutes of wall-clock time because they emulate hundreds of
-// seconds of virtual time over thousands of flows.
+// seconds of virtual time over thousands of flows. The parallel and
+// federated runtimes are measured by benchmark/ (bash benchmark/run.sh) and
+// driven by hand with `modelnet -federate … -fedscenario <name>`.
 package main
 
 import (
@@ -24,20 +20,15 @@ import (
 	"time"
 
 	"modelnet/internal/experiments"
-	"modelnet/internal/fednet"
 	"modelnet/internal/obs"
 )
 
 func main() {
-	fednet.MaybeRunWorker() // the fednet step re-execs this binary as its workers
 	scale := flag.Float64("scale", 1.0, "experiment scale (1 = the paper's parameters)")
 	run := flag.String("run", "all", "comma-separated experiments to run, or 'all'")
-	parcoreJSON := flag.String("parcorejson", "BENCH_parcore.json", "where the parcore step records its results ('' = don't)")
-	fednetJSON := flag.String("fednetjson", "BENCH_fednet.json", "where the fednet step records its results ('' = don't)")
-	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of this process here (spawned federation workers write <path>.shard<N>; a step's second and later federations <path>.fed<K>.shard<N>)")
-	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit here (spawned federation workers as for -cpuprofile)")
+	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of this process here")
+	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit here")
 	flag.Parse()
-	fednet.ProfileSpawnedWorkers(*cpuProfile, *memProfile)
 	stopProfiles, err := obs.StartProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mnbench:", err)
@@ -158,34 +149,6 @@ func main() {
 				return err
 			}
 			experiments.PrintFailoverAblation(os.Stdout, fo)
-			return nil
-		}},
-		{"parcore", func() error {
-			res, err := experiments.RunParcoreScaling(experiments.ScaledParcore(s))
-			if err != nil {
-				return err
-			}
-			experiments.PrintParcore(os.Stdout, res)
-			if *parcoreJSON != "" {
-				if err := experiments.WriteParcoreJSON(*parcoreJSON, res); err != nil {
-					return err
-				}
-				fmt.Printf("  [recorded %s]\n", *parcoreJSON)
-			}
-			return nil
-		}},
-		{"fednet", func() error {
-			res, err := experiments.RunFednetScaling(experiments.ScaledFednet(s))
-			if err != nil {
-				return err
-			}
-			experiments.PrintFednet(os.Stdout, res)
-			if *fednetJSON != "" {
-				if err := experiments.WriteFednetJSON(*fednetJSON, res); err != nil {
-					return err
-				}
-				fmt.Printf("  [recorded %s]\n", *fednetJSON)
-			}
 			return nil
 		}},
 		{"accuracy", func() error {

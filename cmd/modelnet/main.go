@@ -611,86 +611,24 @@ func federateMain(listen string, spawn bool, dataPlane, scenario string, duratio
 	if opts.Cores < 2 {
 		opts.Cores = 2
 	}
-	var params any
-	switch scenario {
-	case experiments.ScenarioRingCBR:
-		params = experiments.RingCBRSpec{
-			Routers: 20, VNsPerRouter: 20,
-			PacketsPerSec: 200, PacketBytes: 1000,
-			DurationSec: duration, Seed: opts.Seed,
-		}
-	case experiments.ScenarioGnutella:
-		params = experiments.GnutellaRingSpec{
-			Routers: 20, VNsPerRouter: 10,
-			Degree: 4, TTL: 7,
-			WindowSec: duration, Seed: opts.Seed,
-		}
-	case experiments.ScenarioCFSRing:
-		params = experiments.CFSRingSpec{
-			Routers: 6, VNsPerRouter: 2,
-			FileKB: 256, WindowKB: 24,
-			Downloaders: []int{0, 7},
-			DurationSec: duration, Seed: opts.Seed,
-		}
-	case experiments.ScenarioWebReplRing:
-		params = experiments.WebReplRingSpec{
-			Routers: 6, VNsPerRouter: 3,
-			LossPct:  1.0,
-			TraceSec: duration * 0.5, DrainSec: duration * 0.5,
-			MinRate: 30, MaxRate: 60, MedianSize: 8 << 10,
-			Seed: opts.Seed,
-		}
-	case experiments.ScenarioFlakyEdge:
-		c := experiments.FlakyEdgeSpec{
-			Web: experiments.WebReplRingSpec{
-				Routers: 6, VNsPerRouter: 3,
-				LossPct:  0.5,
-				TraceSec: duration * 0.4, DrainSec: duration * 0.6,
-				MinRate: 30, MaxRate: 60, MedianSize: 8 << 10,
-				Seed: opts.Seed,
-			},
-			Trace:    "wifi",
-			FailLink: 2,
-			FailSec:  duration * 0.2, RecoverSec: duration * 0.5,
-			RerouteDelaySec: 0.25,
-		}
-		// The scenario derives its own dynamics (trace replay plus the
-		// scripted failure); they ship to the workers in the setup frame.
-		dyn, err := c.Dynamics()
-		if err != nil {
-			fatal(err)
-		}
-		opts.Dynamics = dyn
-		params = c
-	case experiments.ScenarioTStubCBR:
-		params = experiments.TStubCBRSpec{
-			TransitDomains: 2, TransitPerDomain: 4,
-			StubsPerTransit: 4, RoutersPerStub: 3, ClientsPerStub: 16,
-			Servers: 16, Flows: 64,
-			PacketsPerSec: 100, PacketBytes: 512,
-			DurationSec: duration, Seed: opts.Seed,
-		}
-	case experiments.ScenarioLiveRing:
-		params = experiments.LiveRingSpec{
-			Routers: 6, VNsPerRouter: 2,
-			EchoVN: 6, EchoPort: 7,
-			DurationSec: duration, Seed: opts.Seed,
-		}
-	default:
+	sc, ok := experiments.Lookup(scenario)
+	if !ok {
 		fatal(fmt.Errorf("-fedscenario %q: known scenarios are %v", scenario, fednet.Scenarios()))
 	}
+	sc.Spec = sc.Example(duration, opts.Seed)
 	begin := time.Now()
 	// Synthetic scenarios get settle time after the injection window; a
 	// real-time run's deadline IS its wall-clock duration, so padding it
 	// would keep live users waiting for five silent seconds.
-	runFor := modelnet.Seconds(duration + 5)
+	sc.RunFor = modelnet.Seconds(duration + 5)
 	if opts.Federate.RealTime {
-		runFor = modelnet.Seconds(duration)
+		sc.RunFor = modelnet.Seconds(duration)
 	}
-	rep, err := modelnet.Federate(scenario, params, runFor, opts)
+	res, err := experiments.Run(sc, opts)
 	if err != nil {
 		fatal(err)
 	}
+	rep := res.Fed
 	fmt.Printf("federation: %d worker processes over %s, scenario %s\n", rep.Cores, rep.DataPlane, scenario)
 	fmt.Printf("run    : %d injected, %d delivered, %d phys drops, %d virtual drops (%.0f ms wall, %.0f ms total)\n",
 		rep.Totals.Injected, rep.Totals.Delivered, rep.Totals.PhysDrops, rep.Totals.VirtualDrops,
@@ -708,44 +646,8 @@ func federateMain(listen string, spawn bool, dataPlane, scenario string, duratio
 		fmt.Printf("shard %d: %d injected, %d delivered, %d tunnels in, %d tunnels out\n",
 			w.Shard, w.Totals.Injected, w.Totals.Delivered, w.TunnelsIn, w.TunnelsOut)
 	}
-	switch scenario {
-	case experiments.ScenarioGnutella:
-		if g, err := experiments.GnutellaFederatedReport(rep); err != nil {
-			fmt.Fprintln(os.Stderr, "modelnet: scenario report:", err)
-		} else {
-			fmt.Printf("overlay: %d reachable from servent 0, %d forwarded, %d duplicates\n",
-				g.Reachable, g.Forwarded, g.Duplicates)
-		}
-	case experiments.ScenarioCFSRing:
-		if c, err := experiments.CFSFederatedReport(rep); err != nil {
-			fmt.Fprintln(os.Stderr, "modelnet: scenario report:", err)
-		} else {
-			fmt.Printf("cfs    : %d blocks served\n", c.BlocksServed)
-			for _, d := range c.Downloads {
-				fmt.Printf("  node %2d: %d bytes in %d blocks (%d failed, %d hops) %.1f KB/s done=%v\n",
-					d.Node, d.Bytes, d.Blocks, d.Failed, d.Hops, d.SpeedKBps, d.Done)
-			}
-		}
-	case experiments.ScenarioWebReplRing:
-		if wr, err := experiments.WebReplFederatedReport(rep); err != nil {
-			fmt.Fprintln(os.Stderr, "modelnet: scenario report:", err)
-		} else {
-			fmt.Printf("web    : %d requests (%d ok, %d failed), %d bytes served, %d retransmits (%d across core boundaries)\n",
-				wr.Requests, wr.OK, wr.Failed, wr.ServerBytes, wr.Retransmits, wr.CrossRetransmits)
-		}
-	case experiments.ScenarioFlakyEdge:
-		if wr, err := experiments.FlakyEdgeFederatedReport(rep); err != nil {
-			fmt.Fprintln(os.Stderr, "modelnet: scenario report:", err)
-		} else {
-			fmt.Printf("flaky  : %d requests (%d ok, %d failed), %d bytes served, %d retransmits (%d across core boundaries)\n",
-				wr.Requests, wr.OK, wr.Failed, wr.ServerBytes, wr.Retransmits, wr.CrossRetransmits)
-		}
-	case experiments.ScenarioLiveRing:
-		if lr, err := experiments.LiveRingFederatedReport(rep); err != nil {
-			fmt.Fprintln(os.Stderr, "modelnet: scenario report:", err)
-		} else {
-			fmt.Printf("live   : %d pings echoed in-emulation\n", lr.Echoed)
-		}
+	if res.App != nil {
+		fmt.Print(sc.Summary(res.App))
 	}
 	fmt.Printf("drops  : %s\n", dropSummary(rep.DropsByReason))
 	fmt.Printf("edge   : %s\n", edgeSummary(rep.Edge))

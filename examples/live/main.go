@@ -73,16 +73,19 @@ func main() {
 		RingLossPct: *loss,
 		DurationSec: *duration, Seed: 1,
 	}
+	sc, ok := experiments.Lookup(experiments.ScenarioLiveRing)
+	if !ok {
+		log.Fatalf("scenario %s is not in the table", experiments.ScenarioLiveRing)
+	}
+	sc.Spec = spec
 	ideal := modelnet.IdealProfile()
 
 	var client *exec.Cmd
 	var clientOut []byte
 	clientErr := make(chan error, 1)
 
-	rep, err := fednet.Run(fednet.Options{
-		Scenario: experiments.ScenarioLiveRing, Params: spec,
-		Cores: 2, Seed: 1, Profile: &ideal,
-		RunFor: spec.RunFor(), Spawn: true,
+	res, err := experiments.Run(sc, modelnet.Options{Cores: 2, Profile: &ideal, Federate: &modelnet.FederateOptions{
+		Spawn:         true,
 		RealTime:      true,
 		MetricsListen: *metricsListen,
 		Edge: &edge.GatewayConfig{
@@ -117,7 +120,7 @@ func main() {
 				clientErr <- err
 			}()
 		},
-	})
+	}})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -132,10 +135,7 @@ func main() {
 	oneWay := time.Duration(spec.OneWay())
 	fmt.Printf("client : %d/%d pings returned (%.1f%% loss), RTT min %.1f ms avg %.1f ms (model floor %.0f ms)\n",
 		cr.Received, cr.Sent, cr.LossPct, cr.MinRTTMS, cr.AvgRTTMS, (2*oneWay).Seconds()*1000)
-	lr, err := experiments.LiveRingFederatedReport(rep)
-	if err != nil {
-		log.Fatal(err)
-	}
+	rep, lr := res.Fed, res.App.(experiments.LiveRingReport)
 	fmt.Printf("core   : gateway %d in / %d out, echo responder answered %d, %d windows (%d serial)\n",
 		rep.Edge.IngressPkts, rep.Edge.EgressPkts, lr.Echoed, rep.Sync.Windows, rep.Sync.SerialRounds)
 

@@ -9,83 +9,45 @@ package experiments
 // deterministic replay, and the sequential baseline is the referee.
 
 import (
-	"reflect"
+	"fmt"
 	"testing"
 
 	"modelnet"
 	"modelnet/internal/fednet"
-	"modelnet/internal/obs"
 )
+
+// crashMode is a 2-worker federation with recovery armed and one planted
+// worker fault.
+func crashMode(plane string, shard, round int) modelnet.Options {
+	mode := fedMode(2, plane, modelnet.SyncAdaptive)
+	mode.Federate.Recover = true
+	mode.Federate.Fail = &modelnet.FailSpec{Shard: shard, Round: round}
+	return mode
+}
 
 func TestCrashRecoveryFlakyEdge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns and kills worker subprocesses")
 	}
-	spec := FlakyEdgeSpec{
-		Web: WebReplRingSpec{
-			Routers:      6,
-			VNsPerRouter: 3,
-			LossPct:      0.5,
-			TraceSec:     1.5,
-			MinRate:      30,
-			MaxRate:      60,
-			MedianSize:   8 << 10,
-			DrainSec:     4.5,
-			Seed:         42,
-		},
-		Trace:           "wifi",
-		FailSec:         0.6,
-		RecoverSec:      2.4,
-		RerouteDelaySec: 0.25,
-	}
-	fail, err := spec.CutFailLink(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.FailLink = fail
-	seq, err := RunFlakyEdgeLocal(spec, 1, false, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := seq.Trace.CanonicalBytes()
-	if len(seq.Trace.Canonical()) == 0 {
-		t.Fatal("sequential baseline recorded no canonical trace events")
-	}
+	sc := scenarioOf(t, ScenarioFlakyEdge, flakySmallSpec(t, 2))
+	traced := seqMode()
+	traced.Trace = true
+	seq := run(t, sc, traced)
+	want := canonOf(t, "flaky seq", seq.Trace)
 	for _, shard := range []int{0, 1} {
-		fed, err := RunFlakyEdgeFederated(spec, 2, fednet.DataUDP,
-			WithFedOptions(func(o *fednet.Options) {
-				o.Trace = true
-				o.Recover = true
-				o.FailSpec = &fednet.FailSpec{Shard: shard, Round: 5}
-			}))
-		if err != nil {
-			t.Fatalf("crash shard %d: %v", shard, err)
+		mode := crashMode(fednet.DataUDP, shard, 5)
+		mode.Trace = true
+		fed := run(t, sc, mode)
+		name := fmt.Sprintf("flaky crash shard %d", shard)
+		if fed.Fed.Recoveries != 1 {
+			t.Fatalf("%s: %d recoveries, want 1", name, fed.Fed.Recoveries)
 		}
-		if fed.Recoveries != 1 {
-			t.Fatalf("crash shard %d: %d recoveries, want 1", shard, fed.Recoveries)
-		}
-		if fed.Totals != seq.Totals {
-			t.Errorf("crash shard %d: totals diverge:\n seq       %+v\n recovered %+v", shard, seq.Totals, fed.Totals)
-		}
-		if !equalU64(seq.Drops, fed.DropsByReason) {
-			t.Errorf("crash shard %d: drop taxonomy diverges:\n seq       %v\n recovered %v", shard, seq.Drops, fed.DropsByReason)
-		}
-		var got *obs.Trace = fed.Trace
-		if got == nil {
-			t.Fatalf("crash shard %d: no trace recorded", shard)
-		}
-		sameTrace(t, "flaky crash recovery", want, got.CanonicalBytes())
-		// The application-level report — requests served, retransmissions,
-		// latency sums accumulated inside the workers' netstack TCP state —
-		// must survive the respawn too.
-		fedRep, err := FlakyEdgeFederatedReport(fed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fedRep.Comparable() != seq.Web.Comparable() {
-			t.Errorf("crash shard %d: scenario reports diverge:\n seq       %+v\n recovered %+v",
-				shard, seq.Web.Comparable(), fedRep.Comparable())
-		}
+		// Counters, drop vectors, delivery times and the application-level
+		// report — requests served, retransmissions, latency sums accumulated
+		// inside the workers' netstack TCP state — must survive the respawn,
+		// and so must the canonical trace.
+		sameRun(t, name, seq, fed)
+		sameTrace(t, name, want, canonOf(t, name, fed.Trace))
 	}
 }
 
@@ -97,86 +59,35 @@ func TestCrashRecoveryCFSRing(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns and kills worker subprocesses")
 	}
-	spec := CFSRingSpec{
-		Routers:      4,
-		VNsPerRouter: 3,
-		FileKB:       64,
-		WindowKB:     24,
-		Downloaders:  []int{0, 7},
-		DurationSec:  5,
-		Seed:         21,
+	sc := scenarioOf(t, ScenarioCFSRing, cfsSmallSpec())
+	seq := run(t, sc, seqMode())
+	fed := run(t, sc, crashMode(fednet.DataTCP, 1, 4))
+	if fed.Fed.Recoveries != 1 {
+		t.Fatalf("%d recoveries, want 1", fed.Fed.Recoveries)
 	}
-	seq, err := RunCFSRingLocal(spec, 1, false, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fed, err := RunCFSRingFederated(spec, 2, fednet.DataTCP,
-		WithFedOptions(func(o *fednet.Options) {
-			o.Recover = true
-			o.FailSpec = &fednet.FailSpec{Shard: 1, Round: 4}
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fed.Recoveries != 1 {
-		t.Fatalf("%d recoveries, want 1", fed.Recoveries)
-	}
-	if seq.Totals != fed.Totals {
-		t.Errorf("totals diverge:\n seq       %+v\n recovered %+v", seq.Totals, fed.Totals)
-	}
-	fedRep, err := CFSFederatedReport(fed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(seq.CFS, fedRep) {
-		t.Errorf("CFS reports diverge:\n seq       %+v\n recovered %+v", seq.CFS, fedRep)
-	}
-	sameCDF(t, "cfs-ring crash recovery", seq.Deliveries, sampleOf(fed))
+	sameRun(t, "cfs-ring crash recovery", seq, fed)
 }
 
-// TestFednetCrashRowRecorded drives the scaling study's crash-row helper at
-// a small size: the BENCH_fednet.json artifact must carry a row with the
-// recoveries and recovery_wall_ns columns filled and counters matching the
-// sequential baseline.
-func TestFednetCrashRowRecorded(t *testing.T) {
+// TestCrashRecoveryTStubCBR crashes a worker of the sharded-distribution
+// workload: the respawned worker holds only its shard view, so it must page
+// its route summaries again on the way back to the crash round.
+func TestCrashRecoveryTStubCBR(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns and kills worker subprocesses")
 	}
-	cfg := FednetConfig{
-		Ring: RingCBRSpec{
-			Routers:       4,
-			VNsPerRouter:  3,
-			PacketsPerSec: 100,
-			PacketBytes:   500,
-			DurationSec:   1,
-			Seed:          11,
-		},
-		DataPlane: fednet.DataUDP,
+	spec := tstubSmallSpec()
+	sc := scenarioOf(t, ScenarioTStubCBR, spec)
+	cached := seqMode()
+	cached.RouteCache = spec.Servers + 8
+	seq := run(t, sc, cached)
+	fed := run(t, sc, crashMode(fednet.DataUDP, 1, 3))
+	if fed.Fed.Recoveries != 1 {
+		t.Fatalf("%d recoveries, want 1", fed.Fed.Recoveries)
 	}
-	res := &FednetResult{Deterministic: true}
-	seq, err := RunRingCBRLocal(cfg.Ring, 1, false, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res.Rows = append(res.Rows, totalsRow(ScenarioRingCBR, "seq", 1, seq.Totals, seq.WallMS))
-	if err := runFednetCrashRow(res, cfg); err != nil {
-		t.Fatal(err)
-	}
-	row := res.Rows[len(res.Rows)-1]
-	if row.Scenario != ScenarioRingCBR+"-crash" || row.Mode != "fednet" {
-		t.Fatalf("unexpected crash row: %+v", row)
-	}
-	if row.Recoveries != 1 {
-		t.Errorf("crash row records %d recoveries, want 1", row.Recoveries)
-	}
-	if row.RecoveryWallNs <= 0 {
-		t.Errorf("crash row has no recovery wall time")
-	}
-	if !res.Deterministic {
-		t.Error("recovered run diverged from the sequential baseline")
-	}
-	var sm modelnet.SyncMode
-	if row.Sync != sm.String() {
-		t.Errorf("crash row sync algebra %q, want the default %q", row.Sync, sm.String())
+	sameRun(t, "tstub-cbr crash recovery", seq, fed)
+	for _, w := range fed.Fed.Workers {
+		if w.RouteRPCs == 0 {
+			t.Errorf("shard %d paged no route summaries", w.Shard)
+		}
 	}
 }

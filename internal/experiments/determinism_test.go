@@ -113,310 +113,11 @@ func fednetRingSpec() RingCBRSpec {
 	}
 }
 
-// sampleOf turns a federated run's merged delivery times into a Sample
-// comparable with the local runners' (CDFAt sorts internally, so shard
-// interleaving is irrelevant).
-func sampleOf(rep *fednet.Report) *stats.Sample {
-	s := &stats.Sample{}
-	s.AddAll(rep.Deliveries)
-	return s
-}
-
-func TestRingFednetDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker subprocesses")
-	}
-	spec := fednetRingSpec()
-	seq, err := RunRingCBRLocal(spec, 1, false, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Totals.Delivered == 0 {
-		t.Fatal("ring run delivered nothing")
-	}
-	for _, sm := range []modelnet.SyncMode{modelnet.SyncAdaptive, modelnet.SyncFixed} {
-		par, err := RunRingCBRLocal(spec, 4, true, false, WithSync(sm))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq.Totals != par.Totals {
-			t.Errorf("ring counters diverge (%s):\n sequential %+v\n parallel   %+v", sm, seq.Totals, par.Totals)
-		}
-		sameCDF(t, "ring seq vs par "+sm.String(), seq.Deliveries, par.Deliveries)
-	}
-	for _, fp := range fedPlanes {
-		fed, err := RunRingCBRFederated(spec, fp.cores, fp.plane, WithSync(fp.sync))
-		if err != nil {
-			t.Fatalf("%d workers over %s (%s): %v", fp.cores, fp.plane, fp.sync, err)
-		}
-		name := fmtPlane("ring", fp.cores, fp.plane, fp.sync)
-		if seq.Totals != fed.Totals {
-			t.Errorf("%s: counters diverge:\n sequential %+v\n federated  %+v", name, seq.Totals, fed.Totals)
-		}
-		sameCDF(t, name, seq.Deliveries, sampleOf(fed))
-		if fed.Sync.Messages == 0 {
-			t.Errorf("%s: no cross-core messages — the comparison is vacuous", name)
-		}
-	}
-}
-
-// TestPacedRingFednetDeterminism: real-time pacing decides when a window is
-// released, never what it computes. With no live edge there is no wall-clock
-// input at all, so a paced federated run must land on the sequential run's
-// counters and delivery times like any other — on the same barrier round.
-func TestPacedRingFednetDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker subprocesses and paces them against the wall clock")
-	}
-	spec := fednetRingSpec()
-	spec.DurationSec = 0.3
-	seq, err := RunRingCBRLocal(spec, 1, false, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fed, err := RunRingCBRFederated(spec, 2, fednet.DataUDP,
-		WithFedOptions(func(o *fednet.Options) { o.RealTime = true }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Totals != fed.Totals {
-		t.Errorf("paced ring: counters diverge:\n sequential %+v\n federated  %+v", seq.Totals, fed.Totals)
-	}
-	sameCDF(t, "paced ring", seq.Deliveries, sampleOf(fed))
-	if seq.Totals.Delivered == 0 || fed.Sync.Messages == 0 {
-		t.Errorf("vacuous comparison: %d delivered, %d cross-core messages", seq.Totals.Delivered, fed.Sync.Messages)
-	}
-	if want := spec.RunFor().Seconds() * 1000; fed.WallMS < want {
-		t.Errorf("run took %.0f ms of wall clock for %.0f ms of virtual time: it was not paced", fed.WallMS, want)
-	}
-}
-
-func TestGnutellaFednetDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker subprocesses")
-	}
-	spec := GnutellaRingSpec{
-		Routers:      10,
-		VNsPerRouter: 12,
-		Degree:       4,
-		TTL:          6,
-		WindowSec:    8,
-		Seed:         15,
-	}
-	seq, err := RunGnutellaRingLocal(spec, 1, false, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := RunGnutellaRingLocal(spec, 4, true, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fed, err := RunGnutellaRingFederated(spec, 2, fednet.DataTCP)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fedRep, err := GnutellaFederatedReport(fed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Gnutella.Reachable < spec.Servents()/2 {
-		t.Errorf("flood barely spread: %d/%d reachable", seq.Gnutella.Reachable, spec.Servents())
-	}
-	if seq.Gnutella != par.Gnutella {
-		t.Errorf("gnutella overlay results diverge:\n sequential %+v\n parallel   %+v", seq.Gnutella, par.Gnutella)
-	}
-	if seq.Gnutella != fedRep {
-		t.Errorf("gnutella overlay results diverge:\n sequential %+v\n federated  %+v", seq.Gnutella, fedRep)
-	}
-	if seq.Totals != par.Totals {
-		t.Errorf("gnutella counters diverge:\n sequential %+v\n parallel   %+v", seq.Totals, par.Totals)
-	}
-	if seq.Totals != fed.Totals {
-		t.Errorf("gnutella counters diverge:\n sequential %+v\n federated  %+v", seq.Totals, fed.Totals)
-	}
-	sameCDF(t, "gnutella seq vs par", seq.Deliveries, par.Deliveries)
-	sameCDF(t, "gnutella seq vs fednet", seq.Deliveries, sampleOf(fed))
-	if fed.Sync.Messages == 0 {
-		t.Error("federated gnutella exchanged no cross-core messages — the comparison is vacuous")
-	}
-}
-
-// fedPlanes are the (workers, data plane, sync algebra) points the federated
-// suite covers: both planes at 2, 3, and 4 worker processes, each under the
-// adaptive grant algebra and the fixed-lookahead baseline. Window boundaries
-// differ between the two algebras; counters, reports, and delivery CDFs must
-// not.
-var fedPlanes = []struct {
-	cores int
-	plane string
-	sync  modelnet.SyncMode
-}{
-	{2, fednet.DataUDP, modelnet.SyncAdaptive},
-	{2, fednet.DataUDP, modelnet.SyncFixed},
-	{2, fednet.DataTCP, modelnet.SyncAdaptive},
-	{2, fednet.DataTCP, modelnet.SyncFixed},
-	{3, fednet.DataUDP, modelnet.SyncAdaptive},
-	{3, fednet.DataUDP, modelnet.SyncFixed},
-	{3, fednet.DataTCP, modelnet.SyncAdaptive},
-	{3, fednet.DataTCP, modelnet.SyncFixed},
-	{4, fednet.DataUDP, modelnet.SyncAdaptive},
-	{4, fednet.DataUDP, modelnet.SyncFixed},
-	{4, fednet.DataTCP, modelnet.SyncAdaptive},
-	{4, fednet.DataTCP, modelnet.SyncFixed},
-}
-
-// TestCFSRingFednetDeterminism extends the cross-mode contract to the CFS
-// workload: Chord lookups and block fetches ride RPC frames whose bodies
-// are nested payloads, so every cross-core packet exercises the recursive
-// codec layer.
-func TestCFSRingFednetDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker subprocesses")
-	}
-	spec := CFSRingSpec{
-		Routers:      4,
-		VNsPerRouter: 3,
-		FileKB:       64,
-		WindowKB:     24,
-		Downloaders:  []int{0, 7},
-		DurationSec:  5,
-		Seed:         21,
-	}
-	seq, err := RunCFSRingLocal(spec, 1, false, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seq.CFS.Downloads) != len(spec.Downloaders) {
-		t.Fatalf("expected %d downloads, got %+v", len(spec.Downloaders), seq.CFS.Downloads)
-	}
-	for _, d := range seq.CFS.Downloads {
-		if !d.Done || d.Failed > 0 || d.Bytes != spec.FileKB<<10 {
-			t.Errorf("download from node %d incomplete: %+v", d.Node, d)
-		}
-	}
-	for _, sm := range []modelnet.SyncMode{modelnet.SyncAdaptive, modelnet.SyncFixed} {
-		par, err := RunCFSRingLocal(spec, 4, true, false, WithSync(sm))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq.Totals != par.Totals {
-			t.Errorf("cfs-ring counters diverge (%s):\n sequential %+v\n parallel   %+v", sm, seq.Totals, par.Totals)
-		}
-		if !reflect.DeepEqual(seq.CFS, par.CFS) {
-			t.Errorf("cfs-ring reports diverge (%s):\n sequential %+v\n parallel   %+v", sm, seq.CFS, par.CFS)
-		}
-		sameCDF(t, "cfs-ring seq vs par "+sm.String(), seq.Deliveries, par.Deliveries)
-	}
-	for _, fp := range fedPlanes {
-		fed, err := RunCFSRingFederated(spec, fp.cores, fp.plane, WithSync(fp.sync))
-		if err != nil {
-			t.Fatalf("%d workers over %s (%s): %v", fp.cores, fp.plane, fp.sync, err)
-		}
-		name := fmtPlane("cfs-ring", fp.cores, fp.plane, fp.sync)
-		if seq.Totals != fed.Totals {
-			t.Errorf("%s: counters diverge:\n sequential %+v\n federated  %+v", name, seq.Totals, fed.Totals)
-		}
-		fedRep, err := CFSFederatedReport(fed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(seq.CFS, fedRep) {
-			t.Errorf("%s: reports diverge:\n sequential %+v\n federated  %+v", name, seq.CFS, fedRep)
-		}
-		sameCDF(t, name, seq.Deliveries, sampleOf(fed))
-		if fed.Sync.Messages == 0 {
-			t.Errorf("%s: no cross-core messages — the comparison is vacuous", name)
-		}
-	}
-}
-
-// TestWebReplRingFednetDeterminism extends the contract to the web-replica
-// workload: real netstack TCP connections — handshakes, message markers,
-// retransmissions, RTO state — cross core-process boundaries as Segment
-// payloads, under link loss that guarantees retransmitted segments span
-// the cut.
-func TestWebReplRingFednetDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker subprocesses")
-	}
-	spec := WebReplRingSpec{
-		Routers:      6,
-		VNsPerRouter: 3,
-		LossPct:      1.0,
-		TraceSec:     2,
-		MinRate:      30,
-		MaxRate:      60,
-		MedianSize:   8 << 10,
-		DrainSec:     6,
-		Seed:         31,
-	}
-	seq, err := RunWebReplRingLocal(spec, 1, false, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Web.OK == 0 {
-		t.Fatalf("no requests completed: %+v", seq.Web)
-	}
-	if seq.Web.Retransmits == 0 {
-		t.Fatalf("lossy ring produced no TCP retransmissions — the workload is not exercising RTO state: %+v", seq.Web)
-	}
-	par, err := RunWebReplRingLocal(spec, 4, true, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Totals != par.Totals {
-		t.Errorf("webrepl-ring counters diverge:\n sequential %+v\n parallel   %+v", seq.Totals, par.Totals)
-	}
-	if seq.Web.Comparable() != par.Web.Comparable() {
-		t.Errorf("webrepl-ring reports diverge:\n sequential %+v\n parallel   %+v", seq.Web, par.Web)
-	}
-	sameCDF(t, "webrepl-ring seq vs par", seq.Deliveries, par.Deliveries)
-	crossRetransRuns := 0
-	for _, fp := range fedPlanes {
-		fed, err := RunWebReplRingFederated(spec, fp.cores, fp.plane, WithSync(fp.sync))
-		if err != nil {
-			t.Fatalf("%d workers over %s (%s): %v", fp.cores, fp.plane, fp.sync, err)
-		}
-		name := fmtPlane("webrepl-ring", fp.cores, fp.plane, fp.sync)
-		if seq.Totals != fed.Totals {
-			t.Errorf("%s: counters diverge:\n sequential %+v\n federated  %+v", name, seq.Totals, fed.Totals)
-		}
-		fedRep, err := WebReplFederatedReport(fed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq.Web.Comparable() != fedRep.Comparable() {
-			t.Errorf("%s: reports diverge:\n sequential %+v\n federated  %+v", name, seq.Web, fedRep)
-		}
-		sameCDF(t, name, seq.Deliveries, sampleOf(fed))
-		if fed.Sync.Messages == 0 {
-			t.Errorf("%s: no cross-core messages — the comparison is vacuous", name)
-		}
-		if fedRep.CrossRetransmits > 0 {
-			crossRetransRuns++
-		}
-	}
-	// The acceptance probe: TCP retransmission state survived a core
-	// boundary (a retransmitted segment was re-sent on a connection whose
-	// peer lives in another worker process).
-	if crossRetransRuns == 0 {
-		t.Error("no federated run retransmitted across a core boundary — the TCP-over-the-cut path went unexercised")
-	}
-}
-
-// TestFlakyEdgeFednetDeterminism extends the contract to link dynamics:
-// every ring link replays the bundled wifi contention trace (so pipe
-// parameters are functions of virtual time and shard lookahead must come
-// from the profile's latency floor) while a cut ring link fails mid-run,
-// blackholes traffic until routes reconverge, and later recovers. All
-// three runtimes must agree on the conservation counters, the delivery
-// CDF, the scenario report, and the per-pipe drop vector — including the
-// drops charged to the failed pipe itself.
-func TestFlakyEdgeFednetDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker subprocesses")
-	}
-	base := FlakyEdgeSpec{
+// flakySmallSpec is the link-dynamics workload of the cross-mode, trace and
+// crash suites, its failed link chosen to cross the cores-way partition.
+func flakySmallSpec(t *testing.T, cores int) FlakyEdgeSpec {
+	t.Helper()
+	spec := FlakyEdgeSpec{
 		Web: WebReplRingSpec{
 			Routers:      6,
 			VNsPerRouter: 3,
@@ -433,80 +134,335 @@ func TestFlakyEdgeFednetDeterminism(t *testing.T) {
 		RecoverSec:      2.4,
 		RerouteDelaySec: 0.25,
 	}
-	// The failed link crosses the k-core partition, so the spec differs per
-	// worker count; sequential and in-process runs use the same spec as the
-	// federation they are compared against.
-	type localPair struct {
-		spec FlakyEdgeSpec
-		seq  *localRun
+	fail, err := spec.CutFailLink(cores)
+	if err != nil {
+		t.Fatal(err)
 	}
-	locals := map[int]localPair{}
-	for _, fp := range fedPlanes {
-		lp, ok := locals[fp.cores]
-		if !ok {
-			spec := base
-			fail, err := spec.CutFailLink(fp.cores)
-			if err != nil {
-				t.Fatal(err)
-			}
-			spec.FailLink = fail
-			seq, err := RunFlakyEdgeLocal(spec, 1, false, false)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if seq.Web.OK == 0 {
-				t.Fatalf("%d cores: no requests completed: %+v", fp.cores, seq.Web)
-			}
-			if seq.PipeDrops[spec.FailLink] == 0 {
-				t.Errorf("%d cores: failed link %d dropped nothing — the blackhole went unexercised", fp.cores, spec.FailLink)
-			}
-			for _, sm := range []modelnet.SyncMode{modelnet.SyncAdaptive, modelnet.SyncFixed} {
-				par, err := RunFlakyEdgeLocal(spec, fp.cores, true, false, WithSync(sm))
-				if err != nil {
-					t.Fatal(err)
-				}
-				name := fmt.Sprintf("flaky-edge seq vs inproc-%d/%s", fp.cores, sm)
-				if seq.Totals != par.Totals {
-					t.Errorf("%s: counters diverge:\n sequential %+v\n parallel   %+v", name, seq.Totals, par.Totals)
-				}
-				if seq.Web.Comparable() != par.Web.Comparable() {
-					t.Errorf("%s: reports diverge:\n sequential %+v\n parallel   %+v", name, seq.Web, par.Web)
-				}
-				if !reflect.DeepEqual(seq.PipeDrops, par.PipeDrops) {
-					t.Errorf("%s: per-pipe drops diverge:\n sequential %v\n parallel   %v", name, seq.PipeDrops, par.PipeDrops)
-				}
-				sameCDF(t, name, seq.Deliveries, par.Deliveries)
-			}
-			lp = localPair{spec: spec, seq: seq}
-			locals[fp.cores] = lp
-		}
-		fed, err := RunFlakyEdgeFederated(lp.spec, fp.cores, fp.plane, WithSync(fp.sync))
-		if err != nil {
-			t.Fatalf("%d workers over %s (%s): %v", fp.cores, fp.plane, fp.sync, err)
-		}
-		name := fmtPlane("flaky-edge", fp.cores, fp.plane, fp.sync)
-		if lp.seq.Totals != fed.Totals {
-			t.Errorf("%s: counters diverge:\n sequential %+v\n federated  %+v", name, lp.seq.Totals, fed.Totals)
-		}
-		fedRep, err := FlakyEdgeFederatedReport(fed)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if lp.seq.Web.Comparable() != fedRep.Comparable() {
-			t.Errorf("%s: reports diverge:\n sequential %+v\n federated  %+v", name, lp.seq.Web, fedRep)
-		}
-		if !reflect.DeepEqual(lp.seq.PipeDrops, fed.PipeDrops) {
-			t.Errorf("%s: per-pipe drops diverge:\n sequential %v\n federated  %v", name, lp.seq.PipeDrops, fed.PipeDrops)
-		}
-		sameCDF(t, name, lp.seq.Deliveries, sampleOf(fed))
-		if fed.Sync.Messages == 0 {
-			t.Errorf("%s: no cross-core messages — the comparison is vacuous", name)
-		}
+	spec.FailLink = fail
+	return spec
+}
+
+func cfsSmallSpec() CFSRingSpec {
+	return CFSRingSpec{
+		Routers:      4,
+		VNsPerRouter: 3,
+		FileKB:       64,
+		WindowKB:     24,
+		Downloaders:  []int{0, 7},
+		DurationSec:  5,
+		Seed:         21,
 	}
 }
 
-func fmtPlane(scenario string, cores int, plane string, sm modelnet.SyncMode) string {
-	return fmt.Sprintf("%s seq vs fednet-%s-%d/%s", scenario, plane, cores, sm)
+// The contract holds under event-exact profiles, so every run of these
+// suites uses the ideal one.
+var ideal = modelnet.IdealProfile()
+
+// A mode point is a modelnet.Options value: the three constructors below
+// are the whole vocabulary of the cross-mode suites.
+func seqMode() modelnet.Options { return modelnet.Options{Profile: &ideal} }
+
+func inprocMode(cores int, sm modelnet.SyncMode) modelnet.Options {
+	return modelnet.Options{Profile: &ideal, Cores: cores, Parallel: true, Sync: sm}
+}
+
+// fedMode is a cores-process federation over loopback, the workers spawned
+// from this test binary (TestMain).
+func fedMode(cores int, plane string, sm modelnet.SyncMode) modelnet.Options {
+	return modelnet.Options{Profile: &ideal, Cores: cores, Sync: sm,
+		Federate: &modelnet.FederateOptions{DataPlane: plane, Spawn: true, CollectDeliveries: true}}
+}
+
+func modeName(o modelnet.Options) string {
+	switch {
+	case o.Federate != nil:
+		return fmt.Sprintf("fednet-%s-%d/%s", o.Federate.DataPlane, o.Cores, o.Sync)
+	case o.Parallel:
+		return fmt.Sprintf("inproc-%d/%s", o.Cores, o.Sync)
+	}
+	return "seq"
+}
+
+// scenarioOf binds the table's entry for name to spec.
+func scenarioOf(t *testing.T, name string, spec Spec) Scenario {
+	t.Helper()
+	sc, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("scenario %q is not in the table", name)
+	}
+	sc.Spec = spec
+	return sc
+}
+
+func run(t *testing.T, sc Scenario, mode modelnet.Options) *Result {
+	t.Helper()
+	res, err := Run(sc, mode)
+	if err != nil {
+		t.Fatalf("%s %s: %v", sc.Name, modeName(mode), err)
+	}
+	return res
+}
+
+// comparableApp strips an application report's deployment-dependent fields.
+func comparableApp(app any) any {
+	if w, ok := app.(WebReplRingReport); ok {
+		return w.Comparable()
+	}
+	return app
+}
+
+// sameRun is the cross-mode oracle: everything a Result holds that the
+// determinism contract covers must match the reference run's.
+func sameRun(t *testing.T, name string, want, got *Result) {
+	t.Helper()
+	if want.Totals != got.Totals {
+		t.Errorf("%s: counters diverge:\n want %+v\n got  %+v", name, want.Totals, got.Totals)
+	}
+	if w, g := comparableApp(want.App), comparableApp(got.App); !reflect.DeepEqual(w, g) {
+		t.Errorf("%s: application reports diverge:\n want %+v\n got  %+v", name, w, g)
+	}
+	if !equalU64(want.PipeDrops, got.PipeDrops) {
+		t.Errorf("%s: per-pipe drops diverge:\n want %v\n got  %v", name, want.PipeDrops, got.PipeDrops)
+	}
+	if !equalU64(want.Drops, got.Drops) {
+		t.Errorf("%s: drop taxonomy diverges:\n want %v\n got  %v", name, want.Drops, got.Drops)
+	}
+	if got.Fed != nil && got.Sync.Messages == 0 {
+		t.Errorf("%s: no cross-core messages — the comparison is vacuous", name)
+	}
+	sameCDF(t, name, want.Deliveries, got.Deliveries)
+}
+
+// fedPlanes are the (workers, data plane, sync algebra) points the federated
+// suite covers: both planes at 2, 3, and 4 worker processes, each under the
+// adaptive grant algebra and the fixed-lookahead baseline. Window boundaries
+// differ between the two algebras; counters, reports, and delivery CDFs must
+// not.
+func fedPlanes(workers ...int) []modelnet.Options {
+	var modes []modelnet.Options
+	for _, k := range workers {
+		for _, plane := range []string{fednet.DataUDP, fednet.DataTCP} {
+			for _, sm := range []modelnet.SyncMode{modelnet.SyncAdaptive, modelnet.SyncFixed} {
+				modes = append(modes, fedMode(k, plane, sm))
+			}
+		}
+	}
+	return modes
+}
+
+// fullModes is the sequential reference, the in-process runtime under both
+// algebras, and every fedPlanes point at the given worker counts.
+func fullModes(inprocCores int, workers ...int) []modelnet.Options {
+	return append([]modelnet.Options{
+		seqMode(),
+		inprocMode(inprocCores, modelnet.SyncAdaptive),
+		inprocMode(inprocCores, modelnet.SyncFixed),
+	}, fedPlanes(workers...)...)
+}
+
+// crossModeCase is one row of the cross-mode table: a scenario, the mode
+// points it runs at (modes[0] is the sequential reference every other run
+// must equal under sameRun), and the liveness check that keeps the
+// comparison from passing on a workload that did nothing.
+type crossModeCase struct {
+	sc    Scenario
+	modes []modelnet.Options
+	sane  func(t *testing.T, runs []*Result)
+}
+
+func crossModeCases(t *testing.T) []crossModeCase {
+	delivered := func(t *testing.T, runs []*Result) {
+		if runs[0].Totals.Delivered == 0 {
+			t.Error("the run delivered nothing")
+		}
+	}
+	gnutella := GnutellaRingSpec{
+		Routers:      10,
+		VNsPerRouter: 12,
+		Degree:       4,
+		TTL:          6,
+		WindowSec:    8,
+		Seed:         15,
+	}
+	cfs := cfsSmallSpec()
+	web := WebReplRingSpec{
+		Routers:      6,
+		VNsPerRouter: 3,
+		LossPct:      1.0,
+		TraceSec:     2,
+		MinRate:      30,
+		MaxRate:      60,
+		MedianSize:   8 << 10,
+		DrainSec:     6,
+		Seed:         31,
+	}
+	tstub := tstubSmallSpec()
+	// The tstub local baseline cannot hold an O(n²) matrix at the sizes the
+	// scenario is for; it routes through the demand-built per-target cache,
+	// which the shard-local route property test proves path-identical.
+	tstubModes := fullModes(4)
+	for i := range tstubModes {
+		tstubModes[i].RouteCache = tstub.Servers + 8
+	}
+	tstubModes = append(tstubModes,
+		fedMode(2, fednet.DataUDP, modelnet.SyncAdaptive),
+		fedMode(3, fednet.DataTCP, modelnet.SyncAdaptive),
+		fedMode(2, fednet.DataTCP, modelnet.SyncFixed))
+
+	cases := []crossModeCase{
+		{sc: scenarioOf(t, ScenarioRingCBR, fednetRingSpec()), modes: fullModes(4, 2, 3, 4), sane: delivered},
+		{
+			sc: scenarioOf(t, ScenarioGnutella, gnutella),
+			modes: []modelnet.Options{seqMode(), inprocMode(4, modelnet.SyncAdaptive),
+				fedMode(2, fednet.DataTCP, modelnet.SyncAdaptive)},
+			sane: func(t *testing.T, runs []*Result) {
+				if r := runs[0].App.(GnutellaRingReport); r.Reachable < gnutella.Servents()/2 {
+					t.Errorf("flood barely spread: %d/%d reachable", r.Reachable, gnutella.Servents())
+				}
+			},
+		},
+		// Chord lookups and block fetches ride RPC frames whose bodies are
+		// nested payloads, so every cross-core packet exercises the recursive
+		// codec layer.
+		{
+			sc: scenarioOf(t, ScenarioCFSRing, cfs), modes: fullModes(4, 2, 3, 4),
+			sane: func(t *testing.T, runs []*Result) {
+				r := runs[0].App.(CFSRingReport)
+				if len(r.Downloads) != len(cfs.Downloaders) {
+					t.Errorf("expected %d downloads, got %+v", len(cfs.Downloaders), r.Downloads)
+				}
+				for _, d := range r.Downloads {
+					if !d.Done || d.Failed > 0 || d.Bytes != cfs.FileKB<<10 {
+						t.Errorf("download from node %d incomplete: %+v", d.Node, d)
+					}
+				}
+			},
+		},
+		// Real netstack TCP connections — handshakes, message markers,
+		// retransmissions, RTO state — cross core-process boundaries as Segment
+		// payloads, under link loss that guarantees retransmitted segments span
+		// the cut.
+		{
+			sc: scenarioOf(t, ScenarioWebReplRing, web), modes: fullModes(4, 2, 3, 4),
+			sane: func(t *testing.T, runs []*Result) {
+				r := runs[0].App.(WebReplRingReport)
+				if r.OK == 0 {
+					t.Errorf("no requests completed: %+v", r)
+				}
+				if r.Retransmits == 0 {
+					t.Errorf("lossy ring produced no TCP retransmissions — the workload is not exercising RTO state: %+v", r)
+				}
+				// The acceptance probe: TCP retransmission state survived a core
+				// boundary (a retransmitted segment was re-sent on a connection
+				// whose peer lives in another worker process).
+				crossed := 0
+				for _, run := range runs {
+					if run.Fed != nil && run.App.(WebReplRingReport).CrossRetransmits > 0 {
+						crossed++
+					}
+				}
+				if crossed == 0 {
+					t.Error("no federated run retransmitted across a core boundary — the TCP-over-the-cut path went unexercised")
+				}
+			},
+		},
+		{
+			sc: scenarioOf(t, ScenarioTStubCBR, tstub), modes: tstubModes,
+			sane: func(t *testing.T, runs []*Result) {
+				delivered(t, runs)
+				if n := runs[0].Totals.NoRoute; n > 0 {
+					t.Errorf("tstub run had %d unroutable packets", n)
+				}
+				for i, run := range runs {
+					if run.Fed == nil {
+						continue
+					}
+					for _, w := range run.Fed.Workers {
+						if w.RouteRPCs == 0 {
+							t.Errorf("%s: shard %d paged no route summaries — the demand path went unexercised",
+								modeName(tstubModes[i]), w.Shard)
+						}
+					}
+				}
+			},
+		},
+	}
+	// Link dynamics: every ring link replays the bundled wifi contention
+	// trace (so pipe parameters are functions of virtual time and shard
+	// lookahead must come from the profile's latency floor) while a cut ring
+	// link fails mid-run, blackholes traffic until routes reconverge, and
+	// later recovers. The failed link crosses the k-core partition, so the
+	// spec differs per worker count; the sequential and in-process runs use
+	// the same spec as the federation they are compared against.
+	for _, k := range []int{2, 3, 4} {
+		spec := flakySmallSpec(t, k)
+		cases = append(cases, crossModeCase{
+			sc: scenarioOf(t, ScenarioFlakyEdge, spec), modes: fullModes(k, k),
+			sane: func(t *testing.T, runs []*Result) {
+				if r := runs[0].App.(WebReplRingReport); r.OK == 0 {
+					t.Errorf("no requests completed: %+v", r)
+				}
+				if runs[0].PipeDrops[spec.FailLink] == 0 {
+					t.Errorf("failed link %d dropped nothing — the blackhole went unexercised", spec.FailLink)
+				}
+			},
+		})
+	}
+	return cases
+}
+
+// crossMode runs the named scenario's rows of the table: every mode point
+// against the sequential reference, then the row's liveness check.
+func crossMode(t *testing.T, scenario string) {
+	if testing.Short() {
+		t.Skip("spawns worker subprocesses")
+	}
+	for _, c := range crossModeCases(t) {
+		if c.sc.Name != scenario {
+			continue
+		}
+		runs := make([]*Result, len(c.modes))
+		for i, mode := range c.modes {
+			runs[i] = run(t, c.sc, mode)
+			if i > 0 {
+				sameRun(t, scenario+" seq vs "+modeName(mode), runs[0], runs[i])
+			}
+		}
+		c.sane(t, runs)
+	}
+}
+
+// One top-level name per scenario keeps `go test -run` selection and the
+// per-scenario timing in CI; the body is the table.
+func TestRingFednetDeterminism(t *testing.T)        { crossMode(t, ScenarioRingCBR) }
+func TestGnutellaFednetDeterminism(t *testing.T)    { crossMode(t, ScenarioGnutella) }
+func TestCFSRingFednetDeterminism(t *testing.T)     { crossMode(t, ScenarioCFSRing) }
+func TestWebReplRingFednetDeterminism(t *testing.T) { crossMode(t, ScenarioWebReplRing) }
+func TestFlakyEdgeFednetDeterminism(t *testing.T)   { crossMode(t, ScenarioFlakyEdge) }
+func TestTStubCBRFednetDeterminism(t *testing.T)    { crossMode(t, ScenarioTStubCBR) }
+
+// TestPacedRingFednetDeterminism: real-time pacing decides when a window is
+// released, never what it computes. With no live edge there is no wall-clock
+// input at all, so a paced federated run must land on the sequential run's
+// counters and delivery times like any other — on the same barrier round.
+func TestPacedRingFednetDeterminism(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns worker subprocesses and paces them against the wall clock")
+	}
+	spec := fednetRingSpec()
+	spec.DurationSec = 0.3
+	sc := scenarioOf(t, ScenarioRingCBR, spec)
+	seq := run(t, sc, seqMode())
+	paced := fedMode(2, fednet.DataUDP, modelnet.SyncAdaptive)
+	paced.Federate.RealTime = true
+	fed := run(t, sc, paced)
+	sameRun(t, "paced ring", seq, fed)
+	if seq.Totals.Delivered == 0 {
+		t.Error("vacuous comparison: nothing delivered")
+	}
+	if want := spec.RunFor().Seconds() * 1000; fed.WallMS < want {
+		t.Errorf("run took %.0f ms of wall clock for %.0f ms of virtual time: it was not paced", fed.WallMS, want)
+	}
 }
 
 func TestCFSSeqParDeterminism(t *testing.T) {

@@ -11,15 +11,12 @@ package experiments
 // federated runtimes.
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 
 	"modelnet"
 	"modelnet/internal/assign"
 	"modelnet/internal/dynamics"
-	"modelnet/internal/fednet"
-	"modelnet/internal/pipes"
 	"modelnet/internal/vtime"
 )
 
@@ -127,81 +124,4 @@ func (c FlakyEdgeSpec) CutFailLink(k int) (int, error) {
 		}
 	}
 	return 0, fmt.Errorf("flaky-edge: no ring link crosses the %d-core partition", k)
-}
-
-func init() {
-	fednet.Register(ScenarioFlakyEdge, fednet.Scenario{
-		Build: func(params json.RawMessage) (*modelnet.Graph, error) {
-			var c FlakyEdgeSpec
-			if err := json.Unmarshal(params, &c); err != nil {
-				return nil, err
-			}
-			return c.Topology(), nil
-		},
-		Install: func(env *fednet.WorkerEnv, params json.RawMessage) (func() json.RawMessage, error) {
-			var c FlakyEdgeSpec
-			if err := json.Unmarshal(params, &c); err != nil {
-				return nil, err
-			}
-			// The dynamics arrive through the setup frame and are already
-			// attached by the time the scenario installs; only the workload
-			// is built here.
-			cross := func(vn pipes.VN) bool { return !env.Homed(vn) }
-			report, err := c.Web.Install(env.NumVNs(), env.Homed, env.NewHost, cross)
-			if err != nil {
-				return nil, err
-			}
-			return func() json.RawMessage {
-				b, _ := json.Marshal(report())
-				return b
-			}, nil
-		},
-	})
-}
-
-// RunFlakyEdgeLocal runs the flaky-edge scenario without sockets,
-// sequentially or on the in-process parallel runtime.
-func RunFlakyEdgeLocal(c FlakyEdgeSpec, cores int, parallel, trace bool, opts ...RunOpt) (*localRun, error) {
-	dyn, err := c.Dynamics()
-	if err != nil {
-		return nil, err
-	}
-	return runLocal(c.Topology(), c.Web.Seed, cores, parallel, trace, dyn,
-		func(em *modelnet.Emulation) (func(*localRun), error) {
-			report, err := c.Web.Install(em.NumVNs(), allHomed, em.NewHost, nil)
-			if err != nil {
-				return nil, err
-			}
-			return func(res *localRun) { res.Web = report() }, nil
-		}, c.RunFor(), opts...)
-}
-
-// RunFlakyEdgeFederated runs the flaky-edge scenario as a cores-process
-// federation over loopback, shipping the dynamics spec in the setup frame.
-func RunFlakyEdgeFederated(c FlakyEdgeSpec, cores int, dataPlane string, opts ...RunOpt) (*fednet.Report, error) {
-	dyn, err := c.Dynamics()
-	if err != nil {
-		return nil, err
-	}
-	o := applyRunOpts(opts)
-	ideal := modelnet.IdealProfile()
-	fo := fednet.Options{
-		Scenario: ScenarioFlakyEdge, Params: c,
-		Cores: cores, Seed: c.Web.Seed, Profile: &ideal, Sync: o.sync,
-		RunFor: c.RunFor(), DataPlane: dataPlane,
-		Dynamics: dyn,
-		Spawn:    true, CollectDeliveries: true,
-	}
-	if o.fedOpts != nil {
-		o.fedOpts(&fo)
-	}
-	return fednet.Run(fo)
-}
-
-// FlakyEdgeFederatedReport merges the per-worker scenario reports of a
-// federated flaky-edge run.
-func FlakyEdgeFederatedReport(rep *fednet.Report) (WebReplRingReport, error) {
-	var out WebReplRingReport
-	err := mergeWorkerReports(rep, out.Merge)
-	return out, err
 }

@@ -10,10 +10,7 @@ package experiments
 // and loss, which is the paper's unmodified-application claim end to end.
 
 import (
-	"encoding/json"
-
 	"modelnet"
-	"modelnet/internal/fednet"
 	"modelnet/internal/netstack"
 	"modelnet/internal/pipes"
 	"modelnet/internal/vtime"
@@ -76,11 +73,10 @@ func (r *LiveRingReport) Merge(o LiveRingReport) { r.Echoed += o.Echoed }
 
 // Install builds the homed slice: the echo responder on EchoVN and any
 // background CBR flows.
-func (c LiveRingSpec) Install(n int, homed func(pipes.VN) bool,
-	host func(pipes.VN) *netstack.Host, sched func(pipes.VN) *vtime.Scheduler) (func() LiveRingReport, error) {
+func (c LiveRingSpec) Install(e Env) (func() LiveRingReport, error) {
 	rep := &LiveRingReport{}
-	if vn := pipes.VN(c.EchoVN); homed(vn) {
-		h := host(vn)
+	if vn := pipes.VN(c.EchoVN); e.Homed(vn) {
+		h := e.NewHost(vn)
 		var sock *netstack.UDPSocket
 		var err error
 		sock, err = h.OpenUDP(c.EchoPort, func(from netstack.Endpoint, dg *netstack.Datagram) {
@@ -107,44 +103,9 @@ func (c LiveRingSpec) Install(n int, homed func(pipes.VN) bool,
 		}
 		// Reuse ring-cbr's install; the echo port (EchoPort) and the CBR
 		// sink port (9) must differ, which OpenUDP enforces loudly.
-		if err := bg.Install(n, homed, host, sched); err != nil {
+		if err := bg.Install(e.NumVNs, e.Homed, e.NewHost, e.SchedOf); err != nil {
 			return nil, err
 		}
 	}
 	return func() LiveRingReport { return *rep }, nil
-}
-
-// LiveRingFederatedReport merges the per-worker scenario reports of a
-// federated live-ring run.
-func LiveRingFederatedReport(rep *fednet.Report) (LiveRingReport, error) {
-	var out LiveRingReport
-	err := mergeWorkerReports(rep, out.Merge)
-	return out, err
-}
-
-func init() {
-	fednet.Register(ScenarioLiveRing, fednet.Scenario{
-		Build: func(params json.RawMessage) (*modelnet.Graph, error) {
-			var c LiveRingSpec
-			if err := json.Unmarshal(params, &c); err != nil {
-				return nil, err
-			}
-			return c.Topology(), nil
-		},
-		Install: func(env *fednet.WorkerEnv, params json.RawMessage) (func() json.RawMessage, error) {
-			var c LiveRingSpec
-			if err := json.Unmarshal(params, &c); err != nil {
-				return nil, err
-			}
-			report, err := c.Install(env.NumVNs(), env.Homed, env.NewHost,
-				func(pipes.VN) *vtime.Scheduler { return env.Sched })
-			if err != nil {
-				return nil, err
-			}
-			return func() json.RawMessage {
-				b, _ := json.Marshal(report())
-				return b
-			}, nil
-		},
-	})
 }

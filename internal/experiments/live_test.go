@@ -15,7 +15,6 @@ import (
 
 	"modelnet"
 	"modelnet/internal/edge"
-	"modelnet/internal/fednet"
 	"modelnet/internal/vtime"
 )
 
@@ -71,6 +70,15 @@ func runLiveClient(addr string, pings int, gap time.Duration, window time.Durati
 	return res
 }
 
+// liveMode is a paced 2-worker federation holding an edge gateway lease;
+// onLive runs once the gateways are bound, before the clock starts.
+func liveMode(gw *edge.GatewayConfig, onLive func(gatewayAddrs []string)) modelnet.Options {
+	return modelnet.Options{Profile: &ideal, Cores: 2, Federate: &modelnet.FederateOptions{
+		Spawn: true, RealTime: true, Pace: vtime.Millisecond,
+		Edge: gw, OnLive: onLive,
+	}}
+}
+
 func TestLiveEdgeRoundTripFederated(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live edge test paces virtual time against the wall clock")
@@ -80,18 +88,13 @@ func TestLiveEdgeRoundTripFederated(t *testing.T) {
 		EchoVN: 6, EchoPort: 7, // router 3's first VN: diametric from VN 0
 		DurationSec: 2.5, Seed: 3,
 	}
-	ideal := modelnet.IdealProfile()
 	results := make(chan liveClientResult, 1)
-	rep, err := fednet.Run(fednet.Options{
-		Scenario: ScenarioLiveRing, Params: spec,
-		Cores: 2, Seed: 3, Profile: &ideal,
-		RunFor: spec.RunFor(), Spawn: true,
-		RealTime: true, Pace: vtime.Millisecond,
-		Edge: &edge.GatewayConfig{
+	res := run(t, scenarioOf(t, ScenarioLiveRing, spec), liveMode(
+		&edge.GatewayConfig{
 			Listen: "127.0.0.1:0",
 			Maps:   []edge.GatewayMap{{VN: 0, DstVN: spec.EchoVN, DstPort: spec.EchoPort}},
 		},
-		OnLive: func(addrs []string) {
+		func(addrs []string) {
 			addr := ""
 			for _, a := range addrs {
 				if a != "" {
@@ -103,14 +106,11 @@ func TestLiveEdgeRoundTripFederated(t *testing.T) {
 				// before the virtual (= wall) deadline.
 				results <- runLiveClient(addr, 10, 100*time.Millisecond, 1800*time.Millisecond)
 			}()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res := <-results
-	if res.err != nil {
-		t.Fatal(res.err)
+		}))
+	rep := res.Fed
+	client := <-results
+	if client.err != nil {
+		t.Fatal(client.err)
 	}
 
 	// The round trip must come back, and no echo can beat the model:
@@ -118,32 +118,29 @@ func TestLiveEdgeRoundTripFederated(t *testing.T) {
 	// leave the gateway before its virtual delivery time has elapsed in
 	// wall time. Loopback UDP is reliable and the ring is loss-free here,
 	// so losing more than half the pings means the boundary is broken.
-	if res.recvd < res.sent/2 {
-		t.Fatalf("client got %d of %d echoes back", res.recvd, res.sent)
+	if client.recvd < client.sent/2 {
+		t.Fatalf("client got %d of %d echoes back", client.recvd, client.sent)
 	}
 	minModel := time.Duration(2 * spec.OneWay())
-	if res.minRTT < minModel {
-		t.Fatalf("min RTT %v beats the modeled round trip %v: virtual delays are not being paced", res.minRTT, minModel)
+	if client.minRTT < minModel {
+		t.Fatalf("min RTT %v beats the modeled round trip %v: virtual delays are not being paced", client.minRTT, minModel)
 	}
-	if res.minRTT > 100*minModel {
-		t.Fatalf("min RTT %v is wildly over the modeled %v", res.minRTT, minModel)
+	if client.minRTT > 100*minModel {
+		t.Fatalf("min RTT %v is wildly over the modeled %v", client.minRTT, minModel)
 	}
 
 	// The gateway's books must match the client's.
 	if rep.Edge.IngressPkts == 0 || rep.Edge.EgressPkts == 0 {
 		t.Fatalf("gateway counters empty: %+v", rep.Edge)
 	}
-	if int(rep.Edge.IngressPkts) > res.sent {
-		t.Fatalf("gateway admitted %d ingress datagrams, client only sent %d", rep.Edge.IngressPkts, res.sent)
+	if int(rep.Edge.IngressPkts) > client.sent {
+		t.Fatalf("gateway admitted %d ingress datagrams, client only sent %d", rep.Edge.IngressPkts, client.sent)
 	}
-	if int(rep.Edge.EgressPkts) < res.recvd {
-		t.Fatalf("gateway wrote %d egress datagrams, client received %d", rep.Edge.EgressPkts, res.recvd)
+	if int(rep.Edge.EgressPkts) < client.recvd {
+		t.Fatalf("gateway wrote %d egress datagrams, client received %d", rep.Edge.EgressPkts, client.recvd)
 	}
 	// And the in-emulation responder must have echoed what came through.
-	lr, err := LiveRingFederatedReport(rep)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lr := res.App.(LiveRingReport)
 	if lr.Echoed == 0 || lr.Echoed != rep.Edge.IngressPkts {
 		t.Fatalf("echo responder saw %d pings, gateway admitted %d", lr.Echoed, rep.Edge.IngressPkts)
 	}
@@ -171,18 +168,13 @@ func TestLiveEdgeOversizeRejected(t *testing.T) {
 		EchoVN: 4, EchoPort: 7,
 		DurationSec: 1.0, Seed: 5,
 	}
-	ideal := modelnet.IdealProfile()
-	rep, err := fednet.Run(fednet.Options{
-		Scenario: ScenarioLiveRing, Params: spec,
-		Cores: 2, Seed: 5, Profile: &ideal,
-		RunFor: spec.RunFor(), Spawn: true,
-		RealTime: true, Pace: vtime.Millisecond,
-		Edge: &edge.GatewayConfig{
+	rep := run(t, scenarioOf(t, ScenarioLiveRing, spec), liveMode(
+		&edge.GatewayConfig{
 			Listen:      "127.0.0.1:0",
 			MaxDatagram: 256,
 			Maps:        []edge.GatewayMap{{VN: 0, DstVN: spec.EchoVN, DstPort: 7}},
 		},
-		OnLive: func(addrs []string) {
+		func(addrs []string) {
 			addr := ""
 			for _, a := range addrs {
 				if a != "" {
@@ -199,11 +191,7 @@ func TestLiveEdgeOversizeRejected(t *testing.T) {
 				conn.Write(make([]byte, 64))  // under it
 				time.Sleep(300 * time.Millisecond)
 			}()
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+		})).Fed
 	if rep.Edge.Oversize != 1 {
 		t.Fatalf("oversize counter = %d, want 1 (stats %+v)", rep.Edge.Oversize, rep.Edge)
 	}

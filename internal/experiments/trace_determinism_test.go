@@ -15,7 +15,6 @@ import (
 	"testing"
 
 	"modelnet"
-	"modelnet/internal/fednet"
 	"modelnet/internal/obs"
 )
 
@@ -53,36 +52,28 @@ func sameTrace(t *testing.T, name string, want, got []byte) {
 	}
 }
 
+// traceModes are the points the trace suites cover: the in-process runtime
+// and a 2-worker federation over both planes under both algebras, each
+// recording a trace.
+func traceModes(inprocCores int) []modelnet.Options {
+	modes := append([]modelnet.Options{inprocMode(inprocCores, modelnet.SyncAdaptive)}, fedPlanes(2)...)
+	for i := range modes {
+		modes[i].Trace = true
+	}
+	return modes
+}
+
 func TestRingCBRTraceDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker subprocesses")
 	}
-	spec := fednetRingSpec()
-	seq, err := RunRingCBRLocal(spec, 1, false, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := canonOf(t, "ring seq", seq.Trace)
-	par, err := RunRingCBRLocal(spec, 4, true, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameTrace(t, "ring seq vs inproc", want, canonOf(t, "ring inproc", par.Trace))
-	ideal := modelnet.IdealProfile()
-	for _, plane := range []string{fednet.DataUDP, fednet.DataTCP} {
-		for _, sm := range []modelnet.SyncMode{modelnet.SyncAdaptive, modelnet.SyncFixed} {
-			fed, err := fednet.Run(fednet.Options{
-				Scenario: ScenarioRingCBR, Params: spec,
-				Cores: 2, Seed: spec.Seed, Profile: &ideal,
-				RunFor: spec.RunFor(), DataPlane: plane,
-				Spawn: true, Trace: true, Sync: sm,
-			})
-			if err != nil {
-				t.Fatalf("fednet over %s (%s): %v", plane, sm, err)
-			}
-			name := fmtPlane("ring trace", 2, plane, sm)
-			sameTrace(t, name, want, canonOf(t, name, fed.Trace))
-		}
+	sc := scenarioOf(t, ScenarioRingCBR, fednetRingSpec())
+	traced := seqMode()
+	traced.Trace = true
+	want := canonOf(t, "ring seq", run(t, sc, traced).Trace)
+	for _, mode := range traceModes(4) {
+		name := "ring trace seq vs " + modeName(mode)
+		sameTrace(t, name, want, canonOf(t, name, run(t, sc, mode).Trace))
 	}
 }
 
@@ -90,32 +81,10 @@ func TestFlakyEdgeTraceDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker subprocesses")
 	}
-	spec := FlakyEdgeSpec{
-		Web: WebReplRingSpec{
-			Routers:      6,
-			VNsPerRouter: 3,
-			LossPct:      0.5,
-			TraceSec:     1.5,
-			MinRate:      30,
-			MaxRate:      60,
-			MedianSize:   8 << 10,
-			DrainSec:     4.5,
-			Seed:         42,
-		},
-		Trace:           "wifi",
-		FailSec:         0.6,
-		RecoverSec:      2.4,
-		RerouteDelaySec: 0.25,
-	}
-	fail, err := spec.CutFailLink(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec.FailLink = fail
-	seq, err := RunFlakyEdgeLocal(spec, 1, false, true)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sc := scenarioOf(t, ScenarioFlakyEdge, flakySmallSpec(t, 2))
+	traced := seqMode()
+	traced.Trace = true
+	seq := run(t, sc, traced)
 	want := canonOf(t, "flaky seq", seq.Trace)
 	// The canonical stream must contain the dynamics and drop events this
 	// scenario exists to produce — an empty taxonomy would make the
@@ -129,34 +98,13 @@ func TestFlakyEdgeTraceDeterminism(t *testing.T) {
 			t.Errorf("flaky seq trace has no %v events", k)
 		}
 	}
-	par, err := RunFlakyEdgeLocal(spec, 2, true, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameTrace(t, "flaky seq vs inproc", want, canonOf(t, "flaky inproc", par.Trace))
-	dyn, err := spec.Dynamics()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ideal := modelnet.IdealProfile()
-	for _, plane := range []string{fednet.DataUDP, fednet.DataTCP} {
-		for _, sm := range []modelnet.SyncMode{modelnet.SyncAdaptive, modelnet.SyncFixed} {
-			fed, err := fednet.Run(fednet.Options{
-				Scenario: ScenarioFlakyEdge, Params: spec,
-				Cores: 2, Seed: spec.Web.Seed, Profile: &ideal,
-				RunFor: spec.RunFor(), DataPlane: plane,
-				Dynamics: dyn,
-				Spawn:    true, Trace: true, Sync: sm,
-			})
-			if err != nil {
-				t.Fatalf("fednet over %s (%s): %v", plane, sm, err)
-			}
-			name := fmtPlane("flaky trace", 2, plane, sm)
-			sameTrace(t, name, want, canonOf(t, name, fed.Trace))
-			// The federated run must also surface the unified drop taxonomy.
-			if !equalU64(seq.Drops, fed.DropsByReason) {
-				t.Errorf("%s: drops-by-reason diverge:\n sequential %v\n federated  %v", name, seq.Drops, fed.DropsByReason)
-			}
+	for _, mode := range traceModes(2) {
+		name := "flaky trace seq vs " + modeName(mode)
+		got := run(t, sc, mode)
+		sameTrace(t, name, want, canonOf(t, name, got.Trace))
+		// Every traced run must also surface the unified drop taxonomy.
+		if !equalU64(seq.Drops, got.Drops) {
+			t.Errorf("%s: drops-by-reason diverge:\n sequential %v\n got        %v", name, seq.Drops, got.Drops)
 		}
 	}
 }

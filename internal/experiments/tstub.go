@@ -15,11 +15,9 @@ package experiments
 //     small and the route-RPC count measures paging, not thrash.
 
 import (
-	"encoding/json"
 	"math/rand"
 
 	"modelnet"
-	"modelnet/internal/fednet"
 	"modelnet/internal/netstack"
 	"modelnet/internal/pipes"
 	"modelnet/internal/topology"
@@ -48,11 +46,6 @@ type TStubCBRSpec struct {
 	PacketBytes   int     `json:"packet_bytes"`
 	DurationSec   float64 `json:"duration_sec"` // injection window
 	Seed          int64   `json:"seed"`
-}
-
-// VNs is the client population the generator produces.
-func (c TStubCBRSpec) VNs() int {
-	return c.TransitDomains * c.TransitPerDomain * c.StubsPerTransit * c.ClientsPerStub
 }
 
 // RunFor is the virtual time a run of this spec must cover (the ring-cbr
@@ -155,50 +148,4 @@ func (c TStubCBRSpec) Install(n int, homed func(pipes.VN) bool,
 		sc.AtTagged(sc.Now().Add(starts[k]), int32(vn), send)
 	}
 	return nil
-}
-
-func init() {
-	fednet.Register(ScenarioTStubCBR, fednet.Scenario{
-		Build: func(params json.RawMessage) (*modelnet.Graph, error) {
-			var c TStubCBRSpec
-			if err := json.Unmarshal(params, &c); err != nil {
-				return nil, err
-			}
-			return c.Topology(), nil
-		},
-		Install: func(env *fednet.WorkerEnv, params json.RawMessage) (func() json.RawMessage, error) {
-			var c TStubCBRSpec
-			if err := json.Unmarshal(params, &c); err != nil {
-				return nil, err
-			}
-			err := c.Install(env.NumVNs(), env.Homed, env.NewHost,
-				func(pipes.VN) *vtime.Scheduler { return env.Sched })
-			return nil, err
-		},
-	})
-}
-
-// RunTStubCBRLocal runs the tstub-cbr scenario without sockets. Large
-// populations must pass WithRouteCache — the default precomputed matrix is
-// O(n²) and exists only below the scale this scenario is for.
-func RunTStubCBRLocal(c TStubCBRSpec, cores int, parallel, trace bool, opts ...RunOpt) (*localRun, error) {
-	return runLocal(c.Topology(), c.Seed, cores, parallel, trace, nil,
-		func(em *modelnet.Emulation) (func(*localRun), error) {
-			err := c.Install(em.NumVNs(), allHomed, em.NewHost, em.SchedulerOf)
-			return nil, err
-		}, c.RunFor(), opts...)
-}
-
-// RunTStubCBRFederated runs the tstub-cbr scenario as a cores-process
-// federation over loopback. This is the sharded-distribution path: each
-// worker receives only its shard view and pages route summaries on demand.
-func RunTStubCBRFederated(c TStubCBRSpec, cores int, dataPlane string, opts ...RunOpt) (*fednet.Report, error) {
-	o := applyRunOpts(opts)
-	ideal := modelnet.IdealProfile()
-	return fednet.Run(fednet.Options{
-		Scenario: ScenarioTStubCBR, Params: c,
-		Cores: cores, Seed: c.Seed, Profile: &ideal, Sync: o.sync,
-		RunFor: c.RunFor(), DataPlane: dataPlane,
-		Spawn: true, CollectDeliveries: true,
-	})
 }

@@ -1,12 +1,13 @@
 package experiments
 
 // The sharded-distribution contract on the transit-stub workload, at two
-// sizes: a small population where all three runtimes can run (so the usual
-// counter/CDF determinism cross-check applies, with the local baseline on
-// the demand-built route cache instead of the O(n²) matrix), and a large
-// 50k-VN population where only the federation runs and the assertions are
-// about footprint — per-worker setup bytes and materialized pipes must be
-// a fraction of the world, and route state must arrive by demand paging.
+// sizes: a small population where all three runtimes can run (tstubSmallSpec:
+// a row of the cross-mode table in determinism_test.go and a crash-recovery
+// case, with the local baseline on the demand-built route cache instead of
+// the O(n²) matrix), and a large 50k-VN population where only the federation
+// runs and the assertions are about footprint — per-worker setup bytes and
+// materialized pipes must be a fraction of the world, and route state must
+// arrive by demand paging.
 
 import (
 	"testing"
@@ -29,61 +30,6 @@ func tstubSmallSpec() TStubCBRSpec {
 		PacketBytes:      600,
 		DurationSec:      1.5,
 		Seed:             51,
-	}
-}
-
-func TestTStubCBRFednetDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("spawns worker subprocesses")
-	}
-	spec := tstubSmallSpec()
-	cache := WithRouteCache(spec.Servers + 8)
-	seq, err := RunTStubCBRLocal(spec, 1, false, false, cache)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if seq.Totals.Delivered == 0 {
-		t.Fatal("tstub run delivered nothing")
-	}
-	if seq.Totals.NoRoute > 0 {
-		t.Fatalf("tstub run had %d unroutable packets", seq.Totals.NoRoute)
-	}
-	for _, sm := range []modelnet.SyncMode{modelnet.SyncAdaptive, modelnet.SyncFixed} {
-		par, err := RunTStubCBRLocal(spec, 4, true, false, cache, WithSync(sm))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if seq.Totals != par.Totals {
-			t.Errorf("tstub counters diverge (%s):\n sequential %+v\n parallel   %+v", sm, seq.Totals, par.Totals)
-		}
-		sameCDF(t, "tstub seq vs par "+sm.String(), seq.Deliveries, par.Deliveries)
-	}
-	for _, fp := range []struct {
-		cores int
-		plane string
-		sync  modelnet.SyncMode
-	}{
-		{2, fednet.DataUDP, modelnet.SyncAdaptive},
-		{3, fednet.DataTCP, modelnet.SyncAdaptive},
-		{2, fednet.DataTCP, modelnet.SyncFixed},
-	} {
-		fed, err := RunTStubCBRFederated(spec, fp.cores, fp.plane, WithSync(fp.sync))
-		if err != nil {
-			t.Fatalf("%d workers over %s (%s): %v", fp.cores, fp.plane, fp.sync, err)
-		}
-		name := fmtPlane("tstub-cbr", fp.cores, fp.plane, fp.sync)
-		if seq.Totals != fed.Totals {
-			t.Errorf("%s: counters diverge:\n sequential %+v\n federated  %+v", name, seq.Totals, fed.Totals)
-		}
-		sameCDF(t, name, seq.Deliveries, sampleOf(fed))
-		if fed.Sync.Messages == 0 {
-			t.Errorf("%s: no cross-core messages — the comparison is vacuous", name)
-		}
-		for _, w := range fed.Workers {
-			if w.RouteRPCs == 0 {
-				t.Errorf("%s: shard %d paged no route summaries — the demand path went unexercised", name, w.Shard)
-			}
-		}
 	}
 }
 
@@ -115,10 +61,7 @@ func TestShardedDistributionScales(t *testing.T) {
 	// the whole distilled topology plus the full link assignment.
 	monolithic := len(wire.EncodeTopology(g)) + len(wire.EncodeAssignment(make([]int, totalLinks), 2))
 
-	fed, err := RunTStubCBRFederated(spec, 2, fednet.DataTCP)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fed := run(t, scenarioOf(t, ScenarioTStubCBR, spec), fedMode(2, fednet.DataTCP, modelnet.SyncAdaptive)).Fed
 	if fed.Totals.Delivered == 0 {
 		t.Fatal("50k-VN federation delivered nothing")
 	}

@@ -240,27 +240,6 @@ func (r *Runtime) SetDeliverHook(fn func(pkt *pipes.Packet, at vtime.Time)) {
 	}
 }
 
-// Lookahead reports the cluster-wide synchronization lookahead: the
-// smallest per-shard border-pipe latency (0 with an ingress crossing).
-func (r *Runtime) Lookahead() vtime.Duration {
-	la := vtime.Duration(-1)
-	for _, w := range r.workers {
-		if w.Sync.IngressCross {
-			return 0
-		}
-		if len(w.Sync.BorderPipes) == 0 {
-			continue
-		}
-		if la < 0 || w.Sync.Lookahead < la {
-			la = w.Sync.Lookahead
-		}
-	}
-	if la < 0 {
-		return 0
-	}
-	return la
-}
-
 // Stats reports synchronization counters for the run so far.
 func (r *Runtime) Stats() SyncStats { return r.stats }
 
