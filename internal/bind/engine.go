@@ -139,9 +139,9 @@ type distItem struct {
 // a graph: the whole graph under a single owner (fullView) for Matrix, Cache
 // and SummaryOracle, one shard's slice of it for ShardTable. Fields are
 // indexed by cover index — the view's nodes, densely renumbered — and cached
-// per (reroute epoch, target) in the one bounded LRU, 16 bytes per covered
-// node, next-hop memo included. An engine keeps scratch state between calls
-// and must not be shared across goroutines.
+// per (reroute epoch, target's key) in the one bounded LRU, 16 bytes per
+// covered node, next-hop memo included. An engine keeps scratch state between
+// calls and must not be shared across goroutines.
 type engine struct {
 	g     *topology.Graph // the view's links under their global IDs
 	shard int32
@@ -153,7 +153,7 @@ type engine struct {
 	summ  []topology.NodeID // the view's Summary: nodes whose global distances seed a field
 	seeds SeedFunc
 
-	fields   *lru[[]cell] // keyed by epoch<<32 | target
+	fields   *lru[[]cell] // keyed by epoch<<32 | key(target)
 	frontier topology.MinHeap[distItem]
 	path     Route // walk's scratch buffer
 
@@ -219,6 +219,23 @@ func newEngine(g *topology.Graph, view *ShardView, seeds SeedFunc, fieldCap int)
 		}
 	}
 	return e
+}
+
+// key canonicalizes a route target. A target t whose only in-link is r→t is a
+// leaf: dist(n, t) = dist(n, r) + w(r→t) for every n ≠ t, and a constant on
+// every candidate moves no argmin and no tie (DESIGN.md §9 "Leaf targets"), so
+// r's field serves t and the route is the walk to r plus acc, that access pipe.
+// Only a view that owns every link it has slots for can say so: its in-link
+// index is then complete and its walks never stop early. Any other target is
+// its own key, and acc is -1.
+func (e *engine) key(t topology.NodeID) (r topology.NodeID, acc int32) {
+	if len(e.in) == len(e.owner) {
+		if c := e.cover[t]; c >= 0 && e.inOff[c+1]-e.inOff[c] == 1 {
+			acc = e.in[e.inOff[c]].lid
+			return e.g.Links[acc].Src, acc
+		}
+	}
+	return t, -1
 }
 
 // at reads node n's distance out of a field.
@@ -352,25 +369,29 @@ func (e *engine) walk(cur, target topology.NodeID, f []cell, down linkSet) (Rout
 	return e.path, true
 }
 
-// join returns prefix followed by seg as a fresh exact-size route.
-func join(prefix, seg Route) Route {
-	r := make(Route, len(prefix)+len(seg))
-	copy(r[copy(r, prefix):], seg)
-	return r
-}
-
-// lookup resolves the route segment between two homes for a table's Lookup:
-// an unreachable target is ok=false, a failed seed fetch is a control plane
-// failure — not a routing miss — and panics loudly rather than silently
-// dropping traffic as unreachable.
-func (e *engine) lookup(from, to topology.NodeID, epoch int32, down linkSet) (Route, bool) {
-	f, err := e.field(epoch, to, down)
+// route resolves the canonical route from cur toward target under the epoch's
+// down set and returns prefix extended by it, exact-size: the walk to the
+// target's key, then its access pipe — or nothing from the target itself, the
+// one source the leaf sum does not hold for. ok is false when target is
+// unreachable; err is a failed seed fetch.
+func (e *engine) route(prefix Route, cur, target topology.NodeID, epoch int32, down linkSet) (Route, bool, error) {
+	r, acc := e.key(target)
+	f, err := e.field(epoch, r, down)
 	if err != nil {
-		panic(fmt.Sprintf("bind: route lookup %d->%d: %v", from, to, err))
+		return nil, false, err
 	}
-	seg, ok := e.walk(from, to, f, down)
-	if !ok {
-		return nil, false
+	var seg Route
+	if cur != target {
+		ok := false
+		if seg, ok = e.walk(cur, r, f, down); !ok {
+			return nil, false, nil
+		}
+		if acc >= 0 {
+			seg = append(seg, pipes.ID(acc))
+			e.path = seg // keep the buffer if the append grew it
+		}
 	}
-	return join(nil, seg), true
+	out := make(Route, len(prefix)+len(seg))
+	copy(out[copy(out, prefix):], seg)
+	return out, true, nil
 }

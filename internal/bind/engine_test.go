@@ -19,9 +19,10 @@ func ring() *topology.Graph {
 // TestLookupAllocs gates what a route costs the allocator: nothing on the
 // paths a packet takes (a Matrix lookup, a Cache hit), the exact-size route
 // and nothing else for a walk over a cached field — which, once warm, reads
-// its next hops out of the field's memo and scans nothing — and for a
-// distance field the field itself, memo included — whatever the node count,
-// since the frontier heap and the walk buffer are the engine's own scratch.
+// its next hops out of the field's memo and scans nothing, and which serves
+// every leaf behind the field's router — and for a distance field the field
+// itself, memo included — whatever the node count, since the frontier heap
+// and the walk buffer are the engine's own scratch.
 func TestLookupAllocs(t *testing.T) {
 	g := ring()
 	homes := g.Clients()
@@ -49,16 +50,25 @@ func TestLookupAllocs(t *testing.T) {
 		homes := g.Clients()
 		from, to := homes[3], homes[len(homes)/2]
 		e := newEngine(g, fullView(g), nil, 1)
-		e.lookup(from, to, 0, nil)
+		e.route(nil, from, to, 0, nil)
 		scans := e.Scans
 		if n := testing.AllocsPerRun(50, func() {
-			r, _ := e.lookup(from, to, 0, nil)
+			r, _, _ := e.route(nil, from, to, 0, nil)
 			sink += len(r)
 		}); n != 1 {
 			t.Errorf("%d nodes: warm route walk: %v allocs, want 1 (the route)", g.NumNodes(), n)
 		}
 		if e.Scans != scans || e.Misses != 1 {
 			t.Errorf("%d nodes: warm walks scanned %d out-links over %d fields, want 0 more over the 1", g.NumNodes(), e.Scans-scans, e.Misses)
+		}
+		// The field is the router's: the leaf next door costs its route, cut
+		// to size, and no second field.
+		spare := 0
+		if n := testing.AllocsPerRun(50, func() {
+			r, _, _ := e.route(nil, from, to+1, 0, nil)
+			spare += cap(r) - len(r)
+		}); n != 1 || e.Misses != 1 || spare != 0 {
+			t.Errorf("%d nodes: a second leaf behind the same router: %v allocs, %d fields, %d spare hops; want 1 (the exact-size route), 1, 0", g.NumNodes(), n, e.Misses, spare)
 		}
 		if n := testing.AllocsPerRun(10, func() {
 			f, _ := e.compute(nil, 0, to, nil)
@@ -70,30 +80,34 @@ func TestLookupAllocs(t *testing.T) {
 }
 
 // TestBuildMatrixAllocsAndScans gates the matrix build by counts that repeat
-// exactly on any host. Every walk toward one destination shares the field's
-// next-hop memo, so each node's out-links are evaluated at most once per
-// destination (without the memo the ring build evaluates ≈60 times that); and
-// a destination's routes are carved out of one array over one reused scratch
-// field, so the allocations are a few per destination, not one per pair.
+// exactly on any host. The ring's VNs are leaves, twenty behind each router,
+// so the build computes one field per router, not per VN; every walk toward
+// one key shares the field's next-hop memo, so each node's out-links are
+// evaluated at most once per key; and the routes go into one span table over
+// one arena beside one reused scratch field, so the allocations are the same
+// few whether a router has twenty VNs behind it or eighty.
 func TestBuildMatrixAllocsAndScans(t *testing.T) {
-	g := ring()
-	homes := g.Clients()
-	e := newEngine(g, fullView(g), nil, 1)
-	if _, err := e.matrix(homes, nil); err != nil {
-		t.Fatal(err)
-	}
-	if limit := uint64(len(homes) * g.NumLinks()); e.Scans == 0 || e.Scans > limit {
-		t.Errorf("matrix build evaluated %d out-links, want 1..%d (destinations x links)", e.Scans, limit)
-	}
-	if e.Misses != uint64(len(homes)) {
-		t.Errorf("matrix build computed %d fields for %d destinations", e.Misses, len(homes))
-	}
-	var sink int
-	if n, limit := testing.AllocsPerRun(2, func() {
-		m, _ := BuildMatrix(g, homes)
-		sink += m.NumVNs()
-	}), float64(3*len(homes)+32); n > limit {
-		t.Errorf("BuildMatrix: %v allocs for %d destinations, want <= %v", n, len(homes), limit)
+	for _, perRouter := range []int{20, 80} {
+		g := topology.Ring(20, perRouter, attrs(0.005), attrs(0.001))
+		homes := g.Clients()
+		e := newEngine(g, fullView(g), nil, 1)
+		if _, err := e.matrix(homes, nil); err != nil {
+			t.Fatal(err)
+		}
+		const keys = 20
+		if limit := uint64(keys * g.NumLinks()); e.Scans == 0 || e.Scans > limit {
+			t.Errorf("%d VNs: matrix build evaluated %d out-links, want 1..%d (keys x links)", len(homes), e.Scans, limit)
+		}
+		if e.Misses != keys {
+			t.Errorf("%d VNs: matrix build computed %d fields, want %d (one per router)", len(homes), e.Misses, keys)
+		}
+		var sink int
+		if n := testing.AllocsPerRun(2, func() {
+			m, _ := BuildMatrix(g, homes)
+			sink += m.NumVNs()
+		}); n > 32 {
+			t.Errorf("BuildMatrix: %v allocs for %d VNs, want <= 32 however many VNs", n, len(homes))
+		}
 	}
 }
 
@@ -141,28 +155,29 @@ func TestFieldIndependentOfPopOrder(t *testing.T) {
 var benchSink int
 
 // BenchmarkBuildMatrix prices ring-seq's whole setup_s: the matrix over the
-// benchmark's 400-VN ring — 400 distance fields, each node's out-links scanned
-// once per field, and 159 600 walks that read their hops out of the memo.
-func BenchmarkBuildMatrix(b *testing.B) {
+// benchmark's 400-VN ring — 20 distance fields (one per router; the VNs are
+// leaves), 8 000 walks that read their hops out of the memo, and 159 600
+// copies of a walked segment plus an access pipe.
+func BenchmarkBuildMatrix(b *testing.B) { benchBuildMatrix(b, ring(), nil) }
+
+// BenchmarkBuildMatrixMesh prices the build that collapses nothing: the same
+// ring with every VN homed on its router and the next, so each has two
+// in-links, is its own key, and the build is 400 fields and 159 600 walks.
+func BenchmarkBuildMatrixMesh(b *testing.B) {
 	g := ring()
-	homes := g.Clients()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := BuildMatrix(g, homes)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchSink += m.NumVNs()
+	for _, c := range g.Clients() {
+		router := g.Links[g.Out(c)[0]].Dst
+		g.AddDuplex(c, (router+1)%20, g.Links[g.Out(c)[0]].Attr)
 	}
+	e := newEngine(g, fullView(g), nil, 1)
+	if _, err := e.matrix(g.Clients(), nil); err != nil || e.Misses != 400 {
+		b.Fatalf("test premise: %d fields for the 400 VNs, want one each (err %v)", e.Misses, err)
+	}
+	benchBuildMatrix(b, g, nil)
 }
 
-// BenchmarkRerouteMatrix prices the stall a sequential Matrix-bound run takes
-// at each reroute event: the same matrix rebuilt with one ring link down.
-func BenchmarkRerouteMatrix(b *testing.B) {
-	g := ring()
+func benchBuildMatrix(b *testing.B, g *topology.Graph, down []topology.LinkID) {
 	homes := g.Clients()
-	down := []topology.LinkID{0} // ring0 -> ring1
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -173,6 +188,11 @@ func BenchmarkRerouteMatrix(b *testing.B) {
 		benchSink += m.NumVNs()
 	}
 }
+
+// BenchmarkRerouteMatrix prices the stall a sequential Matrix-bound run takes
+// at each reroute event: the same matrix rebuilt with one ring link down
+// (ring0 -> ring1).
+func BenchmarkRerouteMatrix(b *testing.B) { benchBuildMatrix(b, ring(), []topology.LinkID{0}) }
 
 // BenchmarkShardTableLookupWarm prices what a federated worker pays per
 // injected packet (ring-fed2): a field-LRU hit plus a walk over memoized next

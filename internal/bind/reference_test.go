@@ -89,14 +89,21 @@ func refRoute(g *topology.Graph, down map[topology.LinkID]bool, d []refDist, src
 // one-way links, a dead-end router, sometimes a client nobody can reach — and
 // adjacency lists that are NOT in link-ID order (the skeleton is built from a
 // shuffled link list), so the smallest-link-ID tie-break is not something
-// iteration order provides for free.
+// iteration order provides for free. Most clients are leaves — one duplex
+// access pipe, so the engine serves them from their router's field — and the
+// rest sit on that rule's boundary: a multi-homed client, a zero-latency
+// two-armed "client" other routes transit, a client attached to a client (its
+// key is itself a VN home), a client whose access is one-way in and leaves by
+// another router, sometimes a leaf behind a router nothing can reach, and
+// sometimes two VNs on one home.
 func refWorld(rng *rand.Rand) (*topology.Graph, []topology.NodeID) {
 	lats := []float64{0, 0.001, 0.001, 0.002, 0.005}
 	var links []topology.Link
-	add := func(a, b int) {
+	addLat := func(a, b int, lat float64) {
 		links = append(links, topology.Link{ID: topology.LinkID(len(links)), Src: topology.NodeID(a), Dst: topology.NodeID(b),
-			Attr: topology.LinkAttrs{BandwidthBps: 1e7, LatencySec: lats[rng.Intn(len(lats))]}})
+			Attr: topology.LinkAttrs{BandwidthBps: 1e7, LatencySec: lat}})
 	}
+	add := func(a, b int) { addLat(a, b, lats[rng.Intn(len(lats))]) }
 	nr := 6 + rng.Intn(10)
 	perm := rng.Perm(nr)
 	for i := 1; i < nr; i++ { // a strongly connected router core
@@ -125,6 +132,46 @@ func refWorld(rng *rand.Rand) (*topology.Graph, []topology.NodeID) {
 		homes = append(homes, topology.NodeID(n))
 		n++
 	}
+	client := func(arms func()) {
+		arms()
+		homes = append(homes, topology.NodeID(n))
+		n++
+	}
+	client(func() { // multi-homed: two in-links, no leaf
+		for _, r := range rng.Perm(nr)[:2] {
+			add(n, r)
+			add(r, n)
+		}
+	})
+	client(func() { // two free arms: routes between its routers transit it
+		for _, r := range rng.Perm(nr)[:2] {
+			addLat(n, r, 0)
+			addLat(r, n, 0)
+		}
+	})
+	client(func() { // attached to the first client, which stops being a leaf
+		add(n, nr+1)
+		add(nr+1, n)
+	})
+	client(func() { // one-way access: in from one router, out to another
+		p := rng.Perm(nr)
+		if rng.Intn(2) == 0 {
+			p[0] = nr + 2 // or in from the second client: a leaf's key that is itself a leaf
+		}
+		add(p[0], n)
+		add(n, p[1])
+	})
+	if rng.Intn(3) == 0 { // a leaf behind a router that sends but is never reached
+		add(n, rng.Intn(nr))
+		n++
+		client(func() {
+			add(n, n-1)
+			add(n-1, n)
+		})
+	}
+	if rng.Intn(2) == 0 { // two VNs on one home: the route between them is empty
+		homes = append(homes, homes[rng.Intn(len(homes))])
+	}
 	n++ // an isolated node
 	shuffled := append([]topology.Link(nil), links...)
 	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
@@ -152,6 +199,7 @@ type refRig struct {
 	homes []topology.NodeID
 	downs [][]topology.LinkID // downs[e] is epoch e's down set; downs[0] is nil
 	want  [][][]bind.Route    // want[e][src][dst]; nil = unreachable
+	dist  [][][]refDist       // dist[e][dst] is the reference field toward homes[dst]
 
 	nodeOwner, owner []int
 	views            []*bind.ShardView
@@ -159,31 +207,53 @@ type refRig struct {
 	oracle           *bind.SummaryOracle
 }
 
-func newRefRig(t *testing.T, rng *rand.Rand, oracleFields int) *refRig {
-	t.Helper()
-	r := &refRig{downs: [][]topology.LinkID{nil}}
-	r.g, r.homes = refWorld(rng)
-	for e := 1 + rng.Intn(2); e > 0; e-- {
-		var d []topology.LinkID
-		for n := 1 + rng.Intn(3); n > 0; n-- {
-			d = append(d, topology.LinkID(rng.Intn(r.g.NumLinks())))
-		}
-		r.downs = append(r.downs, d)
-	}
+// newReference computes the reference answers for a world under a down-set
+// schedule, and the whole-graph summary oracle the checks read seeds from.
+func newReference(g *topology.Graph, homes []topology.NodeID, downs [][]topology.LinkID, oracleFields int) *refRig {
+	r := &refRig{g: g, homes: homes, downs: downs}
 	r.want = make([][][]bind.Route, len(r.downs))
+	r.dist = make([][][]refDist, len(r.downs))
 	for e, d := range r.downs {
 		down := setOf(d)
 		r.want[e] = make([][]bind.Route, len(r.homes))
+		r.dist[e] = make([][]refDist, len(r.homes))
 		for s := range r.homes {
 			r.want[e][s] = make([]bind.Route, len(r.homes))
 		}
 		for di, to := range r.homes {
-			field := refField(r.g, down, to)
+			r.dist[e][di] = refField(r.g, down, to)
 			for si, from := range r.homes {
-				r.want[e][si][di], _ = refRoute(r.g, down, field, from, to)
+				r.want[e][si][di], _ = refRoute(r.g, down, r.dist[e][di], from, to)
 			}
 		}
 	}
+	r.oracle = bind.NewSummaryOracle(r.g, func(epoch int32) ([]topology.LinkID, error) { return r.downs[epoch], nil }, 1, oracleFields)
+	return r
+}
+
+func newRefRig(t *testing.T, rng *rand.Rand, oracleFields int) *refRig {
+	t.Helper()
+	g, homes := refWorld(rng)
+	downs := [][]topology.LinkID{nil}
+	for e := 1 + rng.Intn(2); e > 0; e-- {
+		var d []topology.LinkID
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			d = append(d, topology.LinkID(rng.Intn(g.NumLinks())))
+		}
+		downs = append(downs, d)
+	}
+	if rng.Intn(2) == 0 {
+		// A pipe into some VN home — a leaf's access pipe, as a rule — is down
+		// in epoch 1 only: its weight depends on the epoch, its key does not.
+		home := homes[rng.Intn(len(homes))]
+		for _, l := range g.Links {
+			if l.Dst == home {
+				downs[1] = append(downs[1], l.ID)
+				break
+			}
+		}
+	}
+	r := newReference(g, homes, downs, oracleFields)
 
 	k := 1 + rng.Intn(4)
 	r.nodeOwner = make([]int, r.g.NumNodes())
@@ -204,7 +274,6 @@ func newRefRig(t *testing.T, rng *rand.Rand, oracleFields int) *refRig {
 			t.Fatal(err)
 		}
 	}
-	r.oracle = bind.NewSummaryOracle(r.g, func(epoch int32) ([]topology.LinkID, error) { return r.downs[epoch], nil }, 1, oracleFields)
 	return r
 }
 
@@ -271,10 +340,59 @@ func (r *refRig) check(t *testing.T, what string, e, s, d int, got bind.Route, o
 	}
 }
 
+// checkWholeGraph holds the three whole-graph fronts against the reference
+// under epoch e: the Matrix built for its down set (which must fail exactly
+// when some pair is unreachable), the given Cache — already rerouted to e —
+// on every pair, two VNs on one home included, and the oracle's Seeds toward
+// every home read at every node of the world.
+func (r *refRig) checkWholeGraph(t *testing.T, e int, cache *bind.Cache) {
+	t.Helper()
+	reachable := true
+	for s := range r.homes {
+		for d := range r.homes {
+			reachable = reachable && (s == d || r.want[e][s][d] != nil)
+		}
+	}
+	m, err := bind.BuildMatrixDown(r.g, r.homes, r.downs[e])
+	if (err == nil) != reachable {
+		t.Fatalf("epoch %d: BuildMatrixDown err=%v, reference says all pairs reachable=%v", e, err, reachable)
+	}
+	nodes := make([]topology.NodeID, r.g.NumNodes())
+	for n := range nodes {
+		nodes[n] = topology.NodeID(n)
+	}
+	for d := range r.homes {
+		seeds, err := r.oracle.Seeds(int32(e), r.homes[d], nodes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n, got := range seeds {
+			if w := r.dist[e][d][n]; got.Reachable() != w.ok || (w.ok && (got.Lat != w.lat || int(got.Hops) != w.hops)) {
+				t.Fatalf("epoch %d (down %v): Seeds says node %d is %+v from VN %d (node %d), reference %+v", e, r.downs[e], n, got, d, r.homes[d], w)
+			}
+		}
+		for s := range r.homes {
+			if s == d {
+				continue
+			}
+			if m != nil {
+				rt, ok := m.Lookup(pipes.VN(s), pipes.VN(d))
+				r.check(t, "Matrix", e, s, d, rt, ok)
+			}
+			rt, ok := cache.Lookup(pipes.VN(s), pipes.VN(d))
+			r.check(t, "Cache", e, s, d, rt, ok)
+			if cache.Len() > 1 {
+				t.Fatalf("cache of capacity 1 holds %d routes", cache.Len())
+			}
+		}
+	}
+}
+
 // TestRoutingOptimalityProperty: on seeded random worlds, under a 2–3 epoch
 // down-set schedule and 1–4 shards of a random source-node partition,
 // reference ≡ Matrix ≡ Cache at capacity 1 (every lookup evicts) ≡ the
-// concatenation of ShardTable.Lookup + Extend segments — with every LRU in
+// concatenation of ShardTable.Lookup + Extend segments, and the oracle's
+// Seeds ≡ the reference field at every node — with every LRU in
 // the chain squeezed so eviction and recomputation are on the path, and
 // including packets extended under epochs the receiving shard has not reached
 // yet or has already left.
@@ -293,31 +411,13 @@ func TestRoutingOptimalityProperty(t *testing.T) {
 						tb.Advance()
 					}
 				}
-				reachable := true
-				for s := range r.homes {
-					for d := range r.homes {
-						reachable = reachable && (s == d || r.want[e][s][d] != nil)
-					}
-				}
-				m, err := bind.BuildMatrixDown(r.g, r.homes, r.downs[e])
-				if (err == nil) != reachable {
-					t.Fatalf("epoch %d: BuildMatrixDown err=%v, reference says all pairs reachable=%v", e, err, reachable)
-				}
+				r.checkWholeGraph(t, e, cache)
 				for s := range r.homes {
 					for d := range r.homes {
 						if s == d {
 							continue
 						}
-						if m != nil {
-							rt, ok := m.Lookup(pipes.VN(s), pipes.VN(d))
-							r.check(t, "Matrix", e, s, d, rt, ok)
-						}
-						rt, ok := cache.Lookup(pipes.VN(s), pipes.VN(d))
-						r.check(t, "Cache", e, s, d, rt, ok)
-						if cache.Len() > 1 {
-							t.Fatalf("cache of capacity 1 holds %d routes", cache.Len())
-						}
-						rt, ok = r.stitched(t, tables, e32, e32, s, d)
+						rt, ok := r.stitched(t, tables, e32, e32, s, d)
 						r.check(t, "ShardTable", e, s, d, rt, ok)
 						for p := range r.downs {
 							if p != e && r.want[p][s][d] != nil {

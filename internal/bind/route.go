@@ -6,7 +6,10 @@ package bind
 // canonical routes.
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 
 	"modelnet/internal/pipes"
 	"modelnet/internal/topology"
@@ -27,13 +30,20 @@ type Table interface {
 
 // Matrix is the straightforward precomputed routing matrix: the engine
 // filled eagerly with all-pairs routes among VNs, O(n²) space, O(1) lookup.
-// Building it is n distance fields plus one pipe ID per hop of every route
-// (DESIGN.md §9 has the cost model), so the O(n²) route headers bound it
-// before the build time does: ~10,000 VNs (§2.2). It is read-only once built,
-// so parallel shards may share one.
+// Building it is one distance field and n walks per distinct key among the
+// homes — per attachment router, where VNs are leaves — and it stores 8 bytes
+// of span per pair plus 4 per hop (DESIGN.md §9 has the cost model): at the
+// paper's ~10,000 VNs (§2.2) 800 MB of spans and a few GB of hops, and past
+// 2³² hops the build refuses. Read-only once built, so parallel shards share one.
 type Matrix struct {
-	routes [][]Route // [src][dst]; a destination's routes share one backing array
+	n     int
+	spans []span // [src*n+dst]; no pointers, so the collector never scans the n² of them
+	arena Route  // every route's pipes, back to back
 }
+
+// span locates one route in the arena. Length 0 is the empty route between two
+// VNs on one home, never "unreachable": a matrix with such a pair does not build.
+type span struct{ off, n uint32 }
 
 // BuildMatrix computes the routing matrix for the given VN home nodes in g.
 // vnHomes[v] is the topology node hosting VN v.
@@ -46,43 +56,72 @@ func BuildMatrixDown(g *topology.Graph, vnHomes []topology.NodeID, down []topolo
 	return newEngine(g, fullView(g), nil, 1).matrix(vnHomes, newLinkSet(down))
 }
 
-// matrix fills a Matrix from a whole-graph engine: one distance field per
-// destination, computed into the same scratch field each time, and one walk
-// per pair. A whole-graph walk never stops early, so a route is as long as
-// its source's hop count in the field and a destination's routes are carved
-// out of one exact-size array.
+// arenaRoom refuses to grow a matrix's arena past a span's 32-bit offset.
+func arenaRoom(used, need, vns int) error {
+	if uint64(used)+uint64(need) > math.MaxUint32 {
+		return fmt.Errorf("bind: the routing matrix of %d VNs passes 2^32 stored hops; bound it with a route cache (Options.RouteCache)", vns)
+	}
+	return nil
+}
+
+// matrix fills a Matrix from a whole-graph engine. Destinations are grouped by
+// key: one distance field per key, computed into the same scratch field each
+// time, one walk per (source, key), and per destination a copy of that segment
+// plus its access pipe. A destination that is its own key is a group of one.
 func (e *engine) matrix(vnHomes []topology.NodeID, down linkSet) (*Matrix, error) {
 	n := len(vnHomes)
-	m := &Matrix{routes: make([][]Route, n)}
-	flat := make([]Route, n*n)
-	for i := range m.routes {
-		m.routes[i] = flat[i*n : (i+1)*n : (i+1)*n]
+	m := &Matrix{n: n, spans: make([]span, n*n)}
+	type dest struct {
+		vn, acc int32
+		key     topology.NodeID
 	}
-	var f []cell
+	dests := make([]dest, n)
 	for j, to := range vnHomes {
+		r, acc := e.key(to)
+		dests[j] = dest{int32(j), acc, r}
+	}
+	slices.SortStableFunc(dests, func(a, b dest) int { return cmp.Compare(a.key, b.key) })
+	var f []cell
+	for len(dests) > 0 {
+		r, k := dests[0].key, 1
+		for k < len(dests) && dests[k].key == r {
+			k++
+		}
+		group := dests[:k]
+		dests = dests[k:]
 		var err error
-		if f, err = e.compute(f, 0, to, down); err != nil {
+		if f, err = e.compute(f, 0, r, down); err != nil {
 			return nil, err
 		}
-		hops := 0
-		for i, from := range vnHomes {
-			d := e.at(f, from)
-			if !d.Reachable() {
-				return nil, fmt.Errorf("bind: VN %d cannot reach VN %d", i, j)
+		if m.arena == nil {
+			// Sized by the first key's mean route: exact on a symmetric world,
+			// and append makes up the difference on any other.
+			hops := 0
+			for _, from := range vnHomes {
+				if d := e.at(f, from); d.Reachable() {
+					hops += int(d.Hops) + 1
+				}
 			}
-			hops += int(d.Hops)
+			m.arena = make(Route, 0, min(uint64(hops)*uint64(n), math.MaxUint32))
 		}
-		arena := make(Route, hops)
 		for i, from := range vnHomes {
-			if i == j {
-				continue
+			seg, ok := e.walk(from, r, f, down)
+			if err := arenaRoom(len(m.arena), k*(len(seg)+1), n); err != nil {
+				return nil, err
 			}
-			seg, ok := e.walk(from, to, f, down)
-			if !ok {
-				return nil, fmt.Errorf("bind: VN %d cannot reach VN %d", i, j)
+			for _, d := range group {
+				if vnHomes[d.vn] == from {
+					continue // one home: the empty route
+				}
+				if !ok {
+					return nil, fmt.Errorf("bind: VN %d cannot reach VN %d", i, d.vn)
+				}
+				off := len(m.arena)
+				if m.arena = append(m.arena, seg...); d.acc >= 0 {
+					m.arena = append(m.arena, pipes.ID(d.acc))
+				}
+				m.spans[i*n+int(d.vn)] = span{uint32(off), uint32(len(m.arena) - off)}
 			}
-			m.routes[i][j] = arena[:len(seg):len(seg)]
-			arena = arena[copy(arena, seg):]
 		}
 	}
 	return m, nil
@@ -90,18 +129,15 @@ func (e *engine) matrix(vnHomes []topology.NodeID, down linkSet) (*Matrix, error
 
 // Lookup implements Table.
 func (m *Matrix) Lookup(src, dst pipes.VN) (Route, bool) {
-	if int(src) >= len(m.routes) || int(dst) >= len(m.routes) || src < 0 || dst < 0 {
+	if int(src) >= m.n || int(dst) >= m.n || src < 0 || dst < 0 {
 		return nil, false
 	}
-	if src == dst {
-		return Route{}, true
-	}
-	r := m.routes[src][dst]
-	return r, r != nil
+	s := m.spans[int(src)*m.n+int(dst)] // src == dst: never written, the empty route
+	return m.arena[s.off : s.off+s.n : s.off+s.n], true
 }
 
 // NumVNs implements Table.
-func (m *Matrix) NumVNs() int { return len(m.routes) }
+func (m *Matrix) NumVNs() int { return m.n }
 
 // Cache is the O(n lg n)-space alternative: the engine behind a bounded hash
 // cache of routes for active flows; a miss walks the canonical route on
@@ -142,7 +178,7 @@ func (c *Cache) Lookup(src, dst pipes.VN) (Route, bool) {
 		return r, r != nil
 	}
 	c.Misses++
-	r, ok := c.eng.lookup(c.vnHomes[src], c.vnHomes[dst], 0, c.down)
+	r, ok, _ := c.eng.route(nil, c.vnHomes[src], c.vnHomes[dst], 0, c.down) // no seeds, no error
 	c.routes.put(key, r)
 	return r, ok
 }

@@ -1,6 +1,7 @@
 package bind
 
 import (
+	"strings"
 	"testing"
 
 	"modelnet/internal/pipes"
@@ -76,6 +77,49 @@ func TestMatrixLookup(t *testing.T) {
 	// Out of range.
 	if _, ok := m.Lookup(0, 99); ok {
 		t.Error("bogus VN lookup succeeded")
+	}
+}
+
+// TestMatrixLookupContract pins what a span table must keep meaning: a span
+// of length 0 is the empty route of two VNs on one home (or of a VN to
+// itself), never "unreachable" — a matrix with an unreachable pair does not
+// build — and ok is false only for VNs the matrix does not have.
+func TestMatrixLookupContract(t *testing.T) {
+	g, homes := diamond()
+	m, err := BuildMatrix(g, []topology.NodeID{homes[0], homes[1], homes[0]}) // VNs 0 and 2 share a home
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		src, dst pipes.VN
+		hops     int
+		ok       bool
+	}{
+		{0, 1, 2, true}, {1, 0, 2, true}, {2, 1, 2, true}, {1, 2, 2, true},
+		{0, 0, 0, true}, {1, 1, 0, true},
+		{0, 2, 0, true}, {2, 0, 0, true},
+		{0, 3, 0, false}, {3, 0, 0, false}, {-1, 0, 0, false}, {0, -1, 0, false},
+	} {
+		r, ok := m.Lookup(c.src, c.dst)
+		if ok != c.ok || len(r) != c.hops || (!ok && r != nil) {
+			t.Errorf("Lookup(%d,%d) = %v, %v; want %d hops, ok=%v", c.src, c.dst, r, ok, c.hops, c.ok)
+		}
+		if len(r) > 0 && (g.Links[r[0]].Src != homes[c.src%2] || g.Links[r[len(r)-1]].Dst != homes[c.dst%2]) {
+			t.Errorf("Lookup(%d,%d) = %v does not join the two homes", c.src, c.dst, r)
+		}
+	}
+}
+
+// TestMatrixArenaBound: span offsets are 32 bits, so a build whose arena
+// would pass 2^32 hops must fail, pointing at the route cache, and never wrap.
+func TestMatrixArenaBound(t *testing.T) {
+	if err := arenaRoom(1<<32-11, 10, 70000); err != nil {
+		t.Errorf("an arena of 2^32-1 hops refused: %v", err)
+	}
+	for _, c := range [][2]int{{1<<32 - 10, 10}, {0, 1 << 32}, {1 << 33, 1}} {
+		if err := arenaRoom(c[0], c[1], 70000); err == nil || !strings.Contains(err.Error(), "RouteCache") {
+			t.Errorf("arenaRoom(%d, %d) = %v, want an error naming Options.RouteCache", c[0], c[1], err)
+		}
 	}
 }
 

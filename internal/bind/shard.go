@@ -13,6 +13,7 @@ import (
 
 	"modelnet/internal/pipes"
 	"modelnet/internal/topology"
+	"modelnet/internal/vtime"
 )
 
 // ShardView is the slice of the world one shard materializes: its owned
@@ -198,7 +199,13 @@ func (t *ShardTable) Lookup(src, dst pipes.VN) (Route, bool) {
 	if src == dst {
 		return Route{}, true
 	}
-	return t.lookup(t.vnHome[src], t.vnHome[dst], t.epoch, t.downs[t.epoch])
+	r, ok, err := t.route(nil, t.vnHome[src], t.vnHome[dst], t.epoch, t.downs[t.epoch])
+	if err != nil {
+		// A failed seed fetch is a control plane failure, not a routing miss:
+		// fail loudly rather than silently drop traffic as unreachable.
+		panic(fmt.Sprintf("bind: route lookup VN %d->%d: %v", src, dst, err))
+	}
+	return r, ok
 }
 
 // Extend grows a tunneled packet's route under its pinned epoch: while the
@@ -221,15 +228,14 @@ func (t *ShardTable) Extend(r Route, epoch int32, dst pipes.VN) (Route, error) {
 	if epoch < 0 || int(epoch) >= len(t.downs) {
 		return nil, fmt.Errorf("bind: shard %d asked for unknown reroute epoch %d (current %d)", t.shard, epoch, t.epoch)
 	}
-	f, err := t.field(epoch, target, t.downs[epoch])
+	ext, ok, err := t.route(r, cur, target, epoch, t.downs[epoch])
 	if err != nil {
 		return nil, err
 	}
-	seg, ok := t.walk(cur, target, f, t.downs[epoch])
 	if !ok {
 		return nil, fmt.Errorf("bind: shard %d cannot extend route toward VN %d (node %d) at epoch %d", t.shard, dst, target, epoch)
 	}
-	return join(r, seg), nil
+	return ext, nil
 }
 
 // NumVNs implements Table.
@@ -302,9 +308,14 @@ func (o *SummaryOracle) Seeds(epoch int32, target topology.NodeID, nodes []topol
 	if err != nil {
 		return nil, err
 	}
-	f, err := o.eng.field(epoch, target, down)
+	r, acc := o.eng.key(target)
+	f, err := o.eng.field(epoch, r, down)
 	if err != nil {
 		return nil, err
+	}
+	var w vtime.Duration // a leaf's access pipe, priced under this epoch
+	if acc >= 0 {
+		w = down.weigh(topology.LinkID(acc), LinkLat(o.eng.g.Links[acc]))
 	}
 	out := make([]Dist, len(nodes))
 	for i, n := range nodes {
@@ -312,6 +323,11 @@ func (o *SummaryOracle) Seeds(epoch int32, target topology.NodeID, nodes []topol
 			return nil, fmt.Errorf("bind: summary node %d out of range", n)
 		}
 		out[i] = o.eng.at(f, n)
+		if n == target {
+			out[i] = Dist{}
+		} else if acc >= 0 {
+			out[i] = out[i].Add(w)
+		}
 	}
 	return out, nil
 }
