@@ -105,7 +105,6 @@ func main() {
 	walkOut := flag.Int("walkout", 1, "walk-out frontier sets")
 	cores := flag.Int("cores", 1, "emulated core routers")
 	parallel := flag.Bool("parallel", false, "run each core router on its own goroutine (internal/parcore)")
-	syncMode := flag.String("sync", "adaptive", "parallel/federated synchronization algebra: adaptive (horizon-driven per-shard grants) or fixed (uniform static-lookahead windows)")
 	flows := flag.Int("flows", 50, "random-pair bulk TCP flows")
 	duration := flag.Float64("duration", 10, "virtual seconds to run")
 	ideal := flag.Bool("ideal", false, "ideal (event-exact, infinite-capacity) core")
@@ -151,11 +150,6 @@ func main() {
 		fatal(fmt.Errorf("unknown -distill %q", *distillMode))
 	}
 	opts := modelnet.Options{Distill: spec, Cores: *cores, Seed: *seed, Parallel: *parallel}
-	sm, err := modelnet.ParseSyncMode(*syncMode)
-	if err != nil {
-		fatal(err)
-	}
-	opts.Sync = sm
 	if *ideal {
 		p := modelnet.IdealProfile()
 		opts.Profile = &p

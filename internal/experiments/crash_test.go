@@ -19,7 +19,7 @@ import (
 // crashMode is a 2-worker federation with recovery armed and one planted
 // worker fault.
 func crashMode(plane string, shard, round int) modelnet.Options {
-	mode := fedMode(2, plane, modelnet.SyncAdaptive)
+	mode := fedMode(2, plane)
 	mode.Federate.Recover = true
 	mode.Federate.Fail = &modelnet.FailSpec{Shard: shard, Round: round}
 	return mode

@@ -162,23 +162,23 @@ var ideal = modelnet.IdealProfile()
 // are the whole vocabulary of the cross-mode suites.
 func seqMode() modelnet.Options { return modelnet.Options{Profile: &ideal} }
 
-func inprocMode(cores int, sm modelnet.SyncMode) modelnet.Options {
-	return modelnet.Options{Profile: &ideal, Cores: cores, Parallel: true, Sync: sm}
+func inprocMode(cores int) modelnet.Options {
+	return modelnet.Options{Profile: &ideal, Cores: cores, Parallel: true}
 }
 
 // fedMode is a cores-process federation over loopback, the workers spawned
 // from this test binary (TestMain).
-func fedMode(cores int, plane string, sm modelnet.SyncMode) modelnet.Options {
-	return modelnet.Options{Profile: &ideal, Cores: cores, Sync: sm,
+func fedMode(cores int, plane string) modelnet.Options {
+	return modelnet.Options{Profile: &ideal, Cores: cores,
 		Federate: &modelnet.FederateOptions{DataPlane: plane, Spawn: true, CollectDeliveries: true}}
 }
 
 func modeName(o modelnet.Options) string {
 	switch {
 	case o.Federate != nil:
-		return fmt.Sprintf("fednet-%s-%d/%s", o.Federate.DataPlane, o.Cores, o.Sync)
+		return fmt.Sprintf("fednet-%s-%d", o.Federate.DataPlane, o.Cores)
 	case o.Parallel:
-		return fmt.Sprintf("inproc-%d/%s", o.Cores, o.Sync)
+		return fmt.Sprintf("inproc-%d", o.Cores)
 	}
 	return "seq"
 }
@@ -233,31 +233,23 @@ func sameRun(t *testing.T, name string, want, got *Result) {
 	sameCDF(t, name, want.Deliveries, got.Deliveries)
 }
 
-// fedPlanes are the (workers, data plane, sync algebra) points the federated
-// suite covers: both planes at 2, 3, and 4 worker processes, each under the
-// adaptive grant algebra and the fixed-lookahead baseline. Window boundaries
-// differ between the two algebras; counters, reports, and delivery CDFs must
-// not.
+// fedPlanes are the (workers, data plane) points the federated suite covers:
+// both planes at each of the given worker-process counts. Window boundaries
+// differ with the shard count; counters, reports, and delivery CDFs must not.
 func fedPlanes(workers ...int) []modelnet.Options {
 	var modes []modelnet.Options
 	for _, k := range workers {
 		for _, plane := range []string{fednet.DataUDP, fednet.DataTCP} {
-			for _, sm := range []modelnet.SyncMode{modelnet.SyncAdaptive, modelnet.SyncFixed} {
-				modes = append(modes, fedMode(k, plane, sm))
-			}
+			modes = append(modes, fedMode(k, plane))
 		}
 	}
 	return modes
 }
 
-// fullModes is the sequential reference, the in-process runtime under both
-// algebras, and every fedPlanes point at the given worker counts.
+// fullModes is the sequential reference, the in-process runtime, and every
+// fedPlanes point at the given worker counts.
 func fullModes(inprocCores int, workers ...int) []modelnet.Options {
-	return append([]modelnet.Options{
-		seqMode(),
-		inprocMode(inprocCores, modelnet.SyncAdaptive),
-		inprocMode(inprocCores, modelnet.SyncFixed),
-	}, fedPlanes(workers...)...)
+	return append([]modelnet.Options{seqMode(), inprocMode(inprocCores)}, fedPlanes(workers...)...)
 }
 
 // crossModeCase is one row of the cross-mode table: a scenario, the mode
@@ -305,16 +297,15 @@ func crossModeCases(t *testing.T) []crossModeCase {
 		tstubModes[i].RouteCache = tstub.Servers + 8
 	}
 	tstubModes = append(tstubModes,
-		fedMode(2, fednet.DataUDP, modelnet.SyncAdaptive),
-		fedMode(3, fednet.DataTCP, modelnet.SyncAdaptive),
-		fedMode(2, fednet.DataTCP, modelnet.SyncFixed))
+		fedMode(2, fednet.DataUDP),
+		fedMode(3, fednet.DataTCP),
+		fedMode(2, fednet.DataTCP))
 
 	cases := []crossModeCase{
 		{sc: scenarioOf(t, ScenarioRingCBR, fednetRingSpec()), modes: fullModes(4, 2, 3, 4), sane: delivered},
 		{
-			sc: scenarioOf(t, ScenarioGnutella, gnutella),
-			modes: []modelnet.Options{seqMode(), inprocMode(4, modelnet.SyncAdaptive),
-				fedMode(2, fednet.DataTCP, modelnet.SyncAdaptive)},
+			sc:    scenarioOf(t, ScenarioGnutella, gnutella),
+			modes: []modelnet.Options{seqMode(), inprocMode(4), fedMode(2, fednet.DataTCP)},
 			sane: func(t *testing.T, runs []*Result) {
 				if r := runs[0].App.(GnutellaRingReport); r.Reachable < gnutella.Servents()/2 {
 					t.Errorf("flood barely spread: %d/%d reachable", r.Reachable, gnutella.Servents())
@@ -453,7 +444,7 @@ func TestPacedRingFednetDeterminism(t *testing.T) {
 	spec.DurationSec = 0.3
 	sc := scenarioOf(t, ScenarioRingCBR, spec)
 	seq := run(t, sc, seqMode())
-	paced := fedMode(2, fednet.DataUDP, modelnet.SyncAdaptive)
+	paced := fedMode(2, fednet.DataUDP)
 	paced.Federate.RealTime = true
 	fed := run(t, sc, paced)
 	sameRun(t, "paced ring", seq, fed)

@@ -145,11 +145,22 @@ func TestLiveEdgeRoundTripFederated(t *testing.T) {
 		t.Fatalf("echo responder saw %d pings, gateway admitted %d", lr.Echoed, rep.Edge.IngressPkts)
 	}
 
-	// Exactly one worker (the one homing VN 0) should have bound a gateway.
-	live := 0
-	for _, a := range rep.GatewayAddrs {
-		if a != "" {
-			live++
+	// Exactly one worker (the one homing VN 0) should have bound a gateway,
+	// and it is set up like any other: from its chunked shard view, paging
+	// its ingress flows' routes through the shard table rather than holding
+	// the world and a private full bind.
+	live, worldLinks := 0, spec.Topology().NumLinks()
+	for i, a := range rep.GatewayAddrs {
+		if a == "" {
+			continue
+		}
+		live++
+		w := rep.Workers[i]
+		if w.SetupBytes == 0 || w.RouteRPCs == 0 {
+			t.Errorf("gateway shard %d: %d setup chunk bytes, %d route RPCs — ingress did not resolve through the shard table", i, w.SetupBytes, w.RouteRPCs)
+		}
+		if w.MaterializedPipes >= worldLinks {
+			t.Errorf("gateway shard %d materialized %d pipes of a %d-link world: not a shard view", i, w.MaterializedPipes, worldLinks)
 		}
 	}
 	if live != 1 {

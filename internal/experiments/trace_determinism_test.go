@@ -56,7 +56,7 @@ func sameTrace(t *testing.T, name string, want, got []byte) {
 // and a 2-worker federation over both planes under both algebras, each
 // recording a trace.
 func traceModes(inprocCores int) []modelnet.Options {
-	modes := append([]modelnet.Options{inprocMode(inprocCores, modelnet.SyncAdaptive)}, fedPlanes(2)...)
+	modes := append([]modelnet.Options{inprocMode(inprocCores)}, fedPlanes(2)...)
 	for i := range modes {
 		modes[i].Trace = true
 	}

@@ -12,9 +12,10 @@ package experiments
 import (
 	"testing"
 
-	"modelnet"
+	"modelnet/internal/bind"
 	"modelnet/internal/fednet"
 	"modelnet/internal/fednet/wire"
+	"modelnet/internal/topology"
 )
 
 func tstubSmallSpec() TStubCBRSpec {
@@ -57,11 +58,16 @@ func TestShardedDistributionScales(t *testing.T) {
 	}
 	g := spec.Topology()
 	totalLinks := g.NumLinks()
-	// What the pre-sharding coordinator would have shipped to every worker:
-	// the whole distilled topology plus the full link assignment.
-	monolithic := len(wire.EncodeTopology(g)) + len(wire.EncodeAssignment(make([]int, totalLinks), 2))
+	// What a worker's setup stream may cost: one shard-view row per pipe it
+	// materializes (the row width is read off the codec, not restated here)
+	// plus the VN world map — the only O(world) term — plus 1% for the
+	// frontier and summary node lists, the run config and chunk framing.
+	oneLink := &bind.ShardView{Cores: 1, NumNodes: 1, NumLinks: 1, Links: []topology.Link{{}}, LinkOwner: []int32{0}}
+	rowBytes := len(wire.EncodeShardView(oneLink)) - len(wire.EncodeShardView(&bind.ShardView{Cores: 1}))
+	vns := len(g.Clients())
+	worldBytes := len(wire.EncodeWorld(wire.World{VNHome: make([]int32, vns), Homes: make([]int32, vns)}))
 
-	fed := run(t, scenarioOf(t, ScenarioTStubCBR, spec), fedMode(2, fednet.DataTCP, modelnet.SyncAdaptive)).Fed
+	fed := run(t, scenarioOf(t, ScenarioTStubCBR, spec), fedMode(2, fednet.DataTCP)).Fed
 	if fed.Totals.Delivered == 0 {
 		t.Fatal("50k-VN federation delivered nothing")
 	}
@@ -73,14 +79,12 @@ func TestShardedDistributionScales(t *testing.T) {
 		if w.SetupBytes == 0 || w.StartupWallNs == 0 {
 			t.Fatalf("shard %d reported no setup cost: %+v", w.Shard, w)
 		}
-		// The shard view re-encodes its links with ownership and frontier
-		// metadata, so per-link it is slightly wider than the monolithic
-		// topology row — but it only carries this shard's ≈half of the
-		// world. 75% of the monolithic stream is a conservative ceiling;
-		// in practice it sits near 55%.
-		if w.SetupBytes > uint64(monolithic)*3/4 {
-			t.Errorf("shard %d setup is not sublinear: %d bytes vs %d monolithic", w.Shard, w.SetupBytes, monolithic)
+		ceiling := uint64(rowBytes*w.MaterializedPipes+worldBytes) * 101 / 100
+		if w.SetupBytes > ceiling {
+			t.Errorf("shard %d setup is %d bytes for %d materialized pipes: over the %d-byte ceiling (%d per pipe + %d world map + 1%%)",
+				w.Shard, w.SetupBytes, w.MaterializedPipes, ceiling, rowBytes, worldBytes)
 		}
+		t.Logf("shard %d: setup %d bytes, ceiling %d, pipes %d/%d, route RPCs %d", w.Shard, w.SetupBytes, ceiling, w.MaterializedPipes, totalLinks, w.RouteRPCs)
 		// Materialized pipes ≈ owned half + incoming frontier. A worker
 		// holding over 65%% of the world's pipes is not sharded; under 25%%
 		// would mean the cut is pathologically unbalanced.

@@ -55,19 +55,12 @@ type Options struct {
 	Profile *emucore.Profile
 	// Distill selects the distillation mode (zero value = hop-by-hop).
 	Distill distill.Spec
-	// EdgeNodes and RouteCache mirror modelnet.Options.
-	EdgeNodes  int
-	RouteCache int
+	// EdgeNodes mirrors modelnet.Options.
+	EdgeNodes int
 
 	// RunFor is the virtual time to emulate. Zero or negative runs to
 	// global quiescence.
 	RunFor vtime.Duration
-
-	// Sync selects the synchronization algebra: adaptive per-shard window
-	// grants derived from the cluster's queue horizon (the default), or the
-	// fixed uniform-lookahead windows kept as the measurement baseline and
-	// escape hatch (CLI: -sync=fixed).
-	Sync parcore.SyncMode
 
 	// Dynamics, when non-nil, is the link-dynamics spec: the coordinator
 	// validates it against the distilled topology and ships it bit-exact
@@ -239,11 +232,9 @@ type Report struct {
 	// keeps Frames an order of magnitude under Sync.Messages.
 	Frames      uint64
 	BytesOnWire uint64
-	// Lookahead and Cut describe the partition the run synchronized under;
-	// SyncMode is the algebra the coordinator drove with.
+	// Lookahead and Cut describe the partition the run synchronized under.
 	Lookahead vtime.Duration
 	Cut       assign.CutStats
-	SyncMode  parcore.SyncMode
 	// WallMS is the coordinator-measured wall-clock time of the Run
 	// phase (excluding topology build and worker setup).
 	WallMS float64
@@ -287,7 +278,6 @@ func (r *Report) RunProfile() obs.RunProfile {
 		Windows:        r.Sync.Windows,
 		SerialRounds:   r.Sync.SerialRounds,
 		Messages:       r.Sync.Messages,
-		SyncMode:       r.SyncMode.String(),
 		GrantMinMS:     r.Sync.GrantMin().Seconds() * 1000,
 		GrantMeanMS:    r.Sync.GrantMean().Seconds() * 1000,
 		GrantMaxMS:     r.Sync.GrantMax().Seconds() * 1000,
@@ -399,32 +389,24 @@ func Run(opts Options) (*Report, error) {
 		return nil, fmt.Errorf("fednet: %w", err)
 	}
 	dynBin := dynamics.Encode(opts.Dynamics)
-	// Sharded distribution is the default: each worker receives only its
-	// shard view (owned links + cut frontier) and the VN world map, so
-	// per-worker setup and memory scale with the shard, not the world. Live
-	// edge runs keep the monolithic path — a gateway worker may host ingress
-	// VNs whose flows it must resolve globally at admission time.
-	sharded := opts.Edge == nil && asn.NodeOwner != nil
-	// Drive prices in-flight messages (and, under the adaptive algebra,
-	// grants) with the reaction-chain matrix, which the coordinator derives
-	// from the same bind/plan computation every worker performs on its copy
-	// of the state. Under sharded distribution the binding exists for VN
-	// numbering and sync plans, never bulk routes — demand-paged tables
-	// replace the O(n²) matrix.
+	// Each worker receives only its shard view (owned links + cut frontier)
+	// and the VN world map, so per-worker setup and memory scale with the
+	// shard, not the world; a gateway worker pages its ingress flows' routes
+	// like any other source. The coordinator's own binding exists for VN
+	// numbering and the sync plan, never bulk routes (LazyRoutes), and the
+	// reaction-chain matrix Drive prices grants and in-flight messages with
+	// comes from the same plan computation every worker runs on its view.
 	pod := bind.NewPOD(asn.Owner, asn.Cores)
 	bnd, err := bind.Bind(dist.Graph, bind.Options{
 		EdgeNodes:  opts.EdgeNodes,
 		Cores:      asn.Cores,
-		RouteCache: opts.RouteCache,
-		LazyRoutes: sharded,
+		LazyRoutes: true,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("fednet: bind: %w", err)
 	}
 	homes := parcore.Homes(dist.Graph, bnd, pod, opts.Cores)
 	chain := parcore.ChainMatrix(parcore.ComputeSyncPlan(dist.Graph, bnd, pod, homes, opts.Cores, opts.Dynamics.LatencyFloorFunc()))
-	var oracle *bind.SummaryOracle
-	var summaries [][]topology.NodeID
 	// cfgFor closes over the mutable addrs slice: a respawned worker's
 	// regenerated setup carries the fleet's *current* endpoints (DataAddrs
 	// only feed openDataPlane, never the deterministic emulation state, so a
@@ -433,94 +415,67 @@ func Run(opts Options) (*Report, error) {
 		return json.Marshal(setup{
 			Shard: i, Cores: opts.Cores, Seed: opts.Seed, Profile: prof,
 			DataPlane: opts.DataPlane, DataAddrs: addrs, MaxDatagram: opts.MaxDatagram,
-			EdgeNodes: opts.EdgeNodes, RouteCache: opts.RouteCache,
-			Scenario: opts.Scenario, Params: params, CollectDeliveries: opts.CollectDeliveries,
+			EdgeNodes: opts.EdgeNodes,
+			Scenario:  opts.Scenario, Params: params, CollectDeliveries: opts.CollectDeliveries,
 			Edge: opts.Edge, Trace: opts.Trace, Metrics: opts.MetricsListen != "",
-			Sync: opts.Sync.String(), Sharded: sharded, RunForNs: int64(opts.RunFor),
-			Recoverable: opts.Recover,
+			RunForNs: int64(opts.RunFor), Recoverable: opts.Recover,
 		})
+	}
+	views, err := bind.BuildShardViews(dist.Graph, asn.Owner, asn.NodeOwner, asn.Cores)
+	if err != nil {
+		return nil, fmt.Errorf("fednet: shard views: %w", err)
+	}
+	downSets, err := dynamics.EnumerateReroutes(opts.Dynamics, dist.Graph.NumLinks(), rerouteHorizon(opts.RunFor))
+	if err != nil {
+		return nil, fmt.Errorf("fednet: %w", err)
+	}
+	oracle := bind.NewSummaryOracle(dist.Graph, func(epoch int32) ([]topology.LinkID, error) {
+		if int(epoch) >= len(downSets) {
+			return nil, fmt.Errorf("fednet: reroute epoch %d outside the enumerated schedule (%d epochs)", epoch, len(downSets))
+		}
+		return downSets[epoch], nil
+	}, 0, 0)
+	world := wire.World{VNHome: make([]int32, bnd.NumVNs()), Homes: make([]int32, bnd.NumVNs())}
+	for v, n := range bnd.VNHome {
+		world.VNHome[v] = int32(n)
+		world.Homes[v] = int32(homes[v])
+	}
+	worldBin := wire.EncodeWorld(world)
+	summaries := make([][]topology.NodeID, opts.Cores)
+	viewBins := make([][]byte, opts.Cores)
+	for i := range views {
+		viewBins[i] = wire.EncodeShardView(views[i])
+		summaries[i] = views[i].Summary
 	}
 	// sendSetup distributes one shard's setup over its control conn; Run
 	// uses it for the initial boot, recovery reuses it verbatim to rebuild a
 	// respawned worker (the blobs are precomputed once, outside the closure).
-	var sendSetup func(i int, c net.Conn) error
-	if sharded {
-		views, err := bind.BuildShardViews(dist.Graph, asn.Owner, asn.NodeOwner, asn.Cores)
+	sendSetup := func(i int, c net.Conn) error {
+		cfgJSON, err := cfgFor(i)
 		if err != nil {
-			return nil, fmt.Errorf("fednet: shard views: %w", err)
+			return err
 		}
-		downSets, err := dynamics.EnumerateReroutes(opts.Dynamics, dist.Graph.NumLinks(), rerouteHorizon(opts.RunFor))
-		if err != nil {
-			return nil, fmt.Errorf("fednet: %w", err)
-		}
-		oracle = bind.NewSummaryOracle(dist.Graph, func(epoch int32) ([]topology.LinkID, error) {
-			if int(epoch) >= len(downSets) {
-				return nil, fmt.Errorf("fednet: reroute epoch %d outside the enumerated schedule (%d epochs)", epoch, len(downSets))
-			}
-			return downSets[epoch], nil
-		}, 0, 0)
-		world := wire.World{VNHome: make([]int32, bnd.NumVNs()), Homes: make([]int32, bnd.NumVNs())}
-		for v, n := range bnd.VNHome {
-			world.VNHome[v] = int32(n)
-			world.Homes[v] = int32(homes[v])
-		}
-		worldBin := wire.EncodeWorld(world)
-		summaries = make([][]topology.NodeID, opts.Cores)
-		viewBins := make([][]byte, opts.Cores)
-		for i := range views {
-			viewBins[i] = wire.EncodeShardView(views[i])
-			summaries[i] = views[i].Summary
-		}
-		sendSetup = func(i int, c net.Conn) error {
-			cfgJSON, err := cfgFor(i)
-			if err != nil {
-				return err
-			}
-			for _, sec := range []struct {
-				id   uint8
-				blob []byte
-			}{
-				{wire.SecConfig, cfgJSON}, {wire.SecView, viewBins[i]},
-				{wire.SecWorld, worldBin}, {wire.SecDynamics, dynBin},
-			} {
-				for _, ch := range wire.Chunks(sec.id, sec.blob) {
-					if err := wire.WriteFrame(c, wire.TSetupChunk, ch.Encode()); err != nil {
-						return fmt.Errorf("fednet: setup shard %d: %w", i, err)
-					}
+		for _, sec := range []struct {
+			id   uint8
+			blob []byte
+		}{
+			{wire.SecConfig, cfgJSON}, {wire.SecView, viewBins[i]},
+			{wire.SecWorld, worldBin}, {wire.SecDynamics, dynBin},
+		} {
+			for _, ch := range wire.Chunks(sec.id, sec.blob) {
+				if err := wire.WriteFrame(c, wire.TSetupChunk, ch.Encode()); err != nil {
+					return fmt.Errorf("fednet: setup shard %d: %w", i, err)
 				}
 			}
-			return nil
 		}
-		for i, c := range conns {
-			if err := sendSetup(i, c); err != nil {
-				return nil, err
-			}
-			opts.Log("fednet: shard %d view: %d of %d links, %d frontier nodes, %d summary nodes",
-				i, len(views[i].Links), dist.Graph.NumLinks(), len(views[i].Frontier), len(views[i].Summary))
+		return nil
+	}
+	for i, c := range conns {
+		if err := sendSetup(i, c); err != nil {
+			return nil, err
 		}
-	} else {
-		topoBin := wire.EncodeTopology(dist.Graph)
-		asnBin := wire.EncodeAssignment(asn.Owner, asn.Cores)
-		sendSetup = func(i int, c net.Conn) error {
-			cfgJSON, err := cfgFor(i)
-			if err != nil {
-				return err
-			}
-			var e wire.Enc
-			e.Blob(cfgJSON)
-			e.Blob(topoBin)
-			e.Blob(asnBin)
-			e.Blob(dynBin) // empty = no dynamics
-			if err := wire.WriteFrame(c, wire.TSetup, e.Bytes()); err != nil {
-				return fmt.Errorf("fednet: setup shard %d: %w", i, err)
-			}
-			return nil
-		}
-		for i, c := range conns {
-			if err := sendSetup(i, c); err != nil {
-				return nil, err
-			}
-		}
+		opts.Log("fednet: shard %d view: %d of %d links, %d frontier nodes, %d summary nodes",
+			i, len(views[i].Links), dist.Graph.NumLinks(), len(views[i].Frontier), len(views[i].Summary))
 	}
 	var metrics *obs.Metrics
 	var metricsAddr string
@@ -628,9 +583,7 @@ func Run(opts Options) (*Report, error) {
 		pace = &parcore.Pacing{Quantum: opts.Pace}
 		tr.paceEpoch = begin
 	}
-	if err := parcore.Drive(tr, &rep.Sync, deadline, parcore.DriveOpts{
-		Pace: pace, Mode: opts.Sync, Chain: chain,
-	}); err != nil {
+	if err := parcore.Drive(tr, &rep.Sync, deadline, parcore.DriveOpts{Pace: pace, Chain: chain}); err != nil {
 		return nil, err
 	}
 	rep.WallMS = float64(time.Since(begin).Microseconds()) / 1000
@@ -704,7 +657,6 @@ func Run(opts Options) (*Report, error) {
 	// CutStats' minimum cut latency is the cluster-granularity analog of
 	// parcore.Runtime.Lookahead.
 	rep.Lookahead = rep.Cut.Lookahead
-	rep.SyncMode = opts.Sync
 	if err := waitWorkers(spawned); err != nil {
 		return nil, err
 	}
@@ -779,11 +731,11 @@ type coordTransport struct {
 	messages  uint64
 	paceEpoch time.Time
 
-	// oracle and summaries serve demand-paged route summaries under sharded
-	// distribution: a worker that misses a destination in its ShardTable
-	// sends TRouteReq on the control conn; read answers inline, so the RPC
-	// is always served while the coordinator awaits that worker's next
-	// protocol reply (a worker only pages routes while running its window).
+	// oracle and summaries serve demand-paged route summaries: a worker that
+	// misses a destination in its ShardTable sends TRouteReq on the control
+	// conn; read answers inline, so the RPC is always served while the
+	// coordinator awaits that worker's next protocol reply (a worker only
+	// pages routes while installing its scenario or running its window).
 	oracle    *bind.SummaryOracle
 	summaries [][]topology.NodeID
 
@@ -831,9 +783,6 @@ func (t *coordTransport) read(i int) (uint8, []byte, error) {
 		case wire.TError:
 			return 0, nil, fmt.Errorf("fednet: shard %d failed: %s", i, body)
 		case wire.TRouteReq:
-			if t.oracle == nil {
-				return 0, nil, fmt.Errorf("fednet: shard %d paged a route summary but the run is not sharded", i)
-			}
 			m, err := wire.DecodeRouteReq(body)
 			if err != nil {
 				return 0, nil, fmt.Errorf("fednet: shard %d route req: %w", i, err)
@@ -853,7 +802,8 @@ func (t *coordTransport) read(i int) (uint8, []byte, error) {
 }
 
 // boundsOf assembles a parcore.Bounds from wire integers; a SafeTo vector
-// of the wrong arity (a fixed-algebra worker reports none) is dropped.
+// of the wrong arity (a shard on a non-eager profile reports none) is
+// dropped.
 func boundsOf(next, safe int64, safeTo []int64, k int) parcore.Bounds {
 	b := parcore.Bounds{Next: vtime.Time(next), Safe: vtime.Time(safe)}
 	if len(safeTo) == k {

@@ -7,15 +7,16 @@
 // A federated run has one coordinator and Cores workers:
 //
 //   - The coordinator (Run) builds the target topology, distills it, and
-//     partitions the pipes; it then distributes the distilled topology,
-//     assignment, and scenario over a TCP control plane and runs the same
+//     partitions the pipes; it then distributes each worker's shard view,
+//     the VN world map and the scenario over a TCP control plane, serves the
+//     workers' demand-paged route summaries, and runs the same
 //     conservative synchronization loop as the in-process runtime
 //     (parcore.Drive) over a socket-backed parcore.Transport: a barrier
 //     round is one TStep frame to every worker and one TStepDone back.
 //   - Each worker (Worker, usually entered via the `modelnet core`
 //     subcommand or the self-exec spawn helper) deterministically rebuilds
-//     its shard — binding, shard emulator, homed VN hosts, workload — from
-//     the distributed state, answers each TStep with one parcore.Shard.Step
+//     its shard — binding, sparse shard emulator, homed VN hosts, workload —
+//     from the distributed state, answers each TStep with one parcore.Shard.Step
 //     (the same per-shard loop body the in-process runtime runs), and
 //     exchanges cross-core tunnel messages with its peers directly over a
 //     UDP (or TCP-fallback) data plane, always in batch frames.

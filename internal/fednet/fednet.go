@@ -127,8 +127,9 @@ func (e *WorkerEnv) NewHost(vn pipes.VN) *netstack.Host {
 	return h
 }
 
-// setup is the control-plane configuration frame body (JSON section); the
-// distilled topology and assignment ride the same frame as binary blobs.
+// setup is the run configuration (the JSON SecConfig section of the chunked
+// setup); the worker's shard view, the VN world map and the dynamics spec
+// ride beside it as binary sections.
 type setup struct {
 	Shard     int             `json:"shard"`
 	Cores     int             `json:"cores"`
@@ -137,26 +138,15 @@ type setup struct {
 	DataPlane string          `json:"data_plane"`
 	DataAddrs []string        `json:"data_addrs"` // per shard, for DataPlane
 
-	EdgeNodes  int `json:"edge_nodes,omitempty"`
-	RouteCache int `json:"route_cache,omitempty"`
+	EdgeNodes int `json:"edge_nodes,omitempty"`
 
 	Scenario          string          `json:"scenario"`
 	Params            json.RawMessage `json:"params,omitempty"`
 	CollectDeliveries bool            `json:"collect_deliveries,omitempty"`
 
-	// Sync is the synchronization algebra ("adaptive" or "fixed"); a worker
-	// under the adaptive algebra computes its crossing-distance tables and
-	// reports per-peer SafeTo bounds. Empty = adaptive.
-	Sync string `json:"sync,omitempty"`
-
-	// Sharded marks the chunked per-shard setup: the worker receives its
-	// ShardView and the VN world map instead of the whole topology and
-	// assignment, materializes only its owned pipes plus the cut frontier,
-	// and routes through a demand-paged bind.ShardTable.
-	Sharded bool `json:"sharded,omitempty"`
 	// RunForNs is the run's virtual-time budget (0 = run to quiescence).
-	// Sharded workers need it to enumerate the reroute epoch schedule over
-	// exactly the coordinator's horizon.
+	// Workers need it to enumerate the reroute epoch schedule over exactly
+	// the coordinator's horizon.
 	RunForNs int64 `json:"run_for_ns,omitempty"`
 
 	// MaxDatagram bounds one UDP data-plane frame; 0 = DefaultMaxDatagram.
@@ -215,17 +205,16 @@ type WorkerReport struct {
 	Frames      uint64 `json:"frames"`
 	BytesOnWire uint64 `json:"bytes_on_wire"`
 	// SetupBytes is what distribution cost this worker: the total size of
-	// the setup frames it received (chunked sections under sharded
-	// distribution, one monolithic frame otherwise). StartupWallNs spans
-	// first setup byte to setup-ack; both are first-class BENCH columns.
+	// the setup chunk frames it received. StartupWallNs spans first setup
+	// byte to setup-ack; both are first-class BENCH columns.
 	SetupBytes    uint64 `json:"setup_bytes"`
 	StartupWallNs int64  `json:"startup_wall_ns"`
 	// PeakRSSBytes is the process's peak resident set (VmHWM) at report
 	// time; MaterializedPipes counts the pipes this worker actually built —
-	// ≈ owned + frontier under sharded distribution, all pipes otherwise.
+	// its shard view: owned + cut frontier.
 	PeakRSSBytes      uint64 `json:"peak_rss_bytes"`
 	MaterializedPipes int    `json:"materialized_pipes"`
-	// RouteRPCs counts demand-paged summary fetches (sharded runs only).
+	// RouteRPCs counts demand-paged summary fetches.
 	RouteRPCs  uint64    `json:"route_rpcs,omitempty"`
 	Deliveries []float64 `json:"deliveries,omitempty"`
 	// PipeDrops is the per-pipe drop count vector, indexed by pipe ID.

@@ -5,8 +5,7 @@ package fednet_test
 // counters, same delivery times, same drop taxonomy, same canonical packet
 // trace — to a federation that never crashed. The sweep varies the killed
 // shard, the kill round (including the pre-first-checkpoint window and a
-// checkpoint round itself), the data plane, the sync algebra, and the
-// worker count; a real-SIGKILL smoke covers unannounced process death.
+// checkpoint round itself), the data plane, and the worker count; a real-SIGKILL smoke covers unannounced process death.
 // Alongside it, the liveness regression: with recovery off, a worker death
 // must surface promptly as an error naming the dead shard, never a hang.
 
@@ -25,7 +24,7 @@ import (
 )
 
 // ringOptions assembles the standard test-ring federation options.
-func ringOptions(cores int, plane string, sync modelnet.SyncMode) fednet.Options {
+func ringOptions(cores int, plane string) fednet.Options {
 	return fednet.Options{
 		Scenario:          "fednet-test-ring",
 		Params:            testParams,
@@ -34,7 +33,6 @@ func ringOptions(cores int, plane string, sync modelnet.SyncMode) fednet.Options
 		Profile:           idealPtr(),
 		RunFor:            modelnet.Seconds(testRunFor),
 		DataPlane:         plane,
-		Sync:              sync,
 		Spawn:             true,
 		CollectDeliveries: true,
 		Trace:             true,
@@ -42,11 +40,11 @@ func ringOptions(cores int, plane string, sync modelnet.SyncMode) fednet.Options
 }
 
 // baseline runs the federation without faults and returns its report.
-func baseline(t *testing.T, cores int, plane string, sync modelnet.SyncMode) *fednet.Report {
+func baseline(t *testing.T, cores int, plane string) *fednet.Report {
 	t.Helper()
-	rep, err := fednet.Run(ringOptions(cores, plane, sync))
+	rep, err := fednet.Run(ringOptions(cores, plane))
 	if err != nil {
-		t.Fatalf("baseline (%d cores, %s, %s): %v", cores, plane, sync, err)
+		t.Fatalf("baseline (%d cores, %s): %v", cores, plane, err)
 	}
 	if rep.Totals.Delivered == 0 {
 		t.Fatal("baseline delivered nothing — sweep would be vacuous")
@@ -111,13 +109,13 @@ func TestCrashSweepDeterminism(t *testing.T) {
 		t.Skip("spawns and kills worker subprocesses")
 	}
 	for _, cores := range []int{2, 3, 4} {
-		want := baseline(t, cores, fednet.DataUDP, modelnet.SyncAdaptive)
+		want := baseline(t, cores, fednet.DataUDP)
 		for shard := 0; shard < cores; shard++ {
 			// Round 1 crashes before any checkpoint exists (empty replay
 			// prefix), round 4 lands on a DefaultCkptEvery boundary, round 9
 			// exercises a multi-period replay.
 			for _, round := range []int{1, 4, 9} {
-				opts := ringOptions(cores, fednet.DataUDP, modelnet.SyncAdaptive)
+				opts := ringOptions(cores, fednet.DataUDP)
 				opts.Recover = true
 				opts.FailSpec = &fednet.FailSpec{Shard: shard, Round: round}
 				rep, err := fednet.Run(opts)
@@ -137,31 +135,28 @@ func TestCrashSweepDeterminism(t *testing.T) {
 	}
 }
 
-// TestCrashSweepPlanesAndAlgebras re-runs the crash at one fixed point
-// across both data planes and both sync algebras: the recovery handshake
-// lives partly in the data plane (endpoint swap, log resend), so each plane
-// must prove itself, and the fixed algebra's bounds-only rounds must replay
-// as faithfully as the adaptive one's.
+// TestCrashSweepPlanesAndAlgebras re-runs the crash at one fixed point on
+// both data planes: the recovery handshake lives partly in the data plane
+// (endpoint swap, log resend), so each plane must prove itself. The name is
+// kept for the suite's test history; there is one sync algebra to sweep.
 func TestCrashSweepPlanesAndAlgebras(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns and kills worker subprocesses")
 	}
 	for _, plane := range []string{fednet.DataUDP, fednet.DataTCP} {
-		for _, sync := range []modelnet.SyncMode{modelnet.SyncAdaptive, modelnet.SyncFixed} {
-			want := baseline(t, 2, plane, sync)
-			opts := ringOptions(2, plane, sync)
-			opts.Recover = true
-			opts.FailSpec = &fednet.FailSpec{Shard: 1, Round: 3}
-			rep, err := fednet.Run(opts)
-			name := "crash 2w " + plane + " " + sync.String()
-			if err != nil {
-				t.Fatalf("%s: %v", name, err)
-			}
-			if rep.Recoveries != 1 {
-				t.Fatalf("%s: %d recoveries, want 1", name, rep.Recoveries)
-			}
-			sameOutcome(t, name, want, rep)
+		want := baseline(t, 2, plane)
+		opts := ringOptions(2, plane)
+		opts.Recover = true
+		opts.FailSpec = &fednet.FailSpec{Shard: 1, Round: 3}
+		rep, err := fednet.Run(opts)
+		name := "crash 2w " + plane
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
 		}
+		if rep.Recoveries != 1 {
+			t.Fatalf("%s: %d recoveries, want 1", name, rep.Recoveries)
+		}
+		sameOutcome(t, name, want, rep)
 	}
 }
 
@@ -172,8 +167,8 @@ func TestSigkillRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns and kills worker subprocesses")
 	}
-	want := baseline(t, 2, fednet.DataUDP, modelnet.SyncAdaptive)
-	opts := ringOptions(2, fednet.DataUDP, modelnet.SyncAdaptive)
+	want := baseline(t, 2, fednet.DataUDP)
+	opts := ringOptions(2, fednet.DataUDP)
 	opts.Recover = true
 	opts.FailSpec = &fednet.FailSpec{Shard: 1, Round: 3, Mode: fednet.FailSigkill}
 	rep, err := fednet.Run(opts)
@@ -193,7 +188,7 @@ func TestCheckpointDirPersistence(t *testing.T) {
 		t.Skip("spawns and kills worker subprocesses")
 	}
 	dir := t.TempDir()
-	opts := ringOptions(2, fednet.DataUDP, modelnet.SyncAdaptive)
+	opts := ringOptions(2, fednet.DataUDP)
 	opts.Recover = true
 	opts.CkptEvery = 2
 	opts.CkptDir = dir
@@ -227,7 +222,7 @@ func TestWorkerDeathWithoutRecovery(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns and kills worker subprocesses")
 	}
-	opts := ringOptions(2, fednet.DataUDP, modelnet.SyncAdaptive)
+	opts := ringOptions(2, fednet.DataUDP)
 	opts.FailSpec = &fednet.FailSpec{Shard: 1, Round: 2}
 	_, err := fednet.Run(opts)
 	if err == nil {
@@ -244,7 +239,7 @@ func TestRecoveryCountersInProfile(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns and kills worker subprocesses")
 	}
-	opts := ringOptions(2, fednet.DataUDP, modelnet.SyncAdaptive)
+	opts := ringOptions(2, fednet.DataUDP)
 	opts.Recover = true
 	opts.FailSpec = &fednet.FailSpec{Shard: 0, Round: 2}
 	rep, err := fednet.Run(opts)

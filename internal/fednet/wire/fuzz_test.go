@@ -10,16 +10,7 @@ import (
 	"testing"
 
 	"modelnet/internal/pipes"
-	"modelnet/internal/topology"
 )
-
-func topologySeed() *topology.Graph {
-	g := topology.New()
-	a := g.AddNode(topology.Stub, "a")
-	b := g.AddNode(topology.Client, "b")
-	g.AddDuplex(a, b, topology.LinkAttrs{BandwidthBps: 1e6, LatencySec: 0.001, QueuePkts: 10})
-	return g
-}
 
 func fuzzSeeds(f *testing.F) {
 	pw, _ := EncodePacket(&pipes.Packet{
@@ -71,7 +62,6 @@ func FuzzDecodeData(f *testing.F) {
 			t.Fatalf("StepDone decode/encode not canonical for %x", b)
 		}
 		_, _ = DecodeCounts(b)
-		_, _, _ = DecodeAssignment(b)
 	})
 }
 
@@ -101,30 +91,6 @@ func FuzzReadFrame(f *testing.F) {
 		for {
 			if _, _, err := ReadFrame(r); err != nil {
 				break
-			}
-		}
-	})
-}
-
-// FuzzTopology checks the topology codec: arbitrary bytes never panic, and
-// a graph that decodes must re-encode byte-identically and satisfy the
-// structural invariants the decoder promises (dense IDs, endpoints in
-// range).
-func FuzzTopology(f *testing.F) {
-	g := topologySeed()
-	f.Add(EncodeTopology(g))
-	f.Add([]byte{2, 0, 0, 0})
-	f.Fuzz(func(t *testing.T, b []byte) {
-		got, err := DecodeTopology(b)
-		if err != nil {
-			return
-		}
-		if !bytes.Equal(EncodeTopology(got), b) {
-			t.Fatalf("topology decode/encode not canonical")
-		}
-		for _, l := range got.Links {
-			if int(l.Src) >= got.NumNodes() || int(l.Dst) >= got.NumNodes() {
-				t.Fatalf("decoded link %d has endpoint out of range", l.ID)
 			}
 		}
 	})

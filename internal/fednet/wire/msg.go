@@ -8,7 +8,6 @@ import (
 	"fmt"
 
 	"modelnet/internal/pipes"
-	"modelnet/internal/topology"
 	"modelnet/internal/vtime"
 )
 
@@ -101,8 +100,8 @@ func DecodeStep(b []byte) (Step, error) {
 // StepDone reports a step's outcome: the worker's cumulative send counters
 // (settling the messages its step just flushed), whether a drain turn ran
 // anything, and its bounds after the run. SafeTo, when non-empty, is the
-// adaptive algebra's per-peer bound vector (parcore.Bounds.SafeTo); empty
-// under the fixed algebra. The bounds predate the application of any
+// per-peer bound vector (parcore.Bounds.SafeTo); a shard that cannot compute
+// one (non-eager profile) sends none. The bounds predate the application of any
 // messages still in flight toward this worker — parcore.Drive compensates
 // with the reaction-chain floor before feeding them to the grant algebra.
 type StepDone struct {
@@ -410,103 +409,4 @@ func (p *PacketWire) Packet() (*pipes.Packet, error) {
 		Epoch:    p.Epoch,
 		Payload:  payload,
 	}, nil
-}
-
-// EncodeTopology serializes a graph bit-exactly (float64 attributes travel
-// as raw bits, so the distilled topology a worker rebuilds is identical to
-// the coordinator's).
-func EncodeTopology(g *topology.Graph) []byte {
-	var e Enc
-	e.U32(uint32(g.NumNodes()))
-	for _, n := range g.Nodes {
-		e.U8(uint8(n.Kind))
-		e.Str(n.Name)
-	}
-	e.U32(uint32(g.NumLinks()))
-	for _, l := range g.Links {
-		e.U32(uint32(l.Src))
-		e.U32(uint32(l.Dst))
-		e.F64(l.Attr.BandwidthBps)
-		e.F64(l.Attr.LatencySec)
-		e.F64(l.Attr.LossRate)
-		e.I32(int32(l.Attr.QueuePkts))
-		e.F64(l.Attr.Cost)
-	}
-	return e.Bytes()
-}
-
-// DecodeTopology rebuilds a graph from EncodeTopology output. Node and link
-// IDs are reconstructed densely in order, so they match the source graph.
-func DecodeTopology(b []byte) (*topology.Graph, error) {
-	d := NewDec(b)
-	g := topology.New()
-	nNodes := d.Len(2)
-	for i := 0; i < nNodes; i++ {
-		kind := d.U8()
-		name := d.Str()
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		if kind > uint8(topology.Transit) {
-			return nil, fmt.Errorf("wire: node %d has unknown kind %d", i, kind)
-		}
-		g.AddNode(topology.NodeKind(kind), name)
-	}
-	nLinks := d.Len(40)
-	for i := 0; i < nLinks; i++ {
-		src := d.U32()
-		dst := d.U32()
-		attr := topology.LinkAttrs{
-			BandwidthBps: d.F64(),
-			LatencySec:   d.F64(),
-			LossRate:     d.F64(),
-			QueuePkts:    int(d.I32()),
-			Cost:         d.F64(),
-		}
-		if d.Err() != nil {
-			return nil, d.Err()
-		}
-		if int(src) >= nNodes || int(dst) >= nNodes {
-			return nil, fmt.Errorf("wire: link %d endpoint out of range", i)
-		}
-		g.AddLink(topology.NodeID(src), topology.NodeID(dst), attr)
-	}
-	if err := d.Done(); err != nil {
-		return nil, err
-	}
-	return g, nil
-}
-
-// EncodeAssignment serializes a pipe->core ownership vector.
-func EncodeAssignment(owner []int, cores int) []byte {
-	var e Enc
-	e.U32(uint32(cores))
-	e.U32(uint32(len(owner)))
-	for _, o := range owner {
-		e.U32(uint32(o))
-	}
-	return e.Bytes()
-}
-
-// DecodeAssignment parses EncodeAssignment output.
-func DecodeAssignment(b []byte) (owner []int, cores int, err error) {
-	d := NewDec(b)
-	cores = int(d.U32())
-	n := d.Len(4)
-	owner = make([]int, 0, n)
-	for i := 0; i < n; i++ {
-		owner = append(owner, int(d.U32()))
-	}
-	if err := d.Done(); err != nil {
-		return nil, 0, err
-	}
-	if cores < 1 || cores > 1<<16 {
-		return nil, 0, fmt.Errorf("wire: assignment with %d cores", cores)
-	}
-	for i, o := range owner {
-		if o < 0 || o >= cores {
-			return nil, 0, fmt.Errorf("wire: pipe %d owned by core %d of %d", i, o, cores)
-		}
-	}
-	return owner, cores, nil
 }

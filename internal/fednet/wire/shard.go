@@ -1,8 +1,7 @@
 package wire
 
-// Sharded setup codec (protocol v7). Instead of one monolithic TSetup frame
-// carrying the whole world, the coordinator streams each worker a handful of
-// setup *sections* — run config, the worker's shard view, the VN world map,
+// The setup codec. The coordinator streams each worker a handful of setup
+// *sections* — run config, the worker's shard view, the VN world map,
 // the dynamics spec — as TSetupChunk frames bounded by SetupChunkBytes, so
 // setup size scales with the shard, not the world, and no frame approaches
 // MaxFrame. The worker reassembles sections with a ChunkAssembler that
@@ -158,7 +157,7 @@ func (a *ChunkAssembler) Require(secs ...uint8) (map[uint8][]byte, error) {
 	return out, nil
 }
 
-// World is the VN-level world map a sharded worker needs beyond its view:
+// World is the VN-level world map a worker needs beyond its view:
 // where every VN attaches and which shard homes it. Dense over all VNs —
 // two int32 per VN is the only O(world) term a worker materializes.
 type World struct {
@@ -206,7 +205,7 @@ func DecodeWorld(b []byte) (World, error) {
 }
 
 // EncodeShardView serializes a shard view bit-exactly (link attributes
-// travel as raw float bits, like EncodeTopology).
+// travel as raw float bits).
 func EncodeShardView(v *bind.ShardView) []byte {
 	var e Enc
 	e.I32(int32(v.Shard))

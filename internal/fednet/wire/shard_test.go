@@ -100,7 +100,7 @@ func TestAssemblerRejectsCorruptStreams(t *testing.T) {
 func TestOversizeFrameRejected(t *testing.T) {
 	body := make([]byte, MaxFrame-1)
 	var sink bytes.Buffer
-	if err := WriteFrame(&sink, TSetup, body); err == nil {
+	if err := WriteFrame(&sink, TSetupChunk, body); err == nil {
 		t.Fatalf("oversize frame written without error")
 	} else if got := err.Error(); !bytes.Contains([]byte(got), []byte("MaxFrame")) {
 		t.Fatalf("oversize error does not name the limit: %v", got)
@@ -110,7 +110,7 @@ func TestOversizeFrameRejected(t *testing.T) {
 			t.Fatalf("AppendFrame accepted an oversize body")
 		}
 	}()
-	AppendFrame(nil, TSetup, body)
+	AppendFrame(nil, TSetupChunk, body)
 }
 
 // FuzzSetupChunk: arbitrary bytes never panic the chunk decoder, and a

@@ -1,7 +1,7 @@
 // Package wire is the federation wire protocol: a compact, versioned,
 // length-prefixed binary codec for everything that crosses a machine
 // boundary in a federated run — control-plane synchronization messages,
-// topology and assignment distribution, and the data-plane tunnel messages
+// per-shard setup distribution, and the data-plane tunnel messages
 // (including eager-mode pre-announcements) that carry packets between core
 // processes.
 //
@@ -23,16 +23,16 @@ import (
 )
 
 // Version is the protocol version; peers with a different version are
-// rejected at the first frame. Version 9 has one barrier round and one data
-// frame: the coordinator sends each worker a TStep (await + apply + run or
-// drain + flush, parcore.Shard.Step) and reads back a TStepDone (send
-// counters, drain progress, post-step bounds), plus a TCheckpoint digest
-// when the step asked for one; workers exchange tunnel messages as
-// TDataBatch frames only. Setup travels monolithically (TSetup) to live-edge
-// workers and as chunked per-shard sections (TSetupChunk) to everyone else,
-// who demand-page route summaries with TRouteReq/TRouteResp; TFail, TRecover
-// and TResend drive fault injection, respawn and send-log retransmission.
-const Version = 9
+// rejected at the first frame. Version 10 has one barrier round, one data
+// frame and one setup: the coordinator sends each worker a TStep (await +
+// apply + run or drain + flush, parcore.Shard.Step) and reads back a
+// TStepDone (send counters, drain progress, post-step bounds), plus a
+// TCheckpoint digest when the step asked for one; workers exchange tunnel
+// messages as TDataBatch frames only. Setup travels to every worker as
+// chunked per-shard sections (TSetupChunk), and every worker demand-pages
+// route summaries with TRouteReq/TRouteResp; TFail, TRecover and TResend
+// drive fault injection, respawn and send-log retransmission.
+const Version = 10
 
 // MaxFrame bounds a frame's length field: anything larger is treated as
 // corruption rather than an allocation request.
@@ -40,10 +40,10 @@ const MaxFrame = 64 << 20
 
 // Frame types. Control types travel coordinator<->worker over TCP;
 // TDataBatch and TResend travel worker<->worker on the data plane. Numbers
-// retired with earlier protocol versions are not reused.
+// retired with earlier protocol versions are not reused (2 was TSetup, the
+// whole-world setup frame, until version 10).
 const (
 	THello      uint8 = 1  // worker -> coordinator: join (JSON body)
-	TSetup      uint8 = 2  // coordinator -> worker: config + topology + assignment (incl. any gateway lease)
 	TSetupAck   uint8 = 3  // worker -> coordinator: mesh + gateway up (JSON body)
 	TFinish     uint8 = 12 // coordinator -> worker: stop and report
 	TReport     uint8 = 13 // worker -> coordinator: final report (JSON body)
@@ -52,7 +52,7 @@ const (
 	TTrace      uint8 = 17 // worker -> coordinator: a chunk of trace events (before TReport)
 	TStep       uint8 = 18 // coordinator -> worker: one barrier round (await + apply + run + flush)
 	TStepDone   uint8 = 19 // worker -> coordinator: step complete: counts + post-step bounds
-	TSetupChunk uint8 = 20 // coordinator -> worker: one chunk of a sharded setup section
+	TSetupChunk uint8 = 20 // coordinator -> worker: one chunk of a setup section
 	TRouteReq   uint8 = 21 // worker -> coordinator: demand-page one route summary (epoch, target)
 	TRouteResp  uint8 = 22 // coordinator -> worker: the requested summary distances
 	TCheckpoint uint8 = 23 // worker -> coordinator: canonical shard state digest at a flagged barrier

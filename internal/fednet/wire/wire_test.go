@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"modelnet/internal/pipes"
-	"modelnet/internal/topology"
 	"modelnet/internal/vtime"
 )
 
@@ -219,37 +218,5 @@ func TestUnregisteredPayloadErrors(t *testing.T) {
 	}
 	if _, err := DecodePayload([]byte{0xfe, 0xff}); err == nil {
 		t.Fatal("unregistered payload id decoded")
-	}
-}
-
-func TestTopologyRoundTripExact(t *testing.T) {
-	g := topology.New()
-	a := g.AddNode(topology.Stub, "r0")
-	b := g.AddNode(topology.Transit, "")
-	c := g.AddNode(topology.Client, "vn0")
-	g.AddDuplex(a, b, topology.LinkAttrs{BandwidthBps: 1e9 / 3, LatencySec: 0.00512345678901, QueuePkts: 30})
-	g.AddLink(c, a, topology.LinkAttrs{BandwidthBps: 2e6, LatencySec: 1e-3, LossRate: 0.015, Cost: 2.25})
-	got, err := DecodeTopology(EncodeTopology(g))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got.Nodes, g.Nodes) || !reflect.DeepEqual(got.Links, g.Links) {
-		t.Fatalf("topology round trip diverged")
-	}
-	for n := range g.Nodes {
-		if !reflect.DeepEqual(got.Out(topology.NodeID(n)), g.Out(topology.NodeID(n))) {
-			t.Fatalf("adjacency of node %d diverged", n)
-		}
-	}
-}
-
-func TestAssignmentRoundTrip(t *testing.T) {
-	owner := []int{0, 1, 1, 2, 0}
-	got, cores, err := DecodeAssignment(EncodeAssignment(owner, 3))
-	if err != nil || cores != 3 || !reflect.DeepEqual(got, owner) {
-		t.Fatalf("got %v cores=%d err=%v", got, cores, err)
-	}
-	if _, _, err := DecodeAssignment(EncodeAssignment([]int{5}, 3)); err == nil {
-		t.Fatal("out-of-range owner accepted")
 	}
 }

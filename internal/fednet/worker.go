@@ -89,9 +89,9 @@ type workerState struct {
 	expect []uint64      // the current step's channel prefixes, for dataLink.Recv
 	gw     *edge.Gateway // live edge gateway; nil without a homed lease
 
-	// table is the shard-local route table under sharded distribution; nil
-	// on the monolithic path. setupBytes and startupWallNs price what the
-	// distribution cost this worker (first-class BENCH columns).
+	// table is the shard-local, demand-paged route table. setupBytes and
+	// startupWallNs price what the distribution cost this worker
+	// (first-class BENCH columns).
 	table         *bind.ShardTable
 	setupBytes    uint64
 	startupWallNs int64
@@ -197,40 +197,30 @@ func (w *workerState) run() error {
 		}
 	}
 	start := time.Now()
-	switch typ {
-	case wire.TSetup:
-		w.setupBytes = uint64(len(body))
-		if err := w.setup(body, udp, tcpLn); err != nil {
+	// The setup arrives as chunked sections. Keep reading chunks until all
+	// four sections are complete.
+	asm := wire.NewChunkAssembler()
+	for {
+		if typ != wire.TSetupChunk {
+			return fmt.Errorf("fednet: expected setup chunk, got frame type %d", typ)
+		}
+		w.setupBytes += uint64(len(body))
+		ch, err := wire.DecodeSetupChunk(body)
+		if err != nil {
+			return fmt.Errorf("fednet: setup chunk: %w", err)
+		}
+		if err := asm.Add(ch); err != nil {
+			return fmt.Errorf("fednet: setup chunk: %w", err)
+		}
+		if _, err := asm.Require(wire.SecConfig, wire.SecView, wire.SecWorld, wire.SecDynamics); err == nil {
+			break
+		}
+		if typ, body, err = w.readControl(); err != nil {
 			return err
 		}
-	case wire.TSetupChunk:
-		// Sharded distribution: the setup arrives as chunked sections. Keep
-		// reading chunks until all four sections are complete.
-		asm := wire.NewChunkAssembler()
-		for {
-			w.setupBytes += uint64(len(body))
-			ch, err := wire.DecodeSetupChunk(body)
-			if err != nil {
-				return fmt.Errorf("fednet: setup chunk: %w", err)
-			}
-			if err := asm.Add(ch); err != nil {
-				return fmt.Errorf("fednet: setup chunk: %w", err)
-			}
-			if _, err := asm.Require(wire.SecConfig, wire.SecView, wire.SecWorld, wire.SecDynamics); err == nil {
-				break
-			}
-			if typ, body, err = w.readControl(); err != nil {
-				return err
-			}
-			if typ != wire.TSetupChunk {
-				return fmt.Errorf("fednet: expected setup chunk, got frame type %d", typ)
-			}
-		}
-		if err := w.setupSharded(asm, udp, tcpLn); err != nil {
-			return err
-		}
-	default:
-		return fmt.Errorf("fednet: expected setup, got frame type %d", typ)
+	}
+	if err := w.setup(asm, udp, tcpLn); err != nil {
+		return err
 	}
 	w.startupWallNs = int64(time.Since(start))
 	stopProfiles, err := obs.StartProfiles(w.shardPath(w.opts.CPUProfile), w.shardPath(w.opts.MemProfile))
@@ -293,79 +283,28 @@ func (w *workerState) decodeConfig(cfgJSON []byte) error {
 	return nil
 }
 
-// setup rebuilds the shard from the coordinator's monolithic distributed
-// state: the whole topology and assignment, routes recomputed locally. This
-// is the live-edge path; sharded runs arrive as setupSharded's chunks.
-func (w *workerState) setup(body []byte, udp *net.UDPConn, tcpLn net.Listener) error {
-	d := wire.NewDec(body)
-	cfgJSON := d.Blob()
-	topoBin := d.Blob()
-	asnBin := d.Blob()
-	dynBin := d.Blob()
-	if err := d.Done(); err != nil {
-		return fmt.Errorf("fednet: setup frame: %w", err)
-	}
-	if err := w.decodeConfig(cfgJSON); err != nil {
-		return err
-	}
-	cfg := &w.cfg
-	g, err := wire.DecodeTopology(topoBin)
-	if err != nil {
-		return fmt.Errorf("fednet: setup topology: %w", err)
-	}
-	owner, cores, err := wire.DecodeAssignment(asnBin)
-	if err != nil {
-		return fmt.Errorf("fednet: setup assignment: %w", err)
-	}
-	var dyn *dynamics.Spec
-	if len(dynBin) > 0 {
-		if dyn, err = dynamics.Decode(dynBin); err != nil {
-			return fmt.Errorf("fednet: setup dynamics: %w", err)
-		}
-	}
-	if cores != cfg.Cores || len(owner) != g.NumLinks() {
-		return fmt.Errorf("fednet: assignment covers %d pipes on %d cores, topology has %d links and setup %d cores",
-			len(owner), cores, g.NumLinks(), cfg.Cores)
-	}
-
-	// Rebuild the Bind phase exactly as the coordinator's modelnet.Run
-	// would: same inputs, deterministic outputs.
-	pod := bind.NewPOD(owner, cores)
-	b, err := bind.Bind(g, bind.Options{
-		EdgeNodes:  cfg.EdgeNodes,
-		Cores:      cores,
-		RouteCache: cfg.RouteCache,
-	})
-	if err != nil {
-		return fmt.Errorf("fednet: bind: %w", err)
-	}
-	homes := parcore.Homes(g, b, pod, cores)
-	return w.build(g, b, pod, homes, dyn, udp, tcpLn)
-}
-
-// setupSharded rebuilds the shard from its chunked per-shard view: a
-// skeleton graph over the global ID spaces with only the view's links real,
-// a hand-assembled binding from the shipped VN world map (bind.Bind's client
-// scan would misread a skeleton), and a demand-paged ShardTable in place of
-// the O(n²) route matrix.
-func (w *workerState) setupSharded(asm *wire.ChunkAssembler, udp *net.UDPConn, tcpLn net.Listener) error {
+// setup rebuilds the shard from its chunked per-shard view: a skeleton graph
+// over the global ID spaces with only the view's links real, a hand-assembled
+// binding from the shipped VN world map (bind.Bind's client scan would
+// misread a skeleton), and a demand-paged ShardTable in place of the O(n²)
+// route matrix; then sync plan, scheduler, sparse emulator, dynamics, data
+// plane, scenario install, gateway.
+func (w *workerState) setup(asm *wire.ChunkAssembler, udp *net.UDPConn, tcpLn net.Listener) error {
 	secs, err := asm.Require(wire.SecConfig, wire.SecView, wire.SecWorld, wire.SecDynamics)
 	if err != nil {
-		return fmt.Errorf("fednet: sharded setup: %w", err)
+		return fmt.Errorf("fednet: setup: %w", err)
 	}
 	if err := w.decodeConfig(secs[wire.SecConfig]); err != nil {
 		return err
 	}
 	cfg := &w.cfg
-	if !cfg.Sharded {
-		return fmt.Errorf("fednet: chunked setup without the sharded flag")
-	}
+	cores := cfg.Cores
 	view, err := wire.DecodeShardView(secs[wire.SecView])
 	if err != nil {
 		return fmt.Errorf("fednet: setup view: %w", err)
 	}
-	if view.Shard != cfg.Shard || view.Cores != cfg.Cores {
-		return fmt.Errorf("fednet: view is for shard %d of %d, setup says %d of %d", view.Shard, view.Cores, cfg.Shard, cfg.Cores)
+	if view.Shard != cfg.Shard || view.Cores != cores {
+		return fmt.Errorf("fednet: view is for shard %d of %d, setup says %d of %d", view.Shard, view.Cores, cfg.Shard, cores)
 	}
 	world, err := wire.DecodeWorld(secs[wire.SecWorld])
 	if err != nil {
@@ -390,7 +329,7 @@ func (w *workerState) setupSharded(asm *wire.ChunkAssembler, udp *net.UDPConn, t
 	for i, l := range view.Links {
 		ownerDense[l.ID] = int(view.LinkOwner[i])
 	}
-	pod := bind.NewPOD(ownerDense, cfg.Cores)
+	pod := bind.NewPOD(ownerDense, cores)
 
 	numVNs := len(world.VNHome)
 	b := &bind.Binding{
@@ -407,8 +346,8 @@ func (w *workerState) setupSharded(asm *wire.ChunkAssembler, udp *net.UDPConn, t
 		if int(n) >= view.NumNodes {
 			return fmt.Errorf("fednet: world maps VN %d to node %d, view has %d nodes", v, n, view.NumNodes)
 		}
-		if h := world.Homes[v]; int(h) >= cfg.Cores {
-			return fmt.Errorf("fednet: world homes VN %d on shard %d of %d", v, h, cfg.Cores)
+		if h := world.Homes[v]; int(h) >= cores {
+			return fmt.Errorf("fednet: world homes VN %d on shard %d of %d", v, h, cores)
 		}
 		b.VNHome[v] = topology.NodeID(n)
 		b.VNOfNode[n] = pipes.VN(v)
@@ -424,7 +363,7 @@ func (w *workerState) setupSharded(asm *wire.ChunkAssembler, udp *net.UDPConn, t
 	}
 	b.CoreOf = make([]int, edges)
 	for e := range b.CoreOf {
-		b.CoreOf[e] = e % cfg.Cores
+		b.CoreOf[e] = e % cores
 	}
 
 	table, err := bind.NewShardTable(g, view, b.VNHome, w.routeSeed, 0)
@@ -442,56 +381,11 @@ func (w *workerState) setupSharded(asm *wire.ChunkAssembler, udp *net.UDPConn, t
 	table.SetEpochs(downSets)
 	b.Table = table
 	w.table = table
-	return w.build(g, b, pod, homes, dyn, udp, tcpLn)
-}
 
-// routeSeed is the worker's bind.SeedFunc: one TRouteReq/TRouteResp round
-// trip on the control conn. The coordinator serves the request inline from
-// whichever read it is blocked in, and a worker only pages routes while the
-// coordinator awaits its next protocol reply, so the RPC cannot deadlock.
-func (w *workerState) routeSeed(epoch int32, target topology.NodeID) ([]bind.Dist, error) {
-	if err := w.send(wire.TRouteReq, wire.RouteReq{Epoch: epoch, Target: int32(target)}.Encode()); err != nil {
-		return nil, err
-	}
-	typ, body, err := w.readControl()
-	if err != nil {
-		return nil, err
-	}
-	if typ != wire.TRouteResp {
-		return nil, fmt.Errorf("fednet: expected route resp, got frame type %d", typ)
-	}
-	m, err := wire.DecodeRouteResp(body)
-	if err != nil {
-		return nil, err
-	}
-	if m.Epoch != epoch || topology.NodeID(m.Target) != target {
-		return nil, fmt.Errorf("fednet: route resp for epoch %d node %d, asked for %d/%d", m.Epoch, m.Target, epoch, target)
-	}
-	return m.Dists, nil
-}
-
-// build finishes shard construction from either setup path: sync plan,
-// scheduler, emulator (sparse under a shard table), dynamics, data plane,
-// scenario install, gateway.
-func (w *workerState) build(g *topology.Graph, b *bind.Binding, pod *bind.POD, homes []int, dyn *dynamics.Spec, udp *net.UDPConn, tcpLn net.Listener) error {
-	cfg := &w.cfg
-	cores := cfg.Cores
-	mode, err := parcore.ParseSyncMode(cfg.Sync)
-	if err != nil {
-		return err
-	}
-	if mode == parcore.SyncAdaptive {
-		w.Sync = parcore.ComputeSyncPlan(g, b, pod, homes, cores, dyn.LatencyFloorFunc())[cfg.Shard]
-	} else {
-		w.Sync = parcore.ComputeSyncFloor(g, b, pod, homes, cores, dyn.LatencyFloorFunc())[cfg.Shard]
-	}
+	w.Sync = parcore.ComputeSyncPlan(g, b, pod, homes, cores, dyn.LatencyFloorFunc())[cfg.Shard]
 	w.Sched = vtime.NewScheduler()
 	w.Outbox = parcore.NewOutbox(cfg.Shard, cores, w.Sched)
-	if w.table != nil {
-		w.Emu, err = emucore.NewShardSparse(w.Sched, g, b, pod, cfg.Profile, cfg.Seed, cfg.Shard, homes, w.Outbox.Handoff)
-	} else {
-		w.Emu, err = emucore.NewShard(w.Sched, g, b, pod, cfg.Profile, cfg.Seed, cfg.Shard, homes, w.Outbox.Handoff)
-	}
+	w.Emu, err = emucore.NewShardSparse(w.Sched, g, b, pod, cfg.Profile, cfg.Seed, cfg.Shard, homes, w.Outbox.Handoff)
 	if err != nil {
 		return fmt.Errorf("fednet: shard emulator: %w", err)
 	}
@@ -517,9 +411,9 @@ func (w *workerState) build(g *topology.Graph, b *bind.Binding, pod *bind.POD, h
 		return fmt.Errorf("fednet: dynamics: %w", err)
 	}
 	w.eng = eng
-	if eng != nil && w.table != nil {
-		// Sharded workers have no global matrix to rebuild; a reroute just
-		// advances the table to the next preloaded epoch.
+	if eng != nil {
+		// A worker has no global matrix to rebuild; a reroute just advances
+		// the table to the next preloaded epoch.
 		eng.OnReroute = func([]topology.LinkID) { w.table.Advance() }
 	}
 	if cfg.CollectDeliveries {
@@ -584,6 +478,34 @@ func (w *workerState) build(g *topology.Graph, b *bind.Binding, pod *bind.POD, h
 	return nil
 }
 
+// routeSeed is the worker's bind.SeedFunc: one TRouteReq/TRouteResp round
+// trip on the control conn. The coordinator serves the request inline from
+// whichever read it is blocked in, and a worker only pages routes while the
+// coordinator awaits its next protocol reply — the setup ack while the
+// scenario installs, TStepDone inside Shard.Step, where every flow injects,
+// a gateway's admitted ingress included (Admit only schedules the send) — so
+// the RPC cannot deadlock.
+func (w *workerState) routeSeed(epoch int32, target topology.NodeID) ([]bind.Dist, error) {
+	if err := w.send(wire.TRouteReq, wire.RouteReq{Epoch: epoch, Target: int32(target)}.Encode()); err != nil {
+		return nil, err
+	}
+	typ, body, err := w.readControl()
+	if err != nil {
+		return nil, err
+	}
+	if typ != wire.TRouteResp {
+		return nil, fmt.Errorf("fednet: expected route resp, got frame type %d", typ)
+	}
+	m, err := wire.DecodeRouteResp(body)
+	if err != nil {
+		return nil, err
+	}
+	if m.Epoch != epoch || topology.NodeID(m.Target) != target {
+		return nil, fmt.Errorf("fednet: route resp for epoch %d node %d, asked for %d/%d", m.Epoch, m.Target, epoch, target)
+	}
+	return m.Dists, nil
+}
+
 // dataLink is the worker's parcore.Link: the data plane under Shard.Step.
 type dataLink struct{ w *workerState }
 
@@ -604,16 +526,15 @@ func (l dataLink) Send(j int, msgs []parcore.Msg) error {
 }
 
 // Recv implements parcore.Link: block until the step's channel prefixes
-// have arrived. A sharded worker then grows each tunneled packet's route
-// segment through this shard's region under the packet's pinned reroute
-// epoch (bind.ShardTable route segments end at the first foreign pipe), so
-// the step's bounds price the route the packet will actually take; the
-// monolithic path's routes are complete at injection.
+// have arrived, then grow each tunneled packet's route segment through this
+// shard's region under the packet's pinned reroute epoch (bind.ShardTable
+// route segments end at the first foreign pipe), so the step's bounds price
+// the route the packet will actually take.
 func (l dataLink) Recv() ([]parcore.Msg, error) {
 	w := l.w
 	msgs, err := w.col.wait(w.expect, w.opts.Timeout)
-	if err != nil || w.table == nil {
-		return msgs, err
+	if err != nil {
+		return nil, err
 	}
 	for _, m := range msgs {
 		if m.Pid < 0 || m.Pkt == nil {
@@ -754,12 +675,10 @@ func (w *workerState) finish() error {
 		StartupWallNs:     w.startupWallNs,
 		PeakRSSBytes:      peakRSSBytes(),
 		MaterializedPipes: w.Emu.MaterializedPipes(),
+		RouteRPCs:         w.table.SeedRPCs,
 		Deliveries:        w.deliveries,
 		PipeDrops:         make([]uint64, w.Emu.NumPipes()),
 		Profile:           w.Prof,
-	}
-	if w.table != nil {
-		rep.RouteRPCs = w.table.SeedRPCs
 	}
 	for i := range rep.PipeDrops {
 		// Unmaterialized slots (sparse shard views) have no pipe to ask.

@@ -92,12 +92,9 @@ type RunProfile struct {
 	Windows      uint64  `json:"windows"`
 	SerialRounds uint64  `json:"serial_rounds"`
 	Messages     uint64  `json:"messages"`
-	// SyncMode names the synchronization algebra ("adaptive" or "fixed";
-	// empty in sequential mode). The grant columns summarize the effective
-	// per-window grant spans the algebra handed out — under the fixed
-	// algebra they degenerate to the static lookahead, under the adaptive
-	// one they show how far past it the queue horizon let shards run.
-	SyncMode    string  `json:"sync_mode,omitempty"`
+	// The grant columns summarize the effective per-window grant spans the
+	// drive handed out: how far past the static cut lookahead the queue
+	// horizon let shards run.
 	GrantMinMS  float64 `json:"grant_min_ms,omitempty"`
 	GrantMeanMS float64 `json:"grant_mean_ms,omitempty"`
 	GrantMaxMS  float64 `json:"grant_max_ms,omitempty"`
@@ -150,8 +147,8 @@ func (p *RunProfile) SyncLine() string {
 	if wallNs > 0 {
 		share = 100 * float64(p.SyncWallNs()) / wallNs
 	}
-	s := fmt.Sprintf("%s, %d windows (%.0f windows/s), %d serial rounds, %d messages, sync %.1f%% of wall",
-		p.SyncMode, p.Windows, perSec, p.SerialRounds, p.Messages, share)
+	s := fmt.Sprintf("%d windows (%.0f windows/s), %d serial rounds, %d messages, sync %.1f%% of wall",
+		p.Windows, perSec, p.SerialRounds, p.Messages, share)
 	if p.GrantMeanMS > 0 {
 		s += fmt.Sprintf(", grant %.2f/%.2f/%.2f ms min/mean/max",
 			p.GrantMinMS, p.GrantMeanMS, p.GrantMaxMS)

@@ -122,7 +122,7 @@ func TestAdaptiveGrantsHonorFlooredChain(t *testing.T) {
 	run := func(chain [][]vtime.Duration) (*scriptedTransport, SyncStats) {
 		tr := &scriptedTransport{k: 2, rounds: [][]Bounds{round1, round2}}
 		var st SyncStats
-		if err := Drive(tr, &st, deadline, DriveOpts{Mode: SyncAdaptive, Chain: chain}); err != nil {
+		if err := Drive(tr, &st, deadline, DriveOpts{Chain: chain}); err != nil {
 			t.Fatal(err)
 		}
 		return tr, st

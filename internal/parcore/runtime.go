@@ -62,9 +62,9 @@ type SyncStats struct {
 	SerialRounds uint64 // serial drain rounds (zero/exhausted lookahead)
 	Messages     uint64 // cross-shard messages exchanged
 	// Effective per-window grant spans: how far each shard's window bound
-	// actually moved per release. Under the fixed algebra every shard
-	// contributes the same span; under the adaptive algebra the spread is
-	// the whole point. One sample per (window, shard) that advanced.
+	// actually moved per release; the spread between a shard next to the
+	// action and one far from it is the whole point of per-shard grants.
+	// One sample per (window, shard) that advanced.
 	GrantCount uint64
 	GrantSumNs uint64
 	GrantMinNs int64
@@ -119,8 +119,7 @@ type Runtime struct {
 	binding *bind.Binding
 	pod     *bind.POD
 	workers []*worker
-	homes   []int // VN -> shard
-	mode    SyncMode
+	homes   []int              // VN -> shard
 	chain   [][]vtime.Duration // reaction-chain matrix
 	now     vtime.Time
 	stats   SyncStats
@@ -147,9 +146,6 @@ type Config struct {
 	Dynamics *dynamics.Spec
 	// Trace enables per-shard packet tracing (merge with Runtime.Trace).
 	Trace bool
-	// Sync selects the synchronization algebra; the zero value is
-	// SyncAdaptive. SyncFixed retains the uniform static-lookahead windows.
-	Sync SyncMode
 }
 
 // New builds the parallel runtime: one shard emulator per assignment core,
@@ -197,15 +193,9 @@ func New(cfg Config) (*Runtime, error) {
 		w.Applier = NewApplier(w.Sched, emu)
 		r.workers[i] = w
 	}
-	r.mode = cfg.Sync
-	// Both algebras need the reaction-chain matrix (Drive prices in-flight
-	// messages with it); only the adaptive one keeps the per-shard plans.
 	syncs := ComputeSyncPlan(g, b, pod, r.homes, k, cfg.Dynamics.LatencyFloorFunc())
 	r.chain = ChainMatrix(syncs)
 	for i, s := range syncs {
-		if r.mode == SyncFixed {
-			s.Plan = nil
-		}
 		r.workers[i].Sync = s
 	}
 	return r, nil
@@ -242,9 +232,6 @@ func (r *Runtime) SetDeliverHook(fn func(pkt *pipes.Packet, at vtime.Time)) {
 
 // Stats reports synchronization counters for the run so far.
 func (r *Runtime) Stats() SyncStats { return r.stats }
-
-// Mode reports the synchronization algebra the runtime drives with.
-func (r *Runtime) Mode() SyncMode { return r.mode }
 
 // ShardProfiles snapshots every shard's wall-clock/lookahead profile.
 func (r *Runtime) ShardProfiles() []obs.ShardProfile {
@@ -324,7 +311,7 @@ func (r *Runtime) RunUntil(deadline vtime.Time) {
 		}
 	}()
 
-	if err := Drive(inproc{r}, &r.stats, deadline, DriveOpts{Mode: r.mode, Chain: r.chain}); err != nil {
+	if err := Drive(inproc{r}, &r.stats, deadline, DriveOpts{Chain: r.chain}); err != nil {
 		// The in-process transport only errors on an EOT violation, which
 		// is a runtime invariant breach, not an I/O condition.
 		panic(err)

@@ -10,21 +10,19 @@ package parcore
 // (shards are OS processes, messages move over real UDP/TCP and the round
 // is one TCP exchange per worker).
 //
-// Two synchronization algebras share the loop. The fixed algebra releases
-// one uniform window per barrier: every shard runs to min over shards of
-// (earliest emission time) - 1, where the emission bound is the shard's
-// next activity plus the minimum latency over its border pipes. The
-// adaptive algebra (the default) grants each shard its own bound from the
-// cluster's queue horizon: each shard reports, per peer, the earliest
-// virtual time a message from its current state could surface there —
-// occupied pipes contribute their deadline plus the shortest remaining
-// path to that peer's territory, scheduled events contribute their time
-// plus the shard's minimum event-to-crossing distance — and the
-// coordinator closes the bounds under chained reactions (a message landing
-// on shard i can provoke a message onward to shard j no earlier than its
-// fire time plus i's event-to-crossing distance). Jointly idle regions
-// collapse to a single window, and a shard far from the action runs far
-// ahead of one adjacent to it.
+// There is one synchronization algebra. Each shard reports, per peer, the
+// earliest virtual time a message from its current state could surface there
+// — occupied pipes contribute their deadline plus the shortest remaining
+// path to that peer's territory, scheduled events contribute their time plus
+// the shard's minimum event-to-crossing distance — and the loop closes the
+// bounds under chained reactions (a message landing on shard i can provoke a
+// message onward to shard j no earlier than its fire time plus i's
+// event-to-crossing distance). Jointly idle regions collapse to a single
+// window, and a shard far from the action runs far ahead of one adjacent to
+// it. The classic uniform window — every shard runs to min over shards of
+// (earliest emission time) - 1 — is the same closure on coarser inputs: a
+// shard that reports one Safe bound for all its peers, under a reaction
+// matrix of zeros.
 
 import (
 	"fmt"
@@ -57,47 +55,15 @@ type Msg struct {
 
 // Bounds is one shard's contribution to the horizon computation: Next is
 // its next local event time, Safe the earliest virtual time at which it
-// could emit a cross-shard message from its current state. SafeTo, present
-// under the adaptive algebra, refines Safe per target shard (entry j is the
-// earliest a message from this shard's current state could fire on shard j;
-// the self entry is Forever). Safe is always min over SafeTo when SafeTo is
-// present, so uniform-window consumers need not care which algebra produced
-// the bounds.
+// could emit a cross-shard message from its current state. SafeTo, when the
+// shard can compute it (ShardBounds: an eager emulator with a SyncPlan),
+// refines Safe per target shard (entry j is the earliest a message from this
+// shard's current state could fire on shard j; the self entry is Forever),
+// and Safe is then min over SafeTo. A shard without one bounds every peer by
+// its Safe.
 type Bounds struct {
 	Next, Safe vtime.Time
 	SafeTo     []vtime.Time
-}
-
-// SyncMode selects the synchronization algebra.
-type SyncMode int
-
-const (
-	// SyncAdaptive derives per-shard window grants from the cluster's
-	// queue horizon at every barrier. The default.
-	SyncAdaptive SyncMode = iota
-	// SyncFixed releases uniform windows bounded by the static border-pipe
-	// lookahead, the original algebra; kept as an escape hatch and as the
-	// baseline the adaptive mode is measured against.
-	SyncFixed
-)
-
-// ParseSyncMode maps the CLI spelling to a mode ("" and "adaptive" are
-// adaptive, "fixed" is fixed).
-func ParseSyncMode(s string) (SyncMode, error) {
-	switch s {
-	case "", "adaptive":
-		return SyncAdaptive, nil
-	case "fixed":
-		return SyncFixed, nil
-	}
-	return SyncAdaptive, fmt.Errorf("parcore: unknown sync mode %q (want adaptive or fixed)", s)
-}
-
-func (m SyncMode) String() string {
-	if m == SyncFixed {
-		return "fixed"
-	}
-	return "adaptive"
 }
 
 // Transport connects the synchronization loop to the cluster's shards,
@@ -117,20 +83,14 @@ type Transport interface {
 
 // DriveOpts selects how the synchronization loop runs.
 type DriveOpts struct {
-	// Pace, when non-nil, slaves window release to the wall clock. A paced
-	// drive always uses uniform windows: the wall clock caps every shard
-	// at the same quantum, so per-shard grants cannot pay for their extra
-	// bookkeeping there.
+	// Pace, when non-nil, slaves window release to the wall clock: the
+	// grants are the unpaced ones, clamped to one quantum past it.
 	Pace *Pacing
-	// Mode selects the algebra. SyncAdaptive needs Chain; without it the
-	// loop falls back to fixed.
-	Mode SyncMode
 	// Chain is the k×k matrix of minimum reaction distances: Chain[i][j]
 	// lower-bounds how long after a message lands on shard i a consequence
 	// of it can surface on shard j. ChainMatrix derives it from the
-	// shards' SyncPlans. Both algebras use it to price messages still in
-	// flight (see settle); without it an in-flight message pins its
-	// receiver's horizon to the receiver's clock.
+	// shards' SyncPlans. It prices both the grant closure and the messages
+	// still in flight (see settle); nil prices every reaction at zero.
 	Chain [][]vtime.Duration
 }
 
@@ -171,7 +131,6 @@ func Drive(tr Transport, st *SyncStats, deadline vtime.Time, o DriveOpts) error 
 	if pace != nil && deadline == vtime.Forever {
 		return fmt.Errorf("parcore: a paced drive needs a finite deadline")
 	}
-	adaptive := o.Mode == SyncAdaptive && o.Chain != nil && pace == nil
 	var start time.Time
 	quantum := vtime.Duration(0)
 	if pace != nil {
@@ -202,6 +161,13 @@ func Drive(tr Transport, st *SyncStats, deadline vtime.Time, o DriveOpts) error 
 		}
 	}
 	k := tr.Cores()
+	chain := o.Chain
+	if chain == nil {
+		chain = make([][]vtime.Duration, k)
+		for i := range chain {
+			chain[i] = make([]vtime.Duration, k)
+		}
+	}
 	cmds := make([]Cmd, k)
 	// prev[j] is the last bound shard j was granted (or drained to); -1
 	// until known. Grants never regress below it, the span from it to the
@@ -252,7 +218,7 @@ func Drive(tr Transport, st *SyncStats, deadline vtime.Time, o DriveOpts) error 
 			st.Messages += r.Sent
 			progressed = progressed || r.Progressed
 		}
-		bs = settle(reps, prev, o.Chain)
+		bs = settle(reps, prev, chain)
 		return progressed, nil
 	}
 	setAll := func(c Cmd) {
@@ -290,110 +256,67 @@ func Drive(tr Transport, st *SyncStats, deadline vtime.Time, o DriveOpts) error 
 	if _, err := round(nil); err != nil {
 		return err
 	}
-	prevBound := vtime.Time(-1)
 	for {
-		minNext, horizon := vtime.Forever, vtime.Forever
+		minNext := vtime.Forever
 		for _, b := range bs {
 			if b.Next < minNext {
 				minNext = b.Next
 			}
-			if b.Safe < horizon {
-				horizon = b.Safe
+		}
+		// Nothing left to fire by the deadline ends an unpaced drive. A
+		// paced one idles on to the deadline's wall time: live ingress may
+		// still arrive at any wall instant, and each quantum-sized window is
+		// an admission point for it.
+		idle := minNext > deadline || minNext == vtime.Forever
+		if idle && (pace == nil || wallNow() >= deadline) {
+			break
+		}
+		// Shard j may run through A[j]-1, and no further than the caller's
+		// deadline: an unconstrained horizon (no peer can ever reach j from
+		// its current state) must not clamp clocks to the end of time.
+		A := grantFixpoint(bs, chain)
+		canFire := false
+		for j := range cmds {
+			g := deadline
+			if A[j] != vtime.Forever && A[j]-1 < g {
+				g = A[j] - 1
+			}
+			if g < prev[j] {
+				g = prev[j]
+			}
+			cmds[j] = Cmd{Grant: g}
+			if bs[j].Next <= g {
+				canFire = true
 			}
 		}
-		if minNext > deadline || minNext == vtime.Forever {
-			if pace == nil {
-				break
-			}
-			// Paced and locally quiescent: live ingress may still arrive
-			// at any wall instant, so idle forward one quantum at a time
-			// (each round is an admission point for newly arrived traffic)
-			// until the wall clock covers the deadline.
-			if wallNow() >= deadline {
-				break
-			}
-			bound := wallNow().Add(quantum)
-			if bound > deadline {
-				bound = deadline
-			}
-			if bound < prevBound {
-				bound = prevBound
-			}
-			sleepUntil(bound)
-			setAll(Cmd{Grant: bound})
-			if err := release(); err != nil {
-				return err
-			}
-			prevBound = bound
-			continue
-		}
-		if adaptive {
-			A := grantFixpoint(bs, o.Chain)
-			canFire := false
-			for j := range cmds {
-				g := deadline
-				if A[j] != vtime.Forever && A[j]-1 < g {
-					g = A[j] - 1
-				}
-				if g < prev[j] {
-					g = prev[j]
-				}
-				cmds[j] = Cmd{Grant: g}
-				if bs[j].Next <= g {
-					canFire = true
-				}
-			}
-			if !canFire {
-				// No shard may reach even its next event: every grant is
-				// consumed. Drain time minNext serially, deterministically.
-				if err := drain(minNext); err != nil {
-					return err
-				}
-				continue
-			}
-			if err := release(); err != nil {
-				return err
-			}
-			continue
-		}
-		// An unconstrained horizon (no shard can ever emit a cross-shard
-		// message from its current state) must not clamp clocks to the
-		// end of time: run straight to the caller's deadline.
-		bound := deadline
-		if horizon != vtime.Forever && horizon-1 < bound {
-			bound = horizon - 1
-		}
-		if bound < minNext || bound < prevBound {
-			// The horizon excludes the very next event: lookahead is zero
-			// or consumed. Drain time minNext serially, deterministically
+		if !canFire && !idle {
+			// No shard may reach even its next event: lookahead is zero or
+			// consumed. Drain time minNext serially, deterministically
 			// (paced runs first let the wall clock catch up to it).
 			if err := drain(minNext); err != nil {
 				return err
-			}
-			if minNext > prevBound {
-				prevBound = minNext
 			}
 			continue
 		}
 		if pace != nil {
 			// Slave window release to the wall clock: never run more than
 			// one quantum ahead, and never release a bound before its wall
-			// time. When the emulation lags the wall clock (slow barriers,
-			// heavy windows) the cap is already behind and the run simply
-			// proceeds flat out.
-			if target := wallNow().Add(quantum); target < bound {
-				bound = target
+			// time. The clamp comes after the can-anything-fire test, so a
+			// far-off next event is approached in quantum-sized windows, not
+			// slept to in one drain. When the emulation lags the wall clock
+			// (slow barriers, heavy windows) the cap is already behind and
+			// the run simply proceeds flat out.
+			ahead, latest := wallNow().Add(quantum), vtime.Time(-1)
+			for j := range cmds {
+				g := max(min(cmds[j].Grant, ahead), prev[j])
+				cmds[j].Grant = g
+				latest = max(latest, g)
 			}
-			if bound < prevBound {
-				bound = prevBound
-			}
-			sleepUntil(bound)
+			sleepUntil(latest)
 		}
-		setAll(Cmd{Grant: bound})
 		if err := release(); err != nil {
 			return err
 		}
-		prevBound = bound
 	}
 	if deadline == vtime.Forever {
 		return nil
@@ -422,16 +345,12 @@ func settle(reps []Report, prev []vtime.Time, chain [][]vtime.Duration) []Bounds
 			if b.Next > fl {
 				b.Next = fl
 			}
-			// Without a chain the only safe reaction distance is zero.
 			minChain := noCross
 			for l := 0; l < k; l++ {
 				if l == j {
 					continue
 				}
-				d := vtime.Duration(0)
-				if chain != nil {
-					d = chain[j][l]
-				}
+				d := chain[j][l]
 				if d < minChain {
 					minChain = d
 				}
@@ -507,8 +426,7 @@ func grantFixpoint(bs []Bounds, chain [][]vtime.Duration) []vtime.Time {
 // virtual time. Saturating adds keep it absorbing.
 const noCross = vtime.Duration(math.MaxInt64)
 
-// SyncPlan is one shard's static crossing-distance tables for the adaptive
-// algebra, computed by ComputeSyncPlan from the distilled topology with
+// SyncPlan is one shard's static crossing-distance tables, computed by ComputeSyncPlan from the distilled topology with
 // dynamics-floored latencies. All distances are lower bounds that hold
 // whatever routes packets take (structural adjacency over-approximates
 // the route table, so mid-run reroutes cannot invalidate them).
@@ -595,8 +513,8 @@ type ShardSync struct {
 	// a peer's pipe (possible under collapsing distillation modes), which
 	// pins the shard's safe bound to its next event time.
 	IngressCross bool
-	// Plan carries the adaptive crossing-distance tables; nil under the
-	// fixed algebra.
+	// Plan carries the crossing-distance tables (ComputeSyncPlan fills it;
+	// ComputeSyncFloor alone leaves it nil and the shard reports no SafeTo).
 	Plan *SyncPlan
 }
 
@@ -667,8 +585,7 @@ func ComputeSyncFloor(g *topology.Graph, b *bind.Binding, pod *bind.POD, homes [
 	return sync
 }
 
-// ComputeSyncPlan is ComputeSyncFloor plus the adaptive crossing-distance
-// tables: for every (shard, peer) pair it runs a reverse Dijkstra from the
+// ComputeSyncPlan is ComputeSyncFloor plus the crossing-distance tables: for every (shard, peer) pair it runs a reverse Dijkstra from the
 // peer's territory over the shard's owned pipes and homed VNs, producing
 // the per-pipe and per-event distance tables in SyncPlan. Latencies are
 // dynamics-floored like the lookahead.
@@ -710,7 +627,7 @@ func ComputeSyncPlan(g *topology.Graph, b *bind.Binding, pod *bind.POD, homes []
 
 // ChainMatrix assembles the reaction-chain matrix for DriveOpts.Chain from
 // the shards' plans (row i is shard i's EventCross). Nil when any shard
-// lacks a plan (fixed mode).
+// lacks a plan.
 func ChainMatrix(syncs []ShardSync) [][]vtime.Duration {
 	chain := make([][]vtime.Duration, len(syncs))
 	for i, s := range syncs {

@@ -75,19 +75,7 @@ type (
 	// DynamicsStep is a single scheduled parameter change; use
 	// dynamics.Unchanged semantics via the Parse helpers below.
 	DynamicsStep = dynamics.Step
-	// SyncMode selects the parallel/federated synchronization algebra.
-	SyncMode = parcore.SyncMode
 )
-
-// Synchronization algebras (Options.Sync): adaptive per-shard window grants
-// (the default) or fixed uniform-lookahead windows (the baseline).
-const (
-	SyncAdaptive = parcore.SyncAdaptive
-	SyncFixed    = parcore.SyncFixed
-)
-
-// ParseSyncMode maps the CLI spelling ("adaptive", "fixed", "") to a mode.
-var ParseSyncMode = parcore.ParseSyncMode
 
 // Distillation modes (§4.1).
 const (
@@ -160,13 +148,6 @@ type Options struct {
 	// Totals, OnDeliver, SchedulerOf) and keep application callbacks on
 	// their own host's scheduler.
 	Parallel bool
-	// Sync selects how parallel and federated runs synchronize their
-	// shards: SyncAdaptive (the zero value) grants each shard a window
-	// bounded by its own queue horizon and coalesces jointly-idle regions;
-	// SyncFixed is the uniform-lookahead baseline. Counters, delivery
-	// times, and canonical traces are identical either way — only window
-	// placement differs.
-	Sync SyncMode
 	// Dynamics, when non-nil, schedules link-parameter changes — trace
 	// replay, scripted failures, recovery with route reconvergence — as
 	// virtual-time events (internal/dynamics). The same spec applies
@@ -253,8 +234,9 @@ type FederationReport = fednet.Report
 // Federate runs a registered federation scenario (internal/fednet;
 // internal/experiments registers "ring-cbr" and "gnutella-ring") for
 // runFor virtual time across Options.Cores worker processes. The usual
-// Options fields — Cores, Seed, Profile, Distill, EdgeNodes, RouteCache —
-// mean what they mean for Run; Options.Federate supplies the socket-layer
+// Options fields — Cores, Seed, Profile, Distill, EdgeNodes — mean what they
+// mean for Run (RouteCache does not apply: every worker routes through a
+// demand-paged shard table); Options.Federate supplies the socket-layer
 // knobs.
 func Federate(scenario string, params any, runFor Duration, opts Options) (*FederationReport, error) {
 	fo := FederateOptions{}
@@ -269,11 +251,8 @@ func Federate(scenario string, params any, runFor Duration, opts Options) (*Fede
 		Profile:  opts.Profile,
 		Distill:  opts.Distill,
 
-		EdgeNodes:  opts.EdgeNodes,
-		RouteCache: opts.RouteCache,
-
+		EdgeNodes:         opts.EdgeNodes,
 		RunFor:            runFor,
-		Sync:              opts.Sync,
 		Dynamics:          opts.Dynamics,
 		Trace:             opts.Trace,
 		MetricsListen:     fo.MetricsListen,
@@ -367,7 +346,6 @@ func Run(target *Graph, opts Options) (*Emulation, error) {
 			Profile:    prof,
 			Seed:       opts.Seed,
 			NewTable:   newTable,
-			Sync:       opts.Sync,
 			Dynamics:   opts.Dynamics,
 			Trace:      opts.Trace,
 		})
@@ -528,7 +506,6 @@ func (e *Emulation) RunProfile() obs.RunProfile {
 	return obs.RunProfile{
 		Mode: "parallel", Cores: e.Par.Cores(),
 		Windows: st.Windows, SerialRounds: st.SerialRounds, Messages: st.Messages,
-		SyncMode:    e.Par.Mode().String(),
 		GrantMinMS:  st.GrantMin().Seconds() * 1000,
 		GrantMeanMS: st.GrantMean().Seconds() * 1000,
 		GrantMaxMS:  st.GrantMax().Seconds() * 1000,
