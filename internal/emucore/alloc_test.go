@@ -16,8 +16,9 @@ import (
 )
 
 // A packet crossing a 12-pipe line under the ideal profile costs 12 pipe
-// enqueues, 12 core activations and 24 heap sifts. The budget is for the
-// whole trip, so it catches a single allocation per hop.
+// enqueues, 12 core activations and 24 heap sifts, and allocates nothing:
+// the count is for the whole trip and exact, so one allocation on any hop —
+// or one per packet anywhere on the path — fails it.
 func TestHopPathAllocs(t *testing.T) {
 	const hops = 12
 	g := topology.Line(hops-1, attrs(1000, 1))
@@ -31,9 +32,8 @@ func TestHopPathAllocs(t *testing.T) {
 	}
 	trip() // warm the packet pool, the event free list and the pipe queues
 	before := e.Delivered
-	const budget = 1 // per 12-hop trip; steady state measures 0
-	if n := testing.AllocsPerRun(200, trip); n > budget {
-		t.Fatalf("%d-hop Inject→deliver: %v allocs per packet, budget %d", hops, n, budget)
+	if n := testing.AllocsPerRun(200, trip); n != 0 {
+		t.Fatalf("%d-hop Inject→deliver: %v allocs per packet, want 0", hops, n)
 	}
 	if e.Delivered-before != 201 || e.Totals().VirtualDrops != 0 {
 		t.Fatalf("test premise: every packet should cross all %d pipes (delivered %d, totals %+v)",

@@ -15,10 +15,11 @@
 // packet-simulator pattern for modeling "an application message of size S"
 // without serialization.
 //
-// TCP segments are recycled through one free list per event loop (per
+// Packet payloads — TCP segments, UDP datagrams and the RPC frames those
+// carry — are recycled through free lists kept per event loop (per
 // vtime.Scheduler): the sending host takes one, the receiving host puts it
 // back when its input routine returns, and nothing in between may keep the
-// *Segment (DESIGN.md §1, "The segment path").
+// *Segment or *Datagram (DESIGN.md §1, "The payload path").
 package netstack
 
 import (
@@ -58,7 +59,7 @@ type Host struct {
 	inj   Injector
 	sched *vtime.Scheduler
 
-	segs *segPool // the event loop's Segment free list, shared by its hosts
+	pool *loopPool // the event loop's payload free lists, shared by its hosts
 
 	udpSocks  map[uint16]*UDPSocket
 	listeners map[uint16]*Listener
@@ -110,53 +111,62 @@ func (h *Host) removeConn(c *Conn) {
 	}
 }
 
-// segPool is the Segment free list of one event loop: every host built on
-// the same vtime.Scheduler shares it (the scheduler's loop-local slot), so
-// it needs no lock. A segment is taken by the host that sends it and put
-// back by the host it is delivered to; between hosts of one loop that
-// balances exactly, which per-host lists cannot (a bulk flow moves two
-// segments forward for each ACK back).
-type segPool struct {
-	free []*Segment
+// freeList recycles one payload type on one event loop. Every host built on
+// the same vtime.Scheduler shares it (through loopPool, the scheduler's
+// loop-local slot), so it needs no lock. A payload is taken by the host that
+// sends it and put back by the host it is delivered to; between hosts of one
+// loop that balances exactly, which per-host lists cannot (a bulk flow moves
+// two segments forward for each ACK back).
+type freeList[T any] struct {
+	free []*T
 }
 
-// maxSegFree caps the free list. Segments that cross a shard or process
+// maxSegFree caps each free list. Payloads that cross a shard or process
 // boundary move one way — taken from the sender's loop, put back on the
 // receiver's (wire-decoded ones are fresh allocations) — so a loop that
-// receives more than it sends would otherwise keep every surplus segment
+// receives more than it sends would otherwise keep every surplus payload
 // forever; past the cap they go back to the garbage collector.
 const maxSegFree = 1 << 16
 
-// segPoolOf returns sched's free list, installing it on first use.
-func segPoolOf(sched *vtime.Scheduler) *segPool {
-	if p, ok := sched.Local().(*segPool); ok {
+// get returns a zero T.
+func (l *freeList[T]) get() *T {
+	if n := len(l.free); n > 0 {
+		p := l.free[n-1]
+		l.free[n-1] = nil
+		l.free = l.free[:n-1]
 		return p
 	}
-	p := &segPool{}
-	sched.SetLocal(p)
-	return p
+	return new(T)
 }
 
-// get returns a zero Segment.
-func (p *segPool) get() *Segment {
-	if n := len(p.free); n > 0 {
-		seg := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		return seg
-	}
-	return new(Segment)
-}
-
-// put recycles a segment nothing references any more. It is cleared here so
-// the list keeps no Data, Msgs or message object alive and get's caller
-// starts from the zero value.
-func (p *segPool) put(seg *Segment) {
-	if len(p.free) >= maxSegFree {
+// put recycles a payload nothing references any more. It is cleared here so
+// the list keeps nothing the payload carried alive (Data, Msgs, an
+// application object) and get's caller starts from the zero value.
+func (l *freeList[T]) put(p *T) {
+	if len(l.free) >= maxSegFree {
 		return
 	}
-	*seg = Segment{}
-	p.free = append(p.free, seg)
+	var zero T
+	*p = zero
+	l.free = append(l.free, p)
+}
+
+// loopPool is what one event loop recycles: the two packet payloads and the
+// RPC frame that rides a Datagram's Obj.
+type loopPool struct {
+	segs   freeList[Segment]
+	dgrams freeList[Datagram]
+	frames freeList[rpcFrame]
+}
+
+// loopPoolOf returns sched's free lists, installing them on first use.
+func loopPoolOf(sched *vtime.Scheduler) *loopPool {
+	if p, ok := sched.Local().(*loopPool); ok {
+		return p
+	}
+	p := &loopPool{}
+	sched.SetLocal(p)
+	return p
 }
 
 // Registrar is the delivery side of the network (the emulator).
@@ -171,7 +181,7 @@ func NewHost(vn pipes.VN, sched *vtime.Scheduler, inj Injector, reg Registrar) *
 		vn:        vn,
 		inj:       inj,
 		sched:     sched,
-		segs:      segPoolOf(sched),
+		pool:      loopPoolOf(sched),
 		udpSocks:  make(map[uint16]*UDPSocket),
 		listeners: make(map[uint16]*Listener),
 		conns:     make(map[connKey]*Conn),
@@ -212,14 +222,18 @@ func (h *Host) ephemeralPort() uint16 {
 }
 
 // send pushes a packet into the network. A refused packet never entered it,
-// so a refused segment is recycled here.
+// so a refused payload is recycled here. An injector may deliver before it
+// returns (loopback), so the payload is not the caller's to read afterwards.
 func (h *Host) send(dst pipes.VN, size int, payload any) bool {
 	h.PktsOut++
 	h.BytesOut += uint64(size)
 	if !h.inj.Inject(h.vn, dst, size, payload) {
 		h.InjectFailures++
-		if seg, ok := payload.(*Segment); ok {
-			h.segs.put(seg)
+		switch pl := payload.(type) {
+		case *Segment:
+			h.pool.segs.put(pl)
+		case *Datagram:
+			h.pool.dgrams.put(pl)
 		}
 		return false
 	}
@@ -227,16 +241,18 @@ func (h *Host) send(dst pipes.VN, size int, payload any) bool {
 }
 
 // onPacket dispatches a delivered packet to the owning socket. It is the
-// one place a delivered segment is recycled: onSegment copies out what the
-// connection keeps (Data and Msgs slices, never the *Segment).
+// one place a delivered payload is recycled: onSegment copies out what the
+// connection keeps (Data and Msgs slices, never the *Segment), and a
+// UDPHandler may keep a datagram's Data and Obj but not the *Datagram.
 func (h *Host) onPacket(pkt *pipes.Packet) {
 	h.PktsIn++
 	h.BytesIn += uint64(pkt.Size)
 	switch pl := pkt.Payload.(type) {
 	case *Segment:
 		h.onSegment(pkt.Src, pl)
-		h.segs.put(pl)
+		h.pool.segs.put(pl)
 	case *Datagram:
 		h.onDatagram(pkt.Src, pl)
+		h.pool.dgrams.put(pl)
 	}
 }

@@ -1,7 +1,9 @@
 package netstack
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 
 	"modelnet/internal/pipes"
 	"modelnet/internal/vtime"
@@ -15,7 +17,11 @@ import (
 // ErrRPCTimeout reports a call that exhausted its retries.
 var ErrRPCTimeout = errors.New("netstack: rpc timeout")
 
-// rpcFrame is the wire payload of one RPC packet.
+// rpcFrame is the wire payload of one RPC packet, riding its Datagram's Obj.
+// Frames are recycled with the datagrams that carry them: each transmission
+// (every retry included) takes its own off the event loop's free list and
+// the receiving node puts it back once it has read it, so handlers and done
+// callbacks see the Body and never the frame.
 type rpcFrame struct {
 	ID     uint64
 	IsResp bool
@@ -86,10 +92,18 @@ func NewRPCNode(h *Host, port uint16, handler RPCHandler) (*RPCNode, error) {
 // Addr returns the node's endpoint.
 func (n *RPCNode) Addr() Endpoint { return n.sock.Addr() }
 
-// Close unbinds the node and fails all pending calls.
+// Close unbinds the node and fails the calls pending at that moment, in the
+// order they were issued: a done callback may send, so the order is
+// simulated behaviour and must not be a map's. A call issued by one of those
+// callbacks is not failed here; it times out on its own.
 func (n *RPCNode) Close() {
 	n.sock.Close()
+	calls := make([]*rpcCall, 0, len(n.pending))
 	for _, call := range n.pending {
+		calls = append(calls, call)
+	}
+	slices.SortFunc(calls, func(a, b *rpcCall) int { return cmp.Compare(a.id, b.id) })
+	for _, call := range calls {
 		call.finish(nil, ErrRPCTimeout)
 	}
 }
@@ -127,7 +141,14 @@ func (c *rpcCall) attempt() {
 	// Arm the timer before sending: a loopback request can be answered
 	// synchronously within SendTo.
 	c.timer.Reset(c.timeout, c.onTimeout)
-	c.n.sock.SendTo(c.to, c.size, &rpcFrame{ID: c.id, Body: c.body})
+	c.n.send(c.to, c.size, c.id, false, c.body)
+}
+
+// send transmits one frame, taken from the loop's free list.
+func (n *RPCNode) send(to Endpoint, size int, id uint64, isResp bool, body any) {
+	f := n.sock.h.pool.frames.get()
+	f.ID, f.IsResp, f.Body = id, isResp, body
+	n.sock.SendTo(to, size, f)
 }
 
 // onTimeout is the per-try deadline: retry while tries remain, else fail.
@@ -148,21 +169,25 @@ func (n *RPCNode) onDatagram(from Endpoint, dg *Datagram) {
 	if !ok {
 		return
 	}
-	if f.IsResp {
-		call, ok := n.pending[f.ID]
+	// The frame is read once and released: what follows hands the body on,
+	// and the response below may already reuse the struct.
+	id, isResp, body := f.ID, f.IsResp, f.Body
+	n.sock.h.pool.frames.put(f)
+	if isResp {
+		call, ok := n.pending[id]
 		if !ok {
 			return // late duplicate
 		}
-		call.finish(f.Body, nil)
+		call.finish(body, nil)
 		return
 	}
 	if n.handler == nil {
 		return
 	}
 	n.Served++
-	resp, respSize := n.handler(from, f.Body, dg.Len)
+	resp, respSize := n.handler(from, body, dg.Len)
 	if resp == nil {
 		return
 	}
-	n.sock.SendTo(from, respSize, &rpcFrame{ID: f.ID, IsResp: true, Body: resp})
+	n.send(from, respSize, id, true, resp)
 }

@@ -27,8 +27,12 @@ import (
 // shape, one hop per packet. The queue is deep enough that a 64 KB window
 // never overflows it, so no segment is lost to a pipe drop.
 func newLineNet(tb testing.TB) *testNet {
+	return newPairNet(tb, topology.Pairs(1, 1, topology.LinkAttrs{BandwidthBps: 10e6, LatencySec: 10e-3, QueuePkts: 100}))
+}
+
+// newPairNet is hosts 0 and 1 on g, emulated under the ideal profile.
+func newPairNet(tb testing.TB, g *topology.Graph) *testNet {
 	tb.Helper()
-	g := topology.Pairs(1, 1, topology.LinkAttrs{BandwidthBps: 10e6, LatencySec: 10e-3, QueuePkts: 100})
 	b, err := bind.Bind(g, bind.Options{})
 	if err != nil {
 		tb.Fatal(err)
@@ -122,7 +126,7 @@ func TestSegmentPoolBounded(t *testing.T) {
 	n := &twoLoopNet{sched: [2]*vtime.Scheduler{vtime.NewScheduler(), vtime.NewScheduler()}}
 	a := NewHost(0, n.sched[0], n, n)
 	b := NewHost(1, n.sched[1], n, n)
-	if a.segs == b.segs {
+	if a.pool == b.pool {
 		t.Fatal("hosts on different schedulers share a free list")
 	}
 	if _, err := b.Listen(80, func(*Conn) Handlers { return Handlers{} }); err != nil {
@@ -135,7 +139,7 @@ func TestSegmentPoolBounded(t *testing.T) {
 	c.Close()
 	peak := 0
 	for n.step() {
-		if l := len(b.segs.free); l > peak {
+		if l := len(b.pool.segs.free); l > peak {
 			peak = l
 		}
 	}
@@ -145,7 +149,7 @@ func TestSegmentPoolBounded(t *testing.T) {
 	if peak != maxSegFree {
 		t.Fatalf("receiver-side free list peaked at %d segments, want the cap %d", peak, maxSegFree)
 	}
-	if l := len(a.segs.free); l > 2*DefaultWindow/MSS {
+	if l := len(a.pool.segs.free); l > 2*DefaultWindow/MSS {
 		t.Fatalf("sender-side free list holds %d segments: it only ever receives ACKs", l)
 	}
 }
@@ -181,7 +185,7 @@ func TestRecycledSegmentLeavesNoAlias(t *testing.T) {
 	n := &holdNet{sched: vtime.NewScheduler()}
 	a := NewHost(0, n.sched, n, n)
 	b := NewHost(1, n.sched, n, n)
-	if a.segs != b.segs {
+	if a.pool != b.pool {
 		t.Fatal("hosts on one scheduler do not share a free list")
 	}
 	// The first data segment (stream offset 1) is held back 50 ms, once.

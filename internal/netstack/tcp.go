@@ -349,7 +349,7 @@ func (c *Conn) Unsent() int {
 // ackSeg takes a segment off the loop's free list and fills in what every
 // segment after the handshake carries: its offset and the current ACK.
 func (c *Conn) ackSeg(seq uint64) *Segment {
-	seg := c.h.segs.get()
+	seg := c.h.pool.segs.get()
 	seg.Seq = seq
 	seg.HasACK = true
 	seg.Ack = c.rcvNxt
@@ -357,7 +357,7 @@ func (c *Conn) ackSeg(seq uint64) *Segment {
 }
 
 func (c *Conn) sendSYN() {
-	seg := c.h.segs.get()
+	seg := c.h.pool.segs.get()
 	seg.SYN = true
 	if c.state == stateSynRcvd {
 		seg.HasACK = true

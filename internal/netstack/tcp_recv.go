@@ -32,7 +32,7 @@ func (h *Host) onSegment(src pipes.VN, seg *Segment) {
 	}
 	if !seg.RST {
 		// Closed port: refuse.
-		rst := h.segs.get()
+		rst := h.pool.segs.get()
 		*rst = Segment{
 			SrcPort: seg.DstPort, DstPort: seg.SrcPort,
 			Seq: seg.Ack, RST: true, HasACK: true, Ack: seg.Seq + uint64(seg.Len),

@@ -9,6 +9,13 @@ import (
 // Datagram is a UDP datagram. Obj optionally carries an application object
 // by reference (the simulator-payload pattern); Data optionally carries
 // real bytes. Len is the payload size on the wire either way.
+//
+// Datagrams are recycled exactly as Segments are: the sending host takes one
+// off its event loop's free list and the receiving host puts it back when
+// the socket's handler returns, so nothing that sees a *Datagram in flight
+// (delivery functions, OnDeliver and DropHook observers, a UDPHandler) may
+// keep it past its own return. Data and Obj are the application's: the
+// struct is cleared on release, what they reference is never touched.
 type Datagram struct {
 	SrcPort, DstPort uint16
 	Len              int
@@ -23,7 +30,10 @@ func (d *Datagram) String() string {
 	return fmt.Sprintf("[udp %d->%d len=%d]", d.SrcPort, d.DstPort, d.Len)
 }
 
-// UDPHandler receives inbound datagrams.
+// UDPHandler receives inbound datagrams. dg is valid until the handler
+// returns, when the host recycles it: read the fields you need inside the
+// call. dg.Data and dg.Obj may be kept — the bytes and the object belong to
+// the application, only the struct that carried them is reused.
 type UDPHandler func(from Endpoint, dg *Datagram)
 
 // UDPSocket is a bound UDP port.
@@ -56,18 +66,26 @@ func (s *UDPSocket) Addr() Endpoint { return Endpoint{s.h.vn, s.port} }
 
 // SendTo transmits size payload bytes (plus UDP/IP headers) carrying obj by
 // reference. Returns false when the packet was physically dropped at
-// injection; emulated drops in pipes are silent, as in real UDP.
+// injection; emulated drops in pipes are silent, as in real UDP. obj reaches
+// the receiving handler as dg.Obj, the same reference: the stack neither
+// copies nor clears what it points to, and forgets it on delivery.
 func (s *UDPSocket) SendTo(to Endpoint, size int, obj any) bool {
 	return s.sendTo(to, size, nil, obj)
 }
 
-// SendBytes transmits real data bytes.
+// SendBytes transmits real data bytes. data is copied once, here, so the
+// caller may reuse its buffer; the receiving handler owns the copy it is
+// handed as dg.Data and may keep it.
 func (s *UDPSocket) SendBytes(to Endpoint, data []byte) bool {
 	return s.sendTo(to, len(data), append([]byte(nil), data...), nil)
 }
 
+// sendTo fills a recycled datagram. send may deliver it — and so recycle it —
+// before it returns (loopback), so dg is not read after the call.
 func (s *UDPSocket) sendTo(to Endpoint, size int, data []byte, obj any) bool {
-	dg := &Datagram{SrcPort: s.port, DstPort: to.Port, Len: size, Data: data, Obj: obj}
+	dg := s.h.pool.dgrams.get()
+	dg.SrcPort, dg.DstPort = s.port, to.Port
+	dg.Len, dg.Data, dg.Obj = size, data, obj
 	s.Sent++
 	return s.h.send(to.VN, dg.WireSize(), dg)
 }

@@ -182,7 +182,10 @@ func (m *Medium) Inject(src, dst pipes.VN, size int, payload any) bool {
 	}, src, dst, payload)
 }
 
-// Broadcast transmits to every station in range.
+// Broadcast transmits to every station in range. Every receiver is handed
+// the same payload, so it must be one no receiver recycles: an application
+// value, not a *netstack.Segment or *netstack.Datagram, which the first
+// host to see it releases.
 func (m *Medium) Broadcast(src pipes.VN, size int, payload any) bool {
 	s := m.nodes[src]
 	if s == nil {
