@@ -12,12 +12,6 @@ import (
 	"modelnet/internal/vtime"
 )
 
-type regAdapter struct{ e *emucore.Emulator }
-
-func (r regAdapter) RegisterVN(vn pipes.VN, fn func(*pipes.Packet)) {
-	r.e.RegisterVN(vn, emucore.DeliverFunc(fn))
-}
-
 // overlayEnv builds n members on a star topology with a cost oracle where
 // "adjacent" ids are cheap — so the optimal tree is a chain-like structure
 // and random initial parents are expensive.
@@ -61,7 +55,7 @@ func newOverlay(t *testing.T, n int, targetDelay float64) *overlayEnv {
 		members = append(members, netstack.Endpoint{VN: pipes.VN(i), Port: 4500})
 	}
 	for i := 0; i < n; i++ {
-		h := netstack.NewHost(pipes.VN(i), sched, emu, regAdapter{emu})
+		h := netstack.NewHost(pipes.VN(i), sched, emu, emu)
 		nd, err := NewNode(h, i, members, env.cost, Config{
 			TargetDelay: targetDelay,
 			EvalEvery:   2 * vtime.Second,

@@ -13,12 +13,6 @@ import (
 	"modelnet/internal/vtime"
 )
 
-type regAdapter struct{ e *emucore.Emulator }
-
-func (r regAdapter) RegisterVN(vn pipes.VN, fn func(*pipes.Packet)) {
-	r.e.RegisterVN(vn, emucore.DeliverFunc(fn))
-}
-
 type cluster struct {
 	sched *vtime.Scheduler
 	peers []*Peer
@@ -38,7 +32,7 @@ func newCluster(t *testing.T, g *topology.Graph) *cluster {
 	cl := &cluster{sched: sched}
 	var cnodes []*chord.Node
 	for i := 0; i < b.NumVNs(); i++ {
-		h := netstack.NewHost(pipes.VN(i), sched, emu, regAdapter{emu})
+		h := netstack.NewHost(pipes.VN(i), sched, emu, emu)
 		p, err := NewPeer(h, chord.HashString(fmt.Sprintf("cfs-%d", i)), chord.Config{})
 		if err != nil {
 			t.Fatal(err)

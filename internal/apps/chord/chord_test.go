@@ -18,12 +18,6 @@ type ring struct {
 	nodes []*Node
 }
 
-type regAdapter struct{ e *emucore.Emulator }
-
-func (r regAdapter) RegisterVN(vn pipes.VN, fn func(*pipes.Packet)) {
-	r.e.RegisterVN(vn, emucore.DeliverFunc(fn))
-}
-
 func newRing(t *testing.T, n int) *ring {
 	t.Helper()
 	g := topology.Star(n, topology.LinkAttrs{BandwidthBps: 10e6, LatencySec: 0.005, QueuePkts: 50})
@@ -38,7 +32,7 @@ func newRing(t *testing.T, n int) *ring {
 	}
 	r := &ring{sched: sched}
 	for i := 0; i < n; i++ {
-		h := netstack.NewHost(pipes.VN(i), sched, emu, regAdapter{emu})
+		h := netstack.NewHost(pipes.VN(i), sched, emu, emu)
 		nd, err := NewNode(h, HashString(fmt.Sprintf("node-%d", i)), Config{})
 		if err != nil {
 			t.Fatal(err)

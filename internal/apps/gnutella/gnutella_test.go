@@ -13,12 +13,6 @@ import (
 	"modelnet/internal/vtime"
 )
 
-type regAdapter struct{ e *emucore.Emulator }
-
-func (r regAdapter) RegisterVN(vn pipes.VN, fn func(*pipes.Packet)) {
-	r.e.RegisterVN(vn, emucore.DeliverFunc(fn))
-}
-
 type swarm struct {
 	sched *vtime.Scheduler
 	peers []*Peer
@@ -39,7 +33,7 @@ func newSwarm(t *testing.T, n, degree int, seed int64) *swarm {
 	}
 	sw := &swarm{sched: sched}
 	for i := 0; i < n; i++ {
-		h := netstack.NewHost(pipes.VN(i), sched, emu, regAdapter{emu})
+		h := netstack.NewHost(pipes.VN(i), sched, emu, emu)
 		p, err := NewPeer(h, i, Config{})
 		if err != nil {
 			t.Fatal(err)
@@ -95,7 +89,7 @@ func TestTTLBoundsFlood(t *testing.T) {
 	emu, _ := emucore.New(sched, g, b, nil, emucore.IdealProfile(), 3)
 	var peers []*Peer
 	for i := 0; i < n; i++ {
-		h := netstack.NewHost(pipes.VN(i), sched, emu, regAdapter{emu})
+		h := netstack.NewHost(pipes.VN(i), sched, emu, emu)
 		p, _ := NewPeer(h, i, Config{DefaultTTL: 3})
 		peers = append(peers, p)
 	}

@@ -12,12 +12,6 @@ import (
 	"modelnet/internal/vtime"
 )
 
-type regAdapter struct{ e *emucore.Emulator }
-
-func (r regAdapter) RegisterVN(vn pipes.VN, fn func(*pipes.Packet)) {
-	r.e.RegisterVN(vn, emucore.DeliverFunc(fn))
-}
-
 type env struct {
 	sched *vtime.Scheduler
 	hosts []*netstack.Host
@@ -37,7 +31,7 @@ func newEnv(t *testing.T, n int, mbps, ms float64) *env {
 	}
 	e := &env{sched: sched}
 	for i := 0; i < n; i++ {
-		e.hosts = append(e.hosts, netstack.NewHost(pipes.VN(i), sched, emu, regAdapter{emu}))
+		e.hosts = append(e.hosts, netstack.NewHost(pipes.VN(i), sched, emu, emu))
 	}
 	return e
 }

@@ -153,13 +153,12 @@ func TestMachineSharedByHosts(t *testing.T) {
 	cfg.LinkBps = 10e6
 	cfg.KernelPerPacket = 0
 	m := NewMachine(sched, cfg)
-	reg := regAdapter{emu}
 	inj := m.WrapInjector(emu)
-	h0 := netstack.NewHost(0, sched, inj, reg)
-	h1 := netstack.NewHost(1, sched, inj, reg)
+	h0 := netstack.NewHost(0, sched, inj, emu)
+	h1 := netstack.NewHost(1, sched, inj, emu)
 	m.AddProcess()
 	m.AddProcess()
-	h2 := netstack.NewHost(2, sched, emu, reg)
+	h2 := netstack.NewHost(2, sched, emu, emu)
 	rcv := 0
 	s, _ := h2.OpenUDP(9, func(from netstack.Endpoint, dg *netstack.Datagram) { rcv += dg.Len })
 	_ = s
@@ -182,12 +181,6 @@ func TestMachineSharedByHosts(t *testing.T) {
 	if gotMbps < 8 {
 		t.Errorf("shared NIC only passed %v Mb/s", gotMbps)
 	}
-}
-
-type regAdapter struct{ e *emucore.Emulator }
-
-func (r regAdapter) RegisterVN(vn pipes.VN, fn func(*pipes.Packet)) {
-	r.e.RegisterVN(vn, emucore.DeliverFunc(fn))
 }
 
 func TestNICBacklogDropHorizon(t *testing.T) {

@@ -10,8 +10,9 @@ import (
 	"modelnet/internal/vtime"
 )
 
-// DeliverFunc receives a packet at its destination VN.
-type DeliverFunc func(pkt *pipes.Packet)
+// DeliverFunc receives a packet at its destination VN. It is an alias, so
+// *Emulator is a netstack.Registrar as it stands.
+type DeliverFunc = func(pkt *pipes.Packet)
 
 // HandoffFunc carries a cross-shard event out of a shard-mode emulator (see
 // NewShard). pid >= 0 asks the owning shard to enqueue pkt into pipe pid at

@@ -72,31 +72,16 @@ type PayloadCachingRow struct {
 // RunPayloadCachingAblation measures Table 1's worst case (100% cross-core
 // traffic) with and without the §2.2 payload-caching optimization
 // ("leaving the packet contents buffered on the entry core node").
-func RunPayloadCachingAblation(scale float64) ([]PayloadCachingRow, error) {
+func RunPayloadCachingAblation() ([]PayloadCachingRow, error) {
 	var rows []PayloadCachingRow
 	for _, caching := range []bool{false, true} {
-		cfg := ScaledTable1(scale)
-		cfg.CrossPcts = []int{100}
-		got, err := runTable1PointWithCaching(cfg, 100, caching)
+		row, err := runTable1Point(DefaultTable1(), 100, caching)
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows, got)
+		rows = append(rows, PayloadCachingRow{Caching: caching, Kpps: row.Kpps, TunnelMB: float64(row.TunnelBytes) / 1e6})
 	}
 	return rows, nil
-}
-
-func runTable1PointWithCaching(cfg Table1Config, pct int, caching bool) (PayloadCachingRow, error) {
-	// Reuse the Table 1 machinery with the profile flag flipped.
-	row, tunnelBytes, err := runTable1Custom(cfg, pct, caching)
-	if err != nil {
-		return PayloadCachingRow{}, err
-	}
-	return PayloadCachingRow{
-		Caching:  caching,
-		Kpps:     row.Kpps,
-		TunnelMB: float64(tunnelBytes) / 1e6,
-	}, nil
 }
 
 // PrintPayloadCachingAblation renders the comparison.
@@ -162,8 +147,8 @@ func runFailover(mode string) (FailoverRow, error) {
 		dv.Start()
 	}
 
-	h0 := netstack.NewHost(0, sched, emu, emuRegistrar{emu})
-	h1 := netstack.NewHost(1, sched, emu, emuRegistrar{emu})
+	h0 := netstack.NewHost(0, sched, emu, emu)
+	h1 := netstack.NewHost(1, sched, emu, emu)
 	var arrivals []vtime.Time
 	h1.OpenUDP(9, func(netstack.Endpoint, *netstack.Datagram) {
 		arrivals = append(arrivals, sched.Now())

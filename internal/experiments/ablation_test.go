@@ -17,7 +17,7 @@ func TestRouteTableAblation(t *testing.T) {
 }
 
 func TestPayloadCachingAblation(t *testing.T) {
-	rows, err := RunPayloadCachingAblation(0.25)
+	rows, err := RunPayloadCachingAblation()
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,8 +4,6 @@ import (
 	"io"
 
 	"modelnet"
-	"modelnet/internal/netstack"
-	"modelnet/internal/traffic"
 	"modelnet/internal/vtime"
 )
 
@@ -28,16 +26,6 @@ type AccuracyConfig struct {
 // DefaultAccuracy loads a 10-hop path heavily.
 func DefaultAccuracy() AccuracyConfig {
 	return AccuracyConfig{Hops: 10, Flows: 48, Duration: modelnet.Seconds(2), Seed: 8}
-}
-
-// ScaledAccuracy shrinks the load.
-func ScaledAccuracy(scale float64) AccuracyConfig {
-	cfg := DefaultAccuracy()
-	if scale < 1 {
-		cfg.Flows = 16
-		cfg.Duration = modelnet.Seconds(1)
-	}
-	return cfg
 }
 
 // AccuracyResult summarizes per-packet delivery lag.
@@ -64,28 +52,11 @@ func RunAccuracy(cfg AccuracyConfig) ([]AccuracyResult, error) {
 }
 
 func runAccuracyPoint(cfg AccuracyConfig, debt bool) (AccuracyResult, error) {
-	attr := modelnet.LinkAttrs{
-		BandwidthBps: modelnet.Mbps(10),
-		LatencySec:   modelnet.Ms(10) / float64(cfg.Hops),
-		QueuePkts:    20,
-	}
-	g := modelnet.Pairs(cfg.Flows, cfg.Hops, attr)
 	prof := modelnet.DefaultProfile()
 	prof.DebtHandling = debt
-	em, err := modelnet.Run(g, modelnet.Options{RouteCache: cfg.Flows * 8, Profile: &prof, Seed: cfg.Seed})
+	em, err := bulkPairs(cfg.Flows, cfg.Hops, 100*vtime.Millisecond, prof, cfg.Seed)
 	if err != nil {
 		return AccuracyResult{}, err
-	}
-	for i := 0; i < cfg.Flows; i++ {
-		src := em.NewHost(modelnet.VN(2 * i))
-		dst := em.NewHost(modelnet.VN(2*i + 1))
-		if _, err := traffic.NewSink(dst, 80); err != nil {
-			return AccuracyResult{}, err
-		}
-		start := modelnet.Time(int64(i) * int64(100*vtimeMillisecond) / int64(cfg.Flows))
-		em.Sched.At(start, func() {
-			traffic.StartBulk(src, netstack.Endpoint{VN: dst.VN(), Port: 80}, traffic.Unbounded)
-		})
 	}
 	em.RunFor(cfg.Duration)
 	acc := em.Emu.Accuracy

@@ -50,17 +50,6 @@ func DefaultCFS() CFSConfig {
 	}
 }
 
-// ScaledCFS trims the sweep.
-func ScaledCFS(scale float64) CFSConfig {
-	cfg := DefaultCFS()
-	if scale < 1 {
-		cfg.WindowsKB = []int{0, 24, 96}
-		cfg.CDFWindows = []int{8, 40}
-		cfg.Downloaders = []int{0, 6}
-	}
-	return cfg
-}
-
 // cfsCluster is a bootstrapped CFS deployment over the RON-like mesh.
 type cfsCluster struct {
 	em    *modelnet.Emulation
@@ -229,15 +218,6 @@ type Fig9Config struct {
 // DefaultFig9 uses the paper's three transfer sizes over all pairs.
 func DefaultFig9() Fig9Config {
 	return Fig9Config{Sites: cfs.RONSites, SizesKB: []int{8, 64, 1126}, Seed: 5}
-}
-
-// ScaledFig9 trims the pair count.
-func ScaledFig9(scale float64) Fig9Config {
-	cfg := DefaultFig9()
-	if scale < 1 {
-		cfg.PairLimit = 24
-	}
-	return cfg
 }
 
 // Fig9Series is one transfer-size CDF (speeds in KB/s).

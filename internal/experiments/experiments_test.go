@@ -1,16 +1,24 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
+
+	"modelnet"
 )
 
-// These tests run scaled-down versions of each experiment and assert the
-// paper's qualitative findings — who wins, where crossovers fall — rather
-// than absolute numbers. Full-scale runs live in cmd/mnbench and the root
-// benchmarks.
+// These tests run quick versions of each experiment — the paper's
+// configuration with a few fields shrunk — and assert the paper's
+// qualitative findings: who wins, where crossovers fall. Table 1 runs at
+// the paper's parameters and is held to its published numbers too.
+// cmd/mnbench and the root BenchmarkFigures run every figure as published.
 
 func TestFig4Shape(t *testing.T) {
-	rows, err := RunFig4(ScaledFig4(0.2))
+	cfg := DefaultFig4()
+	cfg.Hops = []int{1, 8}
+	cfg.Flows = []int{24, 96}
+	cfg.Duration = modelnet.Seconds(1.0)
+	rows, err := RunFig4(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,12 +55,21 @@ func TestFig4Shape(t *testing.T) {
 }
 
 func TestTable1Shape(t *testing.T) {
-	rows, err := RunTable1(ScaledTable1(0.25))
+	rows, err := RunTable1(DefaultTable1())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rows) < 3 {
 		t.Fatalf("rows: %v", rows)
+	}
+	// The paper's measurements, within ±15%.
+	for _, want := range []struct {
+		row  int
+		kpps float64
+	}{{0, 462.5}, {len(rows) - 1, 155.8}} {
+		if got := rows[want.row].Kpps; got < want.kpps*0.85 || got > want.kpps*1.15 {
+			t.Errorf("%d%% crossing: %.1f Kpkt/s, paper %.1f (±15%%)", rows[want.row].CrossPct, got, want.kpps)
+		}
 	}
 	// Monotonic degradation with crossing fraction, ~3x from 0% to 100%.
 	for i := 1; i < len(rows); i++ {
@@ -74,7 +91,12 @@ func TestTable1Shape(t *testing.T) {
 }
 
 func TestFig5Shape(t *testing.T) {
-	series, err := RunFig5(ScaledFig5(0.5))
+	cfg := DefaultFig5()
+	cfg.Routers = 10
+	cfg.VNsPerRouter = 10
+	cfg.RingMbps = 10 // keep the ring under-provisioned
+	cfg.Duration = modelnet.Seconds(10)
+	series, err := RunFig5(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +134,11 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestFig6Shape(t *testing.T) {
-	rows, err := RunFig6(ScaledFig6(0.5))
+	cfg := DefaultFig6()
+	cfg.Nprogs = []int{1, 8, 100}
+	cfg.InstrPerB = []float64{50, 65, 80, 95}
+	cfg.Duration = modelnet.Seconds(1)
+	rows, err := RunFig6(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +172,10 @@ func TestFig6Shape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	rows, err := RunFig7(ScaledCFS(0.5))
+	cfg := DefaultCFS()
+	cfg.WindowsKB = []int{0, 24, 96}
+	cfg.Downloaders = []int{0, 6}
+	rows, err := RunFig7(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +199,9 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	series, err := RunFig9(ScaledFig9(0.5))
+	cfg := DefaultFig9()
+	cfg.PairLimit = 24
+	series, err := RunFig9(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +220,10 @@ func TestFig9Shape(t *testing.T) {
 }
 
 func TestFig11Shape(t *testing.T) {
-	series, err := RunFig11(ScaledFig11(0.5))
+	cfg := DefaultFig11()
+	cfg.ClientsPerSite = 15
+	cfg.TraceDuration = modelnet.Seconds(40)
+	series, err := RunFig11(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,14 +244,21 @@ func TestFig11Shape(t *testing.T) {
 }
 
 func TestFig12Shape(t *testing.T) {
-	res, err := RunFig12(ScaledFig12(0.5))
+	cfg := DefaultFig12()
+	cfg.Members = 40
+	cfg.Duration = modelnet.Seconds(600)
+	cfg.PerturbFrom = modelnet.Seconds(150)
+	cfg.PerturbTo = modelnet.Seconds(350)
+	cfg.SampleEvery = modelnet.Seconds(25)
+	cfg.TransitDomains, cfg.TransitPerDomain = 2, 3
+	cfg.StubsPerTransit, cfg.RoutersPerStub = 3, 6
+	res, err := RunFig12(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.Rows) < 8 {
 		t.Fatalf("only %d samples", len(res.Rows))
 	}
-	cfg := ScaledFig12(0.5)
 	var preEnd, perturbMax, final Fig12Row
 	for _, r := range res.Rows {
 		switch {
@@ -249,7 +290,10 @@ func TestFig12Shape(t *testing.T) {
 }
 
 func TestAccuracyBounds(t *testing.T) {
-	rows, err := RunAccuracy(ScaledAccuracy(0.5))
+	cfg := DefaultAccuracy()
+	cfg.Flows = 16
+	cfg.Duration = modelnet.Seconds(1)
+	rows, err := RunAccuracy(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,5 +311,33 @@ func TestAccuracyBounds(t *testing.T) {
 	// Debt handling must tighten the observed worst case.
 	if rows[1].MaxLagUs > rows[0].MaxLagUs {
 		t.Errorf("debt handling worsened lag: %.1f vs %.1f", rows[1].MaxLagUs, rows[0].MaxLagUs)
+	}
+}
+
+func TestSelectFigures(t *testing.T) {
+	for _, tc := range []struct {
+		list string
+		want []string // nil: an error naming the table's entries
+	}{
+		{"all", []string{"fig4", "table1", "fig5", "fig6", "fig7", "fig8", "fig9", "fig11", "fig12", "scale", "ablations", "accuracy"}},
+		{"fig5", []string{"fig5"}},
+		{" accuracy , fig4,table1 ", []string{"fig4", "table1", "accuracy"}},
+		{"fig4,nosuch", nil},
+		{"", nil},
+	} {
+		figs, err := SelectFigures(tc.list)
+		if tc.want == nil {
+			if err == nil || !strings.Contains(err.Error(), "fig4, table1, fig5") {
+				t.Errorf("SelectFigures(%q) = %d figures, %v; want an error listing the figures", tc.list, len(figs), err)
+			}
+			continue
+		}
+		var got []string
+		for _, f := range figs {
+			got = append(got, f.Name)
+		}
+		if err != nil || strings.Join(got, ",") != strings.Join(tc.want, ",") {
+			t.Errorf("SelectFigures(%q) = %v, %v; want %v", tc.list, got, err, tc.want)
+		}
 	}
 }

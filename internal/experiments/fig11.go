@@ -39,16 +39,6 @@ func DefaultFig11() Fig11Config {
 	}
 }
 
-// ScaledFig11 shrinks the trace.
-func ScaledFig11(scale float64) Fig11Config {
-	cfg := DefaultFig11()
-	if scale < 1 {
-		cfg.ClientsPerSite = 15
-		cfg.TraceDuration = modelnet.Seconds(40)
-	}
-	return cfg
-}
-
 // fig10Topology builds the topology of Figure 10: four transit routers in
 // a diamond (50 Mb/s, 50 ms), four client stub domains C1..C4 and three
 // replica sites R1..R3 hanging off them (transit-stub 25 Mb/s 10 ms;

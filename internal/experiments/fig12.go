@@ -50,21 +50,6 @@ func DefaultFig12() Fig12Config {
 	}
 }
 
-// ScaledFig12 shrinks the timeline and membership.
-func ScaledFig12(scale float64) Fig12Config {
-	cfg := DefaultFig12()
-	if scale < 1 {
-		cfg.Members = 40
-		cfg.Duration = modelnet.Seconds(600)
-		cfg.PerturbFrom = modelnet.Seconds(150)
-		cfg.PerturbTo = modelnet.Seconds(350)
-		cfg.SampleEvery = modelnet.Seconds(25)
-		cfg.TransitDomains, cfg.TransitPerDomain = 2, 3
-		cfg.StubsPerTransit, cfg.RoutersPerStub = 3, 6
-	}
-	return cfg
-}
-
 // Fig12Row is one timeline sample.
 type Fig12Row struct {
 	T         float64 // seconds

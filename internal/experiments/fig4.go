@@ -6,6 +6,7 @@ import (
 	"modelnet"
 	"modelnet/internal/netstack"
 	"modelnet/internal/traffic"
+	"modelnet/internal/vtime"
 )
 
 // Fig4 reproduces Figure 4: capacity of a single ModelNet core in
@@ -35,19 +36,6 @@ func DefaultFig4() Fig4Config {
 	}
 }
 
-// ScaledFig4 shrinks the sweep for quick runs while keeping the saturated
-// large-flow points that define the figure's shape.
-func ScaledFig4(scale float64) Fig4Config {
-	cfg := DefaultFig4()
-	if scale < 1 {
-		cfg.Hops = []int{1, 8}
-		cfg.Flows = []int{24, 96}
-		cfg.Duration = modelnet.Seconds(1.0)
-		cfg.Warmup = modelnet.Seconds(1.0)
-	}
-	return cfg
-}
-
 // Fig4Row is one measured point.
 type Fig4Row struct {
 	Hops    int
@@ -73,34 +61,9 @@ func RunFig4(cfg Fig4Config) ([]Fig4Row, error) {
 }
 
 func runFig4Point(cfg Fig4Config, hops, flows int) (Fig4Row, error) {
-	// Each flow gets a private chain of `hops` 10 Mb/s pipes with 10 ms
-	// total one-way latency.
-	attr := modelnet.LinkAttrs{
-		BandwidthBps: modelnet.Mbps(10),
-		LatencySec:   modelnet.Ms(10) / float64(hops),
-		QueuePkts:    20,
-	}
-	g := modelnet.Pairs(flows, hops, attr)
-	// The pairs topology is deliberately disconnected (each flow has a
-	// private path), so use the route cache rather than the all-pairs
-	// matrix.
-	em, err := modelnet.Run(g, modelnet.Options{Seed: cfg.Seed, RouteCache: flows * 8})
+	em, err := bulkPairs(flows, hops, 200*vtime.Millisecond, modelnet.DefaultProfile(), cfg.Seed)
 	if err != nil {
 		return Fig4Row{}, err
-	}
-	// Stagger flow starts over ~200 ms: simultaneous slow-start bursts
-	// from perfectly synchronized senders are an artifact no real netperf
-	// run exhibits.
-	for i := 0; i < flows; i++ {
-		src := em.NewHost(modelnet.VN(2 * i))
-		dst := em.NewHost(modelnet.VN(2*i + 1))
-		if _, err := traffic.NewSink(dst, 80); err != nil {
-			return Fig4Row{}, err
-		}
-		start := modelnet.Time(int64(i) * int64(200*float64(vtimeMillisecond)) / int64(max(flows, 1)))
-		em.Sched.At(start, func() {
-			traffic.StartBulk(src, netstack.Endpoint{VN: dst.VN(), Port: 80}, traffic.Unbounded)
-		})
 	}
 	em.RunFor(cfg.Warmup)
 	startPkts := em.Emu.Delivered
@@ -108,14 +71,44 @@ func runFig4Point(cfg Fig4Config, hops, flows int) (Fig4Row, error) {
 	startDrops := physDrops(em)
 	em.RunFor(cfg.Duration)
 	dur := cfg.Duration.Seconds()
-	row := Fig4Row{
+	return Fig4Row{
 		Hops:    hops,
 		Flows:   flows,
 		Kpps:    float64(em.Emu.Delivered-startPkts) / dur / 1e3,
 		CPUUtil: (em.Emu.CoreStats(0).CPUWork - startCPU).Seconds() / dur,
 		Drops:   physDrops(em) - startDrops,
+	}, nil
+}
+
+// bulkPairs is the load Fig. 4 and the §3.1 accuracy bound measure: each of
+// `flows` pairs gets a private chain of `hops` 10 Mb/s pipes with 10 ms total
+// one-way latency and one unbounded TCP bulk flow, flow i starting at
+// i×stagger/flows — simultaneous slow-start bursts from perfectly
+// synchronized senders are an artifact no real netperf run exhibits.
+func bulkPairs(flows, hops int, stagger vtime.Duration, prof modelnet.Profile, seed int64) (*modelnet.Emulation, error) {
+	attr := modelnet.LinkAttrs{
+		BandwidthBps: modelnet.Mbps(10),
+		LatencySec:   modelnet.Ms(10) / float64(hops),
+		QueuePkts:    20,
 	}
-	return row, nil
+	// The pairs topology is deliberately disconnected (each flow has a
+	// private path), so use the route cache rather than the all-pairs
+	// matrix.
+	em, err := modelnet.Run(modelnet.Pairs(flows, hops, attr), modelnet.Options{Seed: seed, RouteCache: flows * 8, Profile: &prof})
+	if err != nil {
+		return nil, err
+	}
+	for i := 0; i < flows; i++ {
+		src := em.NewHost(modelnet.VN(2 * i))
+		dst := em.NewHost(modelnet.VN(2*i + 1))
+		if _, err := traffic.NewSink(dst, 80); err != nil {
+			return nil, err
+		}
+		em.Sched.At(modelnet.Time(int64(i)*int64(stagger)/int64(flows)), func() {
+			traffic.StartBulk(src, netstack.Endpoint{VN: dst.VN(), Port: 80}, traffic.Unbounded)
+		})
+	}
+	return em, nil
 }
 
 func physDrops(em *modelnet.Emulation) uint64 {

@@ -9,6 +9,7 @@ import (
 	"modelnet/internal/netstack"
 	"modelnet/internal/stats"
 	"modelnet/internal/traffic"
+	"modelnet/internal/vtime"
 )
 
 // Fig5 reproduces Figure 5 (§4.1): the effect of distillation on the
@@ -40,18 +41,6 @@ func DefaultFig5() Fig5Config {
 		Duration:     modelnet.Seconds(20),
 		Seed:         3,
 	}
-}
-
-// ScaledFig5 shrinks the ring for quick runs.
-func ScaledFig5(scale float64) Fig5Config {
-	cfg := DefaultFig5()
-	if scale < 1 {
-		cfg.Routers = 10
-		cfg.VNsPerRouter = 10
-		cfg.RingMbps = 10 // keep the ring under-provisioned
-		cfg.Duration = modelnet.Seconds(10)
-	}
-	return cfg
 }
 
 // Fig5Series is one curve: a named bandwidth CDF in Kbit/s.
@@ -116,7 +105,7 @@ func runFig5Variant(cfg Fig5Config, spec modelnet.DistillSpec, prof modelnet.Pro
 	for gidx := 0; gidx < half; gidx++ {
 		src := em.NewHost(modelnet.VN(gidx))
 		dst := modelnet.VN(half + rng.Intn(half))
-		start := modelnet.Time(int64(gidx) * int64(500*vtimeMillisecond) / int64(half))
+		start := modelnet.Time(int64(gidx) * int64(500*vtime.Millisecond) / int64(half))
 		em.Sched.At(start, func() {
 			traffic.StartBulk(src, netstack.Endpoint{VN: dst, Port: 80}, traffic.Unbounded)
 		})

@@ -39,17 +39,6 @@ func DefaultFig6() Fig6Config {
 	}
 }
 
-// ScaledFig6 shrinks the sweep.
-func ScaledFig6(scale float64) Fig6Config {
-	cfg := DefaultFig6()
-	if scale < 1 {
-		cfg.Nprogs = []int{1, 8, 100}
-		cfg.InstrPerB = []float64{50, 65, 80, 95}
-		cfg.Duration = modelnet.Seconds(1)
-	}
-	return cfg
-}
-
 // Fig6Row is one measured point.
 type Fig6Row struct {
 	Nprog     int

@@ -43,16 +43,6 @@ func DefaultScale() ScaleConfig {
 	}
 }
 
-// ScaledScale shrinks the population for quick runs.
-func ScaledScale(scale float64) ScaleConfig {
-	cfg := DefaultScale()
-	cfg.Servents = scaleInt(cfg.Servents, scale, 500)
-	if scale < 1 {
-		cfg.Window = modelnet.Seconds(30)
-	}
-	return cfg
-}
-
 // ScaleResult summarizes the connectivity measurement.
 type ScaleResult struct {
 	Servents   int

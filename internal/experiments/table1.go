@@ -25,9 +25,6 @@ type Table1Config struct {
 	Duration  vtime.Duration
 	Warmup    vtime.Duration
 	Seed      int64
-	// CapacityScale shrinks core NIC/CPU capacity together with a reduced
-	// pair count so quick runs still saturate (1 = paper hardware).
-	CapacityScale float64
 }
 
 // DefaultTable1 is the paper's configuration: 1120 VNs on a star of
@@ -43,32 +40,19 @@ func DefaultTable1() Table1Config {
 	}
 }
 
-// ScaledTable1 shrinks pair count for quick runs (the saturation point
-// shifts down with it, but the degradation-vs-crossing shape remains).
-func ScaledTable1(scale float64) Table1Config {
-	cfg := DefaultTable1()
-	cfg.Pairs = scaleInt(cfg.Pairs, scale, 80)
-	if scale < 1 {
-		cfg.CrossPcts = []int{0, 50, 100}
-		cfg.Duration = 750 * vtime.Millisecond
-		cfg.Warmup = 400 * vtime.Millisecond
-		cfg.CapacityScale = scale
-	}
-	return cfg
-}
-
 // Table1Row is one measured line.
 type Table1Row struct {
-	CrossPct int
-	Kpps     float64
-	Tunnels  uint64
+	CrossPct    int
+	Kpps        float64
+	Tunnels     uint64
+	TunnelBytes uint64 // bytes carried by inter-core tunnels
 }
 
 // RunTable1 executes the sweep.
 func RunTable1(cfg Table1Config) ([]Table1Row, error) {
 	var rows []Table1Row
 	for _, pct := range cfg.CrossPcts {
-		row, err := runTable1Point(cfg, pct)
+		row, err := runTable1Point(cfg, pct, false)
 		if err != nil {
 			return nil, err
 		}
@@ -77,14 +61,9 @@ func RunTable1(cfg Table1Config) ([]Table1Row, error) {
 	return rows, nil
 }
 
-func runTable1Point(cfg Table1Config, crossPct int) (Table1Row, error) {
-	row, _, err := runTable1Custom(cfg, crossPct, false)
-	return row, err
-}
-
-// runTable1Custom also returns the bytes carried by inter-core tunnels and
-// allows enabling the §2.2 payload-caching optimization.
-func runTable1Custom(cfg Table1Config, crossPct int, payloadCaching bool) (Table1Row, uint64, error) {
+// runTable1Point measures one crossing fraction, optionally with the §2.2
+// payload-caching optimization enabled.
+func runTable1Point(cfg Table1Config, crossPct int, payloadCaching bool) (Table1Row, error) {
 	nVNs := 2 * cfg.Pairs
 	attr := topology.LinkAttrs{
 		BandwidthBps: topology.Mbps(10),
@@ -94,7 +73,7 @@ func runTable1Custom(cfg Table1Config, crossPct int, payloadCaching bool) (Table
 	g := topology.Star(nVNs, attr)
 	b, err := bind.Bind(g, bind.Options{Cores: cfg.Cores})
 	if err != nil {
-		return Table1Row{}, 0, err
+		return Table1Row{}, err
 	}
 	// Pipe ownership follows VN grouping: VN v's access pipes belong to
 	// core v mod Cores, matching the paper's "one quarter of the VNs to
@@ -109,16 +88,9 @@ func runTable1Custom(cfg Table1Config, crossPct int, payloadCaching bool) (Table
 	sched := vtime.NewScheduler()
 	prof := emucore.DefaultProfile()
 	prof.PayloadCaching = payloadCaching
-	if cs := cfg.CapacityScale; cs > 0 && cs < 1 {
-		prof.NICBps *= cs
-		prof.CPU.PerPacket = vtime.Duration(float64(prof.CPU.PerPacket) / cs)
-		prof.CPU.PerHop = vtime.Duration(float64(prof.CPU.PerHop) / cs)
-		prof.CPU.TunnelTx = vtime.Duration(float64(prof.CPU.TunnelTx) / cs)
-		prof.CPU.TunnelRx = vtime.Duration(float64(prof.CPU.TunnelRx) / cs)
-	}
 	emu, err := emucore.New(sched, g, b, pod, prof, cfg.Seed)
 	if err != nil {
-		return Table1Row{}, 0, err
+		return Table1Row{}, err
 	}
 
 	// Senders are VNs 0..Pairs-1, receivers Pairs..2*Pairs-1. The first
@@ -137,10 +109,10 @@ func runTable1Custom(cfg Table1Config, crossPct int, payloadCaching bool) (Table
 		if dst >= nVNs {
 			dst = cfg.Pairs + src%cfg.Cores
 		}
-		srcHost := netstack.NewHost(pipes.VN(src), sched, emu, emuRegistrar{emu})
-		dstHost := netstack.NewHost(pipes.VN(dst), sched, emu, emuRegistrar{emu})
+		srcHost := netstack.NewHost(pipes.VN(src), sched, emu, emu)
+		dstHost := netstack.NewHost(pipes.VN(dst), sched, emu, emu)
 		if _, err := traffic.NewSink(dstHost, 80); err != nil {
-			return Table1Row{}, 0, err
+			return Table1Row{}, err
 		}
 		// Stagger starts across ~200 ms to avoid artificial lockstep.
 		start := vtime.Time(int64(i) * int64(200*vtime.Millisecond) / int64(cfg.Pairs))
@@ -152,23 +124,13 @@ func runTable1Custom(cfg Table1Config, crossPct int, payloadCaching bool) (Table
 	sched.RunFor(cfg.Warmup)
 	start := emu.Delivered
 	sched.RunFor(cfg.Duration)
-	var tunnels, tunnelBytes uint64
+	row := Table1Row{CrossPct: crossPct, Kpps: float64(emu.Delivered-start) / cfg.Duration.Seconds() / 1e3}
 	for c := 0; c < cfg.Cores; c++ {
 		cs := emu.CoreStats(c)
-		tunnels += cs.TunnelsOut
-		tunnelBytes += cs.TunnelTxBytes
+		row.Tunnels += cs.TunnelsOut
+		row.TunnelBytes += cs.TunnelTxBytes
 	}
-	return Table1Row{
-		CrossPct: crossPct,
-		Kpps:     float64(emu.Delivered-start) / cfg.Duration.Seconds() / 1e3,
-		Tunnels:  tunnels,
-	}, tunnelBytes, nil
-}
-
-type emuRegistrar struct{ e *emucore.Emulator }
-
-func (r emuRegistrar) RegisterVN(vn pipes.VN, fn func(*pipes.Packet)) {
-	r.e.RegisterVN(vn, emucore.DeliverFunc(fn))
+	return row, nil
 }
 
 // PrintTable1 renders the table.

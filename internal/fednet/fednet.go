@@ -105,13 +105,6 @@ func (e *WorkerEnv) HomeOf(vn pipes.VN) int { return e.homes[vn] }
 // Homed reports whether a VN lives on this worker's shard.
 func (e *WorkerEnv) Homed(vn pipes.VN) bool { return e.homes[vn] == e.Shard }
 
-// registrar adapts the shard emulator to netstack's Registrar.
-type registrar struct{ e *emucore.Emulator }
-
-func (r registrar) RegisterVN(vn pipes.VN, fn func(*pipes.Packet)) {
-	r.e.RegisterVN(vn, emucore.DeliverFunc(fn))
-}
-
 // NewHost returns the transport stack for a homed VN, creating it on first
 // use. It panics on a VN homed elsewhere: that stack belongs to a different
 // process.
@@ -122,7 +115,7 @@ func (e *WorkerEnv) NewHost(vn pipes.VN) *netstack.Host {
 	if h, ok := e.hosts[vn]; ok {
 		return h
 	}
-	h := netstack.NewHost(vn, e.Sched, e.Emu, registrar{e.Emu})
+	h := netstack.NewHost(vn, e.Sched, e.Emu, e.Emu)
 	e.hosts[vn] = h
 	return h
 }

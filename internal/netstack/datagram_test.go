@@ -267,7 +267,7 @@ func TestDatagramCrossesShards(t *testing.T) {
 	var hosts [2]*Host
 	for vn := range hosts {
 		emu := par.EmuOf(pipes.VN(vn))
-		hosts[vn] = NewHost(pipes.VN(vn), par.SchedOf(pipes.VN(vn)), emu, emuAdapter{emu})
+		hosts[vn] = NewHost(pipes.VN(vn), par.SchedOf(pipes.VN(vn)), emu, emu)
 	}
 	if hosts[0].pool == hosts[1].pool {
 		t.Fatal("hosts on different shards share a free list")

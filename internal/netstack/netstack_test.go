@@ -20,12 +20,9 @@ type testNet struct {
 	hosts []*Host
 }
 
-// emuAdapter adapts emucore's DeliverFunc to the netstack Registrar.
-type emuAdapter struct{ *emucore.Emulator }
-
-func (a emuAdapter) RegisterVN(vn pipes.VN, fn func(*pipes.Packet)) {
-	a.Emulator.RegisterVN(vn, emucore.DeliverFunc(fn))
-}
+// The emulator is its own delivery registrar (emucore.DeliverFunc is an
+// alias); no adapter stands between a host and it.
+var _ Registrar = (*emucore.Emulator)(nil)
 
 func newStarNet(t *testing.T, n int, mbps, ms, loss float64, prof emucore.Profile) *testNet {
 	t.Helper()
@@ -43,7 +40,7 @@ func newStarNet(t *testing.T, n int, mbps, ms, loss float64, prof emucore.Profil
 	}
 	tn := &testNet{sched: sched, emu: emu}
 	for i := 0; i < n; i++ {
-		tn.hosts = append(tn.hosts, NewHost(pipes.VN(i), sched, emu, emuAdapter{emu}))
+		tn.hosts = append(tn.hosts, NewHost(pipes.VN(i), sched, emu, emu))
 	}
 	return tn
 }
@@ -419,8 +416,8 @@ func TestTCPReliabilityProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		h0 := NewHost(0, sched, emu, emuAdapter{emu})
-		h1 := NewHost(1, sched, emu, emuAdapter{emu})
+		h0 := NewHost(0, sched, emu, emu)
+		h1 := NewHost(1, sched, emu, emu)
 		payload := make([]byte, size)
 		rand.New(rand.NewSource(seed)).Read(payload)
 		var rcvd []byte

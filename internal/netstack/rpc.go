@@ -111,7 +111,7 @@ func (n *RPCNode) Close() {
 // CallOpts tune an RPC call.
 type CallOpts struct {
 	Timeout vtime.Duration // per-try timeout (default 500 ms)
-	Retries int            // additional attempts after the first (default 2)
+	Retries int            // additional attempts after the first (0, or negative: a single try)
 }
 
 // Call issues a request of the given payload size; done fires exactly once

@@ -44,7 +44,7 @@ func newPairNet(tb testing.TB, g *topology.Graph) *testNet {
 	}
 	tn := &testNet{sched: sched, emu: emu}
 	for i := 0; i < 2; i++ {
-		tn.hosts = append(tn.hosts, NewHost(pipes.VN(i), sched, emu, emuAdapter{emu}))
+		tn.hosts = append(tn.hosts, NewHost(pipes.VN(i), sched, emu, emu))
 	}
 	return tn
 }

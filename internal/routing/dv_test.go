@@ -334,12 +334,6 @@ func TestDVUnreachablePartition(t *testing.T) {
 	}
 }
 
-type regAdapter struct{ e *emucore.Emulator }
-
-func (r regAdapter) RegisterVN(vn pipes.VN, fn func(*pipes.Packet)) {
-	r.e.RegisterVN(vn, emucore.DeliverFunc(fn))
-}
-
 func TestDVDrivesLiveEmulation(t *testing.T) {
 	// Wire the DV table into an emulator: a UDP stream sees an outage on
 	// link failure and recovers once the protocol reconverges — the
@@ -367,8 +361,8 @@ func TestDVDrivesLiveEmulation(t *testing.T) {
 	emu.SetTable(d.Table())
 	d.Start()
 
-	h0 := netstack.NewHost(0, sched, emu, regAdapter{emu})
-	h1 := netstack.NewHost(1, sched, emu, regAdapter{emu})
+	h0 := netstack.NewHost(0, sched, emu, emu)
+	h1 := netstack.NewHost(1, sched, emu, emu)
 	var arrivals []vtime.Time
 	h1.OpenUDP(9, func(netstack.Endpoint, *netstack.Datagram) {
 		arrivals = append(arrivals, sched.Now())

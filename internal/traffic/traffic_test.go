@@ -18,12 +18,6 @@ type env struct {
 	hosts []*netstack.Host
 }
 
-type regAdapter struct{ e *emucore.Emulator }
-
-func (r regAdapter) RegisterVN(vn pipes.VN, fn func(*pipes.Packet)) {
-	r.e.RegisterVN(vn, emucore.DeliverFunc(fn))
-}
-
 func newEnv(t *testing.T, n int, mbps, ms float64) *env {
 	t.Helper()
 	g := topology.Star(n, topology.LinkAttrs{BandwidthBps: mbps * 1e6, LatencySec: ms * 1e-3, QueuePkts: 50})
@@ -38,7 +32,7 @@ func newEnv(t *testing.T, n int, mbps, ms float64) *env {
 	}
 	e := &env{sched: sched, emu: emu, g: g}
 	for i := 0; i < n; i++ {
-		e.hosts = append(e.hosts, netstack.NewHost(pipes.VN(i), sched, emu, regAdapter{emu}))
+		e.hosts = append(e.hosts, netstack.NewHost(pipes.VN(i), sched, emu, emu))
 	}
 	return e
 }
@@ -241,8 +235,8 @@ func TestFailLinksReroutes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h0 := netstack.NewHost(0, sched, emu, regAdapter{emu})
-		h1 := netstack.NewHost(1, sched, emu, regAdapter{emu})
+		h0 := netstack.NewHost(0, sched, emu, emu)
+		h1 := netstack.NewHost(1, sched, emu, emu)
 		var arrivals []vtime.Time
 		h1.OpenUDP(9, func(netstack.Endpoint, *netstack.Datagram) {
 			arrivals = append(arrivals, sched.Now())

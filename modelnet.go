@@ -375,13 +375,6 @@ func Run(target *Graph, opts Options) (*Emulation, error) {
 // NumVNs reports how many VNs the emulation binds.
 func (e *Emulation) NumVNs() int { return e.Binding.NumVNs() }
 
-// registrar adapts the emulator to netstack's Registrar.
-type registrar struct{ e *emucore.Emulator }
-
-func (r registrar) RegisterVN(vn pipes.VN, fn func(*pipes.Packet)) {
-	r.e.RegisterVN(vn, emucore.DeliverFunc(fn))
-}
-
 // SchedulerOf returns the scheduler that drives vn's host: the global
 // scheduler in sequential mode, the VN's home-core scheduler in parallel
 // mode. Application timers for a VN must use its own scheduler.
@@ -409,7 +402,7 @@ func (e *Emulation) NewHost(vn VN) *Host {
 		return h
 	}
 	emu := e.injectorOf(vn)
-	h := netstack.NewHost(vn, e.SchedulerOf(vn), emu, registrar{emu})
+	h := netstack.NewHost(vn, e.SchedulerOf(vn), emu, emu)
 	e.hosts[vn] = h
 	return h
 }
@@ -431,7 +424,7 @@ func (e *Emulation) NewHostVia(vn VN, inj netstack.Injector) *Host {
 	if _, ok := e.hosts[vn]; ok {
 		panic(fmt.Sprintf("modelnet: NewHostVia(%d): VN already has a host; create wrapped hosts before NewHost", vn))
 	}
-	h := netstack.NewHost(vn, e.SchedulerOf(vn), inj, registrar{e.injectorOf(vn)})
+	h := netstack.NewHost(vn, e.SchedulerOf(vn), inj, e.injectorOf(vn))
 	e.hosts[vn] = h
 	return h
 }
