@@ -7,6 +7,9 @@ package modelnet_test
 // is still in that file, the named test still exists in that package — and
 // that no free list or bounded cache has been added without a row. The two
 // rows with no bound say so, and point at the roadmap item that owes one.
+// ROADMAP.md is rewritten at each re-anchor, so a pointer is matched on its
+// words regardless of line breaks, indentation and capitalisation; a
+// declaration is matched regardless of gofmt's column padding, but not case.
 
 import (
 	"io/fs"
@@ -20,10 +23,10 @@ import (
 var boundsLedger = []struct {
 	what  string // the structure
 	file  string // where it is declared
-	decl  string // a fragment of the declaring line, verbatim
+	decl  string // a fragment of the declaring line, verbatim up to whitespace runs
 	bound string // the stated bound; "" = none yet
 	test  string // the test, in the declaring package, that checks the bound
-	owes  string // with no bound: the ROADMAP.md words of the item that owes one
+	owes  string // with no bound: words of the ROADMAP.md item that owes one, matched with whitespace and case folded
 }{
 	{"netstack Segment free list, per event loop", "internal/netstack/netstack.go", "segs   freeList[Segment]",
 		"≤ maxSegFree (65 536) parked", "TestSegmentPoolBounded", ""},
@@ -60,6 +63,12 @@ var boundsLedger = []struct {
 // a free list field, or a cache built on bind's one bounded table.
 var recycler = regexp.MustCompile(`\bfree\s+\[\]|newLRU\[[^V]`)
 
+// fold collapses every run of whitespace, line breaks included, to one space.
+func fold(s string) string { return strings.Join(strings.Fields(s), " ") }
+
+// declares reports whether line, whitespace folded, holds decl.
+func declares(line, decl string) bool { return strings.Contains(fold(line), fold(decl)) }
+
 func TestEveryPoolCacheAndQueueHasAStatedBound(t *testing.T) {
 	src := map[string]string{}
 	read := func(path string) string {
@@ -73,15 +82,19 @@ func TestEveryPoolCacheAndQueueHasAStatedBound(t *testing.T) {
 		src[path] = string(b)
 		return src[path]
 	}
-	roadmap := read("ROADMAP.md")
+	roadmap := strings.ToLower(fold(read("ROADMAP.md")))
 	for _, row := range boundsLedger {
-		if !strings.Contains(read(row.file), row.decl) {
+		declared := false
+		for _, line := range strings.Split(read(row.file), "\n") {
+			declared = declared || declares(line, row.decl)
+		}
+		if !declared {
 			t.Errorf("%s: %s no longer declares %q", row.what, row.file, row.decl)
 		}
 		if row.bound == "" {
 			// Unbounded, and known to be: ROADMAP's open item 3 owns it.
-			if !strings.Contains(roadmap, row.owes) {
-				t.Errorf("%s has no bound and ROADMAP.md no longer says %q: bound it and name the test here, or restore the pointer", row.what, row.owes)
+			if !strings.Contains(roadmap, strings.ToLower(fold(row.owes))) {
+				t.Errorf("%s has no bound and ROADMAP.md no longer contains %q, compared with whitespace and case folded: bound it and name the test here, or restore the pointer", row.what, row.owes)
 			}
 			continue
 		}
@@ -111,7 +124,7 @@ func TestEveryPoolCacheAndQueueHasAStatedBound(t *testing.T) {
 			}
 			listed := false
 			for _, row := range boundsLedger {
-				listed = listed || filepath.ToSlash(path) == row.file && strings.Contains(line, row.decl)
+				listed = listed || filepath.ToSlash(path) == row.file && declares(line, row.decl)
 			}
 			if !listed {
 				t.Errorf("%s: %q recycles or caches and has no row in boundsLedger: state its bound and the test that checks it", path, strings.TrimSpace(line))
