@@ -1,9 +1,10 @@
 package modelnet_test
 
-// A docs check: every relative link in the repository's markdown files
-// must point at a file (or directory) that exists. CI runs this test by
-// name, and it rides `go test ./...` like everything else, so a renamed
-// file cannot silently orphan the README or DESIGN cross-references.
+// Docs checks: every relative link in the repository's markdown files must
+// point at a file (or directory) that exists, and every test DESIGN.md cites
+// as "what checks it" must exist. CI runs them by name, and they ride `go
+// test ./...` like everything else, so a renamed file or test cannot
+// silently orphan the README or DESIGN cross-references.
 
 import (
 	"io/fs"
@@ -72,5 +73,51 @@ func TestMarkdownRelativeLinks(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Error("no relative links checked — the README should have some")
+	}
+}
+
+// testName is a test, fuzz target or benchmark named anywhere in markdown —
+// code span, fence or prose — and testFunc the declaration of one.
+var (
+	testName = regexp.MustCompile(`\b(?:Test|Fuzz|Benchmark)[A-Z0-9_]\w*`)
+	testFunc = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Benchmark)\w*)\(`)
+)
+
+func TestDesignCitesOnlyTestsThatExist(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defined := map[string]bool{}
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); name == ".git" || name == ".claude" {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range testFunc.FindAllSubmatch(src, -1) {
+			defined[string(m[1])] = true
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cited := testName.FindAllString(string(design), -1)
+	for _, name := range cited {
+		if !defined[name] {
+			t.Errorf("DESIGN.md cites %s, which no _test.go file declares", name)
+		}
+	}
+	if len(cited) == 0 {
+		t.Error("no test names cited — DESIGN.md's \"what checks it\" paragraphs should have some")
 	}
 }

@@ -217,7 +217,7 @@ type CutStats struct {
 
 // CutStats analyzes the assignment's cut over the distilled topology. floor,
 // when non-nil, lowers each link's latency to the least it can reach mid-run
-// (dynamics.Spec.LatencyFloorFunc) — the rule parcore.ComputeSyncFloor
+// (dynamics.Spec.LatencyFloorFunc) — the rule parcore.ComputeSyncPlan
 // derives window bounds from.
 func (a *Assignment) CutStats(g *topology.Graph, floor func(topology.LinkID, vtime.Duration) vtime.Duration) CutStats {
 	var s CutStats

@@ -32,11 +32,12 @@ type Options struct {
 	// Cores is the number of core routers; edge nodes bind to cores
 	// round-robin. Zero means one core.
 	Cores int
-	// RouteCache, when positive, uses the O(n lg n) route cache of that
-	// capacity instead of the precomputed O(n²) matrix.
+	// RouteCache bounds the run's route cache (§2.2's O(n lg n) store):
+	// routes are computed on first use and at most this many are kept. Zero
+	// picks DefaultRouteCache.
 	RouteCache int
-	// LazyRoutes is RouteCache at lazyRouteCap, whatever RouteCache says: no
-	// route is computed at bind time and few are kept. It is what a
+	// LazyRoutes is RouteCache at lazyRouteCap, whatever RouteCache says: few
+	// routes and fields are kept. It is what a
 	// coordinator under sharded distribution binds with — there the binding
 	// exists for VN numbering and sync plans, routes are rarely consulted,
 	// and each distance field is as large as the world.
@@ -48,55 +49,90 @@ type Options struct {
 const lazyRouteCap = 512
 
 // Bind performs the Binding phase over a distilled topology: every client
-// node becomes a VN (in node-ID order), routes are computed among all VN
-// pairs, and VNs are multiplexed onto edge nodes bound to cores.
+// node becomes a VN (in node-ID order), VNs are multiplexed onto edge nodes
+// bound to cores, and the table is a route Cache, which computes no route
+// before its first lookup. At the default capacity a topology with a VN pair
+// that has no path between them is refused.
 func Bind(g *topology.Graph, opts Options) (*Binding, error) {
 	clients := g.Clients()
 	if len(clients) == 0 {
 		return nil, fmt.Errorf("bind: topology has no client nodes to host VNs")
 	}
-	b := &Binding{
-		VNHome:   clients,
-		VNOfNode: make([]pipes.VN, g.NumNodes()),
-	}
-	for i := range b.VNOfNode {
-		b.VNOfNode[i] = -1
-	}
-	for v, nid := range clients {
-		b.VNOfNode[nid] = pipes.VN(v)
-	}
-
-	edges := opts.EdgeNodes
-	if edges <= 0 {
-		edges = len(clients)
-	}
-	b.EdgeOf = make([]int, len(clients))
-	for v := range b.EdgeOf {
-		b.EdgeOf[v] = v % edges
-	}
-	cores := opts.Cores
-	if cores <= 0 {
-		cores = 1
-	}
-	b.CoreOf = make([]int, edges)
-	for e := range b.CoreOf {
-		b.CoreOf[e] = e % cores
-	}
-
+	b := NewBinding(clients, g.NumNodes(), opts.EdgeNodes, opts.Cores)
 	routeCap := opts.RouteCache
 	if opts.LazyRoutes {
 		routeCap = lazyRouteCap
 	}
-	if routeCap > 0 {
-		b.Table = NewCache(g, clients, routeCap)
-		return b, nil
+	c := NewCache(g, clients, routeCap)
+	if routeCap <= 0 {
+		// Only a run that sizes its own table may bind a world of islands
+		// (topology.Pairs), whose lookups between islands return !ok.
+		if src, dst, found := c.eng.unreached(clients); found {
+			return nil, fmt.Errorf("bind: VN %d cannot reach VN %d", src, dst)
+		}
 	}
-	m, err := BuildMatrix(g, clients)
-	if err != nil {
-		return nil, err
-	}
-	b.Table = m
+	b.Table = c
 	return b, nil
+}
+
+// unreached finds a pair of homes with no path between them, if any: every
+// pair has one iff every home reaches homes[0] and is reached from it, so a
+// search along out-links and one along in-links decide all n² pairs in
+// O(nodes + links). Transit is through any node, clients included, as walk
+// routes; a down link still carries routes, so no down set plays a part.
+func (e *engine) unreached(homes []topology.NodeID) (src, dst int, found bool) {
+	h := homes[0]
+	from := make([]bool, len(e.cover)) // reached from h, by node ID
+	to := make([]bool, len(e.inOff)-1) // reaches h, by cover index
+	from[h] = true
+	for q := []topology.NodeID{h}; len(q) > 0; q = q[1:] {
+		for _, lid := range e.g.Out(q[0]) {
+			if d := e.g.Links[lid].Dst; !from[d] {
+				from[d] = true
+				q = append(q, d)
+			}
+		}
+	}
+	if c := e.cover[h]; c >= 0 {
+		to[c] = true
+		for q := []int32{c}; len(q) > 0; q = q[1:] {
+			for _, l := range e.in[e.inOff[q[0]]:e.inOff[q[0]+1]] {
+				if !to[l.src] {
+					to[l.src] = true
+					q = append(q, l.src)
+				}
+			}
+		}
+	}
+	for v, n := range homes {
+		if c := e.cover[n]; n != h && (c < 0 || !to[c]) {
+			return v, 0, true
+		}
+		if !from[n] {
+			return 0, v, true
+		}
+	}
+	return 0, 0, false
+}
+
+// NewBinding numbers the VNs homed at vnHome (VN v on node vnHome[v]) and
+// multiplexes them round-robin onto edge nodes (edgeNodes ≤ 0: one per VN)
+// bound round-robin to cores (≤ 0: one). The Table is the caller's to set.
+func NewBinding(vnHome []topology.NodeID, numNodes, edgeNodes, cores int) *Binding {
+	if edgeNodes <= 0 {
+		edgeNodes = len(vnHome)
+	}
+	b := &Binding{VNHome: vnHome, VNOfNode: make([]pipes.VN, numNodes), EdgeOf: make([]int, len(vnHome)), CoreOf: make([]int, edgeNodes)}
+	for i := range b.VNOfNode {
+		b.VNOfNode[i] = -1
+	}
+	for v, n := range vnHome {
+		b.VNOfNode[n], b.EdgeOf[v] = pipes.VN(v), v%edgeNodes
+	}
+	for e := range b.CoreOf {
+		b.CoreOf[e] = e % max(cores, 1)
+	}
+	return b
 }
 
 // NumVNs reports the number of VNs bound.

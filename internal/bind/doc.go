@@ -1,11 +1,13 @@
 // Package bind implements ModelNet's Binding phase (§2.1–2.2): deciding
 // what runs where, and how packets find their way.
 //
-//   - Bind assigns VNs to edge nodes and cores and builds the routing
-//     table: the precomputed all-pairs matrix (BuildMatrix) or the bounded
-//     LRU route cache (NewCache), the two storage designs the paper built.
-//     Under sharded distribution each worker routes with a ShardTable over
-//     its ShardView, seeded by the coordinator's SummaryOracle. All four are
+//   - Bind assigns VNs to edge nodes and cores and binds the routing table:
+//     the bounded LRU route cache (NewCache), which computes each route on
+//     first use. The paper's other storage design, the precomputed all-pairs
+//     matrix (BuildMatrix), is kept as an offline tool for whole-table
+//     analyses; no run routes through it. Under sharded distribution each
+//     worker routes with a ShardTable over its ShardView, seeded by the
+//     coordinator's SummaryOracle. All four are
 //     fronts for one route engine (engine.go), so every table in every
 //     execution mode holds the same canonical routes. The engine caches
 //     distance fields per (reroute epoch, target's key) — the key of a leaf

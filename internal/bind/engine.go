@@ -12,7 +12,7 @@ package bind
 // associative, so a distance computed over the full graph and one computed
 // over a shard's links seeded with its frontier's global distances agree
 // bit-for-bit — which is what lets a federated worker reproduce exactly the
-// next-hops the global matrix picks.
+// next-hops the whole-graph engine picks.
 
 import (
 	"fmt"
@@ -173,8 +173,11 @@ func fullView(g *topology.Graph) *ShardView {
 
 // newEngine indexes the view, whose link IDs must lie inside its ID space. g
 // must hold the view's links under their global IDs (the full graph or the
-// view's Skeleton).
+// view's Skeleton). fieldCap ≤ 0 picks defaultFieldCap.
 func newEngine(g *topology.Graph, view *ShardView, seeds SeedFunc, fieldCap int) *engine {
+	if fieldCap <= 0 {
+		fieldCap = defaultFieldCap
+	}
 	e := &engine{
 		g: g, shard: int32(view.Shard), summ: view.Summary, seeds: seeds,
 		owner:  make([]int32, view.NumLinks),

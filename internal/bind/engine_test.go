@@ -91,7 +91,7 @@ func TestBuildMatrixAllocsAndScans(t *testing.T) {
 		g := topology.Ring(20, perRouter, attrs(0.005), attrs(0.001))
 		homes := g.Clients()
 		e := newEngine(g, fullView(g), nil, 1)
-		if _, err := e.matrix(homes, nil); err != nil {
+		if _, err := e.matrix(homes); err != nil {
 			t.Fatal(err)
 		}
 		const keys = 20
@@ -154,11 +154,11 @@ func TestFieldIndependentOfPopOrder(t *testing.T) {
 
 var benchSink int
 
-// BenchmarkBuildMatrix prices ring-seq's whole setup_s: the matrix over the
-// benchmark's 400-VN ring — 20 distance fields (one per router; the VNs are
-// leaves), 8 000 walks that read their hops out of the memo, and 159 600
-// copies of a walked segment plus an access pipe.
-func BenchmarkBuildMatrix(b *testing.B) { benchBuildMatrix(b, ring(), nil) }
+// BenchmarkBuildMatrix prices the offline matrix over the benchmark's 400-VN
+// ring — 20 distance fields (one per router; the VNs are leaves), 8 000 walks
+// that read their hops out of the memo, and 159 600 copies of a walked
+// segment plus an access pipe.
+func BenchmarkBuildMatrix(b *testing.B) { benchBuildMatrix(b, ring()) }
 
 // BenchmarkBuildMatrixMesh prices the build that collapses nothing: the same
 // ring with every VN homed on its router and the next, so each has two
@@ -170,29 +170,24 @@ func BenchmarkBuildMatrixMesh(b *testing.B) {
 		g.AddDuplex(c, (router+1)%20, g.Links[g.Out(c)[0]].Attr)
 	}
 	e := newEngine(g, fullView(g), nil, 1)
-	if _, err := e.matrix(g.Clients(), nil); err != nil || e.Misses != 400 {
+	if _, err := e.matrix(g.Clients()); err != nil || e.Misses != 400 {
 		b.Fatalf("test premise: %d fields for the 400 VNs, want one each (err %v)", e.Misses, err)
 	}
-	benchBuildMatrix(b, g, nil)
+	benchBuildMatrix(b, g)
 }
 
-func benchBuildMatrix(b *testing.B, g *topology.Graph, down []topology.LinkID) {
+func benchBuildMatrix(b *testing.B, g *topology.Graph) {
 	homes := g.Clients()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m, err := BuildMatrixDown(g, homes, down)
+		m, err := BuildMatrix(g, homes)
 		if err != nil {
 			b.Fatal(err)
 		}
 		benchSink += m.NumVNs()
 	}
 }
-
-// BenchmarkRerouteMatrix prices the stall a sequential Matrix-bound run takes
-// at each reroute event: the same matrix rebuilt with one ring link down
-// (ring0 -> ring1).
-func BenchmarkRerouteMatrix(b *testing.B) { benchBuildMatrix(b, ring(), []topology.LinkID{0}) }
 
 // BenchmarkShardTableLookupWarm prices what a federated worker pays per
 // injected packet (ring-fed2): a field-LRU hit plus a walk over memoized next

@@ -104,7 +104,8 @@ func TestLeafBoundaryWorlds(t *testing.T) {
 
 // FuzzRoutesMatchReference: on any world fuzzWorld can read, every (epoch,
 // source, destination) through the Matrix, a Cache of capacity 1 (four fields)
-// and SummaryOracle.Seeds (two fields) equals the Bellman–Ford reference.
+// and SummaryOracle.Seeds (two fields) equals the Bellman–Ford reference, and
+// Bind refuses the world exactly when the reference finds an unreachable pair.
 func FuzzRoutesMatchReference(f *testing.F) {
 	for _, data := range leafBoundary {
 		f.Add(data)

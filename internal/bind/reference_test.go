@@ -341,10 +341,11 @@ func (r *refRig) check(t *testing.T, what string, e, s, d int, got bind.Route, o
 }
 
 // checkWholeGraph holds the three whole-graph fronts against the reference
-// under epoch e: the Matrix built for its down set (which must fail exactly
-// when some pair is unreachable), the given Cache — already rerouted to e —
-// on every pair, two VNs on one home included, and the oracle's Seeds toward
-// every home read at every node of the world.
+// under epoch e: the Matrix built over the graph with e's down links at
+// Infinity latency and Bind (each of which must fail exactly when some pair
+// is unreachable), the given Cache — already rerouted to e — on every pair,
+// two VNs on one home included, and the oracle's Seeds toward every home
+// read at every node of the world.
 func (r *refRig) checkWholeGraph(t *testing.T, e int, cache *bind.Cache) {
 	t.Helper()
 	reachable := true
@@ -353,10 +354,11 @@ func (r *refRig) checkWholeGraph(t *testing.T, e int, cache *bind.Cache) {
 			reachable = reachable && (s == d || r.want[e][s][d] != nil)
 		}
 	}
-	m, err := bind.BuildMatrixDown(r.g, r.homes, r.downs[e])
+	m, err := bind.BuildMatrix(downedClone(r.g, r.downs[e]), r.homes)
 	if (err == nil) != reachable {
-		t.Fatalf("epoch %d: BuildMatrixDown err=%v, reference says all pairs reachable=%v", e, err, reachable)
+		t.Fatalf("epoch %d: BuildMatrix err=%v, reference says all pairs reachable=%v", e, err, reachable)
 	}
+	r.checkBind(t, e, reachable)
 	nodes := make([]topology.NodeID, r.g.NumNodes())
 	for n := range nodes {
 		nodes[n] = topology.NodeID(n)
@@ -385,6 +387,37 @@ func (r *refRig) checkWholeGraph(t *testing.T, e int, cache *bind.Cache) {
 				t.Fatalf("cache of capacity 1 holds %d routes", cache.Len())
 			}
 		}
+	}
+}
+
+// checkBind binds the world with its homes as the only clients, at the
+// default capacity: Bind must fail exactly when the reference finds some pair
+// of homes unreachable, and the pair its error names must be one of those.
+func (r *refRig) checkBind(t *testing.T, e int, reachable bool) {
+	t.Helper()
+	g := r.g.Clone()
+	for n := range g.Nodes {
+		g.Nodes[n].Kind = topology.Stub
+	}
+	vnAt := map[topology.NodeID]int{} // a rig VN on each home
+	for v, h := range r.homes {
+		g.Nodes[h].Kind = topology.Client
+		vnAt[h] = v
+	}
+	_, err := bind.Bind(g, bind.Options{})
+	if (err == nil) != reachable {
+		t.Fatalf("epoch %d: Bind err=%v, reference says all pairs reachable=%v", e, err, reachable)
+	}
+	if err == nil {
+		return
+	}
+	clients := g.Clients()
+	var i, j int
+	if _, serr := fmt.Sscanf(err.Error(), "bind: VN %d cannot reach VN %d", &i, &j); serr != nil || i < 0 || j < 0 || i >= len(clients) || j >= len(clients) {
+		t.Fatalf("epoch %d: Bind err=%v names no VN pair of the %d bound", e, err, len(clients))
+	}
+	if s, d := vnAt[clients[i]], vnAt[clients[j]]; r.want[e][s][d] != nil {
+		t.Fatalf("epoch %d: Bind says %v, but the reference routes node %d to node %d: %v", e, err, clients[i], clients[j], r.want[e][s][d])
 	}
 }
 

@@ -3,7 +3,8 @@ package bind
 // The whole-graph routing tables: the precomputed matrix and the bounded
 // route cache, §2.2's two storage designs. Both are fronts for the route
 // engine (engine.go) over the unpartitioned graph, so both hold exactly the
-// canonical routes.
+// canonical routes. A run routes through a Cache; the Matrix is the offline
+// tool for whole-table analyses (traffic.PipeLoads, assign.CrossingStats).
 
 import (
 	"cmp"
@@ -34,7 +35,7 @@ type Table interface {
 // homes — per attachment router, where VNs are leaves — and it stores 8 bytes
 // of span per pair plus 4 per hop (DESIGN.md §9 has the cost model): at the
 // paper's ~10,000 VNs (§2.2) 800 MB of spans and a few GB of hops, and past
-// 2³² hops the build refuses. Read-only once built, so parallel shards share one.
+// 2³² hops the build refuses.
 type Matrix struct {
 	n     int
 	spans []span // [src*n+dst]; no pointers, so the collector never scans the n² of them
@@ -48,18 +49,13 @@ type span struct{ off, n uint32 }
 // BuildMatrix computes the routing matrix for the given VN home nodes in g.
 // vnHomes[v] is the topology node hosting VN v.
 func BuildMatrix(g *topology.Graph, vnHomes []topology.NodeID) (*Matrix, error) {
-	return BuildMatrixDown(g, vnHomes, nil)
-}
-
-// BuildMatrixDown is BuildMatrix with the given links failed.
-func BuildMatrixDown(g *topology.Graph, vnHomes []topology.NodeID, down []topology.LinkID) (*Matrix, error) {
-	return newEngine(g, fullView(g), nil, 1).matrix(vnHomes, newLinkSet(down))
+	return newEngine(g, fullView(g), nil, 1).matrix(vnHomes)
 }
 
 // arenaRoom refuses to grow a matrix's arena past a span's 32-bit offset.
 func arenaRoom(used, need, vns int) error {
 	if uint64(used)+uint64(need) > math.MaxUint32 {
-		return fmt.Errorf("bind: the routing matrix of %d VNs passes 2^32 stored hops; bound it with a route cache (Options.RouteCache)", vns)
+		return fmt.Errorf("bind: the routing matrix of %d VNs passes 2^32 stored hops; look its routes up through a route cache (NewCache), which computes each on first use", vns)
 	}
 	return nil
 }
@@ -68,7 +64,7 @@ func arenaRoom(used, need, vns int) error {
 // key: one distance field per key, computed into the same scratch field each
 // time, one walk per (source, key), and per destination a copy of that segment
 // plus its access pipe. A destination that is its own key is a group of one.
-func (e *engine) matrix(vnHomes []topology.NodeID, down linkSet) (*Matrix, error) {
+func (e *engine) matrix(vnHomes []topology.NodeID) (*Matrix, error) {
 	n := len(vnHomes)
 	m := &Matrix{n: n, spans: make([]span, n*n)}
 	type dest struct {
@@ -90,7 +86,7 @@ func (e *engine) matrix(vnHomes []topology.NodeID, down linkSet) (*Matrix, error
 		group := dests[:k]
 		dests = dests[k:]
 		var err error
-		if f, err = e.compute(f, 0, r, down); err != nil {
+		if f, err = e.compute(f, 0, r, nil); err != nil {
 			return nil, err
 		}
 		if m.arena == nil {
@@ -105,7 +101,7 @@ func (e *engine) matrix(vnHomes []topology.NodeID, down linkSet) (*Matrix, error
 			m.arena = make(Route, 0, min(uint64(hops)*uint64(n), math.MaxUint32))
 		}
 		for i, from := range vnHomes {
-			seg, ok := e.walk(from, r, f, down)
+			seg, ok := e.walk(from, r, f, nil)
 			if err := arenaRoom(len(m.arena), k*(len(seg)+1), n); err != nil {
 				return nil, err
 			}
@@ -139,10 +135,10 @@ func (m *Matrix) Lookup(src, dst pipes.VN) (Route, bool) {
 // NumVNs implements Table.
 func (m *Matrix) NumVNs() int { return m.n }
 
-// Cache is the O(n lg n)-space alternative: the engine behind a bounded hash
-// cache of routes for active flows; a miss walks the canonical route on
-// demand (§2.2) from the engine's bounded distance-field cache. Lookups
-// mutate it, so parallel shards each need their own.
+// Cache is the O(n lg n)-space alternative and every run's table: the engine
+// behind a bounded hash cache of routes for active flows; a miss walks the
+// canonical route on demand (§2.2) from the engine's bounded distance-field
+// cache. Lookups mutate it, so parallel shards each own one.
 type Cache struct {
 	eng     *engine
 	vnHomes []topology.NodeID
@@ -153,9 +149,23 @@ type Cache struct {
 	Misses uint64
 }
 
-// NewCache builds a route cache over g with the given capacity (in routes);
-// it keeps one distance field per 16 routes, at least 4.
+// defaultFieldCap bounds the distance fields of every table built without a
+// cap, and DefaultRouteCache (16 routes a field) a Cache's routes. Fields
+// materialize one per route target used, so the cap must exceed a workload's
+// distinct targets, or the LRU thrashes and every lookup recomputes a field
+// (on a worker, a coordinator round trip).
+const (
+	defaultFieldCap   = 4096
+	DefaultRouteCache = 16 * defaultFieldCap
+)
+
+// NewCache builds a route cache over g with the given capacity (in routes;
+// ≤ 0 picks DefaultRouteCache); it keeps one distance field per 16 routes, at
+// least 4. Nothing is computed before the first lookup.
 func NewCache(g *topology.Graph, vnHomes []topology.NodeID, capacity int) *Cache {
+	if capacity <= 0 {
+		capacity = DefaultRouteCache
+	}
 	return &Cache{
 		eng:     newEngine(g, fullView(g), nil, max(capacity/16, 4)),
 		vnHomes: vnHomes,
@@ -188,6 +198,9 @@ func (c *Cache) NumVNs() int { return len(c.vnHomes) }
 
 // Len reports the number of cached routes.
 func (c *Cache) Len() int { return c.routes.len() }
+
+// Cap reports the most routes the cache keeps.
+func (c *Cache) Cap() int { return c.routes.capacity }
 
 // Reroute makes the cache route around the given failed links (none heals
 // them all), dropping every cached route and distance field.

@@ -111,14 +111,14 @@ func TestMatrixLookupContract(t *testing.T) {
 }
 
 // TestMatrixArenaBound: span offsets are 32 bits, so a build whose arena
-// would pass 2^32 hops must fail, pointing at the route cache, and never wrap.
+// would pass 2^32 hops must fail, pointing at NewCache, and never wrap.
 func TestMatrixArenaBound(t *testing.T) {
 	if err := arenaRoom(1<<32-11, 10, 70000); err != nil {
 		t.Errorf("an arena of 2^32-1 hops refused: %v", err)
 	}
 	for _, c := range [][2]int{{1<<32 - 10, 10}, {0, 1 << 32}, {1 << 33, 1}} {
-		if err := arenaRoom(c[0], c[1], 70000); err == nil || !strings.Contains(err.Error(), "RouteCache") {
-			t.Errorf("arenaRoom(%d, %d) = %v, want an error naming Options.RouteCache", c[0], c[1], err)
+		if err := arenaRoom(c[0], c[1], 70000); err == nil || !strings.Contains(err.Error(), "NewCache") {
+			t.Errorf("arenaRoom(%d, %d) = %v, want an error naming NewCache", c[0], c[1], err)
 		}
 	}
 }
@@ -171,8 +171,11 @@ func TestCacheEviction(t *testing.T) {
 			}
 		}
 	}
-	if c.Len() > 8 {
-		t.Errorf("cache grew to %d, cap 8", c.Len())
+	if c.Len() > 8 || c.Cap() != 8 {
+		t.Errorf("cache grew to %d, cap %d, want ≤ 8 of 8", c.Len(), c.Cap())
+	}
+	if d := NewCache(g, homes, 0); d.Cap() != DefaultRouteCache {
+		t.Errorf("a cache of no stated capacity holds %d routes, want DefaultRouteCache (%d)", d.Cap(), DefaultRouteCache)
 	}
 	if c.Misses == 0 || c.Hits != 0 {
 		t.Errorf("hits=%d misses=%d; scan workload should all miss", c.Hits, c.Misses)

@@ -130,9 +130,9 @@ type SeedFunc func(epoch int32, target topology.NodeID) ([]Dist, error)
 // (SeedFunc). Lookup produces the route segment up to and including the
 // first foreign pipe; Extend grows a tunneled packet's route the same way on
 // the receiving shard. Packets keep the reroute epoch they were injected
-// under, so in-flight routes stay exactly what the monolithic
-// injection-time matrix would have produced. Misses and SeedRPCs count the
-// fields computed and the summaries fetched for them.
+// under, so in-flight routes stay exactly the whole-graph route at
+// injection time. Misses and SeedRPCs count the fields computed and the
+// summaries fetched for them.
 type ShardTable struct {
 	*engine
 	vnHome []topology.NodeID
@@ -145,13 +145,6 @@ type ShardTable struct {
 // vnHome is the global VN→home mapping; fieldCap bounds the cached distance
 // fields (≤ 0 picks a default sized for a bounded-target workload).
 func NewShardTable(g *topology.Graph, view *ShardView, vnHome []topology.NodeID, seeds SeedFunc, fieldCap int) (*ShardTable, error) {
-	if fieldCap <= 0 {
-		// Fields materialize lazily, one per route target actually used, so
-		// the cap only bounds worst-case many-target memory. It must exceed
-		// the workload's distinct-target count: below that the LRU thrashes
-		// and every lookup becomes a coordinator round trip.
-		fieldCap = 4096
-	}
 	for _, l := range view.Links {
 		if l.ID < 0 || int(l.ID) >= view.NumLinks {
 			return nil, fmt.Errorf("bind: shard view link ID %d outside %d slots", l.ID, view.NumLinks)
@@ -260,12 +253,6 @@ type SummaryOracle struct {
 func NewSummaryOracle(g *topology.Graph, downSet func(epoch int32) ([]topology.LinkID, error), epochCap, fieldCap int) *SummaryOracle {
 	if epochCap <= 0 {
 		epochCap = 4
-	}
-	if fieldCap <= 0 {
-		// Same lazy-materialization argument as NewShardTable: the cap must
-		// exceed the workload's distinct paged targets or every TRouteReq
-		// rebuilds a field.
-		fieldCap = 4096
 	}
 	return &SummaryOracle{eng: newEngine(g, fullView(g), nil, fieldCap), downSet: downSet, downs: newLRU[linkSet](epochCap)}
 }

@@ -51,8 +51,8 @@ func randomWorld(rng *rand.Rand) *topology.Graph {
 	return g
 }
 
-// downedClone degrades the epoch's down links to Infinity latency, exactly as
-// dynamics' reroute does before rebuilding the global table.
+// downedClone degrades the epoch's down links to Infinity latency: the graph
+// that pricing the down set through the weight must route exactly as.
 func downedClone(g *topology.Graph, down []topology.LinkID) *topology.Graph {
 	if len(down) == 0 {
 		return g

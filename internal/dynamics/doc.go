@@ -29,14 +29,14 @@
 // stand-in for the reconvergence delay a routing protocol such as
 // internal/routing's distance-vector implementation would exhibit; the
 // recomputed tables are exactly the shortest-path tables DV converges to
-// (routing.Converged checks that equivalence). Recomputation clones the
-// topology, raises every down link's latency to routing.Infinity, and
-// rebuilds the matrix table, so an unreachable destination deterministically
-// routes into the down link and blackholes there rather than erroring.
+// (routing.Converged checks that equivalence). Recomputation reroutes the
+// run's route cache with every down link priced at routing.Infinity, so an
+// unreachable destination deterministically routes into the down link and
+// blackholes there rather than erroring.
 //
 // Conservative parallel synchronization must account for a trace lowering a
 // cut pipe's latency below its initial value: Spec.FloorLatency reports the
 // minimum latency a link can ever take under the spec, and
-// parcore.ComputeSyncFloor derives shard lookahead from that floor rather
+// parcore.ComputeSyncPlan derives shard lookahead from that floor rather
 // than the initial latency (see Spec.LatencyFloorFunc).
 package dynamics

@@ -143,7 +143,7 @@ func (s *Spec) FloorLatency(link topology.LinkID, initial vtime.Duration) vtime.
 	return min
 }
 
-// LatencyFloorFunc adapts FloorLatency to parcore.ComputeSyncFloor's floor
+// LatencyFloorFunc adapts FloorLatency to parcore.ComputeSyncPlan's floor
 // callback. A nil spec yields nil (no flooring).
 func (s *Spec) LatencyFloorFunc() func(topology.LinkID, vtime.Duration) vtime.Duration {
 	if s == nil {
@@ -163,7 +163,7 @@ type Engine struct {
 	emu   *emucore.Emulator // nil in replay mode (EnumerateReroutes)
 	down  map[topology.LinkID]bool
 
-	// OnReroute, when set, replaces the default global-matrix rebuild: it
+	// OnReroute, when set, replaces the default route-cache reroute: it
 	// receives the sorted set of currently down links. Sharded workers use it
 	// to advance their shard table's reroute epoch; the coordinator's replay
 	// (EnumerateReroutes) uses it to snapshot per-epoch down-sets. The
@@ -318,12 +318,7 @@ func (e *Engine) reroute() {
 	if e.emu == nil {
 		return
 	}
-	if err := e.emu.Reroute(e.downList()); err != nil {
-		// Down links keep a finite (Infinity-valued) weight, so the graph's
-		// connectivity is what it was at bind time; a failure here is a
-		// programming error, not a reachable runtime state.
-		panic(fmt.Sprintf("dynamics: reroute: %v", err))
-	}
+	e.emu.Reroute(e.downList())
 }
 
 // MaxRerouteEpochs bounds EnumerateReroutes: a looping failure script

@@ -173,9 +173,7 @@ func runFailover(mode string) (FailoverRow, error) {
 			emu.SetPipeParams(pipes.ID(f1), p)
 		} else {
 			// Perfect routing: instantaneous shortest-path recomputation.
-			if err := traffic.FailLinks(emu, map[topology.LinkID]bool{f1: true, f1r: true}); err != nil {
-				panic(err)
-			}
+			traffic.FailLinks(emu, map[topology.LinkID]bool{f1: true, f1r: true})
 		}
 	})
 	sched.RunUntil(vtime.Time(50 * vtime.Second))

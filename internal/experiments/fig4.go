@@ -92,8 +92,8 @@ func bulkPairs(flows, hops int, stagger vtime.Duration, prof modelnet.Profile, s
 		QueuePkts:    20,
 	}
 	// The pairs topology is deliberately disconnected (each flow has a
-	// private path), so use the route cache rather than the all-pairs
-	// matrix.
+	// private path), so the route cache is sized here: only a bind at the
+	// default capacity refuses unreachable VN pairs.
 	em, err := modelnet.Run(modelnet.Pairs(flows, hops, attr), modelnet.Options{Seed: seed, RouteCache: flows * 8, Profile: &prof})
 	if err != nil {
 		return nil, err

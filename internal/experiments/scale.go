@@ -79,7 +79,7 @@ func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
 	em, err := modelnet.Run(g, modelnet.Options{
 		Profile:    &ideal,
 		Seed:       cfg.Seed,
-		RouteCache: 1 << 17, // the O(n²) matrix would be 100M routes at 10k VNs
+		RouteCache: 1 << 17, // all pairs would be 100M routes at 10k VNs
 		EdgeNodes:  (n + cfg.EdgeVNs - 1) / cfg.EdgeVNs,
 		Cores:      cfg.Cores,
 		Parallel:   cfg.Parallel,

@@ -235,6 +235,9 @@ func EncodeShardView(v *bind.ShardView) []byte {
 	return e.Bytes()
 }
 
+// viewLinkRow is one encoded view link: ID, endpoints, 3 floats, queue, cost, owner.
+const viewLinkRow = 3*4 + 3*8 + 4 + 8 + 4
+
 // DecodeShardView parses EncodeShardView output, enforcing the structural
 // invariants bind.ShardView promises: links in strictly ascending global ID
 // order with in-range endpoints and owners, frontier and summary strictly
@@ -247,7 +250,7 @@ func DecodeShardView(b []byte) (*bind.ShardView, error) {
 		NumNodes: int(d.U32()),
 		NumLinks: int(d.U32()),
 	}
-	nLinks := d.Len(44)
+	nLinks := d.Len(viewLinkRow)
 	for i := 0; i < nLinks; i++ {
 		l := topology.Link{
 			ID:  topology.LinkID(d.U32()),

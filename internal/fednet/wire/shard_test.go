@@ -7,6 +7,8 @@ package wire
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"modelnet/internal/bind"
@@ -23,6 +25,31 @@ func viewSeed() *bind.ShardView {
 		LinkOwner: []int32{1, 0},
 		Frontier:  []topology.NodeID{2},
 		Summary:   []topology.NodeID{2, 4},
+	}
+}
+
+// shortView is a 16-link view's encoding with one byte cut from every link
+// row: the link count then claims more bytes than the buffer holds.
+func shortView() []byte {
+	v := &bind.ShardView{Cores: 1, NumNodes: 2, NumLinks: 16}
+	for i := 0; i < 16; i++ {
+		v.Links = append(v.Links, topology.Link{ID: topology.LinkID(i), Dst: 1})
+		v.LinkOwner = append(v.LinkOwner, 0)
+	}
+	b := EncodeShardView(v)
+	return b[:len(b)-16]
+}
+
+// TestShardViewLinkRow: a link row is viewLinkRow bytes as encoded, so a view
+// one byte short per link is refused at its link count, before any row is read.
+func TestShardViewLinkRow(t *testing.T) {
+	one := &bind.ShardView{Cores: 1, NumNodes: 2, NumLinks: 1, Links: []topology.Link{{Dst: 1}}, LinkOwner: []int32{0}}
+	if got := len(EncodeShardView(one)) - len(EncodeShardView(&bind.ShardView{Cores: 1})); got != viewLinkRow {
+		t.Fatalf("a link row encodes as %d bytes, viewLinkRow is %d", got, viewLinkRow)
+	}
+	_, err := DecodeShardView(shortView())
+	if want := fmt.Sprintf("need %d bytes at offset 20 ", 16*viewLinkRow); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("a view one byte short per link: err=%v, want the link count refused (%q)", err, want)
 	}
 }
 
@@ -137,6 +164,7 @@ func FuzzSetupChunk(f *testing.F) {
 // decoders: no panics, and successful decodes are canonical.
 func FuzzShardSetup(f *testing.F) {
 	f.Add(EncodeShardView(viewSeed()))
+	f.Add(shortView())
 	f.Add(EncodeWorld(World{VNHome: []int32{0, 3}, Homes: []int32{0, 1}}))
 	f.Add(RouteReq{Epoch: 2, Target: 7}.Encode())
 	f.Add(RouteResp{Epoch: 2, Target: 7, Dists: []bind.Dist{{Lat: 5, Hops: 1}, bind.Unreachable}}.Encode())

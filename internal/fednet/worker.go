@@ -284,11 +284,11 @@ func (w *workerState) decodeConfig(cfgJSON []byte) error {
 }
 
 // setup rebuilds the shard from its chunked per-shard view: a skeleton graph
-// over the global ID spaces with only the view's links real, a hand-assembled
-// binding from the shipped VN world map (bind.Bind's client scan would
-// misread a skeleton), and a demand-paged ShardTable in place of the O(n²)
-// route matrix; then sync plan, scheduler, sparse emulator, dynamics, data
-// plane, scenario install, gateway.
+// over the global ID spaces with only the view's links real, a binding over
+// the shipped VN world map (bind.Bind's client scan would misread a
+// skeleton), and a demand-paged ShardTable in place of a whole-graph route
+// cache; then sync plan, scheduler, sparse emulator, dynamics, data plane,
+// scenario install, gateway.
 func (w *workerState) setup(asm *wire.ChunkAssembler, udp *net.UDPConn, tcpLn net.Listener) error {
 	secs, err := asm.Require(wire.SecConfig, wire.SecView, wire.SecWorld, wire.SecDynamics)
 	if err != nil {
@@ -332,39 +332,18 @@ func (w *workerState) setup(asm *wire.ChunkAssembler, udp *net.UDPConn, tcpLn ne
 	pod := bind.NewPOD(ownerDense, cores)
 
 	numVNs := len(world.VNHome)
-	b := &bind.Binding{
-		VNHome:   make([]topology.NodeID, numVNs),
-		VNOfNode: make([]pipes.VN, view.NumNodes),
-		EdgeOf:   make([]int, numVNs),
-	}
-	for i := range b.VNOfNode {
-		b.VNOfNode[i] = -1
-	}
+	vnHome := make([]topology.NodeID, numVNs)
 	homes := make([]int, numVNs)
-	for v := range world.VNHome {
-		n := world.VNHome[v]
+	for v, n := range world.VNHome {
 		if int(n) >= view.NumNodes {
 			return fmt.Errorf("fednet: world maps VN %d to node %d, view has %d nodes", v, n, view.NumNodes)
 		}
 		if h := world.Homes[v]; int(h) >= cores {
 			return fmt.Errorf("fednet: world homes VN %d on shard %d of %d", v, h, cores)
 		}
-		b.VNHome[v] = topology.NodeID(n)
-		b.VNOfNode[n] = pipes.VN(v)
-		homes[v] = int(world.Homes[v])
+		vnHome[v], homes[v] = topology.NodeID(n), int(world.Homes[v])
 	}
-	// Edge/core multiplexing mirrors bind.Bind on the same inputs.
-	edges := cfg.EdgeNodes
-	if edges <= 0 {
-		edges = numVNs
-	}
-	for v := range b.EdgeOf {
-		b.EdgeOf[v] = v % edges
-	}
-	b.CoreOf = make([]int, edges)
-	for e := range b.CoreOf {
-		b.CoreOf[e] = e % cores
-	}
+	b := bind.NewBinding(vnHome, view.NumNodes, cfg.EdgeNodes, cores)
 
 	table, err := bind.NewShardTable(g, view, b.VNHome, w.routeSeed, 0)
 	if err != nil {
@@ -412,7 +391,7 @@ func (w *workerState) setup(asm *wire.ChunkAssembler, udp *net.UDPConn, tcpLn ne
 	}
 	w.eng = eng
 	if eng != nil {
-		// A worker has no global matrix to rebuild; a reroute just advances
+		// A worker has no whole-graph table to reroute; a reroute just advances
 		// the table to the next preloaded epoch.
 		eng.OnReroute = func([]topology.LinkID) { w.table.Advance() }
 	}

@@ -135,10 +135,6 @@ type Config struct {
 	Assignment *assign.Assignment // pipe -> core ownership
 	Profile    emucore.Profile
 	Seed       int64
-	// NewTable, when non-nil, builds a private route table per shard.
-	// Required when the shared table mutates on lookup (the LRU route
-	// cache); leave nil for the read-only matrix.
-	NewTable func() bind.Table
 	// Dynamics, when non-nil, is attached to every shard: each shard
 	// replays the full spec against its own (complete) pipe set, exactly
 	// as the sequential mode does, and shard lookahead is derived from the
@@ -166,18 +162,15 @@ func New(cfg Config) (*Runtime, error) {
 		w.mail[0], w.mail[1] = make([][]Msg, k), make([][]Msg, k)
 		w.Sched = vtime.NewScheduler()
 		w.Outbox = NewOutbox(i, k, w.Sched)
-		bi := b
-		// A shard needs a private binding when the table mutates: on
-		// lookup (LRU cache) or via dynamics reroutes (SetTable swaps the
-		// binding's table in place per shard).
-		if cfg.NewTable != nil || (cfg.Dynamics != nil && cfg.Dynamics.Reroute) {
-			cp := *b
-			if cfg.NewTable != nil {
-				cp.Table = cfg.NewTable()
-			}
-			bi = &cp
+		// A route cache mutates on lookup and on reroute, so each shard
+		// routes through its own, of the bound table's capacity.
+		bi := *b
+		capacity := 0
+		if c, ok := b.Table.(*bind.Cache); ok {
+			capacity = c.Cap()
 		}
-		emu, err := emucore.NewShard(w.Sched, g, bi, pod, cfg.Profile, cfg.Seed, i, r.homes, w.Outbox.Handoff)
+		bi.Table = bind.NewCache(g, b.VNHome, capacity)
+		emu, err := emucore.NewShard(w.Sched, g, &bi, pod, cfg.Profile, cfg.Seed, i, r.homes, w.Outbox.Handoff)
 		if err != nil {
 			return nil, fmt.Errorf("parcore: shard %d: %w", i, err)
 		}

@@ -500,7 +500,7 @@ func (p *SyncPlan) crossFrom(route []pipes.ID, i0 int, t vtime.Time, dst pipes.V
 }
 
 // ShardSync holds one shard's static synchronization inputs, derived from
-// the assignment by ComputeSyncFloor.
+// the assignment by computeSyncFloor.
 type ShardSync struct {
 	// BorderPipes are the shard's owned pipes whose exit can produce a
 	// cross-shard event.
@@ -514,7 +514,7 @@ type ShardSync struct {
 	// pins the shard's safe bound to its next event time.
 	IngressCross bool
 	// Plan carries the crossing-distance tables (ComputeSyncPlan fills it;
-	// ComputeSyncFloor alone leaves it nil and the shard reports no SafeTo).
+	// computeSyncFloor alone leaves it nil and the shard reports no SafeTo).
 	Plan *SyncPlan
 }
 
@@ -531,7 +531,7 @@ func Homes(g *topology.Graph, b *bind.Binding, pod *bind.POD, k int) []int {
 	return homes
 }
 
-// ComputeSyncFloor derives every shard's synchronization inputs: the set of
+// computeSyncFloor derives every shard's synchronization inputs: the set of
 // owned pipes whose exit can cross shards — either the packet's next hop is
 // a pipe owned elsewhere (structural adjacency over-approximates the
 // routes) or the pipe terminates at a VN homed elsewhere — the resulting
@@ -542,7 +542,7 @@ func Homes(g *topology.Graph, b *bind.Binding, pod *bind.POD, k int) []int {
 // latency below its bind-time value mid-run, and a lookahead derived from
 // the initial latency would then release windows a cross-shard message can
 // still land inside.
-func ComputeSyncFloor(g *topology.Graph, b *bind.Binding, pod *bind.POD, homes []int, k int, floor func(topology.LinkID, vtime.Duration) vtime.Duration) []ShardSync {
+func computeSyncFloor(g *topology.Graph, b *bind.Binding, pod *bind.POD, homes []int, k int, floor func(topology.LinkID, vtime.Duration) vtime.Duration) []ShardSync {
 	sync := make([]ShardSync, k)
 	for _, l := range g.Links {
 		ow := pod.Owner(pipes.ID(l.ID))
@@ -585,12 +585,12 @@ func ComputeSyncFloor(g *topology.Graph, b *bind.Binding, pod *bind.POD, homes [
 	return sync
 }
 
-// ComputeSyncPlan is ComputeSyncFloor plus the crossing-distance tables: for every (shard, peer) pair it runs a reverse Dijkstra from the
+// ComputeSyncPlan is computeSyncFloor plus the crossing-distance tables: for every (shard, peer) pair it runs a reverse Dijkstra from the
 // peer's territory over the shard's owned pipes and homed VNs, producing
 // the per-pipe and per-event distance tables in SyncPlan. Latencies are
 // dynamics-floored like the lookahead.
 func ComputeSyncPlan(g *topology.Graph, b *bind.Binding, pod *bind.POD, homes []int, k int, floor func(topology.LinkID, vtime.Duration) vtime.Duration) []ShardSync {
-	sync := ComputeSyncFloor(g, b, pod, homes, k, floor)
+	sync := computeSyncFloor(g, b, pod, homes, k, floor)
 	nPipes := 0
 	for _, l := range g.Links {
 		if int(l.ID) >= nPipes {
@@ -626,14 +626,10 @@ func ComputeSyncPlan(g *topology.Graph, b *bind.Binding, pod *bind.POD, homes []
 }
 
 // ChainMatrix assembles the reaction-chain matrix for DriveOpts.Chain from
-// the shards' plans (row i is shard i's EventCross). Nil when any shard
-// lacks a plan.
+// the shards' plans (row i is shard i's EventCross).
 func ChainMatrix(syncs []ShardSync) [][]vtime.Duration {
 	chain := make([][]vtime.Duration, len(syncs))
 	for i, s := range syncs {
-		if s.Plan == nil {
-			return nil
-		}
 		chain[i] = s.Plan.EventCross
 	}
 	return chain

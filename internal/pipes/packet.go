@@ -22,7 +22,7 @@ type Packet struct {
 	Src, Dst VN
 
 	// Route is the ordered list of pipes from source to destination,
-	// resolved at injection from the routing matrix. Hop indexes the next
+	// resolved at injection from the routing table. Hop indexes the next
 	// pipe to traverse.
 	Route []ID
 	Hop   int
@@ -38,7 +38,7 @@ type Packet struct {
 	// pinned at injection. Sharded workers extend a tunneled packet's route
 	// with this epoch's distance fields, so an in-flight packet follows the
 	// exact route the injection-time table produced even when reroutes land
-	// while it crosses shards. Always 0 for tables without epochs (Matrix).
+	// while it crosses shards. Always 0 for tables without epochs (Cache).
 	Epoch int32
 
 	// Trace is the packet's mode-invariant trace ID (src VN in the high 32

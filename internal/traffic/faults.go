@@ -87,7 +87,7 @@ func (p *Perturber) Restore() {
 // (Emulator.Reroute) — modeling an instantaneously converging routing
 // protocol. Routes through failed links survive only where no alternative
 // exists (Infinity latency dominates any real path): the disconnection case.
-func FailLinks(emu *emucore.Emulator, down map[topology.LinkID]bool) error {
+func FailLinks(emu *emucore.Emulator, down map[topology.LinkID]bool) {
 	// Dead pipes: zero capacity is modeled as total loss.
 	lids := make([]topology.LinkID, 0, len(down))
 	for lid := range down {
@@ -96,14 +96,14 @@ func FailLinks(emu *emucore.Emulator, down map[topology.LinkID]bool) error {
 		emu.SetPipeParams(pipes.ID(lid), params)
 		lids = append(lids, lid)
 	}
-	return emu.Reroute(lids)
+	emu.Reroute(lids)
 }
 
 // HealLinks restores failed links' parameters from the provided base and
 // re-resolves routing over the intact topology.
-func HealLinks(emu *emucore.Emulator, base map[topology.LinkID]pipes.Params) error {
+func HealLinks(emu *emucore.Emulator, base map[topology.LinkID]pipes.Params) {
 	for lid, params := range base {
 		emu.SetPipeParams(pipes.ID(lid), params)
 	}
-	return emu.Reroute(nil)
+	emu.Reroute(nil)
 }

@@ -119,7 +119,10 @@ func TestSynthesizeTrace(t *testing.T) {
 
 func TestPipeLoads(t *testing.T) {
 	e := newEnv(t, 4, 10, 1)
-	m := e.emu.Binding().Table.(*bind.Matrix)
+	m, err := bind.BuildMatrix(e.g, e.emu.Binding().VNHome)
+	if err != nil {
+		t.Fatal(err)
+	}
 	loads := PipeLoads(m, []Demand{
 		{Src: 0, Dst: 1, Bps: 2e6},
 		{Src: 0, Dst: 2, Bps: 1e6},
@@ -211,8 +214,8 @@ func TestPerturberJitterAndRestore(t *testing.T) {
 func TestFailLinksReroutes(t *testing.T) {
 	// Diamond: VN0 and VN1 connected via two stub paths; failing the fast
 	// path must push traffic onto the slow one, and healing it must bring
-	// the fast one back — whichever table the run was bound with, and
-	// without trading a bounded cache for a matrix.
+	// the fast one back — at the default capacity and a given one, the table
+	// staying the route cache the run was bound with, capacity and all.
 	for _, opts := range []bind.Options{{}, {RouteCache: 4}} {
 		g := topology.New()
 		a := g.AddNode(topology.Client, "a")
@@ -245,15 +248,11 @@ func TestFailLinksReroutes(t *testing.T) {
 		s.SendTo(netstack.Endpoint{VN: 1, Port: 9}, 100, nil)
 		base := map[topology.LinkID]pipes.Params{f1: emu.Pipe(pipes.ID(f1)).Params()}
 		sched.At(vtime.Time(vtime.Second), func() {
-			if err := FailLinks(emu, map[topology.LinkID]bool{f1: true}); err != nil {
-				t.Errorf("FailLinks: %v", err)
-			}
+			FailLinks(emu, map[topology.LinkID]bool{f1: true})
 			s.SendTo(netstack.Endpoint{VN: 1, Port: 9}, 100, nil)
 		})
 		sched.At(vtime.Time(2*vtime.Second), func() {
-			if err := HealLinks(emu, base); err != nil {
-				t.Errorf("HealLinks: %v", err)
-			}
+			HealLinks(emu, base)
 			s.SendTo(netstack.Endpoint{VN: 1, Port: 9}, 100, nil)
 		})
 		sched.Run()
@@ -269,8 +268,12 @@ func TestFailLinksReroutes(t *testing.T) {
 		if d3 != d1 {
 			t.Errorf("%+v: post-heal delivery %v, want the fast path's %v again", opts, d3, d1)
 		}
-		if _, isCache := emu.Binding().Table.(*bind.Cache); isCache != (opts.RouteCache > 0) {
-			t.Errorf("%+v: table after fail+heal is %T", opts, emu.Binding().Table)
+		want := opts.RouteCache
+		if want == 0 {
+			want = bind.DefaultRouteCache
+		}
+		if c, ok := emu.Binding().Table.(*bind.Cache); !ok || c != b.Table || c.Cap() != want {
+			t.Errorf("%+v: table after fail+heal is %T %p (bound %p), want the bound *bind.Cache of capacity %d", opts, emu.Binding().Table, emu.Binding().Table, b.Table, want)
 		}
 	}
 }

@@ -131,8 +131,10 @@ type Options struct {
 	// EdgeNodes is the number of physical edge machines VNs multiplex
 	// onto (default: one per VN).
 	EdgeNodes int
-	// RouteCache, when positive, replaces the O(n²) routing matrix with
-	// an LRU route cache of that capacity (§2.2 alternative).
+	// RouteCache bounds the route cache every run routes through (§2.2):
+	// routes are computed on first lookup, at most this many kept. Zero
+	// picks bind.DefaultRouteCache and refuses a world with an unreachable
+	// VN pair.
 	RouteCache int
 	// Profile models the core hardware; zero value = DefaultProfile().
 	// Use IdealProfile() for an exact reference emulation.
@@ -333,19 +335,12 @@ func Run(target *Graph, opts Options) (*Emulation, error) {
 		hosts:      make(map[VN]*Host),
 	}
 	if opts.Parallel && cores > 1 {
-		var newTable func() bind.Table
-		if opts.RouteCache > 0 {
-			// The LRU cache mutates on lookup; give each shard its own.
-			g, clients, cap := dist.Graph, dist.Graph.Clients(), opts.RouteCache
-			newTable = func() bind.Table { return bind.NewCache(g, clients, cap) }
-		}
 		par, err := parcore.New(parcore.Config{
 			Graph:      dist.Graph,
 			Binding:    b,
 			Assignment: asn,
 			Profile:    prof,
 			Seed:       opts.Seed,
-			NewTable:   newTable,
 			Dynamics:   opts.Dynamics,
 			Trace:      opts.Trace,
 		})

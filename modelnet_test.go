@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"modelnet"
+	"modelnet/internal/bind"
+	"modelnet/internal/experiments"
 	"modelnet/internal/netstack"
 	"modelnet/internal/pipes"
 	"modelnet/internal/topology"
@@ -46,6 +48,31 @@ func TestPipelineRejectsBadTopology(t *testing.T) {
 	g.AddNode(topology.Client, "lonely")
 	if _, err := modelnet.Run(g, modelnet.Options{}); err == nil {
 		t.Fatal("invalid topology accepted")
+	}
+}
+
+// TestRingSetUpComputesNoRouteAllocs: set-up binds the 400-VN ring to a route
+// cache and computes no route; the ring's 400 CBR flows (VN v → v + n/2) then
+// compute one route each on first use, and the default capacity evicts none.
+func TestRingSetUpComputesNoRouteAllocs(t *testing.T) {
+	spec := experiments.RingCBRSpec{Routers: 20, VNsPerRouter: 20, PacketsPerSec: 200, PacketBytes: 1000, DurationSec: 0.1, Seed: 11}
+	em, err := modelnet.Run(spec.Topology(), modelnet.Options{Seed: spec.Seed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, ok := em.Emu.Binding().Table.(*bind.Cache)
+	if !ok {
+		t.Fatalf("the run's table is %T, want a *bind.Cache", em.Emu.Binding().Table)
+	}
+	if c.Misses != 0 || c.Len() != 0 || c.Cap() != bind.DefaultRouteCache {
+		t.Fatalf("after set-up: %d routes computed, %d cached, capacity %d; want 0, 0, %d", c.Misses, c.Len(), c.Cap(), bind.DefaultRouteCache)
+	}
+	if err := spec.Install(em.NumVNs(), func(pipes.VN) bool { return true }, em.NewHost, em.SchedulerOf); err != nil {
+		t.Fatal(err)
+	}
+	em.RunFor(modelnet.Seconds(0.1))
+	if em.Totals().Delivered == 0 || c.Misses != 400 || c.Len() != 400 {
+		t.Fatalf("after 0.1 s of %d flows: %d delivered, %d routes computed, %d cached; want >0, 400, 400", em.NumVNs(), em.Totals().Delivered, c.Misses, c.Len())
 	}
 }
 

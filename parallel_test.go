@@ -176,13 +176,12 @@ func TestParallelTCPTransfer(t *testing.T) {
 	}
 }
 
-// TestRerouteKeepsTheRouteCache: a run bound with the bounded route cache —
-// chosen because the O(n²) matrix does not fit — must still hold one after a
-// link failure reroutes it, sequentially and on every shard of the parallel
+// TestRerouteKeepsTheRouteCache: a run's route cache — at a given capacity
+// and at the default — must still be one of that capacity after a link
+// failure reroutes it, sequentially and on every shard of the parallel
 // cluster, within its capacity and routing around the failed link exactly as
 // a matrix built for the degraded graph does.
 func TestRerouteKeepsTheRouteCache(t *testing.T) {
-	const capacity = 24
 	g := modelnet.Ring(6, 2, attrs(20, 5), attrs(5, 1))
 	fail := -1
 	for _, l := range g.Links {
@@ -206,10 +205,14 @@ func TestRerouteKeepsTheRouteCache(t *testing.T) {
 	if reflect.DeepEqual(pristine, want) {
 		t.Fatalf("failing link %d moves no route; the test would prove nothing", fail)
 	}
-	for _, parallel := range []bool{false, true} {
+	for _, run := range []struct {
+		parallel         bool
+		option, capacity int
+	}{{false, 24, 24}, {true, 24, 24}, {false, 0, bind.DefaultRouteCache}, {true, 0, bind.DefaultRouteCache}} {
+		parallel, capacity := run.parallel, run.capacity
 		ideal := modelnet.IdealProfile()
 		em, err := modelnet.Run(g, modelnet.Options{
-			Cores: 2, Parallel: parallel, Profile: &ideal, RouteCache: capacity,
+			Cores: 2, Parallel: parallel, Profile: &ideal, RouteCache: run.option,
 			Dynamics: &modelnet.DynamicsSpec{
 				Profiles:     []modelnet.DynamicsProfile{{Link: fail, Steps: []modelnet.DynamicsStep{down}}},
 				Reroute:      true,
@@ -227,9 +230,9 @@ func TestRerouteKeepsTheRouteCache(t *testing.T) {
 		seen := map[*bind.Cache]bool{}
 		for i, emu := range shards {
 			c, ok := emu.Binding().Table.(*bind.Cache)
-			if !ok {
-				t.Fatalf("parallel=%v shard %d: table after the reroute is %T, want the *bind.Cache the run was bound with",
-					parallel, i, emu.Binding().Table)
+			if !ok || c.Cap() != capacity {
+				t.Fatalf("parallel=%v shard %d: table after the reroute is %T, want a *bind.Cache of capacity %d",
+					parallel, i, emu.Binding().Table, capacity)
 			}
 			if seen[c] {
 				t.Fatalf("parallel=%v: shards share one mutable cache", parallel)
