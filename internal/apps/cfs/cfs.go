@@ -71,9 +71,6 @@ func (p *Peer) StoreLocal(id chord.ID, size int) { p.store[id] = size }
 // HasBlock reports whether the peer stores the block.
 func (p *Peer) HasBlock(id chord.ID) bool { _, ok := p.store[id]; return ok }
 
-// NumBlocks reports how many blocks the peer stores.
-func (p *Peer) NumBlocks() int { return len(p.store) }
-
 func (p *Peer) serve(from netstack.Endpoint, body any, size int) (any, int) {
 	req, ok := body.(*fetchReq)
 	if !ok {

@@ -86,7 +86,8 @@ func refRoute(g *topology.Graph, down map[topology.LinkID]bool, d []refDist, src
 // refWorld is a random directed world built to hit what the policy has to
 // get right: per-direction latencies from a tiny set that includes zero (so
 // equal-cost paths, and paths that differ only in hop count, are common),
-// one-way links, a dead-end router, sometimes a client nobody can reach — and
+// one-way links, a dead-end router, sometimes a client nobody can reach and
+// sometimes one that can reach nobody — and
 // adjacency lists that are NOT in link-ID order (the skeleton is built from a
 // shuffled link list), so the smallest-link-ID tie-break is not something
 // iteration order provides for free. Most clients are leaves — one duplex
@@ -129,6 +130,11 @@ func refWorld(rng *rand.Rand) (*topology.Graph, []topology.NodeID) {
 	}
 	if rng.Intn(3) == 0 { // a client that can send but never be reached
 		add(n, rng.Intn(nr))
+		homes = append(homes, topology.NodeID(n))
+		n++
+	}
+	if rng.Intn(3) == 0 { // a client the router core reaches that can never send
+		add(rng.Intn(nr), n)
 		homes = append(homes, topology.NodeID(n))
 		n++
 	}

@@ -67,9 +67,6 @@ func NewMachine(sched *vtime.Scheduler, cfg MachineConfig) *Machine {
 // feeds the efficiency model.
 func (m *Machine) AddProcess() { m.nprocs++ }
 
-// Nprocs reports the multiplexing degree.
-func (m *Machine) Nprocs() int { return m.nprocs }
-
 // eff is the CPU efficiency under multiplexing degree n.
 func (m *Machine) eff() float64 {
 	n := float64(m.nprocs)

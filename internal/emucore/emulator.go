@@ -60,8 +60,8 @@ type Emulator struct {
 	handoff HandoffFunc
 	eager   bool // pre-emit handoffs at enqueue time (ideal profile only)
 
-	// materialized counts live pipe slots (== NumPipes unless the world is
-	// sparsely materialized, see NewShardSparse).
+	// materialized counts live pipe slots (NumPipes in sequential mode, the
+	// owned pipes in shard mode).
 	materialized int
 	// epocher is the routing table's reroute-epoch source, cached across
 	// injections; nil for epoch-less tables.
@@ -116,19 +116,22 @@ type core struct {
 // the routing table and VN→edge→core mapping; pod assigns pipes to cores
 // (nil means a single core owns everything). seed determinizes pipe loss.
 func New(sched *vtime.Scheduler, g *topology.Graph, b *bind.Binding, pod *bind.POD, prof Profile, seed int64) (*Emulator, error) {
-	return newEmulator(sched, g, b, pod, prof, seed, nil)
+	return newEmulator(sched, g, b, pod, prof, seed, -1)
 }
 
-// newEmulator is the shared constructor. want, when non-nil, selects which
-// pipe slots to materialize (sparse shard views); unselected slots stay nil
-// and must never be touched by the hot path.
-func newEmulator(sched *vtime.Scheduler, g *topology.Graph, b *bind.Binding, pod *bind.POD, prof Profile, seed int64, want func(i int) bool) (*Emulator, error) {
+// newEmulator is the shared constructor. shard -1 materializes every pipe;
+// a shard index materializes only the pipes pod assigns to it, and the
+// other slots stay nil and must never be touched by the hot path.
+func newEmulator(sched *vtime.Scheduler, g *topology.Graph, b *bind.Binding, pod *bind.POD, prof Profile, seed int64, shard int) (*Emulator, error) {
 	if pod == nil {
 		pod = bind.NewPOD(make([]int, g.NumLinks()), 1)
 	}
 	nCores := pod.Cores()
 	if nCores < 1 {
 		return nil, fmt.Errorf("emucore: POD has %d cores", nCores)
+	}
+	if shard >= nCores {
+		return nil, fmt.Errorf("emucore: shard %d out of range [0,%d)", shard, nCores)
 	}
 	e := &Emulator{
 		sched:   sched,
@@ -137,24 +140,20 @@ func newEmulator(sched *vtime.Scheduler, g *topology.Graph, b *bind.Binding, pod
 		binding: b,
 		pod:     pod,
 		deliver: make([]DeliverFunc, b.NumVNs()),
-		shard:   -1,
+		shard:   shard,
 	}
 	e.setEpocher()
 	e.pipes = make([]*pipes.Pipe, g.NumLinks())
 	for i, l := range g.Links {
-		if want != nil && !want(i) {
+		// A foreign owner (or -1, a pipe outside a federated shard's view)
+		// leaves the slot empty.
+		if shard >= 0 && pod.Owner(pipes.ID(i))%nCores != shard {
 			continue
 		}
-		// Pipe state is a pure function of (id, seed), so a sparsely
-		// materialized pipe behaves bit-identically to its counterpart in the
-		// full construction.
+		// Pipe state is a pure function of (id, seed), so a pipe behaves
+		// bit-identically whichever emulator materializes it.
 		e.pipes[i] = pipes.New(pipes.ID(i), pipeParams(l.Attr), seed)
-		if want != nil {
-			e.materialized++
-		}
-	}
-	if want == nil {
-		e.materialized = len(e.pipes)
+		e.materialized++
 	}
 	e.cores = make([]*core, nCores)
 	for i := range e.cores {
@@ -165,13 +164,15 @@ func newEmulator(sched *vtime.Scheduler, g *topology.Graph, b *bind.Binding, pod
 	return e, nil
 }
 
-// NewShard builds the shard-mode emulator for one core of a parallel
-// cluster: it processes injections and deliveries for the VNs whose home
-// shard (per homes) is shard, emulates only the pipes the POD assigns to
-// shard, and forwards everything else through handoff. Every shard
-// constructs the full pipe set with identical per-pipe seeds so loss/RED
-// randomness matches the sequential emulator pipe-for-pipe; a shard only
-// ever touches the pipes it owns.
+// NewShard builds the shard-mode emulator for one core of a parallel or
+// federated cluster: it processes injections and deliveries for the VNs
+// whose home shard (per homes) is shard, materializes and emulates only the
+// pipes the POD assigns to shard — O(shard) pipe memory, not O(world) — and
+// forwards everything else through handoff. The graph may be a skeleton
+// (topology.NewSkeleton) whose foreign slots are placeholders. The hot path
+// never touches a foreign pipe: enqueue hands a packet off before admission
+// when its next pipe is foreign, so a nil pipe slot being reached is a
+// routing bug and panics rather than degrading silently.
 //
 // Under an ideal profile (no tick, no CPU/NIC model) the shard runs in
 // "eager" mode: a pipe's exit time is fixed the moment the packet is
@@ -182,12 +183,8 @@ func newEmulator(sched *vtime.Scheduler, g *topology.Graph, b *bind.Binding, pod
 // decision depends on core state at exit time, so handoffs are emitted
 // lazily when the exit is processed.
 func NewShard(sched *vtime.Scheduler, g *topology.Graph, b *bind.Binding, pod *bind.POD, prof Profile, seed int64, shard int, homes []int, handoff HandoffFunc) (*Emulator, error) {
-	e, err := New(sched, g, b, pod, prof, seed)
-	if err != nil {
-		return nil, err
-	}
-	if shard < 0 || shard >= len(e.cores) {
-		return nil, fmt.Errorf("emucore: shard %d out of range [0,%d)", shard, len(e.cores))
+	if shard < 0 {
+		return nil, fmt.Errorf("emucore: shard %d out of range", shard)
 	}
 	if handoff == nil {
 		return nil, fmt.Errorf("emucore: shard mode requires a handoff func")
@@ -195,51 +192,18 @@ func NewShard(sched *vtime.Scheduler, g *topology.Graph, b *bind.Binding, pod *b
 	if len(homes) < b.NumVNs() {
 		return nil, fmt.Errorf("emucore: homes covers %d of %d VNs", len(homes), b.NumVNs())
 	}
-	e.shard = shard
-	e.homes = homes
-	e.handoff = handoff
-	e.eager = prof.ideal()
-	return e, nil
-}
-
-// NewShardSparse is NewShard over a sharded world view: only the pipes the
-// POD assigns to this shard are materialized — O(shard) pipe memory instead
-// of O(world) — and the graph may be a skeleton (topology.NewSkeleton) whose
-// unmaterialized slots are placeholders. The hot path never touches a
-// foreign pipe: enqueue hands a packet off before admission when its next
-// pipe is foreign, and route segments always end at the first foreign pipe
-// (bind.ShardTable), so a nil pipe slot being reached is a routing bug and
-// panics rather than degrading silently.
-func NewShardSparse(sched *vtime.Scheduler, g *topology.Graph, b *bind.Binding, pod *bind.POD, prof Profile, seed int64, shard int, homes []int, handoff HandoffFunc) (*Emulator, error) {
-	if pod == nil {
-		return nil, fmt.Errorf("emucore: sparse shard mode requires a POD")
-	}
-	k := pod.Cores()
-	e, err := newEmulator(sched, g, b, pod, prof, seed, func(i int) bool {
-		ow := pod.Owner(pipes.ID(i))
-		return ow >= 0 && ow%k == shard
-	})
+	e, err := newEmulator(sched, g, b, pod, prof, seed, shard)
 	if err != nil {
 		return nil, err
 	}
-	if shard < 0 || shard >= len(e.cores) {
-		return nil, fmt.Errorf("emucore: shard %d out of range [0,%d)", shard, len(e.cores))
-	}
-	if handoff == nil {
-		return nil, fmt.Errorf("emucore: shard mode requires a handoff func")
-	}
-	if len(homes) < b.NumVNs() {
-		return nil, fmt.Errorf("emucore: homes covers %d of %d VNs", len(homes), b.NumVNs())
-	}
-	e.shard = shard
 	e.homes = homes
 	e.handoff = handoff
 	e.eager = prof.ideal()
 	return e, nil
 }
 
-// MaterializedPipes reports how many pipe slots hold live pipes — equal to
-// NumPipes except under sparse shard views, where it is the per-worker
+// MaterializedPipes reports how many pipe slots hold live pipes — NumPipes
+// in sequential mode, the shard's owned pipes in shard mode: the per-shard
 // memory figure the scalability claim is about.
 func (e *Emulator) MaterializedPipes() int { return e.materialized }
 
@@ -295,16 +259,16 @@ func (e *Emulator) Profile() Profile { return e.prof }
 func (e *Emulator) Cores() int { return len(e.cores) }
 
 // Pipe returns the live pipe for a distilled link, for inspection or
-// dynamic re-parameterization (§4.3). Under a sparse shard view
-// (NewShardSparse) slots outside the shard return nil.
+// dynamic re-parameterization (§4.3). A shard-mode emulator (NewShard)
+// holds only its owned pipes; every other slot returns nil.
 func (e *Emulator) Pipe(id pipes.ID) *pipes.Pipe { return e.pipes[id] }
 
 // NumPipes reports the number of pipes.
 func (e *Emulator) NumPipes() int { return len(e.pipes) }
 
 // ScanMaterialized visits every live pipe in ID order — the canonical
-// iteration order checkpoint serialization depends on. Under a sparse shard
-// view the unmaterialized slots are skipped.
+// iteration order checkpoint serialization depends on. A shard's foreign
+// slots are skipped.
 func (e *Emulator) ScanMaterialized(visit func(p *pipes.Pipe)) {
 	for _, p := range e.pipes {
 		if p != nil {
@@ -398,6 +362,29 @@ type Totals struct {
 	InFlight     int
 }
 
+// Add folds another emulator's counters into t (the shards of one run).
+func (t *Totals) Add(u Totals) {
+	t.Injected += u.Injected
+	t.Delivered += u.Delivered
+	t.NoRoute += u.NoRoute
+	t.PhysDrops += u.PhysDrops
+	t.VirtualDrops += u.VirtualDrops
+	t.InFlight += u.InFlight
+}
+
+// PipeDrops returns the per-pipe drop counts, indexed by pipe ID over the
+// whole world; a shard's foreign pipes read 0, so its shards' vectors sum
+// elementwise to the run's.
+func (e *Emulator) PipeDrops() []uint64 {
+	out := make([]uint64, len(e.pipes))
+	for i, p := range e.pipes {
+		if p != nil {
+			out[i] = p.TotalDrops()
+		}
+	}
+	return out
+}
+
 // DropsByReason sums the per-reason virtual drop counters over every pipe
 // (the unified pipes.DropReason taxonomy, indexable by reason), folding
 // route-lookup rejections into the DropUnreachable slot. Gateway-side
@@ -407,7 +394,7 @@ func (e *Emulator) DropsByReason() []uint64 {
 	out := make([]uint64, pipes.NumDropReasons)
 	for _, p := range e.pipes {
 		if p == nil {
-			continue // sparse world: slot outside this shard
+			continue // a foreign pipe of a shard
 		}
 		for r, n := range p.Drops {
 			out[r] += n
@@ -425,7 +412,7 @@ func (e *Emulator) Totals() Totals {
 	}
 	for _, p := range e.pipes {
 		if p == nil {
-			continue // sparse world: slot outside this shard
+			continue // a foreign pipe of a shard
 		}
 		t.VirtualDrops += p.TotalDrops()
 		t.InFlight += p.Len()
@@ -877,23 +864,6 @@ func (e *Emulator) NextPipeDeadline() vtime.Time {
 		return e.cores[0].heap.Min()
 	}
 	return e.cores[e.shard].heap.Min()
-}
-
-// NextAppEventTime reports the time of the shard's earliest scheduled event
-// other than its own core activation, or vtime.Forever when none is pending.
-// Core activations are pipe exits — the adaptive horizon bounds those through
-// the occupied-pipe scan, so excluding the activation here lets application
-// timers, applied cross-shard clusters, and dynamics steps be priced with
-// their own (injection/frontier) crossing distance instead of the pipe one.
-func (e *Emulator) NextAppEventTime() vtime.Time {
-	c := e.cores[0]
-	if e.shard >= 0 {
-		c = e.cores[e.shard]
-	}
-	if c.pendingAt == vtime.Forever {
-		return e.sched.NextEventTime()
-	}
-	return e.sched.NextEventTimeExcept(c.pendingID)
 }
 
 // ScanAppEvents visits every pending scheduler event other than the shard's

@@ -85,12 +85,12 @@ func TestShardedDistributionScales(t *testing.T) {
 				w.Shard, w.SetupBytes, w.MaterializedPipes, ceiling, rowBytes, worldBytes)
 		}
 		t.Logf("shard %d: setup %d bytes, ceiling %d, pipes %d/%d, route RPCs %d", w.Shard, w.SetupBytes, ceiling, w.MaterializedPipes, totalLinks, w.RouteRPCs)
-		// Materialized pipes ≈ owned half + incoming frontier. A worker
-		// holding over 65%% of the world's pipes is not sharded; under 25%%
-		// would mean the cut is pathologically unbalanced.
+		// Materialized pipes = the owned part. A worker holding over 65%% of
+		// the world's pipes is not sharded; under 25%% would mean the cut is
+		// pathologically unbalanced.
 		frac := float64(w.MaterializedPipes) / float64(totalLinks)
 		if frac > 0.65 || frac < 0.25 {
-			t.Errorf("shard %d materialized %d/%d pipes (%.0f%%), outside the half-plus-frontier envelope",
+			t.Errorf("shard %d materialized %d/%d pipes (%.0f%%), outside the 25–65%% envelope",
 				w.Shard, w.MaterializedPipes, totalLinks, frac*100)
 		}
 		if w.RouteRPCs == 0 {
@@ -98,9 +98,9 @@ func TestShardedDistributionScales(t *testing.T) {
 		}
 		sumPipes += w.MaterializedPipes
 	}
-	// Every link is owned by exactly one shard and frontier copies only
-	// add: the fleet together must cover the world.
-	if sumPipes < totalLinks {
-		t.Errorf("workers together materialized %d pipes < %d links — part of the world went unemulated", sumPipes, totalLinks)
+	// Every link is owned by exactly one shard, and a shard materializes
+	// only what it owns: the fleet together holds the world exactly once.
+	if sumPipes != totalLinks {
+		t.Errorf("workers together materialized %d pipes for %d links — each must be held exactly once", sumPipes, totalLinks)
 	}
 }

@@ -70,8 +70,8 @@ func (w *workerState) buildCheckpoint() (*wire.Checkpoint, error) {
 	w.Applier.ScanBuckets(func(fire vtime.Time, count int) {
 		c.Buckets = append(c.Buckets, wire.CkptBucket{FireNs: int64(fire), Count: uint32(count)})
 	})
-	if w.eng != nil {
-		st, err := w.eng.Snapshot()
+	if w.Dynamics != nil {
+		st, err := w.Dynamics.Snapshot()
 		if err != nil {
 			return nil, err
 		}

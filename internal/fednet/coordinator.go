@@ -129,9 +129,6 @@ type Options struct {
 	// CkptDir, when non-empty, persists each shard's latest checkpoint
 	// blob under it (shard-N.ckpt); empty keeps blobs in memory only.
 	CkptDir string
-	// MaxRecoveries bounds worker respawns per run (default
-	// DefaultMaxRecoveries); the run fails once exhausted.
-	MaxRecoveries int
 	// FailSpec, when non-nil, plants a fault: worker Shard dies at step
 	// round Round (the crash-sweep harness). Same restrictions as Recover;
 	// sigkill mode additionally requires Spawn.
@@ -191,9 +188,6 @@ func (o *Options) defaults() error {
 		if o.CkptEvery < 0 {
 			return fmt.Errorf("fednet: CkptEvery %d is not a period", o.CkptEvery)
 		}
-		if o.MaxRecoveries == 0 {
-			o.MaxRecoveries = DefaultMaxRecoveries
-		}
 	}
 	if fs := o.FailSpec; fs != nil {
 		if fs.Shard < 0 || fs.Shard >= o.Cores || fs.Round < 1 {
@@ -252,8 +246,8 @@ type Report struct {
 	// shard's delivery order; sort before comparing across modes.
 	Deliveries []float64
 	// PipeDrops sums the workers' per-pipe drop counters elementwise,
-	// indexed by pipe ID — comparable across execution modes (each mode
-	// materializes every pipe, so the vector shape is mode-independent).
+	// indexed by pipe ID — comparable across execution modes (every
+	// emulator reports the whole world's vector, its foreign pipes at 0).
 	PipeDrops []uint64
 	// DropsByReason sums the workers' unified drop-taxonomy vectors
 	// (indexed by pipes.DropReason), gateway rejections included.
@@ -508,8 +502,7 @@ func Run(opts Options) (*Report, error) {
 			spawned: spawned, addrs: addrs, dataPlane: opts.DataPlane,
 			sendSetup: sendSetup, log: opts.Log,
 			ckptEvery: opts.CkptEvery, ckptDir: opts.CkptDir,
-			maxRecoveries: opts.MaxRecoveries,
-			ckpts:         make([][]byte, opts.Cores), ckptRound: -1,
+			ckpts: make([][]byte, opts.Cores), ckptRound: -1,
 		}
 	}
 	if fs := opts.FailSpec; fs != nil && fs.Mode == FailSigkill {
@@ -627,26 +620,11 @@ func Run(opts Options) (*Report, error) {
 		rep.Workers[i] = wr
 		rep.Frames += wr.Frames
 		rep.BytesOnWire += wr.BytesOnWire
-		rep.Totals.Injected += wr.Totals.Injected
-		rep.Totals.Delivered += wr.Totals.Delivered
-		rep.Totals.NoRoute += wr.Totals.NoRoute
-		rep.Totals.PhysDrops += wr.Totals.PhysDrops
-		rep.Totals.VirtualDrops += wr.Totals.VirtualDrops
-		rep.Totals.InFlight += wr.Totals.InFlight
+		rep.Totals.Add(wr.Totals)
 		rep.Accuracy.Merge(wr.Accuracy)
 		rep.Deliveries = append(rep.Deliveries, wr.Deliveries...)
-		if len(wr.PipeDrops) > len(rep.PipeDrops) {
-			rep.PipeDrops = append(rep.PipeDrops, make([]uint64, len(wr.PipeDrops)-len(rep.PipeDrops))...)
-		}
-		for p, n := range wr.PipeDrops {
-			rep.PipeDrops[p] += n
-		}
-		if len(wr.DropsByReason) > len(rep.DropsByReason) {
-			rep.DropsByReason = append(rep.DropsByReason, make([]uint64, len(wr.DropsByReason)-len(rep.DropsByReason))...)
-		}
-		for r, n := range wr.DropsByReason {
-			rep.DropsByReason[r] += n
-		}
+		rep.PipeDrops = addCounts(rep.PipeDrops, wr.PipeDrops)
+		rep.DropsByReason = addCounts(rep.DropsByReason, wr.DropsByReason)
 		if wr.Edge != nil {
 			rep.Edge.Merge(*wr.Edge)
 		}
@@ -661,6 +639,17 @@ func Run(opts Options) (*Report, error) {
 		return nil, err
 	}
 	return rep, nil
+}
+
+// addCounts adds src into dst elementwise, growing dst to src's length.
+func addCounts(dst, src []uint64) []uint64 {
+	if len(src) > len(dst) {
+		dst = append(dst, make([]uint64, len(src)-len(dst))...)
+	}
+	for i, n := range src {
+		dst[i] += n
+	}
+	return dst
 }
 
 // acceptWorkers admits Cores workers and reads their hello frames.

@@ -15,11 +15,12 @@
 //     round is one TStep frame to every worker and one TStepDone back.
 //   - Each worker (Worker, usually entered via the `modelnet core`
 //     subcommand or the self-exec spawn helper) deterministically rebuilds
-//     its shard — binding, sparse shard emulator, homed VN hosts, workload —
-//     from the distributed state, answers each TStep with one parcore.Shard.Step
-//     (the same per-shard loop body the in-process runtime runs), and
-//     exchanges cross-core tunnel messages with its peers directly over a
-//     UDP (or TCP-fallback) data plane, always in batch frames.
+//     its shard — binding, parcore.NewShard over its owned pipes, homed VN
+//     hosts, workload — from the distributed state, answers each TStep with
+//     one parcore.Shard.Step (the same per-shard loop body the in-process
+//     runtime runs), and exchanges cross-core tunnel messages with its
+//     peers directly over a UDP (or TCP-fallback) data plane, always in
+//     batch frames.
 //
 // The scheduler never learns whether its peer is a goroutine or a socket:
 // parcore.Drive sees only the Transport, Shard.Step only its Link. That is

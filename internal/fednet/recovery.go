@@ -45,7 +45,8 @@ const (
 
 	// DefaultCkptEvery is the default checkpoint period in step rounds.
 	DefaultCkptEvery = 4
-	// DefaultMaxRecoveries bounds respawns per run by default.
+	// DefaultMaxRecoveries bounds respawns per run; the run fails once
+	// they are exhausted.
 	DefaultMaxRecoveries = 3
 )
 
@@ -91,9 +92,8 @@ type recoveryState struct {
 	// current addrs) over a fresh control conn.
 	sendSetup func(i int, c net.Conn) error
 
-	ckptEvery     int
-	ckptDir       string
-	maxRecoveries int
+	ckptEvery int
+	ckptDir   string
 
 	cmdLog []loggedRound
 	// ckpts[i] is shard i's latest checkpoint blob; ckptRound the cmdLog
@@ -131,13 +131,13 @@ func (r *recoveryState) logRound(bodies, replies [][]byte, ckpt bool, ckpts [][]
 // The live workers need no coordinator attention — the respawned worker's
 // data-plane announcement drives their endpoint swap and log resends.
 func (r *recoveryState) recover(t *coordTransport, i int) error {
-	if r.recoveries >= r.maxRecoveries {
-		return fmt.Errorf("fednet: shard %d died and the run's %d recoveries are exhausted", i, r.maxRecoveries)
+	if r.recoveries >= DefaultMaxRecoveries {
+		return fmt.Errorf("fednet: shard %d died and the run's %d recoveries are exhausted", i, DefaultMaxRecoveries)
 	}
 	start := time.Now()
 	r.recoveries++
 	r.log("fednet: shard %d died; respawning (recovery %d of %d, %d rounds to replay)",
-		i, r.recoveries, r.maxRecoveries, len(r.cmdLog))
+		i, r.recoveries, DefaultMaxRecoveries, len(r.cmdLog))
 	if w := r.spawned[i]; w != nil {
 		if w.cmd.Process != nil {
 			_ = w.cmd.Process.Kill()

@@ -298,7 +298,13 @@ func DecodeShardView(b []byte) (*bind.ShardView, error) {
 			return nil, fmt.Errorf("wire: view link %d owned by core %d of %d", l.ID, o, v.Cores)
 		}
 	}
-	for name, set := range map[string][]topology.NodeID{"frontier": v.Frontier, "summary": v.Summary} {
+	// Frontier before summary: a view with both malformed reports the same
+	// error every time.
+	for _, ns := range []struct {
+		name string
+		set  []topology.NodeID
+	}{{"frontier", v.Frontier}, {"summary", v.Summary}} {
+		name, set := ns.name, ns.set
 		if !sort.SliceIsSorted(set, func(i, j int) bool { return set[i] < set[j] }) {
 			return nil, fmt.Errorf("wire: shard view %s not sorted", name)
 		}

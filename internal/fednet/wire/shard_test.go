@@ -53,6 +53,19 @@ func TestShardViewLinkRow(t *testing.T) {
 	}
 }
 
+// TestShardViewSetErrorIsStable: a view with both node sets malformed is
+// refused for its frontier, every time — the checks run in a fixed order.
+func TestShardViewSetErrorIsStable(t *testing.T) {
+	v := viewSeed()
+	v.Frontier, v.Summary = []topology.NodeID{2, 2}, []topology.NodeID{4, 2}
+	b := EncodeShardView(v)
+	for i := 0; i < 20; i++ {
+		if _, err := DecodeShardView(b); err == nil || !strings.Contains(err.Error(), "frontier") {
+			t.Fatalf("decode %d: err=%v, want the frontier refused", i, err)
+		}
+	}
+}
+
 func TestChunkRoundTrip(t *testing.T) {
 	blob := bytes.Repeat([]byte("setup-section-bytes"), 200_000) // ~3.8MB: several chunks
 	for _, tc := range [][]byte{nil, []byte("small"), blob} {

@@ -17,7 +17,6 @@ import (
 	"modelnet/internal/bind"
 	"modelnet/internal/dynamics"
 	"modelnet/internal/edge"
-	"modelnet/internal/emucore"
 	"modelnet/internal/fednet/wire"
 	"modelnet/internal/netstack"
 	"modelnet/internal/obs"
@@ -80,9 +79,9 @@ type workerState struct {
 
 	cfg setup
 	env *WorkerEnv
-	// The shard itself; serve answers each TStep with one Shard.Step over
-	// the data plane (dataLink).
-	parcore.Shard
+	// The shard itself, built by parcore.NewShard as every shard is; serve
+	// answers each TStep with one Shard.Step over the data plane (dataLink).
+	*parcore.Shard
 
 	col    *collector
 	dp     *dataPlane
@@ -100,16 +99,14 @@ type workerState struct {
 	deliveries []float64
 	report     func() json.RawMessage
 
-	tracer       *obs.Tracer  // non-nil when the setup asked for a trace
 	metrics      *obs.Metrics // non-nil when the setup asked for live metrics
 	metricsAddr  string
 	closeMetrics func() error
 
-	// Recovery state (Recoverable runs): eng is the dynamics engine whose
-	// cursor the barrier checkpoints record; resume marks this process as a
-	// respawned replacement replaying a logged prefix. failAt arms the
+	// Recovery state (Recoverable runs): resume marks this process as a
+	// respawned replacement replaying a logged prefix (the barrier
+	// checkpoints record Shard.Dynamics' cursor). failAt arms the
 	// fault-injection directive: die on receipt of the failAt-th TStep.
-	eng       *dynamics.Engine
 	resume    bool
 	failAt    int
 	stepsSeen int
@@ -287,8 +284,8 @@ func (w *workerState) decodeConfig(cfgJSON []byte) error {
 // over the global ID spaces with only the view's links real, a binding over
 // the shipped VN world map (bind.Bind's client scan would misread a
 // skeleton), and a demand-paged ShardTable in place of a whole-graph route
-// cache; then sync plan, scheduler, sparse emulator, dynamics, data plane,
-// scenario install, gateway.
+// cache; then sync plan, the shard (parcore.NewShard), data plane, scenario
+// install, gateway.
 func (w *workerState) setup(asm *wire.ChunkAssembler, udp *net.UDPConn, tcpLn net.Listener) error {
 	secs, err := asm.Require(wire.SecConfig, wire.SecView, wire.SecWorld, wire.SecDynamics)
 	if err != nil {
@@ -321,7 +318,7 @@ func (w *workerState) setup(asm *wire.ChunkAssembler, udp *net.UDPConn, tcpLn ne
 		return fmt.Errorf("fednet: setup skeleton: %w", err)
 	}
 	// Dense owner vector over the global pipe ID space; -1 marks pipes
-	// outside the view, which the sparse emulator never materializes.
+	// outside the view, which no shard owns or materializes.
 	ownerDense := make([]int, view.NumLinks)
 	for i := range ownerDense {
 		ownerDense[i] = -1
@@ -361,18 +358,14 @@ func (w *workerState) setup(asm *wire.ChunkAssembler, udp *net.UDPConn, tcpLn ne
 	b.Table = table
 	w.table = table
 
-	w.Sync = parcore.ComputeSyncPlan(g, b, pod, homes, cores, dyn.LatencyFloorFunc())[cfg.Shard]
-	w.Sched = vtime.NewScheduler()
-	w.Outbox = parcore.NewOutbox(cfg.Shard, cores, w.Sched)
-	w.Emu, err = emucore.NewShardSparse(w.Sched, g, b, pod, cfg.Profile, cfg.Seed, cfg.Shard, homes, w.Outbox.Handoff)
-	if err != nil {
-		return fmt.Errorf("fednet: shard emulator: %w", err)
+	plan := parcore.ComputeSyncPlan(g, b, pod, homes, cores, dyn.LatencyFloorFunc())[cfg.Shard]
+	if w.Shard, err = parcore.NewShard(g, b, pod, homes, cfg.Shard, plan, cfg.Profile, cfg.Seed, dyn, cfg.Trace); err != nil {
+		return fmt.Errorf("fednet: %w", err)
 	}
-	w.Applier = parcore.NewApplier(w.Sched, w.Emu)
-	w.Prof.Shard = cfg.Shard
-	if cfg.Trace {
-		w.tracer = obs.NewTracer(cfg.Shard)
-		w.Emu.Trace = w.tracer
+	if w.Dynamics != nil {
+		// A worker has no whole-graph table to reroute; a reroute just advances
+		// the table to the next preloaded epoch.
+		w.Dynamics.OnReroute = func([]topology.LinkID) { w.table.Advance() }
 	}
 	if cfg.Metrics {
 		w.metrics = obs.NewMetrics("worker", cfg.Shard)
@@ -381,19 +374,6 @@ func (w *workerState) setup(asm *wire.ChunkAssembler, udp *net.UDPConn, tcpLn ne
 			return fmt.Errorf("fednet: shard %d metrics: %w", cfg.Shard, err)
 		}
 		w.metricsAddr, w.closeMetrics = addr, closeFn
-	}
-	// Attach dynamics before the scenario installs its workload, so the
-	// step events precede same-time workload events in the scheduler's
-	// tie-break — identically to the sequential and in-process modes.
-	eng, err := dynamics.Attach(w.Sched, w.Emu, dyn)
-	if err != nil {
-		return fmt.Errorf("fednet: dynamics: %w", err)
-	}
-	w.eng = eng
-	if eng != nil {
-		// A worker has no whole-graph table to reroute; a reroute just advances
-		// the table to the next preloaded epoch.
-		eng.OnReroute = func([]topology.LinkID) { w.table.Advance() }
 	}
 	if cfg.CollectDeliveries {
 		w.Emu.OnDeliver = func(_ *pipes.Packet, at vtime.Time) {
@@ -656,16 +636,10 @@ func (w *workerState) finish() error {
 		MaterializedPipes: w.Emu.MaterializedPipes(),
 		RouteRPCs:         w.table.SeedRPCs,
 		Deliveries:        w.deliveries,
-		PipeDrops:         make([]uint64, w.Emu.NumPipes()),
+		PipeDrops:         w.Emu.PipeDrops(),
+		DropsByReason:     w.Emu.DropsByReason(),
 		Profile:           w.Prof,
 	}
-	for i := range rep.PipeDrops {
-		// Unmaterialized slots (sparse shard views) have no pipe to ask.
-		if p := w.Emu.Pipe(pipes.ID(i)); p != nil {
-			rep.PipeDrops[i] = p.TotalDrops()
-		}
-	}
-	rep.DropsByReason = w.Emu.DropsByReason()
 	cs := w.Emu.CoreStats(w.cfg.Shard)
 	rep.TunnelsIn, rep.TunnelsOut = cs.TunnelsIn, cs.TunnelsOut
 	if w.gw != nil {
@@ -678,8 +652,8 @@ func (w *workerState) finish() error {
 	if w.report != nil {
 		rep.Scenario = w.report()
 	}
-	if w.tracer != nil {
-		evs := w.tracer.Events()
+	if w.Emu.Trace != nil {
+		evs := w.Emu.Trace.Events()
 		for len(evs) > 0 {
 			n := len(evs)
 			if n > traceChunkEvents {

@@ -323,26 +323,11 @@ func (c *Conn) Abort() {
 	c.teardown(nil)
 }
 
-// Outstanding reports unacknowledged bytes in flight.
-func (c *Conn) Outstanding() int { return int(c.sndNxt - c.sndUna) }
-
 // Cwnd reports the current congestion window in bytes.
 func (c *Conn) Cwnd() int { return int(c.cwnd) }
 
 // SRTT reports the smoothed RTT estimate (0 before the first sample).
 func (c *Conn) SRTT() vtime.Duration { return c.srtt }
-
-// Unsent reports queued bytes not yet transmitted.
-func (c *Conn) Unsent() int {
-	end := c.sndBufEnd
-	if c.sndNxt >= end {
-		return 0
-	}
-	if c.sndNxt < 1 {
-		return int(end - 1)
-	}
-	return int(end - c.sndNxt)
-}
 
 // ---- send path ----
 

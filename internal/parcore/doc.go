@@ -10,7 +10,8 @@
 // still drives everything from one scheduler, so extra cores buy nothing.
 // Here the partition becomes real concurrency:
 //
-//   - Each shard is an emucore.NewShard emulator owning the pipes its core
+//   - Each shard is built by NewShard, here and in every federated worker
+//     alike: an emucore.NewShard emulator holding only the pipes its core
 //     was assigned (the POD), plus the netstack hosts of the VNs homed on
 //     it. A VN's home is the core owning its access pipes, so injection and
 //     delivery never cross cores.

@@ -163,7 +163,11 @@ func TestDynamicsParallelMatchesSequential(t *testing.T) {
 			t.Fatalf("cluster lookahead %v ignores the 500µs profile floor", la)
 		}
 		r.RunUntil(horizon)
-		return result{r.Totals(), got}
+		var t emucore.Totals
+		for _, w := range r.workers {
+			t.Add(w.Emu.Totals())
+		}
+		return result{t, got}
 	}()
 
 	if seq.totals != par.totals {

@@ -20,10 +20,9 @@ import (
 // worker is one shard plus its in-process Link: the goroutine that steps
 // it and the mail slots its peers flush into.
 type worker struct {
-	Shard
-	r      *Runtime
-	idx    int
-	tracer *obs.Tracer
+	*Shard
+	r   *Runtime
+	idx int
 
 	// mail[p][i] is the batch shard i flushed toward this shard in a round
 	// of parity p. A round's senders write the slots of the runtime's
@@ -136,16 +135,16 @@ type Config struct {
 	Profile    emucore.Profile
 	Seed       int64
 	// Dynamics, when non-nil, is attached to every shard: each shard
-	// replays the full spec against its own (complete) pipe set, exactly
-	// as the sequential mode does, and shard lookahead is derived from the
-	// spec's per-link latency floor.
+	// replays the full spec against the pipes it owns (a step on a foreign
+	// pipe changes nothing there but is traced and tracked all the same),
+	// and shard lookahead is derived from the spec's per-link latency floor.
 	Dynamics *dynamics.Spec
-	// Trace enables per-shard packet tracing (merge with Runtime.Trace).
+	// Trace enables per-shard packet tracing (each shard's Emu.Trace).
 	Trace bool
 }
 
-// New builds the parallel runtime: one shard emulator per assignment core,
-// each on a fresh scheduler.
+// New builds the parallel runtime: one NewShard per assignment core, each
+// routing through a route cache of its own.
 func New(cfg Config) (*Runtime, error) {
 	k := cfg.Assignment.Cores
 	if k < 2 {
@@ -155,41 +154,26 @@ func New(cfg Config) (*Runtime, error) {
 	pod := cfg.Assignment.POD()
 	r := &Runtime{graph: g, binding: b, pod: pod}
 	r.homes = Homes(g, b, pod, k)
+	syncs := ComputeSyncPlan(g, b, pod, r.homes, k, cfg.Dynamics.LatencyFloorFunc())
+	r.chain = ChainMatrix(syncs)
+	capacity := 0
+	if c, ok := b.Table.(*bind.Cache); ok {
+		capacity = c.Cap()
+	}
 
 	r.workers = make([]*worker, k)
 	for i := range r.workers {
-		w := &worker{r: r, idx: i, cmd: make(chan Cmd), done: make(chan struct{})}
-		w.mail[0], w.mail[1] = make([][]Msg, k), make([][]Msg, k)
-		w.Sched = vtime.NewScheduler()
-		w.Outbox = NewOutbox(i, k, w.Sched)
 		// A route cache mutates on lookup and on reroute, so each shard
 		// routes through its own, of the bound table's capacity.
 		bi := *b
-		capacity := 0
-		if c, ok := b.Table.(*bind.Cache); ok {
-			capacity = c.Cap()
-		}
 		bi.Table = bind.NewCache(g, b.VNHome, capacity)
-		emu, err := emucore.NewShard(w.Sched, g, &bi, pod, cfg.Profile, cfg.Seed, i, r.homes, w.Outbox.Handoff)
+		s, err := NewShard(g, &bi, pod, r.homes, i, syncs[i], cfg.Profile, cfg.Seed, cfg.Dynamics, cfg.Trace)
 		if err != nil {
-			return nil, fmt.Errorf("parcore: shard %d: %w", i, err)
+			return nil, err
 		}
-		w.Prof.Shard = i
-		if cfg.Trace {
-			w.tracer = obs.NewTracer(i)
-			emu.Trace = w.tracer
-		}
-		if _, err := dynamics.Attach(w.Sched, emu, cfg.Dynamics); err != nil {
-			return nil, fmt.Errorf("parcore: shard %d: %w", i, err)
-		}
-		w.Emu = emu
-		w.Applier = NewApplier(w.Sched, emu)
+		w := &worker{Shard: s, r: r, idx: i, cmd: make(chan Cmd), done: make(chan struct{})}
+		w.mail[0], w.mail[1] = make([][]Msg, k), make([][]Msg, k)
 		r.workers[i] = w
-	}
-	syncs := ComputeSyncPlan(g, b, pod, r.homes, k, cfg.Dynamics.LatencyFloorFunc())
-	r.chain = ChainMatrix(syncs)
-	for i, s := range syncs {
-		r.workers[i].Sync = s
 	}
 	return r, nil
 }
@@ -235,48 +219,9 @@ func (r *Runtime) ShardProfiles() []obs.ShardProfile {
 	return out
 }
 
-// Trace merges the per-shard packet tracers into one deterministic trace,
-// or returns nil when the runtime was built without Config.Trace.
-func (r *Runtime) Trace() *obs.Trace {
-	tracers := make([]*obs.Tracer, 0, len(r.workers))
-	for _, w := range r.workers {
-		if w.tracer != nil {
-			tracers = append(tracers, w.tracer)
-		}
-	}
-	if len(tracers) == 0 {
-		return nil
-	}
-	return obs.Merge(tracers...)
-}
-
 // Now reports the cluster's virtual time: the deadline of the last run, or
 // the latest shard clock after RunToCompletion.
 func (r *Runtime) Now() vtime.Time { return r.now }
-
-// Totals sums the conservation counters over all shards.
-func (r *Runtime) Totals() emucore.Totals {
-	var t emucore.Totals
-	for _, w := range r.workers {
-		wt := w.Emu.Totals()
-		t.Injected += wt.Injected
-		t.Delivered += wt.Delivered
-		t.NoRoute += wt.NoRoute
-		t.PhysDrops += wt.PhysDrops
-		t.VirtualDrops += wt.VirtualDrops
-		t.InFlight += wt.InFlight
-	}
-	return t
-}
-
-// Accuracy merges the per-shard delay-accuracy trackers.
-func (r *Runtime) Accuracy() emucore.Accuracy {
-	var a emucore.Accuracy
-	for _, w := range r.workers {
-		a.Merge(w.Emu.Accuracy)
-	}
-	return a
-}
 
 // RunFor advances the cluster by d, firing all due events.
 func (r *Runtime) RunFor(d vtime.Duration) { r.RunUntil(r.now.Add(d)) }

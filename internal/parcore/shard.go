@@ -5,10 +5,14 @@ package parcore
 // from its control loop.
 
 import (
+	"fmt"
 	"time"
 
+	"modelnet/internal/bind"
+	"modelnet/internal/dynamics"
 	"modelnet/internal/emucore"
 	"modelnet/internal/obs"
+	"modelnet/internal/topology"
 	"modelnet/internal/vtime"
 )
 
@@ -53,17 +57,49 @@ type Report struct {
 }
 
 // Shard is one emulated core: an emulator on a private scheduler, the
-// mailboxes on either side of it, its static synchronization inputs and its
+// mailboxes on either side of it, its static synchronization inputs, the
+// dynamics engine replaying the run's link dynamics on it, and its
 // wall-clock profile.
 type Shard struct {
-	Sched   *vtime.Scheduler
-	Emu     *emucore.Emulator
-	Outbox  *Outbox
-	Applier *Applier
-	Sync    ShardSync
+	Sched    *vtime.Scheduler
+	Emu      *emucore.Emulator
+	Outbox   *Outbox
+	Applier  *Applier
+	Sync     ShardSync
+	Dynamics *dynamics.Engine // nil without a dynamics spec
 	// Prof is written by Step and nowhere else: wait + apply + run (or
 	// drain) + flush + bounds add up to the wall clock spent in Step.
 	Prof obs.ShardProfile
+}
+
+// NewShard assembles shard `shard` of a parallel or federated run, the one
+// way both build it: a fresh scheduler, the emucore.NewShard emulator over
+// the pipes pod assigns the shard (and no other), the outbox its handoffs go
+// to and the applier its inbound messages come from, a tracer on the
+// emulator (Emu.Trace) when trace is set, and the dynamics engine replaying
+// dyn. b's Table must already be the shard's own: lookups mutate a route
+// table. homes maps every VN to its home shard, sync is the shard's entry
+// of ComputeSyncPlan.
+func NewShard(g *topology.Graph, b *bind.Binding, pod *bind.POD, homes []int, shard int, sync ShardSync, prof emucore.Profile, seed int64, dyn *dynamics.Spec, trace bool) (*Shard, error) {
+	s := &Shard{Sched: vtime.NewScheduler(), Sync: sync}
+	s.Outbox = NewOutbox(shard, pod.Cores(), s.Sched)
+	emu, err := emucore.NewShard(s.Sched, g, b, pod, prof, seed, shard, homes, s.Outbox.Handoff)
+	if err != nil {
+		return nil, fmt.Errorf("parcore: shard %d: %w", shard, err)
+	}
+	if trace {
+		emu.Trace = obs.NewTracer(shard)
+	}
+	// Dynamics attach before any workload is installed, so their step events
+	// precede same-time workload events in the scheduler's tie-break — as in
+	// the sequential mode.
+	if s.Dynamics, err = dynamics.Attach(s.Sched, emu, dyn); err != nil {
+		return nil, fmt.Errorf("parcore: shard %d: %w", shard, err)
+	}
+	s.Emu = emu
+	s.Applier = NewApplier(s.Sched, emu)
+	s.Prof.Shard = shard
+	return s, nil
 }
 
 // Step is the whole per-shard loop body of the conservative protocol:

@@ -500,7 +500,7 @@ func (p *SyncPlan) crossFrom(route []pipes.ID, i0 int, t vtime.Time, dst pipes.V
 }
 
 // ShardSync holds one shard's static synchronization inputs, derived from
-// the assignment by computeSyncFloor.
+// the assignment by ComputeSyncPlan.
 type ShardSync struct {
 	// BorderPipes are the shard's owned pipes whose exit can produce a
 	// cross-shard event.
@@ -513,8 +513,8 @@ type ShardSync struct {
 	// a peer's pipe (possible under collapsing distillation modes), which
 	// pins the shard's safe bound to its next event time.
 	IngressCross bool
-	// Plan carries the crossing-distance tables (ComputeSyncPlan fills it;
-	// computeSyncFloor alone leaves it nil and the shard reports no SafeTo).
+	// Plan carries the crossing-distance tables ShardBounds prices SafeTo
+	// with; ComputeSyncPlan sets it on every shard's ShardSync.
 	Plan *SyncPlan
 }
 
@@ -822,7 +822,7 @@ type pqItem struct {
 // the earliest occupied border pipe drains), and pinned to the next event
 // time under an ingress crossing.
 //
-// With a SyncPlan and an eager emulator the bounds additionally carry the
+// With an eager emulator the bounds additionally carry the
 // per-peer SafeTo vector, assembled from three scans. Each pending
 // scheduler event contributes its time plus a crossing distance — the
 // owning VN's own (VNCross) when the event carries an owner claim, the
@@ -837,8 +837,7 @@ type pqItem struct {
 // skips them. The shard's own core activation is excluded from the event
 // term — everything that activation can do traces back to an occupied pipe
 // the packet walk already covered, and seeing past it is what lets an
-// interior shard report bounds far beyond its next wakeup. app may be nil,
-// in which case applier events fall back to the EventCross pricing.
+// interior shard report bounds far beyond its next wakeup.
 func ShardBounds(sched *vtime.Scheduler, emu *emucore.Emulator, sync ShardSync, app *Applier) Bounds {
 	next := sched.NextEventTime()
 	t := next
@@ -860,7 +859,7 @@ func ShardBounds(sched *vtime.Scheduler, emu *emucore.Emulator, sync ShardSync, 
 	}
 	b := Bounds{Next: next, Safe: e}
 	p := sync.Plan
-	if p == nil || !emu.Eager() {
+	if !emu.Eager() {
 		return b
 	}
 	safeTo := make([]vtime.Time, p.Cores)
@@ -896,7 +895,7 @@ func ShardBounds(sched *vtime.Scheduler, emu *emucore.Emulator, sync ShardSync, 
 		}
 	}
 	emu.ScanAppEvents(func(at vtime.Time, vn int32) {
-		if app != nil && vn == applierTag {
+		if vn == applierTag {
 			return // priced per message by the applier scan below
 		}
 		for j := range safeTo {
@@ -933,17 +932,15 @@ func ShardBounds(sched *vtime.Scheduler, emu *emucore.Emulator, sync ShardSync, 
 			p.crossFrom(pkt.Route, next, exit, pkt.Dst, lim(), cross, deliver)
 		})
 	})
-	if app != nil {
-		app.ScanPending(func(m Msg) {
-			if m.Pid < 0 {
-				deliver(m.Pkt.Dst, m.Fire)
-				return
-			}
-			// The message enters pipe m.Pid at m.At; nothing about it is
-			// announced beyond that entry.
-			p.crossFrom(m.Pkt.Route, m.Pkt.Hop, m.At, m.Pkt.Dst, lim(), cross, deliver)
-		})
-	}
+	app.ScanPending(func(m Msg) {
+		if m.Pid < 0 {
+			deliver(m.Pkt.Dst, m.Fire)
+			return
+		}
+		// The message enters pipe m.Pid at m.At; nothing about it is
+		// announced beyond that entry.
+		p.crossFrom(m.Pkt.Route, m.Pkt.Hop, m.At, m.Pkt.Dst, lim(), cross, deliver)
+	})
 	b.SafeTo = safeTo
 	s := vtime.Forever
 	for _, v := range safeTo {

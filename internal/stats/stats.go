@@ -153,12 +153,6 @@ func (s *Sample) CDFAt(k int) []CDFPoint {
 	return out
 }
 
-// Values returns a sorted copy of the observations.
-func (s *Sample) Values() []float64 {
-	s.ensureSorted()
-	return append([]float64(nil), s.xs...)
-}
-
 func (s *Sample) String() string {
 	return fmt.Sprintf("n=%d min=%.4g p50=%.4g mean=%.4g p90=%.4g max=%.4g",
 		s.N(), s.Min(), s.Median(), s.Mean(), s.Percentile(90), s.Max())

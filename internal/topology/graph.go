@@ -167,17 +167,6 @@ func (g *Graph) Clients() []NodeID {
 	return out
 }
 
-// NodesOfKind returns the IDs of all nodes of the given kind, in ID order.
-func (g *Graph) NodesOfKind(kind NodeKind) []NodeID {
-	var out []NodeID
-	for _, n := range g.Nodes {
-		if n.Kind == kind {
-			out = append(out, n.ID)
-		}
-	}
-	return out
-}
-
 // Neighbors returns the distinct nodes reachable over one outgoing link from
 // n, in ascending order.
 func (g *Graph) Neighbors(n NodeID) []NodeID {

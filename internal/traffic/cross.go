@@ -99,36 +99,3 @@ func (ct *CrossTraffic) Clear() {
 		ct.emu.SetPipeParams(pipes.ID(i), p)
 	}
 }
-
-// Schedule periodically applies load matrices: at each interval the next
-// matrix in the rotation is derived and installed, emulating time-varying
-// background traffic from stored "snapshot" profiles.
-type Schedule struct {
-	ct       *CrossTraffic
-	matrices []map[pipes.ID]float64
-	idx      int
-	ticker   *vtime.Ticker
-}
-
-// NewSchedule builds a rotating cross-traffic schedule.
-func NewSchedule(emu *emucore.Emulator, sched *vtime.Scheduler, interval vtime.Duration, matrices []map[pipes.ID]float64) *Schedule {
-	s := &Schedule{ct: NewCrossTraffic(emu), matrices: matrices}
-	s.ticker = vtime.NewTicker(sched, interval, func() {
-		if len(s.matrices) == 0 {
-			return
-		}
-		s.ct.Clear()
-		s.ct.Apply(s.matrices[s.idx%len(s.matrices)])
-		s.idx++
-	})
-	return s
-}
-
-// Start begins the rotation.
-func (s *Schedule) Start() { s.ticker.Start() }
-
-// Stop halts the rotation and restores base parameters.
-func (s *Schedule) Stop() {
-	s.ticker.Stop()
-	s.ct.Clear()
-}

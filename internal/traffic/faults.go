@@ -46,34 +46,6 @@ func (p *Perturber) JitterLatency(fraction, maxIncrease float64) {
 	}
 }
 
-// DegradeBandwidth multiplies fraction of pipes' bandwidth by a uniform
-// factor in [minFactor, 1].
-func (p *Perturber) DegradeBandwidth(fraction, minFactor float64) {
-	for i := range p.base {
-		params := p.base[i]
-		if p.rng.Float64() < fraction {
-			f := minFactor + p.rng.Float64()*(1-minFactor)
-			params.BandwidthBps *= f
-		}
-		p.emu.SetPipeParams(pipes.ID(i), params)
-	}
-}
-
-// RaiseLoss sets fraction of pipes' loss rate to a uniform value in
-// [0, maxLoss] — a sudden increase in loss across backbone links.
-func (p *Perturber) RaiseLoss(fraction, maxLoss float64) {
-	for i := range p.base {
-		params := p.base[i]
-		if p.rng.Float64() < fraction {
-			params.LossRate = p.rng.Float64() * maxLoss
-			if params.LossRate >= 1 {
-				params.LossRate = 0.999
-			}
-		}
-		p.emu.SetPipeParams(pipes.ID(i), params)
-	}
-}
-
 // Restore returns every pipe to its snapshot parameters.
 func (p *Perturber) Restore() {
 	for i, params := range p.base {

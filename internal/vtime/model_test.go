@@ -64,15 +64,12 @@ func (m *model) schedule(at Time, tag int32) {
 	m.seq++
 }
 
-// nextExcept is the earliest pending time, not counting event skip (pass a
-// seq that is not pending to exclude nothing).
-func (m *model) nextExcept(skip uint64) Time {
-	for _, ev := range m.sorted() {
-		if ev.seq != skip {
-			return ev.at
-		}
+// next is the earliest pending time, Forever when nothing is pending.
+func (m *model) next() Time {
+	if len(m.pending) == 0 {
+		return Forever
 	}
-	return Forever
+	return m.sorted()[0].at
 }
 
 // fire runs the earliest event and returns its seq.
@@ -92,7 +89,7 @@ func (m *model) fire() uint64 {
 func (m *model) runUntil(deadline Time, stopAfter int) []uint64 {
 	var fired []uint64
 	stopped := false
-	for !stopped && len(m.pending) > 0 && m.nextExcept(^uint64(0)) <= deadline {
+	for !stopped && len(m.pending) > 0 && m.next() <= deadline {
 		fired = append(fired, m.fire())
 		stopped = len(fired) == stopAfter
 	}
@@ -112,16 +109,15 @@ func (m *model) state() SchedulerState {
 
 // Operations of the harness; each takes two argument bytes.
 const (
-	opAt         = iota // arm at now + a%20 (dense: many ties), tag from b
-	opCancel            // cancel issued id number a<<8|b, live or stale
-	opStep              // fire one event
-	opRunUntil          // RunUntil(now + a%20), Stop from the (b%4)-th callback
-	opSnapshot          // Snapshot must equal the model's state
-	opRestore           // Snapshot → Restore into a fresh scheduler, carry on there
-	opNext              // NextEventTime
-	opNextExcept        // NextEventTimeExcept(issued id number a<<8|b)
-	opScan              // ScanPending
-	opPending           // Pending
+	opAt       = iota // arm at now + a%20 (dense: many ties), tag from b
+	opCancel          // cancel issued id number a<<8|b, live or stale
+	opStep            // fire one event
+	opRunUntil        // RunUntil(now + a%20), Stop from the (b%4)-th callback
+	opSnapshot        // Snapshot must equal the model's state
+	opRestore         // Snapshot → Restore into a fresh scheduler, carry on there
+	opNext            // NextEventTime
+	opScan            // ScanPending
+	opPending         // Pending
 	numOps
 )
 
@@ -241,13 +237,8 @@ func (h *harness) do(op, a, b byte) {
 			h.issued = append(h.issued, id.ev.seq)
 		})
 	case opNext:
-		if got, want := s.NextEventTime(), m.nextExcept(^uint64(0)); got != want {
+		if got, want := s.NextEventTime(), m.next(); got != want {
 			h.t.Fatalf("NextEventTime = %v, model says %v", got, want)
-		}
-	case opNextExcept:
-		seq := h.pick(a, b)
-		if got, want := s.NextEventTimeExcept(h.ids[seq]), m.nextExcept(seq); got != want {
-			h.t.Fatalf("NextEventTimeExcept(seq %d) = %v, model says %v", seq, got, want)
 		}
 	case opScan:
 		got := []EventState{}
@@ -345,7 +336,7 @@ func (h *harness) check() {
 func TestSchedulerMatchesModel(t *testing.T) {
 	// Cumulative weights out of 100, indexed by operation.
 	weights := [numOps]int{opAt: 38, opCancel: 55, opStep: 75, opRunUntil: 80, opSnapshot: 83,
-		opRestore: 85, opNext: 89, opNextExcept: 94, opScan: 97, opPending: 100}
+		opRestore: 85, opNext: 94, opScan: 97, opPending: 100}
 	for trial := int64(0); trial < 30; trial++ {
 		rng := rand.New(rand.NewSource(trial + 1))
 		h := newHarness(t)
@@ -395,7 +386,7 @@ var openSlotScripts = []struct {
 	{"cancel-cancel", openSlotScript(opCancel, 0, 2, opCancel, 0, 6), true},
 	{"cancel-snapshot", openSlotScript(opCancel, 0, 2, opSnapshot, 0, 0), true},
 	{"cancel-restore", openSlotScript(opCancel, 0, 2, opRestore, 0, 0), true},
-	{"step-nexteventexcept", openSlotScript(opStep, 0, 0, opNextExcept, 0, 1), true},
+	{"step-nextevent", openSlotScript(opStep, 0, 0, opNext, 0, 0), true},
 	{"step-step", openSlotScript(opStep, 0, 0, opStep, 0, 0), true},
 	{"rununtil-stop-scan", openSlotScript(opRunUntil, 6, 1, opScan, 0, 0), true},
 	{"rununtil-stop-pending", openSlotScript(opRunUntil, 6, 1, opPending, 0, 0), true},

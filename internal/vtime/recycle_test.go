@@ -136,30 +136,6 @@ func TestTimerResetFromOwnCallback(t *testing.T) {
 	}
 }
 
-// NextEventTimeExcept must exclude nothing for a stale id, even when the
-// id's record has been recycled and now sits at the heap root.
-func TestNextEventTimeExceptStaleRoot(t *testing.T) {
-	s := NewScheduler()
-	stale := s.At(1, func() {})
-	s.At(50, func() {})
-	s.Step()
-	root := s.At(5, func() {}) // recycled record, new root
-	if root.ev != stale.ev || s.events[0] != stale.ev {
-		t.Fatal("test premise: the stale id's record should be the new root")
-	}
-	if got := s.NextEventTimeExcept(stale); got != 5 {
-		t.Fatalf("NextEventTimeExcept(stale id) = %v, want the root's 5", got)
-	}
-	if got := s.NextEventTimeExcept(root); got != 50 {
-		t.Fatalf("NextEventTimeExcept(root) = %v, want 50", got)
-	}
-	s.ScanPending(func(_ Time, _ int32, id EventID) {
-		if id == stale {
-			t.Fatal("ScanPending reported an id equal to a stale one")
-		}
-	})
-}
-
 // Steady state — every fired event schedules its successor — allocates
 // nothing: records come off the free list and the callbacks are reused.
 func TestSchedulerSteadyStateAllocs(t *testing.T) {

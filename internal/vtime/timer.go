@@ -120,6 +120,3 @@ func (tk *Ticker) Stop() {
 	tk.running = false
 	tk.s.Cancel(tk.id)
 }
-
-// Running reports whether the ticker is active.
-func (tk *Ticker) Running() bool { return tk.running }

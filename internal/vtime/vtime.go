@@ -151,29 +151,6 @@ func (s *Scheduler) NextEventTime() Time {
 	return s.events[0].at
 }
 
-// NextEventTimeExcept returns the time of the earliest scheduled event other
-// than the one identified by id, or Forever when no other event is pending.
-// O(1): if the excluded event is the heap root, the answer is the smaller of
-// its children. Parallel runtimes use it to see past a shard's own core
-// activation when computing how far ahead the shard could emit.
-func (s *Scheduler) NextEventTimeExcept(id EventID) Time {
-	s.settle()
-	if len(s.events) == 0 {
-		return Forever
-	}
-	if s.events[0] != id.ev || !id.live() {
-		return s.events[0].at
-	}
-	next := Forever
-	if len(s.events) > 1 {
-		next = s.events[1].at
-	}
-	if len(s.events) > 2 && s.events[2].at < next {
-		next = s.events[2].at
-	}
-	return next
-}
-
 // At schedules fn to run at absolute time at. Scheduling in the past is a
 // programming error and panics: virtual time never runs backwards.
 func (s *Scheduler) At(at Time, fn func()) EventID {

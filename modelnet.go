@@ -289,8 +289,10 @@ type Emulation struct {
 	Emu        *emucore.Emulator
 	Par        *parcore.Runtime
 
-	hosts  map[VN]*Host
-	tracer *obs.Tracer // sequential-mode trace recorder (Options.Trace)
+	hosts map[VN]*Host
+	// emus are the run's emulators: [Emu], or the shards in parallel mode.
+	// Every cluster-wide counter is one loop over them.
+	emus []*emucore.Emulator
 }
 
 // Run executes the Create→Distill→Assign→Bind phases over the target
@@ -348,6 +350,9 @@ func Run(target *Graph, opts Options) (*Emulation, error) {
 			return nil, fmt.Errorf("modelnet: run: %w", err)
 		}
 		em.Par = par
+		for i := 0; i < par.Cores(); i++ {
+			em.emus = append(em.emus, par.ShardEmu(i))
+		}
 		return em, nil
 	}
 	sched := vtime.NewScheduler()
@@ -356,14 +361,14 @@ func Run(target *Graph, opts Options) (*Emulation, error) {
 		return nil, fmt.Errorf("modelnet: run: %w", err)
 	}
 	if opts.Trace {
-		em.tracer = obs.NewTracer(-1)
-		emu.Trace = em.tracer
+		emu.Trace = obs.NewTracer(-1)
 	}
 	if _, err := dynamics.Attach(sched, emu, opts.Dynamics); err != nil {
 		return nil, fmt.Errorf("modelnet: dynamics: %w", err)
 	}
 	em.Sched = sched
 	em.Emu = emu
+	em.emus = []*emucore.Emulator{emu}
 	return em, nil
 }
 
@@ -427,10 +432,11 @@ func (e *Emulation) NewHostVia(vn VN, inj netstack.Injector) *Host {
 // Totals aggregates the conservation counters, transparently across
 // sequential and parallel modes.
 func (e *Emulation) Totals() emucore.Totals {
-	if e.Par != nil {
-		return e.Par.Totals()
+	var t emucore.Totals
+	for _, emu := range e.emus {
+		t.Add(emu.Totals())
 	}
-	return e.Emu.Totals()
+	return t
 }
 
 // PipeDrops returns the per-pipe drop count vector, indexed by pipe ID
@@ -438,17 +444,10 @@ func (e *Emulation) Totals() emucore.Totals {
 // across execution modes and against FederationReport.PipeDrops.
 func (e *Emulation) PipeDrops() []uint64 {
 	drops := make([]uint64, e.Distilled.Graph.NumLinks())
-	sum := func(emu *emucore.Emulator) {
-		for i := range drops {
-			drops[i] += emu.Pipe(pipes.ID(i)).TotalDrops()
+	for _, emu := range e.emus {
+		for i, n := range emu.PipeDrops() {
+			drops[i] += n
 		}
-	}
-	if e.Par != nil {
-		for i := 0; i < e.Par.Cores(); i++ {
-			sum(e.Par.ShardEmu(i))
-		}
-	} else {
-		sum(e.Emu)
 	}
 	return drops
 }
@@ -458,12 +457,9 @@ func (e *Emulation) PipeDrops() []uint64 {
 // comparable across execution modes and against
 // FederationReport.DropsByReason.
 func (e *Emulation) DropsByReason() []uint64 {
-	if e.Par == nil {
-		return e.Emu.DropsByReason()
-	}
 	drops := make([]uint64, pipes.NumDropReasons)
-	for i := 0; i < e.Par.Cores(); i++ {
-		for r, n := range e.Par.ShardEmu(i).DropsByReason() {
+	for _, emu := range e.emus {
+		for r, n := range emu.DropsByReason() {
 			drops[r] += n
 		}
 	}
@@ -473,13 +469,16 @@ func (e *Emulation) DropsByReason() []uint64 {
 // TraceData returns the recorded packet trace (Options.Trace), merged
 // across shards in parallel mode; nil when tracing was off.
 func (e *Emulation) TraceData() *obs.Trace {
-	if e.Par != nil {
-		return e.Par.Trace()
+	var tracers []*obs.Tracer
+	for _, emu := range e.emus {
+		if emu.Trace != nil {
+			tracers = append(tracers, emu.Trace)
+		}
 	}
-	if e.tracer == nil {
+	if len(tracers) == 0 {
 		return nil
 	}
-	return obs.Merge(e.tracer)
+	return obs.Merge(tracers...)
 }
 
 // RunProfile returns the run's wall-clock breakdown. In sequential mode
@@ -505,10 +504,11 @@ func (e *Emulation) RunProfile() obs.RunProfile {
 // AccuracyStats returns the delay-accuracy tracker (merged across cores in
 // parallel mode).
 func (e *Emulation) AccuracyStats() emucore.Accuracy {
-	if e.Par != nil {
-		return e.Par.Accuracy()
+	var a emucore.Accuracy
+	for _, emu := range e.emus {
+		a.Merge(emu.Accuracy)
 	}
-	return e.Emu.Accuracy
+	return a
 }
 
 // OnDeliver installs a hook observing every completed delivery with its

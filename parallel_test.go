@@ -17,6 +17,7 @@ import (
 	"modelnet/internal/bind"
 	"modelnet/internal/dynamics"
 	"modelnet/internal/emucore"
+	"modelnet/internal/experiments"
 	"modelnet/internal/netstack"
 	"modelnet/internal/pipes"
 	"modelnet/internal/topology"
@@ -252,5 +253,47 @@ func TestRerouteKeepsTheRouteCache(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestEachShardHoldsOnlyItsPipes: an in-process shard materializes the pipes
+// its POD assigns it and no other. On ring-cbr's 20×20 ring the two shards'
+// pipe sets partition the world, and the run delivers what the sequential
+// one does.
+func TestEachShardHoldsOnlyItsPipes(t *testing.T) {
+	spec := experiments.RingCBRSpec{Routers: 20, VNsPerRouter: 20, PacketsPerSec: 200, PacketBytes: 1000, DurationSec: 0.05, Seed: 11}
+	ideal := modelnet.IdealProfile()
+	totals := map[bool]emucore.Totals{}
+	for _, parallel := range []bool{false, true} {
+		em, err := modelnet.Run(spec.Topology(), modelnet.Options{Cores: 2, Parallel: parallel, Profile: &ideal, Seed: 11})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := spec.Install(em.NumVNs(), func(pipes.VN) bool { return true }, em.NewHost, em.SchedulerOf); err != nil {
+			t.Fatal(err)
+		}
+		em.RunFor(spec.RunFor())
+		totals[parallel] = em.Totals()
+		if !parallel {
+			continue
+		}
+		g, pod := em.Distilled.Graph, em.Assignment.POD()
+		owned := make([]int, em.Par.Cores())
+		for l := range g.Links {
+			owned[pod.Owner(pipes.ID(l))]++
+		}
+		sum := 0
+		for i, n := range owned {
+			if got := em.Par.ShardEmu(i).MaterializedPipes(); got != n {
+				t.Errorf("shard %d materializes %d pipes, its POD assigns it %d", i, got, n)
+			}
+			sum += em.Par.ShardEmu(i).MaterializedPipes()
+		}
+		if sum != g.NumLinks() {
+			t.Errorf("the shards materialize %d pipes between them, the world has %d", sum, g.NumLinks())
+		}
+	}
+	if seq, par := totals[false], totals[true]; par != seq || par.Delivered == 0 {
+		t.Fatalf("totals: parallel %+v, sequential %+v", par, seq)
 	}
 }
