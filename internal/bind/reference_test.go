@@ -87,16 +87,14 @@ func refRoute(g *topology.Graph, down map[topology.LinkID]bool, d []refDist, src
 // get right: per-direction latencies from a tiny set that includes zero (so
 // equal-cost paths, and paths that differ only in hop count, are common),
 // one-way links, a dead-end router, sometimes a client nobody can reach and
-// sometimes one that can reach nobody — and
-// adjacency lists that are NOT in link-ID order (the skeleton is built from a
-// shuffled link list), so the smallest-link-ID tie-break is not something
-// iteration order provides for free. Most clients are leaves — one duplex
-// access pipe, so the engine serves them from their router's field — and the
-// rest sit on that rule's boundary: a multi-homed client, a zero-latency
-// two-armed "client" other routes transit, a client attached to a client (its
-// key is itself a VN home), a client whose access is one-way in and leaves by
-// another router, sometimes a leaf behind a router nothing can reach, and
-// sometimes two VNs on one home.
+// sometimes one that can reach nobody. Adjacency is in link-ID order, the one
+// order a graph has (NewSkeleton refuses any other). Most clients are leaves —
+// one duplex access pipe, so the engine serves them from their router's
+// field — and the rest sit on that rule's boundary: a multi-homed client, a
+// zero-latency two-armed "client" other routes transit, a client attached to
+// a client (its key is itself a VN home), a client whose access is one-way in
+// and leaves by another router, sometimes a leaf behind a router nothing can
+// reach, and sometimes two VNs on one home.
 func refWorld(rng *rand.Rand) (*topology.Graph, []topology.NodeID) {
 	lats := []float64{0, 0.001, 0.001, 0.002, 0.005}
 	var links []topology.Link
@@ -179,9 +177,7 @@ func refWorld(rng *rand.Rand) (*topology.Graph, []topology.NodeID) {
 		homes = append(homes, homes[rng.Intn(len(homes))])
 	}
 	n++ // an isolated node
-	shuffled := append([]topology.Link(nil), links...)
-	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	g, err := topology.NewSkeleton(n, len(links), shuffled)
+	g, err := topology.NewSkeleton(n, len(links), links)
 	if err != nil {
 		panic(err)
 	}

@@ -38,6 +38,8 @@ type Emulator struct {
 	binding *bind.Binding
 	pod     *bind.POD
 
+	// pipes is indexed by pipe ID; a live slot points into one slab of the
+	// materialized pipes, a foreign one (shard mode) is nil.
 	pipes []*pipes.Pipe
 	cores []*core
 
@@ -143,17 +145,27 @@ func newEmulator(sched *vtime.Scheduler, g *topology.Graph, b *bind.Binding, pod
 		shard:   shard,
 	}
 	e.setEpocher()
+	// A foreign owner (or -1, a pipe outside a federated shard's view)
+	// leaves the slot empty.
+	owned := func(i int) bool { return shard < 0 || pod.Owner(pipes.ID(i))%nCores == shard }
+	for i := range g.Links {
+		if owned(i) {
+			e.materialized++
+		}
+	}
+	// The owned pipes live in one slab, in ID order; the slots point into it.
+	slab := make([]pipes.Pipe, e.materialized)
 	e.pipes = make([]*pipes.Pipe, g.NumLinks())
 	for i, l := range g.Links {
-		// A foreign owner (or -1, a pipe outside a federated shard's view)
-		// leaves the slot empty.
-		if shard >= 0 && pod.Owner(pipes.ID(i))%nCores != shard {
+		if !owned(i) {
 			continue
 		}
 		// Pipe state is a pure function of (id, seed), so a pipe behaves
 		// bit-identically whichever emulator materializes it.
-		e.pipes[i] = pipes.New(pipes.ID(i), pipeParams(l.Attr), seed)
-		e.materialized++
+		p := &slab[0]
+		slab = slab[1:]
+		p.Init(pipes.ID(i), pipeParams(l.Attr), seed)
+		e.pipes[i] = p
 	}
 	e.cores = make([]*core, nCores)
 	for i := range e.cores {

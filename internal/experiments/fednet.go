@@ -98,6 +98,7 @@ func (c RingCBRSpec) Install(n int, homed func(pipes.VN) bool,
 		jitters[v] = vtime.Duration(rng.Int63n(int64(period / 8)))
 	}
 	sendEnd := vtime.Time(0).Add(vtime.DurationOf(c.DurationSec))
+	flows := make([]cbrFlow, n)
 	for v := 0; v < n; v++ {
 		vn := pipes.VN(v)
 		if !homed(vn) {
@@ -111,23 +112,41 @@ func (c RingCBRSpec) Install(n int, homed func(pipes.VN) bool,
 		if err != nil {
 			return err
 		}
-		dst := modelnet.Endpoint{VN: modelnet.VN((v + n/2) % n), Port: 9}
-		jitter := jitters[v]
-		size := c.PacketBytes
-		sc := sched(vn)
-		// Injection stops before the deadline so the run drains: every
-		// offered packet is delivered or dropped by the end. Each pacing
-		// event sends only from its own VN, so it carries that owner claim.
-		var send func()
-		send = func() {
-			s.SendTo(dst, size, nil)
-			if next := sc.Now().Add(period + jitter); next < sendEnd {
-				sc.AtTagged(next, int32(vn), send)
-			}
-		}
-		sc.AtTagged(sc.Now().Add(starts[v]), int32(vn), send)
+		flows[v] = cbrFlow{sock: s, dst: modelnet.Endpoint{VN: modelnet.VN((v + n/2) % n), Port: 9},
+			size: c.PacketBytes, sched: sched(vn), vn: int32(vn), every: period + jitters[v], end: sendEnd}
+		flows[v].start(starts[v])
 	}
 	return nil
+}
+
+// cbrFlow is one constant-bit-rate UDP flow: a size-byte datagram to dst
+// once per every of virtual time, until end. Injection stops before the
+// run's deadline so the run drains: every offered packet is delivered or
+// dropped by the end. Each pacing event sends only from the flow's own VN,
+// so it carries that owner claim. An Install keeps its flows in one slice,
+// so a flow costs the one allocation of its prebound send.
+type cbrFlow struct {
+	sock  *netstack.UDPSocket
+	dst   modelnet.Endpoint
+	size  int
+	sched *vtime.Scheduler
+	vn    int32
+	every vtime.Duration
+	end   vtime.Time
+	send  func() // f.tick, bound once
+}
+
+// start arms the flow's first packet after phase.
+func (f *cbrFlow) start(phase vtime.Duration) {
+	f.send = f.tick
+	f.sched.AtTagged(f.sched.Now().Add(phase), f.vn, f.send)
+}
+
+func (f *cbrFlow) tick() {
+	f.sock.SendTo(f.dst, f.size, nil)
+	if next := f.sched.Now().Add(f.every); next < f.end {
+		f.sched.AtTagged(next, f.vn, f.send)
+	}
 }
 
 // ---------------------------------------------------------------------------

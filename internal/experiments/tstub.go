@@ -125,6 +125,7 @@ func (c TStubCBRSpec) Install(n int, homed func(pipes.VN) bool,
 		jitters[k] = vtime.Duration(rng.Int63n(int64(period / 8)))
 	}
 	sendEnd := vtime.Time(0).Add(vtime.DurationOf(c.DurationSec))
+	flows := make([]cbrFlow, len(senders))
 	for k, v := range senders {
 		vn := pipes.VN(v)
 		if !homed(vn) {
@@ -134,18 +135,9 @@ func (c TStubCBRSpec) Install(n int, homed func(pipes.VN) bool,
 		if err != nil {
 			return err
 		}
-		dst := modelnet.Endpoint{VN: modelnet.VN(servers[k%len(servers)]), Port: 9}
-		jitter := jitters[k]
-		size := c.PacketBytes
-		sc := sched(vn)
-		var send func()
-		send = func() {
-			s.SendTo(dst, size, nil)
-			if next := sc.Now().Add(period + jitter); next < sendEnd {
-				sc.AtTagged(next, int32(vn), send)
-			}
-		}
-		sc.AtTagged(sc.Now().Add(starts[k]), int32(vn), send)
+		flows[k] = cbrFlow{sock: s, dst: modelnet.Endpoint{VN: modelnet.VN(servers[k%len(servers)]), Port: 9},
+			size: c.PacketBytes, sched: sched(vn), vn: int32(vn), every: period + jitters[k], end: sendEnd}
+		flows[k].start(starts[k])
 	}
 	return nil
 }

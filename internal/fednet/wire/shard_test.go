@@ -7,6 +7,7 @@ package wire
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -173,11 +174,35 @@ func FuzzSetupChunk(f *testing.F) {
 	})
 }
 
+// unorderedView is viewSeed with its two links swapped: links out of
+// ascending ID order.
+func unorderedView() *bind.ShardView {
+	v := viewSeed()
+	v.Links[0], v.Links[1] = v.Links[1], v.Links[0]
+	v.LinkOwner[0], v.LinkOwner[1] = v.LinkOwner[1], v.LinkOwner[0]
+	return v
+}
+
+// TestUnorderedViewRefused: a view whose links are out of ID order is refused
+// by the decoder, and by NewSkeleton when it is built in process, rather than
+// reordered.
+func TestUnorderedViewRefused(t *testing.T) {
+	v := unorderedView()
+	if _, err := DecodeShardView(EncodeShardView(v)); err == nil || !strings.Contains(err.Error(), "ascending ID order") {
+		t.Errorf("decoding an unordered view: err = %v, want the link order refused", err)
+	}
+	if _, err := v.Skeleton(); !errors.Is(err, topology.ErrLinkOrder) {
+		t.Errorf("skeleton of an unordered view: err = %v, want topology.ErrLinkOrder", err)
+	}
+}
+
 // FuzzShardSetup feeds arbitrary bytes to the view, world, and route-RPC
-// decoders: no panics, and successful decodes are canonical.
+// decoders: no panics, successful decodes are canonical, and every view the
+// decoder accepts builds its skeleton.
 func FuzzShardSetup(f *testing.F) {
 	f.Add(EncodeShardView(viewSeed()))
 	f.Add(shortView())
+	f.Add(EncodeShardView(unorderedView()))
 	f.Add(EncodeWorld(World{VNHome: []int32{0, 3}, Homes: []int32{0, 1}}))
 	f.Add(RouteReq{Epoch: 2, Target: 7}.Encode())
 	f.Add(RouteResp{Epoch: 2, Target: 7, Dists: []bind.Dist{{Lat: 5, Hops: 1}, bind.Unreachable}}.Encode())
@@ -187,6 +212,13 @@ func FuzzShardSetup(f *testing.F) {
 		if v, err := DecodeShardView(b); err == nil {
 			if !bytes.Equal(EncodeShardView(v), b) {
 				t.Fatalf("ShardView decode/encode not canonical for %x", b)
+			}
+			// A skeleton is O(NumNodes + NumLinks), which the bytes may set to
+			// billions.
+			if v.NumNodes <= 1<<12 && v.NumLinks <= 1<<12 {
+				if _, err := v.Skeleton(); err != nil {
+					t.Fatalf("decoded view refused by NewSkeleton: %v", err)
+				}
 			}
 		}
 		if w, err := DecodeWorld(b); err == nil {

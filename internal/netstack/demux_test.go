@@ -232,7 +232,7 @@ func refEphemeralPort(h *Host) uint16 {
 		if _, tcp := h.listeners[p]; tcp {
 			continue
 		}
-		if _, udp := h.udpSocks[p]; udp {
+		if s, _ := h.udpSocket(p); s != nil {
 			continue
 		}
 		inUse := false

@@ -61,10 +61,15 @@ type Host struct {
 
 	pool *loopPool // the event loop's payload free lists, shared by its hosts
 
-	udpSocks  map[uint16]*UDPSocket
+	// A host that only sends and receives UDP pays for neither map: listeners
+	// is made by the first Listen, conns and portConns by the first addConn
+	// (reads of a nil map find nothing). udpSocks holds the bound sockets in
+	// ascending port order (see udpSocket): hosts bind a few ports, which one
+	// slice holds in one allocation where a map takes two.
+	udpSocks  []*UDPSocket
 	listeners map[uint16]*Listener
 	conns     map[connKey]*Conn
-	portConns map[uint16]int // connections per local port; made by the first addConn
+	portConns map[uint16]int // connections per local port
 	nextPort  uint16
 
 	// The connection the previous segment went to: a bulk flow's segments
@@ -92,7 +97,8 @@ func makeConnKey(localPort uint16, remote Endpoint) connKey {
 // its host, so conns and portConns cannot disagree, and the demux memo —
 // which onSegment fills from conns — never outlives the entry it copied.
 func (h *Host) addConn(c *Conn) {
-	if h.portConns == nil {
+	if h.conns == nil {
+		h.conns = make(map[connKey]*Conn)
 		h.portConns = make(map[uint16]int)
 	}
 	h.conns[makeConnKey(c.Local.Port, c.Remote)] = c
@@ -178,14 +184,11 @@ type Registrar interface {
 // inj is the packet injection path (usually the same emulator).
 func NewHost(vn pipes.VN, sched *vtime.Scheduler, inj Injector, reg Registrar) *Host {
 	h := &Host{
-		vn:        vn,
-		inj:       inj,
-		sched:     sched,
-		pool:      loopPoolOf(sched),
-		udpSocks:  make(map[uint16]*UDPSocket),
-		listeners: make(map[uint16]*Listener),
-		conns:     make(map[connKey]*Conn),
-		nextPort:  32768,
+		vn:       vn,
+		inj:      inj,
+		sched:    sched,
+		pool:     loopPoolOf(sched),
+		nextPort: 32768,
 	}
 	reg.RegisterVN(vn, h.onPacket)
 	return h
@@ -211,7 +214,7 @@ func (h *Host) ephemeralPort() uint16 {
 		if _, tcp := h.listeners[p]; tcp {
 			continue
 		}
-		if _, udp := h.udpSocks[p]; udp {
+		if s, _ := h.udpSocket(p); s != nil {
 			continue
 		}
 		if h.portConns[p] == 0 {

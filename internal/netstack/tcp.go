@@ -221,6 +221,9 @@ func (h *Host) Listen(port uint16, accept func(*Conn) Handlers) (*Listener, erro
 		return nil, fmt.Errorf("netstack: vn%d port %d already listening", h.vn, port)
 	}
 	l := &Listener{h: h, port: port, accept: accept}
+	if h.listeners == nil {
+		h.listeners = make(map[uint16]*Listener)
+	}
 	h.listeners[port] = l
 	return l, nil
 }

@@ -1,7 +1,9 @@
 package netstack
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"modelnet/internal/pipes"
 )
@@ -50,12 +52,26 @@ func (h *Host) OpenUDP(port uint16, handler UDPHandler) (*UDPSocket, error) {
 	if port == 0 {
 		port = h.ephemeralPort()
 	}
-	if _, dup := h.udpSocks[port]; dup {
+	dup, i := h.udpSocket(port)
+	if dup != nil {
 		return nil, fmt.Errorf("netstack: vn%d udp port %d in use", h.vn, port)
 	}
 	s := &UDPSocket{h: h, port: port, handler: handler}
-	h.udpSocks[port] = s
+	if h.udpSocks == nil {
+		h.udpSocks = make([]*UDPSocket, 0, 4)
+	}
+	h.udpSocks = slices.Insert(h.udpSocks, i, s)
 	return s, nil
+}
+
+// udpSocket returns the socket bound to port, or nil, with the index it
+// holds or would hold in the port-ordered udpSocks.
+func (h *Host) udpSocket(port uint16) (*UDPSocket, int) {
+	i, ok := slices.BinarySearchFunc(h.udpSocks, port, func(s *UDPSocket, p uint16) int { return cmp.Compare(s.port, p) })
+	if !ok {
+		return nil, i
+	}
+	return h.udpSocks[i], i
 }
 
 // Port returns the bound port.
@@ -91,13 +107,17 @@ func (s *UDPSocket) sendTo(to Endpoint, size int, data []byte, obj any) bool {
 }
 
 // Close unbinds the socket.
-func (s *UDPSocket) Close() { delete(s.h.udpSocks, s.port) }
+func (s *UDPSocket) Close() {
+	if cur, i := s.h.udpSocket(s.port); cur != nil {
+		s.h.udpSocks = slices.Delete(s.h.udpSocks, i, i+1)
+	}
+}
 
 // onDatagram dispatches an arriving datagram. Datagrams to unbound ports
 // vanish (no ICMP modeled).
 func (h *Host) onDatagram(src pipes.VN, dg *Datagram) {
-	s, ok := h.udpSocks[dg.DstPort]
-	if !ok {
+	s, _ := h.udpSocket(dg.DstPort)
+	if s == nil {
 		return
 	}
 	s.Rcvd++

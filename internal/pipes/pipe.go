@@ -78,13 +78,21 @@ type Pipe struct {
 	Delivered uint64
 }
 
-// New returns a pipe with the given identity and parameters. seed
+// Init makes p a new, empty pipe with the given identity and parameters,
+// whatever it held before; it is the one way a pipe is initialised, so a
+// slab of pipes (emucore keeps its pipes in one []Pipe) and New agree. seed
 // determinizes the pipe's random loss and RED decisions. The generator
 // itself is built on first draw: its state dwarfs the rest of the pipe, and
 // at 10⁵-link scale most pipes never make a random decision.
-func New(id ID, params Params, seed int64) *Pipe {
-	p := &Pipe{id: id, params: params, seed: seed}
+func (p *Pipe) Init(id ID, params Params, seed int64) {
+	*p = Pipe{id: id, params: params, seed: seed}
 	p.red.init()
+}
+
+// New allocates one pipe and Inits it.
+func New(id ID, params Params, seed int64) *Pipe {
+	p := new(Pipe)
+	p.Init(id, params, seed)
 	return p
 }
 

@@ -1,9 +1,9 @@
 package topology
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
+	"strconv"
 )
 
 // Mbps converts megabits/second to bits/second for LinkAttrs.BandwidthBps.
@@ -16,17 +16,17 @@ func Ms(m float64) float64 { return m * 1e-3 }
 // stub routers in a ring connected by transit links, each router serving
 // vnsPerRouter client nodes over individual access links.
 func Ring(nRouters, vnsPerRouter int, ringAttr, accessAttr LinkAttrs) *Graph {
-	g := New()
+	g := sized(nRouters*(1+vnsPerRouter), 2*nRouters*(1+vnsPerRouter))
 	routers := make([]NodeID, nRouters)
 	for i := range routers {
-		routers[i] = g.AddNode(Stub, fmt.Sprintf("ring%d", i))
+		routers[i] = g.AddNode(Stub, "ring"+strconv.Itoa(i))
 	}
 	for i := range routers {
 		g.AddDuplex(routers[i], routers[(i+1)%nRouters], ringAttr)
 	}
 	for i, r := range routers {
 		for j := 0; j < vnsPerRouter; j++ {
-			c := g.AddNode(Client, fmt.Sprintf("vn%d-%d", i, j))
+			c := g.AddNode(Client, "vn"+strconv.Itoa(i)+"-"+strconv.Itoa(j))
 			g.AddDuplex(c, r, accessAttr)
 		}
 	}
@@ -36,10 +36,10 @@ func Ring(nRouters, vnsPerRouter int, ringAttr, accessAttr LinkAttrs) *Graph {
 // Star builds the §3.3 scaling topology: nClients client nodes all attached
 // to a single hub, so every path is exactly two hops.
 func Star(nClients int, attr LinkAttrs) *Graph {
-	g := New()
+	g := sized(1+nClients, 2*nClients)
 	hub := g.AddNode(Transit, "hub")
 	for i := 0; i < nClients; i++ {
-		c := g.AddNode(Client, fmt.Sprintf("vn%d", i))
+		c := g.AddNode(Client, "vn"+strconv.Itoa(i))
 		g.AddDuplex(c, hub, attr)
 	}
 	return g
@@ -52,13 +52,13 @@ func Line(hops int, attr LinkAttrs) *Graph {
 	if hops < 1 {
 		hops = 1
 	}
-	g := New()
+	g := sized(hops+2, 2*(hops+1))
 	prev := g.AddNode(Client, "src")
 	first := g.AddNode(Stub, "r0")
 	g.AddDuplex(prev, first, attr)
 	cur := first
 	for i := 1; i < hops; i++ {
-		next := g.AddNode(Stub, fmt.Sprintf("r%d", i))
+		next := g.AddNode(Stub, "r"+strconv.Itoa(i))
 		g.AddDuplex(cur, next, attr)
 		cur = next
 	}
@@ -72,16 +72,16 @@ func Line(hops int, attr LinkAttrs) *Graph {
 // connects each sender with a receiver over a configurable number of
 // 10 Mb/s pipes").
 func Pairs(n, hops int, attr LinkAttrs) *Graph {
-	g := New()
+	g := sized(n*max(hops+1, 2), 2*n*max(hops, 1))
 	for i := 0; i < n; i++ {
-		src := g.AddNode(Client, fmt.Sprintf("send%d", i))
+		src := g.AddNode(Client, "send"+strconv.Itoa(i))
 		prev := src
 		for h := 0; h < hops-1; h++ {
-			r := g.AddNode(Stub, fmt.Sprintf("p%d-r%d", i, h))
+			r := g.AddNode(Stub, "p"+strconv.Itoa(i)+"-r"+strconv.Itoa(h))
 			g.AddDuplex(prev, r, attr)
 			prev = r
 		}
-		dst := g.AddNode(Client, fmt.Sprintf("recv%d", i))
+		dst := g.AddNode(Client, "recv"+strconv.Itoa(i))
 		g.AddDuplex(prev, dst, attr)
 	}
 	return g
@@ -91,10 +91,10 @@ func Pairs(n, hops int, attr LinkAttrs) *Graph {
 // pair — the shape of an end-to-end distilled topology, and of the RON
 // testbed used in §5.1. attrFn supplies per-pair attributes.
 func FullMesh(n int, attrFn func(i, j int) LinkAttrs) *Graph {
-	g := New()
+	g := sized(n, n*(n-1))
 	ids := make([]NodeID, n)
 	for i := range ids {
-		ids[i] = g.AddNode(Client, fmt.Sprintf("site%d", i))
+		ids[i] = g.AddNode(Client, "site"+strconv.Itoa(i))
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
@@ -117,10 +117,10 @@ type RandomConfig struct {
 // random edges until the target average degree is met.
 func Random(cfg RandomConfig) *Graph {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	g := New()
 	n := cfg.Nodes
+	g := sized(n, 2*max(n-1, int(cfg.Degree*float64(n)/2)))
 	for i := 0; i < n; i++ {
-		g.AddNode(Stub, fmt.Sprintf("n%d", i))
+		g.AddNode(Stub, "n"+strconv.Itoa(i))
 	}
 	// Random spanning tree guarantees connectivity.
 	perm := rng.Perm(n)
@@ -168,14 +168,18 @@ type TransitStubConfig struct {
 // to transit routers, and clients attached to stub routers round-robin.
 func TransitStub(cfg TransitStubConfig) *Graph {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	g := New()
+	// Sized for every node and every link but the random extra stub edges.
+	nTransit := cfg.TransitDomains * cfg.TransitPerDomain
+	nStubs := nTransit * cfg.StubsPerTransit
+	g := sized(nTransit+nStubs*(cfg.RoutersPerStub+cfg.ClientsPerStub),
+		2*(nTransit+2*cfg.TransitDomains+nStubs*(cfg.RoutersPerStub+cfg.ClientsPerStub)))
 
 	// Transit core: each domain is a ring + chords; domains interconnected.
 	var transit []NodeID
 	domains := make([][]NodeID, cfg.TransitDomains)
 	for d := 0; d < cfg.TransitDomains; d++ {
 		for i := 0; i < cfg.TransitPerDomain; i++ {
-			id := g.AddNode(Transit, fmt.Sprintf("t%d-%d", d, i))
+			id := g.AddNode(Transit, "t"+strconv.Itoa(d)+"-"+strconv.Itoa(i))
 			domains[d] = append(domains[d], id)
 			transit = append(transit, id)
 		}
@@ -202,7 +206,7 @@ func TransitStub(cfg TransitStubConfig) *Graph {
 		for s := 0; s < cfg.StubsPerTransit; s++ {
 			var stub []NodeID
 			for r := 0; r < cfg.RoutersPerStub; r++ {
-				stub = append(stub, g.AddNode(Stub, fmt.Sprintf("s%d-%d-%d", t, s, r)))
+				stub = append(stub, g.AddNode(Stub, "s"+strconv.Itoa(int(t))+"-"+strconv.Itoa(s)+"-"+strconv.Itoa(r)))
 			}
 			for i := 1; i < len(stub); i++ {
 				g.AddDuplex(stub[i-1], stub[i], cfg.StubStub)
@@ -216,7 +220,7 @@ func TransitStub(cfg TransitStubConfig) *Graph {
 			}
 			g.AddDuplex(t, stub[0], cfg.TransitStub)
 			for c := 0; c < cfg.ClientsPerStub; c++ {
-				cl := g.AddNode(Client, fmt.Sprintf("c%d", clientTurn))
+				cl := g.AddNode(Client, "c"+strconv.Itoa(clientTurn))
 				clientTurn++
 				g.AddDuplex(cl, stub[c%len(stub)], cfg.ClientStub)
 			}

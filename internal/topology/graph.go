@@ -6,8 +6,10 @@
 package topology
 
 import (
+	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 )
 
 // NodeKind classifies a topology node.
@@ -110,21 +112,38 @@ func (g *Graph) Class(l Link) LinkClass {
 	}
 }
 
-// Graph is a directed multigraph over dense node and link IDs.
+// Graph is a directed multigraph over dense node and link IDs. Nodes and
+// Links are the graph; the out-link adjacency is derived from Links, never
+// stored per node (see Out).
 type Graph struct {
 	Nodes []Node
 	Links []Link
-	out   [][]LinkID // adjacency: outgoing links per node
+	adj   atomic.Pointer[adjacency]
+}
+
+// adjacency is the out-link arena of a graph's first len(off)-1 nodes and
+// first links links: node n's out-links are ids[off[n]:off[n+1]], in
+// ascending link ID. An arena is never written after it is published, so a
+// Clone shares it.
+type adjacency struct {
+	off   []int32
+	ids   []LinkID
+	links int
 }
 
 // New returns an empty graph.
 func New() *Graph { return &Graph{} }
 
+// sized returns an empty graph with room for the given node and link counts,
+// for generators that know them up front.
+func sized(nodes, links int) *Graph {
+	return &Graph{Nodes: make([]Node, 0, max(nodes, 0)), Links: make([]Link, 0, max(links, 0))}
+}
+
 // AddNode appends a node of the given kind and returns its ID.
 func (g *Graph) AddNode(kind NodeKind, name string) NodeID {
 	id := NodeID(len(g.Nodes))
 	g.Nodes = append(g.Nodes, Node{ID: id, Kind: kind, Name: name})
-	g.out = append(g.out, nil)
 	return id
 }
 
@@ -135,7 +154,6 @@ func (g *Graph) AddLink(src, dst NodeID, attr LinkAttrs) LinkID {
 	}
 	id := LinkID(len(g.Links))
 	g.Links = append(g.Links, Link{ID: id, Src: src, Dst: dst, Attr: attr})
-	g.out[src] = append(g.out[src], id)
 	return id
 }
 
@@ -147,8 +165,47 @@ func (g *Graph) AddDuplex(a, b NodeID, attr LinkAttrs) (LinkID, LinkID) {
 
 func (g *Graph) valid(n NodeID) bool { return n >= 0 && int(n) < len(g.Nodes) }
 
-// Out returns the IDs of links leaving n.
-func (g *Graph) Out(n NodeID) []LinkID { return g.out[n] }
+// Out returns the IDs of links leaving n, in ascending link ID — the order
+// route tie-breaking reads. The slice is the graph's adjacency arena, built in
+// one pass over Links by the first Out after the last AddNode or AddLink and
+// published atomically: goroutines may share a graph nobody is still
+// building. Callers must not modify it.
+func (g *Graph) Out(n NodeID) []LinkID {
+	a := g.adjacency()
+	lo, hi := a.off[n], a.off[n+1]
+	return a.ids[lo:hi:hi]
+}
+
+// adjacency returns the graph's arena, building it if nodes or links were
+// added since the last one. Two goroutines racing here build identical
+// arenas; either may be the one kept.
+func (g *Graph) adjacency() *adjacency {
+	if a := g.adj.Load(); a != nil && len(a.off) == len(g.Nodes)+1 && a.links == len(g.Links) {
+		return a
+	}
+	// A counting sort by tail: off[n] first counts the links leaving nodes
+	// ≤ n, then each link, taken in descending ID order, steps its tail's
+	// offset back by one and takes that slot. Every node's list comes out
+	// ascending and off[n] ends at its first slot.
+	a := &adjacency{off: make([]int32, len(g.Nodes)+1), links: len(g.Links)}
+	for _, l := range g.Links {
+		if g.valid(l.Src) {
+			a.off[l.Src]++
+		}
+	}
+	for i := 1; i < len(a.off); i++ {
+		a.off[i] += a.off[i-1]
+	}
+	a.ids = make([]LinkID, a.off[len(g.Nodes)])
+	for i := len(g.Links) - 1; i >= 0; i-- {
+		if l := g.Links[i]; g.valid(l.Src) {
+			a.off[l.Src]--
+			a.ids[a.off[l.Src]] = l.ID
+		}
+	}
+	g.adj.Store(a)
+	return a
+}
 
 // NumNodes returns the node count.
 func (g *Graph) NumNodes() int { return len(g.Nodes) }
@@ -172,7 +229,7 @@ func (g *Graph) Clients() []NodeID {
 func (g *Graph) Neighbors(n NodeID) []NodeID {
 	seen := map[NodeID]bool{}
 	var out []NodeID
-	for _, lid := range g.out[n] {
+	for _, lid := range g.Out(n) {
 		d := g.Links[lid].Dst
 		if !seen[d] {
 			seen[d] = true
@@ -185,7 +242,7 @@ func (g *Graph) Neighbors(n NodeID) []NodeID {
 
 // FindLink returns the first link from src to dst, if any.
 func (g *Graph) FindLink(src, dst NodeID) (Link, bool) {
-	for _, lid := range g.out[src] {
+	for _, lid := range g.Out(src) {
 		if g.Links[lid].Dst == dst {
 			return g.Links[lid], true
 		}
@@ -215,7 +272,7 @@ func (g *Graph) Validate() error {
 		}
 	}
 	for _, n := range g.Nodes {
-		if n.Kind == Client && len(g.out[n.ID]) == 0 {
+		if n.Kind == Client && len(g.Out(n.ID)) == 0 {
 			return fmt.Errorf("topology: client node %d has no links", n.ID)
 		}
 	}
@@ -235,7 +292,7 @@ func (g *Graph) Connected() bool {
 	for len(stack) > 0 {
 		n := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, lid := range g.out[n] {
+		for _, lid := range g.Out(n) {
 			d := g.Links[lid].Dst
 			if !seen[d] {
 				seen[d] = true
@@ -247,32 +304,35 @@ func (g *Graph) Connected() bool {
 	return count == len(g.Nodes)
 }
 
-// Clone returns a deep copy of the graph.
+// Clone returns a deep copy of the graph: two slice copies, and the
+// adjacency arena shared, since no graph writes into one.
 func (g *Graph) Clone() *Graph {
 	ng := &Graph{
 		Nodes: append([]Node(nil), g.Nodes...),
 		Links: append([]Link(nil), g.Links...),
-		out:   make([][]LinkID, len(g.out)),
 	}
-	for i, l := range g.out {
-		ng.out[i] = append([]LinkID(nil), l...)
-	}
+	ng.adj.Store(g.adjacency())
 	return ng
 }
+
+// ErrLinkOrder is NewSkeleton's refusal of a link list that is not in
+// strictly ascending ID order: the arena lists each node's out-links in ID
+// order, so an unordered list would be silently reordered.
+var ErrLinkOrder = errors.New("topology: skeleton links not in ascending ID order")
 
 // NewSkeleton builds a sparse graph over the full ID spaces of a larger
 // world: numNodes anonymous nodes and numLinks link slots, of which only the
 // given links are real. Real links keep their global IDs (each must satisfy
-// 0 ≤ ID < numLinks); the remaining slots hold zero-valued placeholders whose
-// ID is set but whose endpoints must never be dereferenced. Adjacency is
-// built over real links only, so Out() at any node enumerates exactly the
-// view's links. This is the worker-side shape of a sharded world: global IDs
-// stay valid as array indexes while only O(shard) links carry data.
+// 0 ≤ ID < numLinks) and are listed in strictly ascending ID order, else
+// ErrLinkOrder; the remaining slots hold zero-valued placeholders whose ID
+// is set but whose endpoints are -1 and must never be dereferenced.
+// Adjacency covers real links only, so Out() at any node enumerates exactly
+// the view's links. This is the worker-side shape of a sharded world: global
+// IDs stay valid as array indexes while only O(shard) links carry data.
 func NewSkeleton(numNodes, numLinks int, links []Link) (*Graph, error) {
 	g := &Graph{
 		Nodes: make([]Node, numNodes),
 		Links: make([]Link, numLinks),
-		out:   make([][]LinkID, numNodes),
 	}
 	for i := range g.Nodes {
 		g.Nodes[i] = Node{ID: NodeID(i), Kind: Stub}
@@ -280,19 +340,19 @@ func NewSkeleton(numNodes, numLinks int, links []Link) (*Graph, error) {
 	for i := range g.Links {
 		g.Links[i] = Link{ID: LinkID(i), Src: -1, Dst: -1}
 	}
-	for _, l := range links {
+	for i, l := range links {
 		if l.ID < 0 || int(l.ID) >= numLinks {
 			return nil, fmt.Errorf("topology: skeleton link ID %d outside %d slots", l.ID, numLinks)
+		}
+		if i > 0 && l.ID <= links[i-1].ID {
+			return nil, fmt.Errorf("%w: link %d listed after %d", ErrLinkOrder, l.ID, links[i-1].ID)
 		}
 		if !g.valid(l.Src) || !g.valid(l.Dst) {
 			return nil, fmt.Errorf("topology: skeleton link %d has endpoint out of range", l.ID)
 		}
-		if g.Links[l.ID].Src >= 0 {
-			return nil, fmt.Errorf("topology: skeleton link ID %d listed twice", l.ID)
-		}
 		g.Links[l.ID] = l
-		g.out[l.Src] = append(g.out[l.Src], l.ID)
 	}
+	g.adjacency()
 	return g, nil
 }
 

@@ -76,6 +76,33 @@ func TestRingSetUpComputesNoRouteAllocs(t *testing.T) {
 	}
 }
 
+// ringSetUpAllocBound is TestRingSetUpAllocs' bound. Allocating per kind
+// leaves about 8 allocations per VN (its host and stack closure, two sockets
+// and their slice, its name, its flow's send and its first event) — 3 329 in
+// all; one more per pipe, host map or per-node adjacency list would double it.
+const ringSetUpAllocBound = 3400
+
+// TestRingSetUpAllocs: the 400-VN ring's whole set-up — topology, Run and the
+// CBR install — allocates per kind, not per pipe, link or host map.
+func TestRingSetUpAllocs(t *testing.T) {
+	spec := experiments.RingCBRSpec{Routers: 20, VNsPerRouter: 20, PacketsPerSec: 200, PacketBytes: 1000, DurationSec: 2, Seed: 11}
+	ideal := modelnet.IdealProfile()
+	var err error
+	allocs := testing.AllocsPerRun(5, func() {
+		var em *modelnet.Emulation
+		if em, err = modelnet.Run(spec.Topology(), modelnet.Options{Seed: spec.Seed, Profile: &ideal}); err == nil {
+			err = spec.Install(em.NumVNs(), func(pipes.VN) bool { return true }, em.NewHost, em.SchedulerOf)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("ring set-up: %.0f allocations", allocs)
+	if allocs > ringSetUpAllocBound {
+		t.Fatalf("ring set-up made %.0f allocations, bound %d", allocs, ringSetUpAllocBound)
+	}
+}
+
 func TestEndToEndTransferThroughFacade(t *testing.T) {
 	g := modelnet.Star(4, attrs(10, 5))
 	em, err := modelnet.Run(g, modelnet.Options{})
