@@ -16,7 +16,7 @@ import (
 
 // TestKitchenSink runs a transit-stub topology through last-mile
 // distillation onto two cores, TCP and UDP
-// workloads, mid-run cross traffic and latency perturbation — and checks
+// workloads, mid-run bandwidth reduction and latency perturbation — and checks
 // global invariants at the end.
 func TestKitchenSink(t *testing.T) {
 	cfg := topology.TransitStubConfig{
@@ -68,16 +68,23 @@ func TestKitchenSink(t *testing.T) {
 		tk.Start()
 		tickers = append(tickers, tk)
 	}
-	// Cross traffic arrives mid-run and clears later.
-	ct := traffic.NewCrossTraffic(em.Emu)
+	// Background load arrives mid-run and clears later: every pipe keeps
+	// 60 % of its bandwidth between t=5 s and t=15 s.
+	base := make([]pipes.Params, em.Emu.NumPipes())
+	for p := range base {
+		base[p] = em.Emu.Pipe(pipes.ID(p)).Params()
+	}
 	em.Sched.At(modelnet.Time(modelnet.Seconds(5)), func() {
-		loads := map[pipes.ID]float64{}
-		for p := 0; p < em.Emu.NumPipes(); p++ {
-			loads[pipes.ID(p)] = em.Emu.Pipe(pipes.ID(p)).Params().BandwidthBps * 0.4
+		for p, params := range base {
+			params.BandwidthBps *= 0.6
+			em.Emu.SetPipeParams(pipes.ID(p), params)
 		}
-		ct.Apply(loads)
 	})
-	em.Sched.At(modelnet.Time(modelnet.Seconds(15)), ct.Clear)
+	em.Sched.At(modelnet.Time(modelnet.Seconds(15)), func() {
+		for p, params := range base {
+			em.Emu.SetPipeParams(pipes.ID(p), params)
+		}
+	})
 	// Latency perturbation, ACDC-style.
 	pert := traffic.NewPerturber(em.Emu, 77)
 	em.Sched.At(modelnet.Time(modelnet.Seconds(10)), func() { pert.JitterLatency(0.25, 0.25) })

@@ -58,18 +58,12 @@ func NewPeer(h *netstack.Host, id chord.ID, ccfg chord.Config) (*Peer, error) {
 	return p, nil
 }
 
-// Addr returns the peer's block-service endpoint.
-func (p *Peer) Addr() netstack.Endpoint { return p.rpc.Addr() }
-
 // Host returns the peer's network stack (and hence its scheduler).
 func (p *Peer) Host() *netstack.Host { return p.host }
 
 // StoreLocal inserts a block into this peer's store directly (used by the
 // offline striping step once ownership is known).
 func (p *Peer) StoreLocal(id chord.ID, size int) { p.store[id] = size }
-
-// HasBlock reports whether the peer stores the block.
-func (p *Peer) HasBlock(id chord.ID) bool { _, ok := p.store[id]; return ok }
 
 func (p *Peer) serve(from netstack.Endpoint, body any, size int) (any, int) {
 	req, ok := body.(*fetchReq)

@@ -90,7 +90,7 @@ func TestStripePlacement(t *testing.T) {
 	}
 	blocks := FileBlocks("testfile", 1<<20)
 	for i, owner := range BlockOwners(ids, blocks) {
-		if !cl.peers[owner].HasBlock(blocks[i]) {
+		if _, ok := cl.peers[owner].store[blocks[i]]; !ok {
 			t.Fatalf("block %x missing at owner", blocks[i])
 		}
 	}

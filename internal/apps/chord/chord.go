@@ -172,42 +172,10 @@ func (n *Node) Successor() Ref {
 	return n.succs[0]
 }
 
-// Predecessor returns the current predecessor (zero Ref if unknown).
-func (n *Node) Predecessor() Ref { return n.pred }
-
-// Create starts a new one-node ring.
-func (n *Node) Create() {
-	n.pred = Ref{}
-	n.succs = []Ref{n.Ref()}
-}
-
-// Join joins the ring containing seed; done fires with the join outcome.
-func (n *Node) Join(seed Ref, done func(error)) {
-	n.pred = Ref{}
-	n.lookupVia(seed, n.id, 0, func(succ Ref, _ int, err error) {
-		if err != nil {
-			if done != nil {
-				done(err)
-			}
-			return
-		}
-		n.succs = []Ref{succ}
-		if done != nil {
-			done(nil)
-		}
-	})
-}
-
 // StartMaintenance begins periodic stabilization and finger repair.
 func (n *Node) StartMaintenance() {
 	n.stabilizer.Start()
 	n.fixer.Start()
-}
-
-// StopMaintenance halts the periodic tasks.
-func (n *Node) StopMaintenance() {
-	n.stabilizer.Stop()
-	n.fixer.Stop()
 }
 
 // serve answers Chord RPCs.

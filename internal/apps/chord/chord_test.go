@@ -86,7 +86,7 @@ func TestBootstrapRingConsistency(t *testing.T) {
 	// Predecessor inverse of successor.
 	for _, nd := range r.nodes {
 		succ := byAddr[nd.Successor().Addr]
-		if succ.Predecessor().ID != nd.ID() {
+		if succ.pred.ID != nd.ID() {
 			t.Fatalf("pred(succ(%v)) != self", nd.ID())
 		}
 	}
@@ -167,14 +167,39 @@ func TestLookupHopsLogarithmic(t *testing.T) {
 	}
 }
 
+// create starts a new one-node ring: the first node of a ring grown by
+// join.
+func create(n *Node) {
+	n.pred = Ref{}
+	n.succs = []Ref{n.Ref()}
+}
+
+// join joins n to the ring containing seed, as a lookup of n's own ID;
+// done fires with the outcome.
+func join(n *Node, seed Ref, done func(error)) {
+	n.pred = Ref{}
+	n.lookupVia(seed, n.id, 0, func(succ Ref, _ int, err error) {
+		if err != nil {
+			if done != nil {
+				done(err)
+			}
+			return
+		}
+		n.succs = []Ref{succ}
+		if done != nil {
+			done(nil)
+		}
+	})
+}
+
 func TestJoinAndStabilize(t *testing.T) {
 	r := newRing(t, 8)
-	r.nodes[0].Create()
+	create(r.nodes[0])
 	// Join sequentially, then let stabilization run.
 	for i := 1; i < 8; i++ {
 		i := i
 		r.sched.At(vtime.Time(i)*vtime.Time(2*vtime.Second), func() {
-			r.nodes[i].Join(r.nodes[0].Ref(), func(err error) {
+			join(r.nodes[i], r.nodes[0].Ref(), func(err error) {
 				if err != nil {
 					t.Errorf("join %d: %v", i, err)
 				}
@@ -186,7 +211,8 @@ func TestJoinAndStabilize(t *testing.T) {
 	}
 	r.sched.RunUntil(vtime.Time(120 * vtime.Second))
 	for _, nd := range r.nodes {
-		nd.StopMaintenance()
+		nd.stabilizer.Stop()
+		nd.fixer.Stop()
 	}
 	r.sched.RunUntil(vtime.Time(130 * vtime.Second))
 

@@ -117,9 +117,6 @@ func (p *Peer) Connect(nb netstack.Endpoint) {
 	p.neighbors = append(p.neighbors, nb)
 }
 
-// Neighbors returns the current neighbor set.
-func (p *Peer) Neighbors() []netstack.Endpoint { return p.neighbors }
-
 // Share registers a file keyword this peer answers queries for.
 func (p *Peer) Share(keyword string) { p.files[keyword] = true }
 

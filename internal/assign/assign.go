@@ -19,7 +19,6 @@ import (
 	"math/rand"
 
 	"modelnet/internal/bind"
-	"modelnet/internal/pipes"
 	"modelnet/internal/topology"
 	"modelnet/internal/vtime"
 )
@@ -31,7 +30,7 @@ type Assignment struct {
 	// NodeOwner is the node-level partition behind Owner (clients glued to
 	// their router's cluster): NodeOwner[n] is the core owning every link
 	// out of node n. Sharded distribution slices the world along it. Nil
-	// for assignments built without node clustering (Even).
+	// for assignments built by hand.
 	NodeOwner []int
 }
 
@@ -154,31 +153,11 @@ func KClusters(g *topology.Graph, k int, seed int64) (*Assignment, error) {
 	return a, nil
 }
 
-// Even assigns pipes to cores in contiguous equal-size blocks of link ID
-// space. It ignores topology structure; useful as a baseline to show how
-// much k-clusters reduces crossings.
-func Even(g *topology.Graph, k int) (*Assignment, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("assign: need at least one core, got %d", k)
-	}
-	a := &Assignment{Owner: make([]int, g.NumLinks()), Cores: k}
-	if g.NumLinks() == 0 {
-		return a, nil
-	}
-	per := (g.NumLinks() + k - 1) / k
-	for i := range a.Owner {
-		a.Owner[i] = i / per
-	}
-	return a, nil
-}
-
 // Metrics quantify an assignment's quality.
 type Metrics struct {
 	// LinksPerCore is the emulation load (pipe count) per core.
 	LinksPerCore []int
-	// CutLinks counts pipe pairs (u→v, next hop) that change cores along
-	// sample routes; computed by CrossingStats.
-	Imbalance float64 // max/mean link load
+	Imbalance    float64 // max/mean link load
 }
 
 // LoadMetrics summarizes per-core pipe counts.
@@ -247,35 +226,4 @@ func (a *Assignment) CutStats(g *topology.Graph, floor func(topology.LinkID, vti
 		s.MeanCutLatency = sum / vtime.Duration(s.CutPipes)
 	}
 	return s
-}
-
-// CrossingStats computes, over all VN-pair routes in the matrix, the total
-// and mean number of core crossings a packet incurs (§3.3: each crossing
-// negatively impacts scalability).
-func CrossingStats(m *bind.Matrix, pod *bind.POD, ingress func(src pipes.VN) int) (total int, mean float64) {
-	n := m.NumVNs()
-	count := 0
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			r, ok := m.Lookup(pipes.VN(i), pipes.VN(j))
-			if !ok {
-				continue
-			}
-			ing := 0
-			if ingress != nil {
-				ing = ingress(pipes.VN(i))
-			} else if len(r) > 0 {
-				ing = pod.Owner(r[0])
-			}
-			total += pod.Crossings(ing, r)
-			count++
-		}
-	}
-	if count > 0 {
-		mean = float64(total) / float64(count)
-	}
-	return total, mean
 }

@@ -1,6 +1,8 @@
 package assign
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -11,6 +13,65 @@ import (
 
 func attrs() topology.LinkAttrs {
 	return topology.LinkAttrs{BandwidthBps: 10e6, LatencySec: 0.005, QueuePkts: 10}
+}
+
+// even is the structure-blind baseline k-clusters is measured against: pipes
+// to cores in contiguous equal-size blocks of link ID space.
+func even(g *topology.Graph, k int) *Assignment {
+	a := &Assignment{Owner: make([]int, g.NumLinks()), Cores: k}
+	per := (g.NumLinks() + k - 1) / k
+	for i := range a.Owner {
+		a.Owner[i] = i / per
+	}
+	return a
+}
+
+// crossings counts the core crossings (§3.3) of every VN-pair route a route
+// Cache resolves over g, starting on the core ingress names, or on the first
+// pipe's owner when ingress is nil; mean is per route.
+func crossings(g *topology.Graph, pod *bind.POD, ingress func(src pipes.VN) int) (total int, mean float64) {
+	c := bind.NewCache(g, g.Clients(), 0)
+	n, routes := len(g.Clients()), 0
+	for i := 0; i < n; i++ {
+		for j := 0; j < n; j++ {
+			if i == j {
+				continue
+			}
+			r, ok := c.Lookup(pipes.VN(i), pipes.VN(j))
+			if !ok {
+				continue
+			}
+			ing := 0
+			if ingress != nil {
+				ing = ingress(pipes.VN(i))
+			} else if len(r) > 0 {
+				ing = pod.Owner(r[0])
+			}
+			total += pod.Crossings(ing, r)
+			routes++
+		}
+	}
+	return total, float64(total) / float64(routes)
+}
+
+// randomGraph is a connected random world of n stub routers: a random
+// spanning tree plus n/4 extra random duplex links.
+func randomGraph(n int, seed int64) *topology.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	g := topology.New()
+	for i := 0; i < n; i++ {
+		g.AddNode(topology.Stub, fmt.Sprintf("n%d", i))
+	}
+	perm := rng.Perm(n)
+	for i := 1; i < n; i++ {
+		g.AddDuplex(topology.NodeID(perm[i]), topology.NodeID(perm[rng.Intn(i)]), attrs())
+	}
+	for e := 0; e < n/4; e++ {
+		if a, b := topology.NodeID(rng.Intn(n)), topology.NodeID(rng.Intn(n)); a != b {
+			g.AddDuplex(a, b, attrs())
+		}
+	}
+	return g
 }
 
 func TestKClustersCoversAllLinks(t *testing.T) {
@@ -89,7 +150,7 @@ func TestKClustersLookaheadObjective(t *testing.T) {
 	}
 	// The structure-blind Even baseline cuts access links: its lookahead
 	// is strictly worse.
-	ev, _ := Even(g, 4)
+	ev := even(g, 4)
 	kc, _ := KClusters(g, 4, 11)
 	if ev.CutStats(g, nil).Lookahead >= kc.CutStats(g, nil).Lookahead {
 		t.Errorf("Even lookahead %v not worse than KClusters %v",
@@ -115,18 +176,11 @@ func TestKClustersErrors(t *testing.T) {
 	if _, err := KClusters(g, 0, 1); err == nil {
 		t.Error("k=0 accepted")
 	}
-	if _, err := Even(g, 0); err == nil {
-		t.Error("Even k=0 accepted")
-	}
 }
 
 func TestEvenBalance(t *testing.T) {
 	g := topology.Ring(10, 4, attrs(), attrs())
-	a, err := Even(g, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := a.LoadMetrics()
+	m := even(g, 4).LoadMetrics()
 	for c, n := range m.LinksPerCore {
 		if n == 0 {
 			t.Errorf("core %d empty", c)
@@ -152,14 +206,9 @@ func TestKClustersBeatsEvenOnCrossings(t *testing.T) {
 	// On a locality-rich topology, k-clusters should produce far fewer
 	// route crossings than blind even partitioning.
 	g := topology.Ring(12, 4, attrs(), attrs())
-	matrix, err := bind.BuildMatrix(g, g.Clients())
-	if err != nil {
-		t.Fatal(err)
-	}
 	kc, _ := KClusters(g, 4, 3)
-	ev, _ := Even(g, 4)
-	kcTotal, _ := CrossingStats(matrix, kc.POD(), nil)
-	evTotal, _ := CrossingStats(matrix, ev.POD(), nil)
+	kcTotal, _ := crossings(g, kc.POD(), nil)
+	evTotal, _ := crossings(g, even(g, 4).POD(), nil)
 	if kcTotal >= evTotal {
 		t.Errorf("k-clusters crossings %d ≥ even crossings %d", kcTotal, evTotal)
 	}
@@ -167,14 +216,10 @@ func TestKClustersBeatsEvenOnCrossings(t *testing.T) {
 
 func TestCrossingStatsIngress(t *testing.T) {
 	g := topology.Star(4, attrs())
-	matrix, err := bind.BuildMatrix(g, g.Clients())
-	if err != nil {
-		t.Fatal(err)
-	}
 	// All pipes on core 0; ingress forced to core 1 => every route crosses once.
 	owner := make([]int, g.NumLinks())
 	pod := bind.NewPOD(owner, 2)
-	total, mean := CrossingStats(matrix, pod, func(pipes.VN) int { return 1 })
+	total, mean := crossings(g, pod, func(pipes.VN) int { return 1 })
 	wantRoutes := 4 * 3
 	if total != wantRoutes {
 		t.Errorf("total crossings = %d, want %d", total, wantRoutes)
@@ -188,7 +233,7 @@ func TestCrossingStatsIngress(t *testing.T) {
 func TestAssignmentTotalProperty(t *testing.T) {
 	f := func(seed int64, kRaw uint8) bool {
 		k := int(kRaw)%6 + 1
-		g := topology.Random(topology.RandomConfig{Nodes: 30, Degree: 2.5, Attr: attrs(), Seed: seed})
+		g := randomGraph(30, seed)
 		a, err := KClusters(g, k, seed)
 		if err != nil {
 			return false

@@ -163,9 +163,6 @@ func (d *POD) Owner(p pipes.ID) int {
 // Cores reports the number of cores in the directory.
 func (d *POD) Cores() int { return d.cores }
 
-// NumPipes reports the number of pipes tracked.
-func (d *POD) NumPipes() int { return len(d.owner) }
-
 // Crossings counts how many core-to-core transitions a route incurs,
 // including the implicit transition from the ingress core (the core the
 // source VN's edge node binds to) to the first pipe's owner.

@@ -4,8 +4,8 @@
 //   - Bind assigns VNs to edge nodes and cores and binds the routing table:
 //     the bounded LRU route cache (NewCache), which computes each route on
 //     first use. The paper's other storage design, the precomputed all-pairs
-//     matrix (BuildMatrix), is kept as an offline tool for whole-table
-//     analyses; no run routes through it. Under sharded distribution each
+//     matrix (BuildMatrix), stays for the benchmark module's probes and the
+//     reference tests; no run routes through it. Under sharded distribution each
 //     worker routes with a ShardTable over its ShardView, seeded by the
 //     coordinator's SummaryOracle. All four are
 //     fronts for one route engine (engine.go), so every table in every

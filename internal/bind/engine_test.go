@@ -1,6 +1,7 @@
 package bind
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -118,7 +119,19 @@ func TestBuildMatrixAllocsAndScans(t *testing.T) {
 // the plain engine's.
 func TestFieldIndependentOfPopOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	g := topology.Random(topology.RandomConfig{Nodes: 40, Degree: 3, Attr: attrs(0.001), Seed: 5})
+	g := topology.New() // 40 routers: a random spanning tree plus 20 random duplex links
+	for i := 0; i < 40; i++ {
+		g.AddNode(topology.Stub, fmt.Sprintf("n%d", i))
+	}
+	perm := rng.Perm(40)
+	for i := 1; i < 40; i++ {
+		g.AddDuplex(topology.NodeID(perm[i]), topology.NodeID(perm[rng.Intn(i)]), attrs(0.001))
+	}
+	for e := 0; e < 20; e++ {
+		if a, b := topology.NodeID(rng.Intn(40)), topology.NodeID(rng.Intn(40)); a != b {
+			g.AddDuplex(a, b, attrs(0.001))
+		}
+	}
 	for i := range g.Links {
 		g.Links[i].Attr.LatencySec = float64(rng.Intn(3)) * 1e-3 // ties and zero-latency links
 	}

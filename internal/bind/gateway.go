@@ -123,16 +123,3 @@ func (t *GatewayTable) lruVictim() *gwEntry {
 	}
 	return victim
 }
-
-// Peer reports the real flow currently bound to vn, if any — the egress
-// path's reverse lookup.
-func (t *GatewayTable) Peer(vn pipes.VN) (FiveTuple, bool) {
-	if e, ok := t.byVN[vn]; ok {
-		return e.key, true
-	}
-	return FiveTuple{}, false
-}
-
-// Len reports the number of live bindings; Free the remaining dynamic pool.
-func (t *GatewayTable) Len() int  { return len(t.byVN) }
-func (t *GatewayTable) Free() int { return len(t.free) }

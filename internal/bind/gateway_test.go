@@ -6,6 +6,9 @@ import (
 	"modelnet/internal/pipes"
 )
 
+// Len reports the number of live bindings.
+func (t *GatewayTable) Len() int { return len(t.byVN) }
+
 func key(src string) FiveTuple {
 	return FiveTuple{Proto: "udp", Src: src, Dst: "127.0.0.1:9000"}
 }
@@ -21,8 +24,8 @@ func TestGatewayTableClaimIsStable(t *testing.T) {
 	if !ok || again != vn {
 		t.Fatalf("re-claim = (%d, %v), want (%d, true)", again, ok, vn)
 	}
-	if tb.Len() != 1 || tb.Free() != 1 {
-		t.Fatalf("after one flow: len %d free %d, want 1/1", tb.Len(), tb.Free())
+	if tb.Len() != 1 || len(tb.free) != 1 {
+		t.Fatalf("after one flow: len %d free %d, want 1/1", tb.Len(), len(tb.free))
 	}
 	// A different source port is a different flow: new claim.
 	other, ok := tb.Claim(key("10.0.0.1:4445"), 3)
@@ -49,11 +52,12 @@ func TestGatewayTableEvictsLRU(t *testing.T) {
 		t.Fatalf("collisions/evictions = %d/%d, want 1/1", tb.Collisions, tb.Evictions)
 	}
 	// The evicted flow lost its binding; the survivor kept its VN.
-	if _, ok := tb.Peer(b); !ok {
+	e := tb.byVN[b]
+	if e == nil {
 		t.Fatal("recycled VN should carry the new flow")
 	}
-	if k, _ := tb.Peer(b); k != key("10.0.0.3:1") {
-		t.Fatalf("VN %d now bound to %v, want the new flow", b, k)
+	if e.key != key("10.0.0.3:1") {
+		t.Fatalf("VN %d now bound to %v, want the new flow", b, e.key)
 	}
 	if vn, _ := tb.Claim(key("10.0.0.1:1"), 50); vn != a {
 		t.Fatalf("survivor rebound to %d, want %d", vn, a)

@@ -3,8 +3,8 @@ package bind
 // The whole-graph routing tables: the precomputed matrix and the bounded
 // route cache, §2.2's two storage designs. Both are fronts for the route
 // engine (engine.go) over the unpartitioned graph, so both hold exactly the
-// canonical routes. A run routes through a Cache; the Matrix is the offline
-// tool for whole-table analyses (traffic.PipeLoads, assign.CrossingStats).
+// canonical routes. A run routes through a Cache; no run builds a Matrix
+// (the benchmark module's probes and the reference tests do).
 
 import (
 	"cmp"

@@ -121,7 +121,7 @@ func TestShardRoutesMatchGlobalMatrix(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(7000 + trial)))
 			g := randomWorld(rng)
 			clients := g.Clients()
-			if len(clients) < 2 || !g.Connected() {
+			if len(clients) < 2 { // randomWorld's router tree is connected by construction
 				t.Skip("degenerate world")
 			}
 			k := 2 + rng.Intn(3)
@@ -238,12 +238,12 @@ func TestShardRoutesMatchGlobalMatrix(t *testing.T) {
 func TestBuildShardViewsRejectsNonSourceOwnership(t *testing.T) {
 	g := topology.Ring(4, 1, topology.LinkAttrs{BandwidthBps: 1e6, LatencySec: 0.001},
 		topology.LinkAttrs{BandwidthBps: 1e6, LatencySec: 0.001})
-	asn, err := assign.Even(g, 2)
-	if err != nil {
-		t.Fatal(err)
+	owner := make([]int, g.NumLinks()) // two blocks of link IDs, blind to which node a link leaves
+	for i := range owner {
+		owner[i] = 2 * i / len(owner)
 	}
 	nodeOwner := make([]int, g.NumNodes())
-	if _, err := bind.BuildShardViews(g, asn.Owner, nodeOwner, 2); err == nil {
+	if _, err := bind.BuildShardViews(g, owner, nodeOwner, 2); err == nil {
 		t.Fatal("expected source-ownership violation to be rejected")
 	}
 }

@@ -29,7 +29,7 @@
 // stand-in for the reconvergence delay a routing protocol such as
 // internal/routing's distance-vector implementation would exhibit; the
 // recomputed tables are exactly the shortest-path tables DV converges to
-// (routing.Converged checks that equivalence). Recomputation reroutes the
+// (internal/routing's tests check that equivalence). Recomputation reroutes the
 // run's route cache with every down link priced at routing.Infinity, so an
 // unreachable destination deterministically routes into the down link and
 // blackholes there rather than erroring.

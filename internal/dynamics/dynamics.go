@@ -281,9 +281,6 @@ func (e *Engine) apply(link int, st Step) {
 	}
 }
 
-// Down reports whether the engine currently considers the link failed.
-func (e *Engine) Down(link topology.LinkID) bool { return e.down[link] }
-
 // downList returns the sorted down-set, the canonical epoch description.
 func (e *Engine) downList() []topology.LinkID {
 	out := make([]topology.LinkID, 0, len(e.down))

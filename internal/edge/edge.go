@@ -92,15 +92,6 @@ func (m *Machine) Exec(instr float64, fn func()) {
 	m.sched.At(m.cpuBusy, fn)
 }
 
-// CPUUtilization reports the busy fraction since time zero.
-func (m *Machine) CPUUtilization() float64 {
-	el := m.sched.Now().Seconds()
-	if el <= 0 {
-		return 0
-	}
-	return m.CPUWork.Seconds() / el
-}
-
 // WrapInjector returns an Injector that charges the machine's kernel CPU
 // cost and NIC serialization before handing packets to inner (the
 // emulator). Packets are delayed by NIC occupancy and dropped when the

@@ -252,20 +252,8 @@ func pipeParams(a topology.LinkAttrs) pipes.Params {
 	}
 }
 
-// Scheduler returns the virtual-time scheduler driving the emulation.
-func (e *Emulator) Scheduler() *vtime.Scheduler { return e.sched }
-
-// Now returns the current virtual time.
-func (e *Emulator) Now() vtime.Time { return e.sched.Now() }
-
 // Binding returns the binding this emulator was built with.
 func (e *Emulator) Binding() *bind.Binding { return e.binding }
-
-// Graph returns the distilled topology.
-func (e *Emulator) Graph() *topology.Graph { return e.graph }
-
-// Profile returns the hardware profile.
-func (e *Emulator) Profile() Profile { return e.prof }
 
 // Cores reports the number of core routers.
 func (e *Emulator) Cores() int { return len(e.cores) }

@@ -2,20 +2,6 @@ package experiments
 
 import "testing"
 
-func TestRouteTableAblation(t *testing.T) {
-	rows, err := RunRouteTableAblation()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows: %v", rows)
-	}
-	matrix, cache := rows[0], rows[1]
-	if cache.Entries > matrix.Entries/10 {
-		t.Errorf("cache holds %d routes", cache.Entries)
-	}
-}
-
 func TestPayloadCachingAblation(t *testing.T) {
 	rows, err := RunPayloadCachingAblation()
 	if err != nil {

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"modelnet"
+	"modelnet/internal/assign"
 	"modelnet/internal/fednet"
 	"modelnet/internal/pipes"
 	"modelnet/internal/stats"
@@ -134,12 +135,45 @@ func flakySmallSpec(t *testing.T, cores int) FlakyEdgeSpec {
 		RecoverSec:      2.4,
 		RerouteDelaySec: 0.25,
 	}
-	fail, err := spec.CutFailLink(cores)
+	fail, err := cutFailLink(spec, cores)
 	if err != nil {
 		t.Fatal(err)
 	}
 	spec.FailLink = fail
 	return spec
+}
+
+// cutFailLink picks a ring link that crosses the k-core partition the
+// runtimes would compute for this spec's topology and seed: a link whose
+// owning cluster differs from its destination router's, so its failure (and
+// the packets blackholed at it) genuinely involves the shard cut. With one
+// core there is no cut; the first ring link stands in.
+func cutFailLink(c FlakyEdgeSpec, k int) (int, error) {
+	g := c.Topology()
+	if k < 2 {
+		return 0, nil
+	}
+	asn, err := assign.KClusters(g, k, c.Web.Seed)
+	if err != nil {
+		return 0, err
+	}
+	// A node's cluster is the owner of any link sourced at it (KClusters
+	// owns each directed link by its source node's cluster).
+	nodeOwner := make([]int, g.NumNodes())
+	for i := range nodeOwner {
+		nodeOwner[i] = -1
+	}
+	for _, l := range g.Links {
+		if nodeOwner[l.Src] == -1 {
+			nodeOwner[l.Src] = asn.Owner[l.ID]
+		}
+	}
+	for _, l := range g.Links[:c.ringLinks()] {
+		if asn.Owner[l.ID] != nodeOwner[l.Dst] {
+			return int(l.ID), nil
+		}
+	}
+	return 0, fmt.Errorf("flaky-edge: no ring link crosses the %d-core partition", k)
 }
 
 func cfsSmallSpec() CFSRingSpec {
@@ -203,10 +237,12 @@ func run(t *testing.T, sc Scenario, mode modelnet.Options) *Result {
 	return res
 }
 
-// comparableApp strips an application report's deployment-dependent fields.
+// comparableApp strips an application report's deployment-dependent fields,
+// leaving what every execution mode must agree on byte for byte.
 func comparableApp(app any) any {
 	if w, ok := app.(WebReplRingReport); ok {
-		return w.Comparable()
+		w.CrossRetransmits = 0
+		return w
 	}
 	return app
 }

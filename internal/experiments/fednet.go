@@ -484,8 +484,8 @@ func (c WebReplRingSpec) target(clientVN int) netstack.Endpoint {
 
 // WebReplRingReport is the scenario's measurement. CrossRetransmits counts
 // retransmissions on connections whose peer lives on another core process;
-// it is necessarily zero outside federation, so cross-mode comparisons use
-// Comparable.
+// it is necessarily zero outside federation, so cross-mode comparisons
+// ignore it.
 type WebReplRingReport struct {
 	Requests         uint64 `json:"requests"`
 	OK               uint64 `json:"ok"`
@@ -507,13 +507,6 @@ func (r *WebReplRingReport) Merge(o WebReplRingReport) {
 	r.ServerBytes += o.ServerBytes
 	r.Retransmits += o.Retransmits
 	r.CrossRetransmits += o.CrossRetransmits
-}
-
-// Comparable strips the deployment-dependent fields, leaving what every
-// execution mode must agree on byte-for-byte.
-func (r WebReplRingReport) Comparable() WebReplRingReport {
-	r.CrossRetransmits = 0
-	return r
 }
 
 // Install builds the homed slice of the web deployment, attributing to the

@@ -45,11 +45,6 @@ var Figures = []Figure{
 	figure("fig12", DefaultFig12, RunFig12, PrintFig12),
 	figure("scale", DefaultScale, RunScale, PrintScale),
 	{"ablations", func(w io.Writer) error {
-		rt, err := RunRouteTableAblation()
-		if err != nil {
-			return err
-		}
-		PrintRouteTableAblation(w, rt)
 		pc, err := RunPayloadCachingAblation()
 		if err != nil {
 			return err

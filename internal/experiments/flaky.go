@@ -15,7 +15,6 @@ import (
 	"math/rand"
 
 	"modelnet"
-	"modelnet/internal/assign"
 	"modelnet/internal/dynamics"
 	"modelnet/internal/vtime"
 )
@@ -91,37 +90,4 @@ func (c FlakyEdgeSpec) Dynamics() (*dynamics.Spec, error) {
 		Steps: []dynamics.Step{down, up},
 	})
 	return spec, nil
-}
-
-// CutFailLink picks a ring link that crosses the k-core partition the
-// runtimes would compute for this spec's topology and seed: a link whose
-// owning cluster differs from its destination router's, so its failure (and
-// the packets blackholed at it) genuinely involves the shard cut. With one
-// core there is no cut; the first ring link stands in.
-func (c FlakyEdgeSpec) CutFailLink(k int) (int, error) {
-	g := c.Topology()
-	if k < 2 {
-		return 0, nil
-	}
-	asn, err := assign.KClusters(g, k, c.Web.Seed)
-	if err != nil {
-		return 0, err
-	}
-	// A node's cluster is the owner of any link sourced at it (KClusters
-	// owns each directed link by its source node's cluster).
-	nodeOwner := make([]int, g.NumNodes())
-	for i := range nodeOwner {
-		nodeOwner[i] = -1
-	}
-	for _, l := range g.Links {
-		if nodeOwner[l.Src] == -1 {
-			nodeOwner[l.Src] = asn.Owner[l.ID]
-		}
-	}
-	for _, l := range g.Links[:c.ringLinks()] {
-		if asn.Owner[l.ID] != nodeOwner[l.Dst] {
-			return int(l.ID), nil
-		}
-	}
-	return 0, fmt.Errorf("flaky-edge: no ring link crosses the %d-core partition", k)
 }

@@ -99,9 +99,6 @@ type WorkerEnv struct {
 // NumVNs reports how many VNs the federation binds (across all shards).
 func (e *WorkerEnv) NumVNs() int { return e.Binding.NumVNs() }
 
-// HomeOf reports the shard a VN is homed on.
-func (e *WorkerEnv) HomeOf(vn pipes.VN) int { return e.homes[vn] }
-
 // Homed reports whether a VN lives on this worker's shard.
 func (e *WorkerEnv) Homed(vn pipes.VN) bool { return e.homes[vn] == e.Shard }
 

@@ -292,19 +292,6 @@ type DataBatch struct {
 	Msgs  []DataMsg
 }
 
-// Encode returns the frame body.
-func (m DataBatch) Encode() []byte {
-	var e Enc
-	e.U16(m.Sender)
-	e.U64(m.TSeq0)
-	e.U64(m.Close)
-	e.U32(uint32(len(m.Msgs)))
-	for _, x := range m.Msgs {
-		x.append(&e)
-	}
-	return e.Bytes()
-}
-
 // EncodeDataBatch assembles a batch frame body from pre-encoded elements
 // (DataMsg.Encode results). The data plane encodes each message once and
 // reuses the bytes across chunk boundaries.

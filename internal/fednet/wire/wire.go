@@ -232,9 +232,6 @@ func (d *Dec) U8() uint8 {
 	return s[0]
 }
 
-// Bool reads a boolean byte; any nonzero value is true.
-func (d *Dec) Bool() bool { return d.U8() != 0 }
-
 // StrictBool reads a boolean byte accepting only the canonical encodings 0
 // and 1. Payload codecs use it: under the canonicality contract a decoder
 // must reject any byte its encoder would not emit.

@@ -10,6 +10,21 @@ import (
 	"modelnet/internal/vtime"
 )
 
+// Encode is the reference encoder of a TDataBatch body, one message at a
+// time; EncodeDataBatch, which the data plane uses, must match it byte for
+// byte.
+func (m DataBatch) Encode() []byte {
+	var e Enc
+	e.U16(m.Sender)
+	e.U64(m.TSeq0)
+	e.U64(m.Close)
+	e.U32(uint32(len(m.Msgs)))
+	for _, x := range m.Msgs {
+		x.append(&e)
+	}
+	return e.Bytes()
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	bodies := [][]byte{nil, {}, {1}, bytes.Repeat([]byte{0xab}, 4096)}

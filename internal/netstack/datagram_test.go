@@ -253,10 +253,11 @@ func TestDatagramCrossesShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	asn, err := assign.Even(g, 2)
-	if err != nil {
-		t.Fatal(err)
+	owner := make([]int, g.NumLinks()) // two blocks of link IDs
+	for i := range owner {
+		owner[i] = 2 * i / len(owner)
 	}
+	asn := &assign.Assignment{Owner: owner, Cores: 2}
 	par, err := parcore.New(parcore.Config{Graph: g, Binding: b, Assignment: asn, Profile: emucore.IdealProfile(), Seed: 1})
 	if err != nil {
 		t.Fatal(err)

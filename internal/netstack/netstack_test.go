@@ -189,7 +189,7 @@ func TestTCPSlowStartGrowth(t *testing.T) {
 	tn := newStarNet(t, 2, 1000, 10, 0, emucore.IdealProfile())
 	tn.hosts[1].Listen(80, func(c *Conn) Handlers { return Handlers{} })
 	c := tn.hosts[0].Dial(Endpoint{1, 80}, Handlers{})
-	c.SetWindow(1 << 20)
+	c.window = 1 << 20
 	c.WriteCount(5 << 20)
 	var samples []int
 	for i := 1; i <= 4; i++ {

@@ -265,14 +265,6 @@ func (h *Host) newConn(localPort uint16, remote Endpoint, hs Handlers) *Conn {
 	return c
 }
 
-// SetWindow overrides the advertised receive window (and the initial
-// assumption about the peer's); call before any data flows.
-func (c *Conn) SetWindow(w int) {
-	if w > 0 {
-		c.window = w
-	}
-}
-
 // Write queues real bytes on the send stream.
 func (c *Conn) Write(data []byte) {
 	if c.finOff != 0 || c.removed {

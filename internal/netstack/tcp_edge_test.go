@@ -65,7 +65,7 @@ func TestTCPWindowLimitsThroughput(t *testing.T) {
 	got := 0
 	tn.hosts[1].Listen(80, func(c *Conn) Handlers {
 		// The receiver advertises a tiny window; the sender must respect it.
-		c.SetWindow(8 << 10)
+		c.window = 8 << 10
 		return Handlers{OnData: func(c *Conn, n int, data []byte) { got += n }}
 	})
 	c := tn.hosts[0].Dial(Endpoint{1, 80}, Handlers{})

@@ -74,9 +74,6 @@ func (h *Host) udpSocket(port uint16) (*UDPSocket, int) {
 	return h.udpSocks[i], i
 }
 
-// Port returns the bound port.
-func (s *UDPSocket) Port() uint16 { return s.port }
-
 // Addr returns the socket's endpoint.
 func (s *UDPSocket) Addr() Endpoint { return Endpoint{s.h.vn, s.port} }
 

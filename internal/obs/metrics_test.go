@@ -104,18 +104,8 @@ func TestMetricsServe(t *testing.T) {
 }
 
 func TestProfileAggregation(t *testing.T) {
-	var d DriveProfile
-	d.Add(DriveProfile{BarrierWallNs: 10, ComputeWallNs: 20, SerialWallNs: 5, IdleWallNs: 2})
-	d.Add(DriveProfile{BarrierWallNs: 1, ComputeWallNs: 2})
-	if d.BarrierWallNs != 11 || d.ComputeWallNs != 22 || d.SerialWallNs != 5 || d.IdleWallNs != 2 {
-		t.Fatalf("DriveProfile.Add: %+v", d)
-	}
-
-	s := ShardProfile{Shard: 2}
-	s.Add(ShardProfile{Shard: 9, Windows: 10, ActiveWindows: 4, EventsFired: 100, RunWallNs: 7})
-	if s.Shard != 2 {
-		t.Fatalf("ShardProfile.Add overwrote the shard id: %+v", s)
-	}
+	d := DriveProfile{BarrierWallNs: 11, ComputeWallNs: 22, SerialWallNs: 5, IdleWallNs: 2}
+	s := ShardProfile{Shard: 2, Windows: 10, ActiveWindows: 4, EventsFired: 100, RunWallNs: 7}
 	if got := s.LookaheadUtilization(); got != 0.4 {
 		t.Fatalf("lookahead utilization %v, want 0.4", got)
 	}

@@ -30,14 +30,6 @@ type DriveProfile struct {
 	IdleWallNs uint64 `json:"idle_wall_ns"`
 }
 
-// Add accumulates q into p.
-func (p *DriveProfile) Add(q DriveProfile) {
-	p.BarrierWallNs += q.BarrierWallNs
-	p.ComputeWallNs += q.ComputeWallNs
-	p.SerialWallNs += q.SerialWallNs
-	p.IdleWallNs += q.IdleWallNs
-}
-
 // ShardProfile is one shard's wall-clock and lookahead-utilization
 // breakdown across a run.
 type ShardProfile struct {
@@ -68,19 +60,6 @@ func (p ShardProfile) LookaheadUtilization() float64 {
 		return 0
 	}
 	return float64(p.ActiveWindows) / float64(p.Windows)
-}
-
-// Add accumulates q's counters into p (keeping p's Shard).
-func (p *ShardProfile) Add(q ShardProfile) {
-	p.FlushWallNs += q.FlushWallNs
-	p.WaitWallNs += q.WaitWallNs
-	p.ApplyWallNs += q.ApplyWallNs
-	p.RunWallNs += q.RunWallNs
-	p.DrainWallNs += q.DrainWallNs
-	p.BoundsWallNs += q.BoundsWallNs
-	p.Windows += q.Windows
-	p.ActiveWindows += q.ActiveWindows
-	p.EventsFired += q.EventsFired
 }
 
 // RunProfile is the -profile-out artifact: one run's synchronization

@@ -135,13 +135,12 @@ const canonRecordBytes = 8 + 1 + 1 + 4 + 4 + 4 + 4 + 8
 // canonMagic heads the canonical binary trace format.
 const canonMagic = "MNTRACE1"
 
-// blockEvents sizes one pooled tracer buffer block.
+// blockEvents sizes one tracer buffer block.
 const blockEvents = 4096
 
 // Tracer records one shard's events. The zero *Tracer (nil) is a valid
 // disabled tracer: every method returns immediately. Buffers grow in
-// fixed-size blocks recycled by Reset, so a long run never copies recorded
-// events and a reused tracer allocates nothing in steady state.
+// fixed-size blocks, so a long run never copies recorded events.
 type Tracer struct {
 	shard  int32
 	seq    uint64
@@ -150,15 +149,11 @@ type Tracer struct {
 	rer    uint64   // reroute ordinal
 	blocks [][]Event
 	cur    []Event
-	pool   [][]Event
 }
 
 // NewTracer returns an enabled tracer recording as the given shard
 // (-1 for the sequential mode).
 func NewTracer(shard int) *Tracer { return &Tracer{shard: int32(shard)} }
-
-// Enabled reports whether the tracer records anything.
-func (t *Tracer) Enabled() bool { return t != nil }
 
 // Len reports the number of recorded events.
 func (t *Tracer) Len() int {
@@ -181,12 +176,7 @@ func (t *Tracer) push(ev Event) {
 		if t.cur != nil {
 			t.blocks = append(t.blocks, t.cur)
 		}
-		if n := len(t.pool); n > 0 {
-			t.cur = t.pool[n-1][:0]
-			t.pool = t.pool[:n-1]
-		} else {
-			t.cur = make([]Event, 0, blockEvents)
-		}
+		t.cur = make([]Event, 0, blockEvents)
 	}
 	t.cur = append(t.cur, ev)
 }
@@ -303,19 +293,6 @@ func (t *Tracer) Events() []Event {
 		out = append(out, b...)
 	}
 	return append(out, t.cur...)
-}
-
-// Reset discards recorded events, recycling the buffer blocks.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.pool = append(t.pool, t.blocks...)
-	t.blocks = t.blocks[:0]
-	if t.cur != nil {
-		t.cur = t.cur[:0]
-	}
-	t.seq = 0
 }
 
 // Trace is a merged multi-shard trace, ordered by (VT, Shard, Seq).

@@ -220,14 +220,11 @@ func (r *Runtime) ShardProfiles() []obs.ShardProfile {
 }
 
 // Now reports the cluster's virtual time: the deadline of the last run, or
-// the latest shard clock after RunToCompletion.
+// the latest shard clock after a run to vtime.Forever.
 func (r *Runtime) Now() vtime.Time { return r.now }
 
 // RunFor advances the cluster by d, firing all due events.
 func (r *Runtime) RunFor(d vtime.Duration) { r.RunUntil(r.now.Add(d)) }
-
-// Run fires events until none remain anywhere in the cluster.
-func (r *Runtime) Run() { r.RunUntil(vtime.Forever) }
 
 // RunUntil advances every shard to the deadline, firing all events with
 // timestamps at or before it, by handing the in-process transport to the

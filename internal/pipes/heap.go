@@ -30,9 +30,6 @@ func NewHeap() *Heap {
 	return &Heap{}
 }
 
-// Len reports the number of pipes with a live deadline.
-func (h *Heap) Len() int { return len(h.items) }
-
 // Min returns the earliest deadline, or vtime.Forever if empty.
 func (h *Heap) Min() vtime.Time {
 	if len(h.items) == 0 {

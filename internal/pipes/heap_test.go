@@ -13,6 +13,9 @@ import (
 	"modelnet/internal/vtime"
 )
 
+// Len reports the number of pipes with a live deadline.
+func (h *Heap) Len() int { return len(h.items) }
+
 // setDeadline forces p's next deadline to d (Forever = empty pipe).
 func setDeadline(p *Pipe, d vtime.Time) {
 	p.head, p.txHead = 0, 0
@@ -378,7 +381,7 @@ func TestWrappersMatchPrimitiveLoops(t *testing.T) {
 			case i == 0: // long delay line, never empty: the dead prefix gets compacted
 				par.Latency = 5 * vtime.Millisecond
 			case i%3 == 1: // slow RED pipes that drain empty now and then
-				par.BandwidthBps, par.QueuePkts, par.RED = 40e6, 20, DefaultRED(20)
+				par.BandwidthBps, par.QueuePkts, par.RED = 40e6, 20, defaultRED(20)
 			}
 			ps[i] = New(ID(i), par, seed)
 		}

@@ -256,15 +256,6 @@ func (p *Pipe) ScanEntries(visit func(pkt *Packet, exit vtime.Time)) {
 	}
 }
 
-// PeekExit reports the scheduled exit time of the head packet without
-// removing it; ok is false when the pipe is empty.
-func (p *Pipe) PeekExit() (vtime.Time, bool) {
-	if p.head >= len(p.q) {
-		return 0, false
-	}
-	return p.q[p.head].exit, true
-}
-
 func (p *Pipe) compact() {
 	if p.head == len(p.q) {
 		p.q = p.q[:0]

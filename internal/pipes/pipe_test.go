@@ -9,6 +9,19 @@ import (
 	"modelnet/internal/vtime"
 )
 
+// defaultRED returns conventional RED parameters scaled to a queue capacity.
+func defaultRED(queuePkts int) *REDParams {
+	if queuePkts <= 0 {
+		queuePkts = DefaultQueuePkts
+	}
+	return &REDParams{
+		MinThresh: float64(queuePkts) * 0.25,
+		MaxThresh: float64(queuePkts) * 0.75,
+		MaxP:      0.1,
+		Weight:    0.002,
+	}
+}
+
 func mkParams(mbps float64, lat vtime.Duration, qcap int) Params {
 	return Params{BandwidthBps: mbps * 1e6, Latency: lat, QueuePkts: qcap}
 }
@@ -349,7 +362,7 @@ func TestPipeNeverFasterThanLink(t *testing.T) {
 
 func TestREDDropsEarly(t *testing.T) {
 	params := mkParams(1, 0, 100) // slow pipe, builds queue
-	params.RED = DefaultRED(100)
+	params.RED = defaultRED(100)
 	p := New(0, params, 7)
 	redDrops := 0
 	overflow := 0
@@ -372,7 +385,7 @@ func TestREDDropsEarly(t *testing.T) {
 
 func TestREDIdleDecay(t *testing.T) {
 	params := mkParams(1, 0, 100)
-	params.RED = DefaultRED(100)
+	params.RED = defaultRED(100)
 	p := New(0, params, 7)
 	now := vtime.Time(0)
 	for i := 0; i < 2000; i++ {

@@ -16,19 +16,6 @@ type REDParams struct {
 	Weight    float64 // EWMA weight for the average queue size (typ. 0.002)
 }
 
-// DefaultRED returns conventional RED parameters scaled to a queue capacity.
-func DefaultRED(queuePkts int) *REDParams {
-	if queuePkts <= 0 {
-		queuePkts = DefaultQueuePkts
-	}
-	return &REDParams{
-		MinThresh: float64(queuePkts) * 0.25,
-		MaxThresh: float64(queuePkts) * 0.75,
-		MaxP:      0.1,
-		Weight:    0.002,
-	}
-}
-
 // redState is the per-pipe RED bookkeeping.
 type redState struct {
 	avg       float64    // EWMA of queue length

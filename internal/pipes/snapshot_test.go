@@ -48,7 +48,7 @@ func TestPipeSnapshotRestoreEquivalence(t *testing.T) {
 			QueuePkts:    12,
 		}
 		if trial%2 == 1 {
-			params.RED = DefaultRED(12)
+			params.RED = defaultRED(12)
 		}
 		seed := int64(1000 + trial)
 		ref := New(ID(trial), params, seed)
@@ -117,8 +117,8 @@ func TestPipeSnapshotLastExitClamp(t *testing.T) {
 			t.Fatalf("clamp lost: exit %v < lastExit %v", exit, st.LastExit)
 		}
 	}
-	re, _ := ref.PeekExit()
-	ge, _ := restored.PeekExit()
+	re := ref.q[ref.head].exit // the head packets' scheduled exits
+	ge := restored.q[restored.head].exit
 	if re != ge {
 		t.Fatalf("head exits diverge: %v vs %v", re, ge)
 	}

@@ -112,9 +112,6 @@ func (d *DV) Start() {
 	d.ticker.Start()
 }
 
-// Stop halts the protocol.
-func (d *DV) Stop() { d.ticker.Stop() }
-
 func linkWeight(l topology.Link) float64 { return l.Attr.LatencySec + 1e-6 }
 
 // SetLinkDown fails or heals a link. The protocol notices immediately at
@@ -247,56 +244,6 @@ func (d *DV) scheduleTriggered(n *node) {
 		n.trigger = false
 		d.advertise(n)
 	})
-}
-
-// Metric returns node src's current metric to dst (Infinity if unknown).
-func (d *DV) Metric(src, dst topology.NodeID) float64 {
-	e, ok := d.nodes[src].table[dst]
-	if !ok {
-		return Infinity
-	}
-	return e.metric
-}
-
-// Converged reports whether every node's metric to every VN home matches
-// the true shortest-path distance to it within tolerance.
-func (d *DV) Converged() bool {
-	for _, home := range d.vnHomes {
-		want := d.distTo(home)
-		for _, n := range d.nodes {
-			got := d.Metric(n.id, home)
-			if want[n.id] >= Infinity {
-				if got < Infinity {
-					return false
-				}
-			} else if math.Abs(got-want[n.id]) > 1e-9 {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// distTo is the reference Converged compares against: every node's distance
-// *to* `to` over the live links, each priced in the direction a packet
-// crosses it — the protocol's own fixed point, relaxed centrally in its own
-// float metric so the 1e-9 comparison is exact. Unreachable nodes stay at
-// Infinity.
-func (d *DV) distTo(to topology.NodeID) []float64 {
-	dist := make([]float64, d.g.NumNodes())
-	for i := range dist {
-		dist[i] = Infinity
-	}
-	dist[to] = 0
-	for changed := true; changed; {
-		changed = false
-		for _, l := range d.g.Links {
-			if nd := dist[l.Dst] + linkWeight(l); !d.down[l.ID] && nd < dist[l.Src] {
-				dist[l.Src], changed = nd, true
-			}
-		}
-	}
-	return dist
 }
 
 // Table adapts the live protocol state to bind.Table: a lookup walks

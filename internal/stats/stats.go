@@ -1,8 +1,6 @@
 // Package stats provides the measurement utilities used across the
-// reproduction: empirical CDFs (most of the paper's figures are CDFs),
-// throughput meters, and simple summaries. It also hosts the event log that
-// stands in for the paper's in-kernel logging package (§3.1): efficiently
-// buffered records analyzed offline.
+// reproduction: empirical CDFs (most of the paper's figures are CDFs) and
+// simple summaries.
 package stats
 
 import (
@@ -69,21 +67,6 @@ func (s *Sample) Mean() float64 {
 	return sum / float64(len(s.xs))
 }
 
-// Stddev returns the population standard deviation.
-func (s *Sample) Stddev() float64 {
-	n := len(s.xs)
-	if n == 0 {
-		return 0
-	}
-	m := s.Mean()
-	ss := 0.0
-	for _, x := range s.xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
-}
-
 // Percentile returns the p-th percentile (p in [0,100]) by nearest-rank.
 func (s *Sample) Percentile(p float64) float64 {
 	if len(s.xs) == 0 {
@@ -121,17 +104,6 @@ func (s *Sample) FractionBelow(x float64) float64 {
 type CDFPoint struct {
 	X float64 // value
 	P float64 // cumulative fraction in [0,1]
-}
-
-// CDF returns the full empirical CDF, one point per observation.
-func (s *Sample) CDF() []CDFPoint {
-	s.ensureSorted()
-	out := make([]CDFPoint, len(s.xs))
-	n := float64(len(s.xs))
-	for i, x := range s.xs {
-		out[i] = CDFPoint{X: x, P: float64(i+1) / n}
-	}
-	return out
 }
 
 // CDFAt samples the CDF at k evenly spaced cumulative fractions —

@@ -6,8 +6,6 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
-
-	"modelnet/internal/vtime"
 )
 
 func TestSampleBasics(t *testing.T) {
@@ -23,9 +21,6 @@ func TestSampleBasics(t *testing.T) {
 	}
 	if s.Median() != 3 {
 		t.Errorf("median = %v", s.Median())
-	}
-	if math.Abs(s.Stddev()-math.Sqrt(2)) > 1e-12 {
-		t.Errorf("stddev = %v", s.Stddev())
 	}
 }
 
@@ -74,15 +69,14 @@ func TestCDFMonotone(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		s.Add(rng.NormFloat64())
 	}
-	cdf := s.CDF()
-	for i := 1; i < len(cdf); i++ {
-		if cdf[i].X < cdf[i-1].X || cdf[i].P <= cdf[i-1].P {
-			t.Fatal("CDF not monotone")
-		}
-	}
 	pts := s.CDFAt(20)
 	if len(pts) != 20 || pts[19].P != 1 {
 		t.Fatalf("CDFAt: %d points, last P %v", len(pts), pts[len(pts)-1].P)
+	}
+	for i := 1; i < len(pts); i++ {
+		if pts[i].X < pts[i-1].X || pts[i].P <= pts[i-1].P {
+			t.Fatal("CDF not monotone")
+		}
 	}
 }
 
@@ -128,43 +122,5 @@ func TestPercentileProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestMeter(t *testing.T) {
-	var m Meter
-	m.Account(1000, vtime.Time(1*vtime.Second))
-	m.Account(1000, vtime.Time(2*vtime.Second))
-	m.Account(1000, vtime.Time(3*vtime.Second))
-	if got := m.BitsPerSec(vtime.Time(3 * vtime.Second)); math.Abs(got-12000) > 1e-9 {
-		t.Errorf("rate = %v, want 12000 (3000B*8 / 2s)", got)
-	}
-	if got := m.PacketsPerSec(vtime.Time(3 * vtime.Second)); math.Abs(got-1.5) > 1e-12 {
-		t.Errorf("pps = %v", got)
-	}
-	// Elapsed extends to `until` beyond last packet.
-	if m.BitsPerSec(vtime.Time(5*vtime.Second)) >= 12000 {
-		t.Error("rate should fall as time passes without traffic")
-	}
-}
-
-func TestLog(t *testing.T) {
-	l := NewLog(3)
-	l.Record(1, "lag", 0.5)
-	l.Record(2, "lag", 1.5)
-	l.Record(3, "drop", 1)
-	l.Record(4, "lag", 9) // over capacity
-	if l.Drops != 1 {
-		t.Errorf("drops = %d", l.Drops)
-	}
-	if len(l.Events()) != 3 {
-		t.Fatalf("events = %d", len(l.Events()))
-	}
-	if len(l.Kind("lag")) != 2 {
-		t.Errorf("lag events = %d", len(l.Kind("lag")))
-	}
-	s := l.SampleOf("lag")
-	if s.N() != 2 || s.Mean() != 1 {
-		t.Errorf("sample: %v", s)
 	}
 }

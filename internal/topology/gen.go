@@ -105,48 +105,6 @@ func FullMesh(n int, attrFn func(i, j int) LinkAttrs) *Graph {
 	return g
 }
 
-// RandomConfig parameterizes Waxman-style random graph generation.
-type RandomConfig struct {
-	Nodes  int
-	Degree float64 // target average degree
-	Attr   LinkAttrs
-	Seed   int64
-}
-
-// Random builds a connected random graph: a random spanning tree plus extra
-// random edges until the target average degree is met.
-func Random(cfg RandomConfig) *Graph {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	n := cfg.Nodes
-	g := sized(n, 2*max(n-1, int(cfg.Degree*float64(n)/2)))
-	for i := 0; i < n; i++ {
-		g.AddNode(Stub, "n"+strconv.Itoa(i))
-	}
-	// Random spanning tree guarantees connectivity.
-	perm := rng.Perm(n)
-	for i := 1; i < n; i++ {
-		a := NodeID(perm[i])
-		b := NodeID(perm[rng.Intn(i)])
-		g.AddDuplex(a, b, cfg.Attr)
-	}
-	type pair struct{ a, b NodeID }
-	have := map[pair]bool{}
-	for _, l := range g.Links {
-		have[pair{l.Src, l.Dst}] = true
-	}
-	wantLinks := int(cfg.Degree * float64(n) / 2)
-	for tries := 0; len(g.Links)/2 < wantLinks && tries < 20*wantLinks; tries++ {
-		a, b := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
-		if a == b || have[pair{a, b}] {
-			continue
-		}
-		have[pair{a, b}] = true
-		have[pair{b, a}] = true
-		g.AddDuplex(a, b, cfg.Attr)
-	}
-	return g
-}
-
 // TransitStubConfig parameterizes the GT-ITM-style generator used by the
 // §5.2 (320-node) and §5.3 (600-node) case studies.
 type TransitStubConfig struct {

@@ -279,31 +279,6 @@ func (g *Graph) Validate() error {
 	return nil
 }
 
-// Connected reports whether every node is reachable from node 0 following
-// directed links. The empty graph is connected.
-func (g *Graph) Connected() bool {
-	if len(g.Nodes) == 0 {
-		return true
-	}
-	seen := make([]bool, len(g.Nodes))
-	stack := []NodeID{0}
-	seen[0] = true
-	count := 1
-	for len(stack) > 0 {
-		n := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, lid := range g.Out(n) {
-			d := g.Links[lid].Dst
-			if !seen[d] {
-				seen[d] = true
-				count++
-				stack = append(stack, d)
-			}
-		}
-	}
-	return count == len(g.Nodes)
-}
-
 // Clone returns a deep copy of the graph: two slice copies, and the
 // adjacency arena shared, since no graph writes into one.
 func (g *Graph) Clone() *Graph {
@@ -354,18 +329,4 @@ func NewSkeleton(numNodes, numLinks int, links []Link) (*Graph, error) {
 	}
 	g.adjacency()
 	return g, nil
-}
-
-// AnnotateClass sets the attributes of every link in the given class.
-// It returns the number of links updated. Users annotate GML graphs with
-// attributes not provided by the source (§2.1).
-func (g *Graph) AnnotateClass(class LinkClass, attr LinkAttrs) int {
-	n := 0
-	for i := range g.Links {
-		if g.Class(g.Links[i]) == class {
-			g.Links[i].Attr = attr
-			n++
-		}
-	}
-	return n
 }

@@ -70,12 +70,3 @@ func FailLinks(emu *emucore.Emulator, down map[topology.LinkID]bool) {
 	}
 	emu.Reroute(lids)
 }
-
-// HealLinks restores failed links' parameters from the provided base and
-// re-resolves routing over the intact topology.
-func HealLinks(emu *emucore.Emulator, base map[topology.LinkID]pipes.Params) {
-	for lid, params := range base {
-		emu.SetPipeParams(pipes.ID(lid), params)
-	}
-	emu.Reroute(nil)
-}

@@ -1,13 +1,11 @@
 // Package traffic provides workload generators and network-condition
-// manipulation: netperf-style bulk TCP and constant-bit-rate UDP sources,
-// a synthetic web-trace generator (the §5.2 IBM trace substitute),
-// cross-traffic injection via dynamic pipe re-parameterization driven by a
-// queueing model (§4.3), and fault/perturbation schedules.
+// manipulation: a netperf-style bulk TCP source and sink, a synthetic
+// web-trace generator (the §5.2 IBM trace substitute), and
+// fault/perturbation schedules.
 package traffic
 
 import (
 	"modelnet/internal/netstack"
-	"modelnet/internal/stats"
 	"modelnet/internal/vtime"
 )
 
@@ -66,17 +64,6 @@ func NewSink(h *netstack.Host, port uint16) (*Sink, error) {
 	return s, nil
 }
 
-// ThroughputSample returns the per-flow goodput distribution in bits/s.
-func (s *Sink) ThroughputSample() *stats.Sample {
-	out := &stats.Sample{}
-	for _, f := range s.Flows {
-		if f.Bytes > 0 {
-			out.Add(f.Throughput())
-		}
-	}
-	return out
-}
-
 // Bulk is a netperf-style TCP bulk sender.
 type Bulk struct {
 	Conn *netstack.Conn
@@ -96,38 +83,4 @@ func StartBulk(h *netstack.Host, dst netstack.Endpoint, total int) *Bulk {
 		b.Conn.Close()
 	}
 	return b
-}
-
-// CBR is a constant-bit-rate UDP source.
-type CBR struct {
-	sock    *netstack.UDPSocket
-	to      netstack.Endpoint
-	payload int
-	ticker  *vtime.Ticker
-	Sent    uint64
-}
-
-// StartCBR sends payload-byte datagrams to dst at bps until stopped.
-func StartCBR(h *netstack.Host, dst netstack.Endpoint, payload int, bps float64) (*CBR, error) {
-	sock, err := h.OpenUDP(0, nil)
-	if err != nil {
-		return nil, err
-	}
-	c := &CBR{sock: sock, to: dst, payload: payload}
-	interval := vtime.DurationOf(float64((payload+netstack.UDPHeader)*8) / bps)
-	if interval < vtime.Microsecond {
-		interval = vtime.Microsecond
-	}
-	c.ticker = vtime.NewTicker(h.Scheduler(), interval, func() {
-		c.sock.SendTo(c.to, c.payload, nil)
-		c.Sent++
-	})
-	c.ticker.Start()
-	return c, nil
-}
-
-// Stop halts the source.
-func (c *CBR) Stop() {
-	c.ticker.Stop()
-	c.sock.Close()
 }

@@ -115,7 +115,7 @@ func TestTickerStopFromOwnCallback(t *testing.T) {
 
 func TestTimerResetFromOwnCallback(t *testing.T) {
 	s := NewScheduler()
-	tm := NewTimer(s)
+	tm := NewTaggedTimer(s, NoTag)
 	var fires []Time
 	other := 0
 	var onFire func()
@@ -154,7 +154,7 @@ func TestSchedulerSteadyStateAllocs(t *testing.T) {
 // Re-arming a Timer or running a Ticker allocates nothing either.
 func TestTimerTickerSteadyStateAllocs(t *testing.T) {
 	s := NewScheduler()
-	tm := NewTimer(s)
+	tm := NewTaggedTimer(s, NoTag)
 	fire := func() {}
 	tk := NewTicker(s, 3, func() { tm.Reset(100, fire) })
 	tk.Start()

@@ -8,17 +8,11 @@ type Timer struct {
 	armed  bool
 	Expiry Time
 	// Tag is the owner claim the timer arms its events with (see
-	// Scheduler.AtTagged); NoTag from NewTimer, the owning VN from
-	// NewTaggedTimer.
+	// Scheduler.AtTagged): the owning VN, or NoTag for none.
 	Tag int32
 
 	fn   func() // the current arming's callback
 	fire func() // t.expire, bound once so arming allocates nothing
-}
-
-// NewTimer returns an unarmed timer bound to s.
-func NewTimer(s *Scheduler) *Timer {
-	return NewTaggedTimer(s, NoTag)
 }
 
 // NewTaggedTimer returns an unarmed timer whose events claim owner vn: its

@@ -146,7 +146,7 @@ func TestStepEmpty(t *testing.T) {
 
 func TestTimerResetAndStop(t *testing.T) {
 	s := NewScheduler()
-	tm := NewTimer(s)
+	tm := NewTaggedTimer(s, NoTag)
 	fired := 0
 	tm.Reset(10, func() { fired++ })
 	tm.Reset(20, func() { fired += 100 }) // supersedes the first arming

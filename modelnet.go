@@ -547,12 +547,3 @@ func (e *Emulation) RunUntil(t Time) {
 	}
 	e.Sched.RunUntil(t)
 }
-
-// RunToCompletion fires events until none remain.
-func (e *Emulation) RunToCompletion() {
-	if e.Par != nil {
-		e.Par.Run()
-		return
-	}
-	e.Sched.Run()
-}
