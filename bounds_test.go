@@ -43,9 +43,11 @@ var boundsLedger = []struct {
 	{"bind.lru table (every bounded cache in bind)", "internal/bind/lru.go", "type lru[V any] struct",
 		"entries ≤ capacity; slots ≤ 2·max(8, entries rounded up to a power of two)", "TestLRUEvictsRecencyListTail", ""},
 	{"bind.Cache routes", "internal/bind/route.go", "newLRU[Route](capacity)",
-		"≤ RouteCache routes, or DefaultRouteCache (65 536) when 0", "TestCacheEviction", ""},
+		"≤ RouteCache routes, or DefaultRouteCache (65 536) when 0; a shard's, 16 per field", "TestCacheEviction", ""},
+	{"bind.Cache reroute epochs", "internal/bind/route.go", "downs   []linkSet",
+		"preloaded: the schedule, ≤ MaxRerouteEpochs+1 down sets (EnumerateReroutes refuses more); without one: exactly 1, the current epoch's", "TestCacheEpochStore", ""},
 	{"bind engine distance fields", "internal/bind/engine.go", "newLRU[[]cell](fieldCap)",
-		"≤ fieldCap fields (default defaultFieldCap, 4096; a Cache's capacity/16, at least 4), the lru's capacity", "TestLRUEvictsRecencyListTail", ""},
+		"≤ fieldCap fields (default defaultFieldCap, 4096; NewCache's capacity/16, at least 4), the lru's capacity", "TestLRUEvictsRecencyListTail", ""},
 	{"bind.SummaryOracle down sets", "internal/bind/shard.go", "newLRU[linkSet](epochCap)",
 		"≤ epochCap epochs (default 4), the lru's capacity", "TestLRUEvictsRecencyListTail", ""},
 	{"bind.GatewayTable dynamic VN pool", "internal/bind/gateway.go", "free  []pipes.VN",

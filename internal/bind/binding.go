@@ -67,7 +67,7 @@ func Bind(g *topology.Graph, opts Options) (*Binding, error) {
 	if routeCap <= 0 {
 		// Only a run that sizes its own table may bind a world of islands
 		// (topology.Pairs), whose lookups between islands return !ok.
-		if src, dst, found := c.eng.unreached(clients); found {
+		if src, dst, found := c.unreached(clients); found {
 			return nil, fmt.Errorf("bind: VN %d cannot reach VN %d", src, dst)
 		}
 	}

@@ -5,9 +5,10 @@
 //     the bounded LRU route cache (NewCache), which computes each route on
 //     first use. The paper's other storage design, the precomputed all-pairs
 //     matrix (BuildMatrix), stays for the benchmark module's probes and the
-//     reference tests; no run routes through it. Under sharded distribution each
-//     worker routes with a ShardTable over its ShardView, seeded by the
-//     coordinator's SummaryOracle. All four are
+//     reference tests; no run routes through it. Under sharded distribution
+//     each worker routes with the same Cache over its ShardView
+//     (NewShardTable), seeded by the coordinator's SummaryOracle and holding
+//     the run's reroute schedule. All three are
 //     fronts for one route engine (engine.go), so every table in every
 //     execution mode holds the same canonical routes. The engine caches
 //     distance fields per (reroute epoch, target's key) — the key of a leaf

@@ -136,12 +136,12 @@ type distItem struct {
 }
 
 // engine computes canonical distance fields and routes over one ShardView of
-// a graph: the whole graph under a single owner (fullView) for Matrix, Cache
-// and SummaryOracle, one shard's slice of it for ShardTable. Fields are
-// indexed by cover index — the view's nodes, densely renumbered — and cached
-// per (reroute epoch, target's key) in the one bounded LRU, 16 bytes per
-// covered node, next-hop memo included. An engine keeps scratch state between
-// calls and must not be shared across goroutines.
+// a graph: the whole graph under a single owner (fullView) for Matrix,
+// SummaryOracle and NewCache, one shard's slice of it for NewShardTable.
+// Fields are indexed by cover index — the view's nodes, densely renumbered —
+// and cached per (reroute epoch, target's key) in the one bounded LRU, 16
+// bytes per covered node, next-hop memo included. An engine keeps scratch
+// state between calls and must not be shared across goroutines.
 type engine struct {
 	g     *topology.Graph // the view's links under their global IDs
 	shard int32

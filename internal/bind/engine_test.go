@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"modelnet/internal/pipes"
@@ -18,7 +19,8 @@ func ring() *topology.Graph {
 }
 
 // TestLookupAllocs gates what a route costs the allocator: nothing on the
-// paths a packet takes (a Matrix lookup, a Cache hit), the exact-size route
+// paths a packet takes (a Matrix lookup, a Cache hit over the whole graph or
+// over a shard's view — a worker's warm lookup), the exact-size route
 // and nothing else for a walk over a cached field — which, once warm, reads
 // its next hops out of the field's memo and scans nothing, and which serves
 // every leaf behind the field's router — and for a distance field the field
@@ -45,6 +47,14 @@ func TestLookupAllocs(t *testing.T) {
 		sink += len(r)
 	}); n != 0 {
 		t.Errorf("Cache hit: %v allocs, want 0", n)
+	}
+	sc := ringShardCache(t, nil)
+	sc.Lookup(3, 250)
+	if n := testing.AllocsPerRun(200, func() {
+		r, _ := sc.Lookup(3, 250)
+		sink += len(r)
+	}); n != 0 || sc.Misses != 1 {
+		t.Errorf("shard-view Cache hit: %v allocs over %d misses, want 0 over 1", n, sc.Misses)
 	}
 
 	for _, g := range []*topology.Graph{g, topology.Ring(40, 40, attrs(0.005), attrs(0.001))} {
@@ -202,14 +212,13 @@ func benchBuildMatrix(b *testing.B, g *topology.Graph) {
 	}
 }
 
-// BenchmarkShardTableLookupWarm prices what a federated worker pays per
-// injected packet (ring-fed2): a field-LRU hit plus a walk over memoized next
-// hops up to the first foreign pipe, on one half of the ring.
-func BenchmarkShardTableLookupWarm(b *testing.B) {
+// ringShardCache is ring-fed2's shard 0: the Cache of one half of the ring,
+// routers 0-9 and their VNs 0..199, seeded in process by a whole-graph oracle
+// that reads epoch e's down set at sets[e].
+func ringShardCache(tb testing.TB, sets [][]topology.LinkID) *Cache {
+	tb.Helper()
 	g := ring()
-	homes := g.Clients()
-	// Routers 0-9 and their VNs are shard 0; node IDs are routers first, then
-	// each router's VNs in turn.
+	// Node IDs are routers first, then each router's VNs in turn.
 	nodeOwner := make([]int, g.NumNodes())
 	for n := range nodeOwner {
 		router := n
@@ -224,19 +233,28 @@ func BenchmarkShardTableLookupWarm(b *testing.B) {
 	}
 	views, err := BuildShardViews(g, owner, nodeOwner, 2)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	oracle := NewSummaryOracle(g, nil, 0, 0)
-	t, err := NewShardTable(g, views[0], homes, oracle.SeedFuncFor(views[0].Summary), 0)
+	oracle := NewSummaryOracle(g, func(e int32) ([]topology.LinkID, error) { return sets[e], nil }, 0, 0)
+	c, err := NewShardTable(g, views[0], g.Clients(), oracle.SeedFuncFor(views[0].Summary), 0)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	local := len(homes) / 2 // VNs 0..199 are homed on shard 0
+	return c
+}
+
+// BenchmarkCacheHitShardView prices what a federated worker pays per injected
+// packet (ring-fed2) once its route is cached: a route-LRU hit on one half of
+// the ring, the segment up to the first foreign pipe.
+func BenchmarkCacheHitShardView(b *testing.B) {
+	c := ringShardCache(b, nil)
+	n := c.NumVNs()
+	local := n / 2 // VNs 0..199 are homed on shard 0
 	lookup := func(i int) {
-		r, _ := t.Lookup(pipes.VN(i%local), pipes.VN((i*7+13)%len(homes)))
+		r, _ := c.Lookup(pipes.VN(i%local), pipes.VN((i*7+13)%n))
 		benchSink += len(r)
 	}
-	for i := 0; i < len(homes); i++ { // the pair sequence repeats every len(homes)
+	for i := 0; i < n; i++ { // the pair sequence repeats every n
 		lookup(i)
 	}
 	b.ReportAllocs()
@@ -247,7 +265,7 @@ func BenchmarkShardTableLookupWarm(b *testing.B) {
 }
 
 // BenchmarkDistField prices one reverse Dijkstra over the same ring — what a
-// Cache or ShardTable miss pays before it walks.
+// Cache miss pays before it walks.
 func BenchmarkDistField(b *testing.B) {
 	g := ring()
 	homes := g.Clients()
@@ -282,7 +300,7 @@ func BenchmarkCacheMiss(b *testing.B) {
 func fig4Cache(tb testing.TB, g *topology.Graph) *Cache {
 	tb.Helper()
 	c := NewCache(g, g.Clients(), 960)
-	if c.routes.slots != nil || c.eng.fields.slots != nil {
+	if c.routes.slots != nil || c.fields.slots != nil {
 		tb.Fatal("NewCache allocated a table before the first route")
 	}
 	for r := 0; r < 240; r++ {
@@ -304,8 +322,8 @@ func TestCacheHitAllocs(t *testing.T) {
 	g := fig4Graph()
 	var c *Cache
 	fill := testing.AllocsPerRun(1, func() { c = fig4Cache(t, g) })
-	if c.Misses != 240 || c.eng.Misses != 240 || c.Len() != 240 {
-		t.Fatalf("test premise: %d misses, %d fields, %d routes cached, want 240 each", c.Misses, c.eng.Misses, c.Len())
+	if c.Misses != 240 || c.engine.Misses != 240 || c.Len() != 240 {
+		t.Fatalf("test premise: %d misses, %d fields, %d routes cached, want 240 each", c.Misses, c.engine.Misses, c.Len())
 	}
 	// 480 for the fields and routes; the rest (33 when written) builds the
 	// engine's index and its scratch and doubles the route table seven times
@@ -345,4 +363,50 @@ func BenchmarkCacheHitInterleaved(b *testing.B) {
 	if c.Misses != 240 {
 		b.Fatalf("%d misses, want the 240 of the fill", c.Misses)
 	}
+}
+
+// TestCacheEpochStore holds a Cache's epoch store to its bound. Without a
+// schedule it keeps one down set, the current epoch's, and each reroute drops
+// every route and field. With one (Preload) it keeps the preloaded sets and
+// nothing more, however many reroutes fire — dynamics.EnumerateReroutes,
+// which builds a worker's schedule, stops at MaxRerouteEpochs+1 sets. Every
+// reroute drops the cached routes, the fields of earlier epochs stay, Extend
+// serves every scheduled epoch and no other, and a reroute past the schedule
+// panics.
+func TestCacheEpochStore(t *testing.T) {
+	g := ring()
+	c := NewCache(g, g.Clients(), 64)
+	for e := int32(1); e <= 3; e++ {
+		c.Lookup(3, 250)
+		c.Reroute([]topology.LinkID{topology.LinkID(e)})
+		if c.downs != nil || len(c.down) != 1 || !c.down[topology.LinkID(e)] || c.epoch != e || c.Len() != 0 || c.fields.len() != 0 {
+			t.Fatalf("unscheduled reroute #%d: schedule %v, down %v, epoch %d, %d routes and %d fields kept; want none, {%d}, %d, 0, 0",
+				e, c.downs, c.down, c.epoch, c.Len(), c.fields.len(), e, e)
+		}
+	}
+
+	sets := [][]topology.LinkID{nil, {1}, {1, 2}}
+	sc := ringShardCache(t, sets)
+	sc.Preload(sets)
+	for e := 1; e < len(sets); e++ {
+		sc.Lookup(3, 250)
+		sc.Reroute(sets[e])
+		if len(sc.downs) != len(sets) || sc.Len() != 0 || sc.fields.len() == 0 {
+			t.Fatalf("scheduled reroute #%d: %d down sets, %d routes, %d fields kept; want %d, 0, the earlier epochs'",
+				e, len(sc.downs), sc.Len(), sc.fields.len(), len(sets))
+		}
+	}
+	access := Route{pipes.ID(g.Out(sc.vnHomes[3])[0])}
+	for e := int32(-1); e <= int32(len(sets)); e++ {
+		_, err := sc.Extend(access, e, 250)
+		if scheduled := e >= 0 && int(e) < len(sets); (err == nil) != scheduled {
+			t.Errorf("Extend under epoch %d: err %v, want an error iff the epoch is not in the %d-epoch schedule", e, err, len(sets))
+		}
+	}
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "exceeds the preloaded epoch schedule") {
+			t.Errorf("a reroute past the schedule: recovered %q, want the schedule's panic", msg)
+		}
+	}()
+	sc.Reroute(nil)
 }

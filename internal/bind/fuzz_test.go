@@ -103,9 +103,12 @@ func TestLeafBoundaryWorlds(t *testing.T) {
 }
 
 // FuzzRoutesMatchReference: on any world fuzzWorld can read, every (epoch,
-// source, destination) through the Matrix, a Cache of capacity 1 (four fields)
-// and SummaryOracle.Seeds (two fields) equals the Bellman–Ford reference, and
-// Bind refuses the world exactly when the reference finds an unreachable pair.
+// source, destination) through the Matrix, a Cache of capacity 1 (four
+// fields), the Cache of a one-shard view holding the preloaded schedule and
+// 1 024 routes (so every route of an epoch is still cached when the next
+// Reroute must drop it) and SummaryOracle.Seeds (two fields) equals the
+// Bellman–Ford reference, and Bind refuses the world exactly when the
+// reference finds an unreachable pair.
 func FuzzRoutesMatchReference(f *testing.F) {
 	for _, data := range leafBoundary {
 		f.Add(data)
@@ -120,8 +123,21 @@ func routesMatchReference(t *testing.T, data []byte) {
 	}
 	r := newReference(g, homes, downs, 2)
 	cache := bind.NewCache(g, homes, 1)
+	owner := make([]int, g.NumLinks())
+	views, err := bind.BuildShardViews(g, owner, make([]int, g.NumNodes()), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept, err := bind.NewShardTable(g, views[0], homes, nil, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept.Preload(downs)
 	for e := range downs {
 		cache.Reroute(downs[e])
-		r.checkWholeGraph(t, e, cache)
+		if e > 0 {
+			kept.Reroute(downs[e])
+		}
+		r.checkWholeGraph(t, e, cache, kept)
 	}
 }

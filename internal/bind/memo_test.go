@@ -17,7 +17,7 @@ import (
 // in shuffled order, and each route must equal both the Bellman–Ford
 // reference and a cold walk on tables built for that one lookup (memo empty).
 // The schedule covers every way a memo ends or must not be shared: Extend
-// under an older or a not-yet-reached pinned epoch after Advance (memo keyed
+// under an older or a not-yet-reached pinned epoch after Reroute (memo keyed
 // by epoch with its field), every fourth world at field capacity 1 (each field
 // evicted and recomputed between uses of it), and a Cache at route capacity 1
 // across Reroute (every lookup walks; the memo goes with the dropped field).
@@ -38,9 +38,7 @@ func TestNextHopMemoDifferential(t *testing.T) {
 				e32 := int32(e)
 				if e > 0 {
 					cache.Reroute(r.downs[e])
-					for _, tb := range warm {
-						tb.Advance()
-					}
+					r.reroute(e, warm)
 				}
 				var qs []query
 				for p := range r.downs {
@@ -55,7 +53,7 @@ func TestNextHopMemoDifferential(t *testing.T) {
 				rng.Shuffle(len(qs), func(i, j int) { qs[i], qs[j] = qs[j], qs[i] })
 				for _, q := range qs {
 					got, ok := r.stitched(t, warm, e32, int32(q.pinned), q.s, q.d)
-					r.check(t, fmt.Sprintf("warm ShardTable at epoch %d, packet pinned to", e), q.pinned, q.s, q.d, got, ok)
+					r.check(t, fmt.Sprintf("warm shard Cache at epoch %d, packet pinned to", e), q.pinned, q.s, q.d, got, ok)
 					if q.pinned != e {
 						continue
 					}

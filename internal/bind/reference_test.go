@@ -1,9 +1,9 @@
 package bind_test
 
 // The independent reference for the canonical routing policy, and the
-// property that every table is that policy: Matrix, Cache, ShardTable and
-// SummaryOracle all run one engine, so comparing them with each other proves
-// nothing. The reference shares no code with it — Bellman–Ford relaxation to
+// property that every table is that policy: Matrix, Cache — over the whole
+// graph or a shard's view — and SummaryOracle all run one engine, so
+// comparing them with each other proves nothing. The reference shares no code with it — Bellman–Ford relaxation to
 // a fixed point instead of Dijkstra, a scan of the link list instead of the
 // adjacency and in-link indexes, a second graph instead of a down set.
 
@@ -279,30 +279,39 @@ func newRefRig(t *testing.T, rng *rand.Rand, oracleFields int) *refRig {
 	return r
 }
 
-// tables builds one fresh ShardTable per shard, holding the whole epoch
-// schedule and advanced to epoch at.
-func (r *refRig) tables(t *testing.T, fieldCap int, at int32) []*bind.ShardTable {
+// tables builds one fresh shard Cache per shard (fieldCap fields, 16 routes
+// each), holding the whole epoch schedule and rerouted to epoch at.
+func (r *refRig) tables(t *testing.T, fieldCap int, at int32) []*bind.Cache {
 	t.Helper()
-	tables := make([]*bind.ShardTable, len(r.views))
+	tables := make([]*bind.Cache, len(r.views))
 	for o, v := range r.views {
 		tb, err := bind.NewShardTable(r.skels[o], v, r.homes, r.oracle.SeedFuncFor(v.Summary), fieldCap)
 		if err != nil {
 			t.Fatal(err)
 		}
-		tb.SetEpochs(r.downs)
-		for e := int32(0); e < at; e++ {
-			tb.Advance()
+		tb.Preload(r.downs)
+		for e := 1; e <= int(at); e++ {
+			tb.Reroute(r.downs[e])
 		}
 		tables[o] = tb
 	}
 	return tables
 }
 
+// reroute moves every table to epoch e.
+func (r *refRig) reroute(e int, tables ...[]*bind.Cache) {
+	for _, ts := range tables {
+		for _, tb := range ts {
+			tb.Reroute(r.downs[e])
+		}
+	}
+}
+
 // stitched resolves s->d as the federation does: the first segment from the
 // source's home shard (only possible under the epoch that shard is at — for
 // any other pinned epoch, the reference route cut after its first foreign
 // pipe stands in), then Extend on each shard the route is handed to.
-func (r *refRig) stitched(t *testing.T, tables []*bind.ShardTable, at, pinned int32, s, d int) (bind.Route, bool) {
+func (r *refRig) stitched(t *testing.T, tables []*bind.Cache, at, pinned int32, s, d int) (bind.Route, bool) {
 	t.Helper()
 	home := r.nodeOwner[r.homes[s]]
 	var rt bind.Route
@@ -345,10 +354,10 @@ func (r *refRig) check(t *testing.T, what string, e, s, d int, got bind.Route, o
 // checkWholeGraph holds the three whole-graph fronts against the reference
 // under epoch e: the Matrix built over the graph with e's down links at
 // Infinity latency and Bind (each of which must fail exactly when some pair
-// is unreachable), the given Cache — already rerouted to e — on every pair,
+// is unreachable), the given Caches — already rerouted to e — on every pair,
 // two VNs on one home included, and the oracle's Seeds toward every home
 // read at every node of the world.
-func (r *refRig) checkWholeGraph(t *testing.T, e int, cache *bind.Cache) {
+func (r *refRig) checkWholeGraph(t *testing.T, e int, caches ...*bind.Cache) {
 	t.Helper()
 	reachable := true
 	for s := range r.homes {
@@ -383,10 +392,12 @@ func (r *refRig) checkWholeGraph(t *testing.T, e int, cache *bind.Cache) {
 				rt, ok := m.Lookup(pipes.VN(s), pipes.VN(d))
 				r.check(t, "Matrix", e, s, d, rt, ok)
 			}
-			rt, ok := cache.Lookup(pipes.VN(s), pipes.VN(d))
-			r.check(t, "Cache", e, s, d, rt, ok)
-			if cache.Len() > 1 {
-				t.Fatalf("cache of capacity 1 holds %d routes", cache.Len())
+			for _, c := range caches {
+				rt, ok := c.Lookup(pipes.VN(s), pipes.VN(d))
+				r.check(t, fmt.Sprintf("Cache of capacity %d", c.Cap()), e, s, d, rt, ok)
+				if c.Len() > c.Cap() {
+					t.Fatalf("cache of capacity %d holds %d routes", c.Cap(), c.Len())
+				}
 			}
 		}
 	}
@@ -425,39 +436,42 @@ func (r *refRig) checkBind(t *testing.T, e int, reachable bool) {
 
 // TestRoutingOptimalityProperty: on seeded random worlds, under a 2–3 epoch
 // down-set schedule and 1–4 shards of a random source-node partition,
-// reference ≡ Matrix ≡ Cache at capacity 1 (every lookup evicts) ≡ the
-// concatenation of ShardTable.Lookup + Extend segments, and the oracle's
-// Seeds ≡ the reference field at every node — with every LRU in
-// the chain squeezed so eviction and recomputation are on the path, and
-// including packets extended under epochs the receiving shard has not reached
-// yet or has already left.
+// reference ≡ Matrix ≡ a whole-graph Cache ≡ the concatenation of shard
+// Cache Lookup + Extend segments, and the oracle's Seeds ≡ the reference
+// field at every node. Each Cache runs twice: squeezed (whole graph at
+// capacity 1, shards at 2 fields and 32 routes, the oracle at 2 fields), so
+// eviction and recomputation are on the path, and roomy (1 024 routes),
+// so every route of an epoch is still cached when the next Reroute must
+// drop it. Packets are also extended under epochs the receiving shard has
+// not reached yet or has already left.
 func TestRoutingOptimalityProperty(t *testing.T) {
 	for trial := 0; trial < 60; trial++ {
 		trial := trial
 		t.Run(fmt.Sprintf("trial%d", trial), func(t *testing.T) {
 			r := newRefRig(t, rand.New(rand.NewSource(int64(9100+trial))), 2)
-			tables := r.tables(t, 2, 0)
-			cache := bind.NewCache(r.g, r.homes, 1)
+			squeezed, roomy := r.tables(t, 2, 0), r.tables(t, 64, 0)
+			cache, kept := bind.NewCache(r.g, r.homes, 1), bind.NewCache(r.g, r.homes, 1<<10)
 			for e := range r.downs {
 				e32 := int32(e)
 				if e > 0 {
 					cache.Reroute(r.downs[e])
-					for _, tb := range tables {
-						tb.Advance()
-					}
+					kept.Reroute(r.downs[e])
+					r.reroute(e, squeezed, roomy)
 				}
-				r.checkWholeGraph(t, e, cache)
+				r.checkWholeGraph(t, e, cache, kept)
 				for s := range r.homes {
 					for d := range r.homes {
 						if s == d {
 							continue
 						}
-						rt, ok := r.stitched(t, tables, e32, e32, s, d)
-						r.check(t, "ShardTable", e, s, d, rt, ok)
-						for p := range r.downs {
-							if p != e && r.want[p][s][d] != nil {
-								rt, ok = r.stitched(t, tables, e32, int32(p), s, d)
-								r.check(t, fmt.Sprintf("ShardTable at epoch %d, packet pinned to", e), p, s, d, rt, ok)
+						for _, tables := range [][]*bind.Cache{squeezed, roomy} {
+							rt, ok := r.stitched(t, tables, e32, e32, s, d)
+							r.check(t, "shard Cache", e, s, d, rt, ok)
+							for p := range r.downs {
+								if p != e && r.want[p][s][d] != nil {
+									rt, ok = r.stitched(t, tables, e32, int32(p), s, d)
+									r.check(t, fmt.Sprintf("shard Cache at epoch %d, packet pinned to", e), p, s, d, rt, ok)
+								}
 							}
 						}
 					}

@@ -1,14 +1,15 @@
 package bind
 
-// The whole-graph routing tables: the precomputed matrix and the bounded
-// route cache, §2.2's two storage designs. Both are fronts for the route
-// engine (engine.go) over the unpartitioned graph, so both hold exactly the
-// canonical routes. A run routes through a Cache; no run builds a Matrix
-// (the benchmark module's probes and the reference tests do).
+// The routing tables: the precomputed matrix and the bounded route cache,
+// §2.2's two storage designs. Both are fronts for the route engine
+// (engine.go), so both hold exactly the canonical routes. Every run and every
+// federated worker routes through a Cache; no run builds a Matrix (the
+// benchmark module's probes and the reference tests do).
 
 import (
 	"cmp"
 	"fmt"
+	"maps"
 	"math"
 	"slices"
 
@@ -135,18 +136,23 @@ func (m *Matrix) Lookup(src, dst pipes.VN) (Route, bool) {
 // NumVNs implements Table.
 func (m *Matrix) NumVNs() int { return m.n }
 
-// Cache is the O(n lg n)-space alternative and every run's table: the engine
-// behind a bounded hash cache of routes for active flows; a miss walks the
-// canonical route on demand (§2.2) from the engine's bounded distance-field
-// cache. Lookups mutate it, so parallel shards each own one.
+// Cache is the O(n lg n)-space alternative and the one route table of every
+// run and every worker: the engine over a view — the whole graph (NewCache)
+// or a shard's slice of it (NewShardTable) — behind a bounded hash cache of
+// routes for active flows, each walked on first use (§2.2). On a shard's view
+// a route ends at the first foreign pipe and Extend grows it on the shard the
+// packet reaches next, under the reroute epoch it was injected in. Lookups
+// mutate the cache, so parallel shards each own one.
 type Cache struct {
-	eng     *engine
+	*engine
 	vnHomes []topology.NodeID
-	down    linkSet
-	routes  *lru[Route] // keyed by src<<32 | dst
+	routes  *lru[Route] // keyed by src<<32 | dst, under the current epoch
+	epoch   int32
+	down    linkSet   // the current epoch's down set
+	downs   []linkSet // the preloaded schedule (Preload), epoch e's at e; nil without one
 
 	Hits   uint64
-	Misses uint64
+	Misses uint64 // routes walked (engine.Misses counts fields)
 }
 
 // defaultFieldCap bounds the distance fields of every table built without a
@@ -159,22 +165,22 @@ const (
 	DefaultRouteCache = 16 * defaultFieldCap
 )
 
-// NewCache builds a route cache over g with the given capacity (in routes;
-// ≤ 0 picks DefaultRouteCache); it keeps one distance field per 16 routes, at
-// least 4. Nothing is computed before the first lookup.
+// NewCache builds a route cache over the whole of g with the given capacity
+// (in routes; ≤ 0 picks DefaultRouteCache); it keeps one distance field per
+// 16 routes, at least 4. Nothing is computed before the first lookup.
 func NewCache(g *topology.Graph, vnHomes []topology.NodeID, capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultRouteCache
 	}
-	return &Cache{
-		eng:     newEngine(g, fullView(g), nil, max(capacity/16, 4)),
-		vnHomes: vnHomes,
-		routes:  newLRU[Route](capacity),
-	}
+	return newCache(newEngine(g, fullView(g), nil, max(capacity/16, 4)), vnHomes, capacity)
 }
 
-// Lookup implements Table. On a miss it walks the route and caches it,
-// evicting the least recently used route when full.
+func newCache(eng *engine, vnHomes []topology.NodeID, capacity int) *Cache {
+	return &Cache{engine: eng, vnHomes: vnHomes, routes: newLRU[Route](capacity)}
+}
+
+// Lookup implements Table, under the current epoch. On a miss it walks the
+// route and caches it, evicting the least recently used route when full.
 func (c *Cache) Lookup(src, dst pipes.VN) (Route, bool) {
 	if int(src) >= len(c.vnHomes) || int(dst) >= len(c.vnHomes) || src < 0 || dst < 0 {
 		return nil, false
@@ -188,9 +194,40 @@ func (c *Cache) Lookup(src, dst pipes.VN) (Route, bool) {
 		return r, r != nil
 	}
 	c.Misses++
-	r, ok, _ := c.eng.route(nil, c.vnHomes[src], c.vnHomes[dst], 0, c.down) // no seeds, no error
+	r, ok, err := c.route(nil, c.vnHomes[src], c.vnHomes[dst], c.epoch, c.down)
+	if err != nil {
+		// A failed seed fetch is a control plane failure, not a routing miss:
+		// fail loudly rather than silently drop traffic as unreachable.
+		panic(fmt.Sprintf("bind: route lookup VN %d->%d: %v", src, dst, err))
+	}
 	c.routes.put(key, r)
 	return r, ok
+}
+
+// Extend grows a tunneled packet's route under its pinned epoch: when the
+// route's last pipe is this shard's and does not reach dst's home, it returns
+// r plus this shard's next segment, in a new route (r and the cached routes
+// are never written). A route over the whole graph is complete already.
+func (c *Cache) Extend(r Route, epoch int32, dst pipes.VN) (Route, error) {
+	if len(r) == 0 || int(dst) >= len(c.vnHomes) || dst < 0 || c.owner[r[len(r)-1]] != c.shard {
+		return r, nil // nothing to grow, or a later shard's segment
+	}
+	cur, target := c.g.Links[r[len(r)-1]].Dst, c.vnHomes[dst]
+	if cur == target {
+		return r, nil
+	}
+	down := c.down
+	if epoch != c.epoch {
+		if epoch < 0 || int(epoch) >= len(c.downs) {
+			return nil, fmt.Errorf("bind: shard %d asked for unknown reroute epoch %d (current %d)", c.shard, epoch, c.epoch)
+		}
+		down = c.downs[epoch]
+	}
+	ext, ok, err := c.route(r, cur, target, epoch, down)
+	if err == nil && !ok {
+		err = fmt.Errorf("bind: shard %d cannot extend route toward VN %d (node %d) at epoch %d", c.shard, dst, target, epoch)
+	}
+	return ext, err
 }
 
 // NumVNs implements Table.
@@ -202,10 +239,42 @@ func (c *Cache) Len() int { return c.routes.len() }
 // Cap reports the most routes the cache keeps.
 func (c *Cache) Cap() int { return c.routes.capacity }
 
-// Reroute makes the cache route around the given failed links (none heals
-// them all), dropping every cached route and distance field.
+// Preload installs the whole reroute schedule before the first reroute:
+// sets[e] is the down set of epoch e, sets[0] the pristine world's
+// (dynamics.EnumerateReroutes's shape). Extend then serves any scheduled
+// epoch — a faster peer may tunnel a packet injected under a reroute this
+// shard has yet to fire — and Reroute checks each down set against it.
+func (c *Cache) Preload(sets [][]topology.LinkID) {
+	c.downs = make([]linkSet, max(len(sets), 1))
+	for e, set := range sets {
+		c.downs[e] = newLinkSet(set)
+	}
+	c.down = c.downs[c.epoch]
+}
+
+// Reroute enters the next epoch, with the given links failed (none heals them
+// all), and drops every cached route. Without a schedule it drops every field
+// too. With one, earlier epochs' fields stay for Extend, and a down set that
+// is not the next epoch's, or a reroute past the end, panics: the live replay
+// has forked from the schedule, and routing on would use the wrong graph.
 func (c *Cache) Reroute(down []topology.LinkID) {
-	c.down = newLinkSet(down)
+	c.epoch++
 	c.routes.reset()
-	c.eng.fields.reset()
+	set := newLinkSet(down)
+	if c.downs == nil {
+		c.down = set
+		c.fields.reset()
+		return
+	}
+	if int(c.epoch) >= len(c.downs) {
+		panic(fmt.Sprintf("bind: shard %d reroute #%d exceeds the preloaded epoch schedule (%d epochs)", c.shard, c.epoch, len(c.downs)))
+	}
+	c.down = c.downs[c.epoch]
+	// Off the schedule: name the first link the two sets disagree on.
+	for lid := topology.LinkID(0); !maps.Equal(set, c.down); lid++ {
+		if set[lid] != c.down[lid] {
+			panic(fmt.Sprintf("bind: shard %d reroute #%d differs from the preloaded epoch's down set at link %d (down %v, scheduled %v)",
+				c.shard, c.epoch, lid, set[lid], c.down[lid]))
+		}
+	}
 }

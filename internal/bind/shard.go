@@ -11,7 +11,6 @@ package bind
 import (
 	"fmt"
 
-	"modelnet/internal/pipes"
 	"modelnet/internal/topology"
 	"modelnet/internal/vtime"
 )
@@ -125,114 +124,18 @@ func (v *ShardView) Skeleton() (*topology.Graph, error) {
 // a SummaryOracle.
 type SeedFunc func(epoch int32, target topology.NodeID) ([]Dist, error)
 
-// ShardTable is the shard-local routing table: the engine over one shard
-// view, its fields seeded with frontier summaries fetched on demand
-// (SeedFunc). Lookup produces the route segment up to and including the
-// first foreign pipe; Extend grows a tunneled packet's route the same way on
-// the receiving shard. Packets keep the reroute epoch they were injected
-// under, so in-flight routes stay exactly the whole-graph route at
-// injection time. Misses and SeedRPCs count the fields computed and the
-// summaries fetched for them.
-type ShardTable struct {
-	*engine
-	vnHome []topology.NodeID
-	epoch  int32
-	downs  []linkSet // per-epoch down sets
+// NewShardTable builds one shard's route Cache: the engine over its view,
+// each field seeded with the frontier summary fetched on demand (seeds). g
+// must contain the view's links under their global IDs (a ShardView.Skeleton,
+// or the full graph); vnHome is the global VN→home mapping; fieldCap bounds
+// the cached distance fields (≤ 0 picks a default sized for a bounded-target
+// workload), and the cache keeps 16 routes per field, as NewCache does.
+func NewShardTable(g *topology.Graph, view *ShardView, vnHome []topology.NodeID, seeds SeedFunc, fieldCap int) (*Cache, error) {
+	if fieldCap <= 0 {
+		fieldCap = defaultFieldCap
+	}
+	return newCache(newEngine(g, view, seeds, fieldCap), vnHome, 16*fieldCap), nil
 }
-
-// NewShardTable builds the table for one shard. g must contain the view's
-// links under their global IDs (a ShardView.Skeleton, or the full graph);
-// vnHome is the global VN→home mapping; fieldCap bounds the cached distance
-// fields (≤ 0 picks a default sized for a bounded-target workload).
-func NewShardTable(g *topology.Graph, view *ShardView, vnHome []topology.NodeID, seeds SeedFunc, fieldCap int) (*ShardTable, error) {
-	for _, l := range view.Links {
-		if l.ID < 0 || int(l.ID) >= view.NumLinks {
-			return nil, fmt.Errorf("bind: shard view link ID %d outside %d slots", l.ID, view.NumLinks)
-		}
-	}
-	return &ShardTable{engine: newEngine(g, view, seeds, fieldCap), vnHome: vnHome, downs: []linkSet{nil}}, nil
-}
-
-// Epoch reports the current reroute epoch (0 before any reroute).
-func (t *ShardTable) Epoch() int32 { return t.epoch }
-
-// SetEpochs installs the full reroute schedule up front: sets[e] is the
-// down-set in force at epoch e (sets[0] nil or empty, the pristine world;
-// dynamics.EnumerateReroutes produces exactly this shape). The current epoch
-// is unchanged — Lookup keeps resolving under the epochs this shard's own
-// replay has reached — but the table can serve distance fields for *any*
-// scheduled epoch, which Extend needs: a faster peer may tunnel a packet
-// injected under a reroute this shard has not fired yet.
-func (t *ShardTable) SetEpochs(sets [][]topology.LinkID) {
-	t.downs = make([]linkSet, max(len(sets), 1))
-	for e, set := range sets {
-		t.downs[e] = newLinkSet(set)
-	}
-}
-
-// Advance moves to the next preloaded epoch — the reroute hook under a
-// SetEpochs schedule. It panics if the schedule is exhausted: the live
-// replay fired more reroutes than the enumeration that built the schedule,
-// and continuing would silently route packets against the wrong graph.
-func (t *ShardTable) Advance() {
-	if int(t.epoch)+1 >= len(t.downs) {
-		panic(fmt.Sprintf("bind: shard %d reroute #%d exceeds the preloaded epoch schedule (%d epochs)",
-			t.shard, t.epoch+1, len(t.downs)))
-	}
-	t.epoch++
-}
-
-// Lookup implements Table: the route segment from src's home up to and
-// including the first foreign pipe (or the full route when it never leaves
-// the shard), under the current epoch.
-func (t *ShardTable) Lookup(src, dst pipes.VN) (Route, bool) {
-	if int(src) >= len(t.vnHome) || int(dst) >= len(t.vnHome) || src < 0 || dst < 0 {
-		return nil, false
-	}
-	if src == dst {
-		return Route{}, true
-	}
-	r, ok, err := t.route(nil, t.vnHome[src], t.vnHome[dst], t.epoch, t.downs[t.epoch])
-	if err != nil {
-		// A failed seed fetch is a control plane failure, not a routing miss:
-		// fail loudly rather than silently drop traffic as unreachable.
-		panic(fmt.Sprintf("bind: route lookup VN %d->%d: %v", src, dst, err))
-	}
-	return r, ok
-}
-
-// Extend grows a tunneled packet's route under its pinned epoch: while the
-// route's last pipe is owned by this shard and does not yet reach dst's home,
-// append this shard's next segment. Called on the receiving shard before the
-// packet is applied, so synchronization pricing sees the extended route.
-func (t *ShardTable) Extend(r Route, epoch int32, dst pipes.VN) (Route, error) {
-	if len(r) == 0 || int(dst) >= len(t.vnHome) || dst < 0 {
-		return r, nil
-	}
-	last := r[len(r)-1]
-	if t.owner[last] != t.shard {
-		return r, nil // a later shard's segment; not ours to extend
-	}
-	cur := t.g.Links[last].Dst
-	target := t.vnHome[dst]
-	if cur == target {
-		return r, nil
-	}
-	if epoch < 0 || int(epoch) >= len(t.downs) {
-		return nil, fmt.Errorf("bind: shard %d asked for unknown reroute epoch %d (current %d)", t.shard, epoch, t.epoch)
-	}
-	ext, ok, err := t.route(r, cur, target, epoch, t.downs[epoch])
-	if err != nil {
-		return nil, err
-	}
-	if !ok {
-		return nil, fmt.Errorf("bind: shard %d cannot extend route toward VN %d (node %d) at epoch %d", t.shard, dst, target, epoch)
-	}
-	return ext, nil
-}
-
-// NumVNs implements Table.
-func (t *ShardTable) NumVNs() int { return len(t.vnHome) }
 
 // SummaryOracle is the coordinator-side source of frontier summaries: the
 // engine over the whole graph, serving exact global distance fields per

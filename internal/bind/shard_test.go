@@ -9,6 +9,7 @@ package bind_test
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"modelnet/internal/assign"
@@ -66,7 +67,7 @@ func downedClone(g *topology.Graph, down []topology.LinkID) *topology.Graph {
 
 // stitch resolves src→dst the way the federation does: Lookup on the source
 // VN's home shard, then Extend on each shard the route hands off to.
-func stitch(t *testing.T, tables []*bind.ShardTable, owner []int, g *topology.Graph,
+func stitch(t *testing.T, tables []*bind.Cache, owner []int, g *topology.Graph,
 	vnHome []topology.NodeID, src, dst pipes.VN, epoch int32) (bind.Route, bool) {
 	t.Helper()
 	home := owner[g.Out(vnHome[src])[0]]
@@ -148,7 +149,7 @@ func TestShardRoutesMatchGlobalMatrix(t *testing.T) {
 				return downs[epoch], nil
 			}, 0, 0)
 
-			tables := make([]*bind.ShardTable, k)
+			tables := make([]*bind.Cache, k)
 			for o := 0; o < k; o++ {
 				skel, err := views[o].Skeleton()
 				if err != nil {
@@ -158,13 +159,13 @@ func TestShardRoutesMatchGlobalMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				tables[o].SetEpochs(downs)
+				tables[o].Preload(downs)
 			}
 
 			for epoch := int32(0); epoch < int32(len(downs)); epoch++ {
 				if epoch > 0 {
 					for _, tb := range tables {
-						tb.Advance()
+						tb.Reroute(downs[epoch])
 					}
 				}
 				m, err := bind.BuildMatrix(downedClone(g, downs[epoch]), clients)
@@ -245,5 +246,81 @@ func TestBuildShardViewsRejectsNonSourceOwnership(t *testing.T) {
 	nodeOwner := make([]int, g.NumNodes())
 	if _, err := bind.BuildShardViews(g, owner, nodeOwner, 2); err == nil {
 		t.Fatal("expected source-ownership violation to be rejected")
+	}
+}
+
+// TestRerouteRefusesAForkedSchedule: a shard Cache holding a preloaded
+// schedule refuses a reroute whose down set is not the next epoch's — the
+// live replay has forked from the enumeration — and says which shard, which
+// reroute and the first link the two sets disagree on.
+func TestRerouteRefusesAForkedSchedule(t *testing.T) {
+	g := topology.Ring(4, 2, topology.LinkAttrs{BandwidthBps: 1e6, LatencySec: 0.001},
+		topology.LinkAttrs{BandwidthBps: 1e6, LatencySec: 0.001})
+	asn, err := assign.KClusters(g, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	views, err := bind.BuildShardViews(g, asn.Owner, asn.NodeOwner, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := bind.NewSummaryOracle(g, nil, 0, 0)
+	c, err := bind.NewShardTable(g, views[1], g.Clients(), oracle.SeedFuncFor(views[1].Summary), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Preload([][]topology.LinkID{nil, {5}, {2, 5}})
+	c.Reroute([]topology.LinkID{5})
+	defer func() {
+		msg := fmt.Sprint(recover())
+		for _, want := range []string{"shard 1", "reroute #2", "at link 2 "} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("a reroute off the schedule: recovered %q, want it to name %q", msg, want)
+			}
+		}
+	}()
+	c.Reroute([]topology.LinkID{7, 5}) // the schedule says {2, 5}: link 2 is up, 7 down
+}
+
+// TestExtendLeavesTheCachedSegment: a packet's route starts as the very slice
+// its home shard's Cache holds for the pair, and Extend on the next shard
+// grows it. The growth must go into a new route: the cached segment, and what
+// the next lookup of the pair returns, stay the segment.
+func TestExtendLeavesTheCachedSegment(t *testing.T) {
+	for trial := 0; trial < 10; trial++ {
+		rng := rand.New(rand.NewSource(int64(7700 + trial)))
+		g := randomWorld(rng)
+		clients := g.Clients()
+		asn, err := assign.KClusters(g, 2+rng.Intn(2), int64(trial))
+		if err != nil {
+			t.Fatal(err)
+		}
+		views, err := bind.BuildShardViews(g, asn.Owner, asn.NodeOwner, asn.Cores)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := bind.NewSummaryOracle(g, nil, 0, 0)
+		tables := make([]*bind.Cache, asn.Cores)
+		for o := range tables {
+			if tables[o], err = bind.NewShardTable(g, views[o], clients, oracle.SeedFuncFor(views[o].Summary), 0); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for s := range clients {
+			for d := range clients {
+				home := tables[asn.Owner[g.Out(clients[s])[0]]]
+				seg, ok := home.Lookup(pipes.VN(s), pipes.VN(d))
+				if !ok || len(seg) == 0 || g.Links[seg[len(seg)-1]].Dst == clients[d] {
+					continue // no segment for a later shard to grow
+				}
+				was := append(bind.Route(nil), seg...)
+				full, _ := stitch(t, tables, asn.Owner, g, clients, pipes.VN(s), pipes.VN(d), 0)
+				again, _ := home.Lookup(pipes.VN(s), pipes.VN(d))
+				if !routesEqual(seg, was) || !routesEqual(again, was) || len(full) <= len(was) {
+					t.Fatalf("trial %d, VN %d->%d: cached segment %v became %v (looked up again: %v) when the route grew to %v",
+						trial, s, d, was, seg, again, full)
+				}
+			}
+		}
 	}
 }

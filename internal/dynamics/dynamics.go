@@ -163,13 +163,12 @@ type Engine struct {
 	emu   *emucore.Emulator // nil in replay mode (EnumerateReroutes)
 	down  map[topology.LinkID]bool
 
-	// OnReroute, when set, replaces the default route-cache reroute: it
-	// receives the sorted set of currently down links. Sharded workers use it
-	// to advance their shard table's reroute epoch; the coordinator's replay
-	// (EnumerateReroutes) uses it to snapshot per-epoch down-sets. The
-	// schedule and tie-order of reroute events is identical either way, so
+	// onReroute, when set, sees every reroute's sorted down set before the
+	// emulator does: the replay behind EnumerateReroutes, which has no
+	// emulator, records the per-epoch down sets with it. The replay's
+	// schedule and tie-order of reroute events are the live engine's, so
 	// epoch numbering agrees across all parties by construction.
-	OnReroute func(down []topology.LinkID)
+	onReroute func(down []topology.LinkID)
 
 	// Applied counts steps fired and Reroutes route recomputations — cheap
 	// cross-mode determinism probes.
@@ -291,14 +290,12 @@ func (e *Engine) downList() []topology.LinkID {
 	return out
 }
 
-// reroute re-resolves the emulator's routing table — whichever kind it was
-// bound with (Emulator.Reroute) — with every down link priced at
+// reroute moves the emulator's route table to its next epoch
+// (Emulator.Reroute), in every mode, with every down link priced at
 // bind.InfinityLatencySec. Destinations whose only paths traverse down links
 // stay "reachable" at Infinity cost, so their traffic deterministically
 // blackholes at the down pipe instead of failing route lookup; that is the
-// unreachable-partition semantics. With OnReroute set, the hook replaces the
-// rebuild (sharded workers bump their table's epoch; replays snapshot the
-// down-set).
+// unreachable-partition semantics.
 func (e *Engine) reroute() {
 	e.Reroutes++
 	if e.bases != nil && len(e.pendingReroutes) > 0 {
@@ -308,14 +305,13 @@ func (e *Engine) reroute() {
 	if e.emu != nil && e.emu.Shard() <= 0 {
 		e.emu.Trace.Reroute(e.sched.Now()) // once per mode, as in apply
 	}
-	if e.OnReroute != nil {
-		e.OnReroute(e.downList())
-		return
+	down := e.downList()
+	if e.onReroute != nil {
+		e.onReroute(down)
 	}
-	if e.emu == nil {
-		return
+	if e.emu != nil {
+		e.emu.Reroute(down)
 	}
-	e.emu.Reroute(e.downList())
 }
 
 // MaxRerouteEpochs bounds EnumerateReroutes: a looping failure script
@@ -342,7 +338,7 @@ func EnumerateReroutes(spec *Spec, numLinks int, horizon vtime.Duration) ([][]to
 	}
 	sched := vtime.NewScheduler()
 	e := &Engine{spec: spec, sched: sched, down: map[topology.LinkID]bool{}}
-	e.OnReroute = func(down []topology.LinkID) {
+	e.onReroute = func(down []topology.LinkID) {
 		sets = append(sets, down)
 	}
 	for i := range spec.Profiles {

@@ -343,3 +343,29 @@ func TestParseScript(t *testing.T) {
 		}
 	}
 }
+
+// TestEnumerateReroutesIsCapped: the schedule a federated worker preloads
+// into its route Cache holds at most MaxRerouteEpochs+1 down sets. A link
+// flapping forever schedules reroutes forever; inside a horizon that fits the
+// cap the schedule is every reroute, past it the replay refuses.
+func TestEnumerateReroutesIsCapped(t *testing.T) {
+	down, up := At(0), At(vtime.Millisecond)
+	down.Down, up.Up = true, true
+	spec := &Spec{Reroute: true, RerouteDelay: 100 * vtime.Microsecond,
+		Profiles: []Profile{{Link: 0, Steps: []Step{down, up}, Loop: 2 * vtime.Millisecond}}}
+	// A reroute 0.1 ms after each step, one a millisecond: 4 094 of them in
+	// 4 094 ms, and the pristine epoch before them.
+	fits := vtime.Duration(MaxRerouteEpochs-2) * vtime.Millisecond
+	sets, err := EnumerateReroutes(spec, 1, fits)
+	if err != nil || len(sets) != MaxRerouteEpochs-1 {
+		t.Fatalf("over %v: %d down sets, err %v; want %d", fits, len(sets), err, MaxRerouteEpochs-1)
+	}
+	for e, set := range sets {
+		if want := e % 2; len(set) != want || (want == 1 && set[0] != 0) {
+			t.Fatalf("epoch %d: down set %v, want link 0 down in odd epochs only", e, set)
+		}
+	}
+	if sets, err := EnumerateReroutes(spec, 1, 2*fits); err == nil {
+		t.Fatalf("over %v: %d down sets and no error, want the cap's refusal", 2*fits, len(sets))
+	}
+}

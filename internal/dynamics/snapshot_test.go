@@ -68,7 +68,7 @@ func TestEngineSnapshotRestoreEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ref.OnReroute = func(down []topology.LinkID) {
+		ref.onReroute = func(down []topology.LinkID) {
 			refReroutes = append(refReroutes, fmt.Sprintf("%v@%v", down, refSched.Now()))
 		}
 		refSched.RunUntil(mid)
@@ -89,7 +89,7 @@ func TestEngineSnapshotRestoreEquivalence(t *testing.T) {
 			t.Fatalf("mid=%v: restore: %v", mid, err)
 		}
 		preReroutes := len(refReroutes)
-		got.OnReroute = func(down []topology.LinkID) {
+		got.onReroute = func(down []topology.LinkID) {
 			gotReroutes = append(gotReroutes, fmt.Sprintf("%v@%v", down, gotSched.Now()))
 		}
 

@@ -34,7 +34,6 @@ type HandoffFunc func(target int, pkt *pipes.Packet, pid pipes.ID, at vtime.Time
 type Emulator struct {
 	sched   *vtime.Scheduler
 	prof    Profile
-	graph   *topology.Graph
 	binding *bind.Binding
 	pod     *bind.POD
 
@@ -65,9 +64,9 @@ type Emulator struct {
 	// materialized counts live pipe slots (NumPipes in sequential mode, the
 	// owned pipes in shard mode).
 	materialized int
-	// epocher is the routing table's reroute-epoch source, cached across
-	// injections; nil for epoch-less tables.
-	epocher interface{ Epoch() int32 }
+	// epoch counts the reroutes, which is the route Cache's epoch; every
+	// packet injected is pinned to it.
+	epoch int32
 
 	// Global counters.
 	Injected  uint64 // packets offered to the core cluster
@@ -138,13 +137,11 @@ func newEmulator(sched *vtime.Scheduler, g *topology.Graph, b *bind.Binding, pod
 	e := &Emulator{
 		sched:   sched,
 		prof:    prof,
-		graph:   g,
 		binding: b,
 		pod:     pod,
 		deliver: make([]DeliverFunc, b.NumVNs()),
 		shard:   shard,
 	}
-	e.setEpocher()
 	// A foreign owner (or -1, a pipe outside a federated shard's view)
 	// leaves the slot empty.
 	owned := func(i int) bool { return shard < 0 || pod.Owner(pipes.ID(i))%nCores == shard }
@@ -219,23 +216,6 @@ func NewShard(sched *vtime.Scheduler, g *topology.Graph, b *bind.Binding, pod *b
 // memory figure the scalability claim is about.
 func (e *Emulator) MaterializedPipes() int { return e.materialized }
 
-// setEpocher caches the table's epoch source (bind.ShardTable).
-func (e *Emulator) setEpocher() {
-	if ep, ok := e.binding.Table.(interface{ Epoch() int32 }); ok {
-		e.epocher = ep
-	} else {
-		e.epocher = nil
-	}
-}
-
-// routeEpoch is the epoch to pin on a packet injected now.
-func (e *Emulator) routeEpoch() int32 {
-	if e.epocher == nil {
-		return 0
-	}
-	return e.epocher.Epoch()
-}
-
 // Shard reports the shard index, or -1 for a sequential emulator.
 func (e *Emulator) Shard() int { return e.shard }
 
@@ -285,23 +265,17 @@ func (e *Emulator) SetPipeParams(id pipes.ID, p pipes.Params) {
 
 // SetTable replaces the routing table (e.g., after recomputing shortest
 // paths around a failed link).
-func (e *Emulator) SetTable(t bind.Table) {
-	e.binding.Table = t
-	e.setEpocher()
-}
+func (e *Emulator) SetTable(t bind.Table) { e.binding.Table = t }
 
-// Reroute re-resolves the routing table with the given links failed (none
-// heals them all). The run's route Cache is rerouted in place (each shard
-// owns its own), so it stays within its capacity; a table that is not a
-// Cache (a distance-vector table installed with SetTable) is replaced by a
-// fresh default Cache. Packets already injected keep the routes they carry.
+// Reroute moves the route table to its next epoch, with the given links
+// failed (none heals them all): the run's route Cache (each shard owns its
+// own) is rerouted in place and stays within its capacity. Packets already
+// injected keep the routes and the epoch they carry. A table installed with
+// SetTable is not rerouted here: a distance-vector table learns of failures
+// through its own protocol.
 func (e *Emulator) Reroute(down []topology.LinkID) {
-	c, ok := e.binding.Table.(*bind.Cache)
-	if !ok {
-		c = bind.NewCache(e.graph, e.binding.VNHome, 0)
-		e.SetTable(c)
-	}
-	c.Reroute(down)
+	e.binding.Table.(*bind.Cache).Reroute(down)
+	e.epoch++
 }
 
 // RegisterVN installs the delivery callback for a VN. Packets destined to
@@ -471,7 +445,7 @@ func (e *Emulator) Inject(src, dst pipes.VN, size int, payload any) bool {
 	pkt.Src, pkt.Dst = src, dst
 	pkt.Route, pkt.Hop = route, 0
 	pkt.Injected, pkt.Lag = now, 0
-	pkt.Epoch = e.routeEpoch()
+	pkt.Epoch = e.epoch
 	pkt.Trace = tid
 	pkt.Payload = payload
 	if len(route) == 0 {

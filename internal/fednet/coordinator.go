@@ -720,10 +720,10 @@ type coordTransport struct {
 	messages  uint64
 	paceEpoch time.Time
 
-	// oracle and summaries serve demand-paged route summaries: a worker that
-	// misses a destination in its ShardTable sends TRouteReq on the control
-	// conn; read answers inline, so the RPC is always served while the
-	// coordinator awaits that worker's next protocol reply (a worker only
+	// oracle and summaries serve demand-paged route summaries: a worker
+	// whose route Cache lacks a destination's field sends TRouteReq on the
+	// control conn; read answers inline, so the RPC is always served while
+	// the coordinator awaits that worker's next protocol reply (a worker only
 	// pages routes while installing its scenario or running its window).
 	oracle    *bind.SummaryOracle
 	summaries [][]topology.NodeID

@@ -9,9 +9,10 @@ package wire
 // whose final chunk never arrives stays incomplete and setup fails loudly
 // instead of decoding a truncated blob.
 //
-// The TRouteReq/TRouteResp pair is the demand-paging RPC behind
-// bind.ShardTable: a worker that needs the frontier summary distances for a
-// (reroute epoch, target node) asks the coordinator's summary oracle.
+// The TRouteReq/TRouteResp pair is the demand-paging RPC behind a worker's
+// route Cache (bind.NewShardTable): a worker that needs the frontier summary
+// distances for a (reroute epoch, target node) asks the coordinator's
+// summary oracle.
 
 import (
 	"fmt"

@@ -88,10 +88,8 @@ type workerState struct {
 	expect []uint64      // the current step's channel prefixes, for dataLink.Recv
 	gw     *edge.Gateway // live edge gateway; nil without a homed lease
 
-	// table is the shard-local, demand-paged route table. setupBytes and
-	// startupWallNs price what the distribution cost this worker
-	// (first-class BENCH columns).
-	table         *bind.ShardTable
+	// setupBytes and startupWallNs price what the distribution cost this
+	// worker (first-class BENCH columns).
 	setupBytes    uint64
 	startupWallNs int64
 
@@ -283,9 +281,10 @@ func (w *workerState) decodeConfig(cfgJSON []byte) error {
 // setup rebuilds the shard from its chunked per-shard view: a skeleton graph
 // over the global ID spaces with only the view's links real, a binding over
 // the shipped VN world map (bind.Bind's client scan would misread a
-// skeleton), and a demand-paged ShardTable in place of a whole-graph route
-// cache; then sync plan, the shard (parcore.NewShard), data plane, scenario
-// install, gateway.
+// skeleton), and a route Cache over the view (bind.NewShardTable), its
+// fields seeded on demand by the coordinator and its reroute schedule
+// preloaded; then sync plan, the shard (parcore.NewShard), data plane,
+// scenario install, gateway.
 func (w *workerState) setup(asm *wire.ChunkAssembler, udp *net.UDPConn, tcpLn net.Listener) error {
 	secs, err := asm.Require(wire.SecConfig, wire.SecView, wire.SecWorld, wire.SecDynamics)
 	if err != nil {
@@ -354,18 +353,12 @@ func (w *workerState) setup(asm *wire.ChunkAssembler, udp *net.UDPConn, tcpLn ne
 	if err != nil {
 		return fmt.Errorf("fednet: %w", err)
 	}
-	table.SetEpochs(downSets)
+	table.Preload(downSets)
 	b.Table = table
-	w.table = table
 
 	plan := parcore.ComputeSyncPlan(g, b, pod, homes, cores, dyn.LatencyFloorFunc())[cfg.Shard]
 	if w.Shard, err = parcore.NewShard(g, b, pod, homes, cfg.Shard, plan, cfg.Profile, cfg.Seed, dyn, cfg.Trace); err != nil {
 		return fmt.Errorf("fednet: %w", err)
-	}
-	if w.Dynamics != nil {
-		// A worker has no whole-graph table to reroute; a reroute just advances
-		// the table to the next preloaded epoch.
-		w.Dynamics.OnReroute = func([]topology.LinkID) { w.table.Advance() }
 	}
 	if cfg.Metrics {
 		w.metrics = obs.NewMetrics("worker", cfg.Shard)
@@ -485,27 +478,9 @@ func (l dataLink) Send(j int, msgs []parcore.Msg) error {
 }
 
 // Recv implements parcore.Link: block until the step's channel prefixes
-// have arrived, then grow each tunneled packet's route segment through this
-// shard's region under the packet's pinned reroute epoch (bind.ShardTable
-// route segments end at the first foreign pipe), so the step's bounds price
-// the route the packet will actually take.
+// have arrived (Shard.Step extends their routes).
 func (l dataLink) Recv() ([]parcore.Msg, error) {
-	w := l.w
-	msgs, err := w.col.wait(w.expect, w.opts.Timeout)
-	if err != nil {
-		return nil, err
-	}
-	for _, m := range msgs {
-		if m.Pid < 0 || m.Pkt == nil {
-			continue // delivery completion, not a tunneled enqueue
-		}
-		r, err := w.table.Extend(bind.Route(m.Pkt.Route), m.Pkt.Epoch, m.Pkt.Dst)
-		if err != nil {
-			return nil, fmt.Errorf("fednet: shard %d: %w", w.cfg.Shard, err)
-		}
-		m.Pkt.Route = r
-	}
-	return msgs, nil
+	return l.w.col.wait(l.w.expect, l.w.opts.Timeout)
 }
 
 // serve is the barrier service loop, the worker half of the socket
@@ -634,7 +609,7 @@ func (w *workerState) finish() error {
 		StartupWallNs:     w.startupWallNs,
 		PeakRSSBytes:      peakRSSBytes(),
 		MaterializedPipes: w.Emu.MaterializedPipes(),
-		RouteRPCs:         w.table.SeedRPCs,
+		RouteRPCs:         w.Routes.SeedRPCs,
 		Deliveries:        w.deliveries,
 		PipeDrops:         w.Emu.PipeDrops(),
 		DropsByReason:     w.Emu.DropsByReason(),

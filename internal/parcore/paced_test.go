@@ -16,9 +16,10 @@ const ms = vtime.Millisecond
 // bound for all its peers, Next + its lookahead (Forever when idle) — never a
 // SafeTo vector, and nothing is ever in flight.
 type fakeShards struct {
-	events [][]vtime.Time // pending per shard, ascending
-	look   vtime.Duration // every shard's lookahead
-	begin  time.Time      // taken just before Drive starts its own clock
+	events [][]vtime.Time                // pending per shard, ascending
+	look   vtime.Duration                // every shard's lookahead
+	begin  time.Time                     // taken just before Drive starts its own clock
+	since  func(time.Time) time.Duration // reads the clock Drive paces on
 
 	ranAt  []time.Time     // wall instants events fired
 	grants [][]vtime.Time  // every window's grant vector
@@ -28,7 +29,7 @@ type fakeShards struct {
 
 // newFake builds a fake cluster of len(events) shards sharing one lookahead.
 func newFake(look vtime.Duration, events ...[]vtime.Time) *fakeShards {
-	return &fakeShards{events: events, look: look, begin: time.Now()}
+	return &fakeShards{events: events, look: look, begin: time.Now(), since: time.Since}
 }
 
 func (f *fakeShards) Cores() int { return len(f.events) }
@@ -43,7 +44,7 @@ func (f *fakeShards) Step(cmds []Cmd) ([]Report, error) {
 			g[j] = cmds[j].Grant
 		}
 		f.grants = append(f.grants, g)
-		f.wallAt = append(f.wallAt, time.Since(f.begin))
+		f.wallAt = append(f.wallAt, f.since(f.begin))
 	}
 	reps := make([]Report, len(cmds))
 	for j, c := range cmds {
@@ -232,14 +233,22 @@ func TestDriveDegenerateInputs(t *testing.T) {
 // deciding whether anything can fire. An idle stretch before a far-off event
 // is therefore crossed in quantum-sized windows, each an admission point for
 // live ingress; clamping before that decision would find nothing reachable
-// and sleep through the stretch in one drain.
+// and sleep through the stretch in one drain. The drive runs on a fake wall
+// clock that moves only when it sleeps, so the windows are exact.
 func TestDrivePacedGrantsAreClampedNotReplaced(t *testing.T) {
 	const (
 		quantum  = 5 * ms
 		stretch  = 40 * ms
 		deadline = vtime.Time(60 * ms)
 	)
+	saved := paceClock
+	defer func() { paceClock = saved }()
+	wall := time.Now()
+	paceClock.now = func() time.Time { return wall }
+	paceClock.sleep = func(d time.Duration) { wall = wall.Add(d) }
 	f := newFake(5*ms, []vtime.Time{vtime.Time(stretch)}, nil, nil)
+	f.since = func(begin time.Time) time.Duration { return wall.Sub(begin) }
+	f.begin = wall
 	var st SyncStats
 	if err := Drive(f, &st, deadline, DriveOpts{Pace: &Pacing{Quantum: quantum}}); err != nil {
 		t.Fatal(err)
@@ -250,8 +259,8 @@ func TestDrivePacedGrantsAreClampedNotReplaced(t *testing.T) {
 	before := 0 // windows released while the far event was still pending
 	for i, g := range f.grants {
 		for j := range g {
-			// f.begin predates Drive's own clock, so this wall reading is
-			// no earlier than the one the grant was clamped against.
+			// The fake clock stands still between Drive's clamp and the
+			// step, so this is the wall reading the grant was clamped against.
 			if lim := vtime.Time(f.wallAt[i]).Add(quantum); g[j] > lim {
 				t.Errorf("window %d: shard %d granted %v, past wall+quantum = %v", i, j, g[j], lim)
 			}
@@ -259,15 +268,14 @@ func TestDrivePacedGrantsAreClampedNotReplaced(t *testing.T) {
 				t.Errorf("window %d: shard %d grant regressed %v -> %v", i, j, f.grants[i-1][j], g[j])
 			}
 		}
-		if g[0] < vtime.Time(stretch) {
+		if g[0] <= vtime.Time(stretch) {
 			before++
 		}
 	}
-	// Nominally stretch/quantum = 8 windows; sleep overshoot lengthens each
-	// one, so half of that is the bar. Clamp-before-the-test yields at most
-	// one.
-	if want := int(stretch / quantum / 2); before < want || len(f.drains) != 0 {
-		t.Errorf("%d windows (and drains %v) before the event at %v, want ≥ %d windows and no drain: the idle stretch lost its admission points",
+	// One window per quantum up to the one that fires the event:
+	// stretch/quantum = 8. Clamp-before-the-test yields at most one.
+	if want := int(stretch / quantum); before != want || len(f.drains) != 0 {
+		t.Errorf("%d windows (and drains %v) up to the event at %v, want %d windows and no drain: the idle stretch lost its admission points",
 			before, f.drains, vtime.Time(stretch), want)
 	}
 }

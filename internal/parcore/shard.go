@@ -56,13 +56,14 @@ type Report struct {
 	Sent, Inflight uint64
 }
 
-// Shard is one emulated core: an emulator on a private scheduler, the
-// mailboxes on either side of it, its static synchronization inputs, the
-// dynamics engine replaying the run's link dynamics on it, and its
-// wall-clock profile.
+// Shard is one emulated core: an emulator on a private scheduler, its own
+// route table, the mailboxes on either side of it, its static
+// synchronization inputs, the dynamics engine replaying the run's link
+// dynamics on it, and its wall-clock profile.
 type Shard struct {
 	Sched    *vtime.Scheduler
 	Emu      *emucore.Emulator
+	Routes   *bind.Cache // the emulator's table
 	Outbox   *Outbox
 	Applier  *Applier
 	Sync     ShardSync
@@ -77,11 +78,15 @@ type Shard struct {
 // the pipes pod assigns the shard (and no other), the outbox its handoffs go
 // to and the applier its inbound messages come from, a tracer on the
 // emulator (Emu.Trace) when trace is set, and the dynamics engine replaying
-// dyn. b's Table must already be the shard's own: lookups mutate a route
-// table. homes maps every VN to its home shard, sync is the shard's entry
-// of ComputeSyncPlan.
+// dyn. b's Table must already be the shard's own route Cache: lookups
+// mutate it. homes maps every VN to its home shard, sync is the shard's
+// entry of ComputeSyncPlan.
 func NewShard(g *topology.Graph, b *bind.Binding, pod *bind.POD, homes []int, shard int, sync ShardSync, prof emucore.Profile, seed int64, dyn *dynamics.Spec, trace bool) (*Shard, error) {
-	s := &Shard{Sched: vtime.NewScheduler(), Sync: sync}
+	routes, ok := b.Table.(*bind.Cache)
+	if !ok {
+		return nil, fmt.Errorf("parcore: shard %d routes through a %T, not its own *bind.Cache", shard, b.Table)
+	}
+	s := &Shard{Sched: vtime.NewScheduler(), Routes: routes, Sync: sync}
 	s.Outbox = NewOutbox(shard, pod.Cores(), s.Sched)
 	emu, err := emucore.NewShard(s.Sched, g, b, pod, prof, seed, shard, homes, s.Outbox.Handoff)
 	if err != nil {
@@ -103,14 +108,28 @@ func NewShard(g *topology.Graph, b *bind.Binding, pod *bind.POD, homes []int, sh
 }
 
 // Step is the whole per-shard loop body of the conservative protocol:
-// receive and apply the previous round's messages, run through the grant,
-// flush the outbox, report bounds. It is the only caller of Applier.Apply,
-// the scheduler's RunUntil and ShardBounds in a parallel or federated run.
+// receive the previous round's messages, extend each tunneled packet's route
+// through this shard's region under the packet's pinned epoch (on a shard's
+// view a route ends at the first foreign pipe; on the whole graph it is
+// complete and Extend returns it), apply them, run through the grant, flush
+// the outbox, report bounds — so the bounds price the route each packet will
+// take. It is the only caller of Applier.Apply, the scheduler's RunUntil and
+// ShardBounds in a parallel or federated run.
 func (s *Shard) Step(c Cmd, l Link) (Report, error) {
 	t0 := time.Now()
 	msgs, err := l.Recv()
 	if err != nil {
 		return Report{}, err
+	}
+	for _, m := range msgs {
+		if m.Pid < 0 || m.Pkt == nil {
+			continue // a delivery completion, not a tunneled enqueue
+		}
+		r, err := s.Routes.Extend(m.Pkt.Route, m.Pkt.Epoch, m.Pkt.Dst)
+		if err != nil {
+			return Report{}, fmt.Errorf("parcore: %w", err)
+		}
+		m.Pkt.Route = r
 	}
 	t1 := time.Now()
 	if err := s.Applier.Apply(msgs); err != nil {

@@ -119,6 +119,13 @@ type Pacing struct {
 	Quantum vtime.Duration
 }
 
+// paceClock is the wall clock a paced drive reads and sleeps on; a test
+// swaps in a fake one to count windows without sleep overshoot.
+var paceClock = struct {
+	now   func() time.Time
+	sleep func(time.Duration)
+}{time.Now, time.Sleep}
+
 // Drive runs the conservative synchronization loop over the transport until
 // every event at or before deadline has fired: agree on window grants from
 // the shards' bounds, run one barrier round (every shard applies what it
@@ -138,7 +145,7 @@ func Drive(tr Transport, st *SyncStats, deadline vtime.Time, o DriveOpts) error 
 		if quantum <= 0 {
 			quantum = DefaultPaceQuantum
 		}
-		start = time.Now()
+		start = paceClock.now()
 	}
 	// The wall-time profile. Window rounds, drain rounds and pacing sleeps
 	// have a bucket each; whatever else the loop does — the bounds-only
@@ -152,11 +159,11 @@ func Drive(tr Transport, st *SyncStats, deadline vtime.Time, o DriveOpts) error 
 	}()
 	// wallNow is the wall clock in virtual units; sleepUntil releases a
 	// window bound no earlier than its wall time.
-	wallNow := func() vtime.Time { return vtime.Time(time.Since(start)) }
+	wallNow := func() vtime.Time { return vtime.Time(paceClock.now().Sub(start)) }
 	sleepUntil := func(t vtime.Time) {
 		if d := t.Sub(wallNow()); d > 0 {
 			t0 := time.Now()
-			time.Sleep(time.Duration(d))
+			paceClock.sleep(time.Duration(d))
 			prof.IdleWallNs += uint64(time.Since(t0))
 		}
 	}
