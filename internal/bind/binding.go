@@ -37,10 +37,9 @@ type Options struct {
 	// picks DefaultRouteCache.
 	RouteCache int
 	// LazyRoutes is RouteCache at lazyRouteCap, whatever RouteCache says: few
-	// routes and fields are kept. It is what a
-	// coordinator under sharded distribution binds with — there the binding
-	// exists for VN numbering and sync plans, routes are rarely consulted,
-	// and each distance field is as large as the world.
+	// routes and fields are kept, for a binding that exists for VN numbering
+	// and sync inputs, where routes are rarely consulted and each distance
+	// field is as large as the world.
 	LazyRoutes bool
 }
 

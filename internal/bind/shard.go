@@ -17,10 +17,11 @@ import (
 
 // ShardView is the slice of the world one shard materializes: its owned
 // links, incoming cut links (foreign links delivering into its region — the
-// sync plan needs their owners), and the fringe (every out-link of every
-// frontier node, so the walk at a frontier node sees the full global candidate
-// set). Node and link IDs are global; the worker rebuilds a skeleton graph
-// (topology.NewSkeleton) over the full ID spaces with only these links real.
+// shard's sync inputs need their owners), and the fringe (every out-link of
+// every frontier node, so the walk at a frontier node sees the full global
+// candidate set). Node and link IDs are global; the worker rebuilds a
+// skeleton graph (topology.NewSkeleton) over the full ID spaces with only
+// these links real.
 type ShardView struct {
 	Shard int
 	Cores int

@@ -88,7 +88,6 @@ type Emulator struct {
 
 // core is one emulated core router: a pipe heap plus CPU/NIC occupancy.
 type core struct {
-	idx  int
 	heap *pipes.Heap
 
 	cpuBusyUntil vtime.Time
@@ -166,7 +165,7 @@ func newEmulator(sched *vtime.Scheduler, g *topology.Graph, b *bind.Binding, pod
 	}
 	e.cores = make([]*core, nCores)
 	for i := range e.cores {
-		c := &core{idx: i, heap: pipes.NewHeap(), pendingAt: vtime.Forever}
+		c := &core{heap: pipes.NewHeap(), pendingAt: vtime.Forever}
 		c.run = func() { e.runCore(c) }
 		e.cores[i] = c
 	}

@@ -35,10 +35,10 @@ func tstubSmallSpec() TStubCBRSpec {
 }
 
 // TestShardedDistributionScales is the large-topology smoke: ~50k VNs cut
-// across 2 worker processes over loopback. It asserts the tentpole's memory
-// claim directly — each worker receives a setup stream and materializes a
-// pipe set that is a fraction of the world (≈ its half plus the cut
-// frontier), with route state paged on demand rather than shipped.
+// across 2 worker processes over loopback. It asserts the sharded-distribution
+// memory claim directly — each worker receives a setup stream and
+// materializes a pipe set that is a fraction of the world (the pipes it owns,
+// ≈ its half), with route state paged on demand rather than shipped.
 func TestShardedDistributionScales(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns worker subprocesses over a 50k-VN world")

@@ -386,19 +386,16 @@ func Run(opts Options) (*Report, error) {
 	// Each worker receives only its shard view (owned links + cut frontier)
 	// and the VN world map, so per-worker setup and memory scale with the
 	// shard, not the world; a gateway worker pages its ingress flows' routes
-	// like any other source. The coordinator's own binding exists for VN
-	// numbering and the sync plan, never bulk routes (LazyRoutes), and the
+	// like any other source. The coordinator's own binding is VN numbering
+	// only, with no route table: routes come from the SummaryOracle. The
 	// reaction-chain matrix Drive prices grants and in-flight messages with
-	// comes from the same plan computation every worker runs on its view.
+	// comes from the same per-shard computation each worker runs on its view.
 	pod := bind.NewPOD(asn.Owner, asn.Cores)
-	bnd, err := bind.Bind(dist.Graph, bind.Options{
-		EdgeNodes:  opts.EdgeNodes,
-		Cores:      asn.Cores,
-		LazyRoutes: true,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("fednet: bind: %w", err)
+	clients := dist.Graph.Clients()
+	if len(clients) == 0 {
+		return nil, fmt.Errorf("fednet: bind: topology has no client nodes to host VNs")
 	}
+	bnd := bind.NewBinding(clients, dist.Graph.NumNodes(), opts.EdgeNodes, asn.Cores)
 	homes := parcore.Homes(dist.Graph, bnd, pod, opts.Cores)
 	chain := parcore.ChainMatrix(parcore.ComputeSyncPlan(dist.Graph, bnd, pod, homes, opts.Cores, opts.Dynamics.LatencyFloorFunc()))
 	// cfgFor closes over the mutable addrs slice: a respawned worker's

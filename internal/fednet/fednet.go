@@ -82,15 +82,14 @@ func lookupScenario(name string) (Scenario, error) {
 }
 
 // WorkerEnv is the slice of a federated emulation one worker owns: the
-// distilled topology and binding (shared, read-only), and the shard's
-// scheduler and emulator. Scenario installers use it the way applications
-// use modelnet.Emulation, restricted to homed VNs.
+// binding (shared, read-only), and the shard's scheduler and emulator.
+// Scenario installers use it the way applications use modelnet.Emulation,
+// restricted to homed VNs.
 type WorkerEnv struct {
-	Shard, Cores int
-	Graph        *topology.Graph
-	Binding      *bind.Binding
-	Sched        *vtime.Scheduler
-	Emu          *emucore.Emulator
+	Shard   int
+	Binding *bind.Binding
+	Sched   *vtime.Scheduler
+	Emu     *emucore.Emulator
 
 	homes []int
 	hosts map[pipes.VN]*netstack.Host
@@ -185,7 +184,6 @@ type WorkerReport struct {
 	Shard      int              `json:"shard"`
 	Totals     emucore.Totals   `json:"totals"`
 	Accuracy   emucore.Accuracy `json:"accuracy"`
-	NowNs      int64            `json:"now_ns"`
 	TunnelsIn  uint64           `json:"tunnels_in"`
 	TunnelsOut uint64           `json:"tunnels_out"`
 	// Frames and BytesOnWire price the worker's share of the data plane:
@@ -201,7 +199,7 @@ type WorkerReport struct {
 	StartupWallNs int64  `json:"startup_wall_ns"`
 	// PeakRSSBytes is the process's peak resident set (VmHWM) at report
 	// time; MaterializedPipes counts the pipes this worker actually built —
-	// its shard view: owned + cut frontier.
+	// the ones its shard owns.
 	PeakRSSBytes      uint64 `json:"peak_rss_bytes"`
 	MaterializedPipes int    `json:"materialized_pipes"`
 	// RouteRPCs counts demand-paged summary fetches.

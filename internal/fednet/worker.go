@@ -283,8 +283,8 @@ func (w *workerState) decodeConfig(cfgJSON []byte) error {
 // the shipped VN world map (bind.Bind's client scan would misread a
 // skeleton), and a route Cache over the view (bind.NewShardTable), its
 // fields seeded on demand by the coordinator and its reroute schedule
-// preloaded; then sync plan, the shard (parcore.NewShard), data plane,
-// scenario install, gateway.
+// preloaded; then this shard's sync inputs alone (parcore.ComputeShardSync),
+// the shard (parcore.NewShard), data plane, scenario install, gateway.
 func (w *workerState) setup(asm *wire.ChunkAssembler, udp *net.UDPConn, tcpLn net.Listener) error {
 	secs, err := asm.Require(wire.SecConfig, wire.SecView, wire.SecWorld, wire.SecDynamics)
 	if err != nil {
@@ -356,8 +356,8 @@ func (w *workerState) setup(asm *wire.ChunkAssembler, udp *net.UDPConn, tcpLn ne
 	table.Preload(downSets)
 	b.Table = table
 
-	plan := parcore.ComputeSyncPlan(g, b, pod, homes, cores, dyn.LatencyFloorFunc())[cfg.Shard]
-	if w.Shard, err = parcore.NewShard(g, b, pod, homes, cfg.Shard, plan, cfg.Profile, cfg.Seed, dyn, cfg.Trace); err != nil {
+	sync := parcore.ComputeShardSync(g, b, pod, homes, cores, cfg.Shard, dyn.LatencyFloorFunc())
+	if w.Shard, err = parcore.NewShard(g, b, pod, homes, cfg.Shard, sync, cfg.Profile, cfg.Seed, dyn, cfg.Trace); err != nil {
 		return fmt.Errorf("fednet: %w", err)
 	}
 	if cfg.Metrics {
@@ -404,8 +404,7 @@ func (w *workerState) setup(asm *wire.ChunkAssembler, udp *net.UDPConn, tcpLn ne
 	}
 
 	w.env = &WorkerEnv{
-		Shard: cfg.Shard, Cores: cores,
-		Graph: g, Binding: b,
+		Shard: cfg.Shard, Binding: b,
 		Sched: w.Sched, Emu: w.Emu,
 		homes: homes,
 		hosts: map[pipes.VN]*netstack.Host{},
@@ -602,7 +601,6 @@ func (w *workerState) finish() error {
 		Shard:             w.cfg.Shard,
 		Totals:            w.Emu.Totals(),
 		Accuracy:          w.Emu.Accuracy,
-		NowNs:             int64(w.Sched.Now()),
 		Frames:            frames,
 		BytesOnWire:       bytes,
 		SetupBytes:        w.setupBytes,

@@ -24,6 +24,11 @@
 //     event time plus its lookahead — the minimum latency of its cut pipes
 //     (see assign.CutStats) — because a packet must spend that latency
 //     inside a cut pipe before it can surface on a peer core.
+//   - A shard's static synchronization inputs — border pipes, lookahead,
+//     ingress flag, crossing-distance tables — are one ShardSync, built in
+//     one pass over the shard's adjacency. ComputeSyncPlan builds all k (an
+//     in-process run and the reaction-chain matrix need them);
+//     ComputeShardSync builds one, as a federated worker does for its own.
 //
 // Under an ideal profile shards run eagerly (emucore.Eager): a handoff is
 // emitted the moment its packet enters a cut pipe, timestamped with the

@@ -30,7 +30,7 @@ func syncFixture(t *testing.T, k int) (*topology.Graph, *bind.Binding, *bind.POD
 	}
 	pod := asn.POD()
 	homes := Homes(g, b, pod, k)
-	base := computeSyncFloor(g, b, pod, homes, k, nil)
+	base := ComputeSyncPlan(g, b, pod, homes, k, nil)
 	for _, s := range base {
 		if len(s.BorderPipes) > 0 {
 			return g, b, pod, homes, base, s.BorderPipes[0]
@@ -55,7 +55,7 @@ func TestLookaheadUsesProfileFloor(t *testing.T) {
 		{Link: int(cut), Steps: []dynamics.Step{dip}},
 	}}
 
-	floored := computeSyncFloor(g, b, pod, homes, 2, spec.LatencyFloorFunc())
+	floored := ComputeSyncPlan(g, b, pod, homes, 2, spec.LatencyFloorFunc())
 	if got := floored[owner].Lookahead; got != 100*vtime.Microsecond {
 		t.Fatalf("floored lookahead = %v, want the profile floor 100µs", got)
 	}
@@ -70,7 +70,7 @@ func TestLookaheadUsesProfileFloor(t *testing.T) {
 	up := &dynamics.Spec{Profiles: []dynamics.Profile{
 		{Link: int(cut), Steps: []dynamics.Step{raise}},
 	}}
-	for i, s := range computeSyncFloor(g, b, pod, homes, 2, up.LatencyFloorFunc()) {
+	for i, s := range ComputeSyncPlan(g, b, pod, homes, 2, up.LatencyFloorFunc()) {
 		if s.Lookahead != base[i].Lookahead {
 			t.Fatalf("shard %d lookahead moved on a raise-only profile: %v -> %v",
 				i, base[i].Lookahead, s.Lookahead)

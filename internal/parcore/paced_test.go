@@ -63,9 +63,37 @@ func (f *fakeShards) Step(cmds []Cmd) ([]Report, error) {
 	return reps, nil
 }
 
-// drivePaced is Drive with no reaction chain under pacing (nil = unpaced).
+// zeroChain is the k×k reaction-chain matrix that prices every reaction at
+// zero.
+func zeroChain(k int) [][]vtime.Duration {
+	chain := make([][]vtime.Duration, k)
+	for i := range chain {
+		chain[i] = make([]vtime.Duration, k)
+	}
+	return chain
+}
+
+// drivePaced is Drive with a zero reaction chain under pacing (nil =
+// unpaced).
 func drivePaced(tr Transport, st *SyncStats, deadline vtime.Time, pace *Pacing) error {
-	return Drive(tr, st, deadline, DriveOpts{Pace: pace})
+	return Drive(tr, st, deadline, DriveOpts{Pace: pace, Chain: zeroChain(tr.Cores())})
+}
+
+// TestDriveRefusesAChainThatIsNotKByK: the reaction chain is an input every
+// caller supplies; a missing or mis-sized one is refused before any round.
+func TestDriveRefusesAChainThatIsNotKByK(t *testing.T) {
+	ragged := zeroChain(2)
+	ragged[1] = ragged[1][:1]
+	for _, chain := range [][][]vtime.Duration{nil, zeroChain(3), ragged} {
+		f := newFake(0, []vtime.Time{vtime.Time(5 * ms)}, nil)
+		var st SyncStats
+		if err := Drive(f, &st, vtime.Forever, DriveOpts{Chain: chain}); err == nil {
+			t.Fatalf("Drive accepted a %d-row chain for 2 shards", len(chain))
+		}
+		if len(f.ranAt) != 0 || len(f.grants) != 0 {
+			t.Fatal("Drive ran a round before refusing its chain")
+		}
+	}
 }
 
 func TestDrivePacedSlavesToWallClock(t *testing.T) {
@@ -207,7 +235,7 @@ func TestDriveDegenerateInputs(t *testing.T) {
 	for _, c := range cases {
 		f := newFake(c.look, c.events...)
 		var st SyncStats
-		if err := Drive(f, &st, deadline, DriveOpts{}); err != nil {
+		if err := Drive(f, &st, deadline, DriveOpts{Chain: zeroChain(f.Cores())}); err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
 		if !reflect.DeepEqual(f.grants, c.grants) {
@@ -250,7 +278,7 @@ func TestDrivePacedGrantsAreClampedNotReplaced(t *testing.T) {
 	f.since = func(begin time.Time) time.Duration { return wall.Sub(begin) }
 	f.begin = wall
 	var st SyncStats
-	if err := Drive(f, &st, deadline, DriveOpts{Pace: &Pacing{Quantum: quantum}}); err != nil {
+	if err := drivePaced(f, &st, deadline, &Pacing{Quantum: quantum}); err != nil {
 		t.Fatal(err)
 	}
 	if len(f.ranAt) != 1 {

@@ -114,9 +114,6 @@ func (s SyncStats) GrantMean() vtime.Duration {
 
 // Runtime is a parallel core cluster ready to run.
 type Runtime struct {
-	graph   *topology.Graph
-	binding *bind.Binding
-	pod     *bind.POD
 	workers []*worker
 	homes   []int              // VN -> shard
 	chain   [][]vtime.Duration // reaction-chain matrix
@@ -152,8 +149,7 @@ func New(cfg Config) (*Runtime, error) {
 	}
 	g, b := cfg.Graph, cfg.Binding
 	pod := cfg.Assignment.POD()
-	r := &Runtime{graph: g, binding: b, pod: pod}
-	r.homes = Homes(g, b, pod, k)
+	r := &Runtime{homes: Homes(g, b, pod, k)}
 	syncs := ComputeSyncPlan(g, b, pod, r.homes, k, cfg.Dynamics.LatencyFloorFunc())
 	r.chain = ChainMatrix(syncs)
 	capacity := 0

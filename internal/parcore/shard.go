@@ -80,7 +80,7 @@ type Shard struct {
 // emulator (Emu.Trace) when trace is set, and the dynamics engine replaying
 // dyn. b's Table must already be the shard's own route Cache: lookups
 // mutate it. homes maps every VN to its home shard, sync is the shard's
-// entry of ComputeSyncPlan.
+// own ShardSync (ComputeShardSync, or its entry of ComputeSyncPlan).
 func NewShard(g *topology.Graph, b *bind.Binding, pod *bind.POD, homes []int, shard int, sync ShardSync, prof emucore.Profile, seed int64, dyn *dynamics.Spec, trace bool) (*Shard, error) {
 	routes, ok := b.Table.(*bind.Cache)
 	if !ok {

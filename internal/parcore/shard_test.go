@@ -41,7 +41,7 @@ func ringRuntime(t *testing.T) (r *Runtime, on0, on1 pipes.VN) {
 // cbr schedules n packets from every VN to the VN half the ring away, one
 // per gap, so traffic crosses the cut in both directions throughout.
 func cbr(r *Runtime, n int, gap vtime.Duration) {
-	vns := r.binding.NumVNs()
+	vns := len(r.homes)
 	for i := 0; i < n; i++ {
 		for v := 0; v < vns; v++ {
 			src, dst := pipes.VN(v), pipes.VN((v+vns/2)%vns)

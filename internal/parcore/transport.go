@@ -56,7 +56,7 @@ type Msg struct {
 // Bounds is one shard's contribution to the horizon computation: Next is
 // its next local event time, Safe the earliest virtual time at which it
 // could emit a cross-shard message from its current state. SafeTo, when the
-// shard can compute it (ShardBounds: an eager emulator with a SyncPlan),
+// shard can compute it (ShardBounds over an eager emulator),
 // refines Safe per target shard (entry j is the earliest a message from this
 // shard's current state could fire on shard j; the self entry is Forever),
 // and Safe is then min over SafeTo. A shard without one bounds every peer by
@@ -89,8 +89,8 @@ type DriveOpts struct {
 	// Chain is the k×k matrix of minimum reaction distances: Chain[i][j]
 	// lower-bounds how long after a message lands on shard i a consequence
 	// of it can surface on shard j. ChainMatrix derives it from the
-	// shards' SyncPlans. It prices both the grant closure and the messages
-	// still in flight (see settle); nil prices every reaction at zero.
+	// shards' sync inputs. It prices both the grant closure and the messages
+	// still in flight (see settle); Drive refuses one that is not k×k.
 	Chain [][]vtime.Duration
 }
 
@@ -138,6 +138,14 @@ func Drive(tr Transport, st *SyncStats, deadline vtime.Time, o DriveOpts) error 
 	if pace != nil && deadline == vtime.Forever {
 		return fmt.Errorf("parcore: a paced drive needs a finite deadline")
 	}
+	k, chain := tr.Cores(), o.Chain
+	square := len(chain) == k
+	for _, row := range chain {
+		square = square && len(row) == k
+	}
+	if !square {
+		return fmt.Errorf("parcore: the reaction-chain matrix must be %d×%d", k, k)
+	}
 	var start time.Time
 	quantum := vtime.Duration(0)
 	if pace != nil {
@@ -165,14 +173,6 @@ func Drive(tr Transport, st *SyncStats, deadline vtime.Time, o DriveOpts) error 
 			t0 := time.Now()
 			paceClock.sleep(time.Duration(d))
 			prof.IdleWallNs += uint64(time.Since(t0))
-		}
-	}
-	k := tr.Cores()
-	chain := o.Chain
-	if chain == nil {
-		chain = make([][]vtime.Duration, k)
-		for i := range chain {
-			chain[i] = make([]vtime.Duration, k)
 		}
 	}
 	cmds := make([]Cmd, k)
@@ -433,26 +433,33 @@ func grantFixpoint(bs []Bounds, chain [][]vtime.Duration) []vtime.Time {
 // virtual time. Saturating adds keep it absorbing.
 const noCross = vtime.Duration(math.MaxInt64)
 
-// SyncPlan is one shard's static crossing-distance tables, computed by ComputeSyncPlan from the distilled topology with
-// dynamics-floored latencies. All distances are lower bounds that hold
-// whatever routes packets take (structural adjacency over-approximates
-// the route table, so mid-run reroutes cannot invalidate them).
-type SyncPlan struct {
+// ShardSync is one shard's static synchronization inputs, computed in one
+// pass over its adjacency (ComputeShardSync for one shard, ComputeSyncPlan
+// for all) from the distilled topology with dynamics-floored latencies. All
+// distances are lower bounds that hold whatever routes packets take
+// (structural adjacency over-approximates the route table, so mid-run
+// reroutes cannot invalidate them).
+type ShardSync struct {
 	Shard int
 	Cores int
+	// BorderPipes are the shard's owned pipes whose exit can produce a
+	// cross-shard event — the next hop may be a peer-owned pipe, or the pipe
+	// ends at a VN homed on a peer — in ascending ID.
+	BorderPipes []pipes.ID
+	// Lookahead is the minimum floored latency over BorderPipes: a packet
+	// must spend at least that long inside a cut pipe before it can surface
+	// on a peer shard.
+	Lookahead vtime.Duration
+	// IngressCross flags shards whose homed VNs can inject directly into
+	// a peer's pipe (possible under collapsing distillation modes), which
+	// pins the shard's safe bound to its next event time.
+	IngressCross bool
 	// EventCross[j] lower-bounds the delay from any event taking effect on
 	// this shard — a scheduled local event firing, a tunneled packet
 	// entering a frontier pipe, a delivery completing and the application
 	// responding — to a message from its consequences firing on shard j.
 	// This is row [Shard] of the reaction-chain matrix.
 	EventCross []vtime.Duration
-	// ExitCross[j][pid] lower-bounds the delay from the head-of-line
-	// packet leaving owned pipe pid to a message from its local
-	// continuations firing on shard j. Continuations that cross
-	// immediately are excluded: under the eager profile their handoffs
-	// were already emitted when the packet entered the pipe, so only the
-	// packet's possible futures inside this shard still owe messages.
-	ExitCross [][]vtime.Duration
 	// VNCross[j][vn] lower-bounds the delay from homed VN vn injecting a
 	// packet to a message from its consequences firing on shard j — the
 	// Dijkstra value of the VN state itself. Pending scheduler events that
@@ -483,7 +490,7 @@ type SyncPlan struct {
 // latency and nothing else — queueing and transmission only push the
 // crossing later. The walk stops early once t reaches lim (no bound it
 // could produce would lower anything the caller still tracks).
-func (p *SyncPlan) crossFrom(route []pipes.ID, i0 int, t vtime.Time, dst pipes.VN,
+func (p *ShardSync) crossFrom(route []pipes.ID, i0 int, t vtime.Time, dst pipes.VN,
 	lim vtime.Time, cross func(peer int, at vtime.Time), deliver func(vn pipes.VN, at vtime.Time)) {
 	for i := i0; ; i++ {
 		if t >= lim {
@@ -506,25 +513,6 @@ func (p *SyncPlan) crossFrom(route []pipes.ID, i0 int, t vtime.Time, dst pipes.V
 	}
 }
 
-// ShardSync holds one shard's static synchronization inputs, derived from
-// the assignment by ComputeSyncPlan.
-type ShardSync struct {
-	// BorderPipes are the shard's owned pipes whose exit can produce a
-	// cross-shard event.
-	BorderPipes []pipes.ID
-	// Lookahead is the minimum latency over BorderPipes: a packet must
-	// spend at least that long inside a cut pipe before it can surface on
-	// a peer shard.
-	Lookahead vtime.Duration
-	// IngressCross flags shards whose homed VNs can inject directly into
-	// a peer's pipe (possible under collapsing distillation modes), which
-	// pins the shard's safe bound to its next event time.
-	IngressCross bool
-	// Plan carries the crossing-distance tables ShardBounds prices SafeTo
-	// with; ComputeSyncPlan sets it on every shard's ShardSync.
-	Plan *SyncPlan
-}
-
 // Homes maps every VN to the shard owning its access pipes, so that
 // injection — and, because k-clusters keeps duplex pairs together,
 // delivery — is core-local.
@@ -538,217 +526,162 @@ func Homes(g *topology.Graph, b *bind.Binding, pod *bind.POD, k int) []int {
 	return homes
 }
 
-// computeSyncFloor derives every shard's synchronization inputs: the set of
-// owned pipes whose exit can cross shards — either the packet's next hop is
-// a pipe owned elsewhere (structural adjacency over-approximates the
-// routes) or the pipe terminates at a VN homed elsewhere — the resulting
-// lookahead, and the ingress-crossing flag. When floor is non-nil, each
-// border pipe contributes floor(link, initialLatency) to its shard's
-// lookahead instead of the initial latency. Runs with link dynamics must
-// pass dynamics.Spec.LatencyFloorFunc here — a trace can drop a cut pipe's
-// latency below its bind-time value mid-run, and a lookahead derived from
-// the initial latency would then release windows a cross-shard message can
-// still land inside.
-func computeSyncFloor(g *topology.Graph, b *bind.Binding, pod *bind.POD, homes []int, k int, floor func(topology.LinkID, vtime.Duration) vtime.Duration) []ShardSync {
-	sync := make([]ShardSync, k)
-	for _, l := range g.Links {
-		ow := pod.Owner(pipes.ID(l.ID))
-		if ow < 0 {
-			continue // sparse worlds: placeholder slot outside this shard's view
-		}
-		o := ow % k
-		border := false
-		for _, nid := range g.Out(l.Dst) {
-			if pod.Owner(pipes.ID(nid))%k != o {
-				border = true
-				break
-			}
-		}
-		if !border {
-			if vn := b.VNOfNode[l.Dst]; vn >= 0 && homes[vn] != o {
-				border = true
-			}
-		}
-		if !border {
-			continue
-		}
-		s := &sync[o]
-		lat := vtime.DurationOf(l.Attr.LatencySec)
-		if floor != nil {
-			lat = floor(l.ID, lat)
-		}
-		if len(s.BorderPipes) == 0 || lat < s.Lookahead {
-			s.Lookahead = lat
-		}
-		s.BorderPipes = append(s.BorderPipes, pipes.ID(l.ID))
+// ComputeSyncPlan builds every shard's ShardSync, sharing Owner, Lat and
+// HomeOf among them: what an in-process run and the reaction-chain matrix
+// need. Latencies are floored by floor when it is non-nil: runs with link
+// dynamics must pass dynamics.Spec.LatencyFloorFunc here — a trace can drop
+// a cut pipe's latency below its bind-time value mid-run, and bounds derived
+// from the initial latency would then release windows a cross-shard message
+// can still land inside.
+func ComputeSyncPlan(g *topology.Graph, b *bind.Binding, pod *bind.POD, homes []int, k int, floor func(topology.LinkID, vtime.Duration) vtime.Duration) []ShardSync {
+	w := newSyncWorld(g, b, pod, homes, k, floor)
+	syncs := make([]ShardSync, k)
+	for o := range syncs {
+		syncs[o] = w.shard(o)
 	}
-	for v, node := range b.VNHome {
-		for _, lid := range g.Out(node) {
-			if pod.Owner(pipes.ID(lid))%k != homes[v] {
-				sync[homes[v]].IngressCross = true
-			}
-		}
-	}
-	return sync
+	return syncs
 }
 
-// ComputeSyncPlan is computeSyncFloor plus the crossing-distance tables: for every (shard, peer) pair it runs a reverse Dijkstra from the
-// peer's territory over the shard's owned pipes and homed VNs, producing
-// the per-pipe and per-event distance tables in SyncPlan. Latencies are
-// dynamics-floored like the lookahead.
-func ComputeSyncPlan(g *topology.Graph, b *bind.Binding, pod *bind.POD, homes []int, k int, floor func(topology.LinkID, vtime.Duration) vtime.Duration) []ShardSync {
-	sync := computeSyncFloor(g, b, pod, homes, k, floor)
-	nPipes := 0
-	for _, l := range g.Links {
-		if int(l.ID) >= nPipes {
-			nPipes = int(l.ID) + 1
-		}
-	}
-	owner := make([]int, nPipes)
-	lat := make([]vtime.Duration, nPipes)
-	dstOf := make([]topology.NodeID, nPipes)
-	for i := range owner {
-		owner[i] = -1
-	}
-	for _, l := range g.Links {
-		id := int(l.ID)
-		ow := pod.Owner(pipes.ID(l.ID))
-		if ow < 0 {
-			continue // sparse worlds: placeholder slot, owner stays -1
-		}
-		owner[id] = ow % k
-		la := vtime.DurationOf(l.Attr.LatencySec)
-		if floor != nil {
-			la = floor(l.ID, la)
-		}
-		lat[id] = la
-		dstOf[id] = l.Dst
-	}
-	for o := 0; o < k; o++ {
-		p := buildShardPlan(g, b, homes, owner, lat, dstOf, k, o, nPipes)
-		p.Owner, p.Lat, p.HomeOf = owner, lat, homes
-		sync[o].Plan = p
-	}
-	return sync
+// ComputeShardSync builds shard o's ShardSync alone — what a federated
+// worker needs, over its shard view's skeleton — equal to entry o of
+// ComputeSyncPlan over the whole graph.
+func ComputeShardSync(g *topology.Graph, b *bind.Binding, pod *bind.POD, homes []int, k, o int, floor func(topology.LinkID, vtime.Duration) vtime.Duration) ShardSync {
+	return newSyncWorld(g, b, pod, homes, k, floor).shard(o)
 }
 
 // ChainMatrix assembles the reaction-chain matrix for DriveOpts.Chain from
-// the shards' plans (row i is shard i's EventCross).
+// every shard's sync inputs (row i is shard i's EventCross).
 func ChainMatrix(syncs []ShardSync) [][]vtime.Duration {
 	chain := make([][]vtime.Duration, len(syncs))
 	for i, s := range syncs {
-		chain[i] = s.Plan.EventCross
+		chain[i] = s.EventCross
 	}
 	return chain
 }
 
-// buildShardPlan computes shard o's SyncPlan. The shard's state space is
-// its owned pipes plus its homed VNs; a pipe's successors are the owned
-// out-pipes of its destination node and the destination's VN when homed
-// here, a VN's successors are the owned pipes it can inject into. Steps
-// that leave the shard (a peer-owned out-pipe, a peer-homed terminal VN,
-// a peer-owned injection target) terminate a path. For each peer j a
-// reverse Dijkstra yields val(x) = the minimum virtual time a packet
-// entering state x spends inside this shard before a message can fire on
-// j; pipes cost their floored latency, VN hand-offs are instantaneous.
-func buildShardPlan(g *topology.Graph, b *bind.Binding, homes []int, owner []int, lat []vtime.Duration, dstOf []topology.NodeID, k, o, nPipes int) *SyncPlan {
-	pipeAt := make([]int, nPipes)
-	for i := range pipeAt {
-		pipeAt[i] = -1
-	}
-	var ownedPipes []int
-	for pid := 0; pid < nPipes; pid++ {
-		if owner[pid] == o {
-			pipeAt[pid] = len(ownedPipes)
-			ownedPipes = append(ownedPipes, pid)
+// syncWorld is what every shard's sync computation reads: the topology, the
+// VN homes, and per pipe its owning shard (-1 for a sparse view's
+// placeholder slot) and floored latency. Link IDs index g.Links.
+type syncWorld struct {
+	g     *topology.Graph
+	b     *bind.Binding
+	homes []int
+	k     int
+	owner []int
+	lat   []vtime.Duration
+}
+
+func newSyncWorld(g *topology.Graph, b *bind.Binding, pod *bind.POD, homes []int, k int, floor func(topology.LinkID, vtime.Duration) vtime.Duration) *syncWorld {
+	w := &syncWorld{g: g, b: b, homes: homes, k: k, owner: make([]int, len(g.Links)), lat: make([]vtime.Duration, len(g.Links))}
+	for i, l := range g.Links {
+		ow := pod.Owner(pipes.ID(l.ID))
+		if ow < 0 {
+			w.owner[i] = -1 // sparse worlds: placeholder slot outside this shard's view
+			continue
+		}
+		w.owner[i] = ow % k
+		w.lat[i] = vtime.DurationOf(l.Attr.LatencySec)
+		if floor != nil {
+			w.lat[i] = floor(l.ID, w.lat[i])
 		}
 	}
-	var homedVNs []int
+	return w
+}
+
+// shard computes shard o's ShardSync. The shard's state space is its owned
+// pipes plus its homed VNs; a pipe's successors are the owned out-pipes of
+// its destination node and the destination's VN when homed here, a VN's
+// successors are the owned pipes it can inject into. Steps that leave the
+// shard (a peer-owned out-pipe, a peer-homed terminal VN, a peer-owned
+// injection target) terminate a path. One pass over the states' adjacency
+// collects the predecessor lists, each peer's crossing states, the border
+// pipes and the ingress flag; then for each peer j a reverse Dijkstra yields
+// val(x) = the minimum virtual time a packet entering state x spends inside
+// this shard before a message can fire on j; pipes cost their floored
+// latency, VN hand-offs are instantaneous.
+func (w *syncWorld) shard(o int) ShardSync {
+	g, b, homes, owner := w.g, w.b, w.homes, w.owner
+	s := ShardSync{
+		Shard: o, Cores: w.k,
+		EventCross: make([]vtime.Duration, w.k),
+		VNCross:    make([][]vtime.Duration, w.k),
+		Owner:      owner, Lat: w.lat, HomeOf: homes,
+	}
+	// Number the states: owned pipes in ascending ID, then homed VNs. A
+	// node a peer's pipe ends at is entered by tunneled packets.
+	pipeAt := make([]int32, len(owner))
+	entered := make([]bool, g.NumNodes())
+	var owned []pipes.ID
+	for pid, ow := range owner {
+		switch {
+		case ow == o:
+			pipeAt[pid] = int32(len(owned))
+			owned = append(owned, pipes.ID(pid))
+		case ow >= 0:
+			entered[g.Links[pid].Dst] = true
+		}
+	}
+	vnAt := make([]int32, len(homes))
+	var homed []int
 	for v, h := range homes {
 		if h == o {
-			homedVNs = append(homedVNs, v)
+			vnAt[v] = int32(len(owned) + len(homed))
+			homed = append(homed, v)
 		}
 	}
-	vnAt := make(map[int]int, len(homedVNs))
-	for vi, v := range homedVNs {
-		vnAt[v] = len(ownedPipes) + vi
-	}
-	n := len(ownedPipes) + len(homedVNs)
+	n := len(owned) + len(homed)
 	cost := make([]vtime.Duration, n)
-	succ := make([][]int32, n)
-	crossTo := make([][]int, n)
-	for li, pid := range ownedPipes {
-		cost[li] = lat[pid]
-		dn := dstOf[pid]
-		for _, nid := range g.Out(dn) {
-			q := int(nid)
-			if owner[q] == o {
-				succ[li] = append(succ[li], int32(pipeAt[q]))
-			} else if owner[q] >= 0 {
-				crossTo[li] = append(crossTo[li], owner[q])
-			}
-		}
-		if vn := b.VNOfNode[dn]; vn >= 0 {
-			if homes[vn] == o {
-				succ[li] = append(succ[li], int32(vnAt[int(vn)]))
-			} else {
-				crossTo[li] = append(crossTo[li], homes[vn])
-			}
-		}
-	}
-	for vi, v := range homedVNs {
-		x := len(ownedPipes) + vi
-		for _, nid := range g.Out(b.VNHome[v]) {
-			q := int(nid)
-			if owner[q] == o {
-				succ[x] = append(succ[x], int32(pipeAt[q]))
-			} else if owner[q] >= 0 {
-				crossTo[x] = append(crossTo[x], owner[q])
-			}
-		}
-	}
 	pred := make([][]int32, n)
-	for x := range succ {
-		for _, y := range succ[x] {
-			pred[y] = append(pred[y], int32(x))
+	crossing := make([][]int32, w.k) // crossing[j]: states with a step onto peer j
+	// steps records state x's successors: the out-pipes of node, then vn
+	// (when ≥ 0). It reports whether any step leaves the shard.
+	steps := func(x int32, node topology.NodeID, vn pipes.VN) (crosses bool) {
+		step := func(ow int, y int32) {
+			if ow == o {
+				pred[y] = append(pred[y], x)
+				return
+			}
+			if c := crossing[ow]; len(c) == 0 || c[len(c)-1] != x {
+				crossing[ow] = append(c, x)
+			}
+			crosses = true
 		}
+		for _, q := range g.Out(node) {
+			if ow := owner[q]; ow >= 0 {
+				step(ow, pipeAt[q])
+			}
+		}
+		if vn >= 0 {
+			step(homes[vn], vnAt[vn])
+		}
+		return crosses
 	}
 	// Frontier pipes: the owned pipes a cross-shard message can enter
 	// directly — the step after a peer-owned pipe, or the injection target
 	// of a peer-homed VN. Tunneled packets surface here, so the
 	// event-to-crossing bound must cover their onward distances.
-	frontier := make([]bool, n)
-	for pid := 0; pid < nPipes; pid++ {
-		if owner[pid] < 0 || owner[pid] == o {
-			continue
-		}
-		for _, nid := range g.Out(dstOf[pid]) {
-			if q := int(nid); owner[q] == o {
-				frontier[pipeAt[q]] = true
+	frontier := make([]bool, len(owned))
+	for li, pid := range owned {
+		l := g.Links[pid]
+		cost[li] = w.lat[pid]
+		if steps(int32(li), l.Dst, b.VNOfNode[l.Dst]) {
+			if len(s.BorderPipes) == 0 || cost[li] < s.Lookahead {
+				s.Lookahead = cost[li]
 			}
+			s.BorderPipes = append(s.BorderPipes, pid)
 		}
+		vn := b.VNOfNode[l.Src]
+		frontier[li] = entered[l.Src] || vn >= 0 && homes[vn] != o
 	}
-	for v, h := range homes {
-		if h == o || v >= len(b.VNHome) {
-			continue
+	for vi, v := range homed {
+		if steps(int32(len(owned)+vi), b.VNHome[v], -1) {
+			s.IngressCross = true
 		}
-		for _, nid := range g.Out(b.VNHome[v]) {
-			if q := int(nid); owner[q] == o {
-				frontier[pipeAt[q]] = true
-			}
-		}
-	}
-	plan := &SyncPlan{
-		Shard:      o,
-		Cores:      k,
-		EventCross: make([]vtime.Duration, k),
-		ExitCross:  make([][]vtime.Duration, k),
-		VNCross:    make([][]vtime.Duration, k),
 	}
 	val := make([]vtime.Duration, n)
 	pq := topology.MinHeap[pqItem]{Less: func(a, b pqItem) bool { return a.d < b.d }}
-	for j := 0; j < k; j++ {
-		plan.EventCross[j] = noCross
+	for j := 0; j < w.k; j++ {
+		s.EventCross[j] = noCross
 		if j == o {
 			continue
 		}
@@ -756,14 +689,9 @@ func buildShardPlan(g *topology.Graph, b *bind.Binding, homes []int, owner []int
 			val[x] = noCross
 		}
 		pq.Reset()
-		for x := 0; x < n; x++ {
-			for _, t := range crossTo[x] {
-				if t == j {
-					val[x] = cost[x]
-					pq.Push(pqItem{x, cost[x]})
-					break
-				}
-			}
+		for _, x := range crossing[j] {
+			val[x] = cost[x]
+			pq.Push(pqItem{int(x), cost[x]})
 		}
 		for pq.Len() > 0 {
 			it := pq.Pop()
@@ -778,41 +706,27 @@ func buildShardPlan(g *topology.Graph, b *bind.Binding, homes []int, owner []int
 				}
 			}
 		}
-		ec := make([]vtime.Duration, nPipes)
-		for pid := range ec {
-			ec[pid] = noCross
-		}
-		for li, pid := range ownedPipes {
-			best := noCross
-			for _, s := range succ[li] {
-				if v := val[s]; v < best {
-					best = v
-				}
-			}
-			ec[pid] = best
-		}
-		plan.ExitCross[j] = ec
 		vnc := make([]vtime.Duration, len(homes))
 		for v := range vnc {
 			vnc[v] = noCross
 		}
 		evc := noCross
-		for li := range ownedPipes {
+		for li := range owned {
 			if frontier[li] && val[li] < evc {
 				evc = val[li]
 			}
 		}
-		for vi, v := range homedVNs {
-			d := val[len(ownedPipes)+vi]
+		for vi, v := range homed {
+			d := val[len(owned)+vi]
 			vnc[v] = d
 			if d < evc {
 				evc = d
 			}
 		}
-		plan.EventCross[j] = evc
-		plan.VNCross[j] = vnc
+		s.EventCross[j] = evc
+		s.VNCross[j] = vnc
 	}
-	return plan
+	return s
 }
 
 // pqItem is one entry of the reverse-Dijkstra frontier (lazy deletion).
@@ -865,7 +779,7 @@ func ShardBounds(sched *vtime.Scheduler, emu *emucore.Emulator, sync ShardSync, 
 		e = vtime.Forever
 	}
 	b := Bounds{Next: next, Safe: e}
-	p := sync.Plan
+	p := &sync
 	if !emu.Eager() {
 		return b
 	}
